@@ -12,18 +12,17 @@ __version__ = "0.1.0"
 _API = {
     "hermite": ("he_eval", "he_sequence", "basis_eval", "expansion_eval",
                 "largest_he_root"),
-    "moments": ("MomentState", "GasModel", "maxwellian", "n_moments",
+    "moments": ("MomentState", "maxwellian", "n_moments",
                 "multi_indices", "stress_tensor", "heat_flux",
                 "snapshot_table", "write_snapshot", "read_snapshot",
                 "SNAPSHOT_COLUMNS"),
-    "projection": ("project", "project_coeffs", "shift_kernel"),
-    "collision": ("CollisionParams", "collide", "collide_coeffs",
-                  "relaxation_time"),
-    "closure": ("closure_coeffs", "attach_closure"),
+    "projection": ("project_coeffs", "shift_kernel"),
+    "collision": ("collide_coeffs", "relaxation_time"),
+    "closure": ("closure_coeffs",),
     "boundary": ("WallSpec", "s_table", "apply_wall_bc", "ghost_state",
                  "half_space_cutoff", "wall_density"),
     "solver1d": ("Grid1D", "RunConfig", "RunResult", "run", "step",
-                 "reconstruct", "flux_vector", "hll_flux", "cfl_timestep"),
+                 "cfl_timestep"),
     "cdvm": ("DvGrid", "DvField", "DvRunConfig", "dv_moments", "dv_step",
              "dv_run", "dv_snapshot_table"),
     "scenarios": ("ScenarioConfig", "preset", "load_config", "save_config",

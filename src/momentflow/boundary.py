@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hermite import he_zeros
-from .moments import MomentState, grade_mask, n_moments
+from .moments import MomentState, grade_mask
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -226,24 +226,3 @@ def mirror_state(state):
     u = state.u.copy()
     u[1] = -u[1]
     return MomentState(u, state.theta, mirror_coeffs(state.coeffs))
-
-
-def bc_operation_count(M):
-    """Multiply count of a sparsity-aware evaluation of the exchange map.
-
-    Per odd-a2 output the reflected sum touches only even b2 with the same
-    (a1, a3); add the per-index work for the half-Maxwellian product and the
-    ghost combination.  Stays within O(M * N_M).
-    """
-    count = 0
-    top = M + 1
-    for a1 in range(top + 1):
-        for a3 in range(top + 1 - a1):
-            room = top - a1 - a3
-            n_odd = (room + 1) // 2
-            n_even = room // 2 + 1
-            count += n_odd * n_even
-    count += 3 * n_moments(M)   # p cube: product of three axis factors
-    count += 2 * n_moments(M)   # ghost combine and copy-through
-    count += M + 2              # wall density row
-    return count

@@ -290,8 +290,13 @@ def collide_field(values, grid, kn, pr, dt):
     """Exact Shakhov relaxation with discrete conservation (batched cells)."""
     mom = dv_moments(values, grid)
     rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
-    if np.any(rho <= 0) or np.any(theta <= 0):
-        raise RuntimeError("non-positive density or temperature in collision")
+    ok = (rho > 0) & (theta > 0)
+    if not np.all(ok):
+        j = int(np.flatnonzero(~ok)[0])
+        raise RuntimeError(
+            "non-positive or non-finite density %r or temperature %r in cell "
+            "%d in collision" % (float(rho[j]), float(theta[j]), j)
+        )
     x1, x2, x3 = grid.axes
     m = rho[..., None] * u
     T0 = (3.0 * theta + np.sum(u**2, axis=-1)) * rho

@@ -58,7 +58,6 @@ def build_parser():
     r.add_argument("--max-steps", type=int, default=None)
     r.add_argument("--limiter", choices=("none", "central", "minmod"), default=None)
     r.add_argument("--splitting", choices=("lie", "strang"), default=None)
-    r.add_argument("--closure-location", choices=("interface", "cell"), default=None)
     r.add_argument("--snapshot-interval", type=int, default=None)
     r.add_argument("--dv-nodes", type=int, nargs=3, default=None)
     r.add_argument("--dv-half-width", type=float, default=None)
@@ -86,7 +85,6 @@ _FLAG_TO_FIELD = {
     "max_steps": "max_steps",
     "limiter": "limiter",
     "splitting": "splitting",
-    "closure_location": "closure_location",
     "snapshot_interval": "snapshot_interval",
     "dv_half_width": "dv_half_width",
     "out": "out_dir",

@@ -99,12 +99,3 @@ def closure_coeffs(mean_coeffs, mean_theta, grad_coeffs, grad_u, grad_theta,
     out = np.zeros(batch + (K, K, K))
     out[..., tops[:, 0], tops[:, 1], tops[:, 2]] = acc
     return out
-
-
-def attach_closure(coeffs, closure_block):
-    """Overwrite the derived top grade of the cube with the prediction."""
-    K = coeffs.shape[-1]
-    top = order_cube(K) == K - 1
-    out = np.array(coeffs, copy=True)
-    out[..., top] = closure_block[..., top]
-    return out

@@ -14,7 +14,6 @@ rate for everything above order one).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,24 +32,9 @@ def relaxation_time(rho, theta, kn):
     """Hard-sphere relaxation time (5/16) sqrt(2 pi / theta) Kn / rho."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if np.any(rho <= 0) or np.any(theta <= 0) or kn <= 0:
+    if not (np.all(rho > 0) and np.all(theta > 0) and kn > 0):
         raise ValueError("rho, theta and Kn must be positive")
     return 5.0 / 16.0 * np.sqrt(2.0 * math.pi / theta) * kn / rho
-
-
-@dataclass
-class CollisionParams:
-    tau: float
-    prandtl: float
-    dt: float
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if not (0.0 < self.prandtl <= 1.0):
-            raise ValueError("prandtl must lie in (0, 1]")
-        if self.dt < 0:
-            raise ValueError("dt must be non-negative")
 
 
 def collide_coeffs(coeffs, tau, prandtl, dt):
@@ -72,10 +56,3 @@ def collide_coeffs(coeffs, tau, prandtl, dt):
         for alpha in slots:
             out[(Ellipsis,) + alpha] += q0[..., i] * bump
     return out
-
-
-def collide(state, params):
-    """Analytic collision step on one MomentState."""
-    new = state.copy()
-    new.coeffs = collide_coeffs(state.coeffs, params.tau, params.prandtl, params.dt)
-    return new

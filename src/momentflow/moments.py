@@ -9,7 +9,6 @@ lexicographic within a grade.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -93,20 +92,6 @@ def heat_flux(coeffs):
     q[..., 1] = 2.0 * c[..., 0, 3, 0] + c[..., 2, 1, 0] + c[..., 0, 3, 0] + c[..., 0, 1, 2]
     q[..., 2] = 2.0 * c[..., 0, 0, 3] + c[..., 2, 0, 1] + c[..., 0, 2, 1] + c[..., 0, 0, 3]
     return q
-
-
-@dataclass
-class GasModel:
-    """Collision parameters: Prandtl number and the hard-sphere tau law."""
-
-    prandtl: float = 2.0 / 3.0
-    knudsen: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.prandtl <= 1.0):
-            raise ValueError("prandtl must lie in (0, 1]")
-        if self.knudsen <= 0:
-            raise ValueError("knudsen must be positive")
 
 
 class MomentState:

@@ -13,7 +13,7 @@ truncated away.
 
 import numpy as np
 
-from .moments import MomentState, grade_mask
+from .moments import grade_mask
 
 
 def shift_kernel(du, dtheta, nmax):
@@ -69,14 +69,6 @@ def project_coeffs(coeffs, u, theta, u_new, theta_new):
     out = np.matmul(out, np.swapaxes(t3, -1, -2)[..., None, :, :])
     out = np.multiply(out, grade_mask(K, K - 1), out=out)
     return out
-
-
-def project(state, u_new, theta_new):
-    """Frame-change a single MomentState; mass (slot 0) is preserved exactly."""
-    if theta_new <= 0:
-        raise ValueError("theta must be positive")
-    c = project_coeffs(state.coeffs, state.u, state.theta, np.asarray(u_new, dtype=float), theta_new)
-    return MomentState(u_new, theta_new, c)
 
 
 def renormalize_arrays(u_frame, theta_frame, coeffs):

@@ -58,7 +58,6 @@ class ScenarioConfig:
     max_steps: int = 200000
     limiter: str = "central"
     splitting: str = "lie"
-    closure_location: str = "interface"
     signal_speed_factor: float = 1.2
     dv_half_width: float = 8.0
     dv_nodes: tuple = (32, 32, 32)
@@ -150,7 +149,6 @@ def to_run_config(sc):
         force=np.asarray(sc.force, dtype=float),
         splitting=sc.splitting,
         limiter=sc.limiter,
-        closure_location=sc.closure_location,
         signal_speed_factor=sc.signal_speed_factor,
         scenario=sc.scenario,
     )
@@ -196,7 +194,6 @@ _STR_FIELDS = {
     "right_kind",
     "limiter",
     "splitting",
-    "closure_location",
     "out_dir",
     "dv_limiter",
 }

@@ -8,9 +8,18 @@ quantity, predicts the top-grade coefficients from interface gradients
 frame; two such passes form a trapezoidal (Heun) update, which is what
 keeps linear reconstruction stable at the working CFL.  Fluxes are
 re-framed to each adjacent cell before the update, which makes the scheme
-conservative in mass, momentum and energy by telescoping; wall interfaces
-build the outer state from the inner trace so the wall mass flux vanishes
-identically for a non-moving wall.
+conservative in mass, momentum and energy by telescoping.
+
+The closure is evaluated at the interfaces, from the reconstructed traces:
+the top grade of both traces is replaced by one prediction built from their
+mean and from centered differences of the interface values.  Wall ghosts
+are rebuilt from the current state at every Heun stage, and at a wall
+interface the outer state is built from the inner trace, so the wall mass
+flux vanishes identically for a non-moving wall at both stages.
+
+A state that is non-positive or non-finite (NaN) in density or temperature
+stops the step with a RuntimeError naming the cell or interface and the
+phase where it was found.
 
 Frames are a gauge: the flux divergence is accumulated into the coefficient
 cube at fixed (u, theta), after which the renormalization moves the frame to
@@ -59,8 +68,8 @@ class Grid1D:
             raise ValueError("inconsistent field shapes")
         if self.coeffs.shape != (n, K, K, K) or K < 5:
             raise ValueError("coefficient cubes must be (N, K, K, K), M >= 3")
-        if np.any(self.theta <= 0) or np.any(self.coeffs[:, 0, 0, 0] <= 0):
-            raise ValueError("non-positive density or temperature")
+        _require_positive(self.coeffs[:, 0, 0, 0], "density", "in cell %d", ValueError)
+        _require_positive(self.theta, "temperature", "in cell %d", ValueError)
 
     @property
     def n(self):
@@ -92,11 +101,6 @@ class Grid1D:
 
     def cell_state(self, j):
         return MomentState(self.u[j], self.theta[j], self.coeffs[j])
-
-    def set_cell(self, j, state):
-        self.u[j] = state.u
-        self.theta[j] = state.theta
-        self.coeffs[j] = state.coeffs
 
     def densities(self):
         return self.coeffs[:, 0, 0, 0]
@@ -130,6 +134,25 @@ class Grid1D:
 
 @dataclass
 class RunConfig:
+    """Options of an NRxx slab run.
+
+    ``M``: highest evolved moment order (the cube edge is M + 2).
+    ``kn``, ``pr``: Knudsen and Prandtl numbers of the Shakhov collision.
+    ``cfl``: fraction of the advective CFL limit used as the time step.
+    ``t_end``, ``steady_tol``, ``max_steps``: stop at the end time, at the
+    first step whose residual (see ``run``) is below the tolerance, or after
+    the step budget, whichever comes first; at least one of the first two.
+    ``left``, ``right``: wall specification per end, None for a free
+    (zero-gradient) boundary.
+    ``force``: constant body acceleration; ``splitting`` "lie" applies it
+    after transport and collision, "strang" in two half kicks around them.
+    ``limiter``: in-cell slopes, "none" (first order), "central" or "minmod".
+    ``signal_speed_factor``: HLL wave speeds are u2 +- factor *
+    he_root(M+1) * sqrt(theta).
+    ``collisionless``: skip the collision step.
+    ``scenario``: a label; the solver does not read it.
+    """
+
     M: int
     kn: float
     pr: float = 2.0 / 3.0
@@ -142,10 +165,8 @@ class RunConfig:
     force: np.ndarray = field(default_factory=lambda: np.zeros(3))
     splitting: str = "lie"
     limiter: str = "central"
-    closure_location: str = "interface"
     signal_speed_factor: float = 1.2
     collisionless: bool = False
-    ghost_refresh: bool = True     # rebuild wall ghosts at the second stage
     scenario: str = "custom"
 
     def __post_init__(self):
@@ -161,8 +182,6 @@ class RunConfig:
             raise ValueError("splitting must be 'lie' or 'strang'")
         if self.limiter not in ("none", "central", "minmod"):
             raise ValueError("limiter must be none, central or minmod")
-        if self.closure_location not in ("interface", "cell"):
-            raise ValueError("closure_location must be 'interface' or 'cell'")
         if self.t_end is None and self.steady_tol is None:
             raise ValueError("set an end time and/or a steady tolerance")
         self.force = np.asarray(self.force, dtype=float)
@@ -170,13 +189,6 @@ class RunConfig:
     @property
     def signal_speed(self):
         return self.signal_speed_factor * largest_he_root(self.M + 1)
-
-
-def flux_vector(state):
-    """y-direction flux coefficients of one state (closure grade present)."""
-    return _flux_cube(
-        state.coeffs, np.asarray(state.u[1]), np.asarray(state.theta)
-    )
 
 
 def _flux_cube(coeffs, u2, theta):
@@ -194,34 +206,6 @@ def _flux_cube(coeffs, u2, theta):
     return F
 
 
-def hll_flux(left, right, signal_c):
-    """Two-wave flux between two states; returned in their mean frame.
-
-    Signal bounds come from each side's own frame: lambda_L = min over the
-    two states of u2 - c sqrt(theta), lambda_R = max of u2 + c sqrt(theta).
-    Identical inputs reduce to flux_vector of that state.
-    """
-    u_c = 0.5 * (left.u + right.u)
-    th_c = 0.5 * (left.theta + right.theta)
-    a = project_coeffs(left.coeffs, left.u, left.theta, u_c, th_c)
-    b = project_coeffs(right.coeffs, right.u, right.theta, u_c, th_c)
-    lam_l = min(
-        left.u[1] - signal_c * math.sqrt(left.theta),
-        right.u[1] - signal_c * math.sqrt(right.theta),
-    )
-    lam_r = max(
-        left.u[1] + signal_c * math.sqrt(left.theta),
-        right.u[1] + signal_c * math.sqrt(right.theta),
-    )
-    return _hll_combine(
-        _flux_cube(a, u_c[1], th_c),
-        _flux_cube(b, u_c[1], th_c),
-        (b - a) * grade_mask(a.shape[-1], a.shape[-1] - 2),
-        np.asarray(lam_l),
-        np.asarray(lam_r),
-    )
-
-
 def _hll_combine(fa, fb, jump, lam_l, lam_r):
     ll = lam_l[..., None, None, None]
     lr = lam_r[..., None, None, None]
@@ -231,8 +215,26 @@ def _hll_combine(fa, fb, jump, lam_l, lam_r):
 
 def cfl_timestep(grid, cfl, signal_c):
     """dt = cfl dx / max_cells(|u2| + c sqrt(theta))."""
-    smax = np.max(np.abs(grid.u[:, 1]) + signal_c * np.sqrt(grid.theta))
+    speed = np.abs(grid.u[:, 1]) + signal_c * np.sqrt(grid.theta)
+    smax = np.max(speed)
+    if not math.isfinite(smax):
+        raise RuntimeError(
+            "non-finite signal speed in cell %d in the time-step choice"
+            % int(np.flatnonzero(~np.isfinite(speed))[0])
+        )
     return cfl * grid.dx / smax
+
+
+def _require_positive(x, what, where, error=RuntimeError):
+    """Raise ``error`` unless every entry of ``x`` is > 0 (NaN fails too).
+
+    ``where`` is formatted with the index of the first failing entry.
+    """
+    if not np.all(x > 0):
+        i = int(np.flatnonzero(~(x > 0))[0])
+        raise error(
+            "non-positive or non-finite %s (%r) %s" % (what, float(x[i]), where % i)
+        )
 
 
 def _minmod(a, b):
@@ -272,24 +274,19 @@ def closure_time(rho, theta, kn, dt):
     return -tau * np.expm1(-dt / tau)
 
 
-def _interface_data(grid, config, reuse=None):
-    """Traces, flanking states and common frames for every interface.
+def _interface_data(grid, config):
+    """Traces and flanking states for every interface.
 
-    Returns a dict of arrays over the N+1 interfaces.  Flanking states (the
-    pair whose mean fixes the common frame) are the adjacent cell values in
-    the interior and the inner trace / trace-built ghost at a wall.
-
-    ``reuse``: ghost states captured from an earlier sub-stage (the
-    ``ghost_refresh=False`` mode keeps wall ghosts frozen across the
-    stages of one step).
+    Returns ``(tl, tr, al, br)``, each a ``(u, theta, coeffs)`` triple of
+    arrays over the N+1 interfaces: the left and right traces, and the
+    flanking pair whose mean fixes the common frame -- the adjacent cell
+    values in the interior, the inner trace and its trace-built ghost at a
+    wall.
     """
     n, dx = grid.n, grid.dx
     K = grid.coeffs.shape[-1]
-    if reuse is not None:
-        gl, gr = reuse["cell_ghosts"]
-    else:
-        gl = _cell_ghost(grid, 0, config.left)
-        gr = _cell_ghost(grid, n - 1, config.right)
+    gl = _cell_ghost(grid, 0, config.left)
+    gr = _cell_ghost(grid, n - 1, config.right)
 
     ext_u = np.concatenate([gl.u[None], grid.u, gr.u[None]], axis=0)
     ext_th = np.concatenate([[gl.theta], grid.theta, [gr.theta]])
@@ -311,31 +308,23 @@ def _interface_data(grid, config, reuse=None):
     tr_u[:n] = grid.u - su * half
     tr_th[:n] = grid.theta - sth * half
     tr_c[:n] = grid.coeffs - sc * half
-    if np.any(tl_th[1:] <= 0) or np.any(tr_th[:n] <= 0):
-        raise RuntimeError("non-positive temperature in reconstruction")
+    _require_positive(
+        np.minimum(tl_th[1:], tr_th[:n]), "trace temperature",
+        "in cell %d in reconstruction",
+    )
 
     # outer trace at each end: trace-built ghost at a wall, zero-gradient copy
     # for a free boundary
     if config.left is not None:
-        if reuse is not None:
-            g = reuse["outer"][0]
-        else:
-            g = ghost_state(MomentState(tr_u[0], tr_th[0], tr_c[0]), config.left)
+        g = ghost_state(MomentState(tr_u[0], tr_th[0], tr_c[0]), config.left)
         tl_u[0], tl_th[0], tl_c[0] = g.u, g.theta, g.coeffs
-        outer_l = g
     else:
         tl_u[0], tl_th[0], tl_c[0] = grid.u[0], grid.theta[0], grid.coeffs[0]
-        outer_l = None
     if config.right is not None:
-        if reuse is not None:
-            g = reuse["outer"][1]
-        else:
-            g = ghost_state(MomentState(tl_u[n], tl_th[n], tl_c[n]), config.right)
+        g = ghost_state(MomentState(tl_u[n], tl_th[n], tl_c[n]), config.right)
         tr_u[n], tr_th[n], tr_c[n] = g.u, g.theta, g.coeffs
-        outer_r = g
     else:
         tr_u[n], tr_th[n], tr_c[n] = grid.u[-1], grid.theta[-1], grid.coeffs[-1]
-        outer_r = None
 
     al_u = np.concatenate([tl_u[:1], grid.u], axis=0)
     al_th = np.concatenate([tl_th[:1], grid.theta])
@@ -350,104 +339,26 @@ def _interface_data(grid, config, reuse=None):
     if config.right is not None:
         al_u[n], al_th[n], al_c[n] = tl_u[n], tl_th[n], tl_c[n]
 
-    return {
-        "tl": (tl_u, tl_th, tl_c),
-        "tr": (tr_u, tr_th, tr_c),
-        "al": (al_u, al_th, al_c),
-        "br": (br_u, br_th, br_c),
-        "ghosts": {"cell_ghosts": (gl, gr), "outer": (outer_l, outer_r)},
-    }
-
-
-def reconstruct(grid, config):
-    """Interface trace pairs (left, right) as MomentStates, one per interface."""
-    data = _interface_data(grid, config)
-    tl_u, tl_th, tl_c = data["tl"]
-    tr_u, tr_th, tr_c = data["tr"]
-    return [
-        (
-            MomentState(tl_u[i], tl_th[i], tl_c[i]),
-            MomentState(tr_u[i], tr_th[i], tr_c[i]),
-        )
-        for i in range(grid.n + 1)
-    ]
-
-
-def _cell_closure_blocks(grid, config, dt):
-    """closure_location='cell': top-grade prediction per cell from central
-    differences of the neighbor cell data over 2 dx.
-
-    Differences are raw (stored-frame) slot-wise: the closure formula wants
-    gradients of the locally-framed coefficient field, and its explicit
-    du/dy, dtheta/dy terms already account for the frame varying in space."""
-    n, dx = grid.n, grid.dx
-    gl = _cell_ghost(grid, 0, config.left)
-    gr = _cell_ghost(grid, n - 1, config.right)
-    ext_u = np.concatenate([gl.u[None], grid.u, gr.u[None]], axis=0)
-    ext_th = np.concatenate([[gl.theta], grid.theta, [gr.theta]])
-    ext_c = np.concatenate([gl.coeffs[None], grid.coeffs, gr.coeffs[None]], axis=0)
-
-    span = 2.0 * dx
-    rho = grid.densities()
-    grad_c = (ext_c[2:] - ext_c[:-2]) / span
-    grad_u = (ext_u[2:] - ext_u[:-2]) / span
-    grad_th = (ext_th[2:] - ext_th[:-2]) / span
-    grad_pt = (ext_c[2:, 0, 0, 0] * ext_th[2:] - ext_c[:-2, 0, 0, 0] * ext_th[:-2]) / span
-    # wall cells: one-sided interior differences (the mirror ghost's
-    # odd-normal-order slots would otherwise feed back into the closure)
-    for j, jo, wall in ((0, min(1, n - 1), config.left), (n - 1, max(n - 2, 0), config.right)):
-        if wall is None:
-            continue
-        sgn = 1.0 if jo >= j else -1.0
-        grad_c[j] = sgn * (grid.coeffs[jo] - grid.coeffs[j]) / dx
-        grad_u[j] = sgn * (grid.u[jo] - grid.u[j]) / dx
-        grad_th[j] = sgn * (grid.theta[jo] - grid.theta[j]) / dx
-        grad_pt[j] = sgn * (
-            grid.coeffs[jo, 0, 0, 0] * grid.theta[jo]
-            - grid.coeffs[j, 0, 0, 0] * grid.theta[j]
-        ) / dx
-    tau = closure_time(rho, grid.theta, config.kn, dt)
-    return closure_coeffs(
-        grid.coeffs,
-        grid.theta,
-        grad_c,
-        grad_u,
-        grad_th,
-        grad_pt,
-        tau,
+    return (
+        (tl_u, tl_th, tl_c),
+        (tr_u, tr_th, tr_c),
+        (al_u, al_th, al_c),
+        (br_u, br_th, br_c),
     )
 
 
-def _transport_rate(grid, config, dt, reuse=None):
-    """One flux-divergence evaluation: d(coeffs)/dt in each cell's own frame.
-
-    Returns (rate, ghosts) where ghosts can be fed back as ``reuse`` by a
-    later sub-stage when ``config.ghost_refresh`` is off.
-    """
+def _transport_rate(grid, config, dt):
+    """One flux-divergence evaluation: d(coeffs)/dt in each cell's own frame."""
     n, dx = grid.n, grid.dx
     K = grid.coeffs.shape[-1]
     evolved = grade_mask(K, K - 2)
     top = order_cube(K) == K - 1
 
-    work = grid
-    if config.closure_location == "cell":
-        blocks = _cell_closure_blocks(grid, config, dt)
-        work = Grid1D(
-            grid.y_lo,
-            grid.y_hi,
-            grid.u,
-            grid.theta,
-            np.where(top, blocks, grid.coeffs),
-        )
-
-    data = _interface_data(work, config, reuse=reuse)
-    tl_u, tl_th, tl_c = data["tl"]
-    tr_u, tr_th, tr_c = data["tr"]
-    al_u, al_th, al_c = data["al"]
-    br_u, br_th, br_c = data["br"]
-
-    u_c = 0.5 * (al_u + br_u)
-    th_c = 0.5 * (al_th + br_th)
+    tl, tr, al, br = _interface_data(grid, config)
+    tl_u, tl_th, tl_c = tl
+    tr_u, tr_th, tr_c = tr
+    u_c = 0.5 * (al[0] + br[0])
+    th_c = 0.5 * (al[1] + br[1])
     p_pair = project_coeffs(
         np.stack([tl_c, tr_c]),
         np.stack([tl_u, tr_u]),
@@ -457,62 +368,53 @@ def _transport_rate(grid, config, dt, reuse=None):
     )
     p_tl, p_tr = p_pair[0], p_pair[1]
 
-    if config.closure_location == "interface":
-        mean_c = 0.5 * (p_tl + p_tr)
-        rho_bar = mean_c[:, 0, 0, 0]
-        if np.any(rho_bar <= 0):
-            raise RuntimeError(
-                "non-positive interface density in closure at interface %d"
-                % int(np.argmin(rho_bar))
-            )
-        # Closure gradients: centered two-point differences of the
-        # single-valued reconstructed interface values over 2 dx, raw
-        # (stored-frame) slot-wise -- the formula's derivatives are of the
-        # locally-framed coefficient field, with frame variation carried by
-        # its explicit du/dy, dtheta/dy terms.  The wide stencil is also what
-        # keeps the scheme stable at the advective CFL step: the HLL
-        # dissipation alone puts the highest-frequency mode near the
-        # stability edge, and this stencil does not see that mode.
-        v_c = 0.5 * (tl_c + tr_c)
-        v_u = 0.5 * (tl_u + tr_u)
-        v_th = 0.5 * (tl_th + tr_th)
-        v_pt = 0.5 * (
-            tl_c[:, 0, 0, 0] * tl_th + tr_c[:, 0, 0, 0] * tr_th
-        )
-        grad_c = np.empty_like(v_c)
-        grad_u = np.empty_like(v_u)
-        grad_th = np.empty_like(v_th)
-        grad_pt = np.empty_like(v_pt)
-        span = 2.0 * dx
-        grad_c[1:-1] = (v_c[2:] - v_c[:-2]) / span
-        grad_u[1:-1] = (v_u[2:] - v_u[:-2]) / span
-        grad_th[1:-1] = (v_th[2:] - v_th[:-2]) / span
-        grad_pt[1:-1] = (v_pt[2:] - v_pt[:-2]) / span
-        # end interfaces: one-sided differences of the adjacent raw cell
-        # data; a wall ghost's odd-normal-order entries do not track the
-        # interior ones, so differencing against it is not a gradient
-        # estimate and would couple back into the top grade
-        for i, ja, jb in ((0, 0, min(1, n - 1)), (n, max(n - 2, 0), n - 1)):
-            grad_c[i] = (work.coeffs[jb] - work.coeffs[ja]) / dx
-            grad_u[i] = (work.u[jb] - work.u[ja]) / dx
-            grad_th[i] = (work.theta[jb] - work.theta[ja]) / dx
-            grad_pt[i] = (
-                work.coeffs[jb, 0, 0, 0] * work.theta[jb]
-                - work.coeffs[ja, 0, 0, 0] * work.theta[ja]
-            ) / dx
-        block = closure_coeffs(
-            mean_c,
-            th_c,
-            grad_c,
-            grad_u,
-            grad_th,
-            grad_pt,
-            closure_time(rho_bar, th_c, config.kn, dt),
-        )
-        a = np.where(top, block, p_tl)
-        b = np.where(top, block, p_tr)
-    else:
-        a, b = p_tl, p_tr
+    mean_c = 0.5 * (p_tl + p_tr)
+    rho_bar = mean_c[:, 0, 0, 0]
+    _require_positive(rho_bar, "density", "at interface %d in the closure")
+    # Closure gradients: centered two-point differences of the single-valued
+    # reconstructed interface values over 2 dx, raw (stored-frame)
+    # slot-wise -- the formula's derivatives are of the locally-framed
+    # coefficient field, with frame variation carried by its explicit du/dy,
+    # dtheta/dy terms.  The wide stencil is also what keeps the scheme stable
+    # at the advective CFL step: the HLL dissipation alone puts the
+    # highest-frequency mode near the stability edge, and this stencil does
+    # not see that mode.
+    v_c = 0.5 * (tl_c + tr_c)
+    v_u = 0.5 * (tl_u + tr_u)
+    v_th = 0.5 * (tl_th + tr_th)
+    v_pt = 0.5 * (tl_c[:, 0, 0, 0] * tl_th + tr_c[:, 0, 0, 0] * tr_th)
+    grad_c = np.empty_like(v_c)
+    grad_u = np.empty_like(v_u)
+    grad_th = np.empty_like(v_th)
+    grad_pt = np.empty_like(v_pt)
+    span = 2.0 * dx
+    grad_c[1:-1] = (v_c[2:] - v_c[:-2]) / span
+    grad_u[1:-1] = (v_u[2:] - v_u[:-2]) / span
+    grad_th[1:-1] = (v_th[2:] - v_th[:-2]) / span
+    grad_pt[1:-1] = (v_pt[2:] - v_pt[:-2]) / span
+    # end interfaces: one-sided differences of the adjacent raw cell data; a
+    # wall ghost's odd-normal-order entries do not track the interior ones,
+    # so differencing against it is not a gradient estimate and would couple
+    # back into the top grade
+    for i, ja, jb in ((0, 0, min(1, n - 1)), (n, max(n - 2, 0), n - 1)):
+        grad_c[i] = (grid.coeffs[jb] - grid.coeffs[ja]) / dx
+        grad_u[i] = (grid.u[jb] - grid.u[ja]) / dx
+        grad_th[i] = (grid.theta[jb] - grid.theta[ja]) / dx
+        grad_pt[i] = (
+            grid.coeffs[jb, 0, 0, 0] * grid.theta[jb]
+            - grid.coeffs[ja, 0, 0, 0] * grid.theta[ja]
+        ) / dx
+    block = closure_coeffs(
+        mean_c,
+        th_c,
+        grad_c,
+        grad_u,
+        grad_th,
+        grad_pt,
+        closure_time(rho_bar, th_c, config.kn, dt),
+    )
+    a = np.where(top, block, p_tl)
+    b = np.where(top, block, p_tr)
 
     c_sig = config.signal_speed
     lam_l = np.minimum(
@@ -536,23 +438,14 @@ def _transport_rate(grid, config, dt, reuse=None):
         grid.u,
         grid.theta,
     )
-    return (f_pair[0] - f_pair[1]) / dx, data["ghosts"]
+    return (f_pair[0] - f_pair[1]) / dx
 
 
 def _stage_state(grid, coeffs, stage):
     """Renormalize a provisional coefficient update into a valid grid."""
-    rho = coeffs[:, 0, 0, 0]
-    if np.any(rho <= 0):
-        raise RuntimeError(
-            "non-positive density in cell %d after %s"
-            % (int(np.argmin(rho)), stage)
-        )
+    _require_positive(coeffs[:, 0, 0, 0], "density", "in cell %d after " + stage)
     u_new, th_new, c_ren = renormalize_arrays(grid.u, grid.theta, coeffs)
-    if np.any(th_new <= 0):
-        raise RuntimeError(
-            "non-positive temperature in cell %d after %s"
-            % (int(np.argmin(th_new)), stage)
-        )
+    _require_positive(th_new, "temperature", "in cell %d after " + stage)
     c_ren *= grade_mask(coeffs.shape[-1], coeffs.shape[-1] - 2)
     return Grid1D(grid.y_lo, grid.y_hi, u_new, th_new, c_ren)
 
@@ -577,16 +470,14 @@ def step(grid, config, dt=None):
     if config.splitting == "strang":
         grid.u += 0.5 * dt * config.force
 
-    r1, ghosts = _transport_rate(grid, config, dt)
-    g1 = _stage_state(grid, (grid.coeffs + dt * r1) * evolved, "transport")
-    r2, _ = _transport_rate(
-        g1, config, dt, reuse=None if config.ghost_refresh else ghosts
-    )
+    r1 = _transport_rate(grid, config, dt)
+    g1 = _stage_state(grid, (grid.coeffs + dt * r1) * evolved, "transport stage 1")
+    r2 = _transport_rate(g1, config, dt)
     # the second-stage rate comes back in the stage frames; re-express it in
     # the step-start frames before averaging (the frame map is linear)
     r2 = project_coeffs(r2, g1.u, g1.theta, grid.u, grid.theta)
     new_c = (grid.coeffs + 0.5 * dt * (r1 + r2)) * evolved
-    final = _stage_state(grid, new_c, "transport")
+    final = _stage_state(grid, new_c, "transport stage 2")
     u_new, th_new, c_ren = final.u, final.theta, final.coeffs
 
     if not config.collisionless:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from momentflow.boundary import (
     WallSpec,
     apply_wall_bc,
-    bc_operation_count,
     ghost_state,
     half_maxwellian_coeffs,
     half_space_cutoff,
@@ -19,7 +18,7 @@ from momentflow.boundary import (
     wall_density,
 )
 from momentflow.hermite import expansion_eval
-from momentflow.moments import MomentState, cube_from_dict, maxwellian, n_moments
+from momentflow.moments import MomentState, cube_from_dict, maxwellian
 
 import oracles
 
@@ -333,17 +332,6 @@ def test_left_wall_is_conjugated_right_wall():
     np.testing.assert_allclose(out.coeffs, manual.coeffs, rtol=1e-14, atol=1e-17)
     assert out.validate() is None
     assert out.u[1] == wall_l.u_wall[1]
-
-
-# ---------------------------------------------------------------------------
-# cost model
-
-
-def test_bc_operation_count_scales_like_M_times_nm():
-    ratios = [bc_operation_count(M) / (M * n_moments(M)) for M in range(3, 13)]
-    assert max(ratios) <= 2.5
-    # the density stays bounded as M grows (no hidden higher power)
-    assert ratios[-1] <= ratios[0]
 
 
 @settings(max_examples=15, deadline=None)

@@ -213,6 +213,16 @@ def test_collision_rejects_negative_mass():
         )
 
 
+def test_collision_names_nan_cell():
+    # NaN must be caught at the guard, not surface later as a stalled
+    # Newton solve
+    f = np.concatenate([_mixture()] * 3)
+    f[1, 20, 24, 24] = np.nan
+    msg = "non-finite density nan .* cell 1 in collision"
+    with pytest.raises(RuntimeError, match=msg):
+        collide_field(f, GRID, 0.5, 2.0 / 3.0, 0.1)
+
+
 def test_long_relaxation_reaches_gaussian():
     f = _mixture()
     mom0 = dv_moments(f, GRID)

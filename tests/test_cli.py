@@ -131,7 +131,7 @@ def test_parser_accepts_documented_flags():
             "--kn", "0.5", "--pr", "0.9", "--chi", "0.7", "--cells", "64",
             "--tend", "2.5", "--steady-tol", "1e-7", "--max-steps", "99",
             "--limiter", "minmod", "--splitting", "strang",
-            "--closure-location", "cell", "--snapshot-interval", "25",
+            "--snapshot-interval", "25",
             "--dv-nodes", "16", "24", "16", "--dv-half-width", "9",
             "--out", "somewhere", "--threads", "2",
         ]
@@ -196,6 +196,14 @@ def test_run_failure_exits_nonzero(tmp_path, capsys):
     # custom scenario with neither an end time nor a steady tolerance
     rc = main(["run", "--scenario", "custom", "--out", str(tmp_path / "x")])
     assert rc == 1
+
+
+def test_run_nan_state_exits_nonzero(tmp_path, capsys):
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text("[run]\nscenario = shock\nM = 3\ncells = 20\nu0 = 0 nan 0\n")
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_run_threads_flag_pins_environment(tmp_path, monkeypatch):

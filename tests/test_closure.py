@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentflow.closure import attach_closure, closure_coeffs, shifted
+from momentflow.closure import closure_coeffs, shifted
 from momentflow.moments import cube_from_dict, grade_mask, multi_indices, order_cube
 
 import oracles
@@ -145,14 +145,21 @@ def test_batched_matches_single():
     np.testing.assert_allclose(out, np.stack(singles), rtol=1e-14, atol=1e-18)
 
 
-def test_attach_closure_touches_only_top_grade():
+def test_closure_writes_only_top_grade():
+    # every slot of the inputs is filled, the top grade included; the result
+    # is a new cube that is nonzero only on |alpha| = M+1, and the inputs are
+    # left alone
     M = 4
     K = M + 2
     rng = np.random.default_rng(4)
-    base = rng.standard_normal((K, K, K))
-    block = rng.standard_normal((K, K, K))
-    out = attach_closure(base, block)
+    mean = rng.standard_normal((3, K, K, K))
+    mean[:, 0, 0, 0] = 1.0 + rng.uniform(size=3)
+    grad = rng.standard_normal((3, K, K, K))
+    mean0, grad0 = mean.copy(), grad.copy()
+    out = closure_coeffs(mean, np.full(3, 0.9), grad, rng.standard_normal((3, 3)),
+                         np.full(3, 0.2), np.full(3, -0.1), np.full(3, 0.3))
     top = order_cube(K) == K - 1
-    np.testing.assert_array_equal(out[top], block[top])
-    np.testing.assert_array_equal(out[~top], base[~top])
-    assert out is not base  # input left alone
+    assert np.all(out[:, ~top] == 0.0)
+    assert np.all(out[:, top] != 0.0)
+    np.testing.assert_array_equal(mean, mean0)
+    np.testing.assert_array_equal(grad, grad0)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from momentflow.collision import collide_coeffs
 from momentflow.hermite import expansion_eval
 from momentflow.moments import (
-    GasModel,
     MomentState,
     SNAPSHOT_COLUMNS,
     cube_from_dict,
@@ -136,16 +135,6 @@ def test_validate_passes_after_collision():
     assert s.validate() is None
     out = collide_coeffs(s.coeffs, tau=0.7, prandtl=2.0 / 3.0, dt=0.3)
     assert MomentState(u, theta, out).validate() is None
-
-
-def test_gas_model_validation():
-    GasModel()  # defaults fine
-    with pytest.raises(ValueError):
-        GasModel(prandtl=0.0)
-    with pytest.raises(ValueError):
-        GasModel(prandtl=1.2)
-    with pytest.raises(ValueError):
-        GasModel(knudsen=-0.1)
 
 
 # ---------------------------------------------------------------------------

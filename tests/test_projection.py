@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from momentflow.hermite import expansion_eval
 from momentflow.moments import MomentState, cube_from_dict, maxwellian
-from momentflow.projection import (
-    project,
-    project_coeffs,
-    renormalize_arrays,
-    shift_kernel,
-)
+from momentflow.moments import grade_mask
+from momentflow.projection import project_coeffs, renormalize_arrays, shift_kernel
+from momentflow.solver1d import Grid1D, _stage_state
 
 import oracles
 
@@ -20,6 +17,12 @@ def _random_state(seed, M=4):
     rng = np.random.default_rng(seed)
     u, theta, f = oracles.random_admissible(rng, M)
     return MomentState(u, theta, cube_from_dict(M, f))
+
+
+def _project(s, u_new, theta_new):
+    """The state s re-expanded about (u_new, theta_new)."""
+    c = project_coeffs(s.coeffs, s.u, s.theta, u_new, theta_new)
+    return MomentState(u_new, theta_new, c)
 
 
 # ---------------------------------------------------------------------------
@@ -63,30 +66,37 @@ def test_shift_kernel_batched():
 
 def test_identity_shift_is_exact():
     s = _random_state(0)
-    out = project(s, s.u, s.theta)
-    np.testing.assert_array_equal(out.coeffs, s.coeffs)
+    out = project_coeffs(s.coeffs, s.u, s.theta, s.u, s.theta)
+    np.testing.assert_array_equal(out, s.coeffs)
 
 
 def test_mass_slot_preserved_exactly():
     s = _random_state(1)
-    out = project(s, s.u + [0.09, -0.04, 0.02], s.theta * 1.07)
-    assert out.coeffs[0, 0, 0] == s.coeffs[0, 0, 0]
+    u_new = s.u + [0.09, -0.04, 0.02]
+    out = project_coeffs(s.coeffs, s.u, s.theta, u_new, s.theta * 1.07)
+    assert out[0, 0, 0] == s.coeffs[0, 0, 0]
 
 
 def test_first_moment_slots_track_frame_shift():
     # starting from an admissible state, f'_{e_d} = f_0 (u_d - u'_d)
     s = _random_state(2)
     du = np.array([0.08, -0.03, 0.05])
-    out = project(s, s.u + du, s.theta)
+    out = project_coeffs(s.coeffs, s.u, s.theta, s.u + du, s.theta)
     want = -s.rho * du
-    got = np.array([out.coeffs[1, 0, 0], out.coeffs[0, 1, 0], out.coeffs[0, 0, 1]])
+    got = np.array([out[1, 0, 0], out[0, 1, 0], out[0, 0, 1]])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 def test_rejects_nonpositive_theta():
+    # the solver's frame changes take their target temperature from a
+    # renormalization; the stage guard rejects a non-positive one before any
+    # state is built on it
     s = _random_state(3)
-    with pytest.raises(ValueError):
-        project(s, s.u, 0.0)
+    c = s.coeffs.copy()
+    c[2, 0, 0] -= 2.0 * s.theta * s.rho     # pushes the recovered theta below 0
+    g = Grid1D(-0.5, 0.5, s.u[None], [s.theta], s.coeffs[None])
+    with pytest.raises(RuntimeError, match="temperature .* cell 0 after renormalize"):
+        _stage_state(g, c[None], "renormalize")
 
 
 def test_round_trip_exact_on_stored_orders():
@@ -94,8 +104,8 @@ def test_round_trip_exact_on_stored_orders():
     # retained slots and the round trip is machine-exact
     s = _random_state(4)
     du = np.array([0.1, -0.06, 0.02])
-    fwd = project(s, s.u + du, s.theta * 1.1)
-    back = project(fwd, s.u, s.theta)
+    fwd = _project(s, s.u + du, s.theta * 1.1)
+    back = _project(fwd, s.u, s.theta)
     np.testing.assert_allclose(back.coeffs, s.coeffs, rtol=5e-13, atol=1e-15)
 
 
@@ -106,7 +116,7 @@ def test_maxwellian_projection_pointwise_error_shrinks_with_M():
 
     def err_at(M):
         s = maxwellian(rho, u, theta, M)
-        moved = project(s, u + [0.25, 0.0, -0.15], theta * 1.15)
+        moved = _project(s, u + [0.25, 0.0, -0.15], theta * 1.15)
         exact = ref.evaluate(xi)
         return np.linalg.norm(moved.evaluate(xi) - exact) / np.linalg.norm(exact)
 
@@ -124,7 +134,7 @@ def test_small_shift_pointwise_accuracy():
     s = _random_state(6)
     rt = math.sqrt(s.theta)
     du = np.array([0.07, -0.05, 0.04]) * rt
-    out = project(s, s.u + du, s.theta * 0.93)
+    out = _project(s, s.u + du, s.theta * 0.93)
     xi = np.random.default_rng(7).uniform(-3.5, 3.5, size=(200, 3)) * rt + s.u
     a = s.evaluate(xi)
     b = out.evaluate(xi)
@@ -162,11 +172,9 @@ def test_project_coeffs_broadcast_common_target():
 def test_top_grade_masked_out_of_band():
     # projected cubes must stay supported on |alpha| <= M+1
     s = _random_state(15)
-    out = project(s, s.u + [0.3, 0.2, -0.1], s.theta * 1.3)
-    from momentflow.moments import grade_mask
-
-    K = out.coeffs.shape[-1]
-    assert np.all(out.coeffs[~grade_mask(K, K - 1)] == 0.0)
+    out = _project(s, s.u + [0.3, 0.2, -0.1], s.theta * 1.3).coeffs
+    K = out.shape[-1]
+    assert np.all(out[~grade_mask(K, K - 1)] == 0.0)
 
 
 @settings(max_examples=25, deadline=None)

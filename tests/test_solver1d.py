@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from momentflow import scenarios, solver1d
 from momentflow.boundary import WallSpec
 from momentflow.hermite import expansion_eval, largest_he_root
-from momentflow.moments import MomentState, cube_from_dict, maxwellian
+from momentflow.moments import MomentState, cube_from_dict, maxwellian, order_cube
 from momentflow.solver1d import (
     Grid1D,
     RunConfig,
     _flux_cube,
+    _hll_combine,
+    _interface_data,
+    _stage_state,
+    _transport_rate,
     cfl_timestep,
-    flux_vector,
-    hll_flux,
-    reconstruct,
     run,
     step,
 )
@@ -36,6 +38,20 @@ def _couette_config(M=3, **kw):
 
 def _uniform_grid(n=20, M=3, rho=1.0, theta=1.0):
     return Grid1D.from_fields(-0.5, 0.5, np.full(n, rho), np.zeros(3), theta, M)
+
+
+def _hll_calls(monkeypatch):
+    """Record (fa, fb, jump, lam_l, lam_r, result) of every HLL combination
+    the solver makes."""
+    calls = []
+
+    def spy(fa, fb, jump, lam_l, lam_r):
+        out = _hll_combine(fa, fb, jump, lam_l, lam_r)
+        calls.append((fa, fb, jump, lam_l, lam_r, out))
+        return out
+
+    monkeypatch.setattr(solver1d, "_hll_combine", spy)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +80,17 @@ def test_grid_validation():
         Grid1D(-0.5, 0.5, np.zeros((3, 3)), np.ones(4), _uniform_grid(4).coeffs)
 
 
+def test_grid_rejects_nan_density_and_temperature():
+    rho = np.ones(4)
+    rho[2] = np.nan
+    with pytest.raises(ValueError, match="density.*cell 2"):
+        Grid1D.from_fields(-0.5, 0.5, rho, np.zeros(3), 1.0, 3)
+    theta = np.ones(4)
+    theta[1] = np.nan
+    with pytest.raises(ValueError, match="temperature.*cell 1"):
+        Grid1D.from_fields(-0.5, 0.5, np.ones(4), np.zeros(3), theta, 3)
+
+
 def test_grid_totals_at_equilibrium():
     g = Grid1D.from_fields(-0.5, 0.5, np.full(8, 2.0), np.array([0.3, 0.0, -0.1]), 1.5, 3)
     assert g.total_mass() == pytest.approx(2.0)
@@ -82,7 +109,6 @@ def test_runconfig_validation():
         dict(pr=1.2),
         dict(splitting="godunov"),
         dict(limiter="superbee"),
-        dict(closure_location="corner"),
     ):
         with pytest.raises(ValueError):
             _couette_config(**kw)
@@ -101,7 +127,7 @@ def test_signal_speed_constant():
 
 def test_flux_of_equilibrium():
     s = maxwellian(1.0, np.zeros(3), 1.0, 3)
-    F = flux_vector(s)
+    F = _flux_cube(s.coeffs, s.u[1], s.theta)
     assert F[0, 0, 0] == 0.0          # no mass flux at rest
     assert F[0, 1, 0] == pytest.approx(1.0)   # pressure flux theta * rho
     assert F[1, 0, 0] == 0.0
@@ -117,7 +143,7 @@ def test_flux_matches_quadrature():
     rng = np.random.default_rng(3)
     u, theta, f = oracles.random_admissible(rng, 4)
     s = MomentState(u, theta, cube_from_dict(4, f))
-    F = flux_vector(s)
+    F = _flux_cube(s.coeffs, s.u[1], s.theta)
 
     def func(xi):
         return xi[:, 1] * expansion_eval(s.coeffs, s.u, s.theta, xi)
@@ -128,39 +154,83 @@ def test_flux_matches_quadrature():
         assert F[alpha] == pytest.approx(want, rel=2e-8, abs=1e-10)
 
 
-def test_hll_consistency():
+def test_hll_consistency(monkeypatch):
+    # identical states on both sides of every interface: the solver's HLL
+    # flux is the physical flux of that state (in its own frame, since the
+    # common frame of two equal states is theirs), with the top grade
+    # supplied by the closure -- zero here, as no gradient is present
     rng = np.random.default_rng(5)
     u, theta, f = oracles.random_admissible(rng, 3)
     s = MomentState(u, theta, cube_from_dict(3, f))
-    F = hll_flux(s, s, 3.0)
-    np.testing.assert_allclose(F, flux_vector(s), rtol=1e-13, atol=1e-16)
+    g = Grid1D(-0.5, 0.5, np.tile(u, (3, 1)), np.full(3, theta),
+               np.tile(s.coeffs, (3, 1, 1, 1)))
+    cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
+    calls = _hll_calls(monkeypatch)
+    rate = _transport_rate(g, cfg, 0.01)
+    top = order_cube(5) == 4
+    want = _flux_cube(np.where(top, 0.0, s.coeffs), s.u[1], s.theta)
+    (F,) = [c[-1] for c in calls]
+    assert F.shape == (4, 5, 5, 5)
+    for Fi in F:
+        np.testing.assert_allclose(Fi, want, rtol=1e-13, atol=1e-16)
+    assert np.max(np.abs(rate)) <= 1e-13
 
 
 def test_hll_upwind_limit_ignores_right_state():
-    # both signal bounds positive: the flux is fully determined by the left
-    # state, so changing the right coefficients must not change the result
-    u_fast = np.array([0.0, 5.0, 0.0])
-    left = maxwellian(1.0, u_fast, 0.5, 3)
-    ra = maxwellian(0.8, u_fast, 0.5, 3)
-    rb = ra.copy()
-    rb.coeffs[0, 0, 3] = 0.021
-    rb.coeffs[2, 1, 0] = -0.013
-    Fa = hll_flux(left, ra, 2.0)
-    Fb = hll_flux(left, rb, 2.0)
-    np.testing.assert_array_equal(Fa, Fb)
+    # both signal bounds positive: the flux is the left flux, whatever the
+    # right flux and the jump; both negative: the right flux
+    rng = np.random.default_rng(6)
+    fa, fb, jump = rng.standard_normal((3, 2, 5, 5, 5))
+    lam_l = np.array([0.5, -3.0])
+    lam_r = np.array([4.0, -0.2])
+    out = _hll_combine(fa, fb, jump, lam_l, lam_r)
+    np.testing.assert_array_equal(out[0], fa[0])
+    np.testing.assert_array_equal(out[1], fb[1])
+    out2 = _hll_combine(fa, -fb, 2.0 * jump, lam_l, lam_r)
+    np.testing.assert_array_equal(out2[0], fa[0])
 
 
-def test_hll_mirror_interface_has_no_mass_flux():
-    # mirrored pair about a resting wall: signal speeds are opposite and the
-    # mass component cancels identically
+def test_supersonic_flow_is_upwinded(monkeypatch):
+    # u2 = 5 > c sqrt(theta) in every cell: the solver's signal speeds are
+    # both positive at every interface and the flux is the left-trace flux
+    g = Grid1D.from_fields(
+        -0.5, 0.5, np.array([1.0, 0.8, 0.6]), np.array([0.0, 5.0, 0.0]), 0.5, 3
+    )
+    cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
+    assert 5.0 > cfg.signal_speed * math.sqrt(0.5)
+    calls = _hll_calls(monkeypatch)
+    _transport_rate(g, cfg, 0.01)
+    ((fa, fb, jump, lam_l, lam_r, F),) = calls
+    assert np.all(lam_l > 0) and np.all(lam_r > lam_l)
+    np.testing.assert_array_equal(F, fa)
+
+
+def test_hll_mirror_interface_has_no_mass_flux(monkeypatch):
+    # resting walls: the outer state is the trace-built ghost (the trace's
+    # mirror image for a specular wall), so the mass component of the HLL
+    # flux cancels identically at both wall interfaces, for states moving
+    # towards or away from the wall
     rng = np.random.default_rng(7)
-    u, theta, f = oracles.random_admissible(rng, 4)
-    u[1] = 0.17
-    s = MomentState(u, theta, cube_from_dict(4, f))
-    from momentflow.boundary import mirror_state
-
-    F = hll_flux(s, mirror_state(s), 3.0)
-    assert abs(F[0, 0, 0]) <= 1e-15
+    cubes, us, ths = [], [], []
+    for j in range(3):
+        u, theta, f = oracles.random_admissible(rng, 4)
+        u[1] = 0.17 * (1 - j)
+        cubes.append(cube_from_dict(4, f))
+        us.append(u)
+        ths.append(theta)
+    g = Grid1D(-0.5, 0.5, np.array(us), np.array(ths), np.array(cubes))
+    calls = _hll_calls(monkeypatch)
+    for chi in (0.0, 0.6, 1.0):
+        cfg = RunConfig(
+            M=4, kn=0.1, t_end=1.0,
+            left=WallSpec(chi, np.zeros(3), 1.0, "left"),
+            right=WallSpec(chi, np.zeros(3), 1.0, "right"),
+        )
+        _transport_rate(g, cfg, 0.01)
+        F = calls[-1][-1]
+        assert abs(F[0, 0, 0, 0]) <= 1e-15
+        assert abs(F[-1, 0, 0, 0]) <= 1e-15
+        assert np.min(np.abs(F[1:-1, 0, 0, 0])) > 1e-3  # the interior carries mass
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +263,13 @@ def test_cfl_governed_by_hottest_cell():
 def test_reconstruct_uniform_field():
     g = _uniform_grid(n=8, rho=1.3, theta=0.8)
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
-    pairs = reconstruct(g, cfg)
-    assert len(pairs) == 9
-    for left, right in pairs:
-        assert left.rho == pytest.approx(1.3, rel=1e-14)
-        assert right.rho == pytest.approx(1.3, rel=1e-14)
-        np.testing.assert_array_equal(left.coeffs, right.coeffs)
+    (tl_u, tl_th, tl_c), (tr_u, tr_th, tr_c), _, _ = _interface_data(g, cfg)
+    assert tl_c.shape == tr_c.shape == (9, 5, 5, 5)
+    np.testing.assert_allclose(tl_c[:, 0, 0, 0], 1.3, rtol=1e-14)
+    np.testing.assert_allclose(tr_c[:, 0, 0, 0], 1.3, rtol=1e-14)
+    np.testing.assert_array_equal(tl_c, tr_c)
+    np.testing.assert_array_equal(tl_th, tr_th)
+    np.testing.assert_array_equal(tl_u, tr_u)
 
 
 def test_reconstruct_linear_ramp_exact():
@@ -207,13 +278,13 @@ def test_reconstruct_linear_ramp_exact():
     y = g.centers
     g.coeffs[:, 0, 0, 0] = 1.0 + 0.1 * y
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0, limiter="central")
-    pairs = reconstruct(g, cfg)
+    (_, _, tl_c), (_, _, tr_c), _, _ = _interface_data(g, cfg)
     edges = g.y_lo + g.dx * np.arange(n + 1)
     # end cells see a zero-gradient ghost and flatten; interior is exact
     for i in range(2, n - 1):
         want = 1.0 + 0.1 * edges[i]
-        assert pairs[i][0].rho == pytest.approx(want, rel=1e-14)
-        assert pairs[i][1].rho == pytest.approx(want, rel=1e-14)
+        assert tl_c[i, 0, 0, 0] == pytest.approx(want, rel=1e-14)
+        assert tr_c[i, 0, 0, 0] == pytest.approx(want, rel=1e-14)
 
 
 def test_reconstruct_minmod_no_new_extrema():
@@ -222,9 +293,9 @@ def test_reconstruct_minmod_no_new_extrema():
     g.coeffs[:4, 0, 0, 0] = 1.0
     g.coeffs[4:, 0, 0, 0] = 2.0
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0, limiter="minmod")
-    for left, right in reconstruct(g, cfg):
-        assert 1.0 - 1e-14 <= left.rho <= 2.0 + 1e-14
-        assert 1.0 - 1e-14 <= right.rho <= 2.0 + 1e-14
+    (_, _, tl_c), (_, _, tr_c), _, _ = _interface_data(g, cfg)
+    for rho in (tl_c[:, 0, 0, 0], tr_c[:, 0, 0, 0]):
+        assert np.all(rho >= 1.0 - 1e-14) and np.all(rho <= 2.0 + 1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +417,9 @@ def test_couette_symmetry_preserved():
 
 
 def test_step_variants_stay_conservative():
-    # cell-centered closure, strang splitting and minmod keep the exact
-    # telescoping, including the wall-flux cancellation
+    # strang splitting and minmod keep the exact telescoping, including the
+    # wall-flux cancellation
     for kw in (
-        dict(closure_location="cell"),
         dict(splitting="strang"),
         dict(limiter="minmod"),
     ):
@@ -362,17 +432,41 @@ def test_step_variants_stay_conservative():
         assert np.all(g.theta > 0)
 
 
-def test_frozen_ghost_mode_stable_but_only_approximately_conservative():
-    # with wall ghosts frozen across the two stages the second-stage wall
-    # flux no longer cancels exactly, so mass is conserved only up to the
-    # transient O(dt * d(trace)/dt) imbalance; the mode must still be stable
-    g = _uniform_grid(n=16)
-    cfg = _couette_config(ghost_refresh=False)
-    for _ in range(60):
-        step(g, cfg)
-    assert abs(g.total_mass() - 1.0) <= 5e-3
-    assert np.all(np.isfinite(g.coeffs))
-    assert np.all(g.theta > 0)
+# ---------------------------------------------------------------------------
+# non-finite states fail loudly
+
+
+@pytest.mark.parametrize("scenario", ["shock", "couette"])
+def test_run_fails_loudly_on_nan_coefficient(scenario):
+    sc = scenarios.preset(scenario, M=3, cells=20)
+    g = scenarios.build_grid(sc)
+    g.coeffs[5, 0, 2, 0] = np.nan
+    msg = r"non-finite density \(nan\) at interface \d+ in the closure"
+    with pytest.raises(RuntimeError, match=msg):
+        run(g, scenarios.to_run_config(sc))
+
+
+def test_cfl_timestep_rejects_nan_temperature():
+    g = _uniform_grid(n=6)
+    g.theta[3] = np.nan
+    with pytest.raises(RuntimeError, match="cell 3 in the time-step choice"):
+        cfl_timestep(g, 0.95, 2.0)
+
+
+def test_reconstruction_rejects_nan_temperature():
+    g = _uniform_grid(n=6)
+    g.theta[4] = np.nan
+    cfg = RunConfig(M=3, kn=0.1, t_end=1.0, limiter="none")
+    with pytest.raises(RuntimeError, match="temperature .* cell 4 in reconstruction"):
+        _interface_data(g, cfg)
+
+
+def test_stage_state_names_cell_and_phase():
+    g = _uniform_grid(n=6)
+    c = g.coeffs.copy()
+    c[2, 0, 0, 0] = np.nan
+    with pytest.raises(RuntimeError, match="density .* cell 2 after transport stage 1"):
+        _stage_state(g, c, "transport stage 1")
 
 
 # ---------------------------------------------------------------------------
