@@ -21,8 +21,8 @@ _API = {
     "closure": ("closure_coeffs",),
     "boundary": ("WallSpec", "s_table", "apply_wall_bc", "ghost_state",
                  "half_space_cutoff", "wall_density"),
-    "solver1d": ("Grid1D", "RunConfig", "RunResult", "run", "step",
-                 "cfl_timestep"),
+    "march": ("RunResult",),
+    "solver1d": ("Grid1D", "RunConfig", "run", "step", "cfl_timestep"),
     "cdvm": ("DvGrid", "DvField", "DvRunConfig", "dv_moments", "dv_step",
              "dv_run", "dv_snapshot_table"),
     "scenarios": ("ScenarioConfig", "preset", "load_config", "save_config",

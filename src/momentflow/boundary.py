@@ -38,7 +38,7 @@ class WallSpec:
     def __post_init__(self):
         if not (0.0 <= self.chi <= 1.0):
             raise ValueError("accommodation chi must lie in [0, 1]")
-        if self.theta_wall <= 0:
+        if not (self.theta_wall > 0):
             raise ValueError("wall temperature must be positive")
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")

@@ -17,16 +17,22 @@ mass exactly by construction of the re-emitted density.
 All Gaussian moment sums factor per axis, so the Newton iteration touches
 only (cells x nodes-per-axis) data; full velocity-cube passes are limited to
 the transport sweep and a handful of elementwise updates per step.
+
+``dv_run`` marches through ``march.march``, the loop shared with the moment
+solver, so ``steady_tol`` means the same for both: every 10 steps, the max
+over cells and snapshot columns (all but y) of |change| / (|previous| +
+1e-8), per unit time since the previous check.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import WallSpec
 from .collision import relaxation_time
+from .march import check_stop_options, march
 from .moments import SNAPSHOT_COLUMNS
 
 NEWTON_TOL = 1e-13
@@ -43,7 +49,7 @@ class DvGrid:
 
     def __post_init__(self):
         for (lo, hi), n in zip(self.bounds, self.counts):
-            if hi <= lo or n < 8:
+            if not (hi > lo) or n < 8:
                 raise ValueError("each axis needs hi > lo and at least 8 nodes")
             if abs(lo + hi) > 1e-12 * (hi - lo):
                 raise ValueError("axes must be symmetric about zero")
@@ -493,6 +499,10 @@ def dv_step(field, dt, left, right, kn, pr, limiter="none"):
 
 @dataclass
 class DvRunConfig:
+    """Options of a discrete-velocity slab run; the stop options and their
+    steady residual are those of ``march.march`` (see the module docstring).
+    """
+
     kn: float
     pr: float = 2.0 / 3.0
     cfl: float = 0.95
@@ -502,26 +512,15 @@ class DvRunConfig:
     left: WallSpec = None
     right: WallSpec = None
     limiter: str = "none"
-    check_every: int = 10
 
     def __post_init__(self):
-        if self.t_end is None and self.steady_tol is None:
-            raise ValueError("set an end time and/or a steady tolerance")
+        check_stop_options(self)
+        if not (self.kn > 0):
+            raise ValueError("Knudsen number must be positive")
+        if not (0.0 < self.pr <= 1.0):
+            raise ValueError("Prandtl number must lie in (0, 1]")
         if self.limiter not in ("none", "minmod"):
             raise ValueError("limiter must be 'none' or 'minmod'")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError("CFL must lie in (0, 1]")
-
-
-@dataclass
-class DvRunResult:
-    field: DvField
-    t: float
-    steps: int
-    residual_history: np.ndarray
-    snapshots: list
-    converged: bool
-    message: str
 
 
 def dv_cfl_timestep(field, cfl, limiter="none"):
@@ -548,57 +547,11 @@ def dv_snapshot_table(field):
     return np.stack([cols[name] for name in SNAPSHOT_COLUMNS], axis=-1)
 
 
-def _profile_vector(field):
-    mom = field.moments()
-    return np.concatenate(
-        [
-            mom["rho"],
-            mom["u"].ravel(),
-            mom["theta"],
-            mom["sigma"][:, 0, 1],
-            mom["sigma"][:, 1, 1],
-            mom["q"].ravel(),
-        ]
-    )
-
-
-def dv_run(field, config, snapshot_interval=None):
-    """March the discrete-velocity field; mirrors the moment solver's loop."""
-    t_end = config.t_end if config.t_end is not None else math.inf
-    t = 0.0
-    steps = 0
-    snapshots = []
-    residuals = []
-    converged = config.steady_tol is None
-    message = "reached end time"
-    prev = _profile_vector(field)
-    t_prev = 0.0
-    while t < t_end and steps < config.max_steps:
-        dt = dv_cfl_timestep(field, config.cfl, config.limiter)
-        if t + dt > t_end:
-            dt = t_end - t
-        dv_step(field, dt, config.left, config.right, config.kn, config.pr,
-                config.limiter)
-        t += dt
-        steps += 1
-        if snapshot_interval and steps % snapshot_interval == 0:
-            snapshots.append((t, dv_snapshot_table(field)))
-        if config.steady_tol is not None and steps % config.check_every == 0:
-            cur = _profile_vector(field)
-            res = float(
-                np.max(np.abs(cur - prev) / (np.abs(prev) + 1e-8)) / (t - t_prev)
-            )
-            residuals.append(res)
-            prev, t_prev = cur, t
-            if res < config.steady_tol:
-                converged = True
-                message = "steady state reached"
-                break
-    else:
-        if steps >= config.max_steps and config.steady_tol is not None:
-            converged = False
-            message = "step budget exhausted before reaching steady state"
-    snapshots.append((t, dv_snapshot_table(field)))
-    return DvRunResult(
-        field, t, steps, np.asarray(residuals), snapshots, converged, message
-    )
+def dv_run(field, config, snapshot_interval=None, on_step=None):
+    """March the field to the configured stop with ``march.march``, the loop
+    and steady residual shared with ``solver1d.run`` (module docstring)."""
+    return march(field, config,
+                 lambda: dv_cfl_timestep(field, config.cfl, config.limiter),
+                 lambda dt: dv_step(field, dt, config.left, config.right,
+                                    config.kn, config.pr, config.limiter),
+                 lambda: dv_snapshot_table(field), snapshot_interval, on_step)

@@ -110,10 +110,9 @@ def _cmd_run(args):
     import numpy as np
 
     from . import scenarios
-    from .cdvm import dv_run, dv_snapshot_table
+    from .cdvm import dv_run
     from .moments import write_table
     from .solver1d import run as nrxx_run
-    from .moments import snapshot_table
 
     over = _collect_overrides(args)
     over.pop("scenario", None)
@@ -121,30 +120,22 @@ def _cmd_run(args):
         sc = scenarios.load_config(args.config, **over)
     else:
         sc = scenarios.preset(args.scenario or "custom", **over)
+    if sc.solver == "nrxx":
+        solve = nrxx_run
+        state, cfg = scenarios.build_grid(sc), scenarios.to_run_config(sc)
+    else:
+        solve = dv_run
+        state, cfg = scenarios.build_dv_field(sc), scenarios.to_dv_config(sc)
 
     out = sc.out_dir
     os.makedirs(out, exist_ok=True)
     scenarios.save_config(sc, os.path.join(out, "config.ini"))
-    interval = sc.snapshot_interval or None
-
-    if sc.solver == "nrxx":
-        grid = scenarios.build_grid(sc)
-        cfg = scenarios.to_run_config(sc)
-        result = nrxx_run(grid, cfg, snapshot_interval=interval)
-        final = snapshot_table(grid.centers, grid.u, grid.theta, grid.coeffs)
-        residuals = result.residual_history
-        dts = result.dt_history
-    else:
-        dv = scenarios.build_dv_field(sc)
-        cfg = scenarios.to_dv_config(sc)
-        result = dv_run(dv, cfg, snapshot_interval=interval)
-        final = dv_snapshot_table(dv)
-        residuals = result.residual_history
-        dts = np.array([])
+    result = solve(state, cfg, snapshot_interval=sc.snapshot_interval or None)
+    residuals = result.residual_history
 
     for i, (t, table) in enumerate(result.snapshots[:-1]):
         write_table(os.path.join(out, "snapshot_%04d.csv" % i), table)
-    write_table(os.path.join(out, "final.csv"), final)
+    write_table(os.path.join(out, "final.csv"), result.snapshots[-1][1])
 
     with open(os.path.join(out, "run_log.txt"), "w") as log:
         log.write("scenario=%s solver=%s M=%d kn=%g\n" % (sc.scenario, sc.solver,
@@ -152,15 +143,14 @@ def _cmd_run(args):
         log.write("steps=%d t=%.12g converged=%s\n" % (result.steps, result.t,
                                                        result.converged))
         log.write("message: %s\n" % result.message)
-        if dts.size:
-            log.write("dt history:\n")
-            for i, dt in enumerate(dts):
-                log.write("  step %d dt %.12g\n" % (i + 1, dt))
+        log.write("dt history:\n")
+        for i, dt in enumerate(result.dt_history):
+            log.write("  step %d dt %.12g\n" % (i + 1, dt))
         if residuals.size:
             log.write("residual history:\n")
             for i, res in enumerate(residuals):
                 log.write("  check %d residual %.6g\n" % (i + 1, res))
-    if sc.steady_tol is not None and residuals.size:
+    if residuals.size:
         np.savetxt(
             os.path.join(out, "residual_history.csv"),
             np.column_stack([np.arange(1, residuals.size + 1), residuals]),

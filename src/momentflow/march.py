@@ -1,0 +1,104 @@
+"""One time-marching loop and one steady residual for both slab solvers.
+
+A solver passes its state and three callables: the CFL time step, an
+in-place advance by a given dt, and the snapshot table of the current state
+(``moments.SNAPSHOT_COLUMNS`` layout).  The loop stops at ``t_end`` (the
+last step is clipped to hit it), at steady state, or after ``max_steps``
+steps, whichever comes first.
+
+The steady residual is defined once, on the snapshot table: every
+``CHECK_EVERY`` = 10 steps, and only when ``steady_tol`` is set, the max
+over cells and columns but y of |cur - prev| / (|prev| + 1e-8), divided by
+the time since the previous check (the initial state for the first).  The
+check is sparse because one discrete-velocity table costs about a third of
+a discrete-velocity step.  This module imports no solver.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+CHECK_EVERY = 10
+RESIDUAL_FLOOR = 1e-8
+
+
+def check_stop_options(config):
+    """Reject stop options under which no step could run, and a bad CFL.
+
+    Each test is written ``not (x > 0)`` so that NaN fails it too.
+    """
+    if config.t_end is None and config.steady_tol is None:
+        raise ValueError("set an end time and/or a steady tolerance")
+    for name in ("t_end", "steady_tol"):
+        value = getattr(config, name)
+        if value is not None and not (value > 0):
+            raise ValueError("%s must be positive, got %r" % (name, value))
+    if not (config.max_steps > 0):
+        raise ValueError("max_steps must be positive, got %r" % (config.max_steps,))
+    if not (0.0 < config.cfl <= 1.0):
+        raise ValueError("CFL must lie in (0, 1]")
+
+
+@dataclass
+class RunResult:
+    """The advanced state (the caller's object), the time reached, the dt of
+    every step, the residual of every check and the (t, table) snapshots."""
+
+    state: object
+    t: float
+    steps: int
+    dt_history: np.ndarray
+    residual_history: np.ndarray
+    snapshots: list
+    converged: bool
+    message: str
+
+
+def march(state, config, timestep, advance, table, snapshot_interval=None,
+          on_step=None):
+    """March ``state`` to the stop set by ``config``; returns a ``RunResult``.
+
+    ``timestep()`` gives the CFL dt, ``advance(dt)`` moves ``state`` in
+    place and ``table()`` builds its snapshot table.  The table is also kept
+    every ``snapshot_interval`` steps, and always at the end.
+    ``on_step(t, state)`` is called after every step.  ``converged`` means
+    the run stopped at steady state if ``steady_tol`` is set, else at the
+    end time.
+    """
+    t_end = math.inf if config.t_end is None else config.t_end
+    steady = config.steady_tol is not None
+    t, steps = 0.0, 0
+    dts, residuals, snapshots = [], [], []
+    converged, message = not steady, "reached end time"
+    if steady:
+        prev, t_prev = table()[:, 1:], 0.0
+    while t < t_end and steps < config.max_steps:
+        dt = timestep()
+        if t + dt > t_end:
+            dt = t_end - t
+        advance(dt)
+        t += dt
+        steps += 1
+        dts.append(dt)
+        if steady and steps % CHECK_EVERY == 0:
+            cur = table()[:, 1:]
+            change = np.abs(cur - prev) / (np.abs(prev) + RESIDUAL_FLOOR)
+            residuals.append(float(np.max(change)) / (t - t_prev))
+            prev, t_prev = cur, t
+            if residuals[-1] < config.steady_tol:
+                converged, message = True, "steady state reached"
+        if on_step is not None:
+            on_step(t, state)
+        if snapshot_interval and steps % snapshot_interval == 0:
+            snapshots.append((t, table()))
+        if steady and converged:
+            break
+    else:
+        if t < t_end:
+            converged = False
+            message = "step budget exhausted before reaching %s" % (
+                "steady state" if steady else "end time")
+    snapshots.append((t, table()))
+    return RunResult(state, t, steps, np.asarray(dts), np.asarray(residuals),
+                     snapshots, converged, message)

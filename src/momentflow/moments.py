@@ -108,7 +108,7 @@ class MomentState:
         self.u = np.asarray(u, dtype=float).copy()
         if self.u.shape != (3,):
             raise ValueError("u must be a 3-vector")
-        if theta <= 0:
+        if not (theta > 0):
             raise ValueError("theta must be positive")
         self.theta = float(theta)
         self.coeffs = np.asarray(coeffs, dtype=float).copy()
@@ -157,7 +157,7 @@ class MomentState:
 
 def maxwellian(rho, u, theta, M):
     """Equilibrium state: only the zeroth coefficient is nonzero."""
-    if rho <= 0 or theta <= 0:
+    if not (rho > 0 and theta > 0):
         raise ValueError("rho and theta must be positive")
     if M < 3:
         raise ValueError("moment order must be at least 3")

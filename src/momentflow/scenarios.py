@@ -62,7 +62,6 @@ class ScenarioConfig:
     dv_half_width: float = 8.0
     dv_nodes: tuple = (32, 32, 32)
     dv_limiter: str = "none"
-    check_every: int = 10
     out_dir: str = "."
     snapshot_interval: int = 0
 
@@ -170,7 +169,6 @@ def to_dv_config(sc):
         left=sc.wall("left"),
         right=sc.wall("right"),
         limiter=sc.dv_limiter,
-        check_every=sc.check_every,
     )
 
 
@@ -186,7 +184,7 @@ def build_dv_field(sc):
 
 
 _VEC_FIELDS = {"u0", "u_wall_left", "u_wall_right", "force", "dv_nodes"}
-_INT_FIELDS = {"M", "cells", "max_steps", "check_every", "snapshot_interval"}
+_INT_FIELDS = {"M", "cells", "max_steps", "snapshot_interval"}
 _STR_FIELDS = {
     "scenario",
     "solver",

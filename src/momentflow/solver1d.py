@@ -35,10 +35,9 @@ from .boundary import WallSpec, ghost_state
 from .closure import closure_coeffs, shifted
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
+from .march import check_stop_options, march
 from .moments import MomentState, grade_mask, order_cube, snapshot_table
 from .projection import project_coeffs, renormalize_arrays
-
-RESIDUAL_FLOOR = 1e-8
 
 
 @dataclass
@@ -62,7 +61,7 @@ class Grid1D:
         self.coeffs = np.array(self.coeffs, dtype=float)
         n = self.coeffs.shape[0]
         K = self.coeffs.shape[-1]
-        if self.y_hi <= self.y_lo:
+        if not (self.y_hi > self.y_lo):
             raise ValueError("empty domain")
         if self.u.shape != (n, 3) or self.theta.shape != (n,):
             raise ValueError("inconsistent field shapes")
@@ -140,8 +139,12 @@ class RunConfig:
     ``kn``, ``pr``: Knudsen and Prandtl numbers of the Shakhov collision.
     ``cfl``: fraction of the advective CFL limit used as the time step.
     ``t_end``, ``steady_tol``, ``max_steps``: stop at the end time, at the
-    first step whose residual (see ``run``) is below the tolerance, or after
-    the step budget, whichever comes first; at least one of the first two.
+    first steady check whose residual is below the tolerance, or after the
+    step budget, whichever comes first; at least one of the first two, and
+    each one set must be positive.  The residual is checked every 10 steps:
+    the max over cells and snapshot columns (all but y) of |change| /
+    (|previous| + 1e-8), per unit time since the previous check (see
+    ``march``).
     ``left``, ``right``: wall specification per end, None for a free
     (zero-gradient) boundary.
     ``force``: constant body acceleration; ``splitting`` "lie" applies it
@@ -172,9 +175,8 @@ class RunConfig:
     def __post_init__(self):
         if self.M < 3:
             raise ValueError("moment order M must be at least 3")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError("CFL must lie in (0, 1]")
-        if self.kn <= 0:
+        check_stop_options(self)
+        if not (self.kn > 0):
             raise ValueError("Knudsen number must be positive")
         if not (0.0 < self.pr <= 1.0):
             raise ValueError("Prandtl number must lie in (0, 1]")
@@ -182,8 +184,6 @@ class RunConfig:
             raise ValueError("splitting must be 'lie' or 'strang'")
         if self.limiter not in ("none", "central", "minmod"):
             raise ValueError("limiter must be none, central or minmod")
-        if self.t_end is None and self.steady_tol is None:
-            raise ValueError("set an end time and/or a steady tolerance")
         self.force = np.asarray(self.force, dtype=float)
 
     @property
@@ -493,80 +493,19 @@ def step(grid, config, dt=None):
     return dt
 
 
-@dataclass
-class RunResult:
-    grid: Grid1D
-    t: float
-    steps: int
-    dt_history: np.ndarray
-    residual_history: np.ndarray
-    snapshots: list
-    converged: bool
-    message: str
-
-    def final_table(self):
-        return snapshot_table(
-            self.grid.centers, self.grid.u, self.grid.theta, self.grid.coeffs
-        )
-
-
 def run(grid, config, snapshot_interval=None, on_step=None):
-    """March to the configured end time and/or steady state.
+    """March the grid to the configured end time and/or steady state.
 
-    ``snapshot_interval``: emit a profile table every that many steps (the
-    final state is always included).  ``on_step(t, grid)`` is an optional
-    observer.  Steady detection: max relative per-step change of any stored
-    quantity, per unit time, below config.steady_tol.
+    A thin call into ``march.march``, the one loop and steady residual
+    shared with ``cdvm.dv_run``: every 10 steps, the max over cells and
+    snapshot columns (all but y) of |change| / (|previous| + 1e-8), per unit
+    time since the previous check.  Returns a ``march.RunResult``.
     """
-    t_end = config.t_end if config.t_end is not None else math.inf
-    t = 0.0
-    snapshots = []
-    dts = []
-    residuals = []
-    converged = config.steady_tol is None
-    message = "reached end time"
-    steps = 0
-    while t < t_end and steps < config.max_steps:
-        dt = cfl_timestep(grid, config.cfl, config.signal_speed)
-        if t + dt > t_end:
-            dt = t_end - t
-        prev_u = grid.u.copy()
-        prev_th = grid.theta.copy()
-        prev_c = grid.coeffs.copy()
-        step(grid, config, dt)
-        t += dt
-        steps += 1
-        dts.append(dt)
-        res = max(
-            np.max(np.abs(grid.coeffs - prev_c) / (np.abs(prev_c) + RESIDUAL_FLOOR)),
-            np.max(np.abs(grid.u - prev_u) / (np.abs(prev_u) + RESIDUAL_FLOOR)),
-            np.max(np.abs(grid.theta - prev_th) / (prev_th + RESIDUAL_FLOOR)),
-        ) / dt
-        residuals.append(res)
-        if on_step is not None:
-            on_step(t, grid)
-        if snapshot_interval and steps % snapshot_interval == 0:
-            snapshots.append(
-                (t, snapshot_table(grid.centers, grid.u, grid.theta, grid.coeffs))
-            )
-        if config.steady_tol is not None and res < config.steady_tol:
-            converged = True
-            message = "steady state reached"
-            break
-    else:
-        if steps >= config.max_steps and config.steady_tol is not None:
-            converged = False
-            message = "step budget exhausted before reaching steady state"
-    snapshots.append(
-        (t, snapshot_table(grid.centers, grid.u, grid.theta, grid.coeffs))
-    )
-    return RunResult(
-        grid,
-        t,
-        steps,
-        np.asarray(dts),
-        np.asarray(residuals),
-        snapshots,
-        converged,
-        message,
-    )
+    # step, cfl_timestep and snapshot_table are looked up at call time, so
+    # a wrapper bound to these module names sees every call
+    return march(grid, config,
+                 lambda: cfl_timestep(grid, config.cfl, config.signal_speed),
+                 lambda dt: step(grid, config, dt),
+                 lambda: snapshot_table(grid.centers, grid.u, grid.theta,
+                                        grid.coeffs),
+                 snapshot_interval, on_step)

@@ -372,9 +372,8 @@ def test_dv_run_steady_detection():
         steady_tol=50.0,
         left=WallSpec(1.0, np.zeros(3), 1.0, "left"),
         right=WallSpec(1.0, np.zeros(3), 1.0, "right"),
-        check_every=5,
     )
     res = dv_run(fld, cfg)
     assert res.converged
     assert res.message == "steady state reached"
-    assert res.steps == 5
+    assert res.steps == 10

@@ -157,7 +157,7 @@ def test_run_couette_writes_outputs(tmp_path, capsys):
     rc = main(
         [
             "run", "--scenario", "couette", "--M", "3", "--cells", "12",
-            "--tend", "0.2", "--snapshot-interval", "5", "--out", str(out),
+            "--tend", "0.6", "--snapshot-interval", "5", "--out", str(out),
         ]
     )
     assert rc == 0
@@ -187,6 +187,7 @@ def test_run_cdvm_smoke(tmp_path):
     prof = read_snapshot(str(out / "final.csv"))
     assert prof["rho"].shape == (8,)
     assert np.all(prof["rho"] > 0)
+    assert "step 1 dt " in (out / "run_log.txt").read_text()
 
 
 def test_run_failure_exits_nonzero(tmp_path, capsys):
@@ -196,6 +197,19 @@ def test_run_failure_exits_nonzero(tmp_path, capsys):
     # custom scenario with neither an end time nor a steady tolerance
     rc = main(["run", "--scenario", "custom", "--out", str(tmp_path / "x")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tend", "nan"], ["--tend", "-1"], ["--tend", "0"],
+    ["--max-steps", "0"], ["--steady-tol", "nan"],
+])
+def test_run_rejects_stop_conditions_that_run_no_step(tmp_path, capsys, flags):
+    rc = main(["run", "--scenario", "shock", "--M", "3", "--cells", "8",
+               "--out", str(tmp_path / "o")] + flags)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "must be positive" in captured.err
+    assert "steps" not in captured.out
 
 
 def test_run_nan_state_exits_nonzero(tmp_path, capsys):

@@ -1,0 +1,86 @@
+"""The marching loop and stop rule shared by the moment and DVM solvers."""
+
+import numpy as np
+import pytest
+
+from momentflow import scenarios
+from momentflow.cdvm import DvRunConfig, dv_run
+from momentflow.march import CHECK_EVERY
+from momentflow.solver1d import RunConfig, run
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda **kw: RunConfig(M=3, kn=0.1, **kw), lambda **kw: DvRunConfig(kn=0.1, **kw)],
+    ids=["RunConfig", "DvRunConfig"],
+)
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(t_end=NAN),
+        dict(t_end=-1.0),
+        dict(t_end=0.0),
+        dict(steady_tol=0.0),
+        dict(steady_tol=-1e-3),
+        dict(steady_tol=NAN),
+        dict(t_end=1.0, steady_tol=NAN),
+        dict(t_end=1.0, max_steps=0),
+    ],
+    ids=["t_end-nan", "t_end-negative", "t_end-zero", "steady_tol-zero",
+         "steady_tol-negative", "steady_tol-nan", "steady_tol-nan-with-t_end",
+         "max_steps-zero"],
+)
+def test_configs_reject_stop_options_that_run_no_step(make, kw):
+    with pytest.raises(ValueError):
+        make(**kw)
+
+
+def _small_couette(solver, **stop):
+    sc = scenarios.preset(
+        "couette", solver=solver, M=3, cells=8, dv_nodes=(12, 12, 12),
+        dv_half_width=6.0, **stop,
+    )
+    if solver == "nrxx":
+        return run, scenarios.build_grid(sc), scenarios.to_run_config(sc)
+    return dv_run, scenarios.build_dv_field(sc), scenarios.to_dv_config(sc)
+
+
+@pytest.mark.parametrize("solver", ["nrxx", "cdvm"])
+def test_both_solvers_share_one_stop_rule(solver):
+    assert CHECK_EVERY == 10
+
+    solve, state, cfg = _small_couette(solver, steady_tol=1e9)
+    res = solve(state, cfg)
+    assert (res.steps, res.converged) == (10, True)
+    assert res.message == "steady state reached"
+    assert len(res.residual_history) == 1
+
+    solve, state, cfg = _small_couette(solver, steady_tol=1e-30, max_steps=25)
+    res = solve(state, cfg)
+    assert (res.steps, res.converged) == (25, False)
+    assert "budget" in res.message
+    assert len(res.residual_history) == 2
+    assert np.all(res.residual_history > 0)
+
+    solve, state, cfg = _small_couette(solver, steady_tol=None, t_end=0.1)
+    seen = []
+    res = solve(state, cfg, on_step=lambda t, st: seen.append((t, st)))
+    assert res.t == pytest.approx(0.1, abs=1e-13)
+    assert (res.converged, res.message) == (True, "reached end time")
+    assert len(seen) == res.steps == len(res.dt_history)
+    assert all(st is state for _, st in seen)
+    np.testing.assert_allclose([t for t, _ in seen], np.cumsum(res.dt_history))
+    assert len(res.residual_history) == 0
+    assert res.state is state
+    assert res.snapshots[-1][0] == res.t
+
+
+@pytest.mark.parametrize("solver", ["nrxx", "cdvm"])
+def test_budget_before_end_time_is_not_converged(solver):
+    solve, state, cfg = _small_couette(solver, steady_tol=None, t_end=1e3,
+                                       max_steps=3)
+    res = solve(state, cfg)
+    assert (res.steps, res.converged) == (3, False)
+    assert res.message == "step budget exhausted before reaching end time"
