@@ -14,9 +14,12 @@ collision invariants vanish.  Collision therefore conserves the discrete
 invariants to solver tolerance, and the accommodation-wall fluxes balance
 mass exactly by construction of the re-emitted density.
 
-All Gaussian moment sums factor per axis, so the Newton iteration touches
-only (cells x nodes-per-axis) data; full velocity-cube passes are limited to
-the transport sweep and a handful of elementwise updates per step.
+The quadrature weights, the Gaussian and the Shakhov polynomial all factor
+per axis, so the Newton iteration and the conservative projection touch
+only (cells x nodes-per-axis) data.  Besides the transport sweep, a step
+passes over the full velocity cube twice in the collision: one read (the
+moment GEMM of ``dv_moments``) and one write (a batched GEMM plus the fused
+update f e_full + G P in ``collide_field``).
 
 ``dv_run`` marches through ``march.march``, the loop shared with the moment
 solver, so ``steady_tol`` means the same for both: every 10 steps, the max
@@ -93,44 +96,31 @@ class DvGrid:
         return out
 
 
+# unit multi-indices, and the raw-moment indices e_a + e_b of the momentum
+# flux P_ab and e_a + 2 e_b of the heat-flux sums, as index-array tuples
+_E = np.eye(3, dtype=int)
+_PAIR = tuple(np.moveaxis(_E[:, None] + _E[None, :], -1, 0))
+_TRIPLE = tuple(np.moveaxis(_E[:, None] + 2 * _E[None, :], -1, 0))
+
+
 def dv_moments(values, grid):
     """Macroscopic fields of nodal data: dict with rho, u, theta, sigma, q.
 
-    Raw quadrature moments are taken over xi and converted to the central
+    The weights and monomials factor per axis, so the raw moments
+    M[i, j, k] = sum w1 w2 w3 x1^i x2^j x3^k f, i + j + k <= 3, are one GEMM
+    of the cube against the tables V_d[n, k] = w_d x_d^k (z first), then two
+    small contractions over y and x.  They are converted to the central
     quantities; works on any batch shape (..., n1, n2, n3).
     """
-    x1, x2, x3 = grid.axes
-    fw = values * grid.w3
-    rho = fw.sum(axis=(-3, -2, -1))
-    m = np.stack(
-        [
-            np.einsum("...xyz,x->...", fw, x1),
-            np.einsum("...xyz,y->...", fw, x2),
-            np.einsum("...xyz,z->...", fw, x3),
-        ],
-        axis=-1,
-    )
-    P = np.empty(rho.shape + (3, 3))
-    P[..., 0, 0] = np.einsum("...xyz,x->...", fw, x1**2)
-    P[..., 1, 1] = np.einsum("...xyz,y->...", fw, x2**2)
-    P[..., 2, 2] = np.einsum("...xyz,z->...", fw, x3**2)
-    P[..., 0, 1] = P[..., 1, 0] = np.einsum("...xyz,x,y->...", fw, x1, x2)
-    P[..., 0, 2] = P[..., 2, 0] = np.einsum("...xyz,x,z->...", fw, x1, x3)
-    P[..., 1, 2] = P[..., 2, 1] = np.einsum("...xyz,y,z->...", fw, x2, x3)
-    Q = np.stack(
-        [
-            np.einsum("...xyz,x->...", fw, x1**3)
-            + np.einsum("...xyz,x,y->...", fw, x1, x2**2)
-            + np.einsum("...xyz,x,z->...", fw, x1, x3**2),
-            np.einsum("...xyz,y->...", fw, x2**3)
-            + np.einsum("...xyz,x,y->...", fw, x1**2, x2)
-            + np.einsum("...xyz,y,z->...", fw, x2, x3**2),
-            np.einsum("...xyz,z->...", fw, x3**3)
-            + np.einsum("...xyz,x,z->...", fw, x1**2, x3)
-            + np.einsum("...xyz,y,z->...", fw, x2**2, x3),
-        ],
-        axis=-1,
-    )
+    V1, V2, V3 = (w[:, None] * x[:, None] ** np.arange(4)
+                  for x, w in zip(grid.axes, grid.weights))
+    Mz = (values.reshape(-1, values.shape[-1]) @ V3).reshape(
+        values.shape[:-1] + (4,))
+    M = np.einsum("...xyk,xi,yj->...ijk", Mz, V1, V2, optimize=True)
+    rho = M[..., 0, 0, 0]
+    m = M[(Ellipsis,) + tuple(_E)]
+    P = M[(Ellipsis,) + _PAIR]
+    Q = M[(Ellipsis,) + _TRIPLE].sum(axis=-1)
     u = m / rho[..., None]
     T0 = P[..., 0, 0] + P[..., 1, 1] + P[..., 2, 2]
     usq = np.sum(u**2, axis=-1)
@@ -267,33 +257,32 @@ def conservative_gaussian(grid, rho_t, m_t, T0_t, u_seed, theta_seed):
     raise RuntimeError("conservative Gaussian correction did not converge")
 
 
-def _outer3(norm, gs):
-    return norm[..., None, None, None] * np.einsum(
-        "...x,...y,...z->...xyz", gs[0], gs[1], gs[2]
-    )
-
-
-def _central_axis_moments(As, u):
-    """Per-axis central sums Ac[k] = sum w (x-u)^k g from the raw tables."""
-    out = []
-    for d in range(3):
-        a = [As[d][..., k] for k in range(5)]
-        ud = u[..., d]
-        out.append(
-            [
-                a[0],
-                a[1] - ud * a[0],
-                a[2] - 2 * ud * a[1] + ud**2 * a[0],
-                a[3] - 3 * ud * a[2] + 3 * ud**2 * a[1] - ud**3 * a[0],
-                a[4] - 4 * ud * a[3] + 6 * ud**2 * a[2] - 4 * ud**3 * a[1]
-                + ud**4 * a[0],
-            ]
-        )
-    return out
+# cubic polynomials in c = xi - u are tensors p[..., i, j, k] of the
+# coefficients of c1^i c2^j c3^k; _PSI holds the collision invariants
+# 1, c1, c2, c3 and |c|^2, and _HANKEL[i, j] = i + j
+_PSI = np.zeros((5, 4, 4, 4))
+_PSI[0, 0, 0, 0] = _PSI[1, 1, 0, 0] = _PSI[2, 0, 1, 0] = _PSI[3, 0, 0, 1] = 1.0
+_PSI[4, 2, 0, 0] = _PSI[4, 0, 2, 0] = _PSI[4, 0, 0, 2] = 1.0
+_HANKEL = np.add.outer(np.arange(4), np.arange(4))
 
 
 def collide_field(values, grid, kn, pr, dt):
-    """Exact Shakhov relaxation with discrete conservation (batched cells)."""
+    """Exact Shakhov relaxation with discrete conservation (batched cells).
+
+    The relaxed state G + B e_pr + (f - G - B) e_full is written in
+    separable form as f e_full + G P(c), with G = norm g1 g2 g3 the
+    conservative Gaussian, c = xi - u_G and the cubic
+
+        P = (1 - e_full) + (e_pr - e_full) (b - lam . psi),
+
+    where b = (c . q) (|c|^2 / theta_G - 5) / (5 rho theta^2) is the Shakhov
+    polynomial and lam projects out the invariants psi = (1, c, |c|^2), so
+    the quadrature mass, momentum and energy of B = G (b - lam . psi)
+    vanish.  The quadrature of G times any polynomial factors into per-axis
+    central sums S_d[k] = sum w_d g_d c_d^k (k <= 6), so the projection
+    never touches the cube; the result is one batched GEMM
+    (g1 c1^i) @ (sum_jk P_ijk g2 c2^j g3 c3^k) plus the f e_full update.
+    """
     mom = dv_moments(values, grid)
     rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
     ok = (rho > 0) & (theta > 0)
@@ -303,86 +292,45 @@ def collide_field(values, grid, kn, pr, dt):
             "non-positive or non-finite density %r or temperature %r in cell "
             "%d in collision" % (float(rho[j]), float(theta[j]), j)
         )
-    x1, x2, x3 = grid.axes
     m = rho[..., None] * u
     T0 = (3.0 * theta + np.sum(u**2, axis=-1)) * rho
-    rho_g, u_g, th_g, gs, As = conservative_gaussian(grid, rho, m, T0, u, theta)
+    rho_g, u_g, th_g, gs, _ = conservative_gaussian(grid, rho, m, T0, u, theta)
     norm = rho_g * (2.0 * math.pi * th_g) ** -1.5
-    G = _outer3(norm, gs)
-
     tau = relaxation_time(rho, theta, kn)
-    e_full = np.exp(-dt / tau)[..., None, None, None]
-    e_pr = np.exp(-pr * dt / tau)[..., None, None, None]
-    if pr == 1.0:
-        return G + (values - G) * e_full
+    e_full = np.exp(-dt / tau)
+    e_pr = np.exp(-pr * dt / tau)
 
-    c1 = x1[None] - u_g[..., 0, None]
-    c2 = x2[None] - u_g[..., 1, None]
-    c3 = x3[None] - u_g[..., 2, None]
-    ax = (Ellipsis, slice(None), None, None)
-    ay = (Ellipsis, None, slice(None), None)
-    az = (Ellipsis, None, None, slice(None))
-    cq = (
-        (q[..., 0, None] * c1)[ax]
-        + (q[..., 1, None] * c2)[ay]
-        + (q[..., 2, None] * c3)[az]
-    )
-    csq = (c1**2)[ax] + (c2**2)[ay] + (c3**2)[az]
-    th4 = th_g[..., None, None, None]
-    B = G * cq * (csq / th4 - 5.0) / (5.0 * (rho * theta**2)[..., None, None, None])
-
-    # project out the discrete collision invariants: B -= G * (lam . psi),
-    # psi = (1, c1, c2, c3, |c|^2), so that quadrature mass/momentum/energy
-    # of B vanish exactly
-    Ac = _central_axis_moments(As, u_g)
-    def pmom(k1, k2, k3):
-        return norm * Ac[0][k1] * Ac[1][k2] * Ac[2][k3]
-
-    gram = np.empty(rho.shape + (5, 5))
-    kdelta = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    gram[..., 0, 0] = pmom(0, 0, 0)
-    for d, kd in enumerate(kdelta):
-        gram[..., 0, 1 + d] = gram[..., 1 + d, 0] = pmom(*kd)
-    gram[..., 0, 4] = gram[..., 4, 0] = sum(
-        pmom(*(2 * np.array(kd))) for kd in kdelta
-    )
-    for d, kd in enumerate(kdelta):
-        for e, ke in enumerate(kdelta):
-            gram[..., 1 + d, 1 + e] = pmom(*(np.array(kd) + np.array(ke)))
-    for d, kd in enumerate(kdelta):
-        t = pmom(*(3 * np.array(kd)))
-        for e, ke in enumerate(kdelta):
-            if e != d:
-                t = t + pmom(*(np.array(kd) + 2 * np.array(ke)))
-        gram[..., 1 + d, 4] = gram[..., 4, 1 + d] = t
-    t = sum(pmom(*(4 * np.array(kd))) for kd in kdelta)
+    # per axis: nodal factors H_d[..., n, i] = g_d c_d^i and the Hankel
+    # table K_d[..., i, j] = S_d[i + j], so <G p r> / norm is p K1 K2 K3 r
+    H, K = [], []
     for d in range(3):
-        for e in range(d + 1, 3):
-            t = t + 2.0 * pmom(*(2 * np.array(kdelta[d]) + 2 * np.array(kdelta[e])))
-    gram[..., 4, 4] = t
+        c = grid.axes[d] - u_g[..., d, None]
+        gc = gs[d][..., None] * c[..., None] ** np.arange(7)
+        H.append(gc[..., :4])
+        K.append(np.einsum("n,...nk->...k", grid.weights[d], gc)[..., _HANKEL])
 
-    Bw = B * grid.w3
-    rhs = np.empty(rho.shape + (5,))
-    rhs[..., 0] = Bw.sum(axis=(-3, -2, -1))
-    rhs[..., 1] = np.einsum("...xyz,...x->...", Bw, c1)
-    rhs[..., 2] = np.einsum("...xyz,...y->...", Bw, c2)
-    rhs[..., 3] = np.einsum("...xyz,...z->...", Bw, c3)
-    rhs[..., 4] = (
-        np.einsum("...xyz,...x->...", Bw, c1**2)
-        + np.einsum("...xyz,...y->...", Bw, c2**2)
-        + np.einsum("...xyz,...z->...", Bw, c3**2)
-    )
+    # Shakhov polynomial b = sum_a sq_a c_a (sum_e c_e^2 / theta_G - 5)
+    sq = q / (5.0 * rho * theta**2)[..., None]
+    b = np.zeros(rho.shape + (4, 4, 4))
+    for a in range(3):
+        b[(Ellipsis,) + tuple(_E[a])] = -5.0 * sq[..., a]
+        for e in range(3):
+            b[(Ellipsis,) + tuple(_E[a] + 2 * _E[e])] += sq[..., a] / th_g
+
+    # Gram matrix <G psi_i psi_j> and right-hand side <G b psi_i>, over norm
+    Kpsi = np.einsum("...ad,...be,...cf,idef->...iabc", *K, _PSI, optimize=True)
+    gram = np.einsum("...iabc,jabc->...ij", Kpsi, _PSI)
+    rhs = np.einsum("...iabc,...abc->...i", Kpsi, b)
     lam = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    poly = (
-        lam[..., 0, None, None, None]
-        + (lam[..., 1, None] * c1)[ax]
-        + (lam[..., 2, None] * c2)[ay]
-        + (lam[..., 3, None] * c3)[az]
-        + lam[..., 4, None, None, None] * csq
-    )
-    B = B - G * poly
+    P = b - np.einsum("...i,iabc->...abc", lam, _PSI)
+    P *= (e_pr - e_full)[..., None, None, None]
+    P[..., 0, 0, 0] += 1.0 - e_full
 
-    return G + B * e_pr + (values - G - B) * e_full
+    Y = np.einsum("...ijk,...yj,...zk->...iyz", P, H[1], H[2], optimize=True)
+    out = (norm[..., None, None] * H[0]) @ Y.reshape(Y.shape[:-2] + (-1,))
+    out = out.reshape(values.shape)
+    out += e_full[..., None, None, None] * values
+    return out
 
 
 @dataclass

@@ -34,6 +34,8 @@ def check_stop_options(config):
         value = getattr(config, name)
         if value is not None and not (value > 0):
             raise ValueError("%s must be positive, got %r" % (name, value))
+    if config.max_steps is None:
+        raise ValueError("max_steps must be a positive integer, got None")
     if not (config.max_steps > 0):
         raise ValueError("max_steps must be positive, got %r" % (config.max_steps,))
     if not (0.0 < config.cfl <= 1.0):

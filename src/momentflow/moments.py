@@ -140,11 +140,11 @@ class MomentState:
 
     def validate(self, tol=INVARIANT_TOL):
         """None if the state is admissible, else a description of the first
-        violated invariant."""
-        if self.rho <= 0:
-            return "rho <= 0"
-        if self.theta <= 0:
-            return "theta <= 0"
+        violated invariant.  Written ``not (x > 0)`` so that NaN fails."""
+        if not (self.rho > 0):
+            return "rho is not positive: %r" % self.rho
+        if not (self.theta > 0):
+            return "theta is not positive: %r" % self.theta
         scale = max(abs(self.rho), 1.0)
         for d, alpha in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
             if abs(self.coeffs[alpha]) > tol * scale:

@@ -239,6 +239,106 @@ def closure_reference(M, mean, grads, tau):
 
 
 # ---------------------------------------------------------------------------
+# Discrete-velocity kernels by full-cube quadrature
+#
+# Every quadrature below is one einsum over the weighted velocity cube: the
+# direct form of the sums that the cdvm kernels factor per velocity axis.
+
+
+def dv_moments_reference(values, grid):
+    """rho, u, theta, sigma, q of nodal data (..., n1, n2, n3), one einsum
+    over the weighted cube per raw moment."""
+    x1, x2, x3 = grid.axes
+    fw = values * grid.w3
+    rho = fw.sum(axis=(-3, -2, -1))
+    m = np.stack(
+        [
+            np.einsum("...xyz,x->...", fw, x1),
+            np.einsum("...xyz,y->...", fw, x2),
+            np.einsum("...xyz,z->...", fw, x3),
+        ],
+        axis=-1,
+    )
+    P = np.empty(rho.shape + (3, 3))
+    P[..., 0, 0] = np.einsum("...xyz,x->...", fw, x1**2)
+    P[..., 1, 1] = np.einsum("...xyz,y->...", fw, x2**2)
+    P[..., 2, 2] = np.einsum("...xyz,z->...", fw, x3**2)
+    P[..., 0, 1] = P[..., 1, 0] = np.einsum("...xyz,x,y->...", fw, x1, x2)
+    P[..., 0, 2] = P[..., 2, 0] = np.einsum("...xyz,x,z->...", fw, x1, x3)
+    P[..., 1, 2] = P[..., 2, 1] = np.einsum("...xyz,y,z->...", fw, x2, x3)
+    Q = np.stack(
+        [
+            np.einsum("...xyz,x->...", fw, x1**3)
+            + np.einsum("...xyz,x,y->...", fw, x1, x2**2)
+            + np.einsum("...xyz,x,z->...", fw, x1, x3**2),
+            np.einsum("...xyz,y->...", fw, x2**3)
+            + np.einsum("...xyz,x,y->...", fw, x1**2, x2)
+            + np.einsum("...xyz,y,z->...", fw, x2, x3**2),
+            np.einsum("...xyz,z->...", fw, x3**3)
+            + np.einsum("...xyz,x,z->...", fw, x1**2, x3)
+            + np.einsum("...xyz,y,z->...", fw, x2**2, x3),
+        ],
+        axis=-1,
+    )
+    u = m / rho[..., None]
+    T0 = P[..., 0, 0] + P[..., 1, 1] + P[..., 2, 2]
+    usq = np.sum(u**2, axis=-1)
+    theta = (T0 - rho * usq) / (3.0 * rho)
+    Theta = P - rho[..., None, None] * u[..., :, None] * u[..., None, :]
+    sigma = Theta - (rho * theta)[..., None, None] * np.eye(3)
+    q = 0.5 * (
+        Q
+        - 2.0 * np.einsum("...j,...ij->...i", u, P)
+        + usq[..., None] * m
+        - u * (T0 - rho * usq)[..., None]
+    )
+    return {"rho": rho, "u": u, "theta": theta, "sigma": sigma, "q": q}
+
+
+def collide_reference(values, grid, kn, pr, dt):
+    """Shakhov relaxation G + B e_pr + (f - G - B) e_full of cells (N, n1,
+    n2, n3), with G and B = G b - G (lam . psi) built as full cubes and the
+    projection's Gram matrix and right-hand side summed over the cube.
+
+    The Newton-corrected Gaussian parameters come from the library's
+    ``conservative_gaussian``, which ``test_conservative_gaussian_hits_targets``
+    checks on its own.
+    """
+    from momentflow.cdvm import conservative_gaussian
+    from momentflow.collision import relaxation_time
+
+    mom = dv_moments_reference(values, grid)
+    rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
+    T0 = (3.0 * theta + np.sum(u**2, axis=-1)) * rho
+    rho_g, u_g, th_g, gs, _ = conservative_gaussian(
+        grid, rho, rho[:, None] * u, T0, u, theta
+    )
+    cube = (slice(None), None, None, None)
+    G = (rho_g * (2.0 * math.pi * th_g) ** -1.5)[cube] * (
+        gs[0][:, :, None, None] * gs[1][:, None, :, None] * gs[2][:, None, None, :]
+    )
+    c1 = (grid.axes[0][None] - u_g[:, 0, None])[:, :, None, None]
+    c2 = (grid.axes[1][None] - u_g[:, 1, None])[:, None, :, None]
+    c3 = (grid.axes[2][None] - u_g[:, 2, None])[:, None, None, :]
+    csq = c1**2 + c2**2 + c3**2
+    cq = q[:, 0][cube] * c1 + q[:, 1][cube] * c2 + q[:, 2][cube] * c3
+    B = G * cq * (csq / th_g[cube] - 5.0) / (5.0 * rho * theta**2)[cube]
+
+    psi = np.stack([np.broadcast_to(p, G.shape) for p in (1.0, c1, c2, c3, csq)],
+                   axis=1)
+    w3 = grid.w3
+    gram = np.einsum("jaxyz,jbxyz,jxyz->jab", psi, psi, G * w3)
+    rhs = np.einsum("jaxyz,jxyz->ja", psi, B * w3)
+    lam = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    B = B - G * np.einsum("ja,jaxyz->jxyz", lam, psi)
+
+    tau = relaxation_time(rho, theta, kn)
+    e_full = np.exp(-dt / tau)[cube]
+    e_pr = np.exp(-pr * dt / tau)[cube]
+    return G + B * e_pr + (values - G - B) * e_full
+
+
+# ---------------------------------------------------------------------------
 # Random admissible states
 
 

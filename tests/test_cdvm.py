@@ -19,6 +19,8 @@ from momentflow.cdvm import (
 from momentflow.collision import relaxation_time
 from momentflow.moments import SNAPSHOT_COLUMNS
 
+import oracles
+
 
 GRID = DvGrid.cube(8.0, 48)
 
@@ -221,6 +223,52 @@ def test_collision_names_nan_cell():
     msg = "non-finite density nan .* cell 1 in collision"
     with pytest.raises(RuntimeError, match=msg):
         collide_field(f, GRID, 0.5, 2.0 / 3.0, 0.1)
+
+
+def _three_cells():
+    """Non-equilibrium cells with different u, theta and q: a Shakhov-shaped
+    state plus a hot beam, which adds shear stress and changes q."""
+    cells = [
+        (1.0, [0.2, 0.1, 0.0], 0.9, [0.02, -0.015, 0.007]),
+        (0.8, [-0.3, 0.25, 0.1], 1.2, [-0.03, 0.01, 0.02]),
+        (1.3, [0.05, -0.2, -0.15], 0.7, [0.01, 0.025, -0.02]),
+    ]
+    return np.stack([
+        0.8 * _shakhov_perturbed(GRID, rho, np.array(u), th, np.array(q))
+        + 0.2 * GRID.maxwellian(rho, np.array(u) + [0.3, -0.2, 0.1], 1.3 * th)
+        for rho, u, th, q in cells
+    ])
+
+
+def _invariants(f):
+    """Quadrature mass, momentum and energy <|xi|^2 f> of each cell."""
+    w3 = GRID.w3
+    xi = np.meshgrid(*GRID.axes, indexing="ij")
+    return np.stack(
+        [np.sum(w3 * f, axis=(-3, -2, -1))]
+        + [np.sum(w3 * x * f, axis=(-3, -2, -1)) for x in xi]
+        + [np.sum(w3 * sum(x**2 for x in xi) * f, axis=(-3, -2, -1))],
+        axis=-1,
+    )
+
+
+@pytest.mark.parametrize("pr", [2.0 / 3.0, 1.0])
+def test_kernels_match_full_cube_oracles_per_cell(pr):
+    f = _three_cells()
+    got, want = dv_moments(f, GRID), oracles.dv_moments_reference(f, GRID)
+    # sigma and q are differences of raw moments of size rho theta ~ 1, so
+    # their rounding is absolute at that scale
+    for key in want:
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-14,
+                                   err_msg=key)
+    assert np.all(np.abs(want["q"]) > 1e-3)
+    assert np.abs(want["sigma"][:, 0, 1]).min() > 1e-3
+
+    kn, dt = 0.5, 0.3
+    out = collide_field(f, GRID, kn, pr, dt)
+    ref = oracles.collide_reference(f, GRID, kn, pr, dt)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-15 * ref.max())
+    np.testing.assert_allclose(_invariants(out), _invariants(f), rtol=1e-12)
 
 
 def test_long_relaxation_reaches_gaussian():

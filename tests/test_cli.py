@@ -212,6 +212,18 @@ def test_run_rejects_stop_conditions_that_run_no_step(tmp_path, capsys, flags):
     assert "steps" not in captured.out
 
 
+@pytest.mark.parametrize("solver", ["nrxx", "cdvm"])
+def test_run_config_with_none_max_steps_exits_nonzero(tmp_path, capsys, solver):
+    cfg = tmp_path / "none.ini"
+    cfg.write_text("[run]\nscenario = couette\nsolver = %s\nmax_steps = none\n"
+                   % solver)
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "max_steps must be a positive integer, got None" in captured.err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_nan_state_exits_nonzero(tmp_path, capsys):
     cfg = tmp_path / "nan.ini"
     cfg.write_text("[run]\nscenario = shock\nM = 3\ncells = 20\nu0 = 0 nan 0\n")

@@ -27,10 +27,11 @@ NAN = float("nan")
         dict(steady_tol=NAN),
         dict(t_end=1.0, steady_tol=NAN),
         dict(t_end=1.0, max_steps=0),
+        dict(t_end=1.0, max_steps=None),
     ],
     ids=["t_end-nan", "t_end-negative", "t_end-zero", "steady_tol-zero",
          "steady_tol-negative", "steady_tol-nan", "steady_tol-nan-with-t_end",
-         "max_steps-zero"],
+         "max_steps-zero", "max_steps-none"],
 )
 def test_configs_reject_stop_options_that_run_no_step(make, kw):
     with pytest.raises(ValueError):

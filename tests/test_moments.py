@@ -128,6 +128,16 @@ def test_validate_reports_first_violation():
     assert s.validate() == "sum_d f_(2 e_d) != 0"
 
 
+@pytest.mark.parametrize("slot", ["rho", "theta"])
+def test_validate_rejects_nan_density_and_temperature(slot):
+    s = maxwellian(1.0, np.zeros(3), 1.0, 3)
+    if slot == "rho":
+        s.coeffs[0, 0, 0] = np.nan
+    else:
+        s.theta = np.nan
+    assert s.validate() == "%s is not positive: nan" % slot
+
+
 def test_validate_passes_after_collision():
     rng = np.random.default_rng(4)
     u, theta, f = oracles.random_admissible(rng, 5)
