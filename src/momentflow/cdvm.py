@@ -16,10 +16,12 @@ mass exactly by construction of the re-emitted density.
 
 The quadrature weights, the Gaussian and the Shakhov polynomial all factor
 per axis, so the Newton iteration and the conservative projection touch
-only (cells x nodes-per-axis) data.  Besides the transport sweep, a step
-passes over the full velocity cube twice in the collision: one read (the
-moment GEMM of ``dv_moments``) and one write (a batched GEMM plus the fused
-update f e_full + G P in ``collide_field``).
+only (cells x nodes-per-axis) data.  A step passes over the full velocity
+cube six times.  Unlimited transport makes four: on each xi_2-sign half a
+difference, its scaling by dt xi_2 / dx and the in-place update (three in
+all), then one read for the negativity check.  The collision makes two: one
+read (the moment GEMM of ``dv_moments``) and one write (a batched GEMM plus
+the fused update f e_full + G P in ``collide_field``).
 
 ``dv_run`` marches through ``march.march``, the loop shared with the moment
 solver, so ``steady_tol`` means the same for both: every 10 steps, the max
@@ -305,7 +307,10 @@ def collide_field(values, grid, kn, pr, dt):
     H, K = [], []
     for d in range(3):
         c = grid.axes[d] - u_g[..., d, None]
-        gc = gs[d][..., None] * c[..., None] ** np.arange(7)
+        gc = np.empty(c.shape + (7,))
+        gc[..., 0] = gs[d]
+        for k in range(1, 7):
+            np.multiply(gc[..., k - 1], c, out=gc[..., k])
         H.append(gc[..., :4])
         K.append(np.einsum("n,...nk->...k", grid.weights[d], gc)[..., _HANKEL])
 
@@ -394,41 +399,45 @@ def _wall_incoming(grid, wall, f_out, sgn):
     return wall.chi * rho_w * phi + (1.0 - wall.chi) * mirror
 
 
+def _upwind(v, nu, ghost, limiter):
+    """v -= nu (face[i+1] - face[i]) in place along axis 0, with the faces
+    taken upwind from the low end: face[0] = ghost, face[i+1] = v[i] +
+    slope[i] / 2 (slope zero without a limiter and in the end cells)."""
+    t = v
+    if limiter == "minmod":
+        fwd = np.diff(v, axis=0)
+        slope = np.zeros_like(v)
+        slope[1:-1] = np.where(
+            fwd[1:] * fwd[:-1] > 0.0,
+            np.sign(fwd[1:]) * np.minimum(np.abs(fwd[1:]), np.abs(fwd[:-1])),
+            0.0,
+        )
+        t = v + 0.5 * slope
+    d = np.empty_like(v)
+    np.subtract(t[1:], t[:-1], out=d[1:])
+    np.subtract(t[0], ghost, out=d[0])
+    d *= nu
+    v -= d
+
+
 def transport_field(field, dt, left, right, limiter="none"):
-    """One upwind (optionally minmod-limited) transport sweep, in place."""
+    """One upwind (optionally minmod-limited) transport sweep, in place.
+
+    A node with xi_2 > 0 takes the left trace at every interface and one
+    with xi_2 < 0 the right trace, so each sign half of the xi_2 axis is
+    updated on its own, v[i] -= dt xi_2 / dx (face[i+1] - face[i]); the
+    negative half runs on the cell-reversed view.  The middle node of an odd
+    xi_2 axis (xi_2 = 0) is not touched.  Both wall inflows are built from
+    the state before the update; a free end takes the cell itself as ghost.
+    """
     vals = field.values
     grid = field.grid
-    dx = field.dx
-    n = field.n
-    xi2 = grid.axes[1][None, :, None]
-    pos = np.maximum(xi2, 0.0)
-    neg = np.minimum(xi2, 0.0)
-
-    ext = np.concatenate([vals[:1], vals, vals[-1:]], axis=0)
-    if limiter == "minmod":
-        fwd = ext[2:] - ext[1:-1]
-        bwd = ext[1:-1] - ext[:-2]
-        slope = np.where(
-            fwd * bwd > 0.0, np.sign(fwd) * np.minimum(np.abs(fwd), np.abs(bwd)), 0.0
-        )
-        tl = np.concatenate([ext[:1], ext[1:-1] + 0.5 * slope], axis=0)
-        tr = np.concatenate([ext[1:-1] - 0.5 * slope, ext[-1:]], axis=0)
-    else:
-        tl = ext[:-1]
-        tr = ext[1:]
-    # interface i has left state tl[i] (cell i-1 side) and right state tr[i]
-    flux = pos * tl + neg * tr
-
-    if left is not None:
-        f_out = tr[0] if limiter == "minmod" else vals[0]
-        f_in = _wall_incoming(grid, left, f_out, -1.0)
-        flux[0] = pos * f_in + neg * f_out
-    if right is not None:
-        f_out = tl[n] if limiter == "minmod" else vals[-1]
-        f_in = _wall_incoming(grid, right, f_out, 1.0)
-        flux[n] = pos * f_out + neg * f_in
-
-    vals += (dt / dx) * (flux[:-1] - flux[1:])
+    half = grid.counts[1] // 2
+    lo = vals[0] if left is None else _wall_incoming(grid, left, vals[0], -1.0)
+    hi = vals[-1] if right is None else _wall_incoming(grid, right, vals[-1], 1.0)
+    nu = (dt / field.dx) * grid.axes[1][:, None]
+    _upwind(vals[:, :, -half:], nu[-half:], lo[:, -half:], limiter)
+    _upwind(vals[::-1, :, :half], -nu[:half], hi[:, :half], limiter)
     worst = float(vals.min())
     if worst < -NEGATIVITY_WARN:
         warnings.warn(

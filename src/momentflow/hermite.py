@@ -63,7 +63,7 @@ def basis_eval(alpha, theta, v):
     Product over axes of (2 pi)^{-1/2} theta^{-(a+1)/2} He_a(v_d) e^{-v_d^2/2};
     identically zero if any component of alpha is negative.
     """
-    if theta <= 0:
+    if not (theta > 0):
         raise ValueError("theta must be positive")
     v = np.asarray(v, dtype=float)
     single = v.ndim == 1

@@ -243,6 +243,7 @@ def closure_reference(M, mean, grads, tau):
 #
 # Every quadrature below is one einsum over the weighted velocity cube: the
 # direct form of the sums that the cdvm kernels factor per velocity axis.
+# The transport reference is the flux form over all interfaces at once.
 
 
 def dv_moments_reference(values, grid):
@@ -336,6 +337,50 @@ def collide_reference(values, grid, kn, pr, dt):
     e_full = np.exp(-dt / tau)[cube]
     e_pr = np.exp(-pr * dt / tau)[cube]
     return G + B * e_pr + (values - G - B) * e_full
+
+
+def transport_reference(field, dt, left, right, limiter="none"):
+    """Upwind (optionally minmod) transport of a field in flux form; returns
+    the new values and leaves the field alone.
+
+    The state is padded with a ghost copy of each end cell, every interface
+    i gets the traces tl[i] (cell i-1 side) and tr[i], and the flux cube
+    xi2^+ tl + xi2^- tr over all N + 1 interfaces is differenced.  Wall
+    interfaces take the library's ``_wall_incoming`` re-emission.
+    """
+    from momentflow.cdvm import _wall_incoming
+
+    vals = field.values
+    grid = field.grid
+    n = field.n
+    xi2 = grid.axes[1][None, :, None]
+    pos = np.maximum(xi2, 0.0)
+    neg = np.minimum(xi2, 0.0)
+
+    ext = np.concatenate([vals[:1], vals, vals[-1:]], axis=0)
+    if limiter == "minmod":
+        fwd = ext[2:] - ext[1:-1]
+        bwd = ext[1:-1] - ext[:-2]
+        slope = np.where(
+            fwd * bwd > 0.0, np.sign(fwd) * np.minimum(np.abs(fwd), np.abs(bwd)), 0.0
+        )
+        tl = np.concatenate([ext[:1], ext[1:-1] + 0.5 * slope], axis=0)
+        tr = np.concatenate([ext[1:-1] - 0.5 * slope, ext[-1:]], axis=0)
+    else:
+        tl = ext[:-1]
+        tr = ext[1:]
+    flux = pos * tl + neg * tr
+
+    if left is not None:
+        f_out = tr[0] if limiter == "minmod" else vals[0]
+        f_in = _wall_incoming(grid, left, f_out, -1.0)
+        flux[0] = pos * f_in + neg * f_out
+    if right is not None:
+        f_out = tl[n] if limiter == "minmod" else vals[-1]
+        f_in = _wall_incoming(grid, right, f_out, 1.0)
+        flux[n] = pos * f_out + neg * f_in
+
+    return vals + (dt / field.dx) * (flux[:-1] - flux[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from momentflow import scenarios
 from momentflow.boundary import WallSpec
 from momentflow.cdvm import (
     DvField,
@@ -340,6 +342,65 @@ def test_negativity_warning_on_cfl_violation():
     dt_bad = 3.0 * fld.dx / 6.0
     with pytest.warns(RuntimeWarning, match="negative"):
         transport_field(fld, dt_bad, None, None)
+
+
+def _rough_field(n2):
+    """Ten cells of a two-beam mixture whose rho, u (with u2 != 0) and theta
+    jump from cell to cell, so minmod both limits and zeroes slopes."""
+    grid = DvGrid(((-5.0, 5.0),) * 3, (8, n2, 8))
+    rng = np.random.default_rng(3)
+    rho = rng.uniform(0.8, 1.4, 10)
+    u = rng.uniform(-0.4, 0.4, (10, 3))
+    theta = rng.uniform(0.7, 1.3, 10)
+    f = 0.7 * grid.maxwellian(rho, u, theta) + 0.3 * grid.maxwellian(
+        rho[::-1], u + [0.3, -0.6, 0.2], 1.4 * theta)
+    return DvField(grid, -0.5, 0.5, f)
+
+
+_TRANSPORT_ENDS = {
+    "free": (None, None),
+    "walls": (WallSpec(1.0, [-0.3, 0.0, 0.2], 1.3, "left"),
+              WallSpec(0.5, [0.4, 0.0, 0.0], 0.8, "right")),
+    "walls-swapped": (WallSpec(0.5, [0.2, 0.0, -0.1], 0.9, "left"),
+                      WallSpec(1.0, [-0.4, 0.0, 0.0], 1.2, "right")),
+}
+
+
+@pytest.mark.parametrize("n2", [12, 13])
+@pytest.mark.parametrize("ends", list(_TRANSPORT_ENDS))
+@pytest.mark.parametrize("limiter", ["none", "minmod"])
+def test_transport_matches_flux_form_oracle(limiter, ends, n2):
+    left, right = _TRANSPORT_ENDS[ends]
+    fld = _rough_field(n2)
+    v0 = fld.values.copy()
+    dt = dv_cfl_timestep(fld, 0.9, limiter)
+    want = oracles.transport_reference(fld, dt, left, right, limiter)
+    transport_field(fld, dt, left, right, limiter)
+    scale = np.abs(want).max()
+    assert np.abs(want - v0).max() > 1e-2 * scale
+    np.testing.assert_allclose(fld.values, want, rtol=0, atol=1e-14 * scale)
+    if n2 % 2 and ends == "free":
+        assert fld.grid.axes[1][n2 // 2] == 0.0
+        np.testing.assert_array_equal(fld.values[:, :, n2 // 2],
+                                      v0[:, :, n2 // 2])
+
+
+def test_transport_peak_temporary_memory():
+    # a 24^3 x 50 Couette field, as in the benchmark's DVM workload; the
+    # flux form needs a padded copy and an interface cube, about 3x the state
+    sc = scenarios.preset("couette", solver="cdvm", cells=50,
+                          dv_nodes=(24, 24, 24))
+    fld = scenarios.build_dv_field(sc)
+    cfg = scenarios.to_dv_config(sc)
+    dt = dv_cfl_timestep(fld, cfg.cfl)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        transport_field(fld, dt, cfg.left, cfg.right, "none")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * fld.values.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,8 @@ def test_basis_eval_rejects_bad_theta():
         basis_eval((0, 0, 0), 0.0, np.zeros(3))
     with pytest.raises(ValueError):
         basis_eval((0, 0, 0), -1.0, np.zeros(3))
+    with pytest.raises(ValueError, match="theta must be positive"):
+        basis_eval((0, 0, 0), float("nan"), np.zeros(3))
 
 
 def test_expansion_eval_maxwellian_peak():
