@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .moments import heat_flux, order_cube
+from .moments import heat_flux
 
 # the heat-flux-coupled slots alpha = e_i + 2 e_j, grouped by the component i
 # of q they draw from
@@ -26,6 +26,8 @@ _Q_SLOTS = (
     ((2, 1, 0), (0, 3, 0), (0, 1, 2)),
     ((2, 0, 1), (0, 2, 1), (0, 0, 3)),
 )
+# the slots of order <= 1, as index arrays per axis
+_LOW = ([0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
 
 
 def relaxation_time(rho, theta, kn):
@@ -37,20 +39,23 @@ def relaxation_time(rho, theta, kn):
     return 5.0 / 16.0 * np.sqrt(2.0 * math.pi / theta) * kn / rho
 
 
-def collide_coeffs(coeffs, tau, prandtl, dt):
+def collide_coeffs(coeffs, tau, prandtl, dt, out=None):
     """Batched analytic collision update of coefficient cubes.
 
     ``tau`` may be per-cell (broadcast against the batch dims of ``coeffs``).
+    ``out`` receives the result and may be ``coeffs`` itself; by default a
+    new array does.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    K = coeffs.shape[-1]
     tau = np.asarray(tau, dtype=float)
     e_full = np.exp(-dt / tau)
     e_pr = np.exp(-prandtl * dt / tau)
     q0 = heat_flux(coeffs)
 
-    factor = np.where(order_cube(K) >= 2, e_full[..., None, None, None], 1.0)
-    out = coeffs * factor
+    # every slot decays except orders <= 1, which are put back unchanged
+    low = coeffs[..., _LOW[0], _LOW[1], _LOW[2]]
+    out = np.multiply(coeffs, e_full[..., None, None, None], out=out)
+    out[..., _LOW[0], _LOW[1], _LOW[2]] = low
     bump = (e_pr - e_full) / 5.0
     for i, slots in enumerate(_Q_SLOTS):
         for alpha in slots:

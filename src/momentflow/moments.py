@@ -57,6 +57,13 @@ def grade_mask(K, order):
     return m
 
 
+@lru_cache(maxsize=64)
+def work_array(tag, shape):
+    """Scratch array kept across steps, one per (tag, shape); callers
+    overwrite it before reading and never hand it out.  Not thread safe."""
+    return np.empty(shape)
+
+
 def cube_from_dict(M, d):
     """Build a (K,K,K) cube from a {multi-index: value} mapping."""
     K = M + 2

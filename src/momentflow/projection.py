@@ -13,7 +13,7 @@ truncated away.
 
 import numpy as np
 
-from .moments import grade_mask
+from .moments import grade_mask, work_array
 
 
 def shift_kernel(du, dtheta, nmax):
@@ -34,19 +34,22 @@ def _shift_matrix(du, dtheta, K):
     """Lower-triangular banded matrix T[a, b] = h_{a-b}."""
     h = shift_kernel(du, dtheta, K - 1)
     diff = np.arange(K)[:, None] - np.arange(K)[None, :]
-    # ascontiguousarray: the broadcast where() picks inverted output strides,
-    # which would push the matmuls downstream off their fast path
-    return np.ascontiguousarray(
-        np.where(diff >= 0, h[..., np.clip(diff, 0, None)], 0.0)
-    )
+    # gathered into a C-ordered array: fancy indexing picks inverted output
+    # strides, which would push the matmuls downstream off their fast path
+    T = np.take(h, np.clip(diff, 0, None), axis=-1, mode="clip",
+                out=np.empty(h.shape[:-1] + (K, K)))
+    T *= diff >= 0
+    return T
 
 
-def project_coeffs(coeffs, u, theta, u_new, theta_new):
+def project_coeffs(coeffs, u, theta, u_new, theta_new, out=None):
     """Apply the frame change to batched coefficient cubes.
 
     ``coeffs``: (..., K, K, K); ``u``/``u_new``: (..., 3);
     ``theta``/``theta_new``: (...,).  Cube entries beyond the retained order
-    |alpha| <= K-1 are re-zeroed after the convolution.
+    |alpha| <= K-1 are re-zeroed after the convolution.  ``out``, if given,
+    is a C-contiguous array of the result's shape, not overlapping
+    ``coeffs``, that receives the result; otherwise a new array does.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     K = coeffs.shape[-1]
@@ -59,15 +62,18 @@ def project_coeffs(coeffs, u, theta, u_new, theta_new):
     )
     t1, t2, t3 = t123[0], t123[1], t123[2]
     batch = np.broadcast_shapes(coeffs.shape[:-3], t1.shape[:-2])
-    out = np.broadcast_to(coeffs, batch + (K, K, K))
-    # three stacked matmuls, one per cube axis, each phrased so the operand
-    # stays contiguous: axis 1 as T (K x K^2), axis 2 with T broadcast across
-    # the leading cube axis, axis 3 as a right-multiply by T^T
-    out = np.matmul(t1, np.ascontiguousarray(out).reshape(batch + (K, K * K)))
-    out = out.reshape(batch + (K, K, K))
-    out = np.matmul(t2[..., None, :, :], out)
-    out = np.matmul(out, np.swapaxes(t3, -1, -2)[..., None, :, :])
-    out = np.multiply(out, grade_mask(K, K - 1), out=out)
+    if out is None:
+        out = np.empty(batch + (K, K, K))
+    mid = work_array("projection", out.shape)
+    # three stacked matmuls, one per cube axis, each phrased so every cube's
+    # trailing axes stay contiguous: axis 1 as T (K x K^2), axis 2 with T
+    # broadcast across the leading cube axis, axis 3 as a right-multiply by
+    # T^T; the input reshape is a view for any batch strides
+    src = np.broadcast_to(coeffs, batch + (K, K, K)).reshape(batch + (K, K * K))
+    np.matmul(t1, src, out=out.reshape(batch + (K, K * K)))
+    np.matmul(t2[..., None, :, :], out, out=mid)
+    np.matmul(mid, np.swapaxes(t3, -1, -2)[..., None, :, :], out=out)
+    out *= grade_mask(K, K - 1)
     return out
 
 

@@ -24,6 +24,14 @@ phase where it was found.
 Frames are a gauge: the flux divergence is accumulated into the coefficient
 cube at fixed (u, theta), after which the renormalization moves the frame to
 restore f_{e_d} = 0 and the second-moment trace constraint exactly.
+
+Work arrays: a transport pass keeps its full-cube intermediates (stacked
+traces and their projection, interface mean, HLL mix and flux, face fluxes,
+stage update, the projection's middle product) in ``moments.work_array``
+buffers, one per shape, from one step to the next.  Fresh on every step: the
+two transport rates, the renormalized stage and final cubes (the final one,
+collided in place, becomes ``grid.coeffs``) and the closure's top-grade
+block.  No array a step leaves in the grid is a work array.
 """
 
 import math
@@ -32,11 +40,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import WallSpec, ghost_state
-from .closure import closure_coeffs, shifted
+from .closure import closure_coeffs
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
 from .march import check_stop_options, march
-from .moments import MomentState, grade_mask, order_cube, snapshot_table
+from .moments import (MomentState, grade_mask, order_cube, snapshot_table,
+                      work_array)
 from .projection import project_coeffs, renormalize_arrays
 
 
@@ -191,26 +200,43 @@ class RunConfig:
         return self.signal_speed_factor * largest_he_root(self.M + 1)
 
 
-def _flux_cube(coeffs, u2, theta):
+def _flux_cube(coeffs, u2, theta, out=None):
     """Per-slot flux theta f_{a-e2} + u2 f_a + (a2+1) f_{a+e2}, batched.
 
     Valid on grades <= M; the top grade of the result is zeroed (its flux
-    would need unavailable grade-(M+2) data).
+    would need unavailable grade-(M+2) data).  ``out``, if given, receives
+    the result and must not overlap ``coeffs``.
     """
     K = coeffs.shape[-1]
     th = np.asarray(theta, dtype=float)[..., None, None, None]
     uu = np.asarray(u2, dtype=float)[..., None, None, None]
-    F = th * shifted(coeffs, 0, 1, 0) + uu * coeffs
-    F += np.arange(1, K + 1)[None, :, None] * shifted(coeffs, 0, -1, 0)
+    F = np.multiply(uu, coeffs, out=out)
+    F[..., 1:, :] += th * coeffs[..., :-1, :]
+    F[..., :-1, :] += np.arange(1, K)[:, None] * coeffs[..., 1:, :]
     F *= grade_mask(K, K - 2)
     return F
 
 
-def _hll_combine(fa, fb, jump, lam_l, lam_r):
-    ll = lam_l[..., None, None, None]
-    lr = lam_r[..., None, None, None]
-    mid = (lr * fa - ll * fb + ll * lr * jump) / (lr - ll)
-    return np.where(ll >= 0, fa, np.where(lr <= 0, fb, mid))
+def _hll_combine(a, b, u2, theta, lam_l, lam_r):
+    """HLL flux of the interface states ``a`` | ``b``, both about (u2, theta).
+
+    The flux is linear in the state, so HLL with the signal speeds clipped
+    to lam_l <= 0 <= lam_r is one flux evaluation,
+    F(wa a + wb b) + wj (b - a) on the evolved grades; the clipped weights
+    are exactly (1, 0, 0) for lam_l >= 0 and (0, 1, 0) for lam_r <= 0.
+    Returns a work array that the next call overwrites.
+    """
+    lo = np.minimum(lam_l, 0.0)
+    hi = np.maximum(lam_r, 0.0)
+    wa, wb, wj = (w[..., None, None, None] / (hi - lo)[..., None, None, None]
+                  for w in (hi, -lo, lo * hi))
+    mix = np.multiply(a, wa, out=work_array("hll mix", a.shape))
+    F = work_array("hll flux", a.shape)
+    mix += np.multiply(b, wb, out=F)
+    _flux_cube(mix, u2, theta, out=F)
+    mix = np.subtract(b, a, out=mix)
+    mix *= wj
+    return np.add(F, mix, out=F, where=grade_mask(a.shape[-1], a.shape[-1] - 2))
 
 
 def cfl_timestep(grid, cfl, signal_c):
@@ -237,19 +263,19 @@ def _require_positive(x, what, where, error=RuntimeError):
         )
 
 
-def _minmod(a, b):
-    return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
-
-
-def _slope(ext, dx, limiter):
-    """Per-cell slope from an array extended by one ghost on each side."""
+def _slope(diff, limiter, out, tmp):
+    """Per-cell slopes into ``out`` from the N+1 differences across the cell
+    faces (divided by dx); ``tmp`` is scratch of the shape of ``out``."""
+    bwd, fwd = diff[:-1], diff[1:]
     if limiter == "none":
-        return np.zeros_like(ext[1:-1])
-    fwd = (ext[2:] - ext[1:-1]) / dx
-    bwd = (ext[1:-1] - ext[:-2]) / dx
-    if limiter == "central":
-        return 0.5 * (fwd + bwd)
-    return _minmod(bwd, fwd)
+        out[...] = 0.0
+    elif limiter == "central":
+        np.multiply(np.add(fwd, bwd, out=out), 0.5, out=out)
+    else:  # minmod(a, b) = max(min(a, b), 0) + min(max(a, b), 0)
+        np.maximum(np.minimum(bwd, fwd, out=tmp), 0.0, out=tmp)
+        np.minimum(np.maximum(bwd, fwd, out=out), 0.0, out=out)
+        out += tmp
+    return out
 
 
 def _cell_ghost(grid, j, wall):
@@ -275,100 +301,71 @@ def closure_time(rho, theta, kn, dt):
 
 
 def _interface_data(grid, config):
-    """Traces and flanking states for every interface.
+    """Traces at every interface and the common frame they are projected to.
 
-    Returns ``(tl, tr, al, br)``, each a ``(u, theta, coeffs)`` triple of
-    arrays over the N+1 interfaces: the left and right traces, and the
-    flanking pair whose mean fixes the common frame -- the adjacent cell
-    values in the interior, the inner trace and its trace-built ghost at a
-    wall.
+    Returns ``((u, theta, coeffs), (u_c, theta_c))``.  The traces are
+    stacked over a leading axis of 2, left trace first, then the N+1
+    interfaces; they are work arrays that the next call overwrites.  The
+    common frame is the mean of the flanking pair: the adjacent cell values
+    in the interior, the inner trace and its trace-built ghost at a wall.
     """
     n, dx = grid.n, grid.dx
-    K = grid.coeffs.shape[-1]
     gl = _cell_ghost(grid, 0, config.left)
     gr = _cell_ghost(grid, n - 1, config.right)
-
-    ext_u = np.concatenate([gl.u[None], grid.u, gr.u[None]], axis=0)
-    ext_th = np.concatenate([[gl.theta], grid.theta, [gr.theta]])
-    ext_c = np.concatenate([gl.coeffs[None], grid.coeffs, gr.coeffs[None]], axis=0)
-    su = _slope(ext_u, dx, config.limiter)
-    sth = _slope(ext_th, dx, config.limiter)
-    sc = _slope(ext_c, dx, config.limiter)
-
-    tl_u = np.empty((n + 1, 3))
-    tl_th = np.empty(n + 1)
-    tl_c = np.empty((n + 1, K, K, K))
-    tr_u = np.empty_like(tl_u)
-    tr_th = np.empty_like(tl_th)
-    tr_c = np.empty_like(tl_c)
-    half = 0.5 * dx
-    tl_u[1:] = grid.u + su * half
-    tl_th[1:] = grid.theta + sth * half
-    tl_c[1:] = grid.coeffs + sc * half
-    tr_u[:n] = grid.u - su * half
-    tr_th[:n] = grid.theta - sth * half
-    tr_c[:n] = grid.coeffs - sc * half
+    traces = []
+    for cells, lo, hi in ((grid.u, gl.u, gr.u), (grid.theta, gl.theta, gr.theta),
+                          (grid.coeffs, gl.coeffs, gr.coeffs)):
+        diff = work_array("face differences", (n + 1,) + cells.shape[1:])
+        np.subtract(cells[1:], cells[:-1], out=diff[1:-1])
+        diff[0], diff[n] = cells[0] - lo, hi - cells[-1]
+        diff /= dx
+        t = work_array("traces", (2, n + 1) + cells.shape[1:])
+        # the left trace's cell range is free until the slope is taken
+        half_step = _slope(diff, config.limiter, t[1, :n], t[0, 1:])
+        half_step *= 0.5 * dx
+        np.add(cells, half_step, out=t[0, 1:])
+        np.subtract(cells, half_step, out=t[1, :n])
+        traces.append(t)
+    tu, tth, tc = traces
     _require_positive(
-        np.minimum(tl_th[1:], tr_th[:n]), "trace temperature",
+        np.minimum(tth[0, 1:], tth[1, :n]), "trace temperature",
         "in cell %d in reconstruction",
     )
 
-    # outer trace at each end: trace-built ghost at a wall, zero-gradient copy
-    # for a free boundary
-    if config.left is not None:
-        g = ghost_state(MomentState(tr_u[0], tr_th[0], tr_c[0]), config.left)
-        tl_u[0], tl_th[0], tl_c[0] = g.u, g.theta, g.coeffs
-    else:
-        tl_u[0], tl_th[0], tl_c[0] = grid.u[0], grid.theta[0], grid.coeffs[0]
-    if config.right is not None:
-        g = ghost_state(MomentState(tl_u[n], tl_th[n], tl_c[n]), config.right)
-        tr_u[n], tr_th[n], tr_c[n] = g.u, g.theta, g.coeffs
-    else:
-        tr_u[n], tr_th[n], tr_c[n] = grid.u[-1], grid.theta[-1], grid.coeffs[-1]
+    # outer trace at each end (side 0 left of the interface): trace-built
+    # ghost at a wall, zero-gradient copy for a free boundary
+    for wall, i, side, j in ((config.left, 0, 0, 0), (config.right, n, 1, n - 1)):
+        if wall is not None:
+            g = ghost_state(MomentState(tu[1 - side, i], tth[1 - side, i],
+                                        tc[1 - side, i]), wall)
+        else:
+            g = grid.cell_state(j)
+        tu[side, i], tth[side, i], tc[side, i] = g.u, g.theta, g.coeffs
 
-    al_u = np.concatenate([tl_u[:1], grid.u], axis=0)
-    al_th = np.concatenate([tl_th[:1], grid.theta])
-    al_c = np.concatenate([tl_c[:1], grid.coeffs], axis=0)
-    br_u = np.concatenate([grid.u, tr_u[n:]], axis=0)
-    br_th = np.concatenate([grid.theta, tr_th[n:]])
-    br_c = np.concatenate([grid.coeffs, tr_c[n:]], axis=0)
     # at a wall the flanking pair is (trace, its ghost), which pins the
     # common frame to (u_trace_tangential, u_wall_normal, theta_trace)
-    if config.left is not None:
-        br_u[0], br_th[0], br_c[0] = tr_u[0], tr_th[0], tr_c[0]
-    if config.right is not None:
-        al_u[n], al_th[n], al_c[n] = tl_u[n], tl_th[n], tl_c[n]
-
-    return (
-        (tl_u, tl_th, tl_c),
-        (tr_u, tr_th, tr_c),
-        (al_u, al_th, al_c),
-        (br_u, br_th, br_c),
-    )
+    frame = []
+    for cells, t in ((grid.u, tu), (grid.theta, tth)):
+        al = np.concatenate([t[0, :1], cells])
+        br = np.concatenate([cells, t[1, n:]])
+        if config.left is not None:
+            br[0] = t[1, 0]
+        if config.right is not None:
+            al[n] = t[0, n]
+        frame.append(0.5 * (al + br))
+    return (tu, tth, tc), tuple(frame)
 
 
 def _transport_rate(grid, config, dt):
     """One flux-divergence evaluation: d(coeffs)/dt in each cell's own frame."""
     n, dx = grid.n, grid.dx
     K = grid.coeffs.shape[-1]
-    evolved = grade_mask(K, K - 2)
-    top = order_cube(K) == K - 1
 
-    tl, tr, al, br = _interface_data(grid, config)
-    tl_u, tl_th, tl_c = tl
-    tr_u, tr_th, tr_c = tr
-    u_c = 0.5 * (al[0] + br[0])
-    th_c = 0.5 * (al[1] + br[1])
-    p_pair = project_coeffs(
-        np.stack([tl_c, tr_c]),
-        np.stack([tl_u, tr_u]),
-        np.stack([tl_th, tr_th]),
-        u_c,
-        th_c,
-    )
-    p_tl, p_tr = p_pair[0], p_pair[1]
-
-    mean_c = 0.5 * (p_tl + p_tr)
+    (tu, tth, tc), (u_c, th_c) = _interface_data(grid, config)
+    p_pair = project_coeffs(tc, tu, tth, u_c, th_c,
+                            out=work_array("projected traces", tc.shape))
+    mean_c = np.add(p_pair[0], p_pair[1], out=work_array("mean", tc.shape[1:]))
+    mean_c *= 0.5
     rho_bar = mean_c[:, 0, 0, 0]
     _require_positive(rho_bar, "density", "at interface %d in the closure")
     # Closure gradients: centered two-point differences of the single-valued
@@ -378,17 +375,20 @@ def _transport_rate(grid, config, dt):
     # dtheta/dy terms.  The wide stencil is also what keeps the scheme stable
     # at the advective CFL step: the HLL dissipation alone puts the
     # highest-frequency mode near the stability edge, and this stencil does
-    # not see that mode.
-    v_c = 0.5 * (tl_c + tr_c)
-    v_u = 0.5 * (tl_u + tr_u)
-    v_th = 0.5 * (tl_th + tr_th)
-    v_pt = 0.5 * (tl_c[:, 0, 0, 0] * tl_th + tr_c[:, 0, 0, 0] * tr_th)
-    grad_c = np.empty_like(v_c)
+    # not see that mode.  The raw trace cubes are spent after v_pt, so the
+    # interface values and their gradients are formed in their place.
+    v_u = 0.5 * (tu[0] + tu[1])
+    v_th = 0.5 * (tth[0] + tth[1])
+    v_pt = 0.5 * (tc[0, :, 0, 0, 0] * tth[0] + tc[1, :, 0, 0, 0] * tth[1])
+    v_c = np.add(tc[0], tc[1], out=tc[0])
+    v_c *= 0.5
+    grad_c = tc[1]
     grad_u = np.empty_like(v_u)
     grad_th = np.empty_like(v_th)
     grad_pt = np.empty_like(v_pt)
     span = 2.0 * dx
-    grad_c[1:-1] = (v_c[2:] - v_c[:-2]) / span
+    np.divide(np.subtract(v_c[2:], v_c[:-2], out=grad_c[1:-1]), span,
+              out=grad_c[1:-1])
     grad_u[1:-1] = (v_u[2:] - v_u[:-2]) / span
     grad_th[1:-1] = (v_th[2:] - v_th[:-2]) / span
     grad_pt[1:-1] = (v_pt[2:] - v_pt[:-2]) / span
@@ -413,32 +413,31 @@ def _transport_rate(grid, config, dt):
         grad_pt,
         closure_time(rho_bar, th_c, config.kn, dt),
     )
-    a = np.where(top, block, p_tl)
-    b = np.where(top, block, p_tr)
+    np.copyto(p_pair, block, where=order_cube(K) == K - 1)
 
     c_sig = config.signal_speed
     lam_l = np.minimum(
-        tl_u[:, 1] - c_sig * np.sqrt(tl_th), tr_u[:, 1] - c_sig * np.sqrt(tr_th)
+        tu[0, :, 1] - c_sig * np.sqrt(tth[0]), tu[1, :, 1] - c_sig * np.sqrt(tth[1])
     )
     lam_r = np.maximum(
-        tl_u[:, 1] + c_sig * np.sqrt(tl_th), tr_u[:, 1] + c_sig * np.sqrt(tr_th)
+        tu[0, :, 1] + c_sig * np.sqrt(tth[0]), tu[1, :, 1] + c_sig * np.sqrt(tth[1])
     )
-    F = _hll_combine(
-        _flux_cube(a, u_c[:, 1], th_c),
-        _flux_cube(b, u_c[:, 1], th_c),
-        (b - a) * evolved,
-        lam_l,
-        lam_r,
-    )
+    F = _hll_combine(p_pair[0], p_pair[1], u_c[:, 1], th_c, lam_l, lam_r)
 
+    # the two faces of every cell, as a zero-copy (2, N, ...) view of F
+    faces = np.ndarray((2,) + F[1:].shape, buffer=F,
+                       strides=F.strides[:1] + F.strides)
     f_pair = project_coeffs(
-        np.stack([F[:-1], F[1:]]),
+        faces,
         np.stack([u_c[:-1], u_c[1:]]),
         np.stack([th_c[:-1], th_c[1:]]),
         grid.u,
         grid.theta,
+        out=work_array("face fluxes", (2,) + grid.coeffs.shape),
     )
-    return (f_pair[0] - f_pair[1]) / dx
+    rate = np.subtract(f_pair[0], f_pair[1])
+    rate /= dx
+    return rate
 
 
 def _stage_state(grid, coeffs, stage):
@@ -471,18 +470,24 @@ def step(grid, config, dt=None):
         grid.u += 0.5 * dt * config.force
 
     r1 = _transport_rate(grid, config, dt)
-    g1 = _stage_state(grid, (grid.coeffs + dt * r1) * evolved, "transport stage 1")
-    r2 = _transport_rate(g1, config, dt)
+    stage = np.multiply(dt, r1, out=work_array("stage", r1.shape))
+    stage += grid.coeffs
+    stage *= evolved
+    g1 = _stage_state(grid, stage, "transport stage 1")
     # the second-stage rate comes back in the stage frames; re-express it in
     # the step-start frames before averaging (the frame map is linear)
-    r2 = project_coeffs(r2, g1.u, g1.theta, grid.u, grid.theta)
-    new_c = (grid.coeffs + 0.5 * dt * (r1 + r2)) * evolved
+    r2 = project_coeffs(_transport_rate(g1, config, dt), g1.u, g1.theta,
+                        grid.u, grid.theta, out=stage)
+    new_c = np.add(r1, r2, out=r1)
+    new_c *= 0.5 * dt
+    new_c += grid.coeffs
+    new_c *= evolved
     final = _stage_state(grid, new_c, "transport stage 2")
     u_new, th_new, c_ren = final.u, final.theta, final.coeffs
 
     if not config.collisionless:
         tau = relaxation_time(c_ren[:, 0, 0, 0], th_new, config.kn)
-        c_ren = collide_coeffs(c_ren, tau, config.pr, dt)
+        collide_coeffs(c_ren, tau, config.pr, dt, out=c_ren)
 
     kick = 0.5 * dt if config.splitting == "strang" else dt
     u_new = u_new + kick * config.force

@@ -384,6 +384,29 @@ def transport_reference(field, dt, left, right, limiter="none"):
 
 
 # ---------------------------------------------------------------------------
+# HLL flux, two-flux form
+
+
+def hll_reference(a, b, u2, theta, lam_l, lam_r):
+    """HLL flux of interface states a | b (batched over interfaces) about
+    (u2, theta), in the textbook three-branch form: the left flux, the right
+    flux, or (lr F(a) - ll F(b) + ll lr (b - a)) / (lr - ll) with the jump
+    taken on the evolved grades only."""
+    from momentflow.solver1d import _flux_cube
+
+    fa = _flux_cube(a, u2, theta)
+    fb = _flux_cube(b, u2, theta)
+    K = a.shape[-1]
+    r = np.arange(K)
+    evolved = r[:, None, None] + r[None, :, None] + r[None, None, :] <= K - 2
+    jump = (b - a) * evolved
+    ll = np.asarray(lam_l)[..., None, None, None]
+    lr = np.asarray(lam_r)[..., None, None, None]
+    mid = (lr * fa - ll * fb + ll * lr * jump) / (lr - ll)
+    return np.where(ll >= 0, fa, np.where(lr <= 0, fb, mid))
+
+
+# ---------------------------------------------------------------------------
 # Random admissible states
 
 

@@ -155,6 +155,33 @@ def test_project_coeffs_batched_matches_single():
         np.testing.assert_allclose(batch[i], single, rtol=1e-13, atol=1e-16)
 
 
+def test_project_coeffs_results_are_not_shared():
+    # a result handed back without ``out`` is the caller's: a later call of
+    # the same shape leaves it as it was
+    s, t = _random_state(41), _random_state(42)
+    first = project_coeffs(s.coeffs, s.u, s.theta, t.u, t.theta)
+    want = first.copy()
+    second = project_coeffs(t.coeffs, t.u, t.theta, s.u, s.theta)
+    np.testing.assert_array_equal(first, want)
+    assert not np.shares_memory(first, second)
+
+
+def test_project_coeffs_out_and_strided_input_match_new_array():
+    # ``out`` receives the same values a new array would, and so do inputs
+    # strided across the batch or inside the cube
+    s = _random_state(43)
+    u_new, th_new = s.u + 0.1, s.theta * 1.2
+    cubes = np.stack([s.coeffs, 2.0 * s.coeffs])
+    want = project_coeffs(cubes, s.u, s.theta, u_new, th_new)
+    spread = np.zeros((3,) + s.coeffs.shape[:-1] + (2 * s.coeffs.shape[-1],))
+    spread[::2, ..., ::2] = cubes
+    for view in (spread[::2, ..., ::2], np.stack([cubes[0], s.coeffs, cubes[1]])[::2]):
+        out = np.full_like(cubes, np.nan)
+        got = project_coeffs(view, s.u, s.theta, u_new, th_new, out=out)
+        assert got is out
+        np.testing.assert_array_equal(out, want)
+
+
 def test_project_coeffs_broadcast_common_target():
     # one shared target frame for a batch, as used in the flux assembly
     states = [_random_state(seed) for seed in (13, 14)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,13 +49,13 @@ def _uniform_grid(n=20, M=3, rho=1.0, theta=1.0):
 
 
 def _hll_calls(monkeypatch):
-    """Record (fa, fb, jump, lam_l, lam_r, result) of every HLL combination
-    the solver makes."""
+    """Record (a, b, u2, theta, lam_l, lam_r, result) of every HLL flux the
+    solver takes; copies, as the solver reuses the arrays on its next call."""
     calls = []
 
-    def spy(fa, fb, jump, lam_l, lam_r):
-        out = _hll_combine(fa, fb, jump, lam_l, lam_r)
-        calls.append((fa, fb, jump, lam_l, lam_r, out))
+    def spy(*args):
+        out = _hll_combine(*args)
+        calls.append(tuple(np.copy(x) for x in args + (out,)))
         return out
 
     monkeypatch.setattr(solver1d, "_hll_combine", spy)
@@ -218,16 +219,50 @@ def test_hll_consistency(monkeypatch):
 
 def test_hll_upwind_limit_ignores_right_state():
     # both signal bounds positive: the flux is the left flux, whatever the
-    # right flux and the jump; both negative: the right flux
+    # right state; both negative: the right flux, whatever the left state --
+    # exactly, bit for bit
     rng = np.random.default_rng(6)
-    fa, fb, jump = rng.standard_normal((3, 2, 5, 5, 5))
+    a, b = rng.standard_normal((2, 2, 5, 5, 5))
+    u2, theta = np.array([0.3, -0.4]), np.array([1.1, 0.7])
     lam_l = np.array([0.5, -3.0])
     lam_r = np.array([4.0, -0.2])
-    out = _hll_combine(fa, fb, jump, lam_l, lam_r)
-    np.testing.assert_array_equal(out[0], fa[0])
-    np.testing.assert_array_equal(out[1], fb[1])
-    out2 = _hll_combine(fa, -fb, 2.0 * jump, lam_l, lam_r)
-    np.testing.assert_array_equal(out2[0], fa[0])
+    out = _hll_combine(a, b, u2, theta, lam_l, lam_r).copy()
+    np.testing.assert_array_equal(out[0], _flux_cube(a[0], u2[0], theta[0]))
+    np.testing.assert_array_equal(out[1], _flux_cube(b[1], u2[1], theta[1]))
+    out2 = _hll_combine(a, -b, u2, theta, lam_l, lam_r)
+    np.testing.assert_array_equal(out2[0], out[0])
+    out3 = _hll_combine(2.0 * a, b, u2, theta, lam_l, lam_r)
+    np.testing.assert_array_equal(out3[1], out[1])
+
+
+@pytest.mark.parametrize("speeds", ["mixed", "positive", "negative"])
+def test_hll_fused_flux_matches_two_flux_form(speeds):
+    # one flux of the weighted state plus the weighted jump equals the
+    # textbook combination of the two traces' fluxes; the traces share their
+    # top grade, as the solver's closure block makes them
+    rng = np.random.default_rng(11)
+    M, m = 6, 9
+    a, b = np.empty((2, m, M + 2, M + 2, M + 2))
+    for x in (a, b):
+        for i in range(m):
+            x[i] = cube_from_dict(M, oracles.random_admissible(rng, M, scale=0.3)[2])
+    top = order_cube(M + 2) == M + 1
+    b[:, top] = a[:, top]
+    u2 = rng.uniform(-0.5, 0.5, m)
+    theta = rng.uniform(0.6, 1.6, m)
+    # subsonic: lam_l < 0 < lam_r; "mixed" makes the first three
+    # interfaces supersonic to the right and the last three to the left
+    lam_l = rng.uniform(-2.0, -0.1, m)
+    lam_r = rng.uniform(0.1, 2.0, m)
+    shift = np.zeros(m)
+    if speeds in ("mixed", "positive"):
+        shift[: 3 if speeds == "mixed" else m] = 2.5
+    if speeds in ("mixed", "negative"):
+        shift[-3 if speeds == "mixed" else 0:] = -2.5
+    lam_l, lam_r = lam_l + shift, lam_r + shift
+    want = oracles.hll_reference(a, b, u2, theta, lam_l, lam_r)
+    got = _hll_combine(a, b, u2, theta, lam_l, lam_r)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
 def test_supersonic_flow_is_upwinded(monkeypatch):
@@ -240,9 +275,9 @@ def test_supersonic_flow_is_upwinded(monkeypatch):
     assert 5.0 > cfg.signal_speed * math.sqrt(0.5)
     calls = _hll_calls(monkeypatch)
     _transport_rate(g, cfg, 0.01)
-    ((fa, fb, jump, lam_l, lam_r, F),) = calls
+    ((a, b, u2, theta, lam_l, lam_r, F),) = calls
     assert np.all(lam_l > 0) and np.all(lam_r > lam_l)
-    np.testing.assert_array_equal(F, fa)
+    np.testing.assert_array_equal(F, _flux_cube(a, u2, theta))
 
 
 def test_hll_mirror_interface_has_no_mass_flux(monkeypatch):
@@ -303,13 +338,12 @@ def test_cfl_governed_by_hottest_cell():
 def test_reconstruct_uniform_field():
     g = _uniform_grid(n=8, rho=1.3, theta=0.8)
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
-    (tl_u, tl_th, tl_c), (tr_u, tr_th, tr_c), _, _ = _interface_data(g, cfg)
-    assert tl_c.shape == tr_c.shape == (9, 5, 5, 5)
-    np.testing.assert_allclose(tl_c[:, 0, 0, 0], 1.3, rtol=1e-14)
-    np.testing.assert_allclose(tr_c[:, 0, 0, 0], 1.3, rtol=1e-14)
-    np.testing.assert_array_equal(tl_c, tr_c)
-    np.testing.assert_array_equal(tl_th, tr_th)
-    np.testing.assert_array_equal(tl_u, tr_u)
+    (t_u, t_th, t_c), _ = _interface_data(g, cfg)
+    assert t_c.shape == (2, 9, 5, 5, 5)
+    np.testing.assert_allclose(t_c[:, :, 0, 0, 0], 1.3, rtol=1e-14)
+    np.testing.assert_array_equal(t_c[0], t_c[1])
+    np.testing.assert_array_equal(t_th[0], t_th[1])
+    np.testing.assert_array_equal(t_u[0], t_u[1])
 
 
 def test_reconstruct_linear_ramp_exact():
@@ -318,7 +352,7 @@ def test_reconstruct_linear_ramp_exact():
     y = g.centers
     g.coeffs[:, 0, 0, 0] = 1.0 + 0.1 * y
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0, limiter="central")
-    (_, _, tl_c), (_, _, tr_c), _, _ = _interface_data(g, cfg)
+    (_, _, (tl_c, tr_c)), _ = _interface_data(g, cfg)
     edges = g.y_lo + g.dx * np.arange(n + 1)
     # end cells see a zero-gradient ghost and flatten; interior is exact
     for i in range(2, n - 1):
@@ -333,7 +367,7 @@ def test_reconstruct_minmod_no_new_extrema():
     g.coeffs[:4, 0, 0, 0] = 1.0
     g.coeffs[4:, 0, 0, 0] = 2.0
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0, limiter="minmod")
-    (_, _, tl_c), (_, _, tr_c), _, _ = _interface_data(g, cfg)
+    (_, _, (tl_c, tr_c)), _ = _interface_data(g, cfg)
     for rho in (tl_c[:, 0, 0, 0], tr_c[:, 0, 0, 0]):
         assert np.all(rho >= 1.0 - 1e-14) and np.all(rho <= 2.0 + 1e-14)
 
@@ -470,6 +504,55 @@ def test_step_variants_stay_conservative():
         assert abs(g.total_mass() - 1.0) <= 1e-12
         assert np.all(np.isfinite(g.coeffs))
         assert np.all(g.theta > 0)
+
+
+def test_warm_step_peak_temporary_memory():
+    # the shock preset at M = 10 on 40 cells, as in the benchmark's shock
+    # workload: a warm step keeps its full-cube work arrays from the steps
+    # before, so its new allocations are the returned state and a few
+    # transients, not one cube per intermediate
+    sc = scenarios.preset("shock", M=10, cells=40)
+    g = scenarios.build_grid(sc)
+    cfg = scenarios.to_run_config(sc)
+    for _ in range(2):
+        step(g, cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step(g, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * g.coeffs.nbytes
+
+
+@pytest.mark.parametrize("scenario", ["shock", "couette"])
+def test_interleaved_grids_step_as_if_alone(scenario):
+    # two grids of one shape share the step's work arrays; stepping them in
+    # turn must give, bit for bit, what stepping each one alone gives, and
+    # no array a step returns or leaves in a grid may be a work array
+    sc = scenarios.preset(scenario, M=5, cells=12)
+    cfg = scenarios.to_run_config(sc)
+    a, b = scenarios.build_grid(sc), scenarios.build_grid(sc)
+    b.coeffs[:, 0, 0, 0] *= 1.0 + 0.2 * np.sin(np.arange(b.n))
+    b.u[:, 1] += 0.1
+    alone = []
+    for g in (a, b):
+        g = Grid1D(g.y_lo, g.y_hi, g.u, g.theta, g.coeffs)
+        for _ in range(6):
+            step(g, cfg)
+        alone.append((g.u, g.theta, g.coeffs))
+    kept = []
+    for _ in range(6):
+        for g in (a, b):
+            step(g, cfg)
+            kept.append((g.coeffs, g.coeffs.copy()))
+    for g, want in zip((a, b), alone):
+        np.testing.assert_array_equal(g.u, want[0])
+        np.testing.assert_array_equal(g.theta, want[1])
+        np.testing.assert_array_equal(g.coeffs, want[2])
+    for coeffs, snapshot in kept:
+        np.testing.assert_array_equal(coeffs, snapshot)
 
 
 # ---------------------------------------------------------------------------
