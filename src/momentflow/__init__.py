@@ -10,17 +10,14 @@ import importlib
 __version__ = "0.1.0"
 
 _API = {
-    "hermite": ("he_eval", "he_sequence", "basis_eval", "expansion_eval",
-                "largest_he_root"),
-    "moments": ("MomentState", "maxwellian", "n_moments",
-                "multi_indices", "stress_tensor", "heat_flux",
-                "snapshot_table", "write_snapshot", "read_snapshot",
-                "SNAPSHOT_COLUMNS"),
+    "hermite": ("he_sequence", "largest_he_root"),
+    "moments": ("stress_tensor", "heat_flux", "snapshot_table",
+                "read_snapshot", "SNAPSHOT_COLUMNS"),
     "projection": ("project_coeffs", "shift_kernel"),
     "collision": ("collide_coeffs", "relaxation_time"),
     "closure": ("closure_coeffs",),
     "boundary": ("WallSpec", "s_table", "apply_wall_bc", "ghost_state",
-                 "half_space_cutoff", "wall_density"),
+                 "wall_density"),
     "march": ("RunResult",),
     "solver1d": ("Grid1D", "RunConfig", "run", "step", "cfl_timestep"),
     "cdvm": ("DvGrid", "DvField", "DvRunConfig", "dv_moments", "dv_step",

@@ -12,8 +12,10 @@ The wall machinery is derived for a right-hand wall with inward normal -e2
   * an exchange rule per odd normal-index moment mixing the diffuse part
     (accommodation chi) with the specularly reflected even moments.
 
-A left wall is handled by conjugating the right-wall map with the mirror
-reflection (u2 and every odd-a2 coefficient change sign).
+A left wall is the right-wall map conjugated by the sign vector
+s = (-1)^{a2} of the reflection v2 -> -v2: s * map(s * f).  The map reads
+neither the normal frame velocity nor the wall's normal velocity, so the
+same frame and wall serve both sides.
 """
 
 import math
@@ -23,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hermite import he_zeros
-from .moments import MomentState, grade_mask
+from .moments import grade_mask
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -43,12 +45,8 @@ class WallSpec:
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.u_wall = np.asarray(self.u_wall, dtype=float)
-
-    def mirrored(self):
-        uw = self.u_wall.copy()
-        uw[1] = -uw[1]
-        return WallSpec(self.chi, uw, self.theta_wall,
-                        "right" if self.side == "left" else "left")
+        if self.u_wall.shape != (3,) or not np.all(np.isfinite(self.u_wall)):
+            raise ValueError("wall velocity u_wall must be a finite 3-vector")
 
 
 @lru_cache(maxsize=None)
@@ -74,31 +72,16 @@ def s_table(nmax):
     return S
 
 
-def _cutoff_matrix(theta, K, even_cols_only=False):
-    """A[a, b] = S(a, b) theta^{(a-b)/2}, the axis-2 action of the cut-off."""
+def _cutoff_matrix(theta, K):
+    """B[a, b] = S(a, b) theta^{(a-b)/2} for even b, 0 for odd b: the axis-2
+    action of the v2 >= 0 cut-off on the even-a2 part of a state."""
     S = s_table(K - 1)
     a = np.arange(K)
     power = np.asarray(theta, dtype=float)[..., None, None] ** (
         (a[:, None] - a[None, :]) / 2.0
     )
     mat = S * power
-    if even_cols_only:
-        mat = mat * (np.arange(K)[None, :] % 2 == 0)
-    return mat
-
-
-def half_space_cutoff(coeffs, theta):
-    """Coefficients of the v2 >= 0 cut-off, in the same frame.
-
-    Acts on axis 2 only: q[a1, a2, a3] = sum_b S(a2, b) theta^{(a2-b)/2}
-    f[a1, b, a3], truncated back to the retained orders.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    K = coeffs.shape[-1]
-    A = _cutoff_matrix(theta, K)
-    out = np.einsum("...ab,...ibk->...iak", A, coeffs)
-    out *= grade_mask(K, K - 1)
-    return out
+    return mat * (np.arange(K)[None, :] % 2 == 0)
 
 
 def wall_density(coeffs, theta, theta_wall):
@@ -180,7 +163,7 @@ def _bc_cube(u, theta, coeffs, wall):
     K = coeffs.shape[-1]
     rho_wall = wall_density(coeffs, theta, wall.theta_wall)
     p = half_maxwellian_coeffs(u, theta, wall, rho_wall, K)
-    B = _cutoff_matrix(theta, K, even_cols_only=True)
+    B = _cutoff_matrix(theta, K)
     reflected = np.einsum("...ab,...ibk->...iak", B, coeffs)
     pref = 2.0 * wall.chi / (2.0 - wall.chi)
     odd = (np.arange(K) % 2 == 1)[None, :, None]
@@ -189,40 +172,26 @@ def _bc_cube(u, theta, coeffs, wall):
     return fb
 
 
-def apply_wall_bc(state, wall):
+def apply_wall_bc(u, theta, coeffs, wall):
     """Map a boundary-adjacent state onto one satisfying the wall condition.
 
-    The exchange acts directly on the stored coefficients: even-a2 slots are
-    kept verbatim, odd-a2 slots are rebuilt from them, and the result is
-    declared about the center (u1, u2_wall, u3) at the gas temperature.
-    Keeping the even slots untouched is what preserves the zero first-moment
-    and zero-trace constraints for any admissible input.
+    Returns ``(u_b, theta, f_b)``.  The exchange acts directly on the stored
+    coefficients: even-a2 slots are kept verbatim, odd-a2 slots are rebuilt
+    from them, and the result is declared about the center
+    u_b = (u1, u2_wall, u3) at the gas temperature.  Keeping the even slots
+    untouched is what preserves the zero first-moment and zero-trace
+    constraints for any admissible input.
     """
-    if wall.side == "left":
-        inner = mirror_state(state)
-        out = apply_wall_bc(inner, wall.mirrored())
-        return mirror_state(out)
-    u_b = np.array([state.u[0], wall.u_wall[1], state.u[2]])
-    fb = _bc_cube(u_b, state.theta, state.coeffs, wall)
-    return MomentState(u_b, state.theta, fb)
-
-
-def ghost_state(state, wall):
-    """Reflected extrapolation encoding the wall: coefficients 2 f^b - f about
-    the center 2 u^b - u at the gas temperature."""
-    fb = apply_wall_bc(state, wall)
-    ghost_u = 2.0 * fb.u - state.u
-    return MomentState(ghost_u, state.theta, 2.0 * fb.coeffs - state.coeffs)
-
-
-def mirror_coeffs(coeffs):
-    """Reflection v2 -> -v2 in coefficient space: negate odd-a2 entries."""
+    u_b = np.array([u[0], wall.u_wall[1], u[2]])
+    if wall.side == "right":
+        return u_b, theta, _bc_cube(u_b, theta, coeffs, wall)
     K = coeffs.shape[-1]
-    signs = np.where(np.arange(K) % 2 == 1, -1.0, 1.0)[None, :, None]
-    return coeffs * signs
+    s = np.where(np.arange(K) % 2 == 1, -1.0, 1.0)[:, None]
+    return u_b, theta, s * _bc_cube(u_b, theta, s * coeffs, wall)
 
 
-def mirror_state(state):
-    u = state.u.copy()
-    u[1] = -u[1]
-    return MomentState(u, state.theta, mirror_coeffs(state.coeffs))
+def ghost_state(u, theta, coeffs, wall):
+    """Reflected extrapolation encoding the wall: coefficients 2 f^b - f about
+    the center 2 u^b - u at the gas temperature; returns ``(u, theta, f)``."""
+    u_b, _, fb = apply_wall_bc(u, theta, coeffs, wall)
+    return 2.0 * u_b - u, theta, 2.0 * fb - coeffs

@@ -22,16 +22,17 @@ _THREAD_VARS = (
 )
 
 
-def decay_diagnostic(state):
-    """Mean |f_alpha| per order k = 1..M of one state (length-M array)."""
+def decay_diagnostic(coeffs):
+    """Mean |f_alpha| per order k = 1..M of one (K, K, K) coefficient cube
+    (length-M array)."""
     import numpy as np
 
     from .moments import order_cube
 
-    K = state.coeffs.shape[-1]
+    K = coeffs.shape[-1]
     orders = order_cube(K)
     out = np.empty(K - 2)
-    mag = np.abs(state.coeffs)
+    mag = np.abs(coeffs)
     for k in range(1, K - 1):
         out[k - 1] = mag[orders == k].mean()
     return out

@@ -37,21 +37,6 @@ def _top_reads(K):
     return tops, table
 
 
-def shifted(c, o1, o2, o3):
-    """result[alpha] = c[alpha - (o1, o2, o3)], zero where out of range."""
-    out = np.zeros_like(c)
-    K = c.shape[-1]
-
-    def sl(o):
-        if o >= 0:
-            return slice(o, K), slice(0, K - o)
-        return slice(0, K + o), slice(-o, K)
-
-    (d1, s1), (d2, s2), (d3, s3) = sl(o1), sl(o2), sl(o3)
-    out[..., d1, d2, d3] = c[..., s1, s2, s3]
-    return out
-
-
 def closure_coeffs(mean_coeffs, mean_theta, grad_coeffs, grad_u, grad_theta,
                    grad_ptheta, tau):
     """Top-grade coefficient cube from mean values and y-gradients.

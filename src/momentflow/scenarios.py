@@ -159,6 +159,9 @@ def build_grid(sc):
 
 
 def to_dv_config(sc):
+    if np.any(np.asarray(sc.force, dtype=float) != 0.0):
+        raise ValueError("the cdvm solver has no body force term; "
+                         "force must be zero, got %r" % (sc.force,))
     return DvRunConfig(
         kn=sc.kn,
         pr=sc.pr,

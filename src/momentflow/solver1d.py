@@ -34,6 +34,7 @@ collided in place, becomes ``grid.coeffs``) and the closure's top-grade
 block.  No array a step leaves in the grid is a work array.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -44,8 +45,7 @@ from .closure import closure_coeffs
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
 from .march import check_stop_options, march
-from .moments import (MomentState, grade_mask, order_cube, snapshot_table,
-                      work_array)
+from .moments import grade_mask, order_cube, snapshot_table, work_array
 from .projection import project_coeffs, renormalize_arrays
 
 
@@ -106,9 +106,6 @@ class Grid1D:
         u = np.broadcast_to(np.asarray(u, dtype=float), (n, 3))
         theta = np.broadcast_to(np.asarray(theta, dtype=float), (n,))
         return cls(y_lo, y_hi, u, theta, cubes)
-
-    def cell_state(self, j):
-        return MomentState(self.u[j], self.theta[j], self.coeffs[j])
 
     def densities(self):
         return self.coeffs[:, 0, 0, 0]
@@ -193,7 +190,11 @@ class RunConfig:
             raise ValueError("splitting must be 'lie' or 'strang'")
         if self.limiter not in ("none", "central", "minmod"):
             raise ValueError("limiter must be none, central or minmod")
+        if not (self.signal_speed_factor > 0):
+            raise ValueError("signal_speed_factor must be positive")
         self.force = np.asarray(self.force, dtype=float)
+        if self.force.shape != (3,) or not np.all(np.isfinite(self.force)):
+            raise ValueError("force must be a finite 3-vector")
 
     @property
     def signal_speed(self):
@@ -279,10 +280,10 @@ def _slope(diff, limiter, out, tmp):
 
 
 def _cell_ghost(grid, j, wall):
-    st = grid.cell_state(j)
-    if wall is None:
-        return st
-    return ghost_state(st, wall)
+    """``(u, theta, coeffs)`` beyond cell j: its wall ghost at a wall, the
+    cell itself at a free end."""
+    state = grid.u[j], grid.theta[j], grid.coeffs[j]
+    return state if wall is None else ghost_state(*state, wall)
 
 
 def closure_time(rho, theta, kn, dt):
@@ -313,8 +314,7 @@ def _interface_data(grid, config):
     gl = _cell_ghost(grid, 0, config.left)
     gr = _cell_ghost(grid, n - 1, config.right)
     traces = []
-    for cells, lo, hi in ((grid.u, gl.u, gr.u), (grid.theta, gl.theta, gr.theta),
-                          (grid.coeffs, gl.coeffs, gr.coeffs)):
+    for cells, lo, hi in zip((grid.u, grid.theta, grid.coeffs), gl, gr):
         diff = work_array("face differences", (n + 1,) + cells.shape[1:])
         np.subtract(cells[1:], cells[:-1], out=diff[1:-1])
         diff[0], diff[n] = cells[0] - lo, hi - cells[-1]
@@ -336,11 +336,11 @@ def _interface_data(grid, config):
     # ghost at a wall, zero-gradient copy for a free boundary
     for wall, i, side, j in ((config.left, 0, 0, 0), (config.right, n, 1, n - 1)):
         if wall is not None:
-            g = ghost_state(MomentState(tu[1 - side, i], tth[1 - side, i],
-                                        tc[1 - side, i]), wall)
+            g = ghost_state(tu[1 - side, i], tth[1 - side, i], tc[1 - side, i],
+                            wall)
         else:
-            g = grid.cell_state(j)
-        tu[side, i], tth[side, i], tc[side, i] = g.u, g.theta, g.coeffs
+            g = grid.u[j], grid.theta[j], grid.coeffs[j]
+        tu[side, i], tth[side, i], tc[side, i] = g
 
     # at a wall the flanking pair is (trace, its ghost), which pins the
     # common frame to (u_trace_tangential, u_wall_normal, theta_trace)
@@ -441,12 +441,14 @@ def _transport_rate(grid, config, dt):
 
 
 def _stage_state(grid, coeffs, stage):
-    """Renormalize a provisional coefficient update into a valid grid."""
+    """Renormalize a provisional coefficient update; returns the new
+    ``(u, theta, coeffs)``.  The projection keeps f_0, so the density
+    checked here is the density of the result."""
     _require_positive(coeffs[:, 0, 0, 0], "density", "in cell %d after " + stage)
     u_new, th_new, c_ren = renormalize_arrays(grid.u, grid.theta, coeffs)
     _require_positive(th_new, "temperature", "in cell %d after " + stage)
     c_ren *= grade_mask(coeffs.shape[-1], coeffs.shape[-1] - 2)
-    return Grid1D(grid.y_lo, grid.y_hi, u_new, th_new, c_ren)
+    return u_new, th_new, c_ren
 
 
 def step(grid, config, dt=None):
@@ -473,7 +475,10 @@ def step(grid, config, dt=None):
     stage = np.multiply(dt, r1, out=work_array("stage", r1.shape))
     stage += grid.coeffs
     stage *= evolved
-    g1 = _stage_state(grid, stage, "transport stage 1")
+    # the stage grid shares the fresh stage arrays; a shallow copy skips the
+    # copies and checks of Grid1D's constructor
+    g1 = copy.copy(grid)
+    g1.u, g1.theta, g1.coeffs = _stage_state(grid, stage, "transport stage 1")
     # the second-stage rate comes back in the stage frames; re-express it in
     # the step-start frames before averaging (the frame map is linear)
     r2 = project_coeffs(_transport_rate(g1, config, dt), g1.u, g1.theta,
@@ -482,8 +487,7 @@ def step(grid, config, dt=None):
     new_c *= 0.5 * dt
     new_c += grid.coeffs
     new_c *= evolved
-    final = _stage_state(grid, new_c, "transport stage 2")
-    u_new, th_new, c_ren = final.u, final.theta, final.coeffs
+    u_new, th_new, c_ren = _stage_state(grid, new_c, "transport stage 2")
 
     if not config.collisionless:
         tau = relaxation_time(c_ren[:, 0, 0, 0], th_new, config.kn)

@@ -9,6 +9,7 @@ the moment algebra.  Slow and simple on purpose.
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import sympy
@@ -44,6 +45,39 @@ def he_exact(n, x_rational):
 def he_quad_value(n, x):
     """He_n(x) in floats via the symbolic polynomial (n small)."""
     return float(he_symbolic(n).subs(sympy.Symbol("x"), sympy.Float(x, 30)))
+
+
+# ---------------------------------------------------------------------------
+# Pointwise evaluation of the weighted Hermite basis and of a series, on
+# numpy's own Hermite_e evaluators (not the library's recursion)
+
+
+def _basis_tables(theta, v, K):
+    """(P, K) table of (2 pi)^{-1/2} theta^{-(n+1)/2} He_n(v_p) e^{-v_p^2/2}."""
+    scale = (2 * math.pi) ** -0.5 * theta ** (-(np.arange(K) + 1) / 2.0)
+    return hermite_e.hermevander(v, K - 1) * scale * np.exp(-(v**2) / 2)[:, None]
+
+
+def basis_eval(alpha, theta, v):
+    """Weighted basis prod_d B(alpha_d, v_d) at v, a 3-vector or (P, 3);
+    zero if a component of alpha is negative."""
+    v = np.asarray(v, dtype=float)
+    pts = np.atleast_2d(v)
+    out = np.zeros(len(pts)) if min(alpha) < 0 else np.prod(
+        [_basis_tables(theta, pts[:, d], a + 1)[:, a] for d, a in enumerate(alpha)],
+        axis=0)
+    return out if v.ndim > 1 else float(out[0])
+
+
+def expansion_eval(coeffs, u, theta, xi):
+    """Value at xi (a 3-vector or (P, 3)) of the series with the (K, K, K)
+    coefficient cube ``coeffs`` about the frame (u, theta)."""
+    xi = np.asarray(xi, dtype=float)
+    v = (np.atleast_2d(xi) - np.asarray(u, dtype=float)) / math.sqrt(theta)
+    K = coeffs.shape[-1]
+    t1, t2, t3 = (_basis_tables(theta, v[:, d], K).T for d in range(3))
+    vals = np.einsum("abc,ap,bp,cp->p", coeffs, t1, t2, t3)
+    return vals if xi.ndim > 1 else float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +438,83 @@ def hll_reference(a, b, u2, theta, lam_l, lam_r):
     lr = np.asarray(lam_r)[..., None, None, None]
     mid = (lr * fa - ll * fb + ll * lr * jump) / (lr - ll)
     return np.where(ll >= 0, fa, np.where(lr <= 0, fb, mid))
+
+
+# ---------------------------------------------------------------------------
+# Moment states: a frame (u, theta) and a (K, K, K) coefficient cube about
+# it, K = M + 2, with grades |alpha| <= M + 1 kept
+
+
+class State(NamedTuple):
+    u: np.ndarray
+    theta: float
+    coeffs: np.ndarray
+
+    @property
+    def rho(self):
+        return float(self.coeffs[0, 0, 0])
+
+    @property
+    def M(self):
+        return self.coeffs.shape[-1] - 2
+
+    def evaluate(self, xi):
+        return expansion_eval(self.coeffs, self.u, self.theta, xi)
+
+
+@lru_cache(maxsize=None)
+def multi_indices(order):
+    """All alpha with |alpha| <= order, graded, descending lexicographic
+    within a grade."""
+    return tuple((a1, a2, k - a1 - a2) for k in range(order + 1)
+                 for a1 in range(k, -1, -1) for a2 in range(k - a1, -1, -1))
+
+
+def cube_from_dict(M, d):
+    """(K, K, K) cube from a {multi-index: value} mapping; entries with
+    |alpha| > M + 1 are dropped."""
+    c = np.zeros((M + 2,) * 3)
+    for alpha, val in d.items():
+        if sum(alpha) <= M + 1:
+            c[alpha] = val
+    return c
+
+
+def maxwellian(rho, u, theta, M):
+    """Equilibrium state: only the zeroth coefficient is nonzero."""
+    c = np.zeros((M + 2,) * 3)
+    c[0, 0, 0] = rho
+    return State(np.asarray(u, dtype=float), theta, c)
+
+
+def mirror(state):
+    """The reflection v2 -> -v2: u2 and every odd-a2 coefficient flip sign."""
+    sign = (-1.0) ** np.arange(state.coeffs.shape[-1])[:, None]
+    return State(state.u * [1.0, -1.0, 1.0], state.theta, state.coeffs * sign)
+
+
+def admissibility_violation(theta, coeffs):
+    """None if the state is admissible, else its first violated invariant:
+    rho > 0 and theta > 0 (NaN fails), f_{e_d} = 0 and sum_d f_{2 e_d} = 0
+    within 1e-12 max(rho, 1)."""
+    rho = float(coeffs[0, 0, 0])
+    if not (rho > 0):
+        return "rho is not positive: %r" % rho
+    if not (theta > 0):
+        return "theta is not positive: %r" % float(theta)
+    tol = 1e-12 * max(rho, 1.0)
+    for d, alpha in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+        if abs(coeffs[alpha]) > tol:
+            return f"f_(e_{d+1}) != 0"
+    if abs(coeffs[2, 0, 0] + coeffs[0, 2, 0] + coeffs[0, 0, 2]) > tol:
+        return "sum_d f_(2 e_d) != 0"
+    return None
+
+
+def random_state(seed, M=4):
+    """A random admissible ``State`` of order M (see ``random_admissible``)."""
+    u, theta, f = random_admissible(np.random.default_rng(seed), M)
+    return State(u, theta, cube_from_dict(M, f))
 
 
 # ---------------------------------------------------------------------------

@@ -9,26 +9,24 @@ from momentflow.boundary import (
     apply_wall_bc,
     ghost_state,
     half_maxwellian_coeffs,
-    half_space_cutoff,
     j_full,
     j_hat,
-    mirror_coeffs,
-    mirror_state,
     s_table,
     wall_density,
 )
-from momentflow.hermite import expansion_eval
-from momentflow.moments import MomentState, cube_from_dict, maxwellian
 
 import oracles
+from oracles import State, admissibility_violation, maxwellian, mirror, random_state
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
 
-def _random_state(seed, M=4):
-    rng = np.random.default_rng(seed)
-    u, theta, f = oracles.random_admissible(rng, M)
-    return MomentState(u, theta, cube_from_dict(M, f))
+def _bc(s, wall):
+    return State(*apply_wall_bc(*s, wall))
+
+
+def _ghost(s, wall):
+    return State(*ghost_state(*s, wall))
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +99,24 @@ def test_j_seed_values():
 
 
 # ---------------------------------------------------------------------------
-# half-space cut-off
+# half-space cut-off: the axis-2 operator S(a, b) theta^{(a-b)/2} that the
+# wall map applies to the even-a2 part of a state, here on the whole state
+
+
+def _cutoff(coeffs, theta):
+    """Coefficients of the v2 >= 0 cut-off in the same frame, truncated to
+    |alpha| <= K - 1."""
+    K = coeffs.shape[-1]
+    a = np.arange(K)
+    A = s_table(K - 1) * theta ** ((a[:, None] - a[None, :]) / 2.0)
+    out = np.einsum("ab,ibk->iak", A, coeffs)
+    out[a[:, None, None] + a[None, :, None] + a[None, None, :] > K - 1] = 0.0
+    return out
 
 
 def test_cutoff_of_maxwellian():
     s = maxwellian(1.7, np.zeros(3), 1.2, 4)
-    q = half_space_cutoff(s.coeffs, s.theta)
+    q = _cutoff(s.coeffs, s.theta)
     assert q[0, 0, 0] == pytest.approx(1.7 / 2.0, rel=1e-14)
     nz = np.argwhere(q != 0.0)
     assert np.all(nz[:, 0] == 0) and np.all(nz[:, 2] == 0)
@@ -117,20 +127,16 @@ def test_cutoff_diagonal_is_half():
     for alpha in [(1, 2, 0), (0, 3, 1), (2, 0, 2)]:
         c = np.zeros((K, K, K))
         c[alpha] = 0.8
-        q = half_space_cutoff(c, 1.4)
+        q = _cutoff(c, 1.4)
         assert q[alpha] == pytest.approx(0.4, rel=1e-13)
 
 
 def test_cutoff_matches_halfspace_quadrature():
-    s = _random_state(0, M=4)
-
-    def func(xi):
-        return expansion_eval(s.coeffs, s.u, s.theta, xi)
-
-    q = half_space_cutoff(s.coeffs, s.theta)
+    s = random_state(0, M=4)
+    q = _cutoff(s.coeffs, s.theta)
     for alpha in [(0, 0, 0), (0, 1, 0), (1, 1, 1), (0, 3, 0), (2, 1, 0),
                   (0, 2, 2)]:
-        want = oracles.halfspace_coeff_quadrature(func, alpha, s.u, s.theta)
+        want = oracles.halfspace_coeff_quadrature(s.evaluate, alpha, s.u, s.theta)
         assert q[alpha] == pytest.approx(want, rel=2e-8, abs=1e-9)
 
 
@@ -207,35 +213,37 @@ def test_wallspec_validation():
         WallSpec(theta_wall=0.0)
     with pytest.raises(ValueError):
         WallSpec(side="top")
-    w = WallSpec(u_wall=np.array([0.3, 0.1, 0.0]), side="left")
-    m = w.mirrored()
-    assert m.side == "right" and m.u_wall[1] == -0.1
+
+
+@pytest.mark.parametrize("u_wall", [[1.0, 2.0], [np.nan, 0.0, 0.0],
+                                    [0.0, 0.0, np.inf]])
+def test_wallspec_rejects_bad_wall_velocity(u_wall):
+    with pytest.raises(ValueError, match="u_wall"):
+        WallSpec(u_wall=u_wall)
 
 
 def test_specular_limit_zeroes_odd_slots():
-    s = _random_state(1)
-    out = apply_wall_bc(s, _wall(chi=0.0))
+    s = random_state(1)
+    out = _bc(s, _wall(chi=0.0))
     assert np.all(out.coeffs[:, 1::2, :] == 0.0)
 
 
 def test_bc_output_satisfies_invariants():
     for seed in range(8):
-        s = _random_state(seed, M=3 + seed % 5)
-        out = apply_wall_bc(s, _wall(seed))
-        assert out.validate() is None
+        s = random_state(seed, M=3 + seed % 5)
+        out = _bc(s, _wall(seed))
+        assert admissibility_violation(out.theta, out.coeffs) is None
+        assert out.theta == s.theta
         assert out.u[1] == _wall(seed).u_wall[1]
 
 
 def test_bc_mass_flux_vanishes_by_quadrature():
-    s = _random_state(2)
+    s = random_state(2)
     wall = _wall(2)
-    out = apply_wall_bc(s, wall)
-
-    def func(xi):
-        return expansion_eval(out.coeffs, out.u, out.theta, xi)
-
+    out = _bc(s, wall)
     flux = oracles.raw_moment_quadrature(
-        func, (0, 1, 0), npts=32, center=tuple(out.u), scale=math.sqrt(out.theta)
+        out.evaluate, (0, 1, 0), npts=32, center=tuple(out.u),
+        scale=math.sqrt(out.theta)
     )
     assert abs(flux) <= 1e-6
 
@@ -243,26 +251,26 @@ def test_bc_mass_flux_vanishes_by_quadrature():
 def test_wall_equilibrium_is_fixed_point():
     wall = _wall(3)
     s = maxwellian(1.1, wall.u_wall, wall.theta_wall, 6)
-    out = apply_wall_bc(s, wall)
+    out = _bc(s, wall)
     np.testing.assert_allclose(out.coeffs, s.coeffs, atol=1e-12)
 
 
 def test_bc_idempotent():
-    s = _random_state(4)
+    s = random_state(4)
     wall = _wall(4)
-    once = apply_wall_bc(s, wall)
-    twice = apply_wall_bc(once, wall)
+    once = _bc(s, wall)
+    twice = _bc(once, wall)
     np.testing.assert_allclose(twice.coeffs, once.coeffs, rtol=1e-13, atol=1e-16)
 
 
 def test_specular_continuity_in_chi():
     # odd-slot output scales linearly with chi as chi -> 0
-    s = _random_state(5)
+    s = random_state(5)
     base = _wall(5)
     odd_norm = {}
     for chi in (0.02, 0.01):
         wall = WallSpec(chi, base.u_wall, base.theta_wall, base.side)
-        out = apply_wall_bc(s, wall)
+        out = _bc(s, wall)
         odd_norm[chi] = np.linalg.norm(out.coeffs[:, 1::2, :])
     ratio = odd_norm[0.02] / odd_norm[0.01]
     # 2 chi / (2 - chi): ratio of the prefactors at the two chi values
@@ -275,19 +283,19 @@ def test_specular_continuity_in_chi():
 
 
 def test_ghost_density_and_velocity():
-    s = _random_state(6)
+    s = random_state(6)
     wall = WallSpec(chi=1.0, u_wall=np.array([0.3, 0.0, 0.0]), theta_wall=1.1)
-    g = ghost_state(s, wall)
+    g = _ghost(s, wall)
     assert g.coeffs[0, 0, 0] == pytest.approx(s.rho, rel=1e-13)
     assert g.u[1] == pytest.approx(-s.u[1], abs=1e-14)
     assert g.theta == s.theta
 
 
 def test_ghost_of_bc_satisfying_state_is_identity():
-    s = _random_state(7)
+    s = random_state(7)
     wall = _wall(7)
-    b = apply_wall_bc(s, wall)
-    g = ghost_state(b, wall)
+    b = _bc(s, wall)
+    g = _ghost(b, wall)
     np.testing.assert_allclose(g.coeffs, b.coeffs, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(g.u, b.u, atol=1e-15)
 
@@ -295,12 +303,12 @@ def test_ghost_of_bc_satisfying_state_is_identity():
 def test_ghost_interior_average_reproduces_bc():
     # the construction is linear: the midpoint of ghost and interior, about
     # the midpoint center, is exactly the f^b state
-    s = _random_state(8)
+    s = random_state(8)
     wall = _wall(8)
-    b = apply_wall_bc(s, wall)
-    g = ghost_state(s, wall)
-    avg = MomentState(0.5 * (g.u + s.u), s.theta, 0.5 * (g.coeffs + s.coeffs))
-    again = apply_wall_bc(avg, wall)
+    b = _bc(s, wall)
+    g = _ghost(s, wall)
+    avg = State(0.5 * (g.u + s.u), s.theta, 0.5 * (g.coeffs + s.coeffs))
+    again = _bc(avg, wall)
     np.testing.assert_allclose(again.coeffs, b.coeffs, rtol=1e-12, atol=1e-15)
 
 
@@ -309,15 +317,15 @@ def test_ghost_interior_average_reproduces_bc():
 
 
 def test_mirror_is_involution():
-    s = _random_state(9)
-    back = mirror_state(mirror_state(s))
+    s = random_state(9)
+    back = mirror(mirror(s))
     np.testing.assert_array_equal(back.coeffs, s.coeffs)
     np.testing.assert_array_equal(back.u, s.u)
 
 
 def test_mirror_evaluates_reflected():
-    s = _random_state(10)
-    m = mirror_state(s)
+    s = random_state(10)
+    m = mirror(s)
     xi = np.random.default_rng(11).uniform(-2, 2, size=(50, 3))
     flipped = xi * np.array([1.0, -1.0, 1.0])
     np.testing.assert_allclose(m.evaluate(flipped), s.evaluate(xi), rtol=1e-12,
@@ -325,13 +333,22 @@ def test_mirror_evaluates_reflected():
 
 
 def test_left_wall_is_conjugated_right_wall():
-    s = _random_state(12)
+    # the left wall seen in the reflected frame is a right wall moving with
+    # the reflected normal velocity
+    s = random_state(12)
     wall_l = _wall(12, side="left")
-    out = apply_wall_bc(s, wall_l)
-    manual = mirror_state(apply_wall_bc(mirror_state(s), wall_l.mirrored()))
+    wall_l.u_wall[1] = 0.07
+    wall_r = WallSpec(wall_l.chi, wall_l.u_wall * [1.0, -1.0, 1.0],
+                      wall_l.theta_wall, "right")
+    out = _bc(s, wall_l)
+    manual = mirror(_bc(mirror(s), wall_r))
     np.testing.assert_allclose(out.coeffs, manual.coeffs, rtol=1e-14, atol=1e-17)
-    assert out.validate() is None
+    np.testing.assert_array_equal(out.u, manual.u)
+    assert admissibility_violation(out.theta, out.coeffs) is None
     assert out.u[1] == wall_l.u_wall[1]
+    g, manual_g = _ghost(s, wall_l), mirror(_ghost(mirror(s), wall_r))
+    np.testing.assert_allclose(g.coeffs, manual_g.coeffs, rtol=1e-14, atol=1e-17)
+    np.testing.assert_allclose(g.u, manual_g.u, rtol=1e-14, atol=1e-17)
 
 
 @settings(max_examples=15, deadline=None)
@@ -340,7 +357,7 @@ def test_bc_invariants_random(seed):
     rng = np.random.default_rng(seed)
     M = int(rng.integers(3, 7))
     u, theta, f = oracles.random_admissible(rng, M)
-    s = MomentState(u, theta, cube_from_dict(M, f))
+    s = State(u, theta, oracles.cube_from_dict(M, f))
     side = "left" if seed % 2 else "right"
     wall = WallSpec(
         chi=float(rng.uniform(0.0, 1.0)),
@@ -348,5 +365,5 @@ def test_bc_invariants_random(seed):
         theta_wall=float(rng.uniform(0.6, 1.5)),
         side=side,
     )
-    out = apply_wall_bc(s, wall)
-    assert out.validate() is None
+    out = _bc(s, wall)
+    assert admissibility_violation(out.theta, out.coeffs) is None

@@ -5,19 +5,12 @@ import pytest
 
 from momentflow import scenarios
 from momentflow.cli import build_parser, decay_diagnostic, main
-from momentflow.moments import (
-    MomentState,
-    cube_from_dict,
-    maxwellian,
-    multi_indices,
-    read_snapshot,
-    snapshot_table,
-    write_table,
-)
+from momentflow.moments import read_snapshot, snapshot_table, write_table
 from momentflow.scenarios import COUETTE_WALL_SPEED, POISEUILLE_FORCE
 from momentflow.solver1d import run as nrxx_run
 
 import oracles
+from oracles import cube_from_dict, multi_indices
 
 
 # ---------------------------------------------------------------------------
@@ -25,19 +18,17 @@ import oracles
 
 
 def test_decay_diagnostic_equilibrium_is_zero():
-    s = maxwellian(1.0, np.zeros(3), 1.0, 5)
-    d = decay_diagnostic(s)
+    d = decay_diagnostic(oracles.maxwellian(1.0, np.zeros(3), 1.0, 5).coeffs)
     assert d.shape == (5,)
     assert np.all(d == 0.0)
 
 
 def test_decay_diagnostic_matches_direct_average():
     rng = np.random.default_rng(2)
-    u, theta, f = oracles.random_admissible(rng, 5)
-    s = MomentState(u, theta, cube_from_dict(5, f))
-    d = decay_diagnostic(s)
+    _, _, f = oracles.random_admissible(rng, 5)
+    d = decay_diagnostic(cube_from_dict(5, f))
     for k in range(1, 6):
-        vals = [abs(s.moment(a)) for a in multi_indices(5) if sum(a) == k]
+        vals = [abs(f.get(a, 0.0)) for a in multi_indices(5) if sum(a) == k]
         assert d[k - 1] == pytest.approx(np.mean(vals), rel=1e-14)
 
 
@@ -230,6 +221,19 @@ def test_run_nan_state_exits_nonzero(tmp_path, capsys):
     rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_run_cdvm_with_body_force_exits_nonzero(tmp_path, capsys):
+    # the DVM has no force term: a force-driven run must fail, not report a
+    # steady state of a gas left at rest
+    out = tmp_path / "o"
+    rc = main(["run", "--scenario", "poiseuille", "--solver", "cdvm",
+               "--cells", "8", "--dv-nodes", "12", "12", "12", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "force must be zero" in captured.err
+    assert "steady state" not in captured.out
+    assert not (out / "final.csv").exists()
 
 
 def test_run_threads_flag_pins_environment(tmp_path, monkeypatch):

@@ -5,25 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momentflow.collision import collide_coeffs
-from momentflow.hermite import expansion_eval
 from momentflow.moments import (
-    MomentState,
     SNAPSHOT_COLUMNS,
-    cube_from_dict,
     grade_mask,
     heat_flux,
-    index_rank,
-    maxwellian,
-    multi_indices,
-    n_moments,
     order_cube,
     read_snapshot,
     snapshot_table,
     stress_tensor,
-    write_snapshot,
+    write_table,
 )
+from momentflow.solver1d import Grid1D
 
 import oracles
+from oracles import (admissibility_violation, cube_from_dict, expansion_eval,
+                     maxwellian, multi_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -31,9 +27,11 @@ import oracles
 
 
 def test_n_moments_formula():
+    # the number of kept slots, |alpha| <= M + 1, in a cube of edge M + 2
     for M in range(3, 13):
-        assert n_moments(M) == (M + 2) * (M + 3) * (M + 4) // 6
-        assert n_moments(M) == len(multi_indices(M + 1))
+        n = int(np.count_nonzero(grade_mask(M + 2, M + 1)))
+        assert n == (M + 2) * (M + 3) * (M + 4) // 6
+        assert n == len(multi_indices(M + 1))
 
 
 def test_multi_indices_is_graded_bijection():
@@ -49,15 +47,7 @@ def test_multi_indices_is_graded_bijection():
         for c in range(order + 1)
         if a + b + c <= order
     }
-    # the ordering is fixed program-wide; pin its head
     assert idx[:4] == ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def test_index_rank_inverts_ordering():
-    order = 6
-    rank = index_rank(order)
-    for i, alpha in enumerate(multi_indices(order)):
-        assert rank[alpha] == i
 
 
 def test_order_cube_and_grade_mask():
@@ -89,62 +79,45 @@ def test_maxwellian_examples():
     assert np.count_nonzero(s.coeffs) == 1
     assert np.all(stress_tensor(s.coeffs) == 0.0)
     assert np.all(heat_flux(s.coeffs) == 0.0)
-    assert s.validate() is None
+    assert admissibility_violation(s.theta, s.coeffs) is None
 
 
 def test_maxwellian_rejects_bad_inputs():
+    # the library builds its Maxwellian cells in Grid1D.from_fields
     with pytest.raises(ValueError):
-        maxwellian(0.0, np.zeros(3), 1.0, 3)
+        Grid1D.from_fields(-0.5, 0.5, np.zeros(2), np.zeros(3), 1.0, 3)
     with pytest.raises(ValueError):
-        maxwellian(1.0, np.zeros(3), -2.0, 3)
+        Grid1D.from_fields(-0.5, 0.5, np.ones(2), np.zeros(3), -2.0, 3)
     with pytest.raises(ValueError):
-        maxwellian(1.0, np.zeros(3), 1.0, 2)
-
-
-def test_moment_state_basics():
-    rng = np.random.default_rng(3)
-    u, theta, f = oracles.random_admissible(rng, 4)
-    s = MomentState(u, theta, cube_from_dict(4, f))
-    assert s.M == 4
-    assert s.moment((0, 0, 0)) == s.rho
-    assert s.moment((9, 0, 0)) == 0.0  # out of stored range
-    assert s.moment((-1, 0, 0)) == 0.0
-    c = s.copy()
-    c.coeffs[0, 0, 0] = 99.0
-    assert s.coeffs[0, 0, 0] != 99.0
-    with pytest.raises(ValueError):
-        MomentState(np.zeros(2), 1.0, s.coeffs)
-    with pytest.raises(ValueError):
-        MomentState(np.zeros(3), 0.0, s.coeffs)
+        Grid1D.from_fields(-0.5, 0.5, np.ones(2), np.zeros(3), 1.0, 2)
 
 
 def test_validate_reports_first_violation():
     s = maxwellian(1.0, np.zeros(3), 1.0, 3)
     s.coeffs[0, 1, 0] = 1e-3
-    report = s.validate()
+    report = admissibility_violation(s.theta, s.coeffs)
     assert report is not None and "e_2" in report
     s = maxwellian(1.0, np.zeros(3), 1.0, 3)
     s.coeffs[2, 0, 0] = 1e-4  # breaks the trace, not f_{e_i}
-    assert s.validate() == "sum_d f_(2 e_d) != 0"
+    assert admissibility_violation(s.theta, s.coeffs) == "sum_d f_(2 e_d) != 0"
 
 
 @pytest.mark.parametrize("slot", ["rho", "theta"])
 def test_validate_rejects_nan_density_and_temperature(slot):
     s = maxwellian(1.0, np.zeros(3), 1.0, 3)
+    theta = s.theta
     if slot == "rho":
         s.coeffs[0, 0, 0] = np.nan
     else:
-        s.theta = np.nan
-    assert s.validate() == "%s is not positive: nan" % slot
+        theta = np.nan
+    assert admissibility_violation(theta, s.coeffs) == "%s is not positive: nan" % slot
 
 
 def test_validate_passes_after_collision():
-    rng = np.random.default_rng(4)
-    u, theta, f = oracles.random_admissible(rng, 5)
-    s = MomentState(u, theta, cube_from_dict(5, f))
-    assert s.validate() is None
+    s = oracles.random_state(4, 5)
+    assert admissibility_violation(s.theta, s.coeffs) is None
     out = collide_coeffs(s.coeffs, tau=0.7, prandtl=2.0 / 3.0, dt=0.3)
-    assert MomentState(u, theta, out).validate() is None
+    assert admissibility_violation(s.theta, out) is None
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +127,7 @@ def test_validate_passes_after_collision():
 def test_stress_single_slot():
     s = maxwellian(1.0, np.zeros(3), 1.0, 3)
     s.coeffs[1, 1, 0] = 0.3
-    sig = s.stress()
+    sig = stress_tensor(s.coeffs)
     assert sig[0, 1] == 0.3 and sig[1, 0] == 0.3
     assert np.trace(sig) == 0.0
 
@@ -162,7 +135,7 @@ def test_stress_single_slot():
 def test_heat_flux_single_slot():
     s = maxwellian(1.0, np.zeros(3), 1.0, 4)
     s.coeffs[3, 0, 0] = 0.1
-    q = s.heat_flux()
+    q = heat_flux(s.coeffs)
     assert q[0] == pytest.approx(0.3)
     assert q[1] == 0.0 and q[2] == 0.0
 
@@ -251,9 +224,9 @@ def test_snapshot_roundtrip(tmp_path):
     theta = rng.uniform(0.8, 1.2, size=n)
     centers = np.linspace(-0.45, 0.45, n)
     path = tmp_path / "snap.csv"
-    write_snapshot(path, centers, u, theta, coeffs)
+    table = snapshot_table(centers, u, theta, coeffs)
+    write_table(path, table)
     cols = read_snapshot(path)
     assert tuple(cols) == SNAPSHOT_COLUMNS
-    table = snapshot_table(centers, u, theta, coeffs)
     for i, name in enumerate(SNAPSHOT_COLUMNS):
         np.testing.assert_array_equal(cols[name], table[:, i])  # %.17g round-trips

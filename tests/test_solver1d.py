@@ -7,14 +7,8 @@ import pytest
 from momentflow import scenarios, solver1d
 from momentflow.boundary import WallSpec
 from momentflow.cdvm import DvGrid, DvRunConfig
-from momentflow.hermite import expansion_eval, largest_he_root
-from momentflow.moments import (
-    MomentState,
-    cube_from_dict,
-    maxwellian,
-    order_cube,
-    snapshot_table,
-)
+from momentflow.hermite import largest_he_root
+from momentflow.moments import order_cube, snapshot_table
 from momentflow.solver1d import (
     Grid1D,
     RunConfig,
@@ -29,6 +23,7 @@ from momentflow.solver1d import (
 )
 
 import oracles
+from oracles import cube_from_dict, maxwellian
 
 
 def _couette_config(M=3, **kw):
@@ -113,17 +108,15 @@ NAN = float("nan")
         lambda: WallSpec(theta_wall=NAN),
         lambda: Grid1D.from_fields(0.0, NAN, np.ones(4), np.zeros(3), 1.0, 3),
         lambda: Grid1D.from_fields(NAN, 1.0, np.ones(4), np.zeros(3), 1.0, 3),
-        lambda: MomentState(np.zeros(3), NAN, np.zeros((5, 5, 5))),
-        lambda: maxwellian(1.0, np.zeros(3), NAN, 3),
-        lambda: maxwellian(NAN, np.zeros(3), 1.0, 3),
+        lambda: Grid1D.from_fields(0.0, 1.0, np.ones(4), np.zeros(3), NAN, 3),
+        lambda: Grid1D.from_fields(0.0, 1.0, np.full(4, NAN), np.zeros(3), 1.0, 3),
         lambda: DvGrid(((-1.0, NAN),) * 3, (8, 8, 8)),
         lambda: DvGrid(((NAN, 1.0),) * 3, (8, 8, 8)),
     ],
     ids=[
         "RunConfig-kn-nan", "DvRunConfig-kn-negative", "DvRunConfig-kn-nan",
         "DvRunConfig-pr-nan", "DvRunConfig-pr-above-one", "WallSpec-theta-nan",
-        "Grid1D-hi-nan", "Grid1D-lo-nan", "MomentState-theta-nan",
-        "maxwellian-theta-nan", "maxwellian-rho-nan", "DvGrid-hi-nan",
+        "Grid1D-hi-nan", "Grid1D-lo-nan", "maxwellian-theta-nan", "maxwellian-rho-nan", "DvGrid-hi-nan",
         "DvGrid-lo-nan",
     ],
 )
@@ -157,6 +150,19 @@ def test_runconfig_validation():
         RunConfig(M=3, kn=0.1)  # neither end time nor steady tolerance
 
 
+@pytest.mark.parametrize("factor", [0.0, -1.0, NAN])
+def test_runconfig_rejects_nonpositive_signal_speed_factor(factor):
+    with pytest.raises(ValueError, match="signal_speed_factor"):
+        _couette_config(signal_speed_factor=factor)
+
+
+@pytest.mark.parametrize("force", [[0.2, 0.0], [NAN, 0.0, 0.0],
+                                   [0.0, 0.0, np.inf]])
+def test_runconfig_rejects_bad_force(force):
+    with pytest.raises(ValueError, match="force"):
+        _couette_config(force=force)
+
+
 def test_signal_speed_constant():
     cfg = _couette_config(M=3)
     assert cfg.signal_speed == pytest.approx(1.2 * largest_he_root(4), rel=1e-14)
@@ -183,11 +189,11 @@ def test_flux_of_zero_cube():
 def test_flux_matches_quadrature():
     rng = np.random.default_rng(3)
     u, theta, f = oracles.random_admissible(rng, 4)
-    s = MomentState(u, theta, cube_from_dict(4, f))
+    s = oracles.State(u, theta, cube_from_dict(4, f))
     F = _flux_cube(s.coeffs, s.u[1], s.theta)
 
     def func(xi):
-        return xi[:, 1] * expansion_eval(s.coeffs, s.u, s.theta, xi)
+        return xi[:, 1] * s.evaluate(xi)
 
     for alpha in [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 2, 0), (1, 1, 1),
                   (0, 0, 3), (2, 2, 0)]:
@@ -202,7 +208,7 @@ def test_hll_consistency(monkeypatch):
     # supplied by the closure -- zero here, as no gradient is present
     rng = np.random.default_rng(5)
     u, theta, f = oracles.random_admissible(rng, 3)
-    s = MomentState(u, theta, cube_from_dict(3, f))
+    s = oracles.State(u, theta, cube_from_dict(3, f))
     g = Grid1D(-0.5, 0.5, np.tile(u, (3, 1)), np.full(3, theta),
                np.tile(s.coeffs, (3, 1, 1, 1)))
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
