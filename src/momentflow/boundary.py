@@ -12,10 +12,15 @@ The wall machinery is derived for a right-hand wall with inward normal -e2
   * an exchange rule per odd normal-index moment mixing the diffuse part
     (accommodation chi) with the specularly reflected even moments.
 
-A left wall is the right-wall map conjugated by the sign vector
-s = (-1)^{a2} of the reflection v2 -> -v2: s * map(s * f).  The map reads
-neither the normal frame velocity nor the wall's normal velocity, so the
-same frame and wall serve both sides.
+The exchange reads only the even-a2 slots and rewrites only the odd ones,
+so the map works on the odd-a2 slab alone: the reflected part is one
+(odd a x even b) matrix, diag(theta^{a/2}) S diag(theta^{-b/2}), applied
+to the even slab, and the wall density is a multiple of its (0, 1, 0)
+entry.  A left wall is the right-wall map conjugated by the sign vector
+s = (-1)^{a2} of the reflection v2 -> -v2, s * map(s * f); since the map
+reads only slots where s = 1, that is the right-wall odd slab with its sign
+flipped.  The map reads neither the normal frame velocity nor the wall's
+normal velocity, so the same frame and wall serve both sides.
 """
 
 import math
@@ -40,8 +45,9 @@ class WallSpec:
     def __post_init__(self):
         if not (0.0 <= self.chi <= 1.0):
             raise ValueError("accommodation chi must lie in [0, 1]")
-        if not (self.theta_wall > 0):
-            raise ValueError("wall temperature must be positive")
+        if not (0.0 < self.theta_wall < math.inf):
+            raise ValueError("wall temperature theta_wall must be positive "
+                             "and finite")
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.u_wall = np.asarray(self.u_wall, dtype=float)
@@ -72,16 +78,65 @@ def s_table(nmax):
     return S
 
 
-def _cutoff_matrix(theta, K):
-    """B[a, b] = S(a, b) theta^{(a-b)/2} for even b, 0 for odd b: the axis-2
-    action of the v2 >= 0 cut-off on the even-a2 part of a state."""
-    S = s_table(K - 1)
-    a = np.arange(K)
-    power = np.asarray(theta, dtype=float)[..., None, None] ** (
-        (a[:, None] - a[None, :]) / 2.0
-    )
-    mat = S * power
-    return mat * (np.arange(K)[None, :] % 2 == 0)
+@lru_cache(maxsize=None)
+def _wall_tables(K):
+    """K-only constants of the wall map: the half exponents n/2 (n < K), the
+    constants c_s of H^_s, S[odd a, even b] and the retained grades of the
+    odd-a2 slab."""
+    c = np.zeros(K)
+    c[1] = 1.0
+    for s in range(3, K, 2):
+        c[s] = -(s - 2) / (s * (s - 1)) * c[s - 2]
+    tables = (np.arange(K) / 2.0, c, s_table(K - 1)[1::2, ::2],
+              grade_mask(K, K - 1)[:, 1::2, :])
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _wall_factors(u, theta, wall, K):
+    """theta^{n/2} for n < K, and the per-axis factors of the incoming-half
+    wall Maxwellian about (u, theta): rows J_s(u1_w - u1), J^_s and
+    J_s(u3_w - u3), s < K, stacked in a (3, K) array.
+
+    One recursion s J_s = x J_{s-1} + (theta_w - theta) J_{s-2} - s H_s runs
+    all three rows.  The full-line rows start from (1, x) with H = 0: this
+    is the frame-change kernel ``projection.shift_kernel``.  The half-line
+    row has x = 0, J^_0 = 1/2 and H^_s = c_s theta^{(s-1)/2}
+    sqrt(theta_w / 2 pi) for odd s (0 for even s), with c_1 = 1 and
+    c_s = -(s-2) c_{s-2} / (s (s-1)).
+    """
+    half, c, _, _ = _wall_tables(K)
+    pw = theta ** half
+    h = (c * pw * math.sqrt(wall.theta_wall / (2.0 * math.pi * theta))).tolist()
+    dt = float(wall.theta_wall - theta)
+    xs = (float(wall.u_wall[0] - u[0]), 0.0, float(wall.u_wall[2] - u[2]))
+    rows = [[1.0, xs[0]], [0.5, -h[1]], [1.0, xs[2]]]
+    for s in range(2, K):
+        for row, x, hs in zip(rows, xs, (0.0, h[s], 0.0)):
+            row.append((x * row[-1] + dt * row[-2]) / s - hs)
+    return pw, np.array(rows)
+
+
+def _odd_slab(u, theta, coeffs, wall):
+    """Odd-a2 slab of the wall state, +-2 chi / (2 - chi) (p + R) on the
+    retained grades: + at a right wall, - at a left one.
+
+    R = diag(theta^{a/2}) S[odd a, even b] diag(theta^{-b/2}) f[:, even b, :]
+    is the reflected part; p the incoming-half wall Maxwellian
+    rho_wall J_{a1} J^_{a2} J_{a3}, with rho_wall = sqrt(2 pi / theta_w)
+    R[0, 0, 0] balancing the mass flux.
+    """
+    K = coeffs.shape[-1]
+    _, _, S, mask = _wall_tables(K)
+    pw, J = _wall_factors(u, theta, wall, K)
+    R = (pw[1::2, None] * S / pw[::2]) @ coeffs[:, ::2, :]
+    rho_wall = math.sqrt(2.0 * math.pi / wall.theta_wall) * R[0, 0, 0]
+    R += (rho_wall * J[0])[:, None, None] * (J[1, 1::2, None] * J[2])
+    R *= mask
+    pref = 2.0 * wall.chi / (2.0 - wall.chi)
+    R *= pref if wall.side == "right" else -pref
+    return R
 
 
 def wall_density(coeffs, theta, theta_wall):
@@ -100,78 +155,6 @@ def wall_density(coeffs, theta, theta_wall):
     )
 
 
-def j_full(nmax, theta, theta_wall, x):
-    """Full-line moment sequence J_0..J_nmax of the shifted wall Gaussian.
-
-    J_s = [(theta_wall - theta) J_{s-2} + x J_{s-1}] / s,  J_0 = 1.
-    """
-    dt = np.asarray(theta_wall, dtype=float) - np.asarray(theta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    batch = np.broadcast(dt, x).shape
-    J = np.zeros(batch + (nmax + 1,))
-    J[..., 0] = 1.0
-    if nmax >= 1:
-        J[..., 1] = x
-    for s in range(2, nmax + 1):
-        J[..., s] = (dt * J[..., s - 2] + x * J[..., s - 1]) / s
-    return J
-
-
-def j_hat(nmax, theta, theta_wall):
-    """Half-line (incoming side) moment sequence at zero relative velocity.
-
-    J^_s = (theta_wall - theta) J^_{s-2} / s - H^_s  with  J^_0 = 1/2,
-    H^_1 = sqrt(theta_wall / 2 pi),
-    H^_s = -(s-2) / (s (s-1)) * theta * H^_{s-2}.
-    """
-    theta = np.asarray(theta, dtype=float)
-    dt = np.asarray(theta_wall, dtype=float) - theta
-    batch = np.broadcast(dt, theta).shape
-    J = np.zeros(batch + (nmax + 1,))
-    H = np.zeros(batch + (nmax + 1,))
-    J[..., 0] = 0.5
-    if nmax >= 1:
-        H[..., 1] = np.sqrt(np.asarray(theta_wall, dtype=float) / (2.0 * math.pi))
-        J[..., 1] = -H[..., 1]
-    for s in range(2, nmax + 1):
-        H[..., s] = -(s - 2) / (s * (s - 1)) * theta * H[..., s - 2]
-        J[..., s] = dt * J[..., s - 2] / s - H[..., s]
-    return J
-
-
-def half_maxwellian_coeffs(u, theta, wall, rho_wall, K):
-    """Coefficient cube of the incoming-half wall Maxwellian about (u, theta).
-
-    Separable: p[a1, a2, a3] = rho_wall * J_{a1}(u1_w - u1) * J^_{a2}
-    * J_{a3}(u3_w - u3), truncated to the retained orders.
-    """
-    j1 = j_full(K - 1, theta, wall.theta_wall, wall.u_wall[0] - u[0])
-    j3 = j_full(K - 1, theta, wall.theta_wall, wall.u_wall[2] - u[2])
-    jh = j_hat(K - 1, theta, wall.theta_wall)
-    cube = rho_wall * np.einsum("i,j,k->ijk", j1, jh, j3)
-    cube *= grade_mask(K, K - 1)
-    return cube
-
-
-def _bc_cube(u, theta, coeffs, wall):
-    """Right-wall exchange map in coefficient space.
-
-    Even-a2 coefficients pass through; each odd-a2 coefficient becomes
-    2 chi / (2 - chi) * [p_alpha + sum over even b2 of
-    S(a2, b2) theta^{(a2-b2)/2} f_{(a1, b2, a3)}].
-    """
-    K = coeffs.shape[-1]
-    rho_wall = wall_density(coeffs, theta, wall.theta_wall)
-    p = half_maxwellian_coeffs(u, theta, wall, rho_wall, K)
-    B = _cutoff_matrix(theta, K)
-    reflected = np.einsum("...ab,...ibk->...iak", B, coeffs)
-    pref = 2.0 * wall.chi / (2.0 - wall.chi)
-    odd = (np.arange(K) % 2 == 1)[None, :, None]
-    fb = np.where(odd, pref * (p + reflected), coeffs)
-    fb *= grade_mask(K, K - 1)
-    return fb
-
-
 def apply_wall_bc(u, theta, coeffs, wall):
     """Map a boundary-adjacent state onto one satisfying the wall condition.
 
@@ -182,16 +165,20 @@ def apply_wall_bc(u, theta, coeffs, wall):
     untouched is what preserves the zero first-moment and zero-trace
     constraints for any admissible input.
     """
-    u_b = np.array([u[0], wall.u_wall[1], u[2]])
-    if wall.side == "right":
-        return u_b, theta, _bc_cube(u_b, theta, coeffs, wall)
-    K = coeffs.shape[-1]
-    s = np.where(np.arange(K) % 2 == 1, -1.0, 1.0)[:, None]
-    return u_b, theta, s * _bc_cube(u_b, theta, s * coeffs, wall)
+    fb = np.array(coeffs, dtype=float)
+    fb[:, 1::2, :] = _odd_slab(u, theta, coeffs, wall)
+    u_b = np.array(u, dtype=float)
+    u_b[1] = wall.u_wall[1]
+    return u_b, theta, fb
 
 
 def ghost_state(u, theta, coeffs, wall):
     """Reflected extrapolation encoding the wall: coefficients 2 f^b - f about
-    the center 2 u^b - u at the gas temperature; returns ``(u, theta, f)``."""
-    u_b, _, fb = apply_wall_bc(u, theta, coeffs, wall)
-    return 2.0 * u_b - u, theta, 2.0 * fb - coeffs
+    the center 2 u^b - u at the gas temperature; returns ``(u, theta, f)``.
+    Its even-a2 slots are those of ``coeffs``."""
+    g = np.array(coeffs, dtype=float)
+    odd = g[:, 1::2, :]
+    np.subtract(2.0 * _odd_slab(u, theta, coeffs, wall), odd, out=odd)
+    u_g = np.array(u, dtype=float)
+    u_g[1] = 2.0 * wall.u_wall[1] - u_g[1]
+    return u_g, theta, g

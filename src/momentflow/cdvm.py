@@ -17,11 +17,13 @@ mass exactly by construction of the re-emitted density.
 The quadrature weights, the Gaussian and the Shakhov polynomial all factor
 per axis, so the Newton iteration and the conservative projection touch
 only (cells x nodes-per-axis) data.  A step passes over the full velocity
-cube six times.  Unlimited transport makes four: on each xi_2-sign half a
-difference, its scaling by dt xi_2 / dx and the in-place update (three in
-all), then one read for the negativity check.  The collision makes two: one
-read (the moment GEMM of ``dv_moments``) and one write (a batched GEMM plus
-the fused update f e_full + G P in ``collide_field``).
+cube eight times, and both of its sub-steps write the state in place.
+Unlimited transport makes four: on each xi_2-sign half a difference, its
+scaling by dt xi_2 / dx and the in-place update (three in all), then one
+read for the negativity check.  The collision makes four: one read (the
+moment GEMM of ``dv_moments``), a batched GEMM that writes G P into a work
+array kept across steps, and the in-place update f <- f e_full + G P of the
+state (two) in ``collide_field``.
 
 ``dv_run`` marches through ``march.march``, the loop shared with the moment
 solver, so ``steady_tol`` means the same for both: every 10 steps, the max
@@ -38,7 +40,7 @@ import numpy as np
 from .boundary import WallSpec
 from .collision import relaxation_time
 from .march import check_stop_options, march
-from .moments import SNAPSHOT_COLUMNS
+from .moments import SNAPSHOT_COLUMNS, work_array
 
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 40
@@ -269,7 +271,8 @@ _HANKEL = np.add.outer(np.arange(4), np.arange(4))
 
 
 def collide_field(values, grid, kn, pr, dt):
-    """Exact Shakhov relaxation with discrete conservation (batched cells).
+    """Exact Shakhov relaxation with discrete conservation (batched cells),
+    written into ``values`` in place; returns ``values``.
 
     The relaxed state G + B e_pr + (f - G - B) e_full is written in
     separable form as f e_full + G P(c), with G = norm g1 g2 g3 the
@@ -283,7 +286,8 @@ def collide_field(values, grid, kn, pr, dt):
     vanish.  The quadrature of G times any polynomial factors into per-axis
     central sums S_d[k] = sum w_d g_d c_d^k (k <= 6), so the projection
     never touches the cube; the result is one batched GEMM
-    (g1 c1^i) @ (sum_jk P_ijk g2 c2^j g3 c3^k) plus the f e_full update.
+    (g1 c1^i) @ (sum_jk P_ijk g2 c2^j g3 c3^k), into a work array kept
+    across calls, plus the in-place update f <- f e_full + G P.
     """
     mom = dv_moments(values, grid)
     rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
@@ -332,10 +336,12 @@ def collide_field(values, grid, kn, pr, dt):
     P[..., 0, 0, 0] += 1.0 - e_full
 
     Y = np.einsum("...ijk,...yj,...zk->...iyz", P, H[1], H[2], optimize=True)
-    out = (norm[..., None, None] * H[0]) @ Y.reshape(Y.shape[:-2] + (-1,))
-    out = out.reshape(values.shape)
-    out += e_full[..., None, None, None] * values
-    return out
+    Y = Y.reshape(Y.shape[:-2] + (-1,))
+    gp = work_array("collision", Y.shape[:-2] + (values.shape[-3], Y.shape[-1]))
+    np.matmul(norm[..., None, None] * H[0], Y, out=gp)
+    values *= e_full[..., None, None, None]
+    values += gp.reshape(values.shape)
+    return values
 
 
 @dataclass
@@ -450,7 +456,7 @@ def transport_field(field, dt, left, right, limiter="none"):
 def dv_step(field, dt, left, right, kn, pr, limiter="none"):
     """First-order split step: transport then conservative relaxation."""
     transport_field(field, dt, left, right, limiter)
-    field.values = collide_field(field.values, field.grid, kn, pr, dt)
+    collide_field(field.values, field.grid, kn, pr, dt)
     return field
 
 

@@ -11,6 +11,8 @@ which makes the round trip exact on every retained order when nothing is
 truncated away.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .moments import grade_mask, work_array
@@ -30,15 +32,25 @@ def shift_kernel(du, dtheta, nmax):
     return h
 
 
+@lru_cache(maxsize=None)
+def _toeplitz(K):
+    """Gather index max(a - b, 0) into the kernel, and the mask a >= b, of
+    the K x K shift matrix."""
+    diff = np.arange(K)[:, None] - np.arange(K)[None, :]
+    tables = np.clip(diff, 0, None), diff >= 0
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def _shift_matrix(du, dtheta, K):
     """Lower-triangular banded matrix T[a, b] = h_{a-b}."""
-    h = shift_kernel(du, dtheta, K - 1)
-    diff = np.arange(K)[:, None] - np.arange(K)[None, :]
-    # gathered into a C-ordered array: fancy indexing picks inverted output
-    # strides, which would push the matmuls downstream off their fast path
-    T = np.take(h, np.clip(diff, 0, None), axis=-1, mode="clip",
-                out=np.empty(h.shape[:-1] + (K, K)))
-    T *= diff >= 0
+    index, lower = _toeplitz(K)
+    # np.take gathers into a C-ordered array; fancy indexing would pick
+    # inverted output strides and push the matmuls downstream off their
+    # fast path
+    T = np.take(shift_kernel(du, dtheta, K - 1), index, axis=-1)
+    T *= lower
     return T
 
 
@@ -56,23 +68,25 @@ def project_coeffs(coeffs, u, theta, u_new, theta_new, out=None):
     u = np.asarray(u, dtype=float)
     u_new = np.asarray(u_new, dtype=float)
     dtheta = np.asarray(theta, dtype=float) - np.asarray(theta_new, dtype=float)
-    # one kernel build for all three axes: batch axis -2 runs over x, y, z
-    t123 = _shift_matrix(
-        np.moveaxis(u - u_new, -1, 0), dtheta[None, ...], K
-    )
-    t1, t2, t3 = t123[0], t123[1], t123[2]
-    batch = np.broadcast_shapes(coeffs.shape[:-3], t1.shape[:-2])
+    # one kernel build for all three axes: batch axis -3 runs over x, y, z
+    t123 = _shift_matrix(u - u_new, dtheta[..., None], K)
+    t1, t2, t3 = (t123[..., d, :, :] for d in range(3))
+    batch = np.broadcast(coeffs[..., 0, 0, 0], t1[..., 0, 0]).shape
     if out is None:
         out = np.empty(batch + (K, K, K))
     mid = work_array("projection", out.shape)
     # three stacked matmuls, one per cube axis, each phrased so every cube's
     # trailing axes stay contiguous: axis 1 as T (K x K^2), axis 2 with T
-    # broadcast across the leading cube axis, axis 3 as a right-multiply by
-    # T^T; the input reshape is a view for any batch strides
-    src = np.broadcast_to(coeffs, batch + (K, K, K)).reshape(batch + (K, K * K))
+    # broadcast across the leading cube axis, axis 3 as one right-multiply
+    # (K^2 x K) T^T per cube; the input reshape is a view for any batch
+    # strides
+    flat = batch + (K * K, K)
+    if coeffs.shape[:-3] != batch:
+        coeffs = np.broadcast_to(coeffs, batch + (K, K, K))
+    src = coeffs.reshape(batch + (K, K * K))
     np.matmul(t1, src, out=out.reshape(batch + (K, K * K)))
     np.matmul(t2[..., None, :, :], out, out=mid)
-    np.matmul(mid, np.swapaxes(t3, -1, -2)[..., None, :, :], out=out)
+    np.matmul(mid.reshape(flat), np.swapaxes(t3, -1, -2), out=out.reshape(flat))
     out *= grade_mask(K, K - 1)
     return out
 

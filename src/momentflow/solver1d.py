@@ -26,12 +26,13 @@ cube at fixed (u, theta), after which the renormalization moves the frame to
 restore f_{e_d} = 0 and the second-moment trace constraint exactly.
 
 Work arrays: a transport pass keeps its full-cube intermediates (stacked
-traces and their projection, interface mean, HLL mix and flux, face fluxes,
-stage update, the projection's middle product) in ``moments.work_array``
-buffers, one per shape, from one step to the next.  Fresh on every step: the
-two transport rates, the renormalized stage and final cubes (the final one,
-collided in place, becomes ``grid.coeffs``) and the closure's top-grade
-block.  No array a step leaves in the grid is a work array.
+traces and their projection, into whose top grade the closure writes,
+interface mean, HLL mix and flux, face fluxes, stage update, the
+projection's middle product) in ``moments.work_array`` buffers, one per
+shape, from one step to the next.  Fresh on every step: the two transport
+rates and the renormalized stage and final cubes (the final one, collided
+in place, becomes ``grid.coeffs``).  No array a step leaves in the grid is a
+work array.
 """
 
 import copy
@@ -45,7 +46,7 @@ from .closure import closure_coeffs
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
 from .march import check_stop_options, march
-from .moments import grade_mask, order_cube, snapshot_table, work_array
+from .moments import grade_mask, snapshot_table, work_array
 from .projection import project_coeffs, renormalize_arrays
 
 
@@ -359,7 +360,6 @@ def _interface_data(grid, config):
 def _transport_rate(grid, config, dt):
     """One flux-divergence evaluation: d(coeffs)/dt in each cell's own frame."""
     n, dx = grid.n, grid.dx
-    K = grid.coeffs.shape[-1]
 
     (tu, tth, tc), (u_c, th_c) = _interface_data(grid, config)
     p_pair = project_coeffs(tc, tu, tth, u_c, th_c,
@@ -404,16 +404,9 @@ def _transport_rate(grid, config, dt):
             grid.coeffs[jb, 0, 0, 0] * grid.theta[jb]
             - grid.coeffs[ja, 0, 0, 0] * grid.theta[ja]
         ) / dx
-    block = closure_coeffs(
-        mean_c,
-        th_c,
-        grad_c,
-        grad_u,
-        grad_th,
-        grad_pt,
-        closure_time(rho_bar, th_c, config.kn, dt),
-    )
-    np.copyto(p_pair, block, where=order_cube(K) == K - 1)
+    # the one prediction replaces the top grade of both traces
+    closure_coeffs(mean_c, th_c, grad_c, grad_u, grad_th, grad_pt,
+                   closure_time(rho_bar, th_c, config.kn, dt), out=p_pair)
 
     c_sig = config.signal_speed
     lam_l = np.minimum(

@@ -441,6 +441,124 @@ def hll_reference(a, b, u2, theta, lam_l, lam_r):
 
 
 # ---------------------------------------------------------------------------
+# The wall map in its full-cube form
+
+
+def j_full(nmax, theta, theta_wall, x):
+    """Full-line moment sequence J_0..J_nmax of the shifted wall Gaussian:
+    J_s = [(theta_wall - theta) J_{s-2} + x J_{s-1}] / s,  J_0 = 1."""
+    J = np.zeros(nmax + 1)
+    J[0] = 1.0
+    if nmax >= 1:
+        J[1] = x
+    for s in range(2, nmax + 1):
+        J[s] = ((theta_wall - theta) * J[s - 2] + x * J[s - 1]) / s
+    return J
+
+
+def j_hat(nmax, theta, theta_wall):
+    """Half-line (incoming side) sequence at zero relative velocity:
+    J^_s = (theta_wall - theta) J^_{s-2} / s - H^_s,  J^_0 = 1/2, with
+    H^_1 = sqrt(theta_wall / 2 pi), H^_s = -(s-2) / (s (s-1)) theta H^_{s-2}."""
+    J = np.zeros(nmax + 1)
+    H = np.zeros(nmax + 1)
+    J[0] = 0.5
+    if nmax >= 1:
+        H[1] = math.sqrt(theta_wall / (2.0 * math.pi))
+        J[1] = -H[1]
+    for s in range(2, nmax + 1):
+        H[s] = -(s - 2) / (s * (s - 1)) * theta * H[s - 2]
+        J[s] = (theta_wall - theta) * J[s - 2] / s - H[s]
+    return J
+
+
+def wall_bc_reference(u, theta, coeffs, wall):
+    """The wall state ``(u_b, theta, f_b)`` as the full-cube map.
+
+    A right wall keeps the even-a2 slots and sets each odd-a2 slot to
+    2 chi / (2 - chi) (p + B f): B[a, b] = S(a, b) theta^{(a-b)/2} on even b
+    (zero on odd b) is the cut-off matrix on axis 2, p the cube
+    rho_wall J_{a1} J^_{a2} J_{a3} of the incoming-half wall Maxwellian and
+    rho_wall = sqrt(2 pi / theta_w) sum_b B[1, b] f_{(0, b, 0)}; the result
+    is cut to |alpha| <= K - 1.  A left wall is s * map(s * f) with the sign
+    vector s = (-1)^{a2}.  S comes from ``boundary.s_table``, which the
+    tests check against quadrature.
+    """
+    from momentflow.boundary import s_table
+
+    K = coeffs.shape[-1]
+    a = np.arange(K)
+    B = s_table(K - 1) * theta ** ((a[:, None] - a[None, :]) / 2.0)
+    B = B * (a[None, :] % 2 == 0)
+    s = np.where(a % 2 == 1, -1.0, 1.0)[:, None]
+    if wall.side == "right":
+        s = np.ones_like(s)
+    f = s * coeffs
+    u_b = np.array([u[0], wall.u_wall[1], u[2]])
+    rho_wall = math.sqrt(2.0 * math.pi / wall.theta_wall) * (B[1] @ f[0, :, 0])
+    p = rho_wall * np.einsum(
+        "i,j,k->ijk",
+        j_full(K - 1, theta, wall.theta_wall, wall.u_wall[0] - u_b[0]),
+        j_hat(K - 1, theta, wall.theta_wall),
+        j_full(K - 1, theta, wall.theta_wall, wall.u_wall[2] - u_b[2]),
+    )
+    reflected = np.einsum("ab,ibk->iak", B, f)
+    pref = 2.0 * wall.chi / (2.0 - wall.chi)
+    fb = np.where((a % 2 == 1)[None, :, None], pref * (p + reflected), f)
+    fb[a[:, None, None] + a[None, :, None] + a[None, None, :] > K - 1] = 0.0
+    return u_b, theta, s * fb
+
+
+# ---------------------------------------------------------------------------
+# Top-grade closure, one zero-filled read per index shift
+
+
+def closure_per_shift_reference(mean_coeffs, mean_theta, grad_coeffs, grad_u,
+                                grad_theta, grad_ptheta, tau):
+    """The closure prediction with each shifted read alpha - s gathered on
+    its own into a zero-filled array, in the same arithmetic order as
+    ``closure.closure_coeffs``, so the two agree bit for bit."""
+    c = np.asarray(mean_coeffs, dtype=float)
+    g = np.asarray(grad_coeffs, dtype=float)
+    K = c.shape[-1]
+    r = np.arange(K)
+    tops = np.argwhere(r[:, None, None] + r[None, :, None] + r[None, None, :]
+                       == K - 1)
+    batch = c.shape[:-3]
+
+    def rd(arr, shift):
+        src = tops - np.asarray(shift)
+        ok = np.all((src >= 0) & (src <= K - 1), axis=1)
+        out = np.zeros(batch + (len(tops),))
+        out[..., np.flatnonzero(ok)] = arr[..., src[ok, 0], src[ok, 1],
+                                           src[ok, 2]]
+        return out
+
+    theta = np.asarray(mean_theta, dtype=float)[..., None]
+    gth = np.asarray(grad_theta, dtype=float)[..., None]
+    gpt = np.asarray(grad_ptheta, dtype=float)[..., None]
+    rho = c[..., 0, 0, 0][..., None]
+    gu = np.asarray(grad_u, dtype=float)
+
+    acc = gpt / rho * rd(c, (0, 1, 0))
+    sum2 = rd(c, (2, 0, 0)) + rd(c, (0, 2, 0)) + rd(c, (0, 0, 2))
+    acc += theta / 3.0 * gu[..., 1][..., None] * sum2
+    acc -= theta * rd(g, (0, 1, 0))
+    a2_plus_1 = tops[:, 1] + 1.0
+    for d, e_shift, two_up, two_dn in (
+        (0, (1, 1, 0), (2, 1, 0), (2, -1, 0)),
+        (1, (0, 2, 0), (0, 3, 0), (0, 1, 0)),
+        (2, (0, 1, 1), (0, 1, 2), (0, -1, 2)),
+    ):
+        acc -= gu[..., d][..., None] * theta * rd(c, e_shift)
+        acc -= 0.5 * gth * (theta * rd(c, two_up) + a2_plus_1 * rd(c, two_dn))
+    acc *= np.asarray(tau, dtype=float)[..., None]
+    out = np.zeros(batch + (K, K, K))
+    out[..., tops[:, 0], tops[:, 1], tops[:, 2]] = acc
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Moment states: a frame (u, theta) and a (K, K, K) coefficient cube about
 # it, K = M + 2, with grades |alpha| <= M + 1 kept
 

@@ -34,7 +34,8 @@ DELETED = [
     ("boundary", "mirror_state"), ("boundary", "mirror_coeffs"),
     ("boundary.WallSpec", "mirrored"), ("closure", "shifted"),
     ("solver1d.Grid1D", "cell_state"), ("solver1d", "MomentState"),
-    ("boundary", "MomentState"),
+    ("boundary", "MomentState"), ("boundary", "j_full"),
+    ("boundary", "j_hat"), ("boundary", "half_maxwellian_coeffs"),
 ]
 
 

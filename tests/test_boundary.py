@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from momentflow.boundary import (
     WallSpec,
+    _wall_factors,
     apply_wall_bc,
     ghost_state,
-    half_maxwellian_coeffs,
-    j_full,
-    j_hat,
     s_table,
     wall_density,
 )
+from momentflow.moments import grade_mask
+from momentflow.projection import shift_kernel
 
 import oracles
 from oracles import State, admissibility_violation, maxwellian, mirror, random_state
@@ -60,25 +60,46 @@ def test_s_table_matches_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# wall-Maxwellian moment sequences
+# wall-Maxwellian moment sequences: the full-line J_s(x) is the frame-change
+# kernel h_s(x, theta_w - theta), the half-line J^_s the middle row of the
+# wall map's factors
+
+
+def _j_hat(nmax, theta, theta_wall):
+    return _wall_factors(np.zeros(3), theta, WallSpec(theta_wall=theta_wall),
+                         nmax + 1)[1][1]
+
+
+def _half_maxwellian(u, theta, wall, rho_wall, K):
+    """Cube rho_wall J_{a1} J^_{a2} J_{a3} of the wall map's factors, cut to
+    the retained grades."""
+    J = _wall_factors(u, theta, wall, K)[1]
+    return rho_wall * np.einsum("i,j,k->ijk", *J) * grade_mask(K, K - 1)
 
 
 def test_j_full_matches_quadrature():
     for theta in (0.5, 2.0):
         for theta_wall in (0.5, 1.0):
             for x in (-1.0, 0.3):
-                got = j_full(8, theta, theta_wall, x)
+                got = shift_kernel(x, theta_wall - theta, 8)
                 ref = np.array(
                     [oracles.j_quadrature(s, theta, theta_wall, x) for s in range(9)]
                 )
                 scale = max(1.0, np.max(np.abs(ref)))
                 assert np.max(np.abs(got - ref)) <= 1e-10 * scale
+                # the wall map's tangential rows are the same sequence
+                wall = WallSpec(u_wall=np.array([x, 0.0, -x]),
+                                theta_wall=theta_wall)
+                rows = _wall_factors(np.zeros(3), theta, wall, 9)[1]
+                assert np.max(np.abs(rows[0] - ref)) <= 1e-10 * scale
+                np.testing.assert_array_equal(
+                    rows[2], shift_kernel(-x, theta_wall - theta, 8))
 
 
 def test_j_hat_matches_quadrature():
     for theta in (0.5, 1.0, 2.0):
         for theta_wall in (0.5, 2.0):
-            got = j_hat(8, theta, theta_wall)
+            got = _j_hat(8, theta, theta_wall)
             ref = np.array(
                 [
                     oracles.j_quadrature(s, theta, theta_wall, 0.0, half=True)
@@ -87,15 +108,19 @@ def test_j_hat_matches_quadrature():
             )
             scale = max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(got - ref)) <= 1e-8 * scale
+            np.testing.assert_allclose(got, oracles.j_hat(8, theta, theta_wall),
+                                       rtol=1e-14, atol=1e-17)
 
 
 def test_j_seed_values():
-    J = j_full(3, 1.3, 0.8, 0.45)
+    J = shift_kernel(0.45, 0.8 - 1.3, 3)
     assert J[0] == 1.0
     assert J[1] == 0.45
-    Jh = j_hat(1, 1.0, 1.0)
+    Jh = _j_hat(1, 1.0, 1.0)
     assert Jh[0] == 0.5
     assert Jh[1] == pytest.approx(-math.sqrt(1.0 / (2 * math.pi)), rel=1e-14)
+    pw = _wall_factors(np.zeros(3), 1.7, WallSpec(), 6)[0]
+    np.testing.assert_allclose(pw, 1.7 ** (np.arange(6) / 2.0), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +179,7 @@ def test_wall_density_equilibrium():
 def test_half_maxwellian_pinned_slots():
     wall = WallSpec(chi=1.0, u_wall=np.array([0.2, 0.0, -0.1]), theta_wall=0.8)
     u = np.array([0.2, 0.0, -0.1])
-    p = half_maxwellian_coeffs(u, 0.8, wall, rho_wall=1.9, K=6)
+    p = _half_maxwellian(u, 0.8, wall, rho_wall=1.9, K=6)
     assert p[0, 0, 0] == pytest.approx(1.9 / 2.0, rel=1e-14)
     assert p[0, 1, 0] == pytest.approx(-1.9 * math.sqrt(0.8 / (2 * math.pi)),
                                        rel=1e-13)
@@ -182,7 +207,7 @@ def test_half_maxwellian_matches_quadrature():
         z[:, 1] = 2 * u[1] - z[:, 1]
         return func(z)
 
-    p = half_maxwellian_coeffs(u, theta, wall, rho_wall, K=5)
+    p = _half_maxwellian(u, theta, wall, rho_wall, K=5)
     for alpha in [(0, 0, 0), (1, 1, 0), (0, 2, 0), (0, 3, 0), (1, 0, 1)]:
         want = (-1) ** alpha[1] * oracles.halfspace_coeff_quadrature(
             func_reflected, alpha, u, theta
@@ -215,11 +240,47 @@ def test_wallspec_validation():
         WallSpec(side="top")
 
 
+@pytest.mark.parametrize("theta_wall", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_wallspec_rejects_bad_wall_temperature(theta_wall):
+    # an infinite wall temperature used to pass and fail later, in the
+    # closure, as a non-finite density at an interface
+    with pytest.raises(ValueError, match="theta_wall"):
+        WallSpec(theta_wall=theta_wall)
+
+
 @pytest.mark.parametrize("u_wall", [[1.0, 2.0], [np.nan, 0.0, 0.0],
                                     [0.0, 0.0, np.inf]])
 def test_wallspec_rejects_bad_wall_velocity(u_wall):
     with pytest.raises(ValueError, match="u_wall"):
         WallSpec(u_wall=u_wall)
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("M", [3, 6, 10])
+def test_wall_map_matches_full_cube_reference(M, side, chi):
+    # the odd-slab kernel against the full-cube s * map(s * f) form, with a
+    # wall temperature off the gas one and a tangential wall speed
+    rng = np.random.default_rng(100 * M + int(10 * chi) + (side == "left"))
+    for _ in range(4):
+        u, theta, f = oracles.random_admissible(rng, M)
+        coeffs = oracles.cube_from_dict(M, f)
+        wall = WallSpec(chi, np.array([rng.uniform(0.2, 0.5), 0.0,
+                                       rng.uniform(-0.5, -0.2)]),
+                        theta * rng.uniform(1.2, 1.6), side)
+        u_b, th_b, fb = oracles.wall_bc_reference(u, theta, coeffs, wall)
+        ghost = (2.0 * u_b - u, theta, 2.0 * fb - coeffs)
+        for got, want in ((apply_wall_bc(u, theta, coeffs, wall),
+                           (u_b, th_b, fb)),
+                          (ghost_state(u, theta, coeffs, wall), ghost)):
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1]
+            scale = np.abs(want[2]).max()
+            np.testing.assert_allclose(got[2], want[2], rtol=1e-13,
+                                       atol=1e-13 * scale)
+            # the even-a2 slots are the input's, bit for bit
+            assert got[2][:, ::2, :].tobytes() == coeffs[:, ::2, :].tobytes()
+        assert np.abs(fb[:, 1::2, :]).max() > 1e-3 * scale or chi == 0.0
 
 
 def test_specular_limit_zeroes_odd_slots():

@@ -151,3 +151,41 @@ def test_closure_writes_only_top_grade():
     assert np.all(out[:, top] != 0.0)
     np.testing.assert_array_equal(mean, mean0)
     np.testing.assert_array_equal(grad, grad0)
+
+
+@pytest.mark.parametrize("M", [3, 4, 10])
+def test_gather_matches_per_shift_reads_bit_for_bit(M):
+    # one gather of every shifted read against a zero-filled read per shift,
+    # on cubes with every slot filled, so each out-of-range read must come
+    # back as zero
+    K = M + 2
+    rng = np.random.default_rng(M)
+    mean = rng.standard_normal((6, K, K, K))
+    mean[:, 0, 0, 0] = 1.0 + rng.uniform(size=6)
+    args = (mean, 1.0 + rng.uniform(size=6), rng.standard_normal((6, K, K, K)),
+            rng.standard_normal((6, 3)), rng.standard_normal(6),
+            rng.standard_normal(6), rng.uniform(size=6))
+    got = closure_coeffs(*args)
+    want = oracles.closure_per_shift_reference(*args)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_out_receives_the_top_grade_of_every_leading_slice():
+    # the solver passes both projected traces as out: each gets the same
+    # prediction on the top grade and keeps every other slot
+    M = 4
+    K = M + 2
+    rng = np.random.default_rng(5)
+    mean = rng.standard_normal((3, K, K, K))
+    mean[:, 0, 0, 0] = 1.0 + rng.uniform(size=3)
+    args = (mean, np.full(3, 0.9), rng.standard_normal((3, K, K, K)),
+            rng.standard_normal((3, 3)), np.full(3, 0.2), np.full(3, -0.1),
+            np.full(3, 0.3))
+    pair = rng.standard_normal((2, 3, K, K, K))
+    before = pair.copy()
+    assert closure_coeffs(*args, out=pair) is pair
+    top = order_cube(K) == K - 1
+    block = closure_coeffs(*args)
+    for side in range(2):
+        np.testing.assert_array_equal(pair[side][:, top], block[:, top])
+        np.testing.assert_array_equal(pair[side][:, ~top], before[side][:, ~top])
