@@ -139,22 +139,6 @@ def _odd_slab(u, theta, coeffs, wall):
     return R
 
 
-def wall_density(coeffs, theta, theta_wall):
-    """Density of the diffusely re-emitted Maxwellian balancing the mass flux.
-
-    sqrt(2 pi / theta_wall) * sum_k S(1, 2k) theta^{1/2 - k} f_{2k e2};
-    assumes the frame already rides at the wall's normal velocity.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    K = coeffs.shape[-1]
-    S = s_table(K - 1)
-    b = np.arange(0, K, 2)
-    terms = S[1, b] * np.asarray(theta, dtype=float)[..., None] ** ((1 - b) / 2.0)
-    return math.sqrt(2.0 * math.pi / theta_wall) * np.sum(
-        terms * coeffs[..., 0, b, 0], axis=-1
-    )
-
-
 def apply_wall_bc(u, theta, coeffs, wall):
     """Map a boundary-adjacent state onto one satisfying the wall condition.
 

@@ -408,18 +408,28 @@ def _wall_incoming(grid, wall, f_out, sgn):
 def _upwind(v, nu, ghost, limiter):
     """v -= nu (face[i+1] - face[i]) in place along axis 0, with the faces
     taken upwind from the low end: face[0] = ghost, face[i+1] = v[i] +
-    slope[i] / 2 (slope zero without a limiter and in the end cells)."""
+    slope[i] / 2 (slope zero without a limiter and in the end cells).
+
+    Temporaries: the face differences and, with minmod, the faces, each the
+    size of ``v``, and a boolean mask.
+    """
+    d = np.empty_like(v)
     t = v
     if limiter == "minmod":
-        fwd = np.diff(v, axis=0)
-        slope = np.zeros_like(v)
-        slope[1:-1] = np.where(
-            fwd[1:] * fwd[:-1] > 0.0,
-            np.sign(fwd[1:]) * np.minimum(np.abs(fwd[1:]), np.abs(fwd[:-1])),
-            0.0,
-        )
-        t = v + 0.5 * slope
-    d = np.empty_like(v)
+        # minmod(a, b) = max(min(a, b), 0) + min(max(a, b), 0) of the
+        # differences across the two faces of each inner cell: at most one
+        # term is nonzero, so it is min(a, b) where that is >= 0 and
+        # min(max(a, b), 0) elsewhere
+        np.subtract(v[1:], v[:-1], out=d[1:])
+        a, b = d[1:-1], d[2:]
+        t = np.empty_like(v)
+        slope = np.minimum(a, b, out=t[1:-1])
+        neg = slope < 0.0
+        np.maximum(a, b, out=slope, where=neg)
+        np.minimum(slope, 0.0, out=slope, where=neg)
+        slope *= 0.5
+        slope += v[1:-1]
+        t[0], t[-1] = v[0], v[-1]
     np.subtract(t[1:], t[:-1], out=d[1:])
     np.subtract(t[0], ghost, out=d[0])
     d *= nu

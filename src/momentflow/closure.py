@@ -28,58 +28,79 @@ _SHIFTS = (
 def _top_reads(K):
     """Gather tables for evaluating the prediction only on |alpha| = M+1.
 
-    Returns the top-grade multi-indices (T, 3); the flat cube index of
-    alpha - s for each shift s of ``_SHIFTS`` and top slot alpha (11, T),
-    clipped into the cube where alpha - s leaves it; and the positions of
-    those out-of-range reads, which must read as zero, in the flattened
-    (11, T) block and in its first row.
+    Returns the top-grade multi-indices (T, 3); the flat cube indices of
+    the distinct slots read, and for each shift s of ``_SHIFTS`` and top
+    slot alpha (11, T) the position among them of alpha - s, clipped into
+    the cube where alpha - s leaves it; and the positions of those
+    out-of-range reads, which must read as zero, in the flattened (11, T)
+    block and in its first row.
     """
     tops = np.argwhere(order_cube(K) == K - 1)
     src = tops[None, :, :] - np.asarray(_SHIFTS)[:, None, :]
     outside = np.any((src < 0) | (src > K - 1), axis=-1)
     flat = np.ravel_multi_index(tuple(np.moveaxis(src, -1, 0)), (K,) * 3,
                                 mode="clip")
-    tables = tops, flat, np.flatnonzero(outside), np.flatnonzero(outside[0])
+    slots, rows = np.unique(flat, return_inverse=True)
+    tables = (tops, slots, rows.reshape(flat.shape), np.flatnonzero(outside),
+              np.flatnonzero(outside[0]))
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
-def closure_coeffs(mean_coeffs, mean_theta, grad_coeffs, grad_u, grad_theta,
+def gradient_reads(cubes):
+    """The one slot per top-grade slot alpha at which the prediction reads
+    the gradient field, f_{alpha - e2}, from every cube of ``cubes``
+    (..., K, K, K): an (..., T) block, zero where alpha - e2 leaves the cube.
+
+    The read is linear, so differencing the reads of the field values gives
+    the reads of their difference.
+    """
+    K = cubes.shape[-1]
+    _, slots, rows, _, zero0 = _top_reads(K)
+    r = np.take(cubes.reshape(cubes.shape[:-3] + (K**3,)), slots[rows[0]],
+                axis=-1)
+    r[..., zero0] = 0.0
+    return r
+
+
+def closure_coeffs(traces, mean_theta, grad_reads, grad_u, grad_theta,
                    grad_ptheta, tau, out=None):
     """Top-grade coefficient cube from mean values and y-gradients.
 
-    ``mean_coeffs``: (..., K, K, K) with evolved orders <= M filled;
-    ``grad_coeffs``: d/dy of the same; ``grad_u``: (..., 3); the scalars
-    broadcast over the batch.  Returns a new cube nonzero only at
-    |alpha| = M+1; or, if ``out`` is given, writes the prediction into the
-    top-grade slots of ``out`` (broadcast over its extra leading axes),
-    leaves its other slots as they are and returns it.
+    ``traces``: (2, ..., K, K, K), the two traces at each interface, with
+    evolved orders <= M filled; the prediction reads their mean, gathered
+    at the 11 index shifts of ``_SHIFTS`` and only there.  ``grad_reads``:
+    (..., T), d/dy of the ``gradient_reads`` of the coefficient field;
+    ``grad_u``: (..., 3); the scalars broadcast over the batch.  Returns a
+    new cube nonzero only at |alpha| = M+1; or, if ``out`` is given, writes
+    the prediction into the top-grade slots of ``out`` (broadcast over its
+    extra leading axes), leaves its other slots as they are and returns it.
     """
-    c = np.asarray(mean_coeffs, dtype=float)
-    g = np.asarray(grad_coeffs, dtype=float)
+    c = np.asarray(traces, dtype=float)
     K = c.shape[-1]
-    tops, flat, zero, zero0 = _top_reads(K)
-    batch = c.shape[:-3]
-    # every read of the mean cube in one gather, one row per shift of
-    # _SHIFTS, and the one read of the gradient cube, at shift (0, 1, 0)
-    r = np.take(c.reshape(batch + (K**3,)), flat, axis=-1)
+    tops, slots, rows, zero, _ = _top_reads(K)
+    batch = c.shape[1:-3]
+    # the slots read of both traces in one gather, averaged on that small
+    # block, then spread to one row per shift of _SHIFTS
+    pair = np.take(c.reshape(c.shape[:-3] + (K**3,)), slots, axis=-1)
+    mean = np.add(pair[0], pair[1], out=pair[0])
+    mean *= 0.5
+    r = np.take(mean, rows, axis=-1)
     r.reshape(batch + (-1,))[..., zero] = 0.0
-    rg = np.take(g.reshape(batch + (K**3,)), flat[0], axis=-1)
-    rg[..., zero0] = 0.0
     (c010, c200, c020, c002, c110, c011, c210, c030, c012, c2m0,
      c0m2) = (r[..., i, :] for i in range(len(_SHIFTS)))
 
     theta = np.asarray(mean_theta, dtype=float)[..., None]
     gth = np.asarray(grad_theta, dtype=float)[..., None]
     gpt = np.asarray(grad_ptheta, dtype=float)[..., None]
-    rho = c[..., 0, 0, 0][..., None]
+    rho = (0.5 * (c[0, ..., 0, 0, 0] + c[1, ..., 0, 0, 0]))[..., None]
     gu = np.asarray(grad_u, dtype=float)
 
     acc = gpt / rho * c010
     sum2 = c200 + c020 + c002
     acc += theta / 3.0 * gu[..., 1][..., None] * sum2
-    acc -= theta * rg
+    acc -= theta * grad_reads
 
     a2_plus_1 = tops[:, 1] + 1.0
     for d, e_shift, two_up, two_dn in (

@@ -12,10 +12,11 @@ conservative in mass, momentum and energy by telescoping.
 
 The closure is evaluated at the interfaces, from the reconstructed traces:
 the top grade of both traces is replaced by one prediction built from their
-mean and from centered differences of the interface values.  Wall ghosts
-are rebuilt from the current state at every Heun stage, and at a wall
-interface the outer state is built from the inner trace, so the wall mass
-flux vanishes identically for a non-moving wall at both stages.
+mean and from centered differences of the interface values, both gathered
+at the few slots the prediction reads rather than formed as whole cubes.
+Wall ghosts are rebuilt from the current state at every Heun stage, and at
+a wall interface the outer state is built from the inner trace, so the wall
+mass flux vanishes identically for a non-moving wall at both stages.
 
 A state that is non-positive or non-finite (NaN) in density or temperature
 stops the step with a RuntimeError naming the cell or interface and the
@@ -25,24 +26,25 @@ Frames are a gauge: the flux divergence is accumulated into the coefficient
 cube at fixed (u, theta), after which the renormalization moves the frame to
 restore f_{e_d} = 0 and the second-moment trace constraint exactly.
 
-Work arrays: a transport pass keeps its full-cube intermediates (stacked
-traces and their projection, into whose top grade the closure writes,
-interface mean, HLL mix and flux, face fluxes, stage update, the
-projection's middle product) in ``moments.work_array`` buffers, one per
-shape, from one step to the next.  Fresh on every step: the two transport
-rates and the renormalized stage and final cubes (the final one, collided
-in place, becomes ``grid.coeffs``).  No array a step leaves in the grid is a
-work array.
+Work arrays: a step keeps its full-cube intermediates (stacked traces, in
+whose place the HLL flux is formed once the closure has read them, and
+their projection, into whose top grade the closure writes; face fluxes, the
+two transport rates, stage update, the projection's middle product) in
+``moments.work_array`` buffers, one per shape, from one step to the next.
+Fresh on every step: the renormalized stage and final cubes (the final
+one, collided in place, becomes ``grid.coeffs``).  No array a step leaves
+in the grid is a work array.
 """
 
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .boundary import WallSpec, ghost_state
-from .closure import closure_coeffs
+from .closure import closure_coeffs, gradient_reads
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
 from .march import check_stop_options, march
@@ -202,43 +204,69 @@ class RunConfig:
         return self.signal_speed_factor * largest_he_root(self.M + 1)
 
 
-def _flux_cube(coeffs, u2, theta, out=None):
-    """Per-slot flux theta f_{a-e2} + u2 f_a + (a2+1) f_{a+e2}, batched.
+@lru_cache(maxsize=None)
+def _flux_basis(K):
+    """The three K x K patterns of the flux operator on axis a2, flattened
+    to rows of a (3, K^2) array: ones below the diagonal, the identity, and
+    1, 2, ..., K-1 above the diagonal."""
+    i = np.arange(K - 1)
+    basis = np.zeros((3, K, K))
+    basis[0, i + 1, i] = 1.0
+    basis[1] = np.eye(K)
+    basis[2, i, i + 1] = i + 1.0
+    basis = basis.reshape(3, K * K)
+    basis.setflags(write=False)
+    return basis
 
-    Valid on grades <= M; the top grade of the result is zeroed (its flux
-    would need unavailable grade-(M+2) data).  ``out``, if given, receives
-    the result and must not overlap ``coeffs``.
+
+def _flux_cube(u2, theta, weight, shift, K):
+    """Banded flux operators weight A(u2, theta) + shift I on axis a2.
+
+    A is the K x K tridiagonal matrix of the slot flux
+    theta f_{a-e2} + u2 f_a + (a2+1) f_{a+e2}: theta below the diagonal,
+    u2 on it and 1, ..., K-1 above it.  ``u2`` and ``theta`` share one
+    shape, against which the arrays ``weight`` and ``shift`` broadcast;
+    returns (..., K, K), one product of the per-operator coefficients with
+    the K-only patterns of ``_flux_basis``.  ``np.matmul(op[..., None, :,
+    :], cube)`` applies an operator along a2; of the result only grades
+    <= M are the flux, as the top grade would need grade-(M+2) data.
     """
-    K = coeffs.shape[-1]
-    th = np.asarray(theta, dtype=float)[..., None, None, None]
-    uu = np.asarray(u2, dtype=float)[..., None, None, None]
-    F = np.multiply(uu, coeffs, out=out)
-    F[..., 1:, :] += th * coeffs[..., :-1, :]
-    F[..., :-1, :] += np.arange(1, K)[:, None] * coeffs[..., 1:, :]
-    F *= grade_mask(K, K - 2)
-    return F
+    coef = np.ones(np.shape(u2) + (3,))
+    coef[..., 0] = theta
+    coef[..., 1] = u2
+    coef = coef * weight[..., None]
+    coef[..., 1] += shift
+    ops = coef.reshape(-1, 3) @ _flux_basis(K)
+    return ops.reshape(coef.shape[:-1] + (K, K))
 
 
-def _hll_combine(a, b, u2, theta, lam_l, lam_r):
+# the jump term enters the two sides' operators as -wj I and +wj I
+_JUMP_SIGNS = np.array([[-1.0], [1.0]])
+
+
+def _hll_combine(a, b, u2, theta, lam_l, lam_r, out):
     """HLL flux of the interface states ``a`` | ``b``, both about (u2, theta).
 
     The flux is linear in the state, so HLL with the signal speeds clipped
-    to lam_l <= 0 <= lam_r is one flux evaluation,
-    F(wa a + wb b) + wj (b - a) on the evolved grades; the clipped weights
-    are exactly (1, 0, 0) for lam_l >= 0 and (0, 1, 0) for lam_r <= 0.
-    Returns a work array that the next call overwrites.
+    to lam_l <= 0 <= lam_r is wa F(a) + wb F(b) + wj (b - a) on the
+    evolved grades, with F = A(u2, theta) on axis a2 (``_flux_cube``): one
+    banded operator per side, (wa A - wj I) on ``a`` and (wb A + wj I) on
+    ``b``, applied as two batched matmuls.  The clipped weights are exactly
+    (1, 0, 0) for lam_l >= 0 and (0, 1, 0) for lam_r <= 0, which makes the
+    result the upwind state's flux.  ``out`` is a C-contiguous (2,) +
+    a.shape array, not overlapping ``a`` or ``b``, that receives the two
+    sides' products; returns ``out[0]``, the flux.
     """
+    K = a.shape[-1]
     lo = np.minimum(lam_l, 0.0)
     hi = np.maximum(lam_r, 0.0)
-    wa, wb, wj = (w[..., None, None, None] / (hi - lo)[..., None, None, None]
-                  for w in (hi, -lo, lo * hi))
-    mix = np.multiply(a, wa, out=work_array("hll mix", a.shape))
-    F = work_array("hll flux", a.shape)
-    mix += np.multiply(b, wb, out=F)
-    _flux_cube(mix, u2, theta, out=F)
-    mix = np.subtract(b, a, out=mix)
-    mix *= wj
-    return np.add(F, mix, out=F, where=grade_mask(a.shape[-1], a.shape[-1] - 2))
+    # rows wa, wb, wj
+    w = np.stack([hi, -lo, lo * hi]) / (hi - lo)
+    ops = _flux_cube(u2, theta, w[:2], w[2] * _JUMP_SIGNS, K)
+    F = np.matmul(ops[0, :, None], a, out=out[0])
+    F += np.matmul(ops[1, :, None], b, out=out[1])
+    F *= grade_mask(K, K - 2)
+    return F
 
 
 def cfl_timestep(grid, cfl, signal_c):
@@ -357,16 +385,25 @@ def _interface_data(grid, config):
     return (tu, tth, tc), tuple(frame)
 
 
-def _transport_rate(grid, config, dt):
-    """One flux-divergence evaluation: d(coeffs)/dt in each cell's own frame."""
+def _closure_columns(u, theta, coeffs):
+    """What the closure differentiates, one column block each: u (3),
+    theta, rho theta and the ``gradient_reads`` of the coefficient cube."""
+    rho_theta = coeffs[..., 0, 0, 0] * theta
+    return np.concatenate([u, theta[..., None], rho_theta[..., None],
+                           gradient_reads(coeffs)], axis=-1)
+
+
+def _transport_rate(grid, config, dt, out=None):
+    """One flux-divergence evaluation: d(coeffs)/dt in each cell's own frame.
+
+    ``out``, if given, receives the rate; otherwise a new array does.
+    """
     n, dx = grid.n, grid.dx
 
     (tu, tth, tc), (u_c, th_c) = _interface_data(grid, config)
     p_pair = project_coeffs(tc, tu, tth, u_c, th_c,
                             out=work_array("projected traces", tc.shape))
-    mean_c = np.add(p_pair[0], p_pair[1], out=work_array("mean", tc.shape[1:]))
-    mean_c *= 0.5
-    rho_bar = mean_c[:, 0, 0, 0]
+    rho_bar = 0.5 * (p_pair[0, :, 0, 0, 0] + p_pair[1, :, 0, 0, 0])
     _require_positive(rho_bar, "density", "at interface %d in the closure")
     # Closure gradients: centered two-point differences of the single-valued
     # reconstructed interface values over 2 dx, raw (stored-frame)
@@ -375,38 +412,25 @@ def _transport_rate(grid, config, dt):
     # dtheta/dy terms.  The wide stencil is also what keeps the scheme stable
     # at the advective CFL step: the HLL dissipation alone puts the
     # highest-frequency mode near the stability edge, and this stencil does
-    # not see that mode.  The raw trace cubes are spent after v_pt, so the
-    # interface values and their gradients are formed in their place.
-    v_u = 0.5 * (tu[0] + tu[1])
-    v_th = 0.5 * (tth[0] + tth[1])
-    v_pt = 0.5 * (tc[0, :, 0, 0, 0] * tth[0] + tc[1, :, 0, 0, 0] * tth[1])
-    v_c = np.add(tc[0], tc[1], out=tc[0])
-    v_c *= 0.5
-    grad_c = tc[1]
-    grad_u = np.empty_like(v_u)
-    grad_th = np.empty_like(v_th)
-    grad_pt = np.empty_like(v_pt)
-    span = 2.0 * dx
-    np.divide(np.subtract(v_c[2:], v_c[:-2], out=grad_c[1:-1]), span,
-              out=grad_c[1:-1])
-    grad_u[1:-1] = (v_u[2:] - v_u[:-2]) / span
-    grad_th[1:-1] = (v_th[2:] - v_th[:-2]) / span
-    grad_pt[1:-1] = (v_pt[2:] - v_pt[:-2]) / span
+    # not see that mode.  Of the coefficient field only the closure's
+    # gradient reads are differenced.
+    v = _closure_columns(tu, tth, tc)
+    v = np.add(v[0], v[1], out=v[0])
+    v *= 0.5
+    grad = np.empty_like(v)
+    np.divide(np.subtract(v[2:], v[:-2], out=grad[1:-1]), 2.0 * dx,
+              out=grad[1:-1])
     # end interfaces: one-sided differences of the adjacent raw cell data; a
     # wall ghost's odd-normal-order entries do not track the interior ones,
     # so differencing against it is not a gradient estimate and would couple
     # back into the top grade
-    for i, ja, jb in ((0, 0, min(1, n - 1)), (n, max(n - 2, 0), n - 1)):
-        grad_c[i] = (grid.coeffs[jb] - grid.coeffs[ja]) / dx
-        grad_u[i] = (grid.u[jb] - grid.u[ja]) / dx
-        grad_th[i] = (grid.theta[jb] - grid.theta[ja]) / dx
-        grad_pt[i] = (
-            grid.coeffs[jb, 0, 0, 0] * grid.theta[jb]
-            - grid.coeffs[ja, 0, 0, 0] * grid.theta[ja]
-        ) / dx
+    ends = [0, min(1, n - 1), max(n - 2, 0), n - 1]
+    cells = _closure_columns(grid.u[ends], grid.theta[ends], grid.coeffs[ends])
+    np.divide(cells[1::2] - cells[::2], dx, out=grad[::n])
     # the one prediction replaces the top grade of both traces
-    closure_coeffs(mean_c, th_c, grad_c, grad_u, grad_th, grad_pt,
-                   closure_time(rho_bar, th_c, config.kn, dt), out=p_pair)
+    closure_coeffs(p_pair, th_c, grad[:, 5:], grad[:, :3], grad[:, 3],
+                   grad[:, 4], closure_time(rho_bar, th_c, config.kn, dt),
+                   out=p_pair)
 
     c_sig = config.signal_speed
     lam_l = np.minimum(
@@ -415,7 +439,9 @@ def _transport_rate(grid, config, dt):
     lam_r = np.maximum(
         tu[0, :, 1] + c_sig * np.sqrt(tth[0]), tu[1, :, 1] + c_sig * np.sqrt(tth[1])
     )
-    F = _hll_combine(p_pair[0], p_pair[1], u_c[:, 1], th_c, lam_l, lam_r)
+    # the raw trace cubes are spent, so the HLL products take their place
+    F = _hll_combine(p_pair[0], p_pair[1], u_c[:, 1], th_c, lam_l, lam_r,
+                     out=tc)
 
     # the two faces of every cell, as a zero-copy (2, N, ...) view of F
     faces = np.ndarray((2,) + F[1:].shape, buffer=F,
@@ -428,7 +454,7 @@ def _transport_rate(grid, config, dt):
         grid.theta,
         out=work_array("face fluxes", (2,) + grid.coeffs.shape),
     )
-    rate = np.subtract(f_pair[0], f_pair[1])
+    rate = np.subtract(f_pair[0], f_pair[1], out=out)
     rate /= dx
     return rate
 
@@ -464,7 +490,8 @@ def step(grid, config, dt=None):
     if config.splitting == "strang":
         grid.u += 0.5 * dt * config.force
 
-    r1 = _transport_rate(grid, config, dt)
+    rates = work_array("transport rates", (2,) + grid.coeffs.shape)
+    r1 = _transport_rate(grid, config, dt, out=rates[0])
     stage = np.multiply(dt, r1, out=work_array("stage", r1.shape))
     stage += grid.coeffs
     stage *= evolved
@@ -474,8 +501,8 @@ def step(grid, config, dt=None):
     g1.u, g1.theta, g1.coeffs = _stage_state(grid, stage, "transport stage 1")
     # the second-stage rate comes back in the stage frames; re-express it in
     # the step-start frames before averaging (the frame map is linear)
-    r2 = project_coeffs(_transport_rate(g1, config, dt), g1.u, g1.theta,
-                        grid.u, grid.theta, out=stage)
+    r2 = project_coeffs(_transport_rate(g1, config, dt, out=rates[1]), g1.u,
+                        g1.theta, grid.u, grid.theta, out=stage)
     new_c = np.add(r1, r2, out=r1)
     new_c *= 0.5 * dt
     new_c += grid.coeffs

@@ -418,7 +418,22 @@ def transport_reference(field, dt, left, right, limiter="none"):
 
 
 # ---------------------------------------------------------------------------
-# HLL flux, two-flux form
+# Slot-wise flux and the HLL flux, two-flux form
+
+
+def flux_reference(coeffs, u2, theta):
+    """Per-slot flux theta f_{a-e2} + u2 f_a + (a2+1) f_{a+e2} of batched
+    cubes, one shifted slice at a time, with the top grade zeroed (its flux
+    would need grade-(M+2) data)."""
+    K = coeffs.shape[-1]
+    th = np.asarray(theta, dtype=float)[..., None, None, None]
+    uu = np.asarray(u2, dtype=float)[..., None, None, None]
+    F = uu * coeffs
+    F[..., 1:, :] += th * coeffs[..., :-1, :]
+    F[..., :-1, :] += np.arange(1, K)[:, None] * coeffs[..., 1:, :]
+    r = np.arange(K)
+    F[..., r[:, None, None] + r[None, :, None] + r[None, None, :] > K - 2] = 0.0
+    return F
 
 
 def hll_reference(a, b, u2, theta, lam_l, lam_r):
@@ -426,10 +441,8 @@ def hll_reference(a, b, u2, theta, lam_l, lam_r):
     (u2, theta), in the textbook three-branch form: the left flux, the right
     flux, or (lr F(a) - ll F(b) + ll lr (b - a)) / (lr - ll) with the jump
     taken on the evolved grades only."""
-    from momentflow.solver1d import _flux_cube
-
-    fa = _flux_cube(a, u2, theta)
-    fb = _flux_cube(b, u2, theta)
+    fa = flux_reference(a, u2, theta)
+    fb = flux_reference(b, u2, theta)
     K = a.shape[-1]
     r = np.arange(K)
     evolved = r[:, None, None] + r[None, :, None] + r[None, None, :] <= K - 2
@@ -472,17 +485,33 @@ def j_hat(nmax, theta, theta_wall):
     return J
 
 
-def wall_bc_reference(u, theta, coeffs, wall):
-    """The wall state ``(u_b, theta, f_b)`` as the full-cube map.
+def wall_density(coeffs, theta, theta_wall):
+    """Density of the diffusely re-emitted Maxwellian balancing the mass flux.
 
-    A right wall keeps the even-a2 slots and sets each odd-a2 slot to
-    2 chi / (2 - chi) (p + B f): B[a, b] = S(a, b) theta^{(a-b)/2} on even b
-    (zero on odd b) is the cut-off matrix on axis 2, p the cube
-    rho_wall J_{a1} J^_{a2} J_{a3} of the incoming-half wall Maxwellian and
-    rho_wall = sqrt(2 pi / theta_w) sum_b B[1, b] f_{(0, b, 0)}; the result
-    is cut to |alpha| <= K - 1.  A left wall is s * map(s * f) with the sign
-    vector s = (-1)^{a2}.  S comes from ``boundary.s_table``, which the
-    tests check against quadrature.
+    sqrt(2 pi / theta_wall) * sum_k S(1, 2k) theta^{1/2 - k} f_{2k e2};
+    assumes the frame already rides at the wall's normal velocity.
+    """
+    from momentflow.boundary import s_table
+
+    coeffs = np.asarray(coeffs, dtype=float)
+    K = coeffs.shape[-1]
+    S = s_table(K - 1)
+    b = np.arange(0, K, 2)
+    terms = S[1, b] * np.asarray(theta, dtype=float)[..., None] ** ((1 - b) / 2.0)
+    return math.sqrt(2.0 * math.pi / theta_wall) * np.sum(
+        terms * coeffs[..., 0, b, 0], axis=-1
+    )
+
+
+def wall_parts(u, theta, coeffs, wall):
+    """The two cubes a right wall's odd-a2 slots are built from, cut to
+    |alpha| <= K - 1: the reflected part B f, with B[a, b] = S(a, b)
+    theta^{(a-b)/2} on even b (zero on odd b) the cut-off matrix on axis 2,
+    and the unit-density incoming-half wall Maxwellian J_{a1} J^_{a2}
+    J_{a3} about (u1, u_wall2, u3).  B reads only even-a2 slots, on which
+    the left wall's sign vector is 1, so both parts serve either side.  S
+    comes from ``boundary.s_table``, which the tests check against
+    quadrature.
     """
     from momentflow.boundary import s_table
 
@@ -490,21 +519,39 @@ def wall_bc_reference(u, theta, coeffs, wall):
     a = np.arange(K)
     B = s_table(K - 1) * theta ** ((a[:, None] - a[None, :]) / 2.0)
     B = B * (a[None, :] % 2 == 0)
+    unit = np.einsum(
+        "i,j,k->ijk",
+        j_full(K - 1, theta, wall.theta_wall, wall.u_wall[0] - u[0]),
+        j_hat(K - 1, theta, wall.theta_wall),
+        j_full(K - 1, theta, wall.theta_wall, wall.u_wall[2] - u[2]),
+    )
+    reflected = np.einsum("ab,ibk->iak", B, coeffs)
+    cut = a[:, None, None] + a[None, :, None] + a[None, None, :] > K - 1
+    reflected[cut] = unit[cut] = 0.0
+    return reflected, unit
+
+
+def wall_bc_reference(u, theta, coeffs, wall):
+    """The wall state ``(u_b, theta, f_b)`` as the full-cube map.
+
+    A right wall keeps the even-a2 slots and sets each odd-a2 slot to
+    2 chi / (2 - chi) (rho_wall p + B f), with B f and the unit-density
+    half-Maxwellian p from ``wall_parts`` and rho_wall from
+    ``wall_density``.  A left wall is s * map(s * f) with the sign vector
+    s = (-1)^{a2}.
+    """
+    K = coeffs.shape[-1]
+    a = np.arange(K)
     s = np.where(a % 2 == 1, -1.0, 1.0)[:, None]
     if wall.side == "right":
         s = np.ones_like(s)
     f = s * coeffs
     u_b = np.array([u[0], wall.u_wall[1], u[2]])
-    rho_wall = math.sqrt(2.0 * math.pi / wall.theta_wall) * (B[1] @ f[0, :, 0])
-    p = rho_wall * np.einsum(
-        "i,j,k->ijk",
-        j_full(K - 1, theta, wall.theta_wall, wall.u_wall[0] - u_b[0]),
-        j_hat(K - 1, theta, wall.theta_wall),
-        j_full(K - 1, theta, wall.theta_wall, wall.u_wall[2] - u_b[2]),
-    )
-    reflected = np.einsum("ab,ibk->iak", B, f)
+    reflected, unit = wall_parts(u_b, theta, coeffs, wall)
+    rho_wall = wall_density(coeffs, theta, wall.theta_wall)
     pref = 2.0 * wall.chi / (2.0 - wall.chi)
-    fb = np.where((a % 2 == 1)[None, :, None], pref * (p + reflected), f)
+    fb = np.where((a % 2 == 1)[None, :, None],
+                  pref * (rho_wall * unit + reflected), f)
     fb[a[:, None, None] + a[None, :, None] + a[None, None, :] > K - 1] = 0.0
     return u_b, theta, s * fb
 
@@ -627,6 +674,26 @@ def admissibility_violation(theta, coeffs):
     if abs(coeffs[2, 0, 0] + coeffs[0, 2, 0] + coeffs[0, 0, 2]) > tol:
         return "sum_d f_(2 e_d) != 0"
     return None
+
+
+def two_beam(M, beams=((0.7, (0.3, 0.7, 0.0), 0.8),
+                       (0.4, (-0.2, -0.6, 0.1), 1.5))):
+    """Order-M projection of a mixture of Maxwellian beams (rho, u, theta)
+    about the mixture's own mean velocity and temperature, hence
+    admissible.  A beam's coefficients about (u, theta) are
+    rho prod_d J_{alpha_d}(u_beam_d - u_d) of ``j_full`` with the beam's
+    temperature in place of the wall's."""
+    rho = sum(r for r, _, _ in beams)
+    u = sum(r * np.asarray(v, dtype=float) for r, v, _ in beams) / rho
+    theta = sum(r * (3.0 * t + np.sum((np.asarray(v) - u) ** 2))
+                for r, v, t in beams) / (3.0 * rho)
+    K = M + 2
+    c = sum(r * np.einsum("i,j,k->ijk", *(j_full(K - 1, theta, t, v[d] - u[d])
+                                          for d in range(3)))
+            for r, v, t in beams)
+    a = np.arange(K)
+    c[a[:, None, None] + a[None, :, None] + a[None, None, :] > K - 1] = 0.0
+    return State(u, theta, c)
 
 
 def random_state(seed, M=4):

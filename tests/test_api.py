@@ -18,7 +18,7 @@ PUBLIC = [
     "largest_he_root", "load_config", "main", "preset", "project_coeffs",
     "read_snapshot", "relaxation_time", "run", "s_table", "save_config",
     "shift_kernel", "snapshot_table", "step", "stress_tensor", "to_dv_config",
-    "to_run_config", "wall_density",
+    "to_run_config",
     "boundary", "cdvm", "cli", "closure", "collision", "hermite", "march",
     "moments", "projection", "scenarios", "solver1d",
 ]
@@ -36,6 +36,7 @@ DELETED = [
     ("solver1d.Grid1D", "cell_state"), ("solver1d", "MomentState"),
     ("boundary", "MomentState"), ("boundary", "j_full"),
     ("boundary", "j_hat"), ("boundary", "half_maxwellian_coeffs"),
+    ("boundary", "wall_density"),
 ]
 
 

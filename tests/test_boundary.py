@@ -10,7 +10,6 @@ from momentflow.boundary import (
     apply_wall_bc,
     ghost_state,
     s_table,
-    wall_density,
 )
 from momentflow.moments import grade_mask
 from momentflow.projection import shift_kernel
@@ -169,11 +168,39 @@ def test_cutoff_matches_halfspace_quadrature():
 # wall density and the half-Maxwellian
 
 
+def _map_wall_density(s, wall):
+    """rho_wall of the wall map, read off its odd-a2 slab: over the
+    prefactor and less the reflected part, the slab is rho_wall times the
+    unit-density incoming half-Maxwellian, fitted over every odd slot."""
+    u_b, _, fb = apply_wall_bc(*s, wall)
+    reflected, unit = oracles.wall_parts(u_b, s.theta, s.coeffs, wall)
+    pref = 2.0 * wall.chi / (2.0 - wall.chi)
+    rest = fb[:, 1::2, :] / (pref if wall.side == "right" else -pref)
+    rest -= reflected[:, 1::2, :]
+    p = unit[:, 1::2, :]
+    rho = np.sum(rest * p) / np.sum(p * p)
+    np.testing.assert_allclose(rest, rho * p, rtol=0,
+                               atol=1e-13 * np.abs(rest).max())
+    return rho
+
+
 def test_wall_density_equilibrium():
+    # the density the wall map re-emits against the mass-flux balance
+    # formula: pinned on Maxwellians, then on non-equilibrium states at
+    # both walls
     s = maxwellian(1.3, np.zeros(3), 0.9, 5)
-    assert wall_density(s.coeffs, 0.9, 0.9) == pytest.approx(1.3, rel=1e-13)
-    # theta = 4 theta_wall: the balance requires twice the density
-    assert wall_density(s.coeffs, 0.9, 0.225) == pytest.approx(2.6, rel=1e-13)
+    for theta_wall, want in ((0.9, 1.3), (0.225, 2.6)):
+        # theta = 4 theta_wall: the balance requires twice the density
+        wall = WallSpec(1.0, np.zeros(3), theta_wall)
+        assert _map_wall_density(s, wall) == pytest.approx(want, rel=1e-13)
+        assert oracles.wall_density(s.coeffs, 0.9, theta_wall) == pytest.approx(
+            want, rel=1e-13)
+    for seed in range(6):
+        s = random_state(seed, M=3 + seed)
+        wall = _wall(seed, side=("left", "right")[seed % 2],
+                     chi=(0.5, 1.0)[seed // 3])
+        want = oracles.wall_density(s.coeffs, s.theta, wall.theta_wall)
+        assert _map_wall_density(s, wall) == pytest.approx(want, rel=1e-12)
 
 
 def test_half_maxwellian_pinned_slots():
@@ -281,6 +308,29 @@ def test_wall_map_matches_full_cube_reference(M, side, chi):
             # the even-a2 slots are the input's, bit for bit
             assert got[2][:, ::2, :].tobytes() == coeffs[:, ::2, :].tobytes()
         assert np.abs(fb[:, 1::2, :]).max() > 1e-3 * scale or chi == 0.0
+
+
+@pytest.mark.parametrize("M", range(3, 13))
+def test_wall_map_is_uniform_in_the_order(M):
+    # the same wall condition at every order: for a two-beam gas, far from
+    # equilibrium and moving across the wall, the wall state rides at the
+    # wall's normal velocity with no mass flux, and the ghost is its
+    # reflection, so the ghost and the gas average to it
+    s = oracles.two_beam(M)
+    assert admissibility_violation(s.theta, s.coeffs) is None
+    assert abs(s.u[1]) > 0.1 and np.abs(s.coeffs[:, 1::2, :]).max() > 1e-3
+    for side in ("left", "right"):
+        for chi in (0.0, 0.5, 1.0):
+            wall = WallSpec(chi, np.array([0.2, 0.0, -0.3]), 1.2, side)
+            u_b, th_b, fb = apply_wall_bc(*s, wall)
+            assert u_b[1] == wall.u_wall[1] and th_b == s.theta
+            assert abs(fb[0, 1, 0]) <= 1e-14 * fb[0, 0, 0]
+            u_g, th_g, g = ghost_state(*s, wall)
+            assert th_g == s.theta
+            np.testing.assert_allclose(0.5 * (u_g + s.u), u_b, rtol=0,
+                                       atol=1e-15)
+            np.testing.assert_allclose(0.5 * (g + s.coeffs), fb, rtol=0,
+                                       atol=1e-14 * np.abs(fb).max())
 
 
 def test_specular_limit_zeroes_odd_slots():

@@ -392,15 +392,16 @@ def test_transport_peak_temporary_memory():
                           dv_nodes=(24, 24, 24))
     fld = scenarios.build_dv_field(sc)
     cfg = scenarios.to_dv_config(sc)
-    dt = dv_cfl_timestep(fld, cfg.cfl)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        transport_field(fld, dt, cfg.left, cfg.right, "none")
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * fld.values.nbytes
+    for limiter in ("none", "minmod"):
+        dt = dv_cfl_timestep(fld, cfg.cfl, limiter)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            transport_field(fld, dt, cfg.left, cfg.right, limiter)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * fld.values.nbytes, limiter
 
 
 def test_collision_updates_in_place_with_small_temporaries():

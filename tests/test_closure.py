@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentflow.closure import closure_coeffs
+from momentflow.closure import closure_coeffs, gradient_reads
 from momentflow.moments import grade_mask, order_cube
 
 import oracles
@@ -27,10 +27,13 @@ def _fields(seed, M=5, scale=0.05):
 
 
 def _cube_args(M, mean, grads, tau):
+    """closure_coeffs arguments: the mean cube as both traces of a pair (so
+    their mean is the cube itself), and the reads of the gradient cube."""
+    c = cube_from_dict(M, mean["f"])
     return dict(
-        mean_coeffs=cube_from_dict(M, mean["f"]),
+        traces=np.stack([c, c]),
         mean_theta=mean["theta"],
-        grad_coeffs=cube_from_dict(M, grads["f"]),
+        grad_reads=gradient_reads(cube_from_dict(M, grads["f"])),
         grad_u=grads["u"],
         grad_theta=grads["theta"],
         grad_ptheta=grads["ptheta"],
@@ -120,14 +123,14 @@ def test_batched_matches_single():
         mean, grads = _fields(seed, M=5)
         args = _cube_args(5, mean, grads, taus[i])
         singles.append(closure_coeffs(**args))
-        cubes.append(args["mean_coeffs"])
-        gcubes.append(args["grad_coeffs"])
+        cubes.append(args["traces"])
+        gcubes.append(args["grad_reads"])
         means.append(mean["theta"])
         gths.append(grads["theta"])
         gpts.append(grads["ptheta"])
         gus.append(grads["u"])
     out = closure_coeffs(
-        np.stack(cubes), np.array(means), np.stack(gcubes), np.stack(gus),
+        np.stack(cubes, axis=1), np.array(means), np.stack(gcubes), np.stack(gus),
         np.array(gths), np.array(gpts), taus,
     )
     np.testing.assert_allclose(out, np.stack(singles), rtol=1e-14, atol=1e-18)
@@ -140,52 +143,57 @@ def test_closure_writes_only_top_grade():
     M = 4
     K = M + 2
     rng = np.random.default_rng(4)
-    mean = rng.standard_normal((3, K, K, K))
-    mean[:, 0, 0, 0] = 1.0 + rng.uniform(size=3)
+    pair = rng.standard_normal((2, 3, K, K, K))
+    pair[:, :, 0, 0, 0] = 1.0 + rng.uniform(size=(2, 3))
     grad = rng.standard_normal((3, K, K, K))
-    mean0, grad0 = mean.copy(), grad.copy()
-    out = closure_coeffs(mean, np.full(3, 0.9), grad, rng.standard_normal((3, 3)),
+    reads = gradient_reads(grad)
+    pair0, reads0 = pair.copy(), reads.copy()
+    out = closure_coeffs(pair, np.full(3, 0.9), reads, rng.standard_normal((3, 3)),
                          np.full(3, 0.2), np.full(3, -0.1), np.full(3, 0.3))
     top = order_cube(K) == K - 1
     assert np.all(out[:, ~top] == 0.0)
     assert np.all(out[:, top] != 0.0)
-    np.testing.assert_array_equal(mean, mean0)
-    np.testing.assert_array_equal(grad, grad0)
+    np.testing.assert_array_equal(pair, pair0)
+    np.testing.assert_array_equal(reads, reads0)
 
 
 @pytest.mark.parametrize("M", [3, 4, 10])
 def test_gather_matches_per_shift_reads_bit_for_bit(M):
-    # one gather of every shifted read against a zero-filled read per shift,
-    # on cubes with every slot filled, so each out-of-range read must come
-    # back as zero
+    # one gather of every shifted read of both traces, averaged on the
+    # gathered block, and the gradient reads, against a zero-filled read per
+    # shift of the mean cube and of the gradient cube, on cubes with every
+    # slot filled, so each out-of-range read must come back as zero
     K = M + 2
     rng = np.random.default_rng(M)
-    mean = rng.standard_normal((6, K, K, K))
-    mean[:, 0, 0, 0] = 1.0 + rng.uniform(size=6)
-    args = (mean, 1.0 + rng.uniform(size=6), rng.standard_normal((6, K, K, K)),
-            rng.standard_normal((6, 3)), rng.standard_normal(6),
+    pair = rng.standard_normal((2, 6, K, K, K))
+    pair[:, :, 0, 0, 0] = 1.0 + rng.uniform(size=(2, 6))
+    grad = rng.standard_normal((6, K, K, K))
+    rest = (rng.standard_normal((6, 3)), rng.standard_normal(6),
             rng.standard_normal(6), rng.uniform(size=6))
-    got = closure_coeffs(*args)
-    want = oracles.closure_per_shift_reference(*args)
+    theta = 1.0 + rng.uniform(size=6)
+    got = closure_coeffs(pair, theta, gradient_reads(grad), *rest)
+    want = oracles.closure_per_shift_reference(0.5 * (pair[0] + pair[1]), theta,
+                                               grad, *rest)
     assert got.tobytes() == want.tobytes()
 
 
 def test_out_receives_the_top_grade_of_every_leading_slice():
-    # the solver passes both projected traces as out: each gets the same
-    # prediction on the top grade and keeps every other slot
+    # the solver passes the projected traces as both the traces and out:
+    # each gets the same prediction on the top grade and keeps every other
+    # slot
     M = 4
     K = M + 2
     rng = np.random.default_rng(5)
-    mean = rng.standard_normal((3, K, K, K))
-    mean[:, 0, 0, 0] = 1.0 + rng.uniform(size=3)
-    args = (mean, np.full(3, 0.9), rng.standard_normal((3, K, K, K)),
+    pair = rng.standard_normal((2, 3, K, K, K))
+    pair[:, :, 0, 0, 0] = 1.0 + rng.uniform(size=(2, 3))
+    args = (np.full(3, 0.9), gradient_reads(rng.standard_normal((3, K, K, K))),
             rng.standard_normal((3, 3)), np.full(3, 0.2), np.full(3, -0.1),
             np.full(3, 0.3))
-    pair = rng.standard_normal((2, 3, K, K, K))
     before = pair.copy()
-    assert closure_coeffs(*args, out=pair) is pair
+    block = closure_coeffs(before, *args)
+    assert closure_coeffs(pair, *args, out=pair) is pair
     top = order_cube(K) == K - 1
-    block = closure_coeffs(*args)
     for side in range(2):
         np.testing.assert_array_equal(pair[side][:, top], block[:, top])
         np.testing.assert_array_equal(pair[side][:, ~top], before[side][:, ~top])
+

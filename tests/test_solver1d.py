@@ -8,7 +8,7 @@ from momentflow import scenarios, solver1d
 from momentflow.boundary import WallSpec
 from momentflow.cdvm import DvGrid, DvRunConfig
 from momentflow.hermite import largest_he_root
-from momentflow.moments import order_cube, snapshot_table
+from momentflow.moments import grade_mask, order_cube, snapshot_table
 from momentflow.solver1d import (
     Grid1D,
     RunConfig,
@@ -43,13 +43,28 @@ def _uniform_grid(n=20, M=3, rho=1.0, theta=1.0):
     return Grid1D.from_fields(-0.5, 0.5, np.full(n, rho), np.zeros(3), theta, M)
 
 
+def _flux(coeffs, u2, theta):
+    """Flux of a state (batched over leading axes) on the evolved grades,
+    through the solver's banded operator, applied as the HLL applies it."""
+    K = coeffs.shape[-1]
+    u2 = np.asarray(u2, dtype=float)
+    op = _flux_cube(u2, np.asarray(theta, dtype=float), np.ones_like(u2),
+                    np.zeros_like(u2), K)
+    return np.matmul(op[..., None, :, :], coeffs) * grade_mask(K, K - 2)
+
+
+def _hll(a, b, *args):
+    """The solver's HLL flux, into a new array."""
+    return _hll_combine(a, b, *args, out=np.empty((2,) + a.shape))
+
+
 def _hll_calls(monkeypatch):
     """Record (a, b, u2, theta, lam_l, lam_r, result) of every HLL flux the
     solver takes; copies, as the solver reuses the arrays on its next call."""
     calls = []
 
-    def spy(*args):
-        out = _hll_combine(*args)
+    def spy(*args, **kwargs):
+        out = _hll_combine(*args, **kwargs)
         calls.append(tuple(np.copy(x) for x in args + (out,)))
         return out
 
@@ -174,7 +189,7 @@ def test_signal_speed_constant():
 
 def test_flux_of_equilibrium():
     s = maxwellian(1.0, np.zeros(3), 1.0, 3)
-    F = _flux_cube(s.coeffs, s.u[1], s.theta)
+    F = _flux(s.coeffs, s.u[1], s.theta)
     assert F[0, 0, 0] == 0.0          # no mass flux at rest
     assert F[0, 1, 0] == pytest.approx(1.0)   # pressure flux theta * rho
     assert F[1, 0, 0] == 0.0
@@ -182,7 +197,7 @@ def test_flux_of_equilibrium():
 
 
 def test_flux_of_zero_cube():
-    Z = _flux_cube(np.zeros((6, 6, 6)), np.asarray(0.3), np.asarray(1.2))
+    Z = _flux(np.zeros((6, 6, 6)), np.asarray(0.3), np.asarray(1.2))
     assert np.all(Z == 0.0)
 
 
@@ -190,7 +205,9 @@ def test_flux_matches_quadrature():
     rng = np.random.default_rng(3)
     u, theta, f = oracles.random_admissible(rng, 4)
     s = oracles.State(u, theta, cube_from_dict(4, f))
-    F = _flux_cube(s.coeffs, s.u[1], s.theta)
+    F = _flux(s.coeffs, s.u[1], s.theta)
+    want = oracles.flux_reference(s.coeffs, s.u[1], s.theta)
+    np.testing.assert_allclose(F, want, rtol=0, atol=1e-15 * np.abs(want).max())
 
     def func(xi):
         return xi[:, 1] * s.evaluate(xi)
@@ -215,7 +232,7 @@ def test_hll_consistency(monkeypatch):
     calls = _hll_calls(monkeypatch)
     rate = _transport_rate(g, cfg, 0.01)
     top = order_cube(5) == 4
-    want = _flux_cube(np.where(top, 0.0, s.coeffs), s.u[1], s.theta)
+    want = _flux(np.where(top, 0.0, s.coeffs), s.u[1], s.theta)
     (F,) = [c[-1] for c in calls]
     assert F.shape == (4, 5, 5, 5)
     for Fi in F:
@@ -232,19 +249,19 @@ def test_hll_upwind_limit_ignores_right_state():
     u2, theta = np.array([0.3, -0.4]), np.array([1.1, 0.7])
     lam_l = np.array([0.5, -3.0])
     lam_r = np.array([4.0, -0.2])
-    out = _hll_combine(a, b, u2, theta, lam_l, lam_r).copy()
-    np.testing.assert_array_equal(out[0], _flux_cube(a[0], u2[0], theta[0]))
-    np.testing.assert_array_equal(out[1], _flux_cube(b[1], u2[1], theta[1]))
-    out2 = _hll_combine(a, -b, u2, theta, lam_l, lam_r)
+    out = _hll(a, b, u2, theta, lam_l, lam_r)
+    np.testing.assert_array_equal(out[0], _flux(a[0], u2[0], theta[0]))
+    np.testing.assert_array_equal(out[1], _flux(b[1], u2[1], theta[1]))
+    out2 = _hll(a, -b, u2, theta, lam_l, lam_r)
     np.testing.assert_array_equal(out2[0], out[0])
-    out3 = _hll_combine(2.0 * a, b, u2, theta, lam_l, lam_r)
+    out3 = _hll(2.0 * a, b, u2, theta, lam_l, lam_r)
     np.testing.assert_array_equal(out3[1], out[1])
 
 
 @pytest.mark.parametrize("speeds", ["mixed", "positive", "negative"])
 def test_hll_fused_flux_matches_two_flux_form(speeds):
-    # one flux of the weighted state plus the weighted jump equals the
-    # textbook combination of the two traces' fluxes; the traces share their
+    # the two banded operators on the two traces equal the textbook
+    # combination of the traces' slot-wise fluxes; the traces share their
     # top grade, as the solver's closure block makes them
     rng = np.random.default_rng(11)
     M, m = 6, 9
@@ -267,7 +284,7 @@ def test_hll_fused_flux_matches_two_flux_form(speeds):
         shift[-3 if speeds == "mixed" else 0:] = -2.5
     lam_l, lam_r = lam_l + shift, lam_r + shift
     want = oracles.hll_reference(a, b, u2, theta, lam_l, lam_r)
-    got = _hll_combine(a, b, u2, theta, lam_l, lam_r)
+    got = _hll(a, b, u2, theta, lam_l, lam_r)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
@@ -283,7 +300,7 @@ def test_supersonic_flow_is_upwinded(monkeypatch):
     _transport_rate(g, cfg, 0.01)
     ((a, b, u2, theta, lam_l, lam_r, F),) = calls
     assert np.all(lam_l > 0) and np.all(lam_r > lam_l)
-    np.testing.assert_array_equal(F, _flux_cube(a, u2, theta))
+    np.testing.assert_array_equal(F, _flux(a, u2, theta))
 
 
 def test_hll_mirror_interface_has_no_mass_flux(monkeypatch):
