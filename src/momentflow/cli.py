@@ -23,19 +23,16 @@ _THREAD_VARS = (
 
 
 def decay_diagnostic(coeffs):
-    """Mean |f_alpha| per order k = 1..M of one (K, K, K) coefficient cube
-    (length-M array)."""
+    """Mean |f_alpha| per order k = 1..M of one coefficient cube of edge
+    K = M + 1 (length-M array)."""
     import numpy as np
 
     from .moments import order_cube
 
     K = coeffs.shape[-1]
     orders = order_cube(K)
-    out = np.empty(K - 2)
     mag = np.abs(coeffs)
-    for k in range(1, K - 1):
-        out[k - 1] = mag[orders == k].mean()
-    return out
+    return np.array([mag[orders == k].mean() for k in range(1, K)])
 
 
 def build_parser():

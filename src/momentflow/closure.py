@@ -1,11 +1,12 @@
 """Gradient-based prediction of the top-order coefficients.
 
-The evolved system stores orders <= M; the order-(M+1) block needed by the
-transport fluxes is predicted from first derivatives of the lower moments and
-of (rho, u, theta), scaled by the relaxation time.  Only wall-normal (y)
-derivatives survive in a 1-D channel, while the velocity space keeps all
-three dimensions, so the inner dimension sums always run over d = 1..3.
-Coefficients whose index would go negative are zero.
+The evolved system stores orders <= M in cubes of edge M + 1; the
+order-(M+1) block that closes the transport fluxes is predicted from first
+derivatives of the lower moments and of (rho, u, theta), scaled by the
+relaxation time, as a compact (..., T) block that is never stored.  Only
+wall-normal (y) derivatives survive in a 1-D channel, while the velocity
+space keeps all three dimensions, so the inner dimension sums always run
+over d = 1..3.  Coefficients whose index would go negative are zero.
 """
 
 from functools import lru_cache
@@ -26,23 +27,25 @@ _SHIFTS = (
 
 @lru_cache(maxsize=None)
 def _top_reads(K):
-    """Gather tables for evaluating the prediction only on |alpha| = M+1.
+    """Gather tables of the prediction on |alpha| = K from cubes of edge K.
 
     Returns the top-grade multi-indices (T, 3); the flat cube indices of
     the distinct slots read, and for each shift s of ``_SHIFTS`` and top
     slot alpha (11, T) the position among them of alpha - s, clipped into
-    the cube where alpha - s leaves it; and the positions of those
-    out-of-range reads, which must read as zero, in the flattened (11, T)
-    block and in its first row.
+    the cube where alpha - s leaves it; the positions of those out-of-range
+    reads, which must read as zero, in the flattened (11, T) block; and for
+    the top slots with alpha2 >= 1, the flat indices of alpha - e2, their
+    positions among the top slots and alpha2.
     """
-    tops = np.argwhere(order_cube(K) == K - 1)
+    tops = np.argwhere(order_cube(K + 1) == K)
     src = tops[None, :, :] - np.asarray(_SHIFTS)[:, None, :]
     outside = np.any((src < 0) | (src > K - 1), axis=-1)
     flat = np.ravel_multi_index(tuple(np.moveaxis(src, -1, 0)), (K,) * 3,
                                 mode="clip")
     slots, rows = np.unique(flat, return_inverse=True)
+    e2 = np.flatnonzero(~outside[0])
     tables = (tops, slots, rows.reshape(flat.shape), np.flatnonzero(outside),
-              np.flatnonzero(outside[0]))
+              flat[0, e2], e2, tops[e2, 1] * 1.0)
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -57,29 +60,37 @@ def gradient_reads(cubes):
     the reads of their difference.
     """
     K = cubes.shape[-1]
-    _, slots, rows, _, zero0 = _top_reads(K)
-    r = np.take(cubes.reshape(cubes.shape[:-3] + (K**3,)), slots[rows[0]],
-                axis=-1)
-    r[..., zero0] = 0.0
+    tops, *_, slots, e2, _ = _top_reads(K)
+    r = np.zeros(cubes.shape[:-3] + (len(tops),))
+    r[..., e2] = cubes.reshape(cubes.shape[:-3] + (K**3,))[..., slots]
     return r
 
 
+def add_top_flux(flux, top):
+    """Add the top grade's part of the a2-flux, alpha2 P_alpha at
+    alpha - e2 for the prediction ``top`` (..., T) of ``closure_coeffs``,
+    to the C-contiguous cubes ``flux`` (..., K, K, K); returns ``flux``."""
+    K = flux.shape[-1]
+    *_, slots, e2, a2 = _top_reads(K)
+    flux.reshape(flux.shape[:-3] + (K**3,))[..., slots] += top[..., e2] * a2
+    return flux
+
+
 def closure_coeffs(traces, mean_theta, grad_reads, grad_u, grad_theta,
-                   grad_ptheta, tau, out=None):
-    """Top-grade coefficient cube from mean values and y-gradients.
+                   grad_ptheta, tau):
+    """Top-grade prediction from mean values and y-gradients.
 
     ``traces``: (2, ..., K, K, K), the two traces at each interface, with
-    evolved orders <= M filled; the prediction reads their mean, gathered
-    at the 11 index shifts of ``_SHIFTS`` and only there.  ``grad_reads``:
-    (..., T), d/dy of the ``gradient_reads`` of the coefficient field;
-    ``grad_u``: (..., 3); the scalars broadcast over the batch.  Returns a
-    new cube nonzero only at |alpha| = M+1; or, if ``out`` is given, writes
-    the prediction into the top-grade slots of ``out`` (broadcast over its
-    extra leading axes), leaves its other slots as they are and returns it.
+    the evolved orders <= M = K - 1 filled; the prediction reads their
+    mean, gathered at the 11 index shifts of ``_SHIFTS`` and only there.
+    ``grad_reads``: (..., T), d/dy of the ``gradient_reads`` of the
+    coefficient field; ``grad_u``: (..., 3); the scalars broadcast over the
+    batch.  Returns the (..., T) prediction on the indices |alpha| = M+1,
+    in the order of ``_top_reads``.
     """
     c = np.asarray(traces, dtype=float)
     K = c.shape[-1]
-    tops, slots, rows, zero, _ = _top_reads(K)
+    tops, slots, rows, zero, *_ = _top_reads(K)
     batch = c.shape[1:-3]
     # the slots read of both traces in one gather, averaged on that small
     # block, then spread to one row per shift of _SHIFTS
@@ -112,7 +123,4 @@ def closure_coeffs(traces, mean_theta, grad_reads, grad_u, grad_theta,
         acc -= 0.5 * gth * (theta * two_up + a2_plus_1 * two_dn)
 
     acc *= np.asarray(tau, dtype=float)[..., None]
-    if out is None:
-        out = np.zeros(batch + (K, K, K))
-    out[..., tops[:, 0], tops[:, 1], tops[:, 2]] = acc
-    return out
+    return acc

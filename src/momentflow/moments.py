@@ -2,8 +2,9 @@
 
 A distribution is represented by its Hermite coefficients about a local frame
 (u, theta).  Coefficients live in a dense cube ``coeffs[a1, a2, a3]`` of edge
-K = M + 2 with entries kept for |alpha| <= M + 1; the top grade |alpha| = M+1
-is derived (filled by the closure), grades <= M are the evolved unknowns.
+K = M + 1 with entries kept for the evolved grades |alpha| <= M and zero
+beyond.  The top grade |alpha| = M + 1 that closes the fluxes is never
+stored: the closure predicts it where a flux needs it.
 """
 
 from functools import lru_cache

@@ -10,10 +10,11 @@ keeps linear reconstruction stable at the working CFL.  Fluxes are
 re-framed to each adjacent cell before the update, which makes the scheme
 conservative in mass, momentum and energy by telescoping.
 
-The closure is evaluated at the interfaces, from the reconstructed traces:
-the top grade of both traces is replaced by one prediction built from their
-mean and from centered differences of the interface values, both gathered
-at the few slots the prediction reads rather than formed as whole cubes.
+Cubes of edge K = M + 1 hold the evolved grades <= M; the top grade M + 1
+is never stored.  The closure predicts it at each interface from the
+traces' mean and from centered differences of the interface values, both
+gathered at the few slots the prediction reads, and the HLL flux takes it
+in one term.
 Wall ghosts are rebuilt from the current state at every Heun stage, and at
 a wall interface the outer state is built from the inner trace, so the wall
 mass flux vanishes identically for a non-moving wall at both stages.
@@ -28,12 +29,11 @@ restore f_{e_d} = 0 and the second-moment trace constraint exactly.
 
 Work arrays: a step keeps its full-cube intermediates (stacked traces, in
 whose place the HLL flux is formed once the closure has read them, and
-their projection, into whose top grade the closure writes; face fluxes, the
-two transport rates, stage update, the projection's middle product) in
-``moments.work_array`` buffers, one per shape, from one step to the next.
-Fresh on every step: the renormalized stage and final cubes (the final
-one, collided in place, becomes ``grid.coeffs``).  No array a step leaves
-in the grid is a work array.
+their projection; face fluxes, the two transport rates, stage update, the
+projection's middle product) in ``moments.work_array`` buffers, one per
+shape, from one step to the next.  Fresh on every step: the renormalized
+stage and final cubes (the final one, collided in place, becomes
+``grid.coeffs``).  No array a step leaves in the grid is a work array.
 """
 
 import copy
@@ -44,11 +44,11 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import WallSpec, ghost_state
-from .closure import closure_coeffs, gradient_reads
+from .closure import add_top_flux, closure_coeffs, gradient_reads
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
 from .march import check_stop_options, march
-from .moments import grade_mask, snapshot_table, work_array
+from .moments import snapshot_table, work_array
 from .projection import project_coeffs, renormalize_arrays
 
 
@@ -57,8 +57,7 @@ class Grid1D:
     """Uniform cell-centered mesh with per-cell moment data.
 
     ``u``: (N, 3) frame velocities, ``theta``: (N,), ``coeffs``:
-    (N, K, K, K) with K = M + 2 (grades through M evolved, top grade
-    scratch for the closure).
+    (N, K, K, K) with K = M + 1, zero beyond the evolved grades <= M.
     """
 
     y_lo: float
@@ -77,7 +76,7 @@ class Grid1D:
             raise ValueError("empty domain")
         if self.u.shape != (n, 3) or self.theta.shape != (n,):
             raise ValueError("inconsistent field shapes")
-        if self.coeffs.shape != (n, K, K, K) or K < 5:
+        if self.coeffs.shape != (n, K, K, K) or K < 4:
             raise ValueError("coefficient cubes must be (N, K, K, K), M >= 3")
         _require_positive(self.coeffs[:, 0, 0, 0], "density", "in cell %d", ValueError)
         _require_positive(self.theta, "temperature", "in cell %d", ValueError)
@@ -88,7 +87,7 @@ class Grid1D:
 
     @property
     def M(self):
-        return self.coeffs.shape[-1] - 2
+        return self.coeffs.shape[-1] - 1
 
     @property
     def dx(self):
@@ -103,8 +102,7 @@ class Grid1D:
         """Cells initialized as local Maxwellians with the given fields."""
         rho = np.asarray(rho, dtype=float)
         n = rho.shape[0]
-        K = M + 2
-        cubes = np.zeros((n, K, K, K))
+        cubes = np.zeros((n,) + (M + 1,) * 3)
         cubes[:, 0, 0, 0] = rho
         u = np.broadcast_to(np.asarray(u, dtype=float), (n, 3))
         theta = np.broadcast_to(np.asarray(theta, dtype=float), (n,))
@@ -144,7 +142,7 @@ class Grid1D:
 class RunConfig:
     """Options of an NRxx slab run.
 
-    ``M``: highest evolved moment order (the cube edge is M + 2).
+    ``M``: highest evolved moment order (the cube edge is M + 1).
     ``kn``, ``pr``: Knudsen and Prandtl numbers of the Shakhov collision.
     ``cfl``: fraction of the advective CFL limit used as the time step.
     ``t_end``, ``steady_tol``, ``max_steps``: stop at the end time, at the
@@ -228,8 +226,8 @@ def _flux_cube(u2, theta, weight, shift, K):
     shape, against which the arrays ``weight`` and ``shift`` broadcast;
     returns (..., K, K), one product of the per-operator coefficients with
     the K-only patterns of ``_flux_basis``.  ``np.matmul(op[..., None, :,
-    :], cube)`` applies an operator along a2; of the result only grades
-    <= M are the flux, as the top grade would need grade-(M+2) data.
+    :], cube)`` applies an operator along a2; of the result grades < M are
+    the flux, and grade M is once ``add_top_flux`` adds the top grade.
     """
     coef = np.ones(np.shape(u2) + (3,))
     coef[..., 0] = theta
@@ -244,29 +242,31 @@ def _flux_cube(u2, theta, weight, shift, K):
 _JUMP_SIGNS = np.array([[-1.0], [1.0]])
 
 
-def _hll_combine(a, b, u2, theta, lam_l, lam_r, out):
-    """HLL flux of the interface states ``a`` | ``b``, both about (u2, theta).
+def _hll_combine(a, b, top, u2, theta, lam_l, lam_r, out):
+    """HLL flux of the interface states ``a`` | ``b``, both about (u2, theta)
+    and closed by the top-grade prediction ``top`` of ``closure_coeffs``.
 
     The flux is linear in the state, so HLL with the signal speeds clipped
     to lam_l <= 0 <= lam_r is wa F(a) + wb F(b) + wj (b - a) on the
     evolved grades, with F = A(u2, theta) on axis a2 (``_flux_cube``): one
     banded operator per side, (wa A - wj I) on ``a`` and (wb A + wj I) on
-    ``b``, applied as two batched matmuls.  The clipped weights are exactly
-    (1, 0, 0) for lam_l >= 0 and (0, 1, 0) for lam_r <= 0, which makes the
-    result the upwind state's flux.  ``out`` is a C-contiguous (2,) +
-    a.shape array, not overlapping ``a`` or ``b``, that receives the two
-    sides' products; returns ``out[0]``, the flux.
+    ``b``, applied as two batched matmuls.  The top grade is ``top`` on both
+    sides and wa + wb = 1, so its part is the closure flux term alone,
+    alpha2 P_alpha at alpha - e2 (``add_top_flux``).  The clipped weights
+    are exactly (1, 0, 0) for lam_l >= 0 and (0, 1, 0) for lam_r <= 0,
+    which makes the result the upwind state's flux.  Grades > M of the
+    result are not flux; the frame change that follows drops them.
+    ``out`` is a C-contiguous (2,) + a.shape array, not overlapping ``a``
+    or ``b``, that receives the two sides' products; returns ``out[0]``.
     """
-    K = a.shape[-1]
     lo = np.minimum(lam_l, 0.0)
     hi = np.maximum(lam_r, 0.0)
     # rows wa, wb, wj
     w = np.stack([hi, -lo, lo * hi]) / (hi - lo)
-    ops = _flux_cube(u2, theta, w[:2], w[2] * _JUMP_SIGNS, K)
+    ops = _flux_cube(u2, theta, w[:2], w[2] * _JUMP_SIGNS, a.shape[-1])
     F = np.matmul(ops[0, :, None], a, out=out[0])
     F += np.matmul(ops[1, :, None], b, out=out[1])
-    F *= grade_mask(K, K - 2)
-    return F
+    return add_top_flux(F, top)
 
 
 def cfl_timestep(grid, cfl, signal_c):
@@ -318,7 +318,7 @@ def _cell_ghost(grid, j, wall):
 def closure_time(rho, theta, kn, dt):
     """Effective relaxation time feeding the top-grade prediction.
 
-    The top grade is discarded and refilled every step, so its value over the
+    The top grade is predicted afresh every step, so its value over the
     step is the relaxation integral from zero towards the quasi-static
     balance: tau (1 - e^{-dt/tau}).  This equals tau once dt >~ 3 tau (the
     continuum regime the closure formula was derived for) and is capped by dt
@@ -427,10 +427,9 @@ def _transport_rate(grid, config, dt, out=None):
     ends = [0, min(1, n - 1), max(n - 2, 0), n - 1]
     cells = _closure_columns(grid.u[ends], grid.theta[ends], grid.coeffs[ends])
     np.divide(cells[1::2] - cells[::2], dx, out=grad[::n])
-    # the one prediction replaces the top grade of both traces
-    closure_coeffs(p_pair, th_c, grad[:, 5:], grad[:, :3], grad[:, 3],
-                   grad[:, 4], closure_time(rho_bar, th_c, config.kn, dt),
-                   out=p_pair)
+    # the one prediction closes both traces
+    top = closure_coeffs(p_pair, th_c, grad[:, 5:], grad[:, :3], grad[:, 3],
+                         grad[:, 4], closure_time(rho_bar, th_c, config.kn, dt))
 
     c_sig = config.signal_speed
     lam_l = np.minimum(
@@ -440,7 +439,7 @@ def _transport_rate(grid, config, dt, out=None):
         tu[0, :, 1] + c_sig * np.sqrt(tth[0]), tu[1, :, 1] + c_sig * np.sqrt(tth[1])
     )
     # the raw trace cubes are spent, so the HLL products take their place
-    F = _hll_combine(p_pair[0], p_pair[1], u_c[:, 1], th_c, lam_l, lam_r,
+    F = _hll_combine(p_pair[0], p_pair[1], top, u_c[:, 1], th_c, lam_l, lam_r,
                      out=tc)
 
     # the two faces of every cell, as a zero-copy (2, N, ...) view of F
@@ -466,7 +465,6 @@ def _stage_state(grid, coeffs, stage):
     _require_positive(coeffs[:, 0, 0, 0], "density", "in cell %d after " + stage)
     u_new, th_new, c_ren = renormalize_arrays(grid.u, grid.theta, coeffs)
     _require_positive(th_new, "temperature", "in cell %d after " + stage)
-    c_ren *= grade_mask(coeffs.shape[-1], coeffs.shape[-1] - 2)
     return u_new, th_new, c_ren
 
 
@@ -484,8 +482,6 @@ def step(grid, config, dt=None):
         raise ValueError("grid and config disagree on the moment order")
     if dt is None:
         dt = cfl_timestep(grid, config.cfl, config.signal_speed)
-    K = grid.coeffs.shape[-1]
-    evolved = grade_mask(K, K - 2)
 
     if config.splitting == "strang":
         grid.u += 0.5 * dt * config.force
@@ -494,7 +490,6 @@ def step(grid, config, dt=None):
     r1 = _transport_rate(grid, config, dt, out=rates[0])
     stage = np.multiply(dt, r1, out=work_array("stage", r1.shape))
     stage += grid.coeffs
-    stage *= evolved
     # the stage grid shares the fresh stage arrays; a shallow copy skips the
     # copies and checks of Grid1D's constructor
     g1 = copy.copy(grid)
@@ -506,7 +501,6 @@ def step(grid, config, dt=None):
     new_c = np.add(r1, r2, out=r1)
     new_c *= 0.5 * dt
     new_c += grid.coeffs
-    new_c *= evolved
     u_new, th_new, c_ren = _stage_state(grid, new_c, "transport stage 2")
 
     if not config.collisionless:

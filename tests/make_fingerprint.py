@@ -1,0 +1,54 @@
+"""Accuracy fingerprint of the NRxx solver: final tables of six short runs.
+
+The runs cover what the three benchmark workloads leave out: partial
+accommodation, a hot wall, every limiter, Strang splitting, a body force
+and the orders M = 4..12.  ``python tests/make_fingerprint.py`` writes
+their final snapshot tables to ``tests/data/fingerprint.npz``;
+``test_fingerprint.py`` checks the current code against that file.  Write
+the file again only on purpose, when a change is meant to move the
+answer.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from momentflow import scenarios, solver1d
+
+DATA = Path(__file__).resolve().parent / "data" / "fingerprint.npz"
+
+# name -> (scenario, overrides); every run stops at t_end
+RUNS = {
+    "couette-m4-chi05-hotleft": ("couette", dict(
+        M=4, cells=16, chi=0.5, theta_wall_left=1.3, t_end=0.3,
+        steady_tol=None)),
+    "couette-m6-minmod": ("couette", dict(
+        M=6, cells=16, limiter="minmod", t_end=0.2, steady_tol=None)),
+    "poiseuille-m5-strang": ("poiseuille", dict(
+        M=5, cells=16, splitting="strang", t_end=0.2, steady_tol=None)),
+    "poiseuille-m7-chi03-nolimiter": ("poiseuille", dict(
+        M=7, cells=16, chi=0.3, limiter="none", t_end=0.2, steady_tol=None)),
+    "shock-m9": ("shock", dict(M=9, cells=24, t_end=0.3)),
+    "shock-m12-chi07": ("shock", dict(M=12, cells=30, chi=0.7, t_end=0.15)),
+}
+
+
+def final_table(name):
+    """Snapshot table of run ``name`` at its end time."""
+    scenario, overrides = RUNS[name]
+    sc = scenarios.preset(scenario, **overrides)
+    grid = scenarios.build_grid(sc)
+    result = solver1d.run(grid, scenarios.to_run_config(sc))
+    if not result.converged:
+        raise RuntimeError("%s: %s" % (name, result.message))
+    return result.snapshots[-1][1]
+
+
+def main():
+    DATA.parent.mkdir(exist_ok=True)
+    np.savez(DATA, **{name: final_table(name) for name in RUNS})
+    print("wrote %s" % DATA)
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,7 @@ from momentflow.boundary import (
     ghost_state,
     s_table,
 )
-from momentflow.moments import grade_mask
+from momentflow.moments import grade_mask, order_cube
 from momentflow.projection import shift_kernel
 
 import oracles
@@ -331,6 +331,41 @@ def test_wall_map_is_uniform_in_the_order(M):
                                        atol=1e-15)
             np.testing.assert_allclose(0.5 * (g + s.coeffs), fb, rtol=0,
                                        atol=1e-14 * np.abs(fb).max())
+
+
+@pytest.mark.parametrize("M", range(3, 13))
+def test_wall_map_needs_no_top_grade(M):
+    # the solver's cubes stop at grade M; its wall inputs had a zero
+    # even-a2 top grade when the cubes stored it, so on the leading
+    # (M+1)^3 block the wall map and the ghost equal the (M+2)-edge map on
+    # the grades <= M, whatever the odd-a2 top slots hold; one even-a2 top
+    # slot set moves the (M+2)-edge map off it
+    s = oracles.two_beam(M)
+    K = M + 1
+    evolved = grade_mask(K, M)
+    top = order_cube(K + 1) == K
+    even_top = top.copy()
+    even_top[:, 1::2, :] = False
+    assert np.abs(s.coeffs[top & ~even_top]).max() > 1e-8
+    full = s.coeffs * ~even_top
+    kick = full.copy()
+    kick[M - 1, 2, 0] = 0.3
+    short = full[:K, :K, :K] * evolved
+    for side in ("left", "right"):
+        for chi in (0.0, 0.5, 1.0):
+            wall = WallSpec(chi, np.array([0.2, 0.0, -0.3]), 1.2, side)
+            for bc in (apply_wall_bc, ghost_state):
+                u, th, got = bc(s.u, s.theta, short, wall)
+                u_f, th_f, want = bc(s.u, s.theta, full, wall)
+                tol = 1e-14 * np.abs(want).max()
+                np.testing.assert_array_equal(u, u_f)
+                assert th == th_f
+                np.testing.assert_allclose(got * evolved,
+                                           want[:K, :K, :K] * evolved,
+                                           rtol=0, atol=tol)
+                if chi > 0:
+                    moved = bc(s.u, s.theta, kick, wall)[2][:K, :K, :K]
+                    assert np.abs((moved - got) * evolved).max() > 1e3 * tol
 
 
 def test_specular_limit_zeroes_odd_slots():

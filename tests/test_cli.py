@@ -7,10 +7,10 @@ from momentflow import scenarios
 from momentflow.cli import build_parser, decay_diagnostic, main
 from momentflow.moments import read_snapshot, snapshot_table, write_table
 from momentflow.scenarios import COUETTE_WALL_SPEED, POISEUILLE_FORCE
-from momentflow.solver1d import run as nrxx_run
+from momentflow.solver1d import Grid1D, run as nrxx_run
 
 import oracles
-from oracles import cube_from_dict, multi_indices
+from oracles import multi_indices
 
 
 # ---------------------------------------------------------------------------
@@ -18,18 +18,27 @@ from oracles import cube_from_dict, multi_indices
 
 
 def test_decay_diagnostic_equilibrium_is_zero():
-    d = decay_diagnostic(oracles.maxwellian(1.0, np.zeros(3), 1.0, 5).coeffs)
-    assert d.shape == (5,)
+    grid = Grid1D.from_fields(0.0, 1.0, np.ones(2), np.zeros(3), 1.0, 5)
+    d = decay_diagnostic(grid.coeffs[0])
+    assert d.shape == (grid.M,)
     assert np.all(d == 0.0)
 
 
 def test_decay_diagnostic_matches_direct_average():
+    # every order 1..M of a solver cube, the top one included
     rng = np.random.default_rng(2)
-    _, _, f = oracles.random_admissible(rng, 5)
-    d = decay_diagnostic(cube_from_dict(5, f))
-    for k in range(1, 6):
-        vals = [abs(f.get(a, 0.0)) for a in multi_indices(5) if sum(a) == k]
+    M = 5
+    _, _, f = oracles.random_admissible(rng, M)
+    grid = Grid1D.from_fields(0.0, 1.0, np.ones(1), np.zeros(3), 1.0, M)
+    for alpha, value in f.items():
+        if sum(alpha) <= M:
+            grid.coeffs[(0,) + alpha] = value
+    d = decay_diagnostic(grid.coeffs[0])
+    assert d.shape == (grid.M,)
+    for k in range(1, M + 1):
+        vals = [abs(f.get(a, 0.0)) for a in multi_indices(M) if sum(a) == k]
         assert d[k - 1] == pytest.approx(np.mean(vals), rel=1e-14)
+    assert d[M - 1] > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentflow.closure import closure_coeffs, gradient_reads
-from momentflow.moments import grade_mask, order_cube
+from momentflow.closure import _top_reads, closure_coeffs, gradient_reads
+from momentflow.moments import grade_mask
 
 import oracles
 from oracles import cube_from_dict, multi_indices
@@ -26,14 +26,25 @@ def _fields(seed, M=5, scale=0.05):
     return mean, grads
 
 
+def _evolved(M, d):
+    """The solver's (M+1)-edge cube of a {multi-index: value} mapping: the
+    grades <= M, zero beyond."""
+    return cube_from_dict(M, d)[:M + 1, :M + 1, :M + 1] * grade_mask(M + 1, M)
+
+
+def _tops(M):
+    """The top-grade multi-indices, in the order of the prediction."""
+    return [tuple(alpha) for alpha in _top_reads(M + 1)[0]]
+
+
 def _cube_args(M, mean, grads, tau):
     """closure_coeffs arguments: the mean cube as both traces of a pair (so
     their mean is the cube itself), and the reads of the gradient cube."""
-    c = cube_from_dict(M, mean["f"])
+    c = _evolved(M, mean["f"])
     return dict(
         traces=np.stack([c, c]),
         mean_theta=mean["theta"],
-        grad_reads=gradient_reads(cube_from_dict(M, grads["f"])),
+        grad_reads=gradient_reads(_evolved(M, grads["f"])),
         grad_u=grads["u"],
         grad_theta=grads["theta"],
         grad_ptheta=grads["ptheta"],
@@ -50,11 +61,12 @@ def test_matches_term_by_term_reference():
         got = closure_coeffs(**_cube_args(M, mean, grads, tau))
         ref = oracles.closure_reference(M, mean, grads, tau)
         scale = max(1.0, max(abs(v) for v in ref.values()))
-        for alpha, want in ref.items():
-            assert got[alpha] == pytest.approx(want, rel=1e-13, abs=1e-13 * scale)
-        # nothing outside the top grade
-        K = M + 2
-        assert np.all(got[grade_mask(K, K - 2)] == 0.0)
+        # one entry per top-grade index, and no other
+        assert got.shape == (len(ref),)
+        assert sorted(_tops(M)) == sorted(ref)
+        for alpha, value in zip(_tops(M), got):
+            assert value == pytest.approx(ref[alpha], rel=1e-13,
+                                          abs=1e-13 * scale)
 
 
 def test_zero_gradients_give_zero():
@@ -96,7 +108,6 @@ def test_xz_symmetric_fields_keep_parity():
     # data even in alpha_1 and alpha_3 with u = (0, u2, 0): the prediction
     # must stay supported on even alpha_1, alpha_3
     M = 6
-    K = M + 2
     rng = np.random.default_rng(3)
     f = {(0, 0, 0): 1.0}
     gf = {}
@@ -111,9 +122,9 @@ def test_xz_symmetric_fields_keep_parity():
     mean = {"rho": 1.0, "theta": 1.1, "u": np.zeros(3), "f": f}
     grads = {"ptheta": 0.4, "theta": 0.2, "u": np.array([0.0, 0.6, 0.0]), "f": gf}
     out = closure_coeffs(**_cube_args(M, mean, grads, 0.45))
-    for alpha in multi_indices(M + 1):
-        if sum(alpha) == M + 1 and (alpha[0] % 2 or alpha[2] % 2):
-            assert out[alpha] == 0.0
+    for alpha, value in zip(_tops(M), out):
+        if alpha[0] % 2 or alpha[2] % 2:
+            assert value == 0.0
 
 
 def test_batched_matches_single():
@@ -137,22 +148,24 @@ def test_batched_matches_single():
 
 
 def test_closure_writes_only_top_grade():
-    # every slot of the inputs is filled, the top grade included; the result
-    # is a new cube that is nonzero only on |alpha| = M+1, and the inputs are
-    # left alone
+    # every evolved slot of the inputs is filled and every slot beyond grade
+    # M is NaN: the result is a new (N, T) block, one finite nonzero value
+    # per top-grade index, and the inputs are left alone
     M = 4
-    K = M + 2
+    K = M + 1
     rng = np.random.default_rng(4)
+    beyond = ~grade_mask(K, M)
     pair = rng.standard_normal((2, 3, K, K, K))
     pair[:, :, 0, 0, 0] = 1.0 + rng.uniform(size=(2, 3))
+    pair[:, :, beyond] = np.nan
     grad = rng.standard_normal((3, K, K, K))
+    grad[:, beyond] = np.nan
     reads = gradient_reads(grad)
     pair0, reads0 = pair.copy(), reads.copy()
     out = closure_coeffs(pair, np.full(3, 0.9), reads, rng.standard_normal((3, 3)),
                          np.full(3, 0.2), np.full(3, -0.1), np.full(3, 0.3))
-    top = order_cube(K) == K - 1
-    assert np.all(out[:, ~top] == 0.0)
-    assert np.all(out[:, top] != 0.0)
+    assert out.shape == (3, (M + 2) * (M + 3) // 2)
+    assert np.all(np.isfinite(out)) and np.all(out != 0.0)
     np.testing.assert_array_equal(pair, pair0)
     np.testing.assert_array_equal(reads, reads0)
 
@@ -162,38 +175,39 @@ def test_gather_matches_per_shift_reads_bit_for_bit(M):
     # one gather of every shifted read of both traces, averaged on the
     # gathered block, and the gradient reads, against a zero-filled read per
     # shift of the mean cube and of the gradient cube, on cubes with every
-    # slot filled, so each out-of-range read must come back as zero
-    K = M + 2
+    # slot filled, so each out-of-range read must come back as zero; the
+    # reference holds the top grade in (M+2)-edge cubes, whose leading
+    # (M+1)^3 block is the solver's cube
+    K = M + 1
     rng = np.random.default_rng(M)
-    pair = rng.standard_normal((2, 6, K, K, K))
+    pair = rng.standard_normal((2, 6, K + 1, K + 1, K + 1))
     pair[:, :, 0, 0, 0] = 1.0 + rng.uniform(size=(2, 6))
-    grad = rng.standard_normal((6, K, K, K))
+    grad = rng.standard_normal((6, K + 1, K + 1, K + 1))
     rest = (rng.standard_normal((6, 3)), rng.standard_normal(6),
             rng.standard_normal(6), rng.uniform(size=6))
     theta = 1.0 + rng.uniform(size=6)
-    got = closure_coeffs(pair, theta, gradient_reads(grad), *rest)
+    got = closure_coeffs(pair[..., :K, :K, :K], theta,
+                         gradient_reads(grad[..., :K, :K, :K]), *rest)
     want = oracles.closure_per_shift_reference(0.5 * (pair[0] + pair[1]), theta,
                                                grad, *rest)
-    assert got.tobytes() == want.tobytes()
+    a1, a2, a3 = _top_reads(K)[0].T
+    assert got.tobytes() == np.ascontiguousarray(want[:, a1, a2, a3]).tobytes()
 
 
-def test_out_receives_the_top_grade_of_every_leading_slice():
-    # the solver passes the projected traces as both the traces and out:
-    # each gets the same prediction on the top grade and keeps every other
-    # slot
+def test_batched_prediction_equals_each_slice():
+    # the solver closes all interfaces in one call: each row of the batched
+    # prediction is, bit for bit, the prediction of that interface alone
     M = 4
-    K = M + 2
+    K = M + 1
     rng = np.random.default_rng(5)
-    pair = rng.standard_normal((2, 3, K, K, K))
+    pair = rng.standard_normal((2, 3, K, K, K)) * grade_mask(K, M)
     pair[:, :, 0, 0, 0] = 1.0 + rng.uniform(size=(2, 3))
-    args = (np.full(3, 0.9), gradient_reads(rng.standard_normal((3, K, K, K))),
-            rng.standard_normal((3, 3)), np.full(3, 0.2), np.full(3, -0.1),
-            np.full(3, 0.3))
-    before = pair.copy()
-    block = closure_coeffs(before, *args)
-    assert closure_coeffs(pair, *args, out=pair) is pair
-    top = order_cube(K) == K - 1
-    for side in range(2):
-        np.testing.assert_array_equal(pair[side][:, top], block[:, top])
-        np.testing.assert_array_equal(pair[side][:, ~top], before[side][:, ~top])
-
+    args = (1.0 + rng.uniform(size=3),
+            gradient_reads(rng.standard_normal((3, K, K, K))),
+            rng.standard_normal((3, 3)), rng.standard_normal(3),
+            rng.standard_normal(3), rng.uniform(size=3))
+    block = closure_coeffs(pair, *args)
+    assert block.shape == (3, (M + 2) * (M + 3) // 2)
+    for i in range(3):
+        single = closure_coeffs(pair[:, i], *(a[i] for a in args))
+        np.testing.assert_array_equal(block[i], single)

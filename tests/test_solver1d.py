@@ -6,6 +6,7 @@ import pytest
 
 from momentflow import scenarios, solver1d
 from momentflow.boundary import WallSpec
+from momentflow.closure import _top_reads
 from momentflow.cdvm import DvGrid, DvRunConfig
 from momentflow.hermite import largest_he_root
 from momentflow.moments import grade_mask, order_cube, snapshot_table
@@ -44,8 +45,9 @@ def _uniform_grid(n=20, M=3, rho=1.0, theta=1.0):
 
 
 def _flux(coeffs, u2, theta):
-    """Flux of a state (batched over leading axes) on the evolved grades,
-    through the solver's banded operator, applied as the HLL applies it."""
+    """Flux of a state (batched over leading axes) that stores its top
+    grade, on the grades below it, through the solver's banded operator,
+    applied as the HLL applies it."""
     K = coeffs.shape[-1]
     u2 = np.asarray(u2, dtype=float)
     op = _flux_cube(u2, np.asarray(theta, dtype=float), np.ones_like(u2),
@@ -53,14 +55,43 @@ def _flux(coeffs, u2, theta):
     return np.matmul(op[..., None, :, :], coeffs) * grade_mask(K, K - 2)
 
 
+def _closed_flux(cubes, top, u2, theta):
+    """Flux on the grades <= M of (M+1)-edge cubes closed by the top-grade
+    prediction ``top``: the banded operator, then alpha2 P_alpha added at
+    alpha - e2 one top slot at a time."""
+    K = cubes.shape[-1]
+    u2 = np.asarray(u2, dtype=float)
+    op = _flux_cube(u2, np.asarray(theta, dtype=float), np.ones_like(u2),
+                    np.zeros_like(u2), K)
+    F = np.matmul(op[..., None, :, :], cubes)
+    for i, (a1, a2, a3) in enumerate(_top_reads(K)[0]):
+        if a2:
+            F[..., a1, a2 - 1, a3] += a2 * top[..., i]
+    return F * grade_mask(K, K - 1)
+
+
+def _evolved(cubes):
+    """The solver's (M+1)-edge cubes of (M+2)-edge ones: the grades <= M."""
+    K = cubes.shape[-1] - 1
+    return cubes[..., :K, :K, :K] * grade_mask(K, K - 1)
+
+
+def _top(cubes):
+    """The top grade of (M+2)-edge cubes, in the closure's (..., T) order."""
+    a1, a2, a3 = _top_reads(cubes.shape[-1] - 1)[0].T
+    return cubes[..., a1, a2, a3]
+
+
 def _hll(a, b, *args):
-    """The solver's HLL flux, into a new array."""
-    return _hll_combine(a, b, *args, out=np.empty((2,) + a.shape))
+    """The solver's HLL flux on the grades <= M, into a new array."""
+    K = a.shape[-1]
+    return _hll_combine(a, b, *args, out=np.empty((2,) + a.shape)) * grade_mask(K, K - 1)
 
 
 def _hll_calls(monkeypatch):
-    """Record (a, b, u2, theta, lam_l, lam_r, result) of every HLL flux the
-    solver takes; copies, as the solver reuses the arrays on its next call."""
+    """Record (a, b, top, u2, theta, lam_l, lam_r, result) of every HLL flux
+    the solver takes; copies, as the solver reuses the arrays on its next
+    call."""
     calls = []
 
     def spy(*args, **kwargs):
@@ -80,6 +111,7 @@ def test_grid_geometry():
     g = _uniform_grid(n=10)
     assert g.n == 10
     assert g.M == 3
+    assert g.coeffs.shape == (10, 4, 4, 4)
     assert g.dx == pytest.approx(0.1)
     np.testing.assert_allclose(g.centers, -0.45 + 0.1 * np.arange(10))
     assert g.total_mass() == pytest.approx(1.0)
@@ -92,8 +124,8 @@ def test_grid_validation():
         Grid1D.from_fields(-0.5, 0.5, np.ones(4), np.zeros(3), -1.0, 3)
     with pytest.raises(ValueError):
         Grid1D.from_fields(-0.5, 0.5, np.zeros(4), np.zeros(3), 1.0, 3)
-    with pytest.raises(ValueError):
-        Grid1D(-0.5, 0.5, np.zeros((4, 3)), np.ones(4), np.zeros((4, 4, 4, 4)))
+    with pytest.raises(ValueError):   # M = 2
+        Grid1D(-0.5, 0.5, np.zeros((4, 3)), np.ones(4), _uniform_grid(4).coeffs[:, :3, :3, :3])
     with pytest.raises(ValueError):
         Grid1D(-0.5, 0.5, np.zeros((3, 3)), np.ones(4), _uniform_grid(4).coeffs)
 
@@ -227,16 +259,18 @@ def test_hll_consistency(monkeypatch):
     u, theta, f = oracles.random_admissible(rng, 3)
     s = oracles.State(u, theta, cube_from_dict(3, f))
     g = Grid1D(-0.5, 0.5, np.tile(u, (3, 1)), np.full(3, theta),
-               np.tile(s.coeffs, (3, 1, 1, 1)))
+               np.tile(_evolved(s.coeffs), (3, 1, 1, 1)))
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
     calls = _hll_calls(monkeypatch)
     rate = _transport_rate(g, cfg, 0.01)
     top = order_cube(5) == 4
     want = _flux(np.where(top, 0.0, s.coeffs), s.u[1], s.theta)
-    (F,) = [c[-1] for c in calls]
-    assert F.shape == (4, 5, 5, 5)
+    ((top, F),) = [(c[2], c[-1]) for c in calls]
+    assert F.shape == (4, 4, 4, 4)
+    np.testing.assert_array_equal(top, 0.0)
     for Fi in F:
-        np.testing.assert_allclose(Fi, want, rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(Fi * grade_mask(4, 3), _evolved(want),
+                                   rtol=1e-13, atol=1e-16)
     assert np.max(np.abs(rate)) <= 1e-13
 
 
@@ -245,26 +279,26 @@ def test_hll_upwind_limit_ignores_right_state():
     # right state; both negative: the right flux, whatever the left state --
     # exactly, bit for bit
     rng = np.random.default_rng(6)
-    a, b = rng.standard_normal((2, 2, 5, 5, 5))
+    a, b = rng.standard_normal((2, 2, 5, 5, 5)) * grade_mask(5, 4)
+    top = rng.standard_normal((2, 21))
     u2, theta = np.array([0.3, -0.4]), np.array([1.1, 0.7])
     lam_l = np.array([0.5, -3.0])
     lam_r = np.array([4.0, -0.2])
-    out = _hll(a, b, u2, theta, lam_l, lam_r)
-    np.testing.assert_array_equal(out[0], _flux(a[0], u2[0], theta[0]))
-    np.testing.assert_array_equal(out[1], _flux(b[1], u2[1], theta[1]))
-    out2 = _hll(a, -b, u2, theta, lam_l, lam_r)
+    out = _hll(a, b, top, u2, theta, lam_l, lam_r)
+    np.testing.assert_array_equal(out[0], _closed_flux(a[0], top[0], u2[0], theta[0]))
+    np.testing.assert_array_equal(out[1], _closed_flux(b[1], top[1], u2[1], theta[1]))
+    out2 = _hll(a, -b, top, u2, theta, lam_l, lam_r)
     np.testing.assert_array_equal(out2[0], out[0])
-    out3 = _hll(2.0 * a, b, u2, theta, lam_l, lam_r)
+    out3 = _hll(2.0 * a, b, top, u2, theta, lam_l, lam_r)
     np.testing.assert_array_equal(out3[1], out[1])
 
 
-@pytest.mark.parametrize("speeds", ["mixed", "positive", "negative"])
-def test_hll_fused_flux_matches_two_flux_form(speeds):
-    # the two banded operators on the two traces equal the textbook
-    # combination of the traces' slot-wise fluxes; the traces share their
-    # top grade, as the solver's closure block makes them
-    rng = np.random.default_rng(11)
-    M, m = 6, 9
+def _hll_case(rng, M, m, speeds):
+    """m interface pairs of (M+2)-edge admissible states sharing their top
+    grade, as one closure prediction makes them, with signal speeds: all
+    subsonic, lam_l < 0 < lam_r, except that "mixed" makes the first three
+    interfaces supersonic to the right and the last three to the left, and
+    "positive" / "negative" make all of them supersonic."""
     a, b = np.empty((2, m, M + 2, M + 2, M + 2))
     for x in (a, b):
         for i in range(m):
@@ -273,8 +307,6 @@ def test_hll_fused_flux_matches_two_flux_form(speeds):
     b[:, top] = a[:, top]
     u2 = rng.uniform(-0.5, 0.5, m)
     theta = rng.uniform(0.6, 1.6, m)
-    # subsonic: lam_l < 0 < lam_r; "mixed" makes the first three
-    # interfaces supersonic to the right and the last three to the left
     lam_l = rng.uniform(-2.0, -0.1, m)
     lam_r = rng.uniform(0.1, 2.0, m)
     shift = np.zeros(m)
@@ -282,10 +314,36 @@ def test_hll_fused_flux_matches_two_flux_form(speeds):
         shift[: 3 if speeds == "mixed" else m] = 2.5
     if speeds in ("mixed", "negative"):
         shift[-3 if speeds == "mixed" else 0:] = -2.5
-    lam_l, lam_r = lam_l + shift, lam_r + shift
-    want = oracles.hll_reference(a, b, u2, theta, lam_l, lam_r)
-    got = _hll(a, b, u2, theta, lam_l, lam_r)
+    return a, b, u2, theta, lam_l + shift, lam_r + shift
+
+
+@pytest.mark.parametrize("speeds", ["mixed", "positive", "negative"])
+def test_hll_fused_flux_matches_two_flux_form(speeds):
+    # the two banded operators on the two traces equal the textbook
+    # combination of the traces' slot-wise fluxes on the grades < M, which
+    # the top grade does not reach
+    M = 6
+    a, b, *rest = _hll_case(np.random.default_rng(11), M, 9, speeds)
+    a, b = _evolved(a), _evolved(b)
+    want = oracles.hll_reference(a, b, *rest)
+    got = _hll(a, b, np.zeros((9, 36)), *rest) * grade_mask(M + 1, M - 1)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("M", [3, 6, 10])
+@pytest.mark.parametrize("speeds", ["mixed", "positive", "negative"])
+def test_hll_closure_flux_term(M, speeds):
+    # the HLL flux of the (M+1)-edge traces with the closure flux term
+    # alpha2 P_alpha added at alpha - e2 is the textbook HLL flux of the
+    # (M+2)-edge traces whose top grade is P, on every evolved grade
+    a, b, *rest = _hll_case(np.random.default_rng(M), M, 9, speeds)
+    want = oracles.hll_reference(a, b, *rest)
+    got = _hll(_evolved(a), _evolved(b), _top(a), *rest)
+    tol = 1e-14 * np.max(np.abs(want))
+    np.testing.assert_allclose(got, _evolved(want), rtol=0, atol=tol)
+    # without the term the comparison fails by far
+    without = _hll(_evolved(a), _evolved(b), 0.0 * _top(a), *rest)
+    assert np.max(np.abs(without - _evolved(want))) > 1e3 * tol
 
 
 def test_supersonic_flow_is_upwinded(monkeypatch):
@@ -298,9 +356,9 @@ def test_supersonic_flow_is_upwinded(monkeypatch):
     assert 5.0 > cfg.signal_speed * math.sqrt(0.5)
     calls = _hll_calls(monkeypatch)
     _transport_rate(g, cfg, 0.01)
-    ((a, b, u2, theta, lam_l, lam_r, F),) = calls
+    ((a, b, top, u2, theta, lam_l, lam_r, F),) = calls
     assert np.all(lam_l > 0) and np.all(lam_r > lam_l)
-    np.testing.assert_array_equal(F, _flux(a, u2, theta))
+    np.testing.assert_array_equal(F * grade_mask(4, 3), _closed_flux(a, top, u2, theta))
 
 
 def test_hll_mirror_interface_has_no_mass_flux(monkeypatch):
@@ -313,7 +371,7 @@ def test_hll_mirror_interface_has_no_mass_flux(monkeypatch):
     for j in range(3):
         u, theta, f = oracles.random_admissible(rng, 4)
         u[1] = 0.17 * (1 - j)
-        cubes.append(cube_from_dict(4, f))
+        cubes.append(_evolved(cube_from_dict(4, f)))
         us.append(u)
         ths.append(theta)
     g = Grid1D(-0.5, 0.5, np.array(us), np.array(ths), np.array(cubes))
@@ -362,7 +420,7 @@ def test_reconstruct_uniform_field():
     g = _uniform_grid(n=8, rho=1.3, theta=0.8)
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
     (t_u, t_th, t_c), _ = _interface_data(g, cfg)
-    assert t_c.shape == (2, 9, 5, 5, 5)
+    assert t_c.shape == (2, 9, 4, 4, 4)
     np.testing.assert_allclose(t_c[:, :, 0, 0, 0], 1.3, rtol=1e-14)
     np.testing.assert_array_equal(t_c[0], t_c[1])
     np.testing.assert_array_equal(t_th[0], t_th[1])
