@@ -55,6 +55,21 @@ class WallSpec:
             raise ValueError("wall velocity u_wall must be a finite 3-vector")
 
 
+def check_walls(config, normal_motion=True):
+    """Reject a run config whose wall at one end is labelled for the other,
+    or, unless ``normal_motion``, moves along the wall normal e2."""
+    for side in ("left", "right"):
+        wall = getattr(config, side)
+        if wall is None:
+            continue
+        if wall.side != side:
+            raise ValueError("the %s wall is labelled side=%r" % (side, wall.side))
+        if not normal_motion and wall.u_wall[1] != 0.0:
+            raise ValueError("the %s wall moves along its normal (u_wall[1] = %r), "
+                             "which this solver does not support"
+                             % (side, float(wall.u_wall[1])))
+
+
 @lru_cache(maxsize=None)
 def s_table(nmax):
     """Table of the half-range pair integrals S(m, n), 0 <= m, n <= nmax."""

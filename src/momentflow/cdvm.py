@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import WallSpec
+from .boundary import WallSpec, check_walls
 from .collision import relaxation_time
 from .march import check_stop_options, march
 from .moments import SNAPSHOT_COLUMNS, work_array
@@ -85,19 +85,11 @@ class DvGrid:
         rho = np.asarray(rho, dtype=float)
         u = np.asarray(u, dtype=float)
         theta = np.asarray(theta, dtype=float)
+        g = [np.exp(-((x - u[..., d, None]) ** 2) / (2.0 * theta[..., None]))
+             for d, x in enumerate(self.axes)]
         norm = rho * (2.0 * math.pi * theta) ** -1.5
-        out = norm[..., None, None, None] * np.ones(self.counts)
-        shapes = (
-            (Ellipsis, slice(None), None, None),
-            (Ellipsis, None, slice(None), None),
-            (Ellipsis, None, None, slice(None)),
-        )
-        for d in range(3):
-            g = np.exp(
-                -((self.axes[d] - u[..., d, None]) ** 2) / (2.0 * theta[..., None])
-            )
-            out = out * g[shapes[d]]
-        return out
+        return ((norm[..., None] * g[0])[..., :, None, None]
+                * g[1][..., None, :, None] * g[2][..., None, None, :])
 
 
 # unit multi-indices, and the raw-moment indices e_a + e_b of the momentum
@@ -141,124 +133,86 @@ def dv_moments(values, grid):
 
 
 def _axis_gaussians(grid, u, theta):
-    """Per-axis factors exp(-(x - u_d)^2 / 2 theta) and their weighted
-    moment sums A[k] = sum w x^k g for k = 0..4; shapes (..., n_d) / (..., 5)."""
-    gs, As = [], []
+    """Per axis d, the nodal table g c^k, k = 0..6, of g = exp(-c^2 / 2 theta)
+    at c = xi_d - u_d, shape (..., n_d, 7), and its weighted sums S_d[k] =
+    sum w_d g c^k, shape (..., 7)."""
+    tables, sums = [], []
     for d in range(3):
-        x = grid.axes[d]
-        w = grid.weights[d]
-        g = np.exp(-((x[None] - u[..., d, None]) ** 2) / (2.0 * theta[..., None]))
-        wx = np.stack([w * x**k for k in range(5)], axis=0)     # (5, n)
-        As.append(np.einsum("...n,kn->...k", g, wx))
-        gs.append(g)
-    return gs, As
+        c = grid.axes[d] - u[..., d, None]
+        gc = np.empty(c.shape + (7,))
+        gc[..., 0] = np.exp(-c**2 / (2.0 * theta[..., None]))
+        for k in range(1, 7):
+            np.multiply(gc[..., k - 1], c, out=gc[..., k])
+        tables.append(gc)
+        sums.append(np.einsum("n,...nk->...k", grid.weights[d], gc))
+    return tables, sums
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def conservative_gaussian(grid, rho_t, m_t, T0_t, u_seed, theta_seed):
-    """Gaussian parameters whose discrete moments hit the targets exactly.
+    """Gaussian parameters whose quadrature mass, momentum and T0 = <|xi|^2
+    f> hit the targets exactly: the conservative discrete equilibrium of
+    Mieussens, JCP 162 (2000).
 
-    Newton in (rho, u1, u2, u3, theta) matching quadrature mass, momentum
-    and total second moment T0 = <|xi|^2 f>.  Returns (rho, u, theta, axis
-    factors, axis moment tables); raises if the iteration stalls.
+    Under quadrature the Gaussian rho (2 pi theta)^-3/2 g_1 g_2 g_3 is a
+    product of 1-D distributions; along axis d the normalized moments of c =
+    xi_d - u_d are m_k = S_d[k] / S_d[0] (``_axis_gaussians``), the mean is
+    u_d + m_1 and the variance v_d = m_2 - m_1^2.  The density is eliminated
+    (rho = rho_t (2 pi theta)^3/2 / prod_d S_d[0] makes the mass exact), so
+    Newton runs in (u, theta) on the residuals
+
+        r_d = u_d + m_1 - m_t,d / rho_t,
+        r_theta = sum_d v_d - (T0_t / rho_t - |m_t / rho_t|^2).
+
+    Axis d depends on u_d and theta alone, so the Jacobian, from dE[phi]/du_d
+    = Cov(phi, xi_d) / theta and dE[phi]/dtheta = Cov(phi, c^2) / (2 theta^2),
+    is an arrow, solved by its Schur complement.  It stops once momentum
+    over rho_t sqrt(theta_seed) and T0 over |T0_t| are within
+    ``NEWTON_TOL``; a step moves u by at most sqrt(theta), theta by at most
+    theta / 2.  An unreachable cell may run to a zero variance on the way:
+    it fails that test like any other.
+
+    Returns (rho, u, theta, tables, sums), the tables and sums of
+    ``_axis_gaussians`` at the returned parameters; raises RuntimeError
+    naming the first cell still off after ``NEWTON_MAX_ITER`` evaluations.
     """
-    rho = np.array(rho_t, dtype=float)
     u = np.array(u_seed, dtype=float)
     theta = np.array(theta_seed, dtype=float)
-    scale = np.stack(
-        [
-            rho_t,
-            rho_t * np.sqrt(theta_seed),
-            rho_t * np.sqrt(theta_seed),
-            rho_t * np.sqrt(theta_seed),
-            np.abs(T0_t),
-        ],
-        axis=-1,
-    )
-    targets = np.stack([rho_t, m_t[..., 0], m_t[..., 1], m_t[..., 2], T0_t], axis=-1)
-
+    mean_t = m_t / rho_t[..., None]
+    var_t = T0_t / rho_t - np.sum(mean_t**2, axis=-1)
+    scale_u = np.sqrt(theta_seed)[..., None]
+    scale_th = np.abs(T0_t) / rho_t
     for _ in range(NEWTON_MAX_ITER):
-        gs, As = _axis_gaussians(grid, u, theta)
-        norm = rho * (2.0 * math.pi * theta) ** -1.5
-        A0 = [As[d][..., 0] for d in range(3)]
-        A1 = [As[d][..., 1] for d in range(3)]
-        A2 = [As[d][..., 2] for d in range(3)]
+        tables, sums = _axis_gaussians(grid, u, theta)
+        S = np.stack(sums, axis=-2)                     # (..., 3, 7)
+        m1, m2, m3, m4 = (S[..., k] / S[..., 0] for k in range(1, 5))
+        var = m2 - m1**2
+        r_u = u + m1 - mean_t
+        r_th = np.sum(var, axis=-1) - var_t
+        err = np.maximum(np.max(np.abs(r_u) / scale_u, axis=-1),
+                         np.abs(r_th) / scale_th)
+        if np.all(err < NEWTON_TOL):
+            rho = rho_t * (2.0 * math.pi * theta) ** 1.5 / np.prod(S[..., 0], axis=-1)
+            return rho, u, theta, tables, sums
 
-        def others(d):
-            e, f = [x for x in range(3) if x != d]
-            return A0[e] * A0[f]
-
-        prod0 = A0[0] * A0[1] * A0[2]
-        mom = np.empty(targets.shape)
-        mom[..., 0] = norm * prod0
-        for d in range(3):
-            mom[..., 1 + d] = norm * A1[d] * others(d)
-        mom[..., 4] = norm * sum(A2[d] * others(d) for d in range(3))
-        r = mom - targets
-        if np.max(np.abs(r) / scale) < NEWTON_TOL:
-            return rho, u, theta, gs, As
-
-        # d/du_d and d/dtheta of the axis sums
-        Bu = [
-            [
-                (As[d][..., k + 1] - u[..., d] * As[d][..., k]) / theta
-                for k in range(4)
-            ]
-            for d in range(3)
-        ]
-        Bt = [
-            [
-                (
-                    As[d][..., k + 2]
-                    - 2.0 * u[..., d] * As[d][..., k + 1]
-                    + u[..., d] ** 2 * As[d][..., k]
-                )
-                / (2.0 * theta**2)
-                for k in range(3)
-            ]
-            for d in range(3)
-        ]
-        J = np.empty(targets.shape + (5,))
-        J[..., :, 0] = mom / rho[..., None]
-        for d in range(3):
-            e, f = [x for x in range(3) if x != d]
-            dprod = Bu[d][0] * A0[e] * A0[f]
-            J[..., 0, 1 + d] = norm * dprod
-            for dd in range(3):
-                if dd == d:
-                    J[..., 1 + dd, 1 + d] = norm * Bu[d][1] * A0[e] * A0[f]
-                else:
-                    ee = [x for x in range(3) if x not in (d, dd)][0]
-                    J[..., 1 + dd, 1 + d] = norm * A1[dd] * Bu[d][0] * A0[ee]
-            term = Bu[d][2] * A0[e] * A0[f]
-            for dd in (e, f):
-                ee = [x for x in range(3) if x not in (d, dd)][0]
-                term = term + A2[dd] * Bu[d][0] * A0[ee]
-            J[..., 4, 1 + d] = norm * term
-        dn = -1.5 * norm / theta
-        dprod_t = (
-            Bt[0][0] * A0[1] * A0[2]
-            + A0[0] * Bt[1][0] * A0[2]
-            + A0[0] * A0[1] * Bt[2][0]
-        )
-        J[..., 0, 4] = dn * prod0 + norm * dprod_t
-        for d in range(3):
-            e, f = [x for x in range(3) if x != d]
-            t = Bt[d][1] * A0[e] * A0[f]
-            t = t + A1[d] * (Bt[e][0] * A0[f] + A0[e] * Bt[f][0])
-            J[..., 1 + d, 4] = dn * A1[d] * others(d) + norm * t
-        t = 0.0
-        for d in range(3):
-            e, f = [x for x in range(3) if x != d]
-            t = t + Bt[d][2] * A0[e] * A0[f]
-            t = t + A2[d] * (Bt[e][0] * A0[f] + A0[e] * Bt[f][0])
-        J[..., 4, 4] = dn * sum(A2[d] * others(d) for d in range(3)) + norm * t
-
-        delta = np.linalg.solve(J, -r[..., None])[..., 0]
-        rho = rho + np.clip(delta[..., 0], -0.5 * rho, 0.5 * rho)
-        cap = np.sqrt(theta)
-        u = u + np.clip(delta[..., 1:4], -cap[..., None], cap[..., None])
-        theta = theta + np.clip(delta[..., 4], -0.5 * theta, 0.5 * theta)
-    raise RuntimeError("conservative Gaussian correction did not converge")
+        # arrow: d mean_d / d u_d = a_d, d mean_d / d theta = b_d,
+        # d v_d / d u_d = c_d (c_a = c_d / a_d), d sum_d v_d / d theta = e
+        th = theta[..., None]
+        a = var / th
+        b = (m3 - m1 * m2) / (2.0 * th**2)
+        c_a = (m3 - 3.0 * m1 * m2 + 2.0 * m1**3) / th / a
+        e = np.sum(m4 - 2.0 * m1 * m3 + 2.0 * m1**2 * m2 - m2**2, axis=-1) / (
+            2.0 * theta**2)
+        d_th = (np.sum(c_a * r_u, axis=-1) - r_th) / (e - np.sum(c_a * b, axis=-1))
+        d_u = -(r_u + b * d_th[..., None]) / a
+        u = u + np.clip(d_u, -np.sqrt(th), np.sqrt(th))
+        theta = theta + np.clip(d_th, -0.5 * theta, 0.5 * theta)
+    j = int(np.flatnonzero(~(err < NEWTON_TOL))[0])
+    raise RuntimeError(
+        "conservative Gaussian correction did not converge in cell %d in "
+        "collision (scaled residual %.3g after %d iterations)"
+        % (j, float(np.ravel(err)[j]), NEWTON_MAX_ITER)
+    )
 
 
 # cubic polynomials in c = xi - u are tensors p[..., i, j, k] of the
@@ -300,23 +254,18 @@ def collide_field(values, grid, kn, pr, dt):
         )
     m = rho[..., None] * u
     T0 = (3.0 * theta + np.sum(u**2, axis=-1)) * rho
-    rho_g, u_g, th_g, gs, _ = conservative_gaussian(grid, rho, m, T0, u, theta)
+    rho_g, u_g, th_g, tables, sums = conservative_gaussian(grid, rho, m, T0,
+                                                           u, theta)
     norm = rho_g * (2.0 * math.pi * th_g) ** -1.5
     tau = relaxation_time(rho, theta, kn)
     e_full = np.exp(-dt / tau)
     e_pr = np.exp(-pr * dt / tau)
 
-    # per axis: nodal factors H_d[..., n, i] = g_d c_d^i and the Hankel
-    # table K_d[..., i, j] = S_d[i + j], so <G p r> / norm is p K1 K2 K3 r
-    H, K = [], []
-    for d in range(3):
-        c = grid.axes[d] - u_g[..., d, None]
-        gc = np.empty(c.shape + (7,))
-        gc[..., 0] = gs[d]
-        for k in range(1, 7):
-            np.multiply(gc[..., k - 1], c, out=gc[..., k])
-        H.append(gc[..., :4])
-        K.append(np.einsum("n,...nk->...k", grid.weights[d], gc)[..., _HANKEL])
+    # per axis, from the Newton's last tables: nodal factors H_d[..., n, i]
+    # = g_d c_d^i and the Hankel table K_d[..., i, j] = S_d[i + j], so
+    # <G p r> / norm is p K1 K2 K3 r
+    H = [t[..., :4] for t in tables]
+    K = [S[..., _HANKEL] for S in sums]
 
     # Shakhov polynomial b = sum_a sq_a c_a (sum_e c_e^2 / theta_G - 5)
     sq = q / (5.0 * rho * theta**2)[..., None]
@@ -488,6 +437,7 @@ class DvRunConfig:
 
     def __post_init__(self):
         check_stop_options(self)
+        check_walls(self, normal_motion=False)
         if not (self.kn > 0):
             raise ValueError("Knudsen number must be positive")
         if not (0.0 < self.pr <= 1.0):

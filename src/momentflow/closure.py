@@ -3,7 +3,8 @@
 The evolved system stores orders <= M in cubes of edge M + 1; the
 order-(M+1) block that closes the transport fluxes is predicted from first
 derivatives of the lower moments and of (rho, u, theta), scaled by the
-relaxation time, as a compact (..., T) block that is never stored.  Only
+relaxation time, as a compact (..., T) block that is never stored; only
+its slots with alpha2 >= 1 are predicted, as the a2-flux reads no other.  Only
 wall-normal (y) derivatives survive in a 1-D channel, while the velocity
 space keeps all three dimensions, so the inner dimension sums always run
 over d = 1..3.  Coefficients whose index would go negative are zero.
@@ -29,23 +30,25 @@ _SHIFTS = (
 def _top_reads(K):
     """Gather tables of the prediction on |alpha| = K from cubes of edge K.
 
-    Returns the top-grade multi-indices (T, 3); the flat cube indices of
-    the distinct slots read, and for each shift s of ``_SHIFTS`` and top
-    slot alpha (11, T) the position among them of alpha - s, clipped into
-    the cube where alpha - s leaves it; the positions of those out-of-range
-    reads, which must read as zero, in the flattened (11, T) block; and for
-    the top slots with alpha2 >= 1, the flat indices of alpha - e2, their
-    positions among the top slots and alpha2.
+    Only the top slots with alpha2 >= 1 are predicted: the flux reads the
+    top grade as alpha2 P_alpha at alpha - e2, so alpha2 = 0 never enters
+    it, and alpha - e2 always lies in the cube.  Returns those multi-indices
+    (T, 3), T = K (K + 1) / 2; the flat cube indices of the distinct slots
+    read, and for each shift s of ``_SHIFTS`` and top slot alpha (11, T)
+    the position among them of alpha - s, clipped into the cube where
+    alpha - s leaves it; the positions of those out-of-range reads, which
+    must read as zero, in the flattened (11, T) block; and the flat indices
+    of alpha - e2 and alpha2.
     """
     tops = np.argwhere(order_cube(K + 1) == K)
+    tops = tops[tops[:, 1] >= 1]
     src = tops[None, :, :] - np.asarray(_SHIFTS)[:, None, :]
     outside = np.any((src < 0) | (src > K - 1), axis=-1)
     flat = np.ravel_multi_index(tuple(np.moveaxis(src, -1, 0)), (K,) * 3,
                                 mode="clip")
     slots, rows = np.unique(flat, return_inverse=True)
-    e2 = np.flatnonzero(~outside[0])
     tables = (tops, slots, rows.reshape(flat.shape), np.flatnonzero(outside),
-              flat[0, e2], e2, tops[e2, 1] * 1.0)
+              flat[0], tops[:, 1] * 1.0)
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -54,16 +57,13 @@ def _top_reads(K):
 def gradient_reads(cubes):
     """The one slot per top-grade slot alpha at which the prediction reads
     the gradient field, f_{alpha - e2}, from every cube of ``cubes``
-    (..., K, K, K): an (..., T) block, zero where alpha - e2 leaves the cube.
+    (..., K, K, K): an (..., T) block.
 
     The read is linear, so differencing the reads of the field values gives
     the reads of their difference.
     """
     K = cubes.shape[-1]
-    tops, *_, slots, e2, _ = _top_reads(K)
-    r = np.zeros(cubes.shape[:-3] + (len(tops),))
-    r[..., e2] = cubes.reshape(cubes.shape[:-3] + (K**3,))[..., slots]
-    return r
+    return cubes.reshape(cubes.shape[:-3] + (K**3,))[..., _top_reads(K)[4]]
 
 
 def add_top_flux(flux, top):
@@ -71,8 +71,8 @@ def add_top_flux(flux, top):
     alpha - e2 for the prediction ``top`` (..., T) of ``closure_coeffs``,
     to the C-contiguous cubes ``flux`` (..., K, K, K); returns ``flux``."""
     K = flux.shape[-1]
-    *_, slots, e2, a2 = _top_reads(K)
-    flux.reshape(flux.shape[:-3] + (K**3,))[..., slots] += top[..., e2] * a2
+    *_, slots, a2 = _top_reads(K)
+    flux.reshape(flux.shape[:-3] + (K**3,))[..., slots] += top * a2
     return flux
 
 
@@ -85,8 +85,8 @@ def closure_coeffs(traces, mean_theta, grad_reads, grad_u, grad_theta,
     mean, gathered at the 11 index shifts of ``_SHIFTS`` and only there.
     ``grad_reads``: (..., T), d/dy of the ``gradient_reads`` of the
     coefficient field; ``grad_u``: (..., 3); the scalars broadcast over the
-    batch.  Returns the (..., T) prediction on the indices |alpha| = M+1,
-    in the order of ``_top_reads``.
+    batch.  Returns the (..., T) prediction on the indices |alpha| = M+1
+    with alpha2 >= 1, in the order of ``_top_reads``.
     """
     c = np.asarray(traces, dtype=float)
     K = c.shape[-1]

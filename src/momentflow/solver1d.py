@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import WallSpec, ghost_state
+from .boundary import WallSpec, check_walls, ghost_state
 from .closure import add_top_flux, closure_coeffs, gradient_reads
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
@@ -183,6 +183,7 @@ class RunConfig:
         if self.M < 3:
             raise ValueError("moment order M must be at least 3")
         check_stop_options(self)
+        check_walls(self)
         if not (self.kn > 0):
             raise ValueError("Knudsen number must be positive")
         if not (0.0 < self.pr <= 1.0):

@@ -110,9 +110,10 @@ def test_moments_batched_match_single():
 # conservative projection
 
 
-def _gaussian_from(rho_g, u_g, th_g, gs):
-    """Assemble nodal Gaussians from batched axis factors, shape (N, n, n, n)."""
+def _gaussian_from(rho_g, u_g, th_g, tables):
+    """Assemble nodal Gaussians from batched axis tables, shape (N, n, n, n)."""
     norm = rho_g * (2.0 * math.pi * th_g) ** -1.5
+    gs = [t[..., 0] for t in tables]
     return (
         norm[:, None, None, None]
         * gs[0][:, :, None, None]
@@ -121,40 +122,76 @@ def _gaussian_from(rho_g, u_g, th_g, gs):
     )
 
 
-def test_conservative_gaussian_hits_targets():
-    # targets taken from a decidedly non-Gaussian state: two-beam mixture
-    f = (
-        0.6 * GRID.maxwellian(1.0, np.array([0.4, 0.3, 0.0]), 0.7)
-        + 0.4 * GRID.maxwellian(1.0, np.array([-0.5, -0.2, 0.1]), 1.3)
-    )[None]
-    w3 = GRID.w3
-    x1, x2, x3 = GRID.axes
-    rho_t = np.sum(w3 * f, axis=(-3, -2, -1))
-    m_t = np.stack(
-        [
-            np.einsum("jxyz,x->j", w3 * f, x1),
-            np.einsum("jxyz,y->j", w3 * f, x2),
-            np.einsum("jxyz,z->j", w3 * f, x3),
-        ],
-        axis=-1,
+def _raw_moments(grid, f):
+    """Quadrature mass, momentum and T0 = <|xi|^2 f> of cells (N, n1, n2, n3)
+    by full-cube sums."""
+    fw = grid.w3 * f
+    m = np.stack([np.einsum("jxyz,x->j", fw, grid.axes[0]),
+                  np.einsum("jxyz,y->j", fw, grid.axes[1]),
+                  np.einsum("jxyz,z->j", fw, grid.axes[2])], axis=-1)
+    T0 = (np.einsum("jxyz,x->j", fw, grid.axes[0] ** 2)
+          + np.einsum("jxyz,y->j", fw, grid.axes[1] ** 2)
+          + np.einsum("jxyz,z->j", fw, grid.axes[2] ** 2))
+    return fw.sum(axis=(-3, -2, -1)), m, T0
+
+
+# grid and two-beam cells (0.6 M(u_a, theta_a) + 0.4 M(u_b, theta_b)), one
+# per (u_a, theta_a, u_b, theta_b): decidedly non-Gaussian targets
+_BEAMS = ((0.4, 0.3, 0.0), 0.7, (-0.5, -0.2, 0.1), 1.3)
+NEWTON_CASES = {
+    "48-nodes": (GRID, [_BEAMS]),
+    "8-nodes": (DvGrid.cube(5.0, 8), [_BEAMS]),
+    "unequal-counts": (DvGrid(((-6.0, 6.0),) * 3, (12, 16, 10)), [_BEAMS]),
+    "several-cells": (DvGrid.cube(6.0, 16), [
+        _BEAMS,
+        ((0.1, -0.6, 0.2), 1.1, (0.8, 0.4, -0.3), 0.5),
+        ((-1.0, 0.0, 0.5), 0.6, (-0.2, 0.9, 0.0), 1.6),
+    ]),
+    "drifted-hot-near-edge": (DvGrid.cube(8.0, 24), [
+        ((2.5, -1.5, 0.5), 2.0, (3.5, -2.5, 1.0), 3.0),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_CASES))
+def test_conservative_gaussian_hits_targets(case):
+    grid, beams = NEWTON_CASES[case]
+    f = np.stack([0.6 * grid.maxwellian(1.0, np.array(ua), tha)
+                  + 0.4 * grid.maxwellian(1.0, np.array(ub), thb)
+                  for ua, tha, ub, thb in beams])
+    rho_t, m_t, T0_t = _raw_moments(grid, f)
+    mom = dv_moments(f, grid)
+    rho_g, u_g, th_g, tables, _ = conservative_gaussian(
+        grid, rho_t, m_t, T0_t, mom["u"], mom["theta"]
     )
-    T0_t = (
-        np.einsum("jxyz,x->j", w3 * f, x1**2)
-        + np.einsum("jxyz,y->j", w3 * f, x2**2)
-        + np.einsum("jxyz,z->j", w3 * f, x3**2)
-    )
-    mom = dv_moments(f, GRID)
-    rho_g, u_g, th_g, gs, As = conservative_gaussian(
-        GRID, rho_t, m_t, T0_t, mom["u"], mom["theta"]
-    )
-    G = _gaussian_from(rho_g, u_g, th_g, gs)
-    got = dv_moments(G, GRID)
-    assert got["rho"][0] == pytest.approx(rho_t[0], rel=1e-12)
-    np.testing.assert_allclose(
-        got["rho"][:, None] * got["u"], m_t, atol=1e-12 * rho_t[0]
-    )
-    got_T0 = (3.0 * got["theta"] + np.sum(got["u"] ** 2, axis=-1)) * got["rho"]
-    assert got_T0[0] == pytest.approx(T0_t[0], rel=1e-12)
+    rho, m, T0 = _raw_moments(grid, _gaussian_from(rho_g, u_g, th_g, tables))
+    np.testing.assert_allclose(rho, rho_t, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(m, m_t, rtol=0.0, atol=1e-12 * np.max(rho_t))
+    np.testing.assert_allclose(T0, T0_t, rtol=1e-12, atol=0.0)
+
+
+def _stall_targets(means):
+    """Targets of unit mass and unit temperature with the given means."""
+    mean = np.array(means, dtype=float)
+    rho = np.ones(len(mean))
+    return rho, rho[:, None] * mean, rho * (3.0 + np.sum(mean**2, axis=-1))
+
+
+@pytest.mark.parametrize("mean", [(0.0, 12.0, 0.0), (np.nan, 0.0, 0.0)],
+                         ids=["beyond-grid", "nan"])
+def test_conservative_gaussian_stall_raises(mean):
+    # no Gaussian on [-8, 8]^3 has a quadrature mean of 12, and NaN never
+    # passes the residual test
+    rho, m, T0 = _stall_targets([mean])
+    with pytest.raises(RuntimeError, match="did not converge in cell 0 in collision"):
+        conservative_gaussian(GRID, rho, m, T0, np.zeros((1, 3)), np.ones(1))
+
+
+def test_conservative_gaussian_stall_names_the_cell():
+    # cell 0 is reachable, cell 1 is not: the error names cell 1
+    rho, m, T0 = _stall_targets([(0.1, 0.0, 0.0), (0.0, 12.0, 0.0)])
+    with pytest.raises(RuntimeError, match="in cell 1 in collision"):
+        conservative_gaussian(GRID, rho, m, T0, np.zeros((2, 3)), np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +232,8 @@ def test_collision_pr_one_is_bgk():
     rho, u, th = mom["rho"], mom["u"], mom["theta"]
     m = rho[:, None] * u
     T0 = (3.0 * th + np.sum(u**2, axis=-1)) * rho
-    rho_g, u_g, th_g, gs, As = conservative_gaussian(GRID, rho, m, T0, u, th)
-    G = _gaussian_from(rho_g, u_g, th_g, gs)
+    rho_g, u_g, th_g, tables, _ = conservative_gaussian(GRID, rho, m, T0, u, th)
+    G = _gaussian_from(rho_g, u_g, th_g, tables)
     dt, kn = 0.2, 0.5
     tau = relaxation_time(rho[0], th[0], kn)
     want = G + (f - G) * math.exp(-dt / tau)
@@ -460,6 +497,13 @@ def test_moving_normal_wall_rejected():
     fld = _slab(n=8)
     with pytest.raises(NotImplementedError):
         transport_field(fld, 1e-3, None, wall)
+
+
+def test_moving_normal_wall_rejected_by_config():
+    # the run config refuses the wall before any transport step
+    wall = WallSpec(1.0, np.array([0.0, 0.2, 0.0]), 1.0, "right")
+    with pytest.raises(ValueError, match="moves along its normal"):
+        DvRunConfig(kn=0.1, t_end=1.0, right=wall)
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,13 @@ def test_matches_term_by_term_reference():
         mean, grads = _fields(seed, M)
         tau = 0.37
         got = closure_coeffs(**_cube_args(M, mean, grads, tau))
-        ref = oracles.closure_reference(M, mean, grads, tau)
+        ref = {alpha: v for alpha, v in
+               oracles.closure_reference(M, mean, grads, tau).items()
+               if alpha[1] >= 1}
         scale = max(1.0, max(abs(v) for v in ref.values()))
-        # one entry per top-grade index, and no other
-        assert got.shape == (len(ref),)
+        # one entry per top-grade index with alpha2 >= 1, the slots the
+        # a2-flux reads, and no other
+        assert got.shape == (len(ref),) == ((M + 1) * (M + 2) // 2,)
         assert sorted(_tops(M)) == sorted(ref)
         for alpha, value in zip(_tops(M), got):
             assert value == pytest.approx(ref[alpha], rel=1e-13,
@@ -150,7 +153,7 @@ def test_batched_matches_single():
 def test_closure_writes_only_top_grade():
     # every evolved slot of the inputs is filled and every slot beyond grade
     # M is NaN: the result is a new (N, T) block, one finite nonzero value
-    # per top-grade index, and the inputs are left alone
+    # per top-grade index with alpha2 >= 1, and the inputs are left alone
     M = 4
     K = M + 1
     rng = np.random.default_rng(4)
@@ -164,7 +167,7 @@ def test_closure_writes_only_top_grade():
     pair0, reads0 = pair.copy(), reads.copy()
     out = closure_coeffs(pair, np.full(3, 0.9), reads, rng.standard_normal((3, 3)),
                          np.full(3, 0.2), np.full(3, -0.1), np.full(3, 0.3))
-    assert out.shape == (3, (M + 2) * (M + 3) // 2)
+    assert out.shape == (3, (M + 1) * (M + 2) // 2)
     assert np.all(np.isfinite(out)) and np.all(out != 0.0)
     np.testing.assert_array_equal(pair, pair0)
     np.testing.assert_array_equal(reads, reads0)
@@ -207,7 +210,7 @@ def test_batched_prediction_equals_each_slice():
             rng.standard_normal((3, 3)), rng.standard_normal(3),
             rng.standard_normal(3), rng.uniform(size=3))
     block = closure_coeffs(pair, *args)
-    assert block.shape == (3, (M + 2) * (M + 3) // 2)
+    assert block.shape == (3, (M + 1) * (M + 2) // 2)
     for i in range(3):
         single = closure_coeffs(pair[:, i], *(a[i] for a in args))
         np.testing.assert_array_equal(block[i], single)

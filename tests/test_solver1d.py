@@ -65,8 +65,7 @@ def _closed_flux(cubes, top, u2, theta):
                     np.zeros_like(u2), K)
     F = np.matmul(op[..., None, :, :], cubes)
     for i, (a1, a2, a3) in enumerate(_top_reads(K)[0]):
-        if a2:
-            F[..., a1, a2 - 1, a3] += a2 * top[..., i]
+        F[..., a1, a2 - 1, a3] += a2 * top[..., i]
     return F * grade_mask(K, K - 1)
 
 
@@ -197,6 +196,28 @@ def test_runconfig_validation():
         RunConfig(M=3, kn=0.1)  # neither end time nor steady tolerance
 
 
+_LEFT_WALL = WallSpec(1.0, np.zeros(3), 1.0, "left")
+_RIGHT_WALL = WallSpec(1.0, np.zeros(3), 1.0, "right")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RunConfig(M=3, kn=0.1, t_end=1.0, left=_RIGHT_WALL),
+        lambda: RunConfig(M=3, kn=0.1, t_end=1.0, right=_LEFT_WALL),
+        lambda: DvRunConfig(kn=0.1, t_end=1.0, left=_RIGHT_WALL),
+        lambda: DvRunConfig(kn=0.1, t_end=1.0, right=_LEFT_WALL),
+    ],
+    ids=["RunConfig-left", "RunConfig-right", "DvRunConfig-left",
+         "DvRunConfig-right"],
+)
+def test_configs_reject_wall_labelled_for_the_other_end(build):
+    # with a right-wall map at its left end a Couette run at M = 3 stops
+    # on a negative temperature in cell 0; the config refuses it instead
+    with pytest.raises(ValueError, match="labelled side="):
+        build()
+
+
 @pytest.mark.parametrize("factor", [0.0, -1.0, NAN])
 def test_runconfig_rejects_nonpositive_signal_speed_factor(factor):
     with pytest.raises(ValueError, match="signal_speed_factor"):
@@ -280,7 +301,7 @@ def test_hll_upwind_limit_ignores_right_state():
     # exactly, bit for bit
     rng = np.random.default_rng(6)
     a, b = rng.standard_normal((2, 2, 5, 5, 5)) * grade_mask(5, 4)
-    top = rng.standard_normal((2, 21))
+    top = rng.standard_normal((2, len(_top_reads(5)[0])))
     u2, theta = np.array([0.3, -0.4]), np.array([1.1, 0.7])
     lam_l = np.array([0.5, -3.0])
     lam_r = np.array([4.0, -0.2])
@@ -326,7 +347,8 @@ def test_hll_fused_flux_matches_two_flux_form(speeds):
     a, b, *rest = _hll_case(np.random.default_rng(11), M, 9, speeds)
     a, b = _evolved(a), _evolved(b)
     want = oracles.hll_reference(a, b, *rest)
-    got = _hll(a, b, np.zeros((9, 36)), *rest) * grade_mask(M + 1, M - 1)
+    top = np.zeros((9, len(_top_reads(M + 1)[0])))
+    got = _hll(a, b, top, *rest) * grade_mask(M + 1, M - 1)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
