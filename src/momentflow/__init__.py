@@ -16,7 +16,7 @@ _API = {
     "projection": ("project_coeffs", "shift_kernel"),
     "collision": ("collide_coeffs", "relaxation_time"),
     "closure": ("closure_coeffs",),
-    "boundary": ("WallSpec", "s_table", "apply_wall_bc", "ghost_state"),
+    "boundary": ("WallSpec", "s_table", "ghost_state"),
     "march": ("RunResult",),
     "solver1d": ("Grid1D", "RunConfig", "run", "step", "cfl_timestep"),
     "cdvm": ("DvGrid", "DvField", "DvRunConfig", "dv_moments", "dv_step",

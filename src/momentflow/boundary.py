@@ -19,8 +19,11 @@ to the even slab, and the wall density is a multiple of its (0, 1, 0)
 entry.  A left wall is the right-wall map conjugated by the sign vector
 s = (-1)^{a2} of the reflection v2 -> -v2, s * map(s * f); since the map
 reads only slots where s = 1, that is the right-wall odd slab with its sign
-flipped.  The map reads neither the normal frame velocity nor the wall's
-normal velocity, so the same frame and wall serve both sides.
+flipped.  The caller names the end: ``sign`` is +1 at the right wall and -1
+at the left one, so the wall's outward normal is sign * e2 (the
+discrete-velocity solver's convention).  The map reads neither the normal
+frame velocity nor the wall's normal velocity, so the same frame and wall
+serve both ends.
 """
 
 import math
@@ -37,10 +40,14 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass
 class WallSpec:
+    """A Maxwell accommodation wall: the diffusely re-emitted fraction
+    ``chi`` in [0, 1] (the rest is reflected specularly), the wall velocity
+    ``u_wall`` and temperature ``theta_wall``.  It does not name its end of
+    the slab; the wall map takes that as its ``sign`` argument."""
+
     chi: float = 1.0
     u_wall: np.ndarray = field(default_factory=lambda: np.zeros(3))
     theta_wall: float = 1.0
-    side: str = "right"
 
     def __post_init__(self):
         if not (0.0 <= self.chi <= 1.0):
@@ -48,26 +55,9 @@ class WallSpec:
         if not (0.0 < self.theta_wall < math.inf):
             raise ValueError("wall temperature theta_wall must be positive "
                              "and finite")
-        if self.side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
         self.u_wall = np.asarray(self.u_wall, dtype=float)
         if self.u_wall.shape != (3,) or not np.all(np.isfinite(self.u_wall)):
             raise ValueError("wall velocity u_wall must be a finite 3-vector")
-
-
-def check_walls(config, normal_motion=True):
-    """Reject a run config whose wall at one end is labelled for the other,
-    or, unless ``normal_motion``, moves along the wall normal e2."""
-    for side in ("left", "right"):
-        wall = getattr(config, side)
-        if wall is None:
-            continue
-        if wall.side != side:
-            raise ValueError("the %s wall is labelled side=%r" % (side, wall.side))
-        if not normal_motion and wall.u_wall[1] != 0.0:
-            raise ValueError("the %s wall moves along its normal (u_wall[1] = %r), "
-                             "which this solver does not support"
-                             % (side, float(wall.u_wall[1])))
 
 
 @lru_cache(maxsize=None)
@@ -133,9 +123,10 @@ def _wall_factors(u, theta, wall, K):
     return pw, np.array(rows)
 
 
-def _odd_slab(u, theta, coeffs, wall):
-    """Odd-a2 slab of the wall state, +-2 chi / (2 - chi) (p + R) on the
-    retained grades: + at a right wall, - at a left one.
+def _odd_slab(u, theta, coeffs, wall, sign):
+    """Odd-a2 slab of the wall state, sign * 2 chi / (2 - chi) (p + R) on
+    the retained grades, with ``sign`` +1 at a right wall and -1 at a left
+    one.
 
     R = diag(theta^{a/2}) S[odd a, even b] diag(theta^{-b/2}) f[:, even b, :]
     is the reflected part; p the incoming-half wall Maxwellian
@@ -149,35 +140,18 @@ def _odd_slab(u, theta, coeffs, wall):
     rho_wall = math.sqrt(2.0 * math.pi / wall.theta_wall) * R[0, 0, 0]
     R += (rho_wall * J[0])[:, None, None] * (J[1, 1::2, None] * J[2])
     R *= mask
-    pref = 2.0 * wall.chi / (2.0 - wall.chi)
-    R *= pref if wall.side == "right" else -pref
+    R *= sign * (2.0 * wall.chi / (2.0 - wall.chi))
     return R
 
 
-def apply_wall_bc(u, theta, coeffs, wall):
-    """Map a boundary-adjacent state onto one satisfying the wall condition.
-
-    Returns ``(u_b, theta, f_b)``.  The exchange acts directly on the stored
-    coefficients: even-a2 slots are kept verbatim, odd-a2 slots are rebuilt
-    from them, and the result is declared about the center
-    u_b = (u1, u2_wall, u3) at the gas temperature.  Keeping the even slots
-    untouched is what preserves the zero first-moment and zero-trace
-    constraints for any admissible input.
-    """
-    fb = np.array(coeffs, dtype=float)
-    fb[:, 1::2, :] = _odd_slab(u, theta, coeffs, wall)
-    u_b = np.array(u, dtype=float)
-    u_b[1] = wall.u_wall[1]
-    return u_b, theta, fb
-
-
-def ghost_state(u, theta, coeffs, wall):
+def ghost_state(u, theta, coeffs, wall, sign):
     """Reflected extrapolation encoding the wall: coefficients 2 f^b - f about
     the center 2 u^b - u at the gas temperature; returns ``(u, theta, f)``.
-    Its even-a2 slots are those of ``coeffs``."""
+    ``sign`` is +1 at the right wall (outward normal +e2) and -1 at the left
+    one.  Its even-a2 slots are those of ``coeffs``."""
     g = np.array(coeffs, dtype=float)
     odd = g[:, 1::2, :]
-    np.subtract(2.0 * _odd_slab(u, theta, coeffs, wall), odd, out=odd)
+    np.subtract(2.0 * _odd_slab(u, theta, coeffs, wall, sign), odd, out=odd)
     u_g = np.array(u, dtype=float)
     u_g[1] = 2.0 * wall.u_wall[1] - u_g[1]
     return u_g, theta, g

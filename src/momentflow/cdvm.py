@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import WallSpec, check_walls
+from .boundary import WallSpec
 from .collision import relaxation_time
 from .march import check_stop_options, march
 from .moments import SNAPSHOT_COLUMNS, work_array
@@ -49,20 +49,20 @@ NEGATIVITY_WARN = 1e-12
 
 @dataclass
 class DvGrid:
-    """Cartesian velocity grid, symmetric per axis, trapezoidal weights."""
+    """Cartesian velocity grid with trapezoidal weights: axis d has
+    ``counts[d]`` >= 8 equally spaced nodes on [-half_width, half_width],
+    symmetric about zero as the transport and the wall inflow need."""
 
-    bounds: tuple          # ((lo, hi),) * 3
+    half_width: float
     counts: tuple          # (n1, n2, n3)
 
     def __post_init__(self):
-        for (lo, hi), n in zip(self.bounds, self.counts):
-            if not (hi > lo) or n < 8:
-                raise ValueError("each axis needs hi > lo and at least 8 nodes")
-            if abs(lo + hi) > 1e-12 * (hi - lo):
-                raise ValueError("axes must be symmetric about zero")
-        self.axes = tuple(
-            np.linspace(lo, hi, n) for (lo, hi), n in zip(self.bounds, self.counts)
-        )
+        if not (0.0 < self.half_width < math.inf):
+            raise ValueError("half_width must be positive and finite")
+        if min(self.counts) < 8:
+            raise ValueError("each axis needs at least 8 nodes")
+        self.axes = tuple(np.linspace(-self.half_width, self.half_width, n)
+                          for n in self.counts)
         self.weights = []
         for ax in self.axes:
             w = np.full(ax.shape, ax[1] - ax[0])
@@ -70,10 +70,6 @@ class DvGrid:
             w[-1] *= 0.5
             self.weights.append(w)
         self.weights = tuple(self.weights)
-
-    @classmethod
-    def cube(cls, half_width, n):
-        return cls(((-half_width, half_width),) * 3, (n, n, n))
 
     @property
     def w3(self):
@@ -423,6 +419,7 @@ def dv_step(field, dt, left, right, kn, pr, limiter="none"):
 class DvRunConfig:
     """Options of a discrete-velocity slab run; the stop options and their
     steady residual are those of ``march.march`` (see the module docstring).
+    A wall may not move along its normal e2.
     """
 
     kn: float
@@ -437,7 +434,10 @@ class DvRunConfig:
 
     def __post_init__(self):
         check_stop_options(self)
-        check_walls(self, normal_motion=False)
+        for side, wall in (("left", self.left), ("right", self.right)):
+            if wall is not None and wall.u_wall[1] != 0.0:
+                raise ValueError("the %s wall moves along its normal, which "
+                                 "this solver does not support" % side)
         if not (self.kn > 0):
             raise ValueError("Knudsen number must be positive")
         if not (0.0 < self.pr <= 1.0):

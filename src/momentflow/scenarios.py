@@ -12,7 +12,10 @@ Three canonical slab flows drive the validation story:
 All presets use fully diffuse walls (chi = 1) at unit wall temperature and
 CFL 0.95; every field can be overridden.  Configs round-trip through a flat
 ``key = value`` text format with section headers (configparser syntax) so a
-run is reproducible from a single diffable file.
+run is reproducible from a single diffable file.  A key is a
+``ScenarioConfig`` field, parsed by its declared type; any other key, such
+as the former ``signal_speed_factor`` (now the solver constant
+``solver1d.SIGNAL_SPEED_FACTOR``), fails as an "unknown config key".
 """
 
 import configparser
@@ -58,7 +61,6 @@ class ScenarioConfig:
     max_steps: int = 200000
     limiter: str = "central"
     splitting: str = "lie"
-    signal_speed_factor: float = 1.2
     dv_half_width: float = 8.0
     dv_nodes: tuple = (32, 32, 32)
     dv_limiter: str = "none"
@@ -84,7 +86,7 @@ class ScenarioConfig:
             return None
         u = self.u_wall_left if side == "left" else self.u_wall_right
         th = self.theta_wall_left if side == "left" else self.theta_wall_right
-        return WallSpec(self.chi, np.asarray(u, dtype=float), th, side)
+        return WallSpec(self.chi, np.asarray(u, dtype=float), th)
 
 
 _PRESETS = {
@@ -100,7 +102,6 @@ _PRESETS = {
         limiter="minmod",
         dv_limiter="minmod",
         dv_half_width=10.0,
-        scenario="shock",
     ),
     "couette": dict(
         y_lo=-0.5,
@@ -110,7 +111,6 @@ _PRESETS = {
         u_wall_right=(COUETTE_WALL_SPEED, 0.0, 0.0),
         steady_tol=1e-6,
         cells=100,
-        scenario="couette",
     ),
     "poiseuille": dict(
         y_lo=-0.5,
@@ -119,9 +119,8 @@ _PRESETS = {
         force=(POISEUILLE_FORCE, 0.0, 0.0),
         steady_tol=1e-6,
         cells=100,
-        scenario="poiseuille",
     ),
-    "custom": dict(scenario="custom"),
+    "custom": {},
 }
 
 
@@ -129,28 +128,21 @@ def preset(scenario, **overrides):
     """Fully populated config for a named scenario, with overrides applied."""
     if scenario not in _PRESETS:
         raise ValueError("unknown scenario %r" % (scenario,))
-    params = dict(_PRESETS[scenario])
-    params.update(overrides)
-    return ScenarioConfig(**params)
+    return ScenarioConfig(scenario=scenario, **{**_PRESETS[scenario], **overrides})
+
+
+def _run_options(sc):
+    """The run options both solvers take from a scenario: the collision,
+    the stop and the walls."""
+    return dict(kn=sc.kn, pr=sc.pr, cfl=sc.cfl, t_end=sc.t_end,
+                steady_tol=sc.steady_tol, max_steps=sc.max_steps,
+                left=sc.wall("left"), right=sc.wall("right"))
 
 
 def to_run_config(sc):
-    return RunConfig(
-        M=sc.M,
-        kn=sc.kn,
-        pr=sc.pr,
-        cfl=sc.cfl,
-        t_end=sc.t_end,
-        steady_tol=sc.steady_tol,
-        max_steps=sc.max_steps,
-        left=sc.wall("left"),
-        right=sc.wall("right"),
-        force=np.asarray(sc.force, dtype=float),
-        splitting=sc.splitting,
-        limiter=sc.limiter,
-        signal_speed_factor=sc.signal_speed_factor,
-        scenario=sc.scenario,
-    )
+    return RunConfig(M=sc.M, force=np.asarray(sc.force, dtype=float),
+                     splitting=sc.splitting, limiter=sc.limiter,
+                     **_run_options(sc))
 
 
 def build_grid(sc):
@@ -162,59 +154,29 @@ def to_dv_config(sc):
     if np.any(np.asarray(sc.force, dtype=float) != 0.0):
         raise ValueError("the cdvm solver has no body force term; "
                          "force must be zero, got %r" % (sc.force,))
-    return DvRunConfig(
-        kn=sc.kn,
-        pr=sc.pr,
-        cfl=sc.cfl,
-        t_end=sc.t_end,
-        steady_tol=sc.steady_tol,
-        max_steps=sc.max_steps,
-        left=sc.wall("left"),
-        right=sc.wall("right"),
-        limiter=sc.dv_limiter,
-    )
+    return DvRunConfig(limiter=sc.dv_limiter, **_run_options(sc))
 
 
 def build_dv_field(sc):
-    if len(set(sc.dv_nodes)) == 1:
-        grid = DvGrid.cube(sc.dv_half_width, sc.dv_nodes[0])
-    else:
-        grid = DvGrid(
-            ((-sc.dv_half_width, sc.dv_half_width),) * 3, tuple(sc.dv_nodes)
-        )
+    grid = DvGrid(sc.dv_half_width, tuple(sc.dv_nodes))
     rho = np.full(sc.cells, sc.rho0)
     return DvField.from_fields(grid, sc.y_lo, sc.y_hi, rho, sc.u0, sc.theta0)
 
 
-_VEC_FIELDS = {"u0", "u_wall_left", "u_wall_right", "force", "dv_nodes"}
-_INT_FIELDS = {"M", "cells", "max_steps", "snapshot_interval"}
-_STR_FIELDS = {
-    "scenario",
-    "solver",
-    "left_kind",
-    "right_kind",
-    "limiter",
-    "splitting",
-    "out_dir",
-    "dv_limiter",
-}
-
-
-def _parse_value(name, text):
+def _parse_value(f, text):
+    """The value of field ``f`` written as ``text``; a tuple's entries take
+    the type of its default's entries."""
     text = text.strip()
-    if name in _STR_FIELDS:
+    if f.type is str:
         # "none" is a legal literal for limiter-style options, so string
         # fields never collapse to None
         return text
     if text.lower() in ("none", ""):
         return None
-    parts = text.replace(",", " ").split()
-    if name in _VEC_FIELDS:
-        cast = int if name == "dv_nodes" else float
-        return tuple(cast(p) for p in parts)
-    if name in _INT_FIELDS:
-        return int(text)
-    return float(text)
+    if f.type is tuple:
+        cast = type(f.default[0])
+        return tuple(cast(p) for p in text.replace(",", " ").split())
+    return f.type(text)
 
 
 def save_config(sc, path):
@@ -226,31 +188,28 @@ def save_config(sc, path):
         val = getattr(sc, f.name)
         if val is None:
             text = "none"
-        elif f.name in _VEC_FIELDS:
+        elif f.type is tuple:
             text = " ".join(repr(v) for v in val)
         else:
-            text = repr(val) if not isinstance(val, str) else val
+            text = val if f.type is str else repr(val)
         cp["run"][f.name] = text
     with open(path, "w") as fh:
         cp.write(fh)
 
 
 def load_config(path, **overrides):
-    """Read a flat config file; unknown keys are an error."""
+    """Read a flat config file onto its scenario's preset, then apply
+    ``overrides``; unknown keys are an error."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
     with open(path) as fh:
         cp.read_file(fh)
-    known = {f.name for f in fields(ScenarioConfig)}
+    known = {f.name: f for f in fields(ScenarioConfig)}
     params = {}
     for section in cp.sections():
         for key, text in cp[section].items():
             if key not in known:
                 raise ValueError("unknown config key %r" % key)
-            params[key] = _parse_value(key, text)
-    base = params.pop("scenario", "custom")
-    merged = dict(_PRESETS[base]) if base in _PRESETS else {}
-    merged.update(params)
-    merged.update(overrides)
-    merged["scenario"] = base
-    return ScenarioConfig(**merged)
+            params[key] = _parse_value(known[key], text)
+    params.update(overrides)
+    return preset(params.pop("scenario", "custom"), **params)

@@ -43,13 +43,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import WallSpec, check_walls, ghost_state
+from .boundary import WallSpec, ghost_state
 from .closure import add_top_flux, closure_coeffs, gradient_reads
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
 from .march import check_stop_options, march
 from .moments import snapshot_table, work_array
 from .projection import project_coeffs, renormalize_arrays
+
+# HLL wave speeds are u2 +- SIGNAL_SPEED_FACTOR he_root(M+1) sqrt(theta)
+SIGNAL_SPEED_FACTOR = 1.2
 
 
 @dataclass
@@ -153,14 +156,13 @@ class RunConfig:
     (|previous| + 1e-8), per unit time since the previous check (see
     ``march``).
     ``left``, ``right``: wall specification per end, None for a free
-    (zero-gradient) boundary.
+    (zero-gradient) boundary; the solver passes each wall map its end.
     ``force``: constant body acceleration; ``splitting`` "lie" applies it
     after transport and collision, "strang" in two half kicks around them.
     ``limiter``: in-cell slopes, "none" (first order), "central" or "minmod".
-    ``signal_speed_factor``: HLL wave speeds are u2 +- factor *
-    he_root(M+1) * sqrt(theta).
     ``collisionless``: skip the collision step.
-    ``scenario``: a label; the solver does not read it.
+    ``signal_speed`` (derived): c in the HLL wave speeds u2 +- c sqrt(theta),
+    the constant ``SIGNAL_SPEED_FACTOR`` times he_root(M+1).
     """
 
     M: int
@@ -175,15 +177,12 @@ class RunConfig:
     force: np.ndarray = field(default_factory=lambda: np.zeros(3))
     splitting: str = "lie"
     limiter: str = "central"
-    signal_speed_factor: float = 1.2
     collisionless: bool = False
-    scenario: str = "custom"
 
     def __post_init__(self):
         if self.M < 3:
             raise ValueError("moment order M must be at least 3")
         check_stop_options(self)
-        check_walls(self)
         if not (self.kn > 0):
             raise ValueError("Knudsen number must be positive")
         if not (0.0 < self.pr <= 1.0):
@@ -192,15 +191,13 @@ class RunConfig:
             raise ValueError("splitting must be 'lie' or 'strang'")
         if self.limiter not in ("none", "central", "minmod"):
             raise ValueError("limiter must be none, central or minmod")
-        if not (self.signal_speed_factor > 0):
-            raise ValueError("signal_speed_factor must be positive")
         self.force = np.asarray(self.force, dtype=float)
         if self.force.shape != (3,) or not np.all(np.isfinite(self.force)):
             raise ValueError("force must be a finite 3-vector")
 
     @property
     def signal_speed(self):
-        return self.signal_speed_factor * largest_he_root(self.M + 1)
+        return SIGNAL_SPEED_FACTOR * largest_he_root(self.M + 1)
 
 
 @lru_cache(maxsize=None)
@@ -309,11 +306,12 @@ def _slope(diff, limiter, out, tmp):
     return out
 
 
-def _cell_ghost(grid, j, wall):
-    """``(u, theta, coeffs)`` beyond cell j: its wall ghost at a wall, the
-    cell itself at a free end."""
+def _cell_ghost(grid, j, wall, sign):
+    """``(u, theta, coeffs)`` beyond cell j: its wall ghost at a wall (the
+    left one for ``sign`` -1, the right one for +1), the cell itself at a
+    free end."""
     state = grid.u[j], grid.theta[j], grid.coeffs[j]
-    return state if wall is None else ghost_state(*state, wall)
+    return state if wall is None else ghost_state(*state, wall, sign)
 
 
 def closure_time(rho, theta, kn, dt):
@@ -341,8 +339,8 @@ def _interface_data(grid, config):
     in the interior, the inner trace and its trace-built ghost at a wall.
     """
     n, dx = grid.n, grid.dx
-    gl = _cell_ghost(grid, 0, config.left)
-    gr = _cell_ghost(grid, n - 1, config.right)
+    gl = _cell_ghost(grid, 0, config.left, -1.0)
+    gr = _cell_ghost(grid, n - 1, config.right, 1.0)
     traces = []
     for cells, lo, hi in zip((grid.u, grid.theta, grid.coeffs), gl, gr):
         diff = work_array("face differences", (n + 1,) + cells.shape[1:])
@@ -364,10 +362,11 @@ def _interface_data(grid, config):
 
     # outer trace at each end (side 0 left of the interface): trace-built
     # ghost at a wall, zero-gradient copy for a free boundary
-    for wall, i, side, j in ((config.left, 0, 0, 0), (config.right, n, 1, n - 1)):
+    for wall, sign, i, side, j in ((config.left, -1.0, 0, 0, 0),
+                                   (config.right, 1.0, n, 1, n - 1)):
         if wall is not None:
             g = ghost_state(tu[1 - side, i], tth[1 - side, i], tc[1 - side, i],
-                            wall)
+                            wall, sign)
         else:
             g = grid.u[j], grid.theta[j], grid.coeffs[j]
         tu[side, i], tth[side, i], tc[side, i] = g

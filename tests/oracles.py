@@ -532,20 +532,36 @@ def wall_parts(u, theta, coeffs, wall):
     return reflected, unit
 
 
-def wall_bc_reference(u, theta, coeffs, wall):
+def apply_wall_bc(u, theta, coeffs, wall, sign):
+    """The solver's wall state ``(u_b, theta, f_b)``, of which
+    ``boundary.ghost_state`` is the reflection 2 f_b - f about 2 u_b - u:
+    the even-a2 slots of ``coeffs`` kept verbatim and the odd ones from
+    ``boundary._odd_slab``, about u_b = (u1, u2_wall, u3).  ``sign`` is +1
+    at a right wall and -1 at a left one.  Keeping the even slots is what
+    preserves the zero first-moment and zero-trace constraints for any
+    admissible input.
+    """
+    from momentflow.boundary import _odd_slab
+
+    fb = np.array(coeffs, dtype=float)
+    fb[:, 1::2, :] = _odd_slab(u, theta, coeffs, wall, sign)
+    u_b = np.array(u, dtype=float)
+    u_b[1] = wall.u_wall[1]
+    return u_b, theta, fb
+
+
+def wall_bc_reference(u, theta, coeffs, wall, sign):
     """The wall state ``(u_b, theta, f_b)`` as the full-cube map.
 
-    A right wall keeps the even-a2 slots and sets each odd-a2 slot to
-    2 chi / (2 - chi) (rho_wall p + B f), with B f and the unit-density
-    half-Maxwellian p from ``wall_parts`` and rho_wall from
-    ``wall_density``.  A left wall is s * map(s * f) with the sign vector
-    s = (-1)^{a2}.
+    A right wall (``sign`` +1) keeps the even-a2 slots and sets each odd-a2
+    slot to 2 chi / (2 - chi) (rho_wall p + B f), with B f and the
+    unit-density half-Maxwellian p from ``wall_parts`` and rho_wall from
+    ``wall_density``.  A left wall (``sign`` -1) is s * map(s * f) with the
+    sign vector s = (-1)^{a2}.
     """
     K = coeffs.shape[-1]
     a = np.arange(K)
-    s = np.where(a % 2 == 1, -1.0, 1.0)[:, None]
-    if wall.side == "right":
-        s = np.ones_like(s)
+    s = np.where(a % 2 == 1, sign, 1.0)[:, None]
     f = s * coeffs
     u_b = np.array([u[0], wall.u_wall[1], u[2]])
     reflected, unit = wall_parts(u_b, theta, coeffs, wall)

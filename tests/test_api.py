@@ -11,14 +11,13 @@ import momentflow
 
 PUBLIC = [
     "DvField", "DvGrid", "DvRunConfig", "Grid1D", "RunConfig", "RunResult",
-    "SNAPSHOT_COLUMNS", "ScenarioConfig", "WallSpec", "apply_wall_bc",
-    "build_dv_field", "build_grid", "cfl_timestep", "closure_coeffs",
-    "collide_coeffs", "decay_diagnostic", "dv_moments", "dv_run",
-    "dv_snapshot_table", "dv_step", "ghost_state", "he_sequence", "heat_flux",
-    "largest_he_root", "load_config", "main", "preset", "project_coeffs",
-    "read_snapshot", "relaxation_time", "run", "s_table", "save_config",
-    "shift_kernel", "snapshot_table", "step", "stress_tensor", "to_dv_config",
-    "to_run_config",
+    "SNAPSHOT_COLUMNS", "ScenarioConfig", "WallSpec", "build_dv_field",
+    "build_grid", "cfl_timestep", "closure_coeffs", "collide_coeffs",
+    "decay_diagnostic", "dv_moments", "dv_run", "dv_snapshot_table", "dv_step",
+    "ghost_state", "he_sequence", "heat_flux", "largest_he_root",
+    "load_config", "main", "preset", "project_coeffs", "read_snapshot",
+    "relaxation_time", "run", "s_table", "save_config", "shift_kernel",
+    "snapshot_table", "step", "stress_tensor", "to_dv_config", "to_run_config",
     "boundary", "cdvm", "cli", "closure", "collision", "hermite", "march",
     "moments", "projection", "scenarios", "solver1d",
 ]
@@ -36,7 +35,8 @@ DELETED = [
     ("solver1d.Grid1D", "cell_state"), ("solver1d", "MomentState"),
     ("boundary", "MomentState"), ("boundary", "j_full"),
     ("boundary", "j_hat"), ("boundary", "half_maxwellian_coeffs"),
-    ("boundary", "wall_density"),
+    ("boundary", "wall_density"), ("boundary", "apply_wall_bc"),
+    ("boundary", "check_walls"), ("cdvm.DvGrid", "cube"),
 ]
 
 

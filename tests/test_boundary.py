@@ -4,28 +4,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentflow.boundary import (
-    WallSpec,
-    _wall_factors,
-    apply_wall_bc,
-    ghost_state,
-    s_table,
-)
+from momentflow.boundary import WallSpec, _wall_factors, ghost_state, s_table
 from momentflow.moments import grade_mask, order_cube
 from momentflow.projection import shift_kernel
 
 import oracles
-from oracles import State, admissibility_violation, maxwellian, mirror, random_state
+from oracles import (
+    State,
+    admissibility_violation,
+    apply_wall_bc,
+    maxwellian,
+    mirror,
+    random_state,
+)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
 
-def _bc(s, wall):
-    return State(*apply_wall_bc(*s, wall))
+def _bc(s, wall, sign=1.0):
+    return State(*apply_wall_bc(*s, wall, sign))
 
 
-def _ghost(s, wall):
-    return State(*ghost_state(*s, wall))
+def _ghost(s, wall, sign=1.0):
+    return State(*ghost_state(*s, wall, sign))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +169,14 @@ def test_cutoff_matches_halfspace_quadrature():
 # wall density and the half-Maxwellian
 
 
-def _map_wall_density(s, wall):
+def _map_wall_density(s, wall, sign=1.0):
     """rho_wall of the wall map, read off its odd-a2 slab: over the
     prefactor and less the reflected part, the slab is rho_wall times the
     unit-density incoming half-Maxwellian, fitted over every odd slot."""
-    u_b, _, fb = apply_wall_bc(*s, wall)
+    u_b, _, fb = apply_wall_bc(*s, wall, sign)
     reflected, unit = oracles.wall_parts(u_b, s.theta, s.coeffs, wall)
     pref = 2.0 * wall.chi / (2.0 - wall.chi)
-    rest = fb[:, 1::2, :] / (pref if wall.side == "right" else -pref)
+    rest = fb[:, 1::2, :] / (sign * pref)
     rest -= reflected[:, 1::2, :]
     p = unit[:, 1::2, :]
     rho = np.sum(rest * p) / np.sum(p * p)
@@ -197,10 +198,11 @@ def test_wall_density_equilibrium():
             want, rel=1e-13)
     for seed in range(6):
         s = random_state(seed, M=3 + seed)
-        wall = _wall(seed, side=("left", "right")[seed % 2],
-                     chi=(0.5, 1.0)[seed // 3])
+        wall = _wall(seed, chi=(0.5, 1.0)[seed // 3])
+        sign = (-1.0, 1.0)[seed % 2]
         want = oracles.wall_density(s.coeffs, s.theta, wall.theta_wall)
-        assert _map_wall_density(s, wall) == pytest.approx(want, rel=1e-12)
+        assert _map_wall_density(s, wall, sign) == pytest.approx(want,
+                                                                 rel=1e-12)
 
 
 def test_half_maxwellian_pinned_slots():
@@ -246,13 +248,12 @@ def test_half_maxwellian_matches_quadrature():
 # the exchange map
 
 
-def _wall(seed=None, side="right", chi=None):
+def _wall(seed=None, chi=None):
     rng = np.random.default_rng(0 if seed is None else seed)
     return WallSpec(
         chi=rng.uniform(0.2, 1.0) if chi is None else chi,
         u_wall=np.array([rng.uniform(-0.4, 0.4), 0.0, rng.uniform(-0.4, 0.4)]),
         theta_wall=rng.uniform(0.7, 1.4),
-        side=side,
     )
 
 
@@ -263,8 +264,6 @@ def test_wallspec_validation():
         WallSpec(chi=-0.1)
     with pytest.raises(ValueError):
         WallSpec(theta_wall=0.0)
-    with pytest.raises(ValueError):
-        WallSpec(side="top")
 
 
 @pytest.mark.parametrize("theta_wall", [np.inf, -np.inf, np.nan, 0.0, -1.0])
@@ -283,23 +282,23 @@ def test_wallspec_rejects_bad_wall_velocity(u_wall):
 
 
 @pytest.mark.parametrize("chi", [0.0, 0.4, 1.0])
-@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["left", "right"])
 @pytest.mark.parametrize("M", [3, 6, 10])
-def test_wall_map_matches_full_cube_reference(M, side, chi):
+def test_wall_map_matches_full_cube_reference(M, sign, chi):
     # the odd-slab kernel against the full-cube s * map(s * f) form, with a
     # wall temperature off the gas one and a tangential wall speed
-    rng = np.random.default_rng(100 * M + int(10 * chi) + (side == "left"))
+    rng = np.random.default_rng(100 * M + int(10 * chi) + (sign < 0))
     for _ in range(4):
         u, theta, f = oracles.random_admissible(rng, M)
         coeffs = oracles.cube_from_dict(M, f)
         wall = WallSpec(chi, np.array([rng.uniform(0.2, 0.5), 0.0,
                                        rng.uniform(-0.5, -0.2)]),
-                        theta * rng.uniform(1.2, 1.6), side)
-        u_b, th_b, fb = oracles.wall_bc_reference(u, theta, coeffs, wall)
+                        theta * rng.uniform(1.2, 1.6))
+        u_b, th_b, fb = oracles.wall_bc_reference(u, theta, coeffs, wall, sign)
         ghost = (2.0 * u_b - u, theta, 2.0 * fb - coeffs)
-        for got, want in ((apply_wall_bc(u, theta, coeffs, wall),
+        for got, want in ((apply_wall_bc(u, theta, coeffs, wall, sign),
                            (u_b, th_b, fb)),
-                          (ghost_state(u, theta, coeffs, wall), ghost)):
+                          (ghost_state(u, theta, coeffs, wall, sign), ghost)):
             np.testing.assert_array_equal(got[0], want[0])
             assert got[1] == want[1]
             scale = np.abs(want[2]).max()
@@ -319,13 +318,13 @@ def test_wall_map_is_uniform_in_the_order(M):
     s = oracles.two_beam(M)
     assert admissibility_violation(s.theta, s.coeffs) is None
     assert abs(s.u[1]) > 0.1 and np.abs(s.coeffs[:, 1::2, :]).max() > 1e-3
-    for side in ("left", "right"):
+    for sign in (-1.0, 1.0):
         for chi in (0.0, 0.5, 1.0):
-            wall = WallSpec(chi, np.array([0.2, 0.0, -0.3]), 1.2, side)
-            u_b, th_b, fb = apply_wall_bc(*s, wall)
+            wall = WallSpec(chi, np.array([0.2, 0.0, -0.3]), 1.2)
+            u_b, th_b, fb = apply_wall_bc(*s, wall, sign)
             assert u_b[1] == wall.u_wall[1] and th_b == s.theta
             assert abs(fb[0, 1, 0]) <= 1e-14 * fb[0, 0, 0]
-            u_g, th_g, g = ghost_state(*s, wall)
+            u_g, th_g, g = ghost_state(*s, wall, sign)
             assert th_g == s.theta
             np.testing.assert_allclose(0.5 * (u_g + s.u), u_b, rtol=0,
                                        atol=1e-15)
@@ -351,12 +350,12 @@ def test_wall_map_needs_no_top_grade(M):
     kick = full.copy()
     kick[M - 1, 2, 0] = 0.3
     short = full[:K, :K, :K] * evolved
-    for side in ("left", "right"):
+    for sign in (-1.0, 1.0):
         for chi in (0.0, 0.5, 1.0):
-            wall = WallSpec(chi, np.array([0.2, 0.0, -0.3]), 1.2, side)
+            wall = WallSpec(chi, np.array([0.2, 0.0, -0.3]), 1.2)
             for bc in (apply_wall_bc, ghost_state):
-                u, th, got = bc(s.u, s.theta, short, wall)
-                u_f, th_f, want = bc(s.u, s.theta, full, wall)
+                u, th, got = bc(s.u, s.theta, short, wall, sign)
+                u_f, th_f, want = bc(s.u, s.theta, full, wall, sign)
                 tol = 1e-14 * np.abs(want).max()
                 np.testing.assert_array_equal(u, u_f)
                 assert th == th_f
@@ -364,7 +363,7 @@ def test_wall_map_needs_no_top_grade(M):
                                            want[:K, :K, :K] * evolved,
                                            rtol=0, atol=tol)
                 if chi > 0:
-                    moved = bc(s.u, s.theta, kick, wall)[2][:K, :K, :K]
+                    moved = bc(s.u, s.theta, kick, wall, sign)[2][:K, :K, :K]
                     assert np.abs((moved - got) * evolved).max() > 1e3 * tol
 
 
@@ -415,7 +414,7 @@ def test_specular_continuity_in_chi():
     base = _wall(5)
     odd_norm = {}
     for chi in (0.02, 0.01):
-        wall = WallSpec(chi, base.u_wall, base.theta_wall, base.side)
+        wall = WallSpec(chi, base.u_wall, base.theta_wall)
         out = _bc(s, wall)
         odd_norm[chi] = np.linalg.norm(out.coeffs[:, 1::2, :])
     ratio = odd_norm[0.02] / odd_norm[0.01]
@@ -482,17 +481,17 @@ def test_left_wall_is_conjugated_right_wall():
     # the left wall seen in the reflected frame is a right wall moving with
     # the reflected normal velocity
     s = random_state(12)
-    wall_l = _wall(12, side="left")
+    wall_l = _wall(12)
     wall_l.u_wall[1] = 0.07
     wall_r = WallSpec(wall_l.chi, wall_l.u_wall * [1.0, -1.0, 1.0],
-                      wall_l.theta_wall, "right")
-    out = _bc(s, wall_l)
+                      wall_l.theta_wall)
+    out = _bc(s, wall_l, -1.0)
     manual = mirror(_bc(mirror(s), wall_r))
     np.testing.assert_allclose(out.coeffs, manual.coeffs, rtol=1e-14, atol=1e-17)
     np.testing.assert_array_equal(out.u, manual.u)
     assert admissibility_violation(out.theta, out.coeffs) is None
     assert out.u[1] == wall_l.u_wall[1]
-    g, manual_g = _ghost(s, wall_l), mirror(_ghost(mirror(s), wall_r))
+    g, manual_g = _ghost(s, wall_l, -1.0), mirror(_ghost(mirror(s), wall_r))
     np.testing.assert_allclose(g.coeffs, manual_g.coeffs, rtol=1e-14, atol=1e-17)
     np.testing.assert_allclose(g.u, manual_g.u, rtol=1e-14, atol=1e-17)
 
@@ -504,12 +503,10 @@ def test_bc_invariants_random(seed):
     M = int(rng.integers(3, 7))
     u, theta, f = oracles.random_admissible(rng, M)
     s = State(u, theta, oracles.cube_from_dict(M, f))
-    side = "left" if seed % 2 else "right"
     wall = WallSpec(
         chi=float(rng.uniform(0.0, 1.0)),
         u_wall=np.array([rng.uniform(-0.5, 0.5), 0.0, rng.uniform(-0.5, 0.5)]),
         theta_wall=float(rng.uniform(0.6, 1.5)),
-        side=side,
     )
-    out = _bc(s, wall)
+    out = _bc(s, wall, -1.0 if seed % 2 else 1.0)
     assert admissibility_violation(out.theta, out.coeffs) is None

@@ -24,7 +24,7 @@ from momentflow.moments import SNAPSHOT_COLUMNS
 import oracles
 
 
-GRID = DvGrid.cube(8.0, 48)
+GRID = DvGrid(8.0, (48, 48, 48))
 
 
 def _shakhov_perturbed(grid, rho, u, theta, q):
@@ -44,16 +44,15 @@ def _shakhov_perturbed(grid, rho, u, theta, q):
 
 
 def test_grid_validation():
+    for half_width in (-8.0, 0.0, np.inf):
+        with pytest.raises(ValueError, match="half_width"):
+            DvGrid(half_width, (16, 16, 16))
     with pytest.raises(ValueError):
-        DvGrid(((-8.0, 8.0), (-8.0, 8.0), (8.0, -8.0)), (16, 16, 16))
-    with pytest.raises(ValueError):
-        DvGrid(((-8.0, 8.0),) * 3, (16, 16, 4))
-    with pytest.raises(ValueError):
-        DvGrid(((-8.0, 6.0), (-8.0, 8.0), (-8.0, 8.0)), (16, 16, 16))
+        DvGrid(8.0, (16, 16, 4))
 
 
 def test_trapezoidal_weights():
-    g = DvGrid.cube(8.0, 17)
+    g = DvGrid(8.0, (17, 17, 17))
     h = 1.0
     for w in g.weights:
         assert w[0] == pytest.approx(0.5 * h)
@@ -140,14 +139,14 @@ def _raw_moments(grid, f):
 _BEAMS = ((0.4, 0.3, 0.0), 0.7, (-0.5, -0.2, 0.1), 1.3)
 NEWTON_CASES = {
     "48-nodes": (GRID, [_BEAMS]),
-    "8-nodes": (DvGrid.cube(5.0, 8), [_BEAMS]),
-    "unequal-counts": (DvGrid(((-6.0, 6.0),) * 3, (12, 16, 10)), [_BEAMS]),
-    "several-cells": (DvGrid.cube(6.0, 16), [
+    "8-nodes": (DvGrid(5.0, (8, 8, 8)), [_BEAMS]),
+    "unequal-counts": (DvGrid(6.0, (12, 16, 10)), [_BEAMS]),
+    "several-cells": (DvGrid(6.0, (16, 16, 16)), [
         _BEAMS,
         ((0.1, -0.6, 0.2), 1.1, (0.8, 0.4, -0.3), 0.5),
         ((-1.0, 0.0, 0.5), 0.6, (-0.2, 0.9, 0.0), 1.6),
     ]),
-    "drifted-hot-near-edge": (DvGrid.cube(8.0, 24), [
+    "drifted-hot-near-edge": (DvGrid(8.0, (24, 24, 24)), [
         ((2.5, -1.5, 0.5), 2.0, (3.5, -2.5, 1.0), 3.0),
     ]),
 }
@@ -325,7 +324,7 @@ def test_long_relaxation_reaches_gaussian():
 
 
 def _slab(n=24, grid=None, rho=None, u=(0.0, 0.0, 0.0), theta=1.0):
-    grid = grid or DvGrid.cube(6.0, 20)
+    grid = grid or DvGrid(6.0, (20, 20, 20))
     rho = np.ones(n) if rho is None else rho
     return DvField.from_fields(grid, -0.5, 0.5, rho, np.array(u), theta)
 
@@ -337,7 +336,7 @@ def test_field_basics():
     mom = fld.moments()
     np.testing.assert_allclose(mom["rho"], 1.0, atol=2e-5)
     with pytest.raises(ValueError):
-        DvField(DvGrid.cube(6.0, 20), -0.5, 0.5, np.zeros((4, 8, 8, 8)))
+        DvField(DvGrid(6.0, (20, 20, 20)), -0.5, 0.5, np.zeros((4, 8, 8, 8)))
 
 
 def test_free_transport_of_uniform_field_is_identity():
@@ -351,7 +350,7 @@ def test_upwind_centroid_moves_at_mean_velocity():
     # each node advects at its own xi_2, so the density centroid moves at
     # exactly the discrete mean velocity; first-order upwind keeps this exact
     # cold beam kept away from the ends so no tail reaches a boundary
-    grid = DvGrid.cube(6.0, 20)
+    grid = DvGrid(6.0, (20, 20, 20))
     n = 40
     y = -0.5 + (np.arange(n) + 0.5) / n
     rho = 1e-30 + np.exp(-(((y + 0.1) / 0.06) ** 2))
@@ -372,7 +371,7 @@ def test_upwind_centroid_moves_at_mean_velocity():
 
 
 def test_negativity_warning_on_cfl_violation():
-    grid = DvGrid.cube(6.0, 20)
+    grid = DvGrid(6.0, (20, 20, 20))
     rho = np.ones(16)
     rho[8] = 3.0
     fld = DvField.from_fields(grid, -0.5, 0.5, rho, np.zeros(3), 1.0)
@@ -384,7 +383,7 @@ def test_negativity_warning_on_cfl_violation():
 def _rough_field(n2):
     """Ten cells of a two-beam mixture whose rho, u (with u2 != 0) and theta
     jump from cell to cell, so minmod both limits and zeroes slopes."""
-    grid = DvGrid(((-5.0, 5.0),) * 3, (8, n2, 8))
+    grid = DvGrid(5.0, (8, n2, 8))
     rng = np.random.default_rng(3)
     rho = rng.uniform(0.8, 1.4, 10)
     u = rng.uniform(-0.4, 0.4, (10, 3))
@@ -396,10 +395,10 @@ def _rough_field(n2):
 
 _TRANSPORT_ENDS = {
     "free": (None, None),
-    "walls": (WallSpec(1.0, [-0.3, 0.0, 0.2], 1.3, "left"),
-              WallSpec(0.5, [0.4, 0.0, 0.0], 0.8, "right")),
-    "walls-swapped": (WallSpec(0.5, [0.2, 0.0, -0.1], 0.9, "left"),
-                      WallSpec(1.0, [-0.4, 0.0, 0.0], 1.2, "right")),
+    "walls": (WallSpec(1.0, [-0.3, 0.0, 0.2], 1.3),
+              WallSpec(0.5, [0.4, 0.0, 0.0], 0.8)),
+    "walls-swapped": (WallSpec(0.5, [0.2, 0.0, -0.1], 0.9),
+                      WallSpec(1.0, [-0.4, 0.0, 0.0], 1.2)),
 }
 
 
@@ -469,8 +468,8 @@ def test_collision_updates_in_place_with_small_temporaries():
 
 
 def test_wall_equilibrium_is_stationary():
-    wall_l = WallSpec(1.0, np.zeros(3), 1.0, "left")
-    wall_r = WallSpec(0.6, np.zeros(3), 1.0, "right")
+    wall_l = WallSpec(1.0, np.zeros(3), 1.0)
+    wall_r = WallSpec(0.6, np.zeros(3), 1.0)
     fld = _slab(n=12)
     v0 = fld.values.copy()
     for _ in range(3):
@@ -480,8 +479,8 @@ def test_wall_equilibrium_is_stationary():
 
 
 def test_walls_conserve_mass():
-    wall_l = WallSpec(1.0, np.array([-0.3, 0.0, 0.0]), 1.1, "left")
-    wall_r = WallSpec(0.5, np.array([0.4, 0.0, 0.0]), 0.9, "right")
+    wall_l = WallSpec(1.0, np.array([-0.3, 0.0, 0.0]), 1.1)
+    wall_r = WallSpec(0.5, np.array([0.4, 0.0, 0.0]), 0.9)
     fld = _slab(n=12)
     w3 = fld.grid.w3
     m0 = float(np.sum(fld.values * w3)) * fld.dx
@@ -493,15 +492,41 @@ def test_walls_conserve_mass():
 
 
 def test_moving_normal_wall_rejected():
-    wall = WallSpec(1.0, np.array([0.0, 0.2, 0.0]), 1.0, "right")
+    wall = WallSpec(1.0, np.array([0.0, 0.2, 0.0]), 1.0)
     fld = _slab(n=8)
     with pytest.raises(NotImplementedError):
         transport_field(fld, 1e-3, None, wall)
 
 
+@pytest.mark.parametrize("limiter", ["none", "minmod"])
+def test_mirrored_run_is_the_mirror_of_the_run(limiter):
+    # y -> -y reverses the cells and the xi_2 axis, swaps the two walls and
+    # negates the snapshot columns odd in y; the moments sum the reversed
+    # axis in another order, so the runs agree to round-off
+    grid = DvGrid(6.0, (12, 16, 12))
+    y = -0.5 + (np.arange(10) + 0.5) / 10
+    u = np.stack([0.2 * np.cos(3.0 * y), 0.1 + 0.15 * np.sin(5.0 * y),
+                  -0.1 * y], axis=-1)
+    fld = DvField.from_fields(grid, -0.5, 0.5, 1.0 + 0.2 * np.sin(2.0 * y),
+                              u, 1.0 + 0.15 * np.cos(4.0 * y))
+    mirrored = DvField(grid, -0.5, 0.5, fld.values[::-1, :, ::-1, :].copy())
+    walls = (WallSpec(0.7, [-0.3, 0.0, 0.1], 1.3),
+             WallSpec(1.0, [0.5, 0.0, -0.2], 0.9))
+    want = dv_run(fld, DvRunConfig(kn=0.2, t_end=0.1, left=walls[0],
+                                   right=walls[1], limiter=limiter))
+    got = dv_run(mirrored, DvRunConfig(kn=0.2, t_end=0.1, left=walls[1],
+                                       right=walls[0], limiter=limiter))
+    want, got = want.snapshots[-1][1], got.snapshots[-1][1]
+    odd = np.array([c in ("y", "u2", "sigma12", "q2") for c in SNAPSHOT_COLUMNS])
+    back = got[::-1] * np.where(odd, -1.0, 1.0)
+    scale = np.abs(want).max(axis=0)
+    assert np.all(scale > 1e-3)
+    assert np.all(np.abs(back - want) <= 1e-13 * scale)
+
+
 def test_moving_normal_wall_rejected_by_config():
     # the run config refuses the wall before any transport step
-    wall = WallSpec(1.0, np.array([0.0, 0.2, 0.0]), 1.0, "right")
+    wall = WallSpec(1.0, np.array([0.0, 0.2, 0.0]), 1.0)
     with pytest.raises(ValueError, match="moves along its normal"):
         DvRunConfig(kn=0.1, t_end=1.0, right=wall)
 
@@ -527,8 +552,8 @@ def test_dv_cfl_minmod_is_capped():
 
 
 def test_dv_run_snapshot_schema_and_mass():
-    wall_l = WallSpec(1.0, np.array([-0.3, 0.0, 0.0]), 1.0, "left")
-    wall_r = WallSpec(1.0, np.array([0.3, 0.0, 0.0]), 1.0, "right")
+    wall_l = WallSpec(1.0, np.array([-0.3, 0.0, 0.0]), 1.0)
+    wall_r = WallSpec(1.0, np.array([0.3, 0.0, 0.0]), 1.0)
     fld = _slab(n=12)
     m0 = float(np.sum(fld.values * fld.grid.w3)) * fld.dx
     cfg = DvRunConfig(kn=0.1, t_end=0.08, left=wall_l, right=wall_r)
@@ -547,8 +572,8 @@ def test_dv_run_steady_detection():
     cfg = DvRunConfig(
         kn=0.1,
         steady_tol=50.0,
-        left=WallSpec(1.0, np.zeros(3), 1.0, "left"),
-        right=WallSpec(1.0, np.zeros(3), 1.0, "right"),
+        left=WallSpec(1.0, np.zeros(3), 1.0),
+        right=WallSpec(1.0, np.zeros(3), 1.0),
     )
     res = dv_run(fld, cfg)
     assert res.converged

@@ -1,4 +1,5 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def test_couette_preset_values():
     assert sc.theta_wall_left == sc.theta_wall_right == 1.0
     assert sc.steady_tol is not None
     left = sc.wall("left")
-    assert left.side == "left" and left.u_wall[0] == -0.6296
+    assert left.u_wall[0] == -0.6296
 
 
 def test_poiseuille_preset_values():
@@ -109,6 +110,10 @@ def test_config_unknown_key_rejected(tmp_path):
     path.write_text("[run]\nscenario = couette\nturbulence_model = k-epsilon\n")
     with pytest.raises(ValueError, match="unknown config key"):
         scenarios.load_config(str(path))
+    # the HLL signal speed factor is a solver constant, not a config field
+    path.write_text("[run]\nscenario = couette\nsignal_speed_factor = 1.2\n")
+    with pytest.raises(ValueError, match="unknown config key 'signal_speed_factor'"):
+        scenarios.load_config(str(path))
 
 
 def test_config_partial_file_fills_from_preset(tmp_path):
@@ -139,6 +144,10 @@ def test_parser_accepts_documented_flags():
     assert args.command == "run"
     assert args.solver == "cdvm" and args.M == 6 and args.kn == 0.5
     assert args.dv_nodes == [16, 24, 16]
+    # every flag but --config and --threads is named by its config field
+    names = {f.name for f in fields(scenarios.ScenarioConfig)}
+    assert set(vars(args)) - {"command", "config", "threads"} <= names
+    assert (args.t_end, args.out_dir) == (2.5, "somewhere")
     args = p.parse_args(["compare", "a.csv", "b.csv"])
     assert args.norm == "l2rel"
 
@@ -188,6 +197,51 @@ def test_run_cdvm_smoke(tmp_path):
     assert prof["rho"].shape == (8,)
     assert np.all(prof["rho"] > 0)
     assert "step 1 dt " in (out / "run_log.txt").read_text()
+
+
+def test_run_to_its_end_time_does_not_warn(tmp_path, capsys):
+    # --tend leaves the preset's steady tolerance set; stopping at the end
+    # time before a steady state is what was asked, so nothing is reported
+    rc = main(["run", "--scenario", "couette", "--M", "3", "--cells", "8",
+               "--tend", "0.02", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_run_out_of_steps_warns(tmp_path, capsys):
+    rc = main(["run", "--scenario", "couette", "--M", "3", "--cells", "8",
+               "--max-steps", "3", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert ("warning: step budget exhausted before reaching steady state"
+            in capsys.readouterr().err)
+
+
+_DV_RUN = ["run", "--scenario", "couette", "--solver", "cdvm", "--cells", "8",
+           "--dv-nodes", "12", "12", "12", "--tend", "0.05"]
+
+
+def test_run_limiter_flag_sets_the_limiter_of_the_solver_that_runs(tmp_path):
+    # cdvm reads dv_limiter: the flag once set only the NRxx limiter, and a
+    # minmod cdvm run wrote the same final table as an unlimited one
+    for limiter in ("none", "minmod"):
+        out = tmp_path / limiter
+        assert main(_DV_RUN + ["--limiter", limiter, "--out", str(out)]) == 0
+        assert ("dv_limiter = %s\n" % limiter) in (out / "config.ini").read_text()
+    final = [(tmp_path / lim / "final.csv").read_bytes()
+             for lim in ("none", "minmod")]
+    assert final[0] != final[1]
+    out = tmp_path / "nrxx"
+    assert main(["run", "--scenario", "couette", "--M", "3", "--cells", "8",
+                 "--tend", "0.02", "--limiter", "none", "--out", str(out)]) == 0
+    config = (out / "config.ini").read_text()
+    assert "\nlimiter = none\n" in config and "dv_limiter = none\n" in config
+
+
+def test_run_cdvm_rejects_central_limiter(tmp_path, capsys):
+    rc = main(_DV_RUN + ["--limiter", "central", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "limiter must be 'none' or 'minmod'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_failure_exits_nonzero(tmp_path, capsys):
