@@ -23,12 +23,13 @@ scaling by dt xi_2 / dx and the in-place update (three in all), then one
 read for the negativity check.  The collision makes four: one read (the
 moment GEMM of ``dv_moments``), a batched GEMM that writes G P into a work
 array kept across steps, and the in-place update f <- f e_full + G P of the
-state (two) in ``collide_field``.
+state (two) in ``collide_field``.  Each wall adds two passes over the one
+velocity cube of its end cell: a read for the outgoing flux and the write
+of the inflow, formed from the wall's axis Gaussians; a partly specular
+wall (chi < 1) adds the mirror in two more.
 
 ``dv_run`` marches through ``march.march``, the loop shared with the moment
-solver, so ``steady_tol`` means the same for both: every 10 steps, the max
-over cells and snapshot columns (all but y) of |change| / (|previous| +
-1e-8), per unit time since the previous check.
+solver, so ``steady_tol`` and ``converged`` mean the same for both.
 """
 
 import math
@@ -39,12 +40,14 @@ import numpy as np
 
 from .boundary import WallSpec
 from .collision import relaxation_time
-from .march import check_stop_options, march
-from .moments import SNAPSHOT_COLUMNS, work_array
+from .march import check_choice, check_run_options, march
+from .moments import _fields_table, work_array
 
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 40
 NEGATIVITY_WARN = 1e-12
+
+LIMITERS = ("none", "minmod")
 
 
 @dataclass
@@ -59,8 +62,9 @@ class DvGrid:
     def __post_init__(self):
         if not (0.0 < self.half_width < math.inf):
             raise ValueError("half_width must be positive and finite")
-        if min(self.counts) < 8:
-            raise ValueError("each axis needs at least 8 nodes")
+        if len(self.counts) != 3 or min(self.counts) < 8:
+            raise ValueError("need three axes of at least 8 nodes, got %r"
+                             % (self.counts,))
         self.axes = tuple(np.linspace(-self.half_width, self.half_width, n)
                           for n in self.counts)
         self.weights = []
@@ -326,28 +330,27 @@ class DvField:
         return dv_moments(self.values, self.grid)
 
 
-def _wall_phi(grid, wall):
-    if wall.u_wall[1] != 0.0:
-        raise NotImplementedError("moving-normal walls are not supported")
-    return grid.maxwellian(1.0, wall.u_wall, wall.theta_wall)
-
-
 def _wall_incoming(grid, wall, f_out, sgn):
     """Re-emitted nodal distribution at a wall with outward normal sgn*e2.
 
     chi rho_w phi_w + (1 - chi) specular mirror, with rho_w balancing the
-    discrete mass flux through the interface exactly.
+    discrete mass flux through the interface exactly.  The weights and the
+    wall Maxwellian phi_w factor per axis, so the outgoing flux is one pass
+    over ``f_out``, the flux of phi_w a product of three 1-D sums, and the
+    Maxwellian is formed once from its axis Gaussians.
     """
-    xi2 = grid.axes[1][None, :, None]
-    w3 = grid.w3
-    phi = _wall_phi(grid, wall)
-    outgoing = np.maximum(sgn * xi2, 0.0)     # outward-normal speed, outgoing nodes
-    incoming = np.minimum(sgn * xi2, 0.0)
-    flux_out = float(np.sum(w3 * outgoing * f_out))
-    denom = float(np.sum(w3 * incoming * phi))
+    w1, w2, w3 = grid.weights
+    speed = sgn * grid.axes[1]                # outward-normal speed
+    flux_out = w1 @ (f_out @ w3) @ (w2 * np.maximum(speed, 0.0))
+    g1, g2, g3 = (np.exp(-(x - u) ** 2 / (2.0 * wall.theta_wall))
+                  for x, u in zip(grid.axes, wall.u_wall))
+    norm = (2.0 * math.pi * wall.theta_wall) ** -1.5
+    denom = norm * (w1 @ g1) * ((w2 * np.minimum(speed, 0.0)) @ g2) * (w3 @ g3)
     rho_w = -flux_out / denom if wall.chi > 0.0 else 0.0
-    mirror = f_out[:, ::-1, :]
-    return wall.chi * rho_w * phi + (1.0 - wall.chi) * mirror
+    f_in = (wall.chi * rho_w * norm * g1)[:, None, None] * np.outer(g2, g3)
+    if wall.chi < 1.0:
+        f_in += (1.0 - wall.chi) * f_out[:, ::-1, :]
+    return f_in
 
 
 def _upwind(v, nu, ghost, limiter):
@@ -418,8 +421,11 @@ def dv_step(field, dt, left, right, kn, pr, limiter="none"):
 @dataclass
 class DvRunConfig:
     """Options of a discrete-velocity slab run; the stop options and their
-    steady residual are those of ``march.march`` (see the module docstring).
-    A wall may not move along its normal e2.
+    steady residual are those of ``march.march`` (see the module docstring),
+    and ``march.check_run_options`` checks the options shared with
+    ``solver1d.RunConfig``: ``kn``, ``pr``, ``cfl`` and the stop.
+    ``limiter`` is one of ``LIMITERS``.  A wall may not move along its
+    normal e2.
     """
 
     kn: float
@@ -433,17 +439,12 @@ class DvRunConfig:
     limiter: str = "none"
 
     def __post_init__(self):
-        check_stop_options(self)
+        check_run_options(self)
+        check_choice("limiter", self.limiter, LIMITERS)
         for side, wall in (("left", self.left), ("right", self.right)):
             if wall is not None and wall.u_wall[1] != 0.0:
                 raise ValueError("the %s wall moves along its normal, which "
                                  "this solver does not support" % side)
-        if not (self.kn > 0):
-            raise ValueError("Knudsen number must be positive")
-        if not (0.0 < self.pr <= 1.0):
-            raise ValueError("Prandtl number must lie in (0, 1]")
-        if self.limiter not in ("none", "minmod"):
-            raise ValueError("limiter must be 'none' or 'minmod'")
 
 
 def dv_cfl_timestep(field, cfl, limiter="none"):
@@ -454,25 +455,13 @@ def dv_cfl_timestep(field, cfl, limiter="none"):
 def dv_snapshot_table(field):
     """Profile table with the shared snapshot column layout."""
     mom = field.moments()
-    cols = {
-        "y": field.centers,
-        "rho": mom["rho"],
-        "u1": mom["u"][:, 0],
-        "u2": mom["u"][:, 1],
-        "u3": mom["u"][:, 2],
-        "theta": mom["theta"],
-        "sigma11": mom["sigma"][:, 0, 0],
-        "sigma12": mom["sigma"][:, 0, 1],
-        "sigma22": mom["sigma"][:, 1, 1],
-        "q1": mom["q"][:, 0],
-        "q2": mom["q"][:, 1],
-    }
-    return np.stack([cols[name] for name in SNAPSHOT_COLUMNS], axis=-1)
+    return _fields_table(field.centers, mom["rho"], mom["u"], mom["theta"],
+                         mom["sigma"], mom["q"])
 
 
 def dv_run(field, config, snapshot_interval=None, on_step=None):
-    """March the field to the configured stop with ``march.march``, the loop
-    and steady residual shared with ``solver1d.run`` (module docstring)."""
+    """March the field to the configured stop with ``march.march``, the loop,
+    steady residual and stop meaning shared with ``solver1d.run``."""
     return march(field, config,
                  lambda: dv_cfl_timestep(field, config.cfl, config.limiter),
                  lambda dt: dv_step(field, dt, config.left, config.right,

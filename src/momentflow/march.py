@@ -4,7 +4,7 @@ A solver passes its state and three callables: the CFL time step, an
 in-place advance by a given dt, and the snapshot table of the current state
 (``moments.SNAPSHOT_COLUMNS`` layout).  The loop stops at ``t_end`` (the
 last step is clipped to hit it), at steady state, or after ``max_steps``
-steps, whichever comes first.
+steps, whichever comes first; only the last is reported as not converged.
 
 The steady residual is defined once, on the snapshot table: every
 ``CHECK_EVERY`` = 10 steps, and only when ``steady_tol`` is set, the max
@@ -23,8 +23,9 @@ CHECK_EVERY = 10
 RESIDUAL_FLOOR = 1e-8
 
 
-def check_stop_options(config):
-    """Reject stop options under which no step could run, and a bad CFL.
+def check_run_options(config):
+    """Reject the options both solvers share when no step could run under
+    them: the stop, the CFL, the Knudsen and the Prandtl number.
 
     Each test is written ``not (x > 0)`` so that NaN fails it too.
     """
@@ -40,12 +41,25 @@ def check_stop_options(config):
         raise ValueError("max_steps must be positive, got %r" % (config.max_steps,))
     if not (0.0 < config.cfl <= 1.0):
         raise ValueError("CFL must lie in (0, 1]")
+    if not (config.kn > 0):
+        raise ValueError("Knudsen number must be positive")
+    if not (0.0 < config.pr <= 1.0):
+        raise ValueError("Prandtl number must lie in (0, 1]")
+
+
+def check_choice(name, value, choices):
+    """Reject option ``name`` unless its ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ValueError("%s must be %s or %r, got %r" % (
+            name, ", ".join(map(repr, choices[:-1])), choices[-1], value))
 
 
 @dataclass
 class RunResult:
     """The advanced state (the caller's object), the time reached, the dt of
-    every step, the residual of every check and the (t, table) snapshots."""
+    every step, the residual of every check and the (t, table) snapshots.
+    ``converged`` is False only when the step budget stopped the run: a run
+    that reaches its end time or its steady tolerance converged."""
 
     state: object
     t: float
@@ -64,18 +78,17 @@ def march(state, config, timestep, advance, table, snapshot_interval=None,
     ``timestep()`` gives the CFL dt, ``advance(dt)`` moves ``state`` in
     place and ``table()`` builds its snapshot table.  The table is also kept
     every ``snapshot_interval`` steps, and always at the end.
-    ``on_step(t, state)`` is called after every step.  ``converged`` means
-    the run stopped at steady state if ``steady_tol`` is set, else at the
-    end time.
+    ``on_step(t, state)`` is called after every step.  ``converged`` is
+    False only when ``max_steps`` stopped the run.
     """
     t_end = math.inf if config.t_end is None else config.t_end
     steady = config.steady_tol is not None
     t, steps = 0.0, 0
     dts, residuals, snapshots = [], [], []
-    converged, message = not steady, "reached end time"
+    at_steady = False
     if steady:
         prev, t_prev = table()[:, 1:], 0.0
-    while t < t_end and steps < config.max_steps:
+    while not at_steady and t < t_end and steps < config.max_steps:
         dt = timestep()
         if t + dt > t_end:
             dt = t_end - t
@@ -88,19 +101,19 @@ def march(state, config, timestep, advance, table, snapshot_interval=None,
             change = np.abs(cur - prev) / (np.abs(prev) + RESIDUAL_FLOOR)
             residuals.append(float(np.max(change)) / (t - t_prev))
             prev, t_prev = cur, t
-            if residuals[-1] < config.steady_tol:
-                converged, message = True, "steady state reached"
+            at_steady = residuals[-1] < config.steady_tol
         if on_step is not None:
             on_step(t, state)
         if snapshot_interval and steps % snapshot_interval == 0:
             snapshots.append((t, table()))
-        if steady and converged:
-            break
+    converged = at_steady or t >= t_end
+    if at_steady:
+        message = "steady state reached"
+    elif converged:
+        message = "reached end time"
     else:
-        if t < t_end:
-            converged = False
-            message = "step budget exhausted before reaching %s" % (
-                "steady state" if steady else "end time")
+        message = "step budget exhausted before reaching %s" % (
+            "steady state" if steady else "end time")
     snapshots.append((t, table()))
     return RunResult(state, t, steps, np.asarray(dts), np.asarray(residuals),
                      snapshots, converged, message)

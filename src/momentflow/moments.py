@@ -75,19 +75,19 @@ SNAPSHOT_COLUMNS = (
 )
 
 
+def _fields_table(centers, rho, u, theta, sigma, q):
+    """The snapshot columns, in ``SNAPSHOT_COLUMNS`` order, of batched cell
+    fields: velocity (..., 3), stress (..., 3, 3) and heat flux (..., 3)."""
+    return np.column_stack([
+        np.asarray(centers, dtype=float), rho, u[..., 0], u[..., 1], u[..., 2],
+        np.asarray(theta, dtype=float), sigma[..., 0, 0], sigma[..., 0, 1],
+        sigma[..., 1, 1], q[..., 0], q[..., 1]])
+
+
 def snapshot_table(centers, u, theta, coeffs):
     """Assemble the snapshot column matrix from batched cell arrays."""
-    sig = stress_tensor(coeffs)
-    q = heat_flux(coeffs)
-    cols = [
-        np.asarray(centers, dtype=float),
-        coeffs[..., 0, 0, 0],
-        u[..., 0], u[..., 1], u[..., 2],
-        np.asarray(theta, dtype=float),
-        sig[..., 0, 0], sig[..., 0, 1], sig[..., 1, 1],
-        q[..., 0], q[..., 1],
-    ]
-    return np.column_stack(cols)
+    return _fields_table(centers, coeffs[..., 0, 0, 0], u, theta,
+                         stress_tensor(coeffs), heat_flux(coeffs))
 
 
 def write_table(path, table):

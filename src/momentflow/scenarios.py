@@ -13,9 +13,9 @@ All presets use fully diffuse walls (chi = 1) at unit wall temperature and
 CFL 0.95; every field can be overridden.  Configs round-trip through a flat
 ``key = value`` text format with section headers (configparser syntax) so a
 run is reproducible from a single diffable file.  A key is a
-``ScenarioConfig`` field, parsed by its declared type; any other key, such
-as the former ``signal_speed_factor`` (now the solver constant
-``solver1d.SIGNAL_SPEED_FACTOR``), fails as an "unknown config key".
+``ScenarioConfig`` field, parsed by its declared type; any other key fails
+as an "unknown config key".  ``solve`` runs a config with the solver it
+names.
 """
 
 import configparser
@@ -23,11 +23,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import cdvm, solver1d
 from .boundary import WallSpec
-from .cdvm import DvField, DvGrid, DvRunConfig
-from .solver1d import Grid1D, RunConfig
+from .march import check_choice
 
-SCENARIOS = ("shock", "couette", "poiseuille", "custom")
 SOLVERS = ("nrxx", "cdvm")
 
 COUETTE_WALL_SPEED = 0.6296
@@ -68,17 +67,16 @@ class ScenarioConfig:
     snapshot_interval: int = 0
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError("unknown scenario %r" % (self.scenario,))
-        if self.solver not in SOLVERS:
-            raise ValueError("unknown solver %r" % (self.solver,))
-        if self.left_kind not in ("wall", "free") or self.right_kind not in (
-            "wall",
-            "free",
-        ):
-            raise ValueError("boundary kinds must be 'wall' or 'free'")
+        check_choice("scenario", self.scenario, SCENARIOS)
+        check_choice("solver", self.solver, SOLVERS)
+        for kind in ("left_kind", "right_kind"):
+            check_choice(kind, getattr(self, kind), ("wall", "free"))
         if self.cells < 2:
             raise ValueError("need at least 2 cells")
+        # the options of both solvers, whichever runs
+        solver1d.check_scheme(self)
+        check_choice("dv_limiter", self.dv_limiter, cdvm.LIMITERS)
+        cdvm.DvGrid(self.dv_half_width, tuple(self.dv_nodes))
 
     def wall(self, side):
         kind = self.left_kind if side == "left" else self.right_kind
@@ -122,13 +120,13 @@ _PRESETS = {
     ),
     "custom": {},
 }
+SCENARIOS = tuple(_PRESETS)
 
 
 def preset(scenario, **overrides):
     """Fully populated config for a named scenario, with overrides applied."""
-    if scenario not in _PRESETS:
-        raise ValueError("unknown scenario %r" % (scenario,))
-    return ScenarioConfig(scenario=scenario, **{**_PRESETS[scenario], **overrides})
+    return ScenarioConfig(scenario=scenario,
+                          **{**_PRESETS.get(scenario, {}), **overrides})
 
 
 def _run_options(sc):
@@ -140,27 +138,38 @@ def _run_options(sc):
 
 
 def to_run_config(sc):
-    return RunConfig(M=sc.M, force=np.asarray(sc.force, dtype=float),
-                     splitting=sc.splitting, limiter=sc.limiter,
-                     **_run_options(sc))
+    return solver1d.RunConfig(M=sc.M, force=np.asarray(sc.force, dtype=float),
+                              splitting=sc.splitting, limiter=sc.limiter,
+                              **_run_options(sc))
 
 
 def build_grid(sc):
     rho = np.full(sc.cells, sc.rho0)
-    return Grid1D.from_fields(sc.y_lo, sc.y_hi, rho, sc.u0, sc.theta0, sc.M)
+    return solver1d.Grid1D.from_fields(sc.y_lo, sc.y_hi, rho, sc.u0, sc.theta0,
+                                       sc.M)
 
 
 def to_dv_config(sc):
     if np.any(np.asarray(sc.force, dtype=float) != 0.0):
         raise ValueError("the cdvm solver has no body force term; "
                          "force must be zero, got %r" % (sc.force,))
-    return DvRunConfig(limiter=sc.dv_limiter, **_run_options(sc))
+    return cdvm.DvRunConfig(limiter=sc.dv_limiter, **_run_options(sc))
 
 
 def build_dv_field(sc):
-    grid = DvGrid(sc.dv_half_width, tuple(sc.dv_nodes))
+    grid = cdvm.DvGrid(sc.dv_half_width, tuple(sc.dv_nodes))
     rho = np.full(sc.cells, sc.rho0)
-    return DvField.from_fields(grid, sc.y_lo, sc.y_hi, rho, sc.u0, sc.theta0)
+    return cdvm.DvField.from_fields(grid, sc.y_lo, sc.y_hi, rho, sc.u0, sc.theta0)
+
+
+def solve(sc):
+    """Build the state and run config of ``sc.solver`` and march them to
+    the configured stop; returns the ``march.RunResult``."""
+    if sc.solver == "cdvm":
+        state, config, run = build_dv_field(sc), to_dv_config(sc), cdvm.dv_run
+    else:
+        state, config, run = build_grid(sc), to_run_config(sc), solver1d.run
+    return run(state, config, snapshot_interval=sc.snapshot_interval or None)
 
 
 def _parse_value(f, text):

@@ -47,12 +47,25 @@ from .boundary import WallSpec, ghost_state
 from .closure import add_top_flux, closure_coeffs, gradient_reads
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
-from .march import check_stop_options, march
+from .march import check_choice, check_run_options, march
 from .moments import snapshot_table, work_array
 from .projection import project_coeffs, renormalize_arrays
 
 # HLL wave speeds are u2 +- SIGNAL_SPEED_FACTOR he_root(M+1) sqrt(theta)
 SIGNAL_SPEED_FACTOR = 1.2
+
+LIMITERS = ("none", "central", "minmod")
+SPLITTINGS = ("lie", "strang")
+
+
+def check_scheme(config):
+    """Reject an order ``M`` below 3 and a ``limiter`` or ``splitting`` not
+    in ``LIMITERS`` or ``SPLITTINGS``; ``config`` is a ``RunConfig`` or a
+    scenario config."""
+    if config.M < 3:
+        raise ValueError("moment order M must be at least 3")
+    check_choice("limiter", config.limiter, LIMITERS)
+    check_choice("splitting", config.splitting, SPLITTINGS)
 
 
 @dataclass
@@ -150,11 +163,7 @@ class RunConfig:
     ``cfl``: fraction of the advective CFL limit used as the time step.
     ``t_end``, ``steady_tol``, ``max_steps``: stop at the end time, at the
     first steady check whose residual is below the tolerance, or after the
-    step budget, whichever comes first; at least one of the first two, and
-    each one set must be positive.  The residual is checked every 10 steps:
-    the max over cells and snapshot columns (all but y) of |change| /
-    (|previous| + 1e-8), per unit time since the previous check (see
-    ``march``).
+    step budget, whichever comes first (see ``march``).
     ``left``, ``right``: wall specification per end, None for a free
     (zero-gradient) boundary; the solver passes each wall map its end.
     ``force``: constant body acceleration; ``splitting`` "lie" applies it
@@ -163,6 +172,10 @@ class RunConfig:
     ``collisionless``: skip the collision step.
     ``signal_speed`` (derived): c in the HLL wave speeds u2 +- c sqrt(theta),
     the constant ``SIGNAL_SPEED_FACTOR`` times he_root(M+1).
+
+    ``check_scheme`` checks ``M``, ``limiter`` and ``splitting``;
+    ``march.check_run_options`` checks the options shared with
+    ``cdvm.DvRunConfig``: ``kn``, ``pr``, ``cfl`` and the stop.
     """
 
     M: int
@@ -180,17 +193,8 @@ class RunConfig:
     collisionless: bool = False
 
     def __post_init__(self):
-        if self.M < 3:
-            raise ValueError("moment order M must be at least 3")
-        check_stop_options(self)
-        if not (self.kn > 0):
-            raise ValueError("Knudsen number must be positive")
-        if not (0.0 < self.pr <= 1.0):
-            raise ValueError("Prandtl number must lie in (0, 1]")
-        if self.splitting not in ("lie", "strang"):
-            raise ValueError("splitting must be 'lie' or 'strang'")
-        if self.limiter not in ("none", "central", "minmod"):
-            raise ValueError("limiter must be none, central or minmod")
+        check_scheme(self)
+        check_run_options(self)
         self.force = np.asarray(self.force, dtype=float)
         if self.force.shape != (3,) or not np.all(np.isfinite(self.force)):
             raise ValueError("force must be a finite 3-vector")
@@ -517,13 +521,9 @@ def step(grid, config, dt=None):
 
 
 def run(grid, config, snapshot_interval=None, on_step=None):
-    """March the grid to the configured end time and/or steady state.
-
-    A thin call into ``march.march``, the one loop and steady residual
-    shared with ``cdvm.dv_run``: every 10 steps, the max over cells and
-    snapshot columns (all but y) of |change| / (|previous| + 1e-8), per unit
-    time since the previous check.  Returns a ``march.RunResult``.
-    """
+    """March the grid to the configured stop with ``march.march``, the loop,
+    steady residual and stop meaning shared with ``cdvm.dv_run``; returns a
+    ``march.RunResult``."""
     # step, cfl_timestep and snapshot_table are looked up at call time, so
     # a wrapper bound to these module names sees every call
     return march(grid, config,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from momentflow import cdvm, scenarios, solver1d
+from momentflow import scenarios
 
 DATA = Path(__file__).resolve().parent / "data" / "fingerprint.npz"
 
@@ -44,13 +44,7 @@ RUNS = {
 def final_table(name):
     """Snapshot table of run ``name`` at its end time."""
     scenario, overrides = RUNS[name]
-    sc = scenarios.preset(scenario, **overrides)
-    if sc.solver == "cdvm":
-        result = cdvm.dv_run(scenarios.build_dv_field(sc),
-                             scenarios.to_dv_config(sc))
-    else:
-        result = solver1d.run(scenarios.build_grid(sc),
-                              scenarios.to_run_config(sc))
+    result = scenarios.solve(scenarios.preset(scenario, **overrides))
     if not result.converged:
         raise RuntimeError("%s: %s" % (name, result.message))
     return result.snapshots[-1][1]

@@ -37,6 +37,7 @@ DELETED = [
     ("boundary", "j_hat"), ("boundary", "half_maxwellian_coeffs"),
     ("boundary", "wall_density"), ("boundary", "apply_wall_bc"),
     ("boundary", "check_walls"), ("cdvm.DvGrid", "cube"),
+    ("march", "check_stop_options"),
 ]
 
 

@@ -10,6 +10,7 @@ from momentflow.cdvm import (
     DvField,
     DvGrid,
     DvRunConfig,
+    _wall_incoming,
     collide_field,
     conservative_gaussian,
     dv_cfl_timestep,
@@ -47,8 +48,9 @@ def test_grid_validation():
     for half_width in (-8.0, 0.0, np.inf):
         with pytest.raises(ValueError, match="half_width"):
             DvGrid(half_width, (16, 16, 16))
-    with pytest.raises(ValueError):
-        DvGrid(8.0, (16, 16, 4))
+    for counts in ((16, 16, 4), (16, 16), (16, 16, 16, 16)):
+        with pytest.raises(ValueError, match="three axes of at least 8 nodes"):
+            DvGrid(8.0, counts)
 
 
 def test_trapezoidal_weights():
@@ -491,11 +493,26 @@ def test_walls_conserve_mass():
     assert m1 == pytest.approx(m0, rel=1e-12)
 
 
-def test_moving_normal_wall_rejected():
-    wall = WallSpec(1.0, np.array([0.0, 0.2, 0.0]), 1.0)
-    fld = _slab(n=8)
-    with pytest.raises(NotImplementedError):
-        transport_field(fld, 1e-3, None, wall)
+@pytest.mark.parametrize("chi", [1.0, 0.5, 0.0])
+@pytest.mark.parametrize("sgn", [-1.0, 1.0], ids=["left", "right"])
+def test_wall_inflow_matches_the_full_cube_formula(chi, sgn):
+    # the per-axis inflow against chi rho_w phi_w + (1 - chi) mirror built
+    # on whole cubes, with rho_w from the full-cube fluxes; the outgoing
+    # and the re-emitted mass flux cancel
+    grid = DvGrid(6.0, (12, 15, 11))
+    wall = WallSpec(chi, np.array([0.3, 0.0, -0.2]), 1.2)
+    rng = np.random.default_rng(5)
+    f_out = grid.maxwellian(1.1, [0.1, 0.2, 0.05], 0.9) * (
+        1.0 + 0.1 * rng.random(grid.counts))
+    got = _wall_incoming(grid, wall, f_out, sgn)
+    speed = sgn * grid.axes[1][None, :, None]
+    phi = grid.maxwellian(1.0, wall.u_wall, wall.theta_wall)
+    flux_out = np.sum(grid.w3 * np.maximum(speed, 0.0) * f_out)
+    rho_w = -flux_out / np.sum(grid.w3 * np.minimum(speed, 0.0) * phi)
+    want = chi * rho_w * phi + (1.0 - chi) * f_out[:, ::-1, :]
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    flux_in = np.sum(grid.w3 * np.minimum(speed, 0.0) * got)
+    assert abs(flux_out + flux_in) <= 1e-14 * flux_out
 
 
 @pytest.mark.parametrize("limiter", ["none", "minmod"])

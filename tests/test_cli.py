@@ -202,10 +202,12 @@ def test_run_cdvm_smoke(tmp_path):
 def test_run_to_its_end_time_does_not_warn(tmp_path, capsys):
     # --tend leaves the preset's steady tolerance set; stopping at the end
     # time before a steady state is what was asked, so nothing is reported
+    # and the run converged
     rc = main(["run", "--scenario", "couette", "--M", "3", "--cells", "8",
                "--tend", "0.02", "--out", str(tmp_path / "o")])
     assert rc == 0
     assert capsys.readouterr().err == ""
+    assert "converged=True\n" in (tmp_path / "o" / "run_log.txt").read_text()
 
 
 def test_run_out_of_steps_warns(tmp_path, capsys):
@@ -214,6 +216,7 @@ def test_run_out_of_steps_warns(tmp_path, capsys):
     assert rc == 0
     assert ("warning: step budget exhausted before reaching steady state"
             in capsys.readouterr().err)
+    assert "converged=False\n" in (tmp_path / "o" / "run_log.txt").read_text()
 
 
 _DV_RUN = ["run", "--scenario", "couette", "--solver", "cdvm", "--cells", "8",
@@ -242,6 +245,44 @@ def test_run_cdvm_rejects_central_limiter(tmp_path, capsys):
     assert rc == 1
     assert "limiter must be 'none' or 'minmod'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("lines, option", [
+    ("solver = cdvm\nlimiter = superbee\n", "error: limiter must be"),
+    ("solver = cdvm\nsplitting = bogus\n", "error: splitting must be"),
+    ("solver = cdvm\nM = 2\n", "moment order M"),
+    ("solver = nrxx\ndv_limiter = superbee\n", "error: dv_limiter must be"),
+    ("solver = nrxx\ndv_nodes = 4 4 4\n", "at least 8 nodes"),
+    ("solver = nrxx\ndv_half_width = 0\n", "half_width"),
+], ids=["cdvm-limiter", "cdvm-splitting", "cdvm-M", "nrxx-dv_limiter",
+        "nrxx-dv_nodes", "nrxx-dv_half_width"])
+def test_run_config_rejects_options_of_the_other_solver(tmp_path, capsys,
+                                                        lines, option):
+    # an option only the other solver reads is still checked, so a config
+    # file never records a value no run could use
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[run]\nscenario = couette\ncells = 8\nt_end = 0.02\n" + lines)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--scenario", "lid-cavity"], "scenario must be 'shock', 'couette', "
+                                   "'poiseuille' or 'custom', got 'lid-cavity'"),
+    (["--solver", "lbm"], "solver must be 'nrxx' or 'cdvm', got 'lbm'"),
+    (["--limiter", "superbee"], "limiter must be 'none', 'central' or 'minmod'"),
+    (["--splitting", "bogus"], "splitting must be 'lie' or 'strang', got 'bogus'"),
+], ids=["scenario", "solver", "limiter", "splitting"])
+def test_run_rejects_unknown_choices_with_the_config_message(tmp_path, capsys,
+                                                             flags, message):
+    out = tmp_path / "o"
+    rc = main(["run", "--scenario", "couette", "--M", "3", "--cells", "8",
+               "--tend", "0.02", "--out", str(out)] + flags)
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_failure_exits_nonzero(tmp_path, capsys):

@@ -85,3 +85,16 @@ def test_budget_before_end_time_is_not_converged(solver):
     res = solve(state, cfg)
     assert (res.steps, res.converged) == (3, False)
     assert res.message == "step budget exhausted before reaching end time"
+
+
+@pytest.mark.parametrize("solver", ["nrxx", "cdvm"])
+def test_end_time_with_steady_tol_set_is_converged(solver):
+    # the preset's steady tolerance stays set and is checked, but the run
+    # stops at its end time first: that is what was asked, not a failure
+    solve, state, cfg = _small_couette(solver, t_end=0.5)
+    assert cfg.steady_tol == 1e-6
+    res = solve(state, cfg)
+    assert res.t == pytest.approx(0.5, abs=1e-13)
+    assert len(res.residual_history) >= 1
+    assert np.all(res.residual_history > cfg.steady_tol)
+    assert (res.converged, res.message) == (True, "reached end time")
