@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hermite import he_zeros
-from .moments import grade_mask
+from .moments import axis_steps, grade_mask
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -86,14 +86,12 @@ def s_table(nmax):
 @lru_cache(maxsize=None)
 def _wall_tables(K):
     """K-only constants of the wall map: the half exponents n/2 (n < K), the
-    constants c_s of H^_s, S[odd a, even b] and the retained grades of the
-    odd-a2 slab."""
+    constants c_s of H^_s and S[odd a, even b]."""
     c = np.zeros(K)
     c[1] = 1.0
     for s in range(3, K, 2):
         c[s] = -(s - 2) / (s * (s - 1)) * c[s - 2]
-    tables = (np.arange(K) / 2.0, c, s_table(K - 1)[1::2, ::2],
-              grade_mask(K, K - 1)[:, 1::2, :])
+    tables = (np.arange(K) / 2.0, c, s_table(K - 1)[1::2, ::2])
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -111,7 +109,7 @@ def _wall_factors(u, theta, wall, K):
     sqrt(theta_w / 2 pi) for odd s (0 for even s), with c_1 = 1 and
     c_s = -(s-2) c_{s-2} / (s (s-1)).
     """
-    half, c, _, _ = _wall_tables(K)
+    half, c, _ = _wall_tables(K)
     pw = theta ** half
     h = (c * pw * math.sqrt(wall.theta_wall / (2.0 * math.pi * theta))).tolist()
     dt = float(wall.theta_wall - theta)
@@ -131,15 +129,20 @@ def _odd_slab(u, theta, coeffs, wall, sign):
     R = diag(theta^{a/2}) S[odd a, even b] diag(theta^{-b/2}) f[:, even b, :]
     is the reflected part; p the incoming-half wall Maxwellian
     rho_wall J_{a1} J^_{a2} J_{a3}, with rho_wall = sqrt(2 pi / theta_w)
-    R[0, 0, 0] balancing the mass flux.
+    R[0, 0, 0] balancing the mass flux.  ``coeffs`` is one cube in any
+    layout of ``moments``; along an even-only a1 or a3 axis the J row keeps
+    its even entries, the odd ones being zero when the wall and the frame
+    do not move along that axis.
     """
-    K = coeffs.shape[-1]
-    _, _, S, mask = _wall_tables(K)
+    K = coeffs.shape[1]
+    S = _wall_tables(K)[2]
+    s1, _, s3 = axis_steps(coeffs.shape)
     pw, J = _wall_factors(u, theta, wall, K)
     R = (pw[1::2, None] * S / pw[::2]) @ coeffs[:, ::2, :]
     rho_wall = math.sqrt(2.0 * math.pi / wall.theta_wall) * R[0, 0, 0]
-    R += (rho_wall * J[0])[:, None, None] * (J[1, 1::2, None] * J[2])
-    R *= mask
+    R += ((rho_wall * J[0, ::s1])[:, None, None]
+          * (J[1, 1::2, None] * J[2, ::s3]))
+    R *= grade_mask(coeffs.shape, K - 1)[:, 1::2, :]
     R *= sign * (2.0 * wall.chi / (2.0 - wall.chi))
     return R
 

@@ -24,16 +24,19 @@ _THREAD_VARS = (
 
 
 def decay_diagnostic(coeffs):
-    """Mean |f_alpha| per order k = 1..M of one coefficient cube of edge
-    K = M + 1 (length-M array)."""
+    """Mean |f_alpha| over the multi-indices of each order k = 1..M of one
+    coefficient cube with K = M + 1 (length-M array), in any layout of
+    ``moments``: a slot the layout does not store counts as zero, so a
+    reduced cube and its zero-padded full cube give the same vector."""
     import numpy as np
 
     from .moments import order_cube
 
-    K = coeffs.shape[-1]
-    orders = order_cube(K)
-    mag = np.abs(coeffs)
-    return np.array([mag[orders == k].mean() for k in range(1, K)])
+    K = coeffs.shape[-2]
+    sums = np.bincount(order_cube(coeffs.shape).ravel(),
+                       weights=np.abs(coeffs).ravel(), minlength=K)
+    counts = np.bincount(order_cube((K,) * 3).ravel())
+    return sums[1:K] / counts[1:K]
 
 
 def build_parser():
@@ -84,12 +87,11 @@ def _cmd_run(args):
     names = {f.name for f in fields(scenarios.ScenarioConfig)}
     over = {k: tuple(v) if isinstance(v, list) else v
             for k, v in vars(args).items() if k in names and v is not None}
-    scenario = over.pop("scenario", "custom")
     limiter = over.pop("limiter", None)
     if args.config is not None:
         sc = scenarios.load_config(args.config, **over)
     else:
-        sc = scenarios.preset(scenario, **over)
+        sc = scenarios.preset(over.pop("scenario", "custom"), **over)
     if limiter is not None:
         key = "dv_limiter" if sc.solver == "cdvm" else "limiter"
         sc = replace(sc, **{key: limiter})

@@ -1,20 +1,23 @@
 """Gradient-based prediction of the top-order coefficients.
 
-The evolved system stores orders <= M in cubes of edge M + 1; the
+The evolved system stores orders <= M in cubes of edge M + 1 along a2; the
 order-(M+1) block that closes the transport fluxes is predicted from first
 derivatives of the lower moments and of (rho, u, theta), scaled by the
 relaxation time, as a compact (..., T) block that is never stored; only
-its slots with alpha2 >= 1 are predicted, as the a2-flux reads no other.  Only
-wall-normal (y) derivatives survive in a 1-D channel, while the velocity
-space keeps all three dimensions, so the inner dimension sums always run
-over d = 1..3.  Coefficients whose index would go negative are zero.
+its slots with alpha2 >= 1 are predicted, as the a2-flux reads no other,
+and on an even-only axis of the cube layout (``moments``) only its even
+orders.  Only wall-normal (y) derivatives survive in a 1-D channel, while
+the velocity space keeps all three dimensions, so the inner dimension sums
+always run over d = 1..3.  Coefficients whose index would go negative, or
+that the layout does not store, are zero.  The gather tables are cached
+per cube layout.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .moments import order_cube
+from .moments import order_cube, stored_index
 
 
 # index shifts s at which the prediction reads the mean cube, alpha - s
@@ -27,25 +30,29 @@ _SHIFTS = (
 
 
 @lru_cache(maxsize=None)
-def _top_reads(K):
-    """Gather tables of the prediction on |alpha| = K from cubes of edge K.
+def _top_reads(cube):
+    """Gather tables of the prediction on |alpha| = K from cubes of shape
+    ``cube`` (K1, K, K3), in any layout of ``moments``.
 
     Only the top slots with alpha2 >= 1 are predicted: the flux reads the
     top grade as alpha2 P_alpha at alpha - e2, so alpha2 = 0 never enters
-    it, and alpha - e2 always lies in the cube.  Returns those multi-indices
-    (T, 3), T = K (K + 1) / 2; the flat cube indices of the distinct slots
-    read, and for each shift s of ``_SHIFTS`` and top slot alpha (11, T)
-    the position among them of alpha - s, clipped into the cube where
-    alpha - s leaves it; the positions of those out-of-range reads, which
-    must read as zero, in the flattened (11, T) block; and the flat indices
-    of alpha - e2 and alpha2.
+    it, and alpha - e2 always lies in the cube; and only those with even
+    orders along an even-only axis, as the others are zero by symmetry.
+    Returns those multi-indices (T, 3), T = K (K + 1) / 2 in the full
+    layout; the flat cube indices of the distinct slots read, and for each
+    shift s of ``_SHIFTS`` and top slot alpha (11, T) the position among
+    them of alpha - s, pointing at slot 0 where alpha - s is absent from
+    the layout; the positions of those absent reads, which must read as
+    zero, in the flattened (11, T) block; and the flat indices of
+    alpha - e2 and alpha2.
     """
-    tops = np.argwhere(order_cube(K + 1) == K)
-    tops = tops[tops[:, 1] >= 1]
-    src = tops[None, :, :] - np.asarray(_SHIFTS)[:, None, :]
-    outside = np.any((src < 0) | (src > K - 1), axis=-1)
-    flat = np.ravel_multi_index(tuple(np.moveaxis(src, -1, 0)), (K,) * 3,
-                                mode="clip")
+    K = cube[1]
+    tops = np.argwhere(order_cube((K + 1,) * 3) == K)
+    # alpha - e2 is stored exactly when alpha2 >= 1 and the orders along the
+    # even-only axes are even
+    tops = tops[~stored_index(cube, tops - [0, 1, 0])[1]]
+    src, outside = stored_index(cube, tops[None] - np.asarray(_SHIFTS)[:, None])
+    flat = np.ravel_multi_index(tuple(np.moveaxis(src, -1, 0)), cube)
     slots, rows = np.unique(flat, return_inverse=True)
     tables = (tops, slots, rows.reshape(flat.shape), np.flatnonzero(outside),
               flat[0], tops[:, 1] * 1.0)
@@ -57,22 +64,21 @@ def _top_reads(K):
 def gradient_reads(cubes):
     """The one slot per top-grade slot alpha at which the prediction reads
     the gradient field, f_{alpha - e2}, from every cube of ``cubes``
-    (..., K, K, K): an (..., T) block.
+    (..., K1, K, K3): an (..., T) block.
 
     The read is linear, so differencing the reads of the field values gives
     the reads of their difference.
     """
-    K = cubes.shape[-1]
-    return cubes.reshape(cubes.shape[:-3] + (K**3,))[..., _top_reads(K)[4]]
+    flat = cubes.reshape(cubes.shape[:-3] + (-1,))
+    return flat[..., _top_reads(cubes.shape[-3:])[4]]
 
 
 def add_top_flux(flux, top):
     """Add the top grade's part of the a2-flux, alpha2 P_alpha at
     alpha - e2 for the prediction ``top`` (..., T) of ``closure_coeffs``,
-    to the C-contiguous cubes ``flux`` (..., K, K, K); returns ``flux``."""
-    K = flux.shape[-1]
-    *_, slots, a2 = _top_reads(K)
-    flux.reshape(flux.shape[:-3] + (K**3,))[..., slots] += top * a2
+    to the C-contiguous cubes ``flux`` (..., K1, K, K3); returns ``flux``."""
+    *_, slots, a2 = _top_reads(flux.shape[-3:])
+    flux.reshape(flux.shape[:-3] + (-1,))[..., slots] += top * a2
     return flux
 
 
@@ -80,21 +86,20 @@ def closure_coeffs(traces, mean_theta, grad_reads, grad_u, grad_theta,
                    grad_ptheta, tau):
     """Top-grade prediction from mean values and y-gradients.
 
-    ``traces``: (2, ..., K, K, K), the two traces at each interface, with
+    ``traces``: (2, ..., K1, K, K3), the two traces at each interface, with
     the evolved orders <= M = K - 1 filled; the prediction reads their
     mean, gathered at the 11 index shifts of ``_SHIFTS`` and only there.
     ``grad_reads``: (..., T), d/dy of the ``gradient_reads`` of the
     coefficient field; ``grad_u``: (..., 3); the scalars broadcast over the
     batch.  Returns the (..., T) prediction on the indices |alpha| = M+1
-    with alpha2 >= 1, in the order of ``_top_reads``.
+    of ``_top_reads``.
     """
     c = np.asarray(traces, dtype=float)
-    K = c.shape[-1]
-    tops, slots, rows, zero, *_ = _top_reads(K)
+    tops, slots, rows, zero, *_ = _top_reads(c.shape[-3:])
     batch = c.shape[1:-3]
     # the slots read of both traces in one gather, averaged on that small
     # block, then spread to one row per shift of _SHIFTS
-    pair = np.take(c.reshape(c.shape[:-3] + (K**3,)), slots, axis=-1)
+    pair = np.take(c.reshape(c.shape[:-3] + (-1,)), slots, axis=-1)
     mean = np.add(pair[0], pair[1], out=pair[0])
     mean *= 0.5
     r = np.take(mean, rows, axis=-1)

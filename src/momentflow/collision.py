@@ -14,20 +14,23 @@ rate for everything above order one).
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .moments import heat_flux
+from .moments import HEAT_FLUX_SLOTS, LOW_SLOTS, heat_flux, stored_index
 
-# the heat-flux-coupled slots alpha = e_i + 2 e_j, grouped by the component i
-# of q they draw from
-_Q_SLOTS = (
-    ((3, 0, 0), (1, 2, 0), (1, 0, 2)),
-    ((2, 1, 0), (0, 3, 0), (0, 1, 2)),
-    ((2, 0, 1), (0, 2, 1), (0, 0, 3)),
-)
-# the slots of order <= 1, as index arrays per axis
-_LOW = ([0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
+
+@lru_cache(maxsize=None)
+def _slots(cube):
+    """Per-axis stored positions, in cubes of shape ``cube``, of the slots
+    of order <= 1 and of the heat-flux-coupled slots e_i + 2 e_d of
+    ``moments.HEAT_FLUX_SLOTS``, those absent from the layout left out, and
+    the component i of q each of the latter draws from."""
+    low, low_absent = stored_index(cube, LOW_SLOTS[:4])
+    q, q_absent = stored_index(cube, HEAT_FLUX_SLOTS)
+    return (tuple(low[~low_absent].T), tuple(q[~q_absent].T),
+            np.flatnonzero(~q_absent) // 3)
 
 
 def relaxation_time(rho, theta, kn):
@@ -51,13 +54,12 @@ def collide_coeffs(coeffs, tau, prandtl, dt, out=None):
     e_full = np.exp(-dt / tau)
     e_pr = np.exp(-prandtl * dt / tau)
     q0 = heat_flux(coeffs)
+    low, q_slots, comp = _slots(coeffs.shape[-3:])
 
     # every slot decays except orders <= 1, which are put back unchanged
-    low = coeffs[..., _LOW[0], _LOW[1], _LOW[2]]
+    kept = coeffs[(Ellipsis,) + low]
     out = np.multiply(coeffs, e_full[..., None, None, None], out=out)
-    out[..., _LOW[0], _LOW[1], _LOW[2]] = low
+    out[(Ellipsis,) + low] = kept
     bump = (e_pr - e_full) / 5.0
-    for i, slots in enumerate(_Q_SLOTS):
-        for alpha in slots:
-            out[(Ellipsis,) + alpha] += q0[..., i] * bump
+    out[(Ellipsis,) + q_slots] += q0[..., comp] * bump[..., None]
     return out

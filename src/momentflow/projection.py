@@ -9,13 +9,17 @@ so new_f_beta = sum_{gamma+delta=beta} f_gamma prod_d h_{delta_d}.  The map is
 graded-triangular: coefficients of order k depend only on input orders <= k,
 which makes the round trip exact on every retained order when nothing is
 truncated away.
+
+The shift-matrix tables and the grade mask are cached per cube layout
+(``moments``): an even-only axis takes the even rows and columns of its
+matrix, which is exact while that axis's frame velocity stays put.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .moments import grade_mask, work_array
+from .moments import axis_steps, grade_mask, low_moments, work_array
 
 
 def shift_kernel(du, dtheta, nmax):
@@ -33,61 +37,86 @@ def shift_kernel(du, dtheta, nmax):
 
 
 @lru_cache(maxsize=None)
-def _toeplitz(K):
-    """Gather index max(a - b, 0) into the kernel, and the mask a >= b, of
-    the K x K shift matrix."""
-    diff = np.arange(K)[:, None] - np.arange(K)[None, :]
-    tables = np.clip(diff, 0, None), diff >= 0
+def _toeplitz(cube):
+    """Shift-matrix tables of cubes of shape ``cube``: for each axis, over
+    the orders it stores, T[a, b] = h_{a-b} for a >= b and 0 otherwise.
+
+    Returns the gather index into the three axes' kernels, flattened to
+    (3 K,), and the mask a >= b, both concatenated over the three
+    row-major matrices (axis 3's transposed), and each matrix's (start,
+    stop, edge) in them.  On an even-only axis the matrix is the even rows
+    and columns of the full one: the kernel's odd entries vanish when that
+    axis's frame velocity does not move, which the mirror symmetry
+    guarantees.
+    """
+    K = cube[1]
+    index, lower, blocks, stop = [], [], [], 0
+    for d, step in enumerate(axis_steps(cube)):
+        r = np.arange(0, K, step)
+        diff = r[:, None] - r[None, :]
+        # axis 3's matrix is stored transposed, as its right-multiply reads it
+        diff = (diff.T if d == 2 else diff).ravel()
+        index.append(d * K + np.clip(diff, 0, None))
+        lower.append(diff >= 0)
+        blocks.append((stop, stop + diff.size, r.size))
+        stop += diff.size
+    tables = np.concatenate(index), np.concatenate(lower)
     for t in tables:
         t.setflags(write=False)
-    return tables
+    return tables + (tuple(blocks),)
 
 
-def _shift_matrix(du, dtheta, K):
-    """Lower-triangular banded matrix T[a, b] = h_{a-b}."""
-    index, lower = _toeplitz(K)
+def _shift_matrices(du, dtheta, cube):
+    """The lower-triangular banded matrices T_d[a, b] = h_{a-b} of cubes of
+    shape ``cube`` for axes 1 and 2, and T_3 transposed; ``du`` (..., 3),
+    ``dtheta`` (..., 1)."""
+    index, lower, blocks = _toeplitz(cube)
+    h = shift_kernel(du, dtheta, cube[1] - 1)
     # np.take gathers into a C-ordered array; fancy indexing would pick
     # inverted output strides and push the matmuls downstream off their
     # fast path
-    T = np.take(shift_kernel(du, dtheta, K - 1), index, axis=-1)
+    T = np.take(h.reshape(h.shape[:-2] + (-1,)), index, axis=-1)
     T *= lower
-    return T
+    return tuple(T[..., a:b].reshape(T.shape[:-1] + (n, n))
+                 for a, b, n in blocks)
 
 
 def project_coeffs(coeffs, u, theta, u_new, theta_new, out=None):
     """Apply the frame change to batched coefficient cubes.
 
-    ``coeffs``: (..., K, K, K); ``u``/``u_new``: (..., 3);
-    ``theta``/``theta_new``: (...,).  Cube entries beyond the retained order
-    |alpha| <= K-1 are re-zeroed after the convolution.  ``out``, if given,
-    is a C-contiguous array of the result's shape, not overlapping
-    ``coeffs``, that receives the result; otherwise a new array does.
+    ``coeffs``: (..., K1, K, K3) in any layout of ``moments``;
+    ``u``/``u_new``: (..., 3); ``theta``/``theta_new``: (...,).  On an
+    even-only axis the frame velocity must not change.  Cube entries beyond
+    the retained order |alpha| <= K-1 are re-zeroed after the convolution.
+    ``out``, if given, is a C-contiguous array of the result's shape, not
+    overlapping ``coeffs``, that receives the result; otherwise a new array
+    does.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    K = coeffs.shape[-1]
+    cube = coeffs.shape[-3:]
+    n1, K, n3 = cube
     u = np.asarray(u, dtype=float)
     u_new = np.asarray(u_new, dtype=float)
     dtheta = np.asarray(theta, dtype=float) - np.asarray(theta_new, dtype=float)
-    # one kernel build for all three axes: batch axis -3 runs over x, y, z
-    t123 = _shift_matrix(u - u_new, dtheta[..., None], K)
-    t1, t2, t3 = (t123[..., d, :, :] for d in range(3))
+    # one kernel build for all three axes
+    t1, t2, t3 = _shift_matrices(u - u_new, dtheta[..., None], cube)
     batch = np.broadcast(coeffs[..., 0, 0, 0], t1[..., 0, 0]).shape
     if out is None:
-        out = np.empty(batch + (K, K, K))
+        out = np.empty(batch + cube)
     mid = work_array("projection", out.shape)
     # three stacked matmuls, one per cube axis, each phrased so every cube's
-    # trailing axes stay contiguous: axis 1 as T (K x K^2), axis 2 with T
+    # trailing axes stay contiguous: axis 1 as T (n1 x K n3), axis 2 with T
     # broadcast across the leading cube axis, axis 3 as one right-multiply
-    # (K^2 x K) T^T per cube; the input reshape is a view for any batch
+    # (n1 K x n3) T_3^T per cube; the input reshape is a view for any batch
     # strides
-    flat = batch + (K * K, K)
+    flat = batch + (n1 * K, n3)
     if coeffs.shape[:-3] != batch:
-        coeffs = np.broadcast_to(coeffs, batch + (K, K, K))
-    src = coeffs.reshape(batch + (K, K * K))
-    np.matmul(t1, src, out=out.reshape(batch + (K, K * K)))
+        coeffs = np.broadcast_to(coeffs, batch + cube)
+    src = coeffs.reshape(batch + (n1, K * n3))
+    np.matmul(t1, src, out=out.reshape(batch + (n1, K * n3)))
     np.matmul(t2[..., None, :, :], out, out=mid)
-    np.matmul(mid.reshape(flat), np.swapaxes(t3, -1, -2), out=out.reshape(flat))
-    out *= grade_mask(K, K - 1)
+    np.matmul(mid.reshape(flat), t3, out=out.reshape(flat))
+    out *= grade_mask(cube, K - 1)
     return out
 
 
@@ -105,11 +134,7 @@ def renormalize_arrays(u_frame, theta_frame, coeffs):
     Projecting onto the recovered frame zeroes those slots again.
     Returns (u, theta, coeffs) batched like the inputs.
     """
-    rho = coeffs[..., 0, 0, 0]
-    f1 = np.stack(
-        [coeffs[..., 1, 0, 0], coeffs[..., 0, 1, 0], coeffs[..., 0, 0, 1]], axis=-1
-    )
-    f2sum = coeffs[..., 2, 0, 0] + coeffs[..., 0, 2, 0] + coeffs[..., 0, 0, 2]
+    rho, f1, f2sum = low_moments(coeffs)
     u_new = u_frame + f1 / rho[..., None]
     theta_new = theta_frame + (2.0 * f2sum - np.sum(f1**2, axis=-1) / rho) / (3.0 * rho)
     c = project_coeffs(coeffs, u_frame, theta_frame, u_new, theta_new)

@@ -19,7 +19,7 @@ names.
 """
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -144,9 +144,18 @@ def to_run_config(sc):
 
 
 def build_grid(sc):
+    """Initial NRxx grid of local Maxwellians.  Along a1 and a3 it stores
+    the even orders alone when the run keeps xi_d -> -xi_d symmetric: zero
+    initial velocity ``u0[d]`` and no force or wall velocity along d
+    (``solver1d.mirror_breaker``); a Maxwellian cube is even on every axis.
+    The shock reduces both axes, Couette and Poiseuille reduce a3."""
     rho = np.full(sc.cells, sc.rho0)
-    return solver1d.Grid1D.from_fields(sc.y_lo, sc.y_hi, rho, sc.u0, sc.theta0,
+    grid = solver1d.Grid1D.from_fields(sc.y_lo, sc.y_hi, rho, sc.u0, sc.theta0,
                                        sc.M)
+    walls = sc.wall("left"), sc.wall("right")
+    s1, s3 = (1 if sc.u0[d] != 0.0 or solver1d.mirror_breaker(d, sc.force, walls)
+              else 2 for d in (0, 2))
+    return replace(grid, coeffs=grid.coeffs[:, ::s1, :, ::s3])
 
 
 def to_dv_config(sc):
@@ -172,16 +181,23 @@ def solve(sc):
     return run(state, config, snapshot_interval=sc.snapshot_interval or None)
 
 
+_KINDS = {int: "an integer", float: "a number", tuple: "a list of numbers"}
+
+
 def _parse_value(f, text):
     """The value of field ``f`` written as ``text``; a tuple's entries take
-    the type of its default's entries."""
+    the type of its default's entries.  "none" (or nothing) is None for a
+    field whose default is None and a ValueError naming the key for any
+    other non-string field."""
     text = text.strip()
     if f.type is str:
         # "none" is a legal literal for limiter-style options, so string
         # fields never collapse to None
         return text
     if text.lower() in ("none", ""):
-        return None
+        if f.default is None:
+            return None
+        raise ValueError("%s must be %s, got None" % (f.name, _KINDS[f.type]))
     if f.type is tuple:
         cast = type(f.default[0])
         return tuple(cast(p) for p in text.replace(",", " ").split())

@@ -10,11 +10,16 @@ keeps linear reconstruction stable at the working CFL.  Fluxes are
 re-framed to each adjacent cell before the update, which makes the scheme
 conservative in mass, momentum and energy by telescoping.
 
-Cubes of edge K = M + 1 hold the evolved grades <= M; the top grade M + 1
-is never stored.  The closure predicts it at each interface from the
-traces' mean and from centered differences of the interface values, both
-gathered at the few slots the prediction reads, and the HLL flux takes it
-in one term.
+Cubes hold the evolved grades <= M; the top grade M + 1 is never stored.
+The closure predicts it at each interface from the traces' mean and from
+centered differences of the interface values, both gathered at the few
+slots the prediction reads, and the HLL flux takes it in one term.
+The cubes are in one of the layouts of ``moments``: every order 0..M along
+a2, and along a1 and a3 either every order or, when the run is mirror
+symmetric in that velocity component (no wall velocity, body force or
+frame velocity along it), the even orders alone.  The projection, closure,
+wall-map, collision and grade-mask tables are cached per layout; the HLL
+operators act along a2 and depend on K alone.
 Wall ghosts are rebuilt from the current state at every Heun stage, and at
 a wall interface the outer state is built from the inner trace, so the wall
 mass flux vanishes identically for a non-moving wall at both stages.
@@ -48,7 +53,7 @@ from .closure import add_top_flux, closure_coeffs, gradient_reads
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
 from .march import check_choice, check_run_options, march
-from .moments import snapshot_table, work_array
+from .moments import axis_steps, low_moments, snapshot_table, work_array
 from .projection import project_coeffs, renormalize_arrays
 
 # HLL wave speeds are u2 +- SIGNAL_SPEED_FACTOR he_root(M+1) sqrt(theta)
@@ -68,12 +73,29 @@ def check_scheme(config):
     check_choice("splitting", config.splitting, SPLITTINGS)
 
 
+def mirror_breaker(d, force, walls):
+    """The option that breaks the mirror symmetry xi_d -> -xi_d of a slab
+    run along velocity axis ``d`` (0 or 2), named "force[d]" or
+    "u_wall_<side>[d]", or None.  ``walls`` are the left and right
+    ``WallSpec`` (None at a free end).  Without a body force or wall
+    velocity along axis d, a state whose frame velocity along d is zero and
+    whose odd orders along a_d are zero keeps both so."""
+    if force[d] != 0.0:
+        return "force[%d]" % d
+    for side, wall in zip(("left", "right"), walls):
+        if wall is not None and wall.u_wall[d] != 0.0:
+            return "u_wall_%s[%d]" % (side, d)
+    return None
+
+
 @dataclass
 class Grid1D:
     """Uniform cell-centered mesh with per-cell moment data.
 
     ``u``: (N, 3) frame velocities, ``theta``: (N,), ``coeffs``:
-    (N, K, K, K) with K = M + 1, zero beyond the evolved grades <= M.
+    (N, K1, K, K3) with K = M + 1 in a layout of ``moments``, zero beyond
+    the evolved grades <= M.  Along an even-only a1 or a3 axis the frame
+    velocity must be zero.
     """
 
     y_lo: float
@@ -86,14 +108,18 @@ class Grid1D:
         self.u = np.array(self.u, dtype=float)
         self.theta = np.array(self.theta, dtype=float)
         self.coeffs = np.array(self.coeffs, dtype=float)
-        n = self.coeffs.shape[0]
-        K = self.coeffs.shape[-1]
+        n, *cube = self.coeffs.shape
         if not (self.y_hi > self.y_lo):
             raise ValueError("empty domain")
         if self.u.shape != (n, 3) or self.theta.shape != (n,):
             raise ValueError("inconsistent field shapes")
-        if self.coeffs.shape != (n, K, K, K) or K < 4:
-            raise ValueError("coefficient cubes must be (N, K, K, K), M >= 3")
+        if len(cube) != 3 or cube[1] < 4:
+            raise ValueError("coefficient cubes must be (N, K1, K, K3), M >= 3")
+        steps = axis_steps(tuple(cube))
+        for d in (0, 2):
+            if steps[d] == 2 and np.any(self.u[:, d] != 0.0):
+                raise ValueError("frame velocity u%d must be zero along an "
+                                 "axis that stores even orders only" % (d + 1))
         _require_positive(self.coeffs[:, 0, 0, 0], "density", "in cell %d", ValueError)
         _require_positive(self.theta, "temperature", "in cell %d", ValueError)
 
@@ -103,7 +129,7 @@ class Grid1D:
 
     @property
     def M(self):
-        return self.coeffs.shape[-1] - 1
+        return self.coeffs.shape[-2] - 1
 
     @property
     def dx(self):
@@ -131,24 +157,11 @@ class Grid1D:
         return float(np.sum(self.densities()) * self.dx)
 
     def total_momentum(self):
-        rho = self.densities()[:, None]
-        f1 = np.stack(
-            [self.coeffs[:, 1, 0, 0], self.coeffs[:, 0, 1, 0], self.coeffs[:, 0, 0, 1]],
-            axis=-1,
-        )
-        return np.sum(rho * self.u + f1, axis=0) * self.dx
+        rho, f1, _ = low_moments(self.coeffs)
+        return np.sum(rho[:, None] * self.u + f1, axis=0) * self.dx
 
     def total_energy(self):
-        rho = self.densities()
-        f1 = np.stack(
-            [self.coeffs[:, 1, 0, 0], self.coeffs[:, 0, 1, 0], self.coeffs[:, 0, 0, 1]],
-            axis=-1,
-        )
-        f2 = (
-            self.coeffs[:, 2, 0, 0]
-            + self.coeffs[:, 0, 2, 0]
-            + self.coeffs[:, 0, 0, 2]
-        )
+        rho, f1, f2 = low_moments(self.coeffs)
         e = 0.5 * rho * np.sum(self.u**2, axis=-1) + np.sum(self.u * f1, axis=-1)
         e += 1.5 * rho * self.theta + f2
         return float(np.sum(e) * self.dx)
@@ -265,7 +278,7 @@ def _hll_combine(a, b, top, u2, theta, lam_l, lam_r, out):
     hi = np.maximum(lam_r, 0.0)
     # rows wa, wb, wj
     w = np.stack([hi, -lo, lo * hi]) / (hi - lo)
-    ops = _flux_cube(u2, theta, w[:2], w[2] * _JUMP_SIGNS, a.shape[-1])
+    ops = _flux_cube(u2, theta, w[:2], w[2] * _JUMP_SIGNS, a.shape[-2])
     F = np.matmul(ops[0, :, None], a, out=out[0])
     F += np.matmul(ops[1, :, None], b, out=out[1])
     return add_top_flux(F, top)
@@ -484,6 +497,14 @@ def step(grid, config, dt=None):
     """
     if grid.M != config.M:
         raise ValueError("grid and config disagree on the moment order")
+    steps = axis_steps(grid.coeffs.shape[1:])
+    for d in (0, 2):
+        name = steps[d] == 2 and mirror_breaker(d, config.force,
+                                                (config.left, config.right))
+        if name:
+            raise ValueError(
+                "%s is nonzero, which breaks the mirror symmetry of a grid "
+                "that stores only the even orders along a%d" % (name, d + 1))
     if dt is None:
         dt = cfl_timestep(grid, config.cfl, config.signal_speed)
 

@@ -739,3 +739,40 @@ def random_admissible(rng, M, scale=0.05):
     trace = f[(2, 0, 0)] + f[(0, 2, 0)] + f[(0, 0, 2)]
     f[(0, 0, 2)] -= trace
     return u, theta, f
+
+
+# ---------------------------------------------------------------------------
+# Mirror-symmetric cubes and the even-only layout along a1 / a3
+
+
+def _axis_slices(axes, chosen):
+    idx = [slice(None)] * 3
+    for d in axes:
+        idx[d] = chosen
+    return (Ellipsis,) + tuple(idx)
+
+
+def mirror_even(coeffs, axes=(0, 2)):
+    """Copy of full cubes (..., K, K, K) with every odd order along the cube
+    axes ``axes`` (0 for a1, 2 for a3) zeroed: the part of the distribution
+    even under xi_d -> -xi_d."""
+    c = np.array(coeffs, dtype=float)
+    for d in axes:
+        c[_axis_slices((d,), slice(1, None, 2))] = 0.0
+    return c
+
+
+def even_slots(coeffs, axes=(0, 2)):
+    """The slots of full cubes that the even-only layout along ``axes``
+    stores, as contiguous cubes of that layout."""
+    return np.ascontiguousarray(coeffs[_axis_slices(axes, slice(None, None, 2))])
+
+
+def pad_full(coeffs):
+    """Zero-padded full cubes (..., K, K, K) of cubes (..., K1, K, K3) whose
+    a1 or a3 axis may hold the even orders alone; K is the a2 edge."""
+    K = coeffs.shape[-2]
+    reduced = [d for d in (0, 2) if coeffs.shape[d - 3] != K]
+    out = np.zeros(coeffs.shape[:-3] + (K,) * 3)
+    out[_axis_slices(reduced, slice(None, None, 2))] = coeffs
+    return out

@@ -13,8 +13,10 @@ from oracles import (
     State,
     admissibility_violation,
     apply_wall_bc,
+    even_slots,
     maxwellian,
     mirror,
+    mirror_even,
     random_state,
 )
 
@@ -74,7 +76,7 @@ def _half_maxwellian(u, theta, wall, rho_wall, K):
     """Cube rho_wall J_{a1} J^_{a2} J_{a3} of the wall map's factors, cut to
     the retained grades."""
     J = _wall_factors(u, theta, wall, K)[1]
-    return rho_wall * np.einsum("i,j,k->ijk", *J) * grade_mask(K, K - 1)
+    return rho_wall * np.einsum("i,j,k->ijk", *J) * grade_mask((K,) * 3, K - 1)
 
 
 def test_j_full_matches_quadrature():
@@ -341,8 +343,8 @@ def test_wall_map_needs_no_top_grade(M):
     # slot set moves the (M+2)-edge map off it
     s = oracles.two_beam(M)
     K = M + 1
-    evolved = grade_mask(K, M)
-    top = order_cube(K + 1) == K
+    evolved = grade_mask((K,) * 3, M)
+    top = order_cube((K + 1,) * 3) == K
     even_top = top.copy()
     even_top[:, 1::2, :] = False
     assert np.abs(s.coeffs[top & ~even_top]).max() > 1e-8
@@ -510,3 +512,26 @@ def test_bc_invariants_random(seed):
     )
     out = _bc(s, wall, -1.0 if seed % 2 else 1.0)
     assert admissibility_violation(out.theta, out.coeffs) is None
+
+
+@pytest.mark.parametrize("axes", [(0,), (2,), (0, 2)])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("M", [3, 6, 10])
+def test_reduced_ghost_equals_the_full_even_slots(axes, sign, M):
+    # a wall and a frame at rest along the reduced axes: the full ghost
+    # stays even along them and the reduced ghost is its stored part
+    rng = np.random.default_rng(M)
+    K = M + 1
+    c = mirror_even(0.05 * rng.standard_normal((K, K, K))
+                    * grade_mask((K,) * 3, M), axes)
+    c[0, 0, 0] = 1.2
+    u, u_wall = rng.uniform(-0.5, 0.5, (2, 3))
+    u[list(axes)] = u_wall[list(axes)] = 0.0
+    wall = WallSpec(0.7, u_wall, 1.3)
+    u_f, th_f, g_f = ghost_state(u, 0.9, c, wall, sign)
+    np.testing.assert_array_equal(g_f, mirror_even(g_f, axes))
+    u_r, th_r, g_r = ghost_state(u, 0.9, even_slots(c, axes), wall, sign)
+    np.testing.assert_array_equal(u_r, u_f)
+    assert th_r == th_f
+    np.testing.assert_allclose(g_r, even_slots(g_f, axes), rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(g_f)))

@@ -42,6 +42,24 @@ def test_decay_diagnostic_matches_direct_average():
     assert d[M - 1] > 0.0
 
 
+@pytest.mark.parametrize("axes", [(0,), (2,), (0, 2)])
+def test_decay_diagnostic_of_reduced_cube_equals_its_padded_full_cube(axes):
+    # a reduced cube's absent slots count as zeros of their order, so it
+    # and its zero-padded full cube give the same vector, bit for bit
+    rng = np.random.default_rng(3)
+    M = 6
+    K = M + 1
+    full = oracles.mirror_even(rng.standard_normal((K, K, K)), axes)
+    full *= np.add.outer(np.add.outer(np.arange(K), np.arange(K)),
+                         np.arange(K)) <= M
+    small = oracles.even_slots(full, axes)
+    np.testing.assert_array_equal(oracles.pad_full(small), full)
+    d = decay_diagnostic(small)
+    assert d.shape == (M,)
+    np.testing.assert_array_equal(d, decay_diagnostic(full))
+    assert np.all(d > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # presets
 
@@ -307,6 +325,46 @@ def test_run_rejects_stop_conditions_that_run_no_step(tmp_path, capsys, flags):
     assert "steps" not in captured.out
 
 
+@pytest.mark.parametrize("key, kind", [("M", "an integer"),
+                                       ("cells", "an integer"),
+                                       ("kn", "a number"),
+                                       ("u0", "a list of numbers")])
+def test_config_none_names_a_key_whose_default_is_not_none(tmp_path, capsys,
+                                                           key, kind):
+    cfg = tmp_path / "none.ini"
+    cfg.write_text("[run]\nscenario = couette\n%s = none\n" % key)
+    with pytest.raises(ValueError, match="%s must be %s, got None" % (key, kind)):
+        scenarios.load_config(str(cfg))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert ("error: %s must be %s, got None\n" % (key, kind)
+            == capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_none_is_none_where_the_default_is_none(tmp_path):
+    cfg = tmp_path / "none.ini"
+    cfg.write_text("[run]\nscenario = couette\nt_end = none\nsteady_tol = 1e-3\n")
+    sc = scenarios.load_config(str(cfg))
+    assert sc.t_end is None and sc.steady_tol == 1e-3
+
+
+def test_run_scenario_flag_overrides_the_config_file(tmp_path, capsys):
+    # --scenario is an override like every other flag: it picks the preset
+    # under the file's keys and is what the run records
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[run]\nscenario = couette\nM = 3\ncells = 8\n")
+    out = tmp_path / "o"
+    rc = main(["run", "--config", str(cfg), "--scenario", "shock",
+               "--tend", "0.02", "--out", str(out)])
+    assert rc == 0
+    assert "shock/nrxx" in capsys.readouterr().out
+    back = scenarios.load_config(str(out / "config.ini"))
+    assert back.scenario == "shock" and back.M == 3 and back.cells == 8
+    assert (back.y_lo, back.u0) == (-5.0, (0.0, 0.5, 0.0))   # shock preset
+    assert "scenario=shock solver=nrxx" in (out / "run_log.txt").read_text()
+
+
 @pytest.mark.parametrize("solver", ["nrxx", "cdvm"])
 def test_run_config_with_none_max_steps_exits_nonzero(tmp_path, capsys, solver):
     cfg = tmp_path / "none.ini"
@@ -315,7 +373,7 @@ def test_run_config_with_none_max_steps_exits_nonzero(tmp_path, capsys, solver):
     rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
     captured = capsys.readouterr()
-    assert "max_steps must be a positive integer, got None" in captured.err
+    assert "max_steps must be an integer, got None" in captured.err
     assert not (tmp_path / "o").exists()
 
 

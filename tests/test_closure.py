@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentflow.closure import _top_reads, closure_coeffs, gradient_reads
+from momentflow.closure import (_top_reads, add_top_flux, closure_coeffs,
+                                gradient_reads)
 from momentflow.moments import grade_mask
 
 import oracles
-from oracles import cube_from_dict, multi_indices
+from oracles import cube_from_dict, even_slots, mirror_even, multi_indices
 
 
 def _fields(seed, M=5, scale=0.05):
@@ -29,12 +30,12 @@ def _fields(seed, M=5, scale=0.05):
 def _evolved(M, d):
     """The solver's (M+1)-edge cube of a {multi-index: value} mapping: the
     grades <= M, zero beyond."""
-    return cube_from_dict(M, d)[:M + 1, :M + 1, :M + 1] * grade_mask(M + 1, M)
+    return cube_from_dict(M, d)[:M + 1, :M + 1, :M + 1] * grade_mask((M + 1,) * 3, M)
 
 
 def _tops(M):
     """The top-grade multi-indices, in the order of the prediction."""
-    return [tuple(alpha) for alpha in _top_reads(M + 1)[0]]
+    return [tuple(alpha) for alpha in _top_reads((M + 1,) * 3)[0]]
 
 
 def _cube_args(M, mean, grads, tau):
@@ -157,7 +158,7 @@ def test_closure_writes_only_top_grade():
     M = 4
     K = M + 1
     rng = np.random.default_rng(4)
-    beyond = ~grade_mask(K, M)
+    beyond = ~grade_mask((K,) * 3, M)
     pair = rng.standard_normal((2, 3, K, K, K))
     pair[:, :, 0, 0, 0] = 1.0 + rng.uniform(size=(2, 3))
     pair[:, :, beyond] = np.nan
@@ -193,7 +194,7 @@ def test_gather_matches_per_shift_reads_bit_for_bit(M):
                          gradient_reads(grad[..., :K, :K, :K]), *rest)
     want = oracles.closure_per_shift_reference(0.5 * (pair[0] + pair[1]), theta,
                                                grad, *rest)
-    a1, a2, a3 = _top_reads(K)[0].T
+    a1, a2, a3 = _top_reads((K,) * 3)[0].T
     assert got.tobytes() == np.ascontiguousarray(want[:, a1, a2, a3]).tobytes()
 
 
@@ -203,7 +204,7 @@ def test_batched_prediction_equals_each_slice():
     M = 4
     K = M + 1
     rng = np.random.default_rng(5)
-    pair = rng.standard_normal((2, 3, K, K, K)) * grade_mask(K, M)
+    pair = rng.standard_normal((2, 3, K, K, K)) * grade_mask((K,) * 3, M)
     pair[:, :, 0, 0, 0] = 1.0 + rng.uniform(size=(2, 3))
     args = (1.0 + rng.uniform(size=3),
             gradient_reads(rng.standard_normal((3, K, K, K))),
@@ -214,3 +215,36 @@ def test_batched_prediction_equals_each_slice():
     for i in range(3):
         single = closure_coeffs(pair[:, i], *(a[i] for a in args))
         np.testing.assert_array_equal(block[i], single)
+
+
+@pytest.mark.parametrize("axes", [(0,), (2,), (0, 2)])
+@pytest.mark.parametrize("M", [3, 6, 10])
+def test_reduced_prediction_is_the_full_one_on_its_tops(axes, M):
+    # on mirror-symmetric traces with no velocity gradient along the
+    # reduced axes the full prediction vanishes at every top slot with an
+    # odd order along them; the reduced layout predicts the others alone,
+    # with the same values, and reads and adds through its own slots
+    K = M + 1
+    rng = np.random.default_rng(M)
+    pair = mirror_even(rng.standard_normal((2, 4, K, K, K))
+                       * grade_mask((K,) * 3, M), axes)
+    pair[:, :, 0, 0, 0] = 1.0 + rng.uniform(size=(2, 4))
+    grad = mirror_even(rng.standard_normal((4, K, K, K)), axes)
+    gu = rng.standard_normal((4, 3))
+    gu[:, list(axes)] = 0.0
+    rest = (rng.standard_normal(4), rng.standard_normal(4), rng.uniform(size=4))
+    theta = 1.0 + rng.uniform(size=4)
+    want = closure_coeffs(pair, theta, gradient_reads(grad), gu, *rest)
+    tops = [tuple(a) for a in _top_reads((K,) * 3)[0]]
+    small = even_slots(pair, axes)
+    got = closure_coeffs(small, theta, gradient_reads(even_slots(grad, axes)),
+                         gu, *rest)
+    kept = [tops.index(tuple(a)) for a in _top_reads(small.shape[-3:])[0]]
+    odd = [i for i, a in enumerate(tops)
+           if any(a[d] % 2 for d in axes)]
+    assert sorted(kept + odd) == list(range(len(tops)))
+    assert np.all(want[:, odd] == 0.0)
+    np.testing.assert_array_equal(got, want[:, kept])
+    flux = add_top_flux(np.zeros(pair.shape[1:]), want)
+    small_flux = add_top_flux(np.zeros(small.shape[1:]), got)
+    np.testing.assert_array_equal(small_flux, even_slots(flux, axes))

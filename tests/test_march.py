@@ -38,6 +38,16 @@ def test_configs_reject_stop_options_that_run_no_step(make, kw):
         make(**kw)
 
 
+@pytest.mark.parametrize("make", [RunConfig, DvRunConfig])
+def test_configs_name_a_none_step_budget(make):
+    # a config file's "max_steps = none" fails in the parser; a config built
+    # in code still gets its own message
+    extra = dict(M=3) if make is RunConfig else {}
+    with pytest.raises(ValueError,
+                       match="max_steps must be a positive integer, got None"):
+        make(kn=0.1, t_end=1.0, max_steps=None, **extra)
+
+
 def _small_couette(solver, **stop):
     sc = scenarios.preset(
         "couette", solver=solver, M=3, cells=8, dv_nodes=(12, 12, 12),

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from momentflow.collision import collide_coeffs
 from momentflow.moments import (
     SNAPSHOT_COLUMNS,
+    axis_steps,
     grade_mask,
     heat_flux,
     order_cube,
+    read_slots,
     read_snapshot,
     snapshot_table,
     stress_tensor,
@@ -18,8 +20,8 @@ from momentflow.moments import (
 from momentflow.solver1d import Grid1D
 
 import oracles
-from oracles import (admissibility_violation, cube_from_dict, expansion_eval,
-                     maxwellian, multi_indices)
+from oracles import (admissibility_violation, cube_from_dict, even_slots,
+                     expansion_eval, maxwellian, mirror_even, multi_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +31,7 @@ from oracles import (admissibility_violation, cube_from_dict, expansion_eval,
 def test_n_moments_formula():
     # the number of kept slots, |alpha| <= M + 1, in a cube of edge M + 2
     for M in range(3, 13):
-        n = int(np.count_nonzero(grade_mask(M + 2, M + 1)))
+        n = int(np.count_nonzero(grade_mask((M + 2,) * 3, M + 1)))
         assert n == (M + 2) * (M + 3) * (M + 4) // 6
         assert n == len(multi_indices(M + 1))
 
@@ -52,13 +54,116 @@ def test_multi_indices_is_graded_bijection():
 
 def test_order_cube_and_grade_mask():
     K = 6
-    cube = order_cube(K)
+    cube = order_cube((K,) * 3)
     assert cube[2, 3, 0] == 5
     for m in range(K):
-        mask = grade_mask(K, m)
+        mask = grade_mask((K,) * 3, m)
         assert np.array_equal(mask, cube <= m)
     with pytest.raises(ValueError):
-        order_cube(K)[0, 0, 0] = 9  # shared cache must be read-only
+        order_cube((K,) * 3)[0, 0, 0] = 9  # shared cache must be read-only
+
+
+# ---------------------------------------------------------------------------
+# even-only layout along a1 / a3
+
+LAYOUTS = [(0,), (2,), (0, 2)]
+
+
+def _mirror_cells(rng, n, M, axes):
+    """n random cells of order M, even along ``axes``: their frame
+    velocity along those axes is zero, and the full cubes."""
+    K = M + 1
+    full = rng.standard_normal((n, K, K, K)) * grade_mask((K,) * 3, M)
+    full = mirror_even(full, axes)
+    full[:, 0, 0, 0] = rng.uniform(0.5, 2.0, n)
+    u = rng.uniform(-0.5, 0.5, (n, 3))
+    u[:, list(axes)] = 0.0
+    return u, rng.uniform(0.6, 1.6, n), full
+
+
+@pytest.mark.parametrize("K", [4, 5, 11])
+def test_layout_is_read_from_the_cube_shape(K):
+    h = (K + 1) // 2
+    assert axis_steps((K, K, K)) == (1, 1, 1)
+    assert axis_steps((h, K, K)) == (2, 1, 1)
+    assert axis_steps((h, K, h)) == (2, 1, 2)
+    # the a2 axis is never reduced: it sets K
+    for bad in [(K, h, K), (K + 1, K, K), (h - 1, K, K), (K, K, h + 1)]:
+        with pytest.raises(ValueError, match="not a coefficient layout"):
+            axis_steps(bad)
+    orders = order_cube((h, K, h))
+    assert orders[1, 0, 0] == 2 and orders[0, 3, 1] == 5
+    np.testing.assert_array_equal(
+        orders, order_cube((K,) * 3)[::2, :, ::2])
+
+
+@pytest.mark.parametrize("axes", LAYOUTS)
+def test_slot_map_reads_absent_slots_as_zero(axes):
+    # every multi-index of the cube, and some beyond it, read from the
+    # reduced cube equal the full cube's value; odd orders along a reduced
+    # axis read as zero, as the full cube holds them
+    rng = np.random.default_rng(11)
+    M = 6
+    full = mirror_even(rng.standard_normal((2, M + 1, M + 1, M + 1)), axes)
+    alphas = multi_indices(3 * M)
+    got = read_slots(even_slots(full, axes), alphas)
+    want = np.array([[c[a] if max(a) <= M else 0.0 for a in alphas]
+                     for c in full])
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("axes", LAYOUTS)
+def test_reduced_readers_equal_the_full_cube(axes):
+    # totals, stress, heat flux and the snapshot table read the same values
+    # from a reduced cube as from its full cube, bit for bit
+    rng = np.random.default_rng(12)
+    u, theta, full = _mirror_cells(rng, 5, 5, axes)
+    gf = Grid1D(-0.5, 0.5, u, theta, full)
+    gr = Grid1D(-0.5, 0.5, u, theta, even_slots(full, axes))
+    assert gr.coeffs.shape != gf.coeffs.shape and gr.M == gf.M == 5
+    assert gr.total_mass() == gf.total_mass()
+    np.testing.assert_array_equal(gr.total_momentum(), gf.total_momentum())
+    assert gr.total_energy() == gf.total_energy()
+    np.testing.assert_array_equal(stress_tensor(gr.coeffs), stress_tensor(full))
+    np.testing.assert_array_equal(heat_flux(gr.coeffs), heat_flux(full))
+    np.testing.assert_array_equal(
+        snapshot_table(gr.centers, u, theta, gr.coeffs),
+        snapshot_table(gf.centers, u, theta, full))
+
+
+@pytest.mark.parametrize("axes", LAYOUTS)
+def test_reduced_collision_equals_the_full_even_slots(axes):
+    rng = np.random.default_rng(13)
+    _, _, full = _mirror_cells(rng, 4, 6, axes)
+    tau = rng.uniform(0.2, 1.0, 4)
+    want = collide_coeffs(full, tau, 2.0 / 3.0, 0.3)
+    got = collide_coeffs(even_slots(full, axes), tau, 2.0 / 3.0, 0.3)
+    np.testing.assert_array_equal(got, even_slots(want, axes))
+    # the full update keeps the odd orders along a reduced axis at zero
+    np.testing.assert_array_equal(want, mirror_even(want, axes))
+
+
+@pytest.mark.parametrize("axes", [(), (0, 2)])
+def test_snapshot_row_of_a_non_finite_cube_is_non_finite(axes):
+    # a NaN in a slot no column reads still marks its cell's row
+    rng = np.random.default_rng(15)
+    u, theta, full = _mirror_cells(rng, 4, 5, axes)
+    cubes = even_slots(full, axes)
+    cubes[2, -1, 1, 0] = np.nan
+    table = snapshot_table(np.arange(4.0), u, theta, cubes)
+    assert np.all(np.isnan(table[2, 1:])) and table[2, 0] == 2.0
+    assert np.all(np.isfinite(np.delete(table, 2, axis=0)))
+
+
+def test_grid_rejects_frame_velocity_along_a_reduced_axis():
+    rng = np.random.default_rng(14)
+    u, theta, full = _mirror_cells(rng, 3, 4, (2,))
+    u[1, 2] = 0.1
+    Grid1D(-0.5, 0.5, u, theta, full)
+    with pytest.raises(ValueError, match="frame velocity u3 must be zero"):
+        Grid1D(-0.5, 0.5, u, theta, even_slots(full, (2,)))
+    with pytest.raises(ValueError, match="not a coefficient layout"):
+        Grid1D(-0.5, 0.5, u, theta, full[:, :4, :, :4])
 
 
 def test_cube_from_dict_drops_out_of_range():

@@ -10,7 +10,7 @@ from momentflow.solver1d import Grid1D, _stage_state
 
 import oracles
 from oracles import (State, admissibility_violation, cube_from_dict,
-                     expansion_eval, maxwellian)
+                     even_slots, expansion_eval, maxwellian, mirror_even)
 from oracles import random_state as _random_state
 
 
@@ -196,7 +196,46 @@ def test_top_grade_masked_out_of_band():
     s = _random_state(15)
     out = _project(s, s.u + [0.3, 0.2, -0.1], s.theta * 1.3).coeffs
     K = out.shape[-1]
-    assert np.all(out[~grade_mask(K, K - 1)] == 0.0)
+    assert np.all(out[~grade_mask((K,) * 3, K - 1)] == 0.0)
+
+
+@pytest.mark.parametrize("axes", [(0,), (2,), (0, 2)])
+@pytest.mark.parametrize("M", [3, 6, 10])
+def test_reduced_projection_equals_the_full_even_slots(axes, M):
+    # a frame change that keeps the frame velocity along the reduced axes
+    # at zero, batched as in the flux assembly: the reduced cube's result
+    # is the full one's on the stored slots, and the full result stays even
+    rng = np.random.default_rng(M)
+    K = M + 1
+    full = mirror_even(rng.standard_normal((2, 5, K, K, K))
+                       * grade_mask((K,) * 3, M), axes)
+    u, u_new = rng.uniform(-0.5, 0.5, (2, 2, 5, 3))
+    u[..., list(axes)] = u_new[..., list(axes)] = 0.0
+    theta, theta_new = rng.uniform(0.6, 1.6, (2, 2, 5))
+    want = project_coeffs(full, u, theta, u_new, theta_new)
+    np.testing.assert_array_equal(want, mirror_even(want, axes))
+    got = project_coeffs(even_slots(full, axes), u, theta, u_new, theta_new)
+    np.testing.assert_allclose(got, even_slots(want, axes), rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("axes", [(2,), (0, 2)])
+def test_reduced_renormalization_equals_the_full_even_slots(axes):
+    rng = np.random.default_rng(7)
+    K = 6
+    full = mirror_even(0.05 * rng.standard_normal((4, K, K, K))
+                       * grade_mask((K,) * 3, K - 1), axes)
+    full[:, 0, 0, 0] = rng.uniform(0.5, 2.0, 4)
+    u = rng.uniform(-0.5, 0.5, (4, 3))
+    u[:, list(axes)] = 0.0
+    theta = rng.uniform(0.6, 1.6, 4)
+    u_f, th_f, c_f = renormalize_arrays(u, theta, full)
+    u_r, th_r, c_r = renormalize_arrays(u, theta, even_slots(full, axes))
+    np.testing.assert_array_equal(u_r, u_f)
+    np.testing.assert_array_equal(th_r, th_f)
+    assert np.all(u_r[:, list(axes)] == 0.0)
+    np.testing.assert_allclose(c_r, even_slots(c_f, axes), rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(c_f)))
 
 
 @settings(max_examples=25, deadline=None)

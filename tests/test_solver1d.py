@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from momentflow.closure import _top_reads
 from momentflow.cdvm import DvGrid, DvRunConfig
 from momentflow.hermite import largest_he_root
 from momentflow.moments import grade_mask, order_cube, snapshot_table
+from momentflow.scenarios import COUETTE_WALL_SPEED
 from momentflow.solver1d import (
     Grid1D,
     RunConfig,
@@ -54,7 +56,7 @@ def _flux(coeffs, u2, theta):
     u2 = np.asarray(u2, dtype=float)
     op = _flux_cube(u2, np.asarray(theta, dtype=float), np.ones_like(u2),
                     np.zeros_like(u2), K)
-    return np.matmul(op[..., None, :, :], coeffs) * grade_mask(K, K - 2)
+    return np.matmul(op[..., None, :, :], coeffs) * grade_mask((K,) * 3, K - 2)
 
 
 def _closed_flux(cubes, top, u2, theta):
@@ -66,27 +68,28 @@ def _closed_flux(cubes, top, u2, theta):
     op = _flux_cube(u2, np.asarray(theta, dtype=float), np.ones_like(u2),
                     np.zeros_like(u2), K)
     F = np.matmul(op[..., None, :, :], cubes)
-    for i, (a1, a2, a3) in enumerate(_top_reads(K)[0]):
+    for i, (a1, a2, a3) in enumerate(_top_reads((K,) * 3)[0]):
         F[..., a1, a2 - 1, a3] += a2 * top[..., i]
-    return F * grade_mask(K, K - 1)
+    return F * grade_mask((K,) * 3, K - 1)
 
 
 def _evolved(cubes):
     """The solver's (M+1)-edge cubes of (M+2)-edge ones: the grades <= M."""
     K = cubes.shape[-1] - 1
-    return cubes[..., :K, :K, :K] * grade_mask(K, K - 1)
+    return cubes[..., :K, :K, :K] * grade_mask((K,) * 3, K - 1)
 
 
 def _top(cubes):
     """The top grade of (M+2)-edge cubes, in the closure's (..., T) order."""
-    a1, a2, a3 = _top_reads(cubes.shape[-1] - 1)[0].T
+    a1, a2, a3 = _top_reads((cubes.shape[-1] - 1,) * 3)[0].T
     return cubes[..., a1, a2, a3]
 
 
 def _hll(a, b, *args):
     """The solver's HLL flux on the grades <= M, into a new array."""
     K = a.shape[-1]
-    return _hll_combine(a, b, *args, out=np.empty((2,) + a.shape)) * grade_mask(K, K - 1)
+    F = _hll_combine(a, b, *args, out=np.empty((2,) + a.shape))
+    return F * grade_mask((K,) * 3, K - 1)
 
 
 def _hll_calls(monkeypatch):
@@ -259,13 +262,13 @@ def test_hll_consistency(monkeypatch):
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
     calls = _hll_calls(monkeypatch)
     rate = _transport_rate(g, cfg, 0.01)
-    top = order_cube(5) == 4
+    top = order_cube((5,) * 3) == 4
     want = _flux(np.where(top, 0.0, s.coeffs), s.u[1], s.theta)
     ((top, F),) = [(c[2], c[-1]) for c in calls]
     assert F.shape == (4, 4, 4, 4)
     np.testing.assert_array_equal(top, 0.0)
     for Fi in F:
-        np.testing.assert_allclose(Fi * grade_mask(4, 3), _evolved(want),
+        np.testing.assert_allclose(Fi * grade_mask((4,) * 3, 3), _evolved(want),
                                    rtol=1e-13, atol=1e-16)
     assert np.max(np.abs(rate)) <= 1e-13
 
@@ -275,8 +278,8 @@ def test_hll_upwind_limit_ignores_right_state():
     # right state; both negative: the right flux, whatever the left state --
     # exactly, bit for bit
     rng = np.random.default_rng(6)
-    a, b = rng.standard_normal((2, 2, 5, 5, 5)) * grade_mask(5, 4)
-    top = rng.standard_normal((2, len(_top_reads(5)[0])))
+    a, b = rng.standard_normal((2, 2, 5, 5, 5)) * grade_mask((5,) * 3, 4)
+    top = rng.standard_normal((2, len(_top_reads((5,) * 3)[0])))
     u2, theta = np.array([0.3, -0.4]), np.array([1.1, 0.7])
     lam_l = np.array([0.5, -3.0])
     lam_r = np.array([4.0, -0.2])
@@ -299,7 +302,7 @@ def _hll_case(rng, M, m, speeds):
     for x in (a, b):
         for i in range(m):
             x[i] = cube_from_dict(M, oracles.random_admissible(rng, M, scale=0.3)[2])
-    top = order_cube(M + 2) == M + 1
+    top = order_cube((M + 2,) * 3) == M + 1
     b[:, top] = a[:, top]
     u2 = rng.uniform(-0.5, 0.5, m)
     theta = rng.uniform(0.6, 1.6, m)
@@ -322,8 +325,8 @@ def test_hll_fused_flux_matches_two_flux_form(speeds):
     a, b, *rest = _hll_case(np.random.default_rng(11), M, 9, speeds)
     a, b = _evolved(a), _evolved(b)
     want = oracles.hll_reference(a, b, *rest)
-    top = np.zeros((9, len(_top_reads(M + 1)[0])))
-    got = _hll(a, b, top, *rest) * grade_mask(M + 1, M - 1)
+    top = np.zeros((9, len(_top_reads((M + 1,) * 3)[0])))
+    got = _hll(a, b, top, *rest) * grade_mask((M + 1,) * 3, M - 1)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
@@ -355,7 +358,8 @@ def test_supersonic_flow_is_upwinded(monkeypatch):
     _transport_rate(g, cfg, 0.01)
     ((a, b, top, u2, theta, lam_l, lam_r, F),) = calls
     assert np.all(lam_l > 0) and np.all(lam_r > lam_l)
-    np.testing.assert_array_equal(F * grade_mask(4, 3), _closed_flux(a, top, u2, theta))
+    np.testing.assert_array_equal(F * grade_mask((4,) * 3, 3),
+                                  _closed_flux(a, top, u2, theta))
 
 
 def test_hll_mirror_interface_has_no_mass_flux(monkeypatch):
@@ -693,6 +697,78 @@ def test_interleaved_grids_step_as_if_alone(scenario):
         np.testing.assert_array_equal(g.coeffs, want[2])
     for coeffs, snapshot in kept:
         np.testing.assert_array_equal(coeffs, snapshot)
+
+
+# ---------------------------------------------------------------------------
+# even-only layout along a1 / a3
+
+
+def _full_grid(sc):
+    """The grid of ``scenarios.build_grid(sc)`` with every axis full."""
+    return Grid1D.from_fields(sc.y_lo, sc.y_hi, np.full(sc.cells, sc.rho0),
+                              sc.u0, sc.theta0, sc.M)
+
+
+@pytest.mark.parametrize("scenario, M, reduced, overrides", [
+    ("shock", 6, (0, 2), dict(cells=16, t_end=0.2)),
+    ("couette", 3, (2,), dict(cells=12, t_end=0.15, steady_tol=None)),
+    ("couette", 6, (2,), dict(cells=12, t_end=0.1, steady_tol=None,
+                              limiter="minmod", chi=0.6)),
+    ("poiseuille", 5, (2,), dict(cells=12, t_end=0.1, steady_tol=None,
+                                 splitting="strang")),
+])
+def test_reduced_run_matches_full_run(scenario, M, reduced, overrides):
+    # the even-only layout drops only slots that stay zero, so a reduced
+    # and a full run give one table up to round-off; a column that is zero
+    # in the full run (u1 and u3, and q1 in the shock) is zero in both
+    sc = scenarios.preset(scenario, M=M, **overrides)
+    small, full = scenarios.build_grid(sc), _full_grid(sc)
+    K, h = M + 1, (M + 2) // 2
+    assert small.coeffs.shape == (sc.cells,) + tuple(
+        h if d in reduced else K for d in range(3))
+    assert full.coeffs.shape == (sc.cells, K, K, K)
+    cfg = scenarios.to_run_config(sc)
+    got, want = (run(g, cfg).snapshots[-1][1] for g in (small, full))
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    for d in reduced:
+        assert np.all(got[:, 2 + d] == 0.0)
+    assert abs(small.total_mass() - full.total_mass()) <= 1e-13
+
+
+@pytest.mark.parametrize("scenario, overrides, edges", [
+    ("couette", dict(u_wall_right=(COUETTE_WALL_SPEED, 0.0, 0.1)), (5, 5)),
+    ("couette", dict(u_wall_left=(0.0, 0.0, -0.2)), (5, 5)),
+    ("poiseuille", dict(force=(0.2555, 0.0, 0.1)), (5, 5)),
+    ("shock", dict(u0=(0.1, 0.5, 0.0)), (5, 3)),
+    ("shock", dict(force=(0.0, 0.0, 0.3)), (3, 5)),
+])
+def test_symmetry_breaking_configs_keep_the_full_axis(scenario, overrides,
+                                                      edges):
+    # edges: the (a1, a3) lengths at M = 4; the a2 axis is always full
+    sc = scenarios.preset(scenario, M=4, cells=6, **overrides)
+    n1, K, n3 = scenarios.build_grid(sc).coeffs.shape[1:]
+    assert (n1, n3) == edges and K == 5
+
+
+@pytest.mark.parametrize("scenario, overrides, name", [
+    ("couette", dict(u_wall_right=(COUETTE_WALL_SPEED, 0.0, 0.1)),
+     "u_wall_right[2]"),
+    ("poiseuille", dict(force=(0.2555, 0.0, 0.1)), "force[2]"),
+    ("shock", dict(force=(0.2, 0.0, 0.0)), "force[0]"),
+    ("shock", dict(u_wall_right=(0.0, 0.0, 0.3)), "u_wall_right[2]"),
+])
+def test_step_rejects_a_config_that_breaks_a_reduced_grid(scenario, overrides,
+                                                          name):
+    sc = scenarios.preset(scenario, M=4, cells=6)
+    grid = scenarios.build_grid(sc)
+    before = grid.coeffs.copy()
+    cfg = scenarios.to_run_config(dataclasses.replace(sc, **overrides))
+    with pytest.raises(ValueError, match=re.escape(name) + " is nonzero"):
+        step(grid, cfg)
+    np.testing.assert_array_equal(grid.coeffs, before)
+    # the full grid runs that config
+    step(_full_grid(sc), cfg)
 
 
 # ---------------------------------------------------------------------------
