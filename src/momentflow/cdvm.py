@@ -38,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import WallSpec
 from .collision import relaxation_time
-from .march import check_choice, check_run_options, march
+from .march import RunOptions, check_choice, march, minmod, require_positive
 from .moments import _fields_table, work_array
 
 NEWTON_TOL = 1e-13
@@ -74,11 +73,6 @@ class DvGrid:
             w[-1] *= 0.5
             self.weights.append(w)
         self.weights = tuple(self.weights)
-
-    @property
-    def w3(self):
-        w1, w2, w3 = self.weights
-        return w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
 
     def maxwellian(self, rho, u, theta):
         """Nodal Maxwellian values, batched over leading dims of rho/u/theta."""
@@ -245,13 +239,8 @@ def collide_field(values, grid, kn, pr, dt):
     """
     mom = dv_moments(values, grid)
     rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
-    ok = (rho > 0) & (theta > 0)
-    if not np.all(ok):
-        j = int(np.flatnonzero(~ok)[0])
-        raise RuntimeError(
-            "non-positive or non-finite density %r or temperature %r in cell "
-            "%d in collision" % (float(rho[j]), float(theta[j]), j)
-        )
+    require_positive(rho, "density", "in cell %d in collision")
+    require_positive(theta, "temperature", "in cell %d in collision")
     m = rho[..., None] * u
     T0 = (3.0 * theta + np.sum(u**2, axis=-1)) * rho
     rho_g, u_g, th_g, tables, sums = conservative_gaussian(grid, rho, m, T0,
@@ -359,22 +348,15 @@ def _upwind(v, nu, ghost, limiter):
     slope[i] / 2 (slope zero without a limiter and in the end cells).
 
     Temporaries: the face differences and, with minmod, the faces, each the
-    size of ``v``, and a boolean mask.
+    size of ``v``, and one block of ``march.minmod``.
     """
     d = np.empty_like(v)
     t = v
     if limiter == "minmod":
-        # minmod(a, b) = max(min(a, b), 0) + min(max(a, b), 0) of the
-        # differences across the two faces of each inner cell: at most one
-        # term is nonzero, so it is min(a, b) where that is >= 0 and
-        # min(max(a, b), 0) elsewhere
+        # the limited difference across the two faces of each inner cell
         np.subtract(v[1:], v[:-1], out=d[1:])
-        a, b = d[1:-1], d[2:]
         t = np.empty_like(v)
-        slope = np.minimum(a, b, out=t[1:-1])
-        neg = slope < 0.0
-        np.maximum(a, b, out=slope, where=neg)
-        np.minimum(slope, 0.0, out=slope, where=neg)
+        slope = minmod(d[1:-1], d[2:], t[1:-1])
         slope *= 0.5
         slope += v[1:-1]
         t[0], t[-1] = v[0], v[-1]
@@ -419,27 +401,17 @@ def dv_step(field, dt, left, right, kn, pr, limiter="none"):
 
 
 @dataclass
-class DvRunConfig:
-    """Options of a discrete-velocity slab run; the stop options and their
-    steady residual are those of ``march.march`` (see the module docstring),
-    and ``march.check_run_options`` checks the options shared with
-    ``solver1d.RunConfig``: ``kn``, ``pr``, ``cfl`` and the stop.
-    ``limiter`` is one of ``LIMITERS``.  A wall may not move along its
-    normal e2.
+class DvRunConfig(RunOptions):
+    """Options of a discrete-velocity slab run: the shared ones of
+    ``march.RunOptions`` (collision, CFL, stop and walls, keyword only) and
+    ``limiter``, one of ``LIMITERS``.  A wall may not move along its normal
+    e2.
     """
 
-    kn: float
-    pr: float = 2.0 / 3.0
-    cfl: float = 0.95
-    t_end: float = None
-    steady_tol: float = None
-    max_steps: int = 200000
-    left: WallSpec = None
-    right: WallSpec = None
     limiter: str = "none"
 
     def __post_init__(self):
-        check_run_options(self)
+        super().__post_init__()
         check_choice("limiter", self.limiter, LIMITERS)
         for side, wall in (("left", self.left), ("right", self.right)):
             if wall is not None and wall.u_wall[1] != 0.0:

@@ -163,16 +163,14 @@ def _cmd_compare(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run":
-        try:
-            return _cmd_run(args)
-        except Exception as exc:          # configuration or solver failure
-            print("error: %s" % exc, file=sys.stderr)
-            return 1
-    if args.command == "compare":
-        return _cmd_compare(args)
-    parser.print_help()
-    return 2
+    if args.command is None:
+        parser.print_help()
+        return 2
+    try:
+        return {"run": _cmd_run, "compare": _cmd_compare}[args.command](args)
+    except Exception as exc:          # bad input, configuration or solver failure
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

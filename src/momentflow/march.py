@@ -1,17 +1,22 @@
-"""One time-marching loop and one steady residual for both slab solvers.
+"""What both slab solvers share: the run options ``RunOptions``, declared
+and checked once (``solver1d.RunConfig`` and ``cdvm.DvRunConfig`` add their
+own), the loop ``march``, ``check_choice``, the slope limiter ``minmod`` and
+``require_positive``, whose message names the quantity, the value, the cell
+and the phase.  This module imports no solver.
 
-A solver passes its state and three callables: the CFL time step, an
-in-place advance by a given dt, and the snapshot table of the current state
-(``moments.SNAPSHOT_COLUMNS`` layout).  The loop stops at ``t_end`` (the
-last step is clipped to hit it), at steady state, or after ``max_steps``
-steps, whichever comes first; only the last is reported as not converged.
+A solver passes ``march`` its state and three callables: the CFL time step,
+an in-place advance by a given dt, and the snapshot table of the current
+state (``moments.SNAPSHOT_COLUMNS`` layout).  The loop stops at ``t_end``
+(the last step is clipped to hit it), at steady state, or after
+``max_steps`` steps, whichever comes first; only the last is reported as not
+converged.
 
 The steady residual is defined once, on the snapshot table: every
 ``CHECK_EVERY`` = 10 steps, and only when ``steady_tol`` is set, the max
 over cells and columns but y of |cur - prev| / (|prev| + 1e-8), divided by
 the time since the previous check (the initial state for the first).  The
 check is sparse because one discrete-velocity table costs about a third of
-a discrete-velocity step.  This module imports no solver.
+a discrete-velocity step.
 """
 
 import math
@@ -19,32 +24,57 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import WallSpec
+
 CHECK_EVERY = 10
 RESIDUAL_FLOOR = 1e-8
+# entries per block of ``minmod``, whose temporary stays small next to a DVM
+# state; a mask in its place (ufuncs with where=) ran 30-40x slower
+MINMOD_BLOCK = 1 << 16
 
 
-def check_run_options(config):
-    """Reject the options both solvers share when no step could run under
-    them: the stop, the CFL, the Knudsen and the Prandtl number.
+@dataclass(kw_only=True)
+class RunOptions:
+    """The options both solvers take, checked at construction.
 
-    Each test is written ``not (x > 0)`` so that NaN fails it too.
+    ``kn``, ``pr``: Knudsen and Prandtl numbers of the Shakhov collision.
+    ``cfl``: fraction of the advective CFL limit used as the time step.
+    ``t_end``, ``steady_tol``, ``max_steps``: stop at the end time, at the
+    first steady check whose residual is below the tolerance, or after the
+    step budget, whichever comes first (see ``march``).
+    ``left``, ``right``: wall specification per end, None for a free
+    (zero-gradient) boundary; the solver passes each wall map its end.
+
+    A value under which no step could run is a ValueError.  Each test is
+    written ``not (x > 0)`` so that NaN fails it too.
     """
-    if config.t_end is None and config.steady_tol is None:
-        raise ValueError("set an end time and/or a steady tolerance")
-    for name in ("t_end", "steady_tol"):
-        value = getattr(config, name)
-        if value is not None and not (value > 0):
-            raise ValueError("%s must be positive, got %r" % (name, value))
-    if config.max_steps is None:
-        raise ValueError("max_steps must be a positive integer, got None")
-    if not (config.max_steps > 0):
-        raise ValueError("max_steps must be positive, got %r" % (config.max_steps,))
-    if not (0.0 < config.cfl <= 1.0):
-        raise ValueError("CFL must lie in (0, 1]")
-    if not (config.kn > 0):
-        raise ValueError("Knudsen number must be positive")
-    if not (0.0 < config.pr <= 1.0):
-        raise ValueError("Prandtl number must lie in (0, 1]")
+
+    kn: float
+    pr: float = 2.0 / 3.0
+    cfl: float = 0.95
+    t_end: float = None
+    steady_tol: float = None
+    max_steps: int = 200000
+    left: WallSpec = None
+    right: WallSpec = None
+
+    def __post_init__(self):
+        if self.t_end is None and self.steady_tol is None:
+            raise ValueError("set an end time and/or a steady tolerance")
+        for name in ("t_end", "steady_tol"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0):
+                raise ValueError("%s must be positive, got %r" % (name, value))
+        if self.max_steps is None:
+            raise ValueError("max_steps must be a positive integer, got None")
+        if not (self.max_steps > 0):
+            raise ValueError("max_steps must be positive, got %r" % (self.max_steps,))
+        if not (0.0 < self.cfl <= 1.0):
+            raise ValueError("CFL must lie in (0, 1]")
+        if not (self.kn > 0):
+            raise ValueError("Knudsen number must be positive")
+        if not (0.0 < self.pr <= 1.0):
+            raise ValueError("Prandtl number must lie in (0, 1]")
 
 
 def check_choice(name, value, choices):
@@ -52,6 +82,35 @@ def check_choice(name, value, choices):
     if value not in choices:
         raise ValueError("%s must be %s or %r, got %r" % (
             name, ", ".join(map(repr, choices[:-1])), choices[-1], value))
+
+
+def minmod(a, b, out):
+    """minmod(a, b) = max(min(a, b), 0) + min(max(a, b), 0), an exact sum
+    as one term is zero, into ``out``, which overlaps neither ``a`` nor
+    ``b``; returns ``out``.  Taken in blocks of rows along the first axis of
+    about ``MINMOD_BLOCK`` entries, each with one temporary."""
+    rows = max(1, MINMOD_BLOCK // out[0].size)
+    for i in range(0, len(out), rows):
+        x, y, o = a[i:i + rows], b[i:i + rows], out[i:i + rows]
+        pos = np.minimum(x, y)
+        np.maximum(pos, 0.0, out=pos)
+        np.minimum(np.maximum(x, y, out=o), 0.0, out=o)
+        o += pos
+    return out
+
+
+def require_positive(x, what, where, error=RuntimeError):
+    """Raise ``error`` unless every entry of ``x`` is > 0 (NaN fails too).
+
+    The message names ``what`` and the value of the first failing entry,
+    and ``where`` formatted with its index: the cell or interface and the
+    phase, as in "in cell %d in collision".
+    """
+    if not np.all(x > 0):
+        i = int(np.flatnonzero(~(x > 0))[0])
+        raise error(
+            "non-positive or non-finite %s (%r) %s" % (what, float(x[i]), where % i)
+        )
 
 
 @dataclass

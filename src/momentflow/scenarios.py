@@ -73,6 +73,9 @@ class ScenarioConfig:
             check_choice(kind, getattr(self, kind), ("wall", "free"))
         if self.cells < 2:
             raise ValueError("need at least 2 cells")
+        if self.snapshot_interval < 0:
+            raise ValueError("snapshot_interval must be non-negative, got %r"
+                             % (self.snapshot_interval,))
         # the options of both solvers, whichever runs
         solver1d.check_scheme(self)
         check_choice("dv_limiter", self.dv_limiter, cdvm.LIMITERS)
@@ -186,22 +189,31 @@ _KINDS = {int: "an integer", float: "a number", tuple: "a list of numbers"}
 
 def _parse_value(f, text):
     """The value of field ``f`` written as ``text``; a tuple's entries take
-    the type of its default's entries.  "none" (or nothing) is None for a
-    field whose default is None and a ValueError naming the key for any
-    other non-string field."""
+    the type of its default's entries, and its length is its default's.
+    "none" (or nothing) is None for a field whose default is None.  Any
+    other value that is not of the field's kind is a ValueError naming the
+    key and the kind."""
     text = text.strip()
     if f.type is str:
         # "none" is a legal literal for limiter-style options, so string
         # fields never collapse to None
         return text
+    kind = _KINDS[f.type]
     if text.lower() in ("none", ""):
         if f.default is None:
             return None
-        raise ValueError("%s must be %s, got None" % (f.name, _KINDS[f.type]))
+        raise ValueError("%s must be %s, got None" % (f.name, kind))
+    try:
+        if f.type is not tuple:
+            return f.type(text)
+        value = tuple(map(type(f.default[0]), text.replace(",", " ").split()))
+        if len(value) == len(f.default):
+            return value
+    except ValueError:
+        pass
     if f.type is tuple:
-        cast = type(f.default[0])
-        return tuple(cast(p) for p in text.replace(",", " ").split())
-    return f.type(text)
+        kind += " of length %d" % len(f.default)
+    raise ValueError("%s must be %s, got %r" % (f.name, kind, text))
 
 
 def save_config(sc, path):

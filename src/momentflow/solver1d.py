@@ -10,16 +10,12 @@ keeps linear reconstruction stable at the working CFL.  Fluxes are
 re-framed to each adjacent cell before the update, which makes the scheme
 conservative in mass, momentum and energy by telescoping.
 
-Cubes hold the evolved grades <= M; the top grade M + 1 is never stored.
-The closure predicts it at each interface from the traces' mean and from
-centered differences of the interface values, both gathered at the few
-slots the prediction reads, and the HLL flux takes it in one term.
-The cubes are in one of the layouts of ``moments``: every order 0..M along
-a2, and along a1 and a3 either every order or, when the run is mirror
-symmetric in that velocity component (no wall velocity, body force or
-frame velocity along it), the even orders alone.  The projection, closure,
-wall-map, collision and grade-mask tables are cached per layout; the HLL
-operators act along a2 and depend on K alone.
+Cubes hold the evolved grades <= M in a layout of ``moments``: along a1
+or a3 the even orders alone when the run is mirror symmetric in that
+velocity component (``mirror_breaker``).  The top grade M + 1 is never
+stored: the closure predicts it at each interface from the traces' mean and
+from centered differences of its ``closure_columns``, and the HLL flux
+takes it in one term.
 Wall ghosts are rebuilt from the current state at every Heun stage, and at
 a wall interface the outer state is built from the inner trace, so the wall
 mass flux vanishes identically for a non-moving wall at both stages.
@@ -48,11 +44,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import WallSpec, ghost_state
-from .closure import add_top_flux, closure_coeffs, gradient_reads
+from .boundary import ghost_state
+from .closure import add_top_flux, closure_coeffs, closure_columns
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
-from .march import check_choice, check_run_options, march
+from .march import RunOptions, check_choice, march, minmod, require_positive
 from .moments import axis_steps, low_moments, snapshot_table, work_array
 from .projection import project_coeffs, renormalize_arrays
 
@@ -120,8 +116,8 @@ class Grid1D:
             if steps[d] == 2 and np.any(self.u[:, d] != 0.0):
                 raise ValueError("frame velocity u%d must be zero along an "
                                  "axis that stores even orders only" % (d + 1))
-        _require_positive(self.coeffs[:, 0, 0, 0], "density", "in cell %d", ValueError)
-        _require_positive(self.theta, "temperature", "in cell %d", ValueError)
+        require_positive(self.coeffs[:, 0, 0, 0], "density", "in cell %d", ValueError)
+        require_positive(self.theta, "temperature", "in cell %d", ValueError)
 
     @property
     def n(self):
@@ -168,17 +164,11 @@ class Grid1D:
 
 
 @dataclass
-class RunConfig:
-    """Options of an NRxx slab run.
+class RunConfig(RunOptions):
+    """Options of an NRxx slab run: the shared ones of ``march.RunOptions``
+    (collision, CFL, stop and walls, keyword only) and these.
 
     ``M``: highest evolved moment order (the cube edge is M + 1).
-    ``kn``, ``pr``: Knudsen and Prandtl numbers of the Shakhov collision.
-    ``cfl``: fraction of the advective CFL limit used as the time step.
-    ``t_end``, ``steady_tol``, ``max_steps``: stop at the end time, at the
-    first steady check whose residual is below the tolerance, or after the
-    step budget, whichever comes first (see ``march``).
-    ``left``, ``right``: wall specification per end, None for a free
-    (zero-gradient) boundary; the solver passes each wall map its end.
     ``force``: constant body acceleration; ``splitting`` "lie" applies it
     after transport and collision, "strang" in two half kicks around them.
     ``limiter``: in-cell slopes, "none" (first order), "central" or "minmod".
@@ -186,20 +176,10 @@ class RunConfig:
     ``signal_speed`` (derived): c in the HLL wave speeds u2 +- c sqrt(theta),
     the constant ``SIGNAL_SPEED_FACTOR`` times he_root(M+1).
 
-    ``check_scheme`` checks ``M``, ``limiter`` and ``splitting``;
-    ``march.check_run_options`` checks the options shared with
-    ``cdvm.DvRunConfig``: ``kn``, ``pr``, ``cfl`` and the stop.
+    ``check_scheme`` checks ``M``, ``limiter`` and ``splitting``.
     """
 
     M: int
-    kn: float
-    pr: float = 2.0 / 3.0
-    cfl: float = 0.95
-    t_end: float = None
-    steady_tol: float = None
-    max_steps: int = 200000
-    left: WallSpec = None          # None -> free (zero-gradient) boundary
-    right: WallSpec = None
     force: np.ndarray = field(default_factory=lambda: np.zeros(3))
     splitting: str = "lie"
     limiter: str = "central"
@@ -207,7 +187,7 @@ class RunConfig:
 
     def __post_init__(self):
         check_scheme(self)
-        check_run_options(self)
+        super().__post_init__()
         self.force = np.asarray(self.force, dtype=float)
         if self.force.shape != (3,) or not np.all(np.isfinite(self.force)):
             raise ValueError("force must be a finite 3-vector")
@@ -296,30 +276,16 @@ def cfl_timestep(grid, cfl, signal_c):
     return cfl * grid.dx / smax
 
 
-def _require_positive(x, what, where, error=RuntimeError):
-    """Raise ``error`` unless every entry of ``x`` is > 0 (NaN fails too).
-
-    ``where`` is formatted with the index of the first failing entry.
-    """
-    if not np.all(x > 0):
-        i = int(np.flatnonzero(~(x > 0))[0])
-        raise error(
-            "non-positive or non-finite %s (%r) %s" % (what, float(x[i]), where % i)
-        )
-
-
-def _slope(diff, limiter, out, tmp):
+def _slope(diff, limiter, out):
     """Per-cell slopes into ``out`` from the N+1 differences across the cell
-    faces (divided by dx); ``tmp`` is scratch of the shape of ``out``."""
+    faces (divided by dx)."""
     bwd, fwd = diff[:-1], diff[1:]
     if limiter == "none":
         out[...] = 0.0
     elif limiter == "central":
         np.multiply(np.add(fwd, bwd, out=out), 0.5, out=out)
-    else:  # minmod(a, b) = max(min(a, b), 0) + min(max(a, b), 0)
-        np.maximum(np.minimum(bwd, fwd, out=tmp), 0.0, out=tmp)
-        np.minimum(np.maximum(bwd, fwd, out=out), 0.0, out=out)
-        out += tmp
+    else:
+        minmod(bwd, fwd, out)
     return out
 
 
@@ -365,14 +331,13 @@ def _interface_data(grid, config):
         diff[0], diff[n] = cells[0] - lo, hi - cells[-1]
         diff /= dx
         t = work_array("traces", (2, n + 1) + cells.shape[1:])
-        # the left trace's cell range is free until the slope is taken
-        half_step = _slope(diff, config.limiter, t[1, :n], t[0, 1:])
+        half_step = _slope(diff, config.limiter, t[1, :n])
         half_step *= 0.5 * dx
         np.add(cells, half_step, out=t[0, 1:])
         np.subtract(cells, half_step, out=t[1, :n])
         traces.append(t)
     tu, tth, tc = traces
-    _require_positive(
+    require_positive(
         np.minimum(tth[0, 1:], tth[1, :n]), "trace temperature",
         "in cell %d in reconstruction",
     )
@@ -402,14 +367,6 @@ def _interface_data(grid, config):
     return (tu, tth, tc), tuple(frame)
 
 
-def _closure_columns(u, theta, coeffs):
-    """What the closure differentiates, one column block each: u (3),
-    theta, rho theta and the ``gradient_reads`` of the coefficient cube."""
-    rho_theta = coeffs[..., 0, 0, 0] * theta
-    return np.concatenate([u, theta[..., None], rho_theta[..., None],
-                           gradient_reads(coeffs)], axis=-1)
-
-
 def _transport_rate(grid, config, dt, out=None):
     """One flux-divergence evaluation: d(coeffs)/dt in each cell's own frame.
 
@@ -421,7 +378,7 @@ def _transport_rate(grid, config, dt, out=None):
     p_pair = project_coeffs(tc, tu, tth, u_c, th_c,
                             out=work_array("projected traces", tc.shape))
     rho_bar = 0.5 * (p_pair[0, :, 0, 0, 0] + p_pair[1, :, 0, 0, 0])
-    _require_positive(rho_bar, "density", "at interface %d in the closure")
+    require_positive(rho_bar, "density", "at interface %d in the closure")
     # Closure gradients: centered two-point differences of the single-valued
     # reconstructed interface values over 2 dx, raw (stored-frame)
     # slot-wise -- the formula's derivatives are of the locally-framed
@@ -429,9 +386,8 @@ def _transport_rate(grid, config, dt, out=None):
     # dtheta/dy terms.  The wide stencil is also what keeps the scheme stable
     # at the advective CFL step: the HLL dissipation alone puts the
     # highest-frequency mode near the stability edge, and this stencil does
-    # not see that mode.  Of the coefficient field only the closure's
-    # gradient reads are differenced.
-    v = _closure_columns(tu, tth, tc)
+    # not see that mode.
+    v = closure_columns(tu, tth, tc)
     v = np.add(v[0], v[1], out=v[0])
     v *= 0.5
     grad = np.empty_like(v)
@@ -442,11 +398,11 @@ def _transport_rate(grid, config, dt, out=None):
     # so differencing against it is not a gradient estimate and would couple
     # back into the top grade
     ends = [0, min(1, n - 1), max(n - 2, 0), n - 1]
-    cells = _closure_columns(grid.u[ends], grid.theta[ends], grid.coeffs[ends])
+    cells = closure_columns(grid.u[ends], grid.theta[ends], grid.coeffs[ends])
     np.divide(cells[1::2] - cells[::2], dx, out=grad[::n])
     # the one prediction closes both traces
-    top = closure_coeffs(p_pair, th_c, grad[:, 5:], grad[:, :3], grad[:, 3],
-                         grad[:, 4], closure_time(rho_bar, th_c, config.kn, dt))
+    top = closure_coeffs(p_pair, th_c, grad,
+                         closure_time(rho_bar, th_c, config.kn, dt))
 
     c_sig = config.signal_speed
     lam_l = np.minimum(
@@ -479,9 +435,9 @@ def _stage_state(grid, coeffs, stage):
     """Renormalize a provisional coefficient update; returns the new
     ``(u, theta, coeffs)``.  The projection keeps f_0, so the density
     checked here is the density of the result."""
-    _require_positive(coeffs[:, 0, 0, 0], "density", "in cell %d after " + stage)
+    require_positive(coeffs[:, 0, 0, 0], "density", "in cell %d after " + stage)
     u_new, th_new, c_ren = renormalize_arrays(grid.u, grid.theta, coeffs)
-    _require_positive(th_new, "temperature", "in cell %d after " + stage)
+    require_positive(th_new, "temperature", "in cell %d after " + stage)
     return u_new, th_new, c_ren
 
 

@@ -280,11 +280,17 @@ def closure_reference(M, mean, grads, tau):
 # The transport reference is the flux form over all interfaces at once.
 
 
+def w3(grid):
+    """The trapezoidal weight cube w1 w2 w3 of a ``cdvm.DvGrid``."""
+    x, y, z = grid.weights
+    return x[:, None, None] * y[None, :, None] * z[None, None, :]
+
+
 def dv_moments_reference(values, grid):
     """rho, u, theta, sigma, q of nodal data (..., n1, n2, n3), one einsum
     over the weighted cube per raw moment."""
     x1, x2, x3 = grid.axes
-    fw = values * grid.w3
+    fw = values * w3(grid)
     rho = fw.sum(axis=(-3, -2, -1))
     m = np.stack(
         [
@@ -362,9 +368,9 @@ def collide_reference(values, grid, kn, pr, dt):
 
     psi = np.stack([np.broadcast_to(p, G.shape) for p in (1.0, c1, c2, c3, csq)],
                    axis=1)
-    w3 = grid.w3
-    gram = np.einsum("jaxyz,jbxyz,jxyz->jab", psi, psi, G * w3)
-    rhs = np.einsum("jaxyz,jxyz->ja", psi, B * w3)
+    w = w3(grid)
+    gram = np.einsum("jaxyz,jbxyz,jxyz->jab", psi, psi, G * w)
+    rhs = np.einsum("jaxyz,jxyz->ja", psi, B * w)
     lam = np.linalg.solve(gram, rhs[..., None])[..., 0]
     B = B - G * np.einsum("ja,jaxyz->jxyz", lam, psi)
 
@@ -577,6 +583,25 @@ def wall_bc_reference(u, theta, coeffs, wall, sign):
 # Top-grade closure, one zero-filled read per index shift
 
 
+# The closure's 11 index shifts s, in the kernel's order, and its weights on
+# the reads f_{alpha - s}, one column per shift, over the rows (theta du1,
+# theta du2, theta du3, theta dtheta, d(rho theta) / rho) of the formula of
+# ``closure_reference``: 1/3 theta du2 on each f_{alpha - 2 e_d}, less
+# theta du_d on f_{alpha - e_d - e2} (so -2/3 at s = 2 e2), -theta dtheta / 2
+# on f_{alpha - 2 e_d - e2} and d(rho theta) / rho on f_{alpha - e2}.  The
+# last three shifts, alpha - 2 e_d + e2, carry -(alpha2 + 1) dtheta / 2 on
+# their own.
+CLOSURE_SHIFTS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1),
+                  (2, 1, 0), (0, 3, 0), (0, 1, 2), (2, -1, 0), (0, 1, 0),
+                  (0, -1, 2))
+CLOSURE_WEIGHTS = np.zeros((5, 11))
+CLOSURE_WEIGHTS[1, :3] = 1.0 / 3.0
+CLOSURE_WEIGHTS[1, 1] = -2.0 / 3.0
+CLOSURE_WEIGHTS[0, 3] = CLOSURE_WEIGHTS[2, 4] = -1.0
+CLOSURE_WEIGHTS[3, 5:8] = -0.5
+CLOSURE_WEIGHTS[4, 9] = 1.0
+
+
 def closure_per_shift_reference(mean_coeffs, mean_theta, grad_coeffs, grad_u,
                                 grad_theta, grad_ptheta, tau):
     """The closure prediction with each shifted read alpha - s gathered on
@@ -598,24 +623,16 @@ def closure_per_shift_reference(mean_coeffs, mean_theta, grad_coeffs, grad_u,
                                            src[ok, 2]]
         return out
 
+    reads = np.stack([rd(c, s) for s in CLOSURE_SHIFTS], axis=-2)
     theta = np.asarray(mean_theta, dtype=float)[..., None]
     gth = np.asarray(grad_theta, dtype=float)[..., None]
-    gpt = np.asarray(grad_ptheta, dtype=float)[..., None]
-    rho = c[..., 0, 0, 0][..., None]
-    gu = np.asarray(grad_u, dtype=float)
-
-    acc = gpt / rho * rd(c, (0, 1, 0))
-    sum2 = rd(c, (2, 0, 0)) + rd(c, (0, 2, 0)) + rd(c, (0, 0, 2))
-    acc += theta / 3.0 * gu[..., 1][..., None] * sum2
+    rho = c[..., 0, 0, 0]
+    scaled = np.concatenate([np.asarray(grad_u, dtype=float), gth], axis=-1)
+    scaled = np.concatenate([scaled * theta, (grad_ptheta / rho)[..., None]],
+                            axis=-1)
+    acc = np.einsum("...s,...st->...t", scaled @ CLOSURE_WEIGHTS, reads)
+    acc -= (0.5 * gth) * (tops[:, 1] + 1.0) * reads[..., 8:, :].sum(axis=-2)
     acc -= theta * rd(g, (0, 1, 0))
-    a2_plus_1 = tops[:, 1] + 1.0
-    for d, e_shift, two_up, two_dn in (
-        (0, (1, 1, 0), (2, 1, 0), (2, -1, 0)),
-        (1, (0, 2, 0), (0, 3, 0), (0, 1, 0)),
-        (2, (0, 1, 1), (0, 1, 2), (0, -1, 2)),
-    ):
-        acc -= gu[..., d][..., None] * theta * rd(c, e_shift)
-        acc -= 0.5 * gth * (theta * rd(c, two_up) + a2_plus_1 * rd(c, two_dn))
     acc *= np.asarray(tau, dtype=float)[..., None]
     out = np.zeros(batch + (K, K, K))
     out[..., tops[:, 0], tops[:, 1], tops[:, 2]] = acc

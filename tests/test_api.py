@@ -37,7 +37,8 @@ DELETED = [
     ("boundary", "j_hat"), ("boundary", "half_maxwellian_coeffs"),
     ("boundary", "wall_density"), ("boundary", "apply_wall_bc"),
     ("boundary", "check_walls"), ("cdvm.DvGrid", "cube"),
-    ("march", "check_stop_options"),
+    ("march", "check_stop_options"), ("cdvm.DvGrid", "w3"),
+    ("closure", "gradient_reads"), ("march", "check_run_options"),
 ]
 
 

@@ -342,6 +342,44 @@ def test_config_none_names_a_key_whose_default_is_not_none(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("u0 = 0 1", "u0 must be a list of numbers of length 3, got '0 1'"),
+    ("force = 0.1", "force must be a list of numbers of length 3, got '0.1'"),
+    ("dv_nodes = 12 12.5 12",
+     "dv_nodes must be a list of numbers of length 3, got '12 12.5 12'"),
+    ("kn = abc", "kn must be a number, got 'abc'"),
+    ("cells = 2.5", "cells must be an integer, got '2.5'"),
+], ids=["u0-short", "force-scalar", "dv_nodes-float", "kn-text", "cells-float"])
+def test_config_value_of_the_wrong_kind_names_the_key(tmp_path, capsys, line,
+                                                      message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[run]\nscenario = couette\n%s\n" % line)
+    with pytest.raises(ValueError) as err:
+        scenarios.load_config(str(cfg))
+    assert str(err.value) == message
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_snapshot_interval_is_rejected(tmp_path, capsys, source):
+    out = tmp_path / "o"
+    argv = ["run", "--scenario", "couette", "--M", "3", "--cells", "8",
+            "--max-steps", "2", "--out", str(out)]
+    if source == "flag":
+        argv += ["--snapshot-interval", "-1"]
+    else:
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[run]\nscenario = couette\nsnapshot_interval = -1\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert (capsys.readouterr().err
+            == "error: snapshot_interval must be non-negative, got -1\n")
+    assert not out.exists()
+
+
 def test_config_none_is_none_where_the_default_is_none(tmp_path):
     cfg = tmp_path / "none.ini"
     cfg.write_text("[run]\nscenario = couette\nt_end = none\nsteady_tol = 1e-3\n")
@@ -498,3 +536,12 @@ def test_compare_missing_column(tmp_path, capsys):
     )
     assert rc == 1
     assert "missing column" in capsys.readouterr().err
+
+
+def test_compare_missing_file_exits_nonzero(tmp_path, capsys):
+    # the one error path of every command: a message on stderr, exit 1
+    rc = main(["compare", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nope.csv" in err
+    assert "Traceback" not in err

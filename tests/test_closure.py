@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momentflow.closure import (_top_reads, add_top_flux, closure_coeffs,
-                                gradient_reads)
+                                closure_columns)
 from momentflow.moments import grade_mask
 
 import oracles
@@ -38,17 +38,26 @@ def _tops(M):
     return [tuple(alpha) for alpha in _top_reads((M + 1,) * 3)[0]]
 
 
+def _grad_block(gu, gth, gpt, gcube):
+    """The y-derivative of the ``closure_columns`` block from du (..., 3),
+    dtheta, d(rho theta) and the gradient cube (..., K1, K, K3), whose
+    reads fill the block's last T columns."""
+    block = closure_columns(np.asarray(gu, dtype=float),
+                            np.asarray(gth, dtype=float), gcube)
+    block[..., 4] = gpt
+    return block
+
+
 def _cube_args(M, mean, grads, tau):
     """closure_coeffs arguments: the mean cube as both traces of a pair (so
-    their mean is the cube itself), and the reads of the gradient cube."""
+    their mean is the cube itself), and the derivative block of the
+    gradient data."""
     c = _evolved(M, mean["f"])
     return dict(
         traces=np.stack([c, c]),
         mean_theta=mean["theta"],
-        grad_reads=gradient_reads(_evolved(M, grads["f"])),
-        grad_u=grads["u"],
-        grad_theta=grads["theta"],
-        grad_ptheta=grads["ptheta"],
+        grad=_grad_block(grads["u"], grads["theta"], grads["ptheta"],
+                         _evolved(M, grads["f"])),
         tau=tau,
     )
 
@@ -132,22 +141,17 @@ def test_xz_symmetric_fields_keep_parity():
 
 
 def test_batched_matches_single():
-    singles, means, gths, gpts, gus, cubes, gcubes = [], [], [], [], [], [], []
+    singles, means, cubes, blocks = [], [], [], []
     taus = np.array([0.2, 0.5, 0.8, 1.1])
     for i, seed in enumerate((10, 11, 12, 13)):
         mean, grads = _fields(seed, M=5)
         args = _cube_args(5, mean, grads, taus[i])
         singles.append(closure_coeffs(**args))
         cubes.append(args["traces"])
-        gcubes.append(args["grad_reads"])
+        blocks.append(args["grad"])
         means.append(mean["theta"])
-        gths.append(grads["theta"])
-        gpts.append(grads["ptheta"])
-        gus.append(grads["u"])
-    out = closure_coeffs(
-        np.stack(cubes, axis=1), np.array(means), np.stack(gcubes), np.stack(gus),
-        np.array(gths), np.array(gpts), taus,
-    )
+    out = closure_coeffs(np.stack(cubes, axis=1), np.array(means),
+                         np.stack(blocks), taus)
     np.testing.assert_allclose(out, np.stack(singles), rtol=1e-14, atol=1e-18)
 
 
@@ -164,10 +168,10 @@ def test_closure_writes_only_top_grade():
     pair[:, :, beyond] = np.nan
     grad = rng.standard_normal((3, K, K, K))
     grad[:, beyond] = np.nan
-    reads = gradient_reads(grad)
+    reads = _grad_block(rng.standard_normal((3, 3)), np.full(3, 0.2),
+                        np.full(3, -0.1), grad)
     pair0, reads0 = pair.copy(), reads.copy()
-    out = closure_coeffs(pair, np.full(3, 0.9), reads, rng.standard_normal((3, 3)),
-                         np.full(3, 0.2), np.full(3, -0.1), np.full(3, 0.3))
+    out = closure_coeffs(pair, np.full(3, 0.9), reads, np.full(3, 0.3))
     assert out.shape == (3, (M + 1) * (M + 2) // 2)
     assert np.all(np.isfinite(out)) and np.all(out != 0.0)
     np.testing.assert_array_equal(pair, pair0)
@@ -177,23 +181,23 @@ def test_closure_writes_only_top_grade():
 @pytest.mark.parametrize("M", [3, 4, 10])
 def test_gather_matches_per_shift_reads_bit_for_bit(M):
     # one gather of every shifted read of both traces, averaged on the
-    # gathered block, and the gradient reads, against a zero-filled read per
-    # shift of the mean cube and of the gradient cube, on cubes with every
-    # slot filled, so each out-of-range read must come back as zero; the
-    # reference holds the top grade in (M+2)-edge cubes, whose leading
-    # (M+1)^3 block is the solver's cube
+    # gathered block, and the gradient reads of ``closure_columns``, against
+    # a zero-filled read per shift of the mean cube and of the gradient
+    # cube, on cubes with every slot filled, so each out-of-range read must
+    # come back as zero; the reference holds the top grade in (M+2)-edge
+    # cubes, whose leading (M+1)^3 block is the solver's cube
     K = M + 1
     rng = np.random.default_rng(M)
     pair = rng.standard_normal((2, 6, K + 1, K + 1, K + 1))
     pair[:, :, 0, 0, 0] = 1.0 + rng.uniform(size=(2, 6))
     grad = rng.standard_normal((6, K + 1, K + 1, K + 1))
-    rest = (rng.standard_normal((6, 3)), rng.standard_normal(6),
-            rng.standard_normal(6), rng.uniform(size=6))
+    gu, gth, gpt, tau = (rng.standard_normal((6, 3)), rng.standard_normal(6),
+                         rng.standard_normal(6), rng.uniform(size=6))
     theta = 1.0 + rng.uniform(size=6)
     got = closure_coeffs(pair[..., :K, :K, :K], theta,
-                         gradient_reads(grad[..., :K, :K, :K]), *rest)
+                         _grad_block(gu, gth, gpt, grad[..., :K, :K, :K]), tau)
     want = oracles.closure_per_shift_reference(0.5 * (pair[0] + pair[1]), theta,
-                                               grad, *rest)
+                                               grad, gu, gth, gpt, tau)
     a1, a2, a3 = _top_reads((K,) * 3)[0].T
     assert got.tobytes() == np.ascontiguousarray(want[:, a1, a2, a3]).tobytes()
 
@@ -207,9 +211,10 @@ def test_batched_prediction_equals_each_slice():
     pair = rng.standard_normal((2, 3, K, K, K)) * grade_mask((K,) * 3, M)
     pair[:, :, 0, 0, 0] = 1.0 + rng.uniform(size=(2, 3))
     args = (1.0 + rng.uniform(size=3),
-            gradient_reads(rng.standard_normal((3, K, K, K))),
-            rng.standard_normal((3, 3)), rng.standard_normal(3),
-            rng.standard_normal(3), rng.uniform(size=3))
+            _grad_block(rng.standard_normal((3, 3)), rng.standard_normal(3),
+                        rng.standard_normal(3),
+                        rng.standard_normal((3, K, K, K))),
+            rng.uniform(size=3))
     block = closure_coeffs(pair, *args)
     assert block.shape == (3, (M + 1) * (M + 2) // 2)
     for i in range(3):
@@ -232,13 +237,14 @@ def test_reduced_prediction_is_the_full_one_on_its_tops(axes, M):
     grad = mirror_even(rng.standard_normal((4, K, K, K)), axes)
     gu = rng.standard_normal((4, 3))
     gu[:, list(axes)] = 0.0
-    rest = (rng.standard_normal(4), rng.standard_normal(4), rng.uniform(size=4))
+    gth, gpt, tau = (rng.standard_normal(4), rng.standard_normal(4),
+                     rng.uniform(size=4))
     theta = 1.0 + rng.uniform(size=4)
-    want = closure_coeffs(pair, theta, gradient_reads(grad), gu, *rest)
+    want = closure_coeffs(pair, theta, _grad_block(gu, gth, gpt, grad), tau)
     tops = [tuple(a) for a in _top_reads((K,) * 3)[0]]
     small = even_slots(pair, axes)
-    got = closure_coeffs(small, theta, gradient_reads(even_slots(grad, axes)),
-                         gu, *rest)
+    got = closure_coeffs(small, theta,
+                         _grad_block(gu, gth, gpt, even_slots(grad, axes)), tau)
     kept = [tops.index(tuple(a)) for a in _top_reads(small.shape[-3:])[0]]
     odd = [i for i, a in enumerate(tops)
            if any(a[d] % 2 for d in axes)]

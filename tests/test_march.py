@@ -5,7 +5,7 @@ import pytest
 
 from momentflow import scenarios
 from momentflow.cdvm import DvRunConfig, dv_run
-from momentflow.march import CHECK_EVERY
+from momentflow.march import CHECK_EVERY, MINMOD_BLOCK, minmod
 from momentflow.solver1d import RunConfig, run
 
 NAN = float("nan")
@@ -46,6 +46,43 @@ def test_configs_name_a_none_step_budget(make):
     with pytest.raises(ValueError,
                        match="max_steps must be a positive integer, got None"):
         make(kn=0.1, t_end=1.0, max_steps=None, **extra)
+
+
+@pytest.mark.parametrize("make", [RunConfig, DvRunConfig])
+@pytest.mark.parametrize("kw, message", [
+    (dict(), "set an end time and/or a steady tolerance"),
+    (dict(t_end=-1.0), "t_end must be positive, got -1.0"),
+    (dict(steady_tol=NAN), "steady_tol must be positive, got nan"),
+    (dict(t_end=1.0, max_steps=0), "max_steps must be positive, got 0"),
+    (dict(t_end=1.0, cfl=1.5), "CFL must lie in (0, 1]"),
+    (dict(t_end=1.0, kn=0.0), "Knudsen number must be positive"),
+    (dict(t_end=1.0, pr=NAN), "Prandtl number must lie in (0, 1]"),
+], ids=["no-stop", "t_end", "steady_tol", "max_steps", "cfl", "kn", "pr"])
+def test_both_configs_reject_a_shared_option_with_one_message(make, kw, message):
+    # the eight shared options are declared and checked once, in RunOptions
+    extra = dict(M=3) if make is RunConfig else {}
+    with pytest.raises(ValueError) as err:
+        make(**{"kn": 0.1, **kw, **extra})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("shape", [(40, 9), (40, 3, 1000)],
+                         ids=["one-block", "several-blocks"])
+def test_minmod_is_the_two_term_formula(shape):
+    # max(min(a, b), 0) + min(max(a, b), 0) on values of both signs, with
+    # zeros and ties, into an output that aliases neither input
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal(shape)
+    if len(shape) == 3:
+        assert a.size > MINMOD_BLOCK
+    a[::3] = 0.0
+    b[:, ::4] = 0.0
+    b[::5] = a[::5]
+    want = np.maximum(np.minimum(a, b), 0.0) + np.minimum(np.maximum(a, b), 0.0)
+    out = np.full_like(a, np.nan)
+    assert minmod(a, b, out) is out
+    np.testing.assert_array_equal(out, want)
 
 
 def _small_couette(solver, **stop):
