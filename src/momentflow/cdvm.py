@@ -431,7 +431,7 @@ def dv_snapshot_table(field):
                          mom["sigma"], mom["q"])
 
 
-def dv_run(field, config, snapshot_interval=None, on_step=None):
+def dv_run(field, config, snapshot_interval=0, on_step=None):
     """March the field to the configured stop with ``march.march``, the loop,
     steady residual and stop meaning shared with ``solver1d.run``."""
     return march(field, config,

@@ -58,7 +58,6 @@ def build_parser():
     r.add_argument("--steady-tol", type=float, default=None)
     r.add_argument("--max-steps", type=int, default=None)
     r.add_argument("--limiter", default=None)
-    r.add_argument("--splitting", default=None)
     r.add_argument("--snapshot-interval", type=int, default=None)
     r.add_argument("--dv-nodes", type=int, nargs=3, default=None)
     r.add_argument("--dv-half-width", type=float, default=None)

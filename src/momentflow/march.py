@@ -130,13 +130,13 @@ class RunResult:
     message: str
 
 
-def march(state, config, timestep, advance, table, snapshot_interval=None,
+def march(state, config, timestep, advance, table, snapshot_interval=0,
           on_step=None):
     """March ``state`` to the stop set by ``config``; returns a ``RunResult``.
 
     ``timestep()`` gives the CFL dt, ``advance(dt)`` moves ``state`` in
     place and ``table()`` builds its snapshot table.  The table is also kept
-    every ``snapshot_interval`` steps, and always at the end.
+    every ``snapshot_interval`` steps (0: never), and always at the end.
     ``on_step(t, state)`` is called after every step.  ``converged`` is
     False only when ``max_steps`` stopped the run.
     """

@@ -10,22 +10,24 @@ Three canonical slab flows drive the validation story:
                       run to steady state.
 
 All presets use fully diffuse walls (chi = 1) at unit wall temperature and
-CFL 0.95; every field can be overridden.  Configs round-trip through a flat
-``key = value`` text format with section headers (configparser syntax) so a
-run is reproducible from a single diffable file.  A key is a
-``ScenarioConfig`` field, parsed by its declared type; any other key fails
-as an "unknown config key".  ``solve`` runs a config with the solver it
-names.
+CFL 0.95; every field can be overridden.  A ``ScenarioConfig`` rejects a bad
+value when it is built, whether in code, from flags or from a file.  Configs
+round-trip through a flat ``key = value`` text format with section headers
+(configparser syntax) so a run is reproducible from a single diffable file.
+A key is a ``ScenarioConfig`` field, parsed by its declared type; any other
+key fails as an "unknown config key".  ``solve`` runs a config with the
+solver it names.
 """
 
 import configparser
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import cdvm, solver1d
 from .boundary import WallSpec
-from .march import check_choice
+from .march import RunOptions, check_choice
 
 SOLVERS = ("nrxx", "cdvm")
 
@@ -35,13 +37,17 @@ POISEUILLE_FORCE = 0.2555
 
 @dataclass
 class ScenarioConfig:
+    """One run: scenario, solver, the options of both solvers and the
+    initial state.  A default that a solver class declares is read from it;
+    every field is checked at construction, whichever solver runs."""
+
     scenario: str = "custom"
     solver: str = "nrxx"
     M: int = 5
     kn: float = 0.1
-    pr: float = 2.0 / 3.0
-    chi: float = 1.0
-    cfl: float = 0.95
+    pr: float = RunOptions.pr
+    chi: float = WallSpec.chi
+    cfl: float = RunOptions.cfl
     cells: int = 100
     y_lo: float = -0.5
     y_hi: float = 0.5
@@ -52,42 +58,46 @@ class ScenarioConfig:
     right_kind: str = "wall"
     u_wall_left: tuple = (0.0, 0.0, 0.0)
     u_wall_right: tuple = (0.0, 0.0, 0.0)
-    theta_wall_left: float = 1.0
-    theta_wall_right: float = 1.0
+    theta_wall_left: float = WallSpec.theta_wall
+    theta_wall_right: float = WallSpec.theta_wall
     force: tuple = (0.0, 0.0, 0.0)
-    t_end: float = None
-    steady_tol: float = None
-    max_steps: int = 200000
-    limiter: str = "central"
-    splitting: str = "lie"
+    t_end: float = RunOptions.t_end
+    steady_tol: float = RunOptions.steady_tol
+    max_steps: int = RunOptions.max_steps
+    limiter: str = solver1d.RunConfig.limiter
     dv_half_width: float = 8.0
     dv_nodes: tuple = (32, 32, 32)
-    dv_limiter: str = "none"
+    dv_limiter: str = cdvm.DvRunConfig.limiter
     out_dir: str = "."
-    snapshot_interval: int = 0
+    snapshot_interval: int = 0         # 0: final table only
 
     def __post_init__(self):
         check_choice("scenario", self.scenario, SCENARIOS)
         check_choice("solver", self.solver, SOLVERS)
         for kind in ("left_kind", "right_kind"):
             check_choice(kind, getattr(self, kind), ("wall", "free"))
+        # the options of both solvers, whichever runs; the run config goes
+        # first, so a bad force or wall velocity gets its message
+        to_run_config(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (f.type is int and not isinstance(value, numbers.Integral)
+                    or f.type is tuple and np.shape(value) != np.shape(f.default)):
+                raise ValueError("%s must be %s, got %r" % (f.name, _kind(f), value))
         if self.cells < 2:
             raise ValueError("need at least 2 cells")
         if self.snapshot_interval < 0:
             raise ValueError("snapshot_interval must be non-negative, got %r"
                              % (self.snapshot_interval,))
-        # the options of both solvers, whichever runs
-        solver1d.check_scheme(self)
         check_choice("dv_limiter", self.dv_limiter, cdvm.LIMITERS)
         cdvm.DvGrid(self.dv_half_width, tuple(self.dv_nodes))
 
     def wall(self, side):
-        kind = self.left_kind if side == "left" else self.right_kind
-        if kind == "free":
+        """The ``WallSpec`` at end ``side``, None at a free end."""
+        if getattr(self, side + "_kind") == "free":
             return None
-        u = self.u_wall_left if side == "left" else self.u_wall_right
-        th = self.theta_wall_left if side == "left" else self.theta_wall_right
-        return WallSpec(self.chi, np.asarray(u, dtype=float), th)
+        return WallSpec(self.chi, getattr(self, "u_wall_" + side),
+                        getattr(self, "theta_wall_" + side))
 
 
 _PRESETS = {
@@ -141,8 +151,7 @@ def _run_options(sc):
 
 
 def to_run_config(sc):
-    return solver1d.RunConfig(M=sc.M, force=np.asarray(sc.force, dtype=float),
-                              splitting=sc.splitting, limiter=sc.limiter,
+    return solver1d.RunConfig(M=sc.M, force=sc.force, limiter=sc.limiter,
                               **_run_options(sc))
 
 
@@ -181,10 +190,17 @@ def solve(sc):
         state, config, run = build_dv_field(sc), to_dv_config(sc), cdvm.dv_run
     else:
         state, config, run = build_grid(sc), to_run_config(sc), solver1d.run
-    return run(state, config, snapshot_interval=sc.snapshot_interval or None)
+    return run(state, config, snapshot_interval=sc.snapshot_interval)
 
 
 _KINDS = {int: "an integer", float: "a number", tuple: "a list of numbers"}
+
+
+def _kind(f):
+    """The kind a value of field ``f`` must be, as an error names it."""
+    if f.type is tuple:
+        return "%s of length %d" % (_KINDS[tuple], len(f.default))
+    return _KINDS[f.type]
 
 
 def _parse_value(f, text):
@@ -198,11 +214,10 @@ def _parse_value(f, text):
         # "none" is a legal literal for limiter-style options, so string
         # fields never collapse to None
         return text
-    kind = _KINDS[f.type]
     if text.lower() in ("none", ""):
         if f.default is None:
             return None
-        raise ValueError("%s must be %s, got None" % (f.name, kind))
+        raise ValueError("%s must be %s, got None" % (f.name, _KINDS[f.type]))
     try:
         if f.type is not tuple:
             return f.type(text)
@@ -211,9 +226,7 @@ def _parse_value(f, text):
             return value
     except ValueError:
         pass
-    if f.type is tuple:
-        kind += " of length %d" % len(f.default)
-    raise ValueError("%s must be %s, got %r" % (f.name, kind, text))
+    raise ValueError("%s must be %s, got %r" % (f.name, _kind(f), text))
 
 
 def save_config(sc, path):

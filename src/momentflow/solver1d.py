@@ -1,14 +1,16 @@
 """Finite-volume slab solver for the Hermite moment system.
 
 One step = transport -> renormalize -> collision -> acceleration (Lie
-splitting; Strang brackets the acceleration kick around the rest).  Each
-transport flux pass reconstructs linear in-cell profiles of every stored
-quantity, predicts the top-grade coefficients from interface gradients
-(regularized closure), and applies an HLL flux in a per-interface common
-frame; two such passes form a trapezoidal (Heun) update, which is what
-keeps linear reconstruction stable at the working CFL.  Fluxes are
-re-framed to each adjacent cell before the update, which makes the scheme
-conservative in mass, momentum and energy by telescoping.
+splitting).  There is no Strang variant: the kick u += dt a only adds to
+u, so half kicks around the rest conjugate the Lie step and give its answer
+with u read half a kick earlier.  Each transport flux pass reconstructs
+linear in-cell profiles of every stored quantity, predicts the top-grade
+coefficients from interface gradients (regularized closure), and applies an
+HLL flux in a per-interface common frame; two such passes form a
+trapezoidal (Heun) update, which is what keeps linear reconstruction stable
+at the working CFL.  Fluxes are re-framed to each adjacent cell before the
+update, which makes the scheme conservative in mass, momentum and energy by
+telescoping.
 
 Cubes hold the evolved grades <= M in a layout of ``moments``: along a1
 or a3 the even orders alone when the run is mirror symmetric in that
@@ -56,17 +58,6 @@ from .projection import project_coeffs, renormalize_arrays
 SIGNAL_SPEED_FACTOR = 1.2
 
 LIMITERS = ("none", "central", "minmod")
-SPLITTINGS = ("lie", "strang")
-
-
-def check_scheme(config):
-    """Reject an order ``M`` below 3 and a ``limiter`` or ``splitting`` not
-    in ``LIMITERS`` or ``SPLITTINGS``; ``config`` is a ``RunConfig`` or a
-    scenario config."""
-    if config.M < 3:
-        raise ValueError("moment order M must be at least 3")
-    check_choice("limiter", config.limiter, LIMITERS)
-    check_choice("splitting", config.splitting, SPLITTINGS)
 
 
 def mirror_breaker(d, force, walls):
@@ -168,25 +159,25 @@ class RunConfig(RunOptions):
     """Options of an NRxx slab run: the shared ones of ``march.RunOptions``
     (collision, CFL, stop and walls, keyword only) and these.
 
-    ``M``: highest evolved moment order (the cube edge is M + 1).
-    ``force``: constant body acceleration; ``splitting`` "lie" applies it
-    after transport and collision, "strang" in two half kicks around them.
+    ``M``: highest evolved moment order, at least 3 (the cube edge is M + 1).
+    ``force``: constant body acceleration, applied as the kick u += dt a
+    after transport and collision (one step order; see the module
+    docstring for why there is no Strang variant).
     ``limiter``: in-cell slopes, "none" (first order), "central" or "minmod".
     ``collisionless``: skip the collision step.
     ``signal_speed`` (derived): c in the HLL wave speeds u2 +- c sqrt(theta),
     the constant ``SIGNAL_SPEED_FACTOR`` times he_root(M+1).
-
-    ``check_scheme`` checks ``M``, ``limiter`` and ``splitting``.
     """
 
     M: int
     force: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    splitting: str = "lie"
     limiter: str = "central"
     collisionless: bool = False
 
     def __post_init__(self):
-        check_scheme(self)
+        if self.M < 3:
+            raise ValueError("moment order M must be at least 3")
+        check_choice("limiter", self.limiter, LIMITERS)
         super().__post_init__()
         self.force = np.asarray(self.force, dtype=float)
         if self.force.shape != (3,) or not np.all(np.isfinite(self.force)):
@@ -464,9 +455,6 @@ def step(grid, config, dt=None):
     if dt is None:
         dt = cfl_timestep(grid, config.cfl, config.signal_speed)
 
-    if config.splitting == "strang":
-        grid.u += 0.5 * dt * config.force
-
     rates = work_array("transport rates", (2,) + grid.coeffs.shape)
     r1 = _transport_rate(grid, config, dt, out=rates[0])
     stage = np.multiply(dt, r1, out=work_array("stage", r1.shape))
@@ -488,8 +476,7 @@ def step(grid, config, dt=None):
         tau = relaxation_time(c_ren[:, 0, 0, 0], th_new, config.kn)
         collide_coeffs(c_ren, tau, config.pr, dt, out=c_ren)
 
-    kick = 0.5 * dt if config.splitting == "strang" else dt
-    u_new = u_new + kick * config.force
+    u_new = u_new + dt * config.force
 
     grid.u = u_new
     grid.theta = th_new
@@ -497,7 +484,7 @@ def step(grid, config, dt=None):
     return dt
 
 
-def run(grid, config, snapshot_interval=None, on_step=None):
+def run(grid, config, snapshot_interval=0, on_step=None):
     """March the grid to the configured stop with ``march.march``, the loop,
     steady residual and stop meaning shared with ``cdvm.dv_run``; returns a
     ``march.RunResult``."""

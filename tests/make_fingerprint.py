@@ -1,11 +1,11 @@
 """Accuracy fingerprint of both solvers: final tables of eight short runs.
 
 The six NRxx runs cover what the three benchmark workloads leave out:
-partial accommodation, a hot wall, every limiter, Strang splitting, a body
-force and the orders M = 4..12.  The two discrete-velocity runs, a Couette
-flow with a partially accommodating hot wall and a shock, run the whole
-DVM step (wall inflow, unlimited and minmod transport, the conservative
-Gaussian of the collision) on coarse, unequal velocity axes.
+partial accommodation, a hot wall, every limiter, a body force and the
+orders M = 4..12.  The two discrete-velocity runs, a Couette flow with a
+partially accommodating hot wall and a shock, run the whole DVM step (wall
+inflow, unlimited and minmod transport, the conservative Gaussian of the
+collision) on coarse, unequal velocity axes.
 ``python tests/make_fingerprint.py`` writes their final snapshot tables to
 ``tests/data/fingerprint.npz``; ``test_fingerprint.py`` checks the current
 code against that file.  Write the file again only on purpose, when a
@@ -27,8 +27,8 @@ RUNS = {
         steady_tol=None)),
     "couette-m6-minmod": ("couette", dict(
         M=6, cells=16, limiter="minmod", t_end=0.2, steady_tol=None)),
-    "poiseuille-m5-strang": ("poiseuille", dict(
-        M=5, cells=16, splitting="strang", t_end=0.2, steady_tol=None)),
+    "poiseuille-m5": ("poiseuille", dict(
+        M=5, cells=16, t_end=0.2, steady_tol=None)),
     "poiseuille-m7-chi03-nolimiter": ("poiseuille", dict(
         M=7, cells=16, chi=0.3, limiter="none", t_end=0.2, steady_tol=None)),
     "shock-m9": ("shock", dict(M=9, cells=24, t_end=0.3)),

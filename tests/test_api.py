@@ -39,6 +39,7 @@ DELETED = [
     ("boundary", "check_walls"), ("cdvm.DvGrid", "cube"),
     ("march", "check_stop_options"), ("cdvm.DvGrid", "w3"),
     ("closure", "gradient_reads"), ("march", "check_run_options"),
+    ("solver1d", "SPLITTINGS"), ("solver1d", "check_scheme"),
 ]
 
 

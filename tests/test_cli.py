@@ -108,6 +108,39 @@ def test_preset_rejects_unknown_and_applies_overrides():
     assert sc.wall("right").chi == 0.5
 
 
+# a short Couette run that every case below changes in one field
+_SHORT = dict(M=3, cells=8, t_end=0.01, steady_tol=None)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(u0=(0.0, 1.0)), "u0 must be a list of numbers of length 3, got (0.0, 1.0)"),
+    (dict(M=3.0), "M must be an integer, got 3.0"),
+    (dict(cells=8.0), "cells must be an integer, got 8.0"),
+], ids=["u0-short", "M-float", "cells-float"])
+def test_preset_rejects_a_field_of_the_wrong_kind(overrides, message):
+    # a config built in code is held to the kinds the config parser checks
+    with pytest.raises(ValueError) as err:
+        scenarios.preset("couette", **{**_SHORT, **overrides})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("solver", ["nrxx", "cdvm"])
+@pytest.mark.parametrize("overrides, message", [
+    (dict(kn=-1.0), "Knudsen number must be positive"),
+    (dict(chi=2.0), "accommodation chi must lie in [0, 1]"),
+    (dict(force=(0.1,)), "force must be a finite 3-vector"),
+    (dict(u_wall_left=(0.0, 1.0)), "wall velocity u_wall must be a finite 3-vector"),
+    (dict(t_end=None), "set an end time and/or a steady tolerance"),
+], ids=["kn", "chi", "force-short", "u_wall-short", "no-stop"])
+def test_preset_rejects_a_bad_run_option_with_the_run_config_message(
+        solver, overrides, message):
+    # the scenario builds its run config, so a bad shared run option fails
+    # at construction, for either solver, with the solver class's message
+    with pytest.raises(ValueError) as err:
+        scenarios.preset("couette", solver=solver, **{**_SHORT, **overrides})
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -132,6 +165,11 @@ def test_config_unknown_key_rejected(tmp_path):
     path.write_text("[run]\nscenario = couette\nsignal_speed_factor = 1.2\n")
     with pytest.raises(ValueError, match="unknown config key 'signal_speed_factor'"):
         scenarios.load_config(str(path))
+    # the force kick has one step order, so a config saved with a splitting
+    # key names it
+    path.write_text("[run]\nscenario = poiseuille\nsplitting = lie\n")
+    with pytest.raises(ValueError, match="unknown config key 'splitting'"):
+        scenarios.load_config(str(path))
 
 
 def test_config_partial_file_fills_from_preset(tmp_path):
@@ -153,8 +191,7 @@ def test_parser_accepts_documented_flags():
             "run", "--scenario", "couette", "--solver", "cdvm", "--M", "6",
             "--kn", "0.5", "--pr", "0.9", "--chi", "0.7", "--cells", "64",
             "--tend", "2.5", "--steady-tol", "1e-7", "--max-steps", "99",
-            "--limiter", "minmod", "--splitting", "strang",
-            "--snapshot-interval", "25",
+            "--limiter", "minmod", "--snapshot-interval", "25",
             "--dv-nodes", "16", "24", "16", "--dv-half-width", "9",
             "--out", "somewhere", "--threads", "2",
         ]
@@ -168,6 +205,9 @@ def test_parser_accepts_documented_flags():
     assert (args.t_end, args.out_dir) == (2.5, "somewhere")
     args = p.parse_args(["compare", "a.csv", "b.csv"])
     assert args.norm == "l2rel"
+    # the force kick has one step order, so there is no splitting flag
+    with pytest.raises(SystemExit):
+        p.parse_args(["run", "--splitting", "lie"])
 
 
 def test_main_without_command_prints_help(capsys):
@@ -267,12 +307,11 @@ def test_run_cdvm_rejects_central_limiter(tmp_path, capsys):
 
 @pytest.mark.parametrize("lines, option", [
     ("solver = cdvm\nlimiter = superbee\n", "error: limiter must be"),
-    ("solver = cdvm\nsplitting = bogus\n", "error: splitting must be"),
     ("solver = cdvm\nM = 2\n", "moment order M"),
     ("solver = nrxx\ndv_limiter = superbee\n", "error: dv_limiter must be"),
     ("solver = nrxx\ndv_nodes = 4 4 4\n", "at least 8 nodes"),
     ("solver = nrxx\ndv_half_width = 0\n", "half_width"),
-], ids=["cdvm-limiter", "cdvm-splitting", "cdvm-M", "nrxx-dv_limiter",
+], ids=["cdvm-limiter", "cdvm-M", "nrxx-dv_limiter",
         "nrxx-dv_nodes", "nrxx-dv_half_width"])
 def test_run_config_rejects_options_of_the_other_solver(tmp_path, capsys,
                                                         lines, option):
@@ -291,8 +330,7 @@ def test_run_config_rejects_options_of_the_other_solver(tmp_path, capsys,
                                    "'poiseuille' or 'custom', got 'lid-cavity'"),
     (["--solver", "lbm"], "solver must be 'nrxx' or 'cdvm', got 'lbm'"),
     (["--limiter", "superbee"], "limiter must be 'none', 'central' or 'minmod'"),
-    (["--splitting", "bogus"], "splitting must be 'lie' or 'strang', got 'bogus'"),
-], ids=["scenario", "solver", "limiter", "splitting"])
+], ids=["scenario", "solver", "limiter"])
 def test_run_rejects_unknown_choices_with_the_config_message(tmp_path, capsys,
                                                              flags, message):
     out = tmp_path / "o"

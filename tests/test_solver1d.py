@@ -193,7 +193,6 @@ def test_runconfig_validation():
         dict(kn=0.0),
         dict(pr=0.0),
         dict(pr=1.2),
-        dict(splitting="godunov"),
         dict(limiter="superbee"),
     ):
         with pytest.raises(ValueError):
@@ -482,20 +481,18 @@ def test_step_rejects_mismatched_order():
 
 
 def test_force_only_acceleration_is_exact():
-    for splitting in ("lie", "strang"):
-        g = _uniform_grid(n=6)
-        cfg = RunConfig(
-            M=3,
-            kn=0.1,
-            t_end=1e9,
-            force=np.array([0.4, 0.0, 0.0]),
-            collisionless=True,
-            splitting=splitting,
-        )
-        dt = step(g, cfg)
-        np.testing.assert_allclose(g.u[:, 0], 0.4 * dt, rtol=1e-14)
-        assert np.max(np.abs(g.u[:, 1:])) <= 1e-14
-        assert np.max(np.abs(g.coeffs - _uniform_grid(n=6).coeffs)) <= 1e-13
+    g = _uniform_grid(n=6)
+    cfg = RunConfig(
+        M=3,
+        kn=0.1,
+        t_end=1e9,
+        force=np.array([0.4, 0.0, 0.0]),
+        collisionless=True,
+    )
+    dt = step(g, cfg)
+    np.testing.assert_allclose(g.u[:, 0], 0.4 * dt, rtol=1e-14)
+    assert np.max(np.abs(g.u[:, 1:])) <= 1e-14
+    assert np.max(np.abs(g.coeffs - _uniform_grid(n=6).coeffs)) <= 1e-13
 
 
 def test_step_returns_cfl_dt():
@@ -635,19 +632,15 @@ def test_mirrored_run_is_the_mirror_of_the_run(M, limiter):
 
 
 def test_step_variants_stay_conservative():
-    # strang splitting and minmod keep the exact telescoping, including the
-    # wall-flux cancellation
-    for kw in (
-        dict(splitting="strang"),
-        dict(limiter="minmod"),
-    ):
-        g = _uniform_grid(n=16)
-        cfg = _couette_config(**kw)
-        for _ in range(60):
-            step(g, cfg)
-        assert abs(g.total_mass() - 1.0) <= 1e-12
-        assert np.all(np.isfinite(g.coeffs))
-        assert np.all(g.theta > 0)
+    # minmod keeps the exact telescoping, including the wall-flux
+    # cancellation
+    g = _uniform_grid(n=16)
+    cfg = _couette_config(limiter="minmod")
+    for _ in range(60):
+        step(g, cfg)
+    assert abs(g.total_mass() - 1.0) <= 1e-12
+    assert np.all(np.isfinite(g.coeffs))
+    assert np.all(g.theta > 0)
 
 
 def test_warm_step_peak_temporary_memory():
@@ -714,8 +707,7 @@ def _full_grid(sc):
     ("couette", 3, (2,), dict(cells=12, t_end=0.15, steady_tol=None)),
     ("couette", 6, (2,), dict(cells=12, t_end=0.1, steady_tol=None,
                               limiter="minmod", chi=0.6)),
-    ("poiseuille", 5, (2,), dict(cells=12, t_end=0.1, steady_tol=None,
-                                 splitting="strang")),
+    ("poiseuille", 5, (2,), dict(cells=12, t_end=0.1, steady_tol=None)),
 ])
 def test_reduced_run_matches_full_run(scenario, M, reduced, overrides):
     # the even-only layout drops only slots that stay zero, so a reduced
