@@ -66,8 +66,6 @@ def s_table(nmax):
     he0 = he_zeros(nmax + 1)
 
     def kval(m, n):
-        if m - 1 < 0 or n < 0:
-            return 0.0
         return he0[m - 1] * he0[n] / (SQRT_2PI * math.factorial(m))
 
     S = np.zeros((nmax + 1, nmax + 1))

@@ -1,4 +1,4 @@
-"""Command-line driver: scenario runs, profile comparison, diagnostics.
+"""Command-line driver: scenario runs and profile comparison.
 
 ``momentflow run`` builds a scenario config from a preset, an optional flat
 config file and flag overrides, runs the chosen solver, and writes CSV
@@ -21,22 +21,6 @@ _THREAD_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-
-
-def decay_diagnostic(coeffs):
-    """Mean |f_alpha| over the multi-indices of each order k = 1..M of one
-    coefficient cube with K = M + 1 (length-M array), in any layout of
-    ``moments``: a slot the layout does not store counts as zero, so a
-    reduced cube and its zero-padded full cube give the same vector."""
-    import numpy as np
-
-    from .moments import order_cube
-
-    K = coeffs.shape[-2]
-    sums = np.bincount(order_cube(coeffs.shape).ravel(),
-                       weights=np.abs(coeffs).ravel(), minlength=K)
-    counts = np.bincount(order_cube((K,) * 3).ravel())
-    return sums[1:K] / counts[1:K]
 
 
 def build_parser():

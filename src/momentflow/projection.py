@@ -85,22 +85,22 @@ def project_coeffs(coeffs, u, theta, u_new, theta_new, out=None):
     """Apply the frame change to batched coefficient cubes.
 
     ``coeffs``: (..., K1, K, K3) in any layout of ``moments``;
-    ``u``/``u_new``: (..., 3); ``theta``/``theta_new``: (...,).  On an
-    even-only axis the frame velocity must not change.  Cube entries beyond
-    the retained order |alpha| <= K-1 are re-zeroed after the convolution.
+    ``u``/``u_new``: (..., 3); ``theta``/``theta_new``: (...,), each
+    broadcasting to the batch ``coeffs.shape[:-3]``.  On an even-only axis
+    the frame velocity must not change.  Cube entries beyond the retained
+    order |alpha| <= K-1 are re-zeroed after the convolution.
     ``out``, if given, is a C-contiguous array of the result's shape, not
     overlapping ``coeffs``, that receives the result; otherwise a new array
     does.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    cube = coeffs.shape[-3:]
+    batch, cube = coeffs.shape[:-3], coeffs.shape[-3:]
     n1, K, n3 = cube
     u = np.asarray(u, dtype=float)
     u_new = np.asarray(u_new, dtype=float)
     dtheta = np.asarray(theta, dtype=float) - np.asarray(theta_new, dtype=float)
     # one kernel build for all three axes
     t1, t2, t3 = _shift_matrices(u - u_new, dtheta[..., None], cube)
-    batch = np.broadcast(coeffs[..., 0, 0, 0], t1[..., 0, 0]).shape
     if out is None:
         out = np.empty(batch + cube)
     mid = work_array("projection", out.shape)
@@ -110,8 +110,6 @@ def project_coeffs(coeffs, u, theta, u_new, theta_new, out=None):
     # (n1 K x n3) T_3^T per cube; the input reshape is a view for any batch
     # strides
     flat = batch + (n1 * K, n3)
-    if coeffs.shape[:-3] != batch:
-        coeffs = np.broadcast_to(coeffs, batch + cube)
     src = coeffs.reshape(batch + (n1, K * n3))
     np.matmul(t1, src, out=out.reshape(batch + (n1, K * n3)))
     np.matmul(t2[..., None, :, :], out, out=mid)

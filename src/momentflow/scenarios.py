@@ -76,14 +76,11 @@ class ScenarioConfig:
         check_choice("solver", self.solver, SOLVERS)
         for kind in ("left_kind", "right_kind"):
             check_choice(kind, getattr(self, kind), ("wall", "free"))
-        # the options of both solvers, whichever runs; the run config goes
-        # first, so a bad force or wall velocity gets its message
+        # scalar kinds before any solver class compares them; tuple lengths
+        # after the run config, so a bad force or wall velocity keeps its message
+        _check_kinds(self, int, float)
         to_run_config(self)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if (f.type is int and not isinstance(value, numbers.Integral)
-                    or f.type is tuple and np.shape(value) != np.shape(f.default)):
-                raise ValueError("%s must be %s, got %r" % (f.name, _kind(f), value))
+        _check_kinds(self, tuple)
         if self.cells < 2:
             raise ValueError("need at least 2 cells")
         if self.snapshot_interval < 0:
@@ -91,6 +88,8 @@ class ScenarioConfig:
                              % (self.snapshot_interval,))
         check_choice("dv_limiter", self.dv_limiter, cdvm.LIMITERS)
         cdvm.DvGrid(self.dv_half_width, tuple(self.dv_nodes))
+        if self.solver == "cdvm":
+            to_dv_config(self)
 
     def wall(self, side):
         """The ``WallSpec`` at end ``side``, None at a free end."""
@@ -194,6 +193,23 @@ def solve(sc):
 
 
 _KINDS = {int: "an integer", float: "a number", tuple: "a list of numbers"}
+
+
+def _check_kinds(sc, *types):
+    """Reject a field of ``sc`` declared as one of ``types`` whose value is
+    not of its kind: an ``Integral`` for an int, a ``Real`` for a float (or
+    None where the default is None), never a bool; for a tuple, its
+    default's length."""
+    for f in (f for f in fields(sc) if f.type in types):
+        value = getattr(sc, f.name)
+        if f.type is tuple:
+            ok = np.shape(value) == np.shape(f.default)
+        else:
+            number = numbers.Integral if f.type is int else numbers.Real
+            ok = (value is None and f.default is None
+                  or isinstance(value, number) and not isinstance(value, bool))
+        if not ok:
+            raise ValueError("%s must be %s, got %r" % (f.name, _kind(f), value))
 
 
 def _kind(f):

@@ -5,59 +5,10 @@ import numpy as np
 import pytest
 
 from momentflow import scenarios
-from momentflow.cli import build_parser, decay_diagnostic, main
+from momentflow.cli import build_parser, main
 from momentflow.moments import read_snapshot, snapshot_table, write_table
 from momentflow.scenarios import COUETTE_WALL_SPEED, POISEUILLE_FORCE
-from momentflow.solver1d import Grid1D, run as nrxx_run
-
-import oracles
-from oracles import multi_indices
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def test_decay_diagnostic_equilibrium_is_zero():
-    grid = Grid1D.from_fields(0.0, 1.0, np.ones(2), np.zeros(3), 1.0, 5)
-    d = decay_diagnostic(grid.coeffs[0])
-    assert d.shape == (grid.M,)
-    assert np.all(d == 0.0)
-
-
-def test_decay_diagnostic_matches_direct_average():
-    # every order 1..M of a solver cube, the top one included
-    rng = np.random.default_rng(2)
-    M = 5
-    _, _, f = oracles.random_admissible(rng, M)
-    grid = Grid1D.from_fields(0.0, 1.0, np.ones(1), np.zeros(3), 1.0, M)
-    for alpha, value in f.items():
-        if sum(alpha) <= M:
-            grid.coeffs[(0,) + alpha] = value
-    d = decay_diagnostic(grid.coeffs[0])
-    assert d.shape == (grid.M,)
-    for k in range(1, M + 1):
-        vals = [abs(f.get(a, 0.0)) for a in multi_indices(M) if sum(a) == k]
-        assert d[k - 1] == pytest.approx(np.mean(vals), rel=1e-14)
-    assert d[M - 1] > 0.0
-
-
-@pytest.mark.parametrize("axes", [(0,), (2,), (0, 2)])
-def test_decay_diagnostic_of_reduced_cube_equals_its_padded_full_cube(axes):
-    # a reduced cube's absent slots count as zeros of their order, so it
-    # and its zero-padded full cube give the same vector, bit for bit
-    rng = np.random.default_rng(3)
-    M = 6
-    K = M + 1
-    full = oracles.mirror_even(rng.standard_normal((K, K, K)), axes)
-    full *= np.add.outer(np.add.outer(np.arange(K), np.arange(K)),
-                         np.arange(K)) <= M
-    small = oracles.even_slots(full, axes)
-    np.testing.assert_array_equal(oracles.pad_full(small), full)
-    d = decay_diagnostic(small)
-    assert d.shape == (M,)
-    np.testing.assert_array_equal(d, decay_diagnostic(full))
-    assert np.all(d > 0.0)
+from momentflow.solver1d import run as nrxx_run
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +67,16 @@ _SHORT = dict(M=3, cells=8, t_end=0.01, steady_tol=None)
     (dict(u0=(0.0, 1.0)), "u0 must be a list of numbers of length 3, got (0.0, 1.0)"),
     (dict(M=3.0), "M must be an integer, got 3.0"),
     (dict(cells=8.0), "cells must be an integer, got 8.0"),
-], ids=["u0-short", "M-float", "cells-float"])
+    (dict(M=None), "M must be an integer, got None"),
+    (dict(kn="0.1"), "kn must be a number, got '0.1'"),
+    (dict(cfl="0.5"), "cfl must be a number, got '0.5'"),
+    (dict(chi=None), "chi must be a number, got None"),
+    (dict(max_steps=True), "max_steps must be an integer, got True"),
+], ids=["u0-short", "M-float", "cells-float", "M-None", "kn-str", "cfl-str",
+        "chi-None", "max_steps-bool"])
 def test_preset_rejects_a_field_of_the_wrong_kind(overrides, message):
-    # a config built in code is held to the kinds the config parser checks
+    # a config built in code is held to the kinds the config parser checks,
+    # and a scalar's kind is checked before a solver class compares it
     with pytest.raises(ValueError) as err:
         scenarios.preset("couette", **{**_SHORT, **overrides})
     assert str(err.value) == message
@@ -139,6 +97,22 @@ def test_preset_rejects_a_bad_run_option_with_the_run_config_message(
     with pytest.raises(ValueError) as err:
         scenarios.preset("couette", solver=solver, **{**_SHORT, **overrides})
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("scenario, overrides, message", [
+    ("poiseuille", {}, "force must be zero"),
+    ("couette", dict(u_wall_right=(0.0, 0.2, 0.0)), "moves along its normal"),
+], ids=["force", "normal-wall"])
+def test_cdvm_scenario_builds_its_dv_run_config(scenario, overrides, message):
+    # a body force or a wall moving along its normal fails when the cdvm
+    # scenario is built, not when it is solved
+    with pytest.raises(ValueError, match=message):
+        scenarios.preset(scenario, solver="cdvm", **{**_SHORT, **overrides})
+
+
+def test_preset_rejects_a_single_cell():
+    with pytest.raises(ValueError, match="need at least 2 cells"):
+        scenarios.preset("couette", **{**_SHORT, "cells": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +501,15 @@ def test_compare_identical_files(tmp_path, capsys):
     assert len(lines) == 11         # ten columns plus the max line
     assert lines[-1].startswith("max")
     assert "0.000000e+00" in lines[-1]
+
+
+def test_compare_one_row_profile(tmp_path, capsys):
+    # a one-row file reads back as 1-d columns, not 0-d scalars
+    _write_profile(tmp_path / "one.csv", np.array([0.25]), rho=np.ones(1))
+    assert main(["compare", str(tmp_path / "one.csv"), str(tmp_path / "one.csv")]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 11
+    assert all(line.endswith(" 0.000000e+00") for line in lines)
 
 
 def test_compare_norms(tmp_path, capsys):
