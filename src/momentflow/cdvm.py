@@ -17,16 +17,18 @@ mass exactly by construction of the re-emitted density.
 The quadrature weights, the Gaussian and the Shakhov polynomial all factor
 per axis, so the Newton iteration and the conservative projection touch
 only (cells x nodes-per-axis) data.  A step passes over the full velocity
-cube eight times, and both of its sub-steps write the state in place.
-Unlimited transport makes four: on each xi_2-sign half a difference, its
-scaling by dt xi_2 / dx and the in-place update (three in all), then one
-read for the negativity check.  The collision makes four: one read (the
-moment GEMM of ``dv_moments``), a batched GEMM that writes G P into a work
-array kept across steps, and the in-place update f <- f e_full + G P of the
-state (two) in ``collide_field``.  Each wall adds two passes over the one
-velocity cube of its end cell: a read for the outgoing flux and the write
-of the inflow, formed from the wall's axis Gaussians; a partly specular
-wall (chi < 1) adds the mirror in two more.
+cube three times, both of its sub-steps write the state in place, and
+neither keeps a temporary the size of the state.  Transport makes one: each
+xi_2-sign half is walked in blocks of cells of about ``march.BLOCK``
+entries, and a block's difference, its scaling by dt xi_2 / dx, the update
+and the read for the negativity check all run while the block is in cache.
+The collision makes two: one read (the moment GEMM of ``dv_moments``), then
+per block of cells a GEMM that writes G P into a block-sized work array and
+the in-place update f <- f e_full + G P of that block (``collide_field``).
+Each wall adds two passes over the one velocity cube of its end cell: a
+read for the outgoing flux and the write of the inflow, formed from the
+wall's axis Gaussians; a partly specular wall (chi < 1) adds the mirror in
+two more.
 
 ``dv_run`` marches through ``march.march``, the loop shared with the moment
 solver, so ``steady_tol`` and ``converged`` mean the same for both.
@@ -39,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import relaxation_time
-from .march import RunOptions, check_choice, march, minmod, require_positive
+from .march import (BLOCK, RunOptions, check_choice, march, minmod,
+                    require_positive)
 from .moments import _fields_table, work_array
 
 NEWTON_TOL = 1e-13
@@ -233,9 +236,12 @@ def collide_field(values, grid, kn, pr, dt):
     the quadrature mass, momentum and energy of B = G (b - lam . psi)
     vanish.  The quadrature of G times any polynomial factors into per-axis
     central sums S_d[k] = sum w_d g_d c_d^k (k <= 6), so the projection
-    never touches the cube; the result is one batched GEMM
-    (g1 c1^i) @ (sum_jk P_ijk g2 c2^j g3 c3^k), into a work array kept
-    across calls, plus the in-place update f <- f e_full + G P.
+    never touches the cube; the result is the batched GEMM
+    (g1 c1^i) @ (sum_jk P_ijk g2 c2^j g3 c3^k) and the in-place update f <-
+    f e_full + G P, taken per block of cells of about ``BLOCK`` entries
+    (at least one cell): the GEMM writes the block into a work array of one
+    block, kept across calls, and the block of the state is updated while
+    it is in cache.  ``values`` is (cells, n1, n2, n3).
     """
     mom = dv_moments(values, grid)
     rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
@@ -275,10 +281,16 @@ def collide_field(values, grid, kn, pr, dt):
 
     Y = np.einsum("...ijk,...yj,...zk->...iyz", P, H[1], H[2], optimize=True)
     Y = Y.reshape(Y.shape[:-2] + (-1,))
-    gp = work_array("collision", Y.shape[:-2] + (values.shape[-3], Y.shape[-1]))
-    np.matmul(norm[..., None, None] * H[0], Y, out=gp)
-    values *= e_full[..., None, None, None]
-    values += gp.reshape(values.shape)
+    X = norm[:, None, None] * H[0]
+    # per block of cells: G P into a block-sized work array, then the
+    # update of that block of the state while it is in cache
+    rows = max(1, BLOCK // values[0].size)
+    gp = work_array("collision", (rows, X.shape[1], Y.shape[2]))
+    for a in range(0, len(values), rows):
+        f = values[a:a + rows]
+        g = np.matmul(X[a:a + rows], Y[a:a + rows], out=gp[:len(f)])
+        f *= e_full[a:a + rows, None, None, None]
+        f += g.reshape(f.shape)
     return values
 
 
@@ -342,28 +354,66 @@ def _wall_incoming(grid, wall, f_out, sgn):
     return f_in
 
 
+def _faces(v, i, j, above, out, scratch):
+    """The minmod faces t[k] = v[k] + minmod(v[k] - v[k-1], v[k+1] - v[k])
+    / 2 of cells i <= k < j along axis 0 of ``v``, into ``out[:j - i]``; an
+    end cell keeps t = v.  Cells below j are read from ``v``, cell j (if
+    there is one) from ``above``; ``scratch`` takes the differences.
+    Returns that part of ``out``."""
+    n = len(v)
+    t = out[:j - i]
+    s0, s1 = max(i, 1), min(j, n - 1)       # the cells with a slope
+    if s1 > s0:
+        # the differences across the lower faces of cells s0 .. s1
+        e = scratch[:s1 - s0 + 1]
+        np.subtract(v[s0:s1], v[s0 - 1:s1 - 1], out=e[:-1])
+        np.subtract(v[s1] if j == n else above, v[s1 - 1], out=e[-1])
+        slope = minmod(e[:-1], e[1:], t[s0 - i:s1 - i])
+        slope *= 0.5
+        slope += v[s0:s1]
+    if i == 0:
+        t[0] = v[0]
+    if j == n:
+        t[-1] = v[-1]
+    return t
+
+
 def _upwind(v, nu, ghost, limiter):
     """v -= nu (face[i+1] - face[i]) in place along axis 0, with the faces
     taken upwind from the low end: face[0] = ghost, face[i+1] = v[i] +
     slope[i] / 2 (slope zero without a limiter and in the end cells).
+    Returns the smallest updated value (NaN if there is a NaN).
 
-    Temporaries: the face differences and, with minmod, the faces, each the
-    size of ``v``, and one block of ``march.minmod``.
+    The cells are updated in blocks of about ``BLOCK`` entries from the high
+    end down, so every difference reads values not yet updated; the minmod
+    faces of a block reach one cell above it, which is read from a copy
+    saved before that cell was updated.  Temporaries: the differences and,
+    with minmod, the faces, each a block and two cells, the saved cell, and
+    one block of ``minmod``.
     """
-    d = np.empty_like(v)
-    t = v
+    n = len(v)
+    rows = max(1, BLOCK // v[0].size)
+    d = work_array("upwind differences", (rows + 2,) + v.shape[1:])
     if limiter == "minmod":
-        # the limited difference across the two faces of each inner cell
-        np.subtract(v[1:], v[:-1], out=d[1:])
-        t = np.empty_like(v)
-        slope = minmod(d[1:-1], d[2:], t[1:-1])
-        slope *= 0.5
-        slope += v[1:-1]
-        t[0], t[-1] = v[0], v[-1]
-    np.subtract(t[1:], t[:-1], out=d[1:])
-    np.subtract(t[0], ghost, out=d[0])
-    d *= nu
-    v -= d
+        faces = work_array("upwind faces", d.shape)
+        above = work_array("upwind cell above", v.shape[1:])
+    worst = np.inf
+    for b in range(n, 0, -rows):
+        a = max(b - rows, 0)
+        # the faces of cells lo .. b-1: from the one below the block, or
+        # from the block's first cell at the low end, where the ghost is
+        lo = max(a - 1, 0)
+        t = v[lo:b] if limiter == "none" else _faces(v, lo, b, above, faces, d)
+        db = d[:b - a]
+        np.subtract(t[1:], t[:-1], out=db[lo + 1 - a:])
+        if a == 0:
+            np.subtract(t[0], ghost, out=db[0])
+        db *= nu
+        if limiter == "minmod" and a > 0:
+            np.copyto(above, v[a])
+        v[a:b] -= db
+        worst = np.minimum(worst, v[a:b].min())
+    return worst
 
 
 def transport_field(field, dt, left, right, limiter="none"):
@@ -375,6 +425,8 @@ def transport_field(field, dt, left, right, limiter="none"):
     negative half runs on the cell-reversed view.  The middle node of an odd
     xi_2 axis (xi_2 = 0) is not touched.  Both wall inflows are built from
     the state before the update; a free end takes the cell itself as ghost.
+    The negativity warning reads the smallest value of each updated block
+    and of the untouched middle plane.
     """
     vals = field.values
     grid = field.grid
@@ -382,9 +434,12 @@ def transport_field(field, dt, left, right, limiter="none"):
     lo = vals[0] if left is None else _wall_incoming(grid, left, vals[0], -1.0)
     hi = vals[-1] if right is None else _wall_incoming(grid, right, vals[-1], 1.0)
     nu = (dt / field.dx) * grid.axes[1][:, None]
-    _upwind(vals[:, :, -half:], nu[-half:], lo[:, -half:], limiter)
-    _upwind(vals[::-1, :, :half], -nu[:half], hi[:, :half], limiter)
-    worst = float(vals.min())
+    worst = np.minimum(
+        _upwind(vals[:, :, -half:], nu[-half:], lo[:, -half:], limiter),
+        _upwind(vals[::-1, :, :half], -nu[:half], hi[:, :half], limiter))
+    if grid.counts[1] % 2:
+        worst = np.minimum(worst, vals[:, :, half].min())
+    worst = float(worst)
     if worst < -NEGATIVITY_WARN:
         warnings.warn(
             "distribution went negative (min %.3e) during transport" % worst,

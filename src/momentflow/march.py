@@ -20,7 +20,8 @@ a discrete-velocity step.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,9 +29,14 @@ from .boundary import WallSpec
 
 CHECK_EVERY = 10
 RESIDUAL_FLOOR = 1e-8
-# entries per block of ``minmod``, whose temporary stays small next to a DVM
-# state; a mask in its place (ufuncs with where=) ran 30-40x slower
-MINMOD_BLOCK = 1 << 16
+# entries per block of ``minmod`` and of the two sub-steps of a
+# discrete-velocity step, which work on one block while it is in cache and
+# keep no state-sized temporary (2^15 and 2^16 took the same time, and the
+# smaller block the smaller peak); a mask in place of minmod's blocks
+# (ufuncs with where=) ran 30-40x slower
+BLOCK = 1 << 15
+# the kind a number field must be, as an error names it
+KINDS = {int: "an integer", float: "a number"}
 
 
 @dataclass(kw_only=True)
@@ -45,8 +51,9 @@ class RunOptions:
     ``left``, ``right``: wall specification per end, None for a free
     (zero-gradient) boundary; the solver passes each wall map its end.
 
-    A value under which no step could run is a ValueError.  Each test is
-    written ``not (x > 0)`` so that NaN fails it too.
+    A value under which no step could run, or a number field of the wrong
+    kind (``check_kinds``), is a ValueError.  Each test is written ``not (x
+    > 0)`` so that NaN fails it too.
     """
 
     kn: float
@@ -59,14 +66,13 @@ class RunOptions:
     right: WallSpec = None
 
     def __post_init__(self):
+        check_kinds(self)
         if self.t_end is None and self.steady_tol is None:
             raise ValueError("set an end time and/or a steady tolerance")
         for name in ("t_end", "steady_tol"):
             value = getattr(self, name)
             if value is not None and not (value > 0):
                 raise ValueError("%s must be positive, got %r" % (name, value))
-        if self.max_steps is None:
-            raise ValueError("max_steps must be a positive integer, got None")
         if not (self.max_steps > 0):
             raise ValueError("max_steps must be positive, got %r" % (self.max_steps,))
         if not (0.0 < self.cfl <= 1.0):
@@ -75,6 +81,21 @@ class RunOptions:
             raise ValueError("Knudsen number must be positive")
         if not (0.0 < self.pr <= 1.0):
             raise ValueError("Prandtl number must lie in (0, 1]")
+
+
+def check_kinds(options):
+    """Reject a field of the dataclass ``options`` declared ``int`` or
+    ``float`` whose value is not of its kind: an ``Integral`` for an int, a
+    ``Real`` for a float, never a bool, and None only where the default is
+    None.  The message names the field."""
+    for f in fields(options):
+        if f.type in KINDS:
+            value = getattr(options, f.name)
+            number = numbers.Integral if f.type is int else numbers.Real
+            if not (value is None and f.default is None
+                    or isinstance(value, number) and not isinstance(value, bool)):
+                raise ValueError("%s must be %s, got %r"
+                                 % (f.name, KINDS[f.type], value))
 
 
 def check_choice(name, value, choices):
@@ -88,8 +109,8 @@ def minmod(a, b, out):
     """minmod(a, b) = max(min(a, b), 0) + min(max(a, b), 0), an exact sum
     as one term is zero, into ``out``, which overlaps neither ``a`` nor
     ``b``; returns ``out``.  Taken in blocks of rows along the first axis of
-    about ``MINMOD_BLOCK`` entries, each with one temporary."""
-    rows = max(1, MINMOD_BLOCK // out[0].size)
+    about ``BLOCK`` entries, each with one temporary."""
+    rows = max(1, BLOCK // out[0].size)
     for i in range(0, len(out), rows):
         x, y, o = a[i:i + rows], b[i:i + rows], out[i:i + rows]
         pos = np.minimum(x, y)

@@ -20,14 +20,13 @@ solver it names.
 """
 
 import configparser
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import cdvm, solver1d
 from .boundary import WallSpec
-from .march import RunOptions, check_choice
+from .march import KINDS, RunOptions, check_choice, check_kinds
 
 SOLVERS = ("nrxx", "cdvm")
 
@@ -78,9 +77,9 @@ class ScenarioConfig:
             check_choice(kind, getattr(self, kind), ("wall", "free"))
         # scalar kinds before any solver class compares them; tuple lengths
         # after the run config, so a bad force or wall velocity keeps its message
-        _check_kinds(self, int, float)
+        check_kinds(self)
         to_run_config(self)
-        _check_kinds(self, tuple)
+        _check_lengths(self)
         if self.cells < 2:
             raise ValueError("need at least 2 cells")
         if self.snapshot_interval < 0:
@@ -192,23 +191,14 @@ def solve(sc):
     return run(state, config, snapshot_interval=sc.snapshot_interval)
 
 
-_KINDS = {int: "an integer", float: "a number", tuple: "a list of numbers"}
+_KINDS = {**KINDS, tuple: "a list of numbers"}
 
 
-def _check_kinds(sc, *types):
-    """Reject a field of ``sc`` declared as one of ``types`` whose value is
-    not of its kind: an ``Integral`` for an int, a ``Real`` for a float (or
-    None where the default is None), never a bool; for a tuple, its
-    default's length."""
-    for f in (f for f in fields(sc) if f.type in types):
+def _check_lengths(sc):
+    """Reject a tuple field of ``sc`` whose length is not its default's."""
+    for f in fields(sc):
         value = getattr(sc, f.name)
-        if f.type is tuple:
-            ok = np.shape(value) == np.shape(f.default)
-        else:
-            number = numbers.Integral if f.type is int else numbers.Real
-            ok = (value is None and f.default is None
-                  or isinstance(value, number) and not isinstance(value, bool))
-        if not ok:
+        if f.type is tuple and np.shape(value) != np.shape(f.default):
             raise ValueError("%s must be %s, got %r" % (f.name, _kind(f), value))
 
 

@@ -175,10 +175,10 @@ class RunConfig(RunOptions):
     collisionless: bool = False
 
     def __post_init__(self):
+        super().__post_init__()      # checks the kind of M too
         if self.M < 3:
             raise ValueError("moment order M must be at least 3")
         check_choice("limiter", self.limiter, LIMITERS)
-        super().__post_init__()
         self.force = np.asarray(self.force, dtype=float)
         if self.force.shape != (3,) or not np.all(np.isfinite(self.force)):
             raise ValueError("force must be a finite 3-vector")

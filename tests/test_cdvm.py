@@ -20,7 +20,8 @@ from momentflow.cdvm import (
     transport_field,
 )
 from momentflow.collision import relaxation_time
-from momentflow.moments import SNAPSHOT_COLUMNS
+from momentflow.march import BLOCK
+from momentflow.moments import SNAPSHOT_COLUMNS, work_array
 
 import oracles
 
@@ -382,14 +383,15 @@ def test_negativity_warning_on_cfl_violation():
         transport_field(fld, dt_bad, None, None)
 
 
-def _rough_field(n2):
-    """Ten cells of a two-beam mixture whose rho, u (with u2 != 0) and theta
-    jump from cell to cell, so minmod both limits and zeroes slopes."""
-    grid = DvGrid(5.0, (8, n2, 8))
+def _rough_field(counts, n=10):
+    """``n`` cells on a grid of ``counts`` nodes of a two-beam mixture whose
+    rho, u (with u2 != 0) and theta jump from cell to cell, so minmod both
+    limits and zeroes slopes."""
+    grid = DvGrid(5.0, counts)
     rng = np.random.default_rng(3)
-    rho = rng.uniform(0.8, 1.4, 10)
-    u = rng.uniform(-0.4, 0.4, (10, 3))
-    theta = rng.uniform(0.7, 1.3, 10)
+    rho = rng.uniform(0.8, 1.4, n)
+    u = rng.uniform(-0.4, 0.4, (n, 3))
+    theta = rng.uniform(0.7, 1.3, n)
     f = 0.7 * grid.maxwellian(rho, u, theta) + 0.3 * grid.maxwellian(
         rho[::-1], u + [0.3, -0.6, 0.2], 1.4 * theta)
     return DvField(grid, -0.5, 0.5, f)
@@ -404,12 +406,9 @@ _TRANSPORT_ENDS = {
 }
 
 
-@pytest.mark.parametrize("n2", [12, 13])
-@pytest.mark.parametrize("ends", list(_TRANSPORT_ENDS))
-@pytest.mark.parametrize("limiter", ["none", "minmod"])
-def test_transport_matches_flux_form_oracle(limiter, ends, n2):
+def _check_transport_oracle(limiter, ends, n2, n=10):
     left, right = _TRANSPORT_ENDS[ends]
-    fld = _rough_field(n2)
+    fld = _rough_field((8, n2, 8), n)
     v0 = fld.values.copy()
     dt = dv_cfl_timestep(fld, 0.9, limiter)
     want = oracles.transport_reference(fld, dt, left, right, limiter)
@@ -423,15 +422,77 @@ def test_transport_matches_flux_form_oracle(limiter, ends, n2):
                                       v0[:, :, n2 // 2])
 
 
+@pytest.mark.parametrize("n2", [12, 13])
+@pytest.mark.parametrize("ends", list(_TRANSPORT_ENDS))
+@pytest.mark.parametrize("limiter", ["none", "minmod"])
+def test_transport_matches_flux_form_oracle(limiter, ends, n2):
+    _check_transport_oracle(limiter, ends, n2)
+
+
+def _blocks_of(cell_entries):
+    """Cells of ``cell_entries`` entries that fill three whole blocks of
+    ``BLOCK`` entries and part of a fourth, and the cells per block."""
+    rows = BLOCK // cell_entries
+    assert rows >= 2
+    return 3 * rows + rows // 2, rows
+
+
+@pytest.mark.parametrize("n2", [12, 13])
+@pytest.mark.parametrize("ends", ["free", "walls"])
+@pytest.mark.parametrize("limiter", ["none", "minmod"])
+def test_transport_across_blocks_matches_flux_form_oracle(limiter, ends, n2):
+    # each xi_2-sign half is updated in blocks of cells from its downwind
+    # end, so a block's differences reach the cell below it, and with minmod
+    # its top face reads the cell above it, which the block before has
+    # already updated
+    n, rows = _blocks_of(8 * (n2 // 2) * 8)
+    assert n % rows
+    _check_transport_oracle(limiter, ends, n2, n)
+
+
+@pytest.mark.parametrize("limiter", ["none", "minmod"])
+@pytest.mark.parametrize("half", ["positive", "negative"])
+def test_negativity_warning_from_the_last_block(half, limiter):
+    # the positive half is updated from the top cell down and the negative
+    # half from the bottom cell up, so the last block of each holds the
+    # other end: a negative entry there must still be reported
+    n, _ = _blocks_of(8 * 6 * 8)
+    fld = _rough_field((8, 12, 8), n)
+    cell, node = (0, 9) if half == "positive" else (n - 1, 2)
+    assert (fld.grid.axes[1][node] > 0) == (half == "positive")
+    fld.values[cell, 4, node, 4] = -1.0
+    with pytest.warns(RuntimeWarning, match=r"negative \(min -1\.000e\+00\)"):
+        transport_field(fld, 1e-3 * dv_cfl_timestep(fld, 0.9, limiter),
+                        None, None, limiter)
+
+
+def test_negativity_warning_from_the_untouched_middle_plane():
+    # on an odd xi_2 axis transport leaves the xi_2 = 0 plane alone, and
+    # the negativity check covers it too
+    fld = _rough_field((8, 13, 8))
+    assert fld.grid.axes[1][6] == 0.0
+    fld.values[5, 3, 6, 3] = -0.5
+    with pytest.warns(RuntimeWarning, match=r"negative \(min -5\.000e-01\)"):
+        transport_field(fld, dv_cfl_timestep(fld, 0.9), None, None)
+
+
 def test_transport_peak_temporary_memory():
-    # a 24^3 x 50 Couette field, as in the benchmark's DVM workload; the
-    # flux form needs a padded copy and an interface cube, about 3x the state
+    # a 24^3 x 50 Couette field, as in the benchmark's DVM workload, on a
+    # first call, so the work arrays are made.  Both halves are updated in
+    # blocks of about BLOCK entries: the differences (and with minmod the
+    # faces) take a block and two half cells each, minmod and numpy's
+    # strided in-place update one block between them; the rest is the two
+    # wall inflows, one velocity cube each, with the transients of their
+    # build.  Full-size difference and face arrays would be 0.5x and 1x
+    # the state.
     sc = scenarios.preset("couette", solver="cdvm", cells=50,
                           dv_nodes=(24, 24, 24))
     fld = scenarios.build_dv_field(sc)
     cfg = scenarios.to_dv_config(sc)
-    for limiter in ("none", "minmod"):
+    cube = fld.values[0].size
+    for limiter, blocks in (("none", 2), ("minmod", 4)):
         dt = dv_cfl_timestep(fld, cfg.cfl, limiter)
+        work_array.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -439,7 +500,39 @@ def test_transport_peak_temporary_memory():
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * fld.values.nbytes, limiter
+        assert peak < 8 * (blocks * BLOCK + 4 * cube), limiter
+
+
+def test_collision_across_blocks_matches_full_cube_oracle():
+    # blocks of cells, the last one partial, against the per-cell full-cube
+    # relaxation
+    n, rows = _blocks_of(12 ** 3)
+    assert n % rows
+    fld = _rough_field((12, 12, 12), n)
+    f, grid = fld.values, fld.grid
+    kn, pr, dt = 0.5, 2.0 / 3.0, 0.3
+    ref = oracles.collide_reference(f, grid, kn, pr, dt)
+    out = collide_field(f.copy(), grid, kn, pr, dt)
+    assert np.abs(ref - f).max() > 1e-2 * ref.max()
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-15 * ref.max())
+
+
+def test_first_collision_retains_no_state_sized_array():
+    # G P goes through a work array of one block, kept across calls
+    sc = scenarios.preset("couette", solver="cdvm", cells=50,
+                          dv_nodes=(24, 24, 24))
+    fld = scenarios.build_dv_field(sc)
+    cfg = scenarios.to_dv_config(sc)
+    dt = dv_cfl_timestep(fld, cfg.cfl)
+    work_array.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        collide_field(fld.values, fld.grid, cfg.kn, cfg.pr, dt)
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert grown < 0.1 * fld.values.nbytes
 
 
 def test_collision_updates_in_place_with_small_temporaries():

@@ -5,7 +5,7 @@ import pytest
 
 from momentflow import scenarios
 from momentflow.cdvm import DvRunConfig, dv_run
-from momentflow.march import CHECK_EVERY, MINMOD_BLOCK, minmod
+from momentflow.march import BLOCK, CHECK_EVERY, minmod
 from momentflow.solver1d import RunConfig, run
 
 NAN = float("nan")
@@ -40,11 +40,11 @@ def test_configs_reject_stop_options_that_run_no_step(make, kw):
 
 @pytest.mark.parametrize("make", [RunConfig, DvRunConfig])
 def test_configs_name_a_none_step_budget(make):
-    # a config file's "max_steps = none" fails in the parser; a config built
-    # in code still gets its own message
+    # a config built in code gets the message of a config file's
+    # "max_steps = none", which fails in the parser
     extra = dict(M=3) if make is RunConfig else {}
     with pytest.raises(ValueError,
-                       match="max_steps must be a positive integer, got None"):
+                       match="max_steps must be an integer, got None"):
         make(kn=0.1, t_end=1.0, max_steps=None, **extra)
 
 
@@ -66,6 +66,49 @@ def test_both_configs_reject_a_shared_option_with_one_message(make, kw, message)
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("make", [RunConfig, DvRunConfig])
+@pytest.mark.parametrize("kw, message", [
+    (dict(t_end=1.0, max_steps=True), "max_steps must be an integer, got True"),
+    (dict(t_end=1.0, max_steps=10.0), "max_steps must be an integer, got 10.0"),
+    (dict(t_end=1.0, kn="0.1"), "kn must be a number, got '0.1'"),
+    (dict(t_end=1.0, kn=None), "kn must be a number, got None"),
+    (dict(t_end=1.0, cfl=True), "cfl must be a number, got True"),
+    (dict(t_end=1.0, pr=None), "pr must be a number, got None"),
+    (dict(t_end="1.0"), "t_end must be a number, got '1.0'"),
+    (dict(steady_tol=False), "steady_tol must be a number, got False"),
+], ids=["max_steps-bool", "max_steps-float", "kn-str", "kn-none", "cfl-bool",
+        "pr-none", "t_end-str", "steady_tol-bool"])
+def test_both_configs_name_a_shared_option_of_the_wrong_kind(make, kw, message):
+    # checked before any comparison, so no bare TypeError and no bool
+    # taken for a number
+    extra = dict(M=3) if make is RunConfig else {}
+    with pytest.raises(ValueError) as err:
+        make(**{"kn": 0.1, **kw, **extra})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("M, message", [
+    (3.5, "M must be an integer, got 3.5"),
+    (None, "M must be an integer, got None"),
+    (True, "M must be an integer, got True"),
+    ("5", "M must be an integer, got '5'"),
+], ids=["float", "none", "bool", "str"])
+def test_run_config_names_an_order_of_the_wrong_kind(M, message):
+    with pytest.raises(ValueError) as err:
+        RunConfig(M=M, kn=0.1, t_end=1.0)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make", [RunConfig, DvRunConfig])
+def test_configs_take_numbers_of_any_real_kind(make):
+    # numpy scalars and ints for float fields are numbers; None is taken
+    # where the default is None
+    extra = dict(M=np.int64(3)) if make is RunConfig else {}
+    cfg = make(kn=np.float64(0.1), pr=1, t_end=None, steady_tol=np.float32(1e-3),
+               max_steps=np.int32(5), **extra)
+    assert cfg.t_end is None and cfg.max_steps == 5
+
+
 @pytest.mark.parametrize("shape", [(40, 9), (40, 3, 1000)],
                          ids=["one-block", "several-blocks"])
 def test_minmod_is_the_two_term_formula(shape):
@@ -75,7 +118,7 @@ def test_minmod_is_the_two_term_formula(shape):
     a = rng.standard_normal(shape)
     b = rng.standard_normal(shape)
     if len(shape) == 3:
-        assert a.size > MINMOD_BLOCK
+        assert a.size > BLOCK
     a[::3] = 0.0
     b[:, ::4] = 0.0
     b[::5] = a[::5]
