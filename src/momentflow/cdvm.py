@@ -2,13 +2,14 @@
 
 Independent of the moment machinery: the distribution is carried on a fixed
 Cartesian velocity grid with trapezoidal weights and advanced by first-order
-splitting of upwind transport (optional minmod-limited second order) and an
-exact relaxation step
+splitting of upwind transport (optional minmod-limited second order, at
+CFL 0.5 at most) and an exact relaxation step
 
     f(t+dt) = G + B exp(-Pr dt/tau) + (f - G - B) exp(-dt/tau),
 
-where G is a discrete Gaussian whose parameters are Newton-corrected so its
-*quadrature* moments match the pre-collision mass, momentum and energy, and
+where G is a discrete Gaussian whose parameters are Newton-corrected,
+starting from the cell's own velocity and temperature, so its *quadrature*
+mass, momentum and energy are the cell's (``conservative_gaussian``), and
 B is the heat-flux (Shakhov) correction projected so its quadrature
 collision invariants vanish.  Collision therefore conserves the discrete
 invariants to solver tolerance, and the accommodation-wall fluxes balance
@@ -25,10 +26,10 @@ and the read for the negativity check all run while the block is in cache.
 The collision makes two: one read (the moment GEMM of ``dv_moments``), then
 per block of cells a GEMM that writes G P into a block-sized work array and
 the in-place update f <- f e_full + G P of that block (``collide_field``).
-Each wall adds two passes over the one velocity cube of its end cell: a
-read for the outgoing flux and the write of the inflow, formed from the
-wall's axis Gaussians; a partly specular wall (chi < 1) adds the mirror in
-two more.
+Each wall adds a few passes over one velocity cube: it forms the wall
+Maxwellian with ``DvGrid.maxwellian``, reads it and its end cell for the
+two half-fluxes, and scales it into the inflow; a partly specular wall
+(chi < 1) adds the mirror of the end cell.
 
 ``dv_run`` marches through ``march.march``, the loop shared with the moment
 solver, so ``steady_tol`` and ``converged`` mean the same for both.
@@ -90,7 +91,8 @@ class DvGrid:
 
 
 # unit multi-indices, and the raw-moment indices e_a + e_b of the momentum
-# flux P_ab and e_a + 2 e_b of the heat-flux sums, as index-array tuples
+# flux P_ab and e_a + 2 e_b of the heat-flux sums (and of the Shakhov
+# polynomial's terms c_a c_b^2), as index-array tuples
 _E = np.eye(3, dtype=int)
 _PAIR = tuple(np.moveaxis(_E[:, None] + _E[None, :], -1, 0))
 _TRIPLE = tuple(np.moveaxis(_E[:, None] + 2 * _E[None, :], -1, 0))
@@ -146,64 +148,64 @@ def _axis_gaussians(grid, u, theta):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def conservative_gaussian(grid, rho_t, m_t, T0_t, u_seed, theta_seed):
+def conservative_gaussian(grid, rho, u, theta):
     """Gaussian parameters whose quadrature mass, momentum and T0 = <|xi|^2
-    f> hit the targets exactly: the conservative discrete equilibrium of
-    Mieussens, JCP 162 (2000).
+    f> are those of a cell of density ``rho``, velocity ``u`` and
+    temperature ``theta``: rho, rho u and rho (3 theta + |u|^2).  This is
+    the conservative discrete equilibrium of Mieussens, JCP 162 (2000).
 
-    Under quadrature the Gaussian rho (2 pi theta)^-3/2 g_1 g_2 g_3 is a
-    product of 1-D distributions; along axis d the normalized moments of c =
-    xi_d - u_d are m_k = S_d[k] / S_d[0] (``_axis_gaussians``), the mean is
-    u_d + m_1 and the variance v_d = m_2 - m_1^2.  The density is eliminated
-    (rho = rho_t (2 pi theta)^3/2 / prod_d S_d[0] makes the mass exact), so
-    Newton runs in (u, theta) on the residuals
+    Under quadrature the Gaussian rho_G (2 pi theta_G)^-3/2 g_1 g_2 g_3 is
+    a product of 1-D distributions; along axis d the normalized moments of
+    c = xi_d - u_G,d are m_k = S_d[k] / S_d[0] (``_axis_gaussians``), the
+    mean is u_G,d + m_1 and the variance v_d = m_2 - m_1^2.  The density is
+    eliminated (rho_G = rho (2 pi theta_G)^3/2 / prod_d S_d[0] makes the
+    mass exact), so Newton runs in (u_G, theta_G), from (u, theta), on the
+    residuals
 
-        r_d = u_d + m_1 - m_t,d / rho_t,
-        r_theta = sum_d v_d - (T0_t / rho_t - |m_t / rho_t|^2).
+        r_d = u_G,d + m_1 - u_d,
+        r_theta = sum_d v_d - 3 theta.
 
-    Axis d depends on u_d and theta alone, so the Jacobian, from dE[phi]/du_d
-    = Cov(phi, xi_d) / theta and dE[phi]/dtheta = Cov(phi, c^2) / (2 theta^2),
-    is an arrow, solved by its Schur complement.  It stops once momentum
-    over rho_t sqrt(theta_seed) and T0 over |T0_t| are within
-    ``NEWTON_TOL``; a step moves u by at most sqrt(theta), theta by at most
-    theta / 2.  An unreachable cell may run to a zero variance on the way:
-    it fails that test like any other.
+    Axis d depends on u_G,d and theta_G alone, so the Jacobian, from
+    dE[phi]/du_d = Cov(phi, xi_d) / theta and dE[phi]/dtheta = Cov(phi,
+    c^2) / (2 theta^2), is an arrow, solved by its Schur complement.  It
+    stops once momentum over rho sqrt(theta) and T0 over rho (3 theta +
+    |u|^2) are within ``NEWTON_TOL``; a step moves u_G by at most
+    sqrt(theta_G), theta_G by at most theta_G / 2.  An unreachable cell may
+    run to a zero variance on the way: it fails that test like any other.
 
-    Returns (rho, u, theta, tables, sums), the tables and sums of
+    Returns (rho_G, u_G, theta_G, tables, sums), the tables and sums of
     ``_axis_gaussians`` at the returned parameters; raises RuntimeError
     naming the first cell still off after ``NEWTON_MAX_ITER`` evaluations.
     """
-    u = np.array(u_seed, dtype=float)
-    theta = np.array(theta_seed, dtype=float)
-    mean_t = m_t / rho_t[..., None]
-    var_t = T0_t / rho_t - np.sum(mean_t**2, axis=-1)
-    scale_u = np.sqrt(theta_seed)[..., None]
-    scale_th = np.abs(T0_t) / rho_t
+    u_g, th_g = u, theta
+    var_t = 3.0 * theta
+    scale_u = np.sqrt(theta)[..., None]
+    scale_th = var_t + np.sum(u**2, axis=-1)
     for _ in range(NEWTON_MAX_ITER):
-        tables, sums = _axis_gaussians(grid, u, theta)
+        tables, sums = _axis_gaussians(grid, u_g, th_g)
         S = np.stack(sums, axis=-2)                     # (..., 3, 7)
         m1, m2, m3, m4 = (S[..., k] / S[..., 0] for k in range(1, 5))
         var = m2 - m1**2
-        r_u = u + m1 - mean_t
+        r_u = u_g + m1 - u
         r_th = np.sum(var, axis=-1) - var_t
         err = np.maximum(np.max(np.abs(r_u) / scale_u, axis=-1),
                          np.abs(r_th) / scale_th)
         if np.all(err < NEWTON_TOL):
-            rho = rho_t * (2.0 * math.pi * theta) ** 1.5 / np.prod(S[..., 0], axis=-1)
-            return rho, u, theta, tables, sums
+            rho_g = rho * (2.0 * math.pi * th_g) ** 1.5 / np.prod(S[..., 0], axis=-1)
+            return rho_g, u_g, th_g, tables, sums
 
         # arrow: d mean_d / d u_d = a_d, d mean_d / d theta = b_d,
         # d v_d / d u_d = c_d (c_a = c_d / a_d), d sum_d v_d / d theta = e
-        th = theta[..., None]
+        th = th_g[..., None]
         a = var / th
         b = (m3 - m1 * m2) / (2.0 * th**2)
         c_a = (m3 - 3.0 * m1 * m2 + 2.0 * m1**3) / th / a
         e = np.sum(m4 - 2.0 * m1 * m3 + 2.0 * m1**2 * m2 - m2**2, axis=-1) / (
-            2.0 * theta**2)
+            2.0 * th_g**2)
         d_th = (np.sum(c_a * r_u, axis=-1) - r_th) / (e - np.sum(c_a * b, axis=-1))
         d_u = -(r_u + b * d_th[..., None]) / a
-        u = u + np.clip(d_u, -np.sqrt(th), np.sqrt(th))
-        theta = theta + np.clip(d_th, -0.5 * theta, 0.5 * theta)
+        u_g = u_g + np.clip(d_u, -np.sqrt(th), np.sqrt(th))
+        th_g = th_g + np.clip(d_th, -0.5 * th_g, 0.5 * th_g)
     j = int(np.flatnonzero(~(err < NEWTON_TOL))[0])
     raise RuntimeError(
         "conservative Gaussian correction did not converge in cell %d in "
@@ -247,10 +249,7 @@ def collide_field(values, grid, kn, pr, dt):
     rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
     require_positive(rho, "density", "in cell %d in collision")
     require_positive(theta, "temperature", "in cell %d in collision")
-    m = rho[..., None] * u
-    T0 = (3.0 * theta + np.sum(u**2, axis=-1)) * rho
-    rho_g, u_g, th_g, tables, sums = conservative_gaussian(grid, rho, m, T0,
-                                                           u, theta)
+    rho_g, u_g, th_g, tables, sums = conservative_gaussian(grid, rho, u, theta)
     norm = rho_g * (2.0 * math.pi * th_g) ** -1.5
     tau = relaxation_time(rho, theta, kn)
     e_full = np.exp(-dt / tau)
@@ -265,10 +264,8 @@ def collide_field(values, grid, kn, pr, dt):
     # Shakhov polynomial b = sum_a sq_a c_a (sum_e c_e^2 / theta_G - 5)
     sq = q / (5.0 * rho * theta**2)[..., None]
     b = np.zeros(rho.shape + (4, 4, 4))
-    for a in range(3):
-        b[(Ellipsis,) + tuple(_E[a])] = -5.0 * sq[..., a]
-        for e in range(3):
-            b[(Ellipsis,) + tuple(_E[a] + 2 * _E[e])] += sq[..., a] / th_g
+    b[(Ellipsis,) + tuple(_E)] = -5.0 * sq
+    b[(Ellipsis,) + _TRIPLE] += (sq / th_g[..., None])[..., None]
 
     # Gram matrix <G psi_i psi_j> and right-hand side <G b psi_i>, over norm
     Kpsi = np.einsum("...ad,...be,...cf,idef->...iabc", *K, _PSI, optimize=True)
@@ -334,24 +331,24 @@ class DvField:
 def _wall_incoming(grid, wall, f_out, sgn):
     """Re-emitted nodal distribution at a wall with outward normal sgn*e2.
 
-    chi rho_w phi_w + (1 - chi) specular mirror, with rho_w balancing the
-    discrete mass flux through the interface exactly.  The weights and the
-    wall Maxwellian phi_w factor per axis, so the outgoing flux is one pass
-    over ``f_out``, the flux of phi_w a product of three 1-D sums, and the
-    Maxwellian is formed once from its axis Gaussians.
+    chi rho_w phi_w + (1 - chi) specular mirror, with phi_w the wall's unit
+    ``DvGrid.maxwellian`` and rho_w balancing the discrete mass flux
+    through the interface exactly.  The weights factor per axis, so the
+    outgoing half-flux of ``f_out`` and the incoming half-flux of phi_w are
+    each one contraction of a cube.  (Contracting the two cubes stacked
+    copies both into an array of two cubes first, and a call took about
+    three times as long at 24^3.)
     """
     w1, w2, w3 = grid.weights
     speed = sgn * grid.axes[1]                # outward-normal speed
+    phi = grid.maxwellian(1.0, wall.u_wall, wall.theta_wall)
     flux_out = w1 @ (f_out @ w3) @ (w2 * np.maximum(speed, 0.0))
-    g1, g2, g3 = (np.exp(-(x - u) ** 2 / (2.0 * wall.theta_wall))
-                  for x, u in zip(grid.axes, wall.u_wall))
-    norm = (2.0 * math.pi * wall.theta_wall) ** -1.5
-    denom = norm * (w1 @ g1) * ((w2 * np.minimum(speed, 0.0)) @ g2) * (w3 @ g3)
-    rho_w = -flux_out / denom if wall.chi > 0.0 else 0.0
-    f_in = (wall.chi * rho_w * norm * g1)[:, None, None] * np.outer(g2, g3)
+    flux_in = w1 @ (phi @ w3) @ (w2 * np.minimum(speed, 0.0))
+    rho_w = -flux_out / flux_in if wall.chi > 0.0 else 0.0
+    phi *= wall.chi * rho_w
     if wall.chi < 1.0:
-        f_in += (1.0 - wall.chi) * f_out[:, ::-1, :]
-    return f_in
+        phi += (1.0 - wall.chi) * f_out[:, ::-1, :]
+    return phi
 
 
 def _faces(v, i, j, above, out, scratch):
@@ -416,8 +413,9 @@ def _upwind(v, nu, ghost, limiter):
     return worst
 
 
-def transport_field(field, dt, left, right, limiter="none"):
-    """One upwind (optionally minmod-limited) transport sweep, in place.
+def transport_field(field, dt, left, right, limiter):
+    """One upwind (``limiter`` "none") or minmod-limited transport sweep,
+    in place.
 
     A node with xi_2 > 0 takes the left trace at every interface and one
     with xi_2 < 0 the right trace, so each sign half of the xi_2 axis is
@@ -448,7 +446,7 @@ def transport_field(field, dt, left, right, limiter="none"):
     return field
 
 
-def dv_step(field, dt, left, right, kn, pr, limiter="none"):
+def dv_step(field, dt, left, right, kn, pr, limiter):
     """First-order split step: transport then conservative relaxation."""
     transport_field(field, dt, left, right, limiter)
     collide_field(field.values, field.grid, kn, pr, dt)
@@ -459,8 +457,9 @@ def dv_step(field, dt, left, right, kn, pr, limiter="none"):
 class DvRunConfig(RunOptions):
     """Options of a discrete-velocity slab run: the shared ones of
     ``march.RunOptions`` (collision, CFL, stop and walls, keyword only) and
-    ``limiter``, one of ``LIMITERS``.  A wall may not move along its normal
-    e2.
+    ``limiter``, one of ``LIMITERS``.  Minmod transport runs at CFL 0.5 at
+    most (``dv_cfl_timestep`` caps a larger ``cfl``).  A wall may not move
+    along its normal e2.
     """
 
     limiter: str = "none"
@@ -474,7 +473,7 @@ class DvRunConfig(RunOptions):
                                  "this solver does not support" % side)
 
 
-def dv_cfl_timestep(field, cfl, limiter="none"):
+def dv_cfl_timestep(field, cfl, limiter):
     eff = min(cfl, 0.5) if limiter == "minmod" else cfl
     return eff * field.dx / float(np.max(np.abs(field.grid.axes[1])))
 

@@ -2,7 +2,8 @@
 
 ``momentflow run`` builds a scenario config from a preset, an optional flat
 config file and flag overrides, runs the chosen solver, and writes CSV
-profile snapshots plus a plain-text run log.  ``momentflow compare``
+profile snapshots, the steady residual of every check
+(``residual_history.csv``) and a plain-text run log.  ``momentflow compare``
 measures the difference between two profile files column by column.
 
 Thread control: ``--threads`` pins the usual BLAS/OpenMP pool sizes via the
@@ -99,10 +100,6 @@ def _cmd_run(args):
         log.write("dt history:\n")
         for i, dt in enumerate(result.dt_history):
             log.write("  step %d dt %.12g\n" % (i + 1, dt))
-        if residuals.size:
-            log.write("residual history:\n")
-            for i, res in enumerate(residuals):
-                log.write("  check %d residual %.6g\n" % (i + 1, res))
     if residuals.size:
         np.savetxt(os.path.join(out, "residual_history.csv"),
                    np.column_stack([np.arange(1, residuals.size + 1), residuals]),

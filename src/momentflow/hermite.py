@@ -1,8 +1,9 @@
-"""Probabilists' Hermite polynomials: value sequences, He_n(0), largest root.
+"""Probabilists' Hermite polynomials: the values He_n(0) and the largest root.
 
-All recursions are upward three-term recursions in double precision; the
-degrees used anywhere in this package stay below ~15 where that is
-well conditioned.
+The three-term recursion He_{n+1} = x He_n - n He_{n-1} at x = 0 gives
+the closed form He_{2k}(0) = (-1)^k (2k-1)!!, and odd degrees vanish.  The
+table multiplies the factors -(2k-1) in the recursion's order, so its
+even entries round as the recursion's do.
 """
 
 from functools import lru_cache
@@ -11,22 +12,11 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 
-def he_sequence(nmax, x):
-    """All of He_0..He_nmax at x; shape (nmax+1,) + shape(x)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((nmax + 1,) + x.shape)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = x
-    for k in range(1, nmax):
-        out[k + 1] = x * out[k] - k * out[k - 1]
-    return out
-
-
 @lru_cache(maxsize=None)
 def he_zeros(max_degree):
     """Cached table of He_n(0), n = 0..max_degree (odd entries vanish)."""
-    vals = np.ascontiguousarray(he_sequence(max_degree, np.array(0.0)))
+    vals = np.zeros(max_degree + 1)
+    vals[::2] = np.cumprod(1.0 - 2.0 * np.arange(max_degree // 2 + 1))
     vals.setflags(write=False)
     return vals
 

@@ -83,17 +83,21 @@ class RunOptions:
             raise ValueError("Prandtl number must lie in (0, 1]")
 
 
+def is_kind(value, kind):
+    """Whether ``value`` is of the number kind ``kind``, int or float: an
+    ``Integral`` for an int, a ``Real`` for a float, never a bool."""
+    number = numbers.Integral if kind is int else numbers.Real
+    return isinstance(value, number) and not isinstance(value, bool)
+
+
 def check_kinds(options):
     """Reject a field of the dataclass ``options`` declared ``int`` or
-    ``float`` whose value is not of its kind: an ``Integral`` for an int, a
-    ``Real`` for a float, never a bool, and None only where the default is
-    None.  The message names the field."""
+    ``float`` whose value is not of its kind (``is_kind``), None only where
+    the default is None.  The message names the field."""
     for f in fields(options):
         if f.type in KINDS:
             value = getattr(options, f.name)
-            number = numbers.Integral if f.type is int else numbers.Real
-            if not (value is None and f.default is None
-                    or isinstance(value, number) and not isinstance(value, bool)):
+            if not (value is None and f.default is None or is_kind(value, f.type)):
                 raise ValueError("%s must be %s, got %r"
                                  % (f.name, KINDS[f.type], value))
 
@@ -136,12 +140,11 @@ def require_positive(x, what, where, error=RuntimeError):
 
 @dataclass
 class RunResult:
-    """The advanced state (the caller's object), the time reached, the dt of
-    every step, the residual of every check and the (t, table) snapshots.
+    """The time reached, the step count, the dt of every step, the residual
+    of every check and the (t, table) snapshots.
     ``converged`` is False only when the step budget stopped the run: a run
     that reaches its end time or its steady tolerance converged."""
 
-    state: object
     t: float
     steps: int
     dt_history: np.ndarray
@@ -195,5 +198,5 @@ def march(state, config, timestep, advance, table, snapshot_interval=0,
         message = "step budget exhausted before reaching %s" % (
             "steady state" if steady else "end time")
     snapshots.append((t, table()))
-    return RunResult(state, t, steps, np.asarray(dts), np.asarray(residuals),
+    return RunResult(t, steps, np.asarray(dts), np.asarray(residuals),
                      snapshots, converged, message)

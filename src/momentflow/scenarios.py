@@ -10,7 +10,9 @@ Three canonical slab flows drive the validation story:
                       run to steady state.
 
 All presets use fully diffuse walls (chi = 1) at unit wall temperature and
-CFL 0.95; every field can be overridden.  A ``ScenarioConfig`` rejects a bad
+CFL 0.95, except that minmod discrete-velocity transport runs at CFL 0.5
+(``cdvm.dv_cfl_timestep`` caps it), so the cdvm shock runs at 0.5; every
+field can be overridden.  A ``ScenarioConfig`` rejects a bad
 value when it is built, whether in code, from flags or from a file.  Configs
 round-trip through a flat ``key = value`` text format with section headers
 (configparser syntax) so a run is reproducible from a single diffable file.
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import cdvm, solver1d
 from .boundary import WallSpec
-from .march import KINDS, RunOptions, check_choice, check_kinds
+from .march import KINDS, RunOptions, check_choice, check_kinds, is_kind
 
 SOLVERS = ("nrxx", "cdvm")
 
@@ -75,11 +77,13 @@ class ScenarioConfig:
         check_choice("solver", self.solver, SOLVERS)
         for kind in ("left_kind", "right_kind"):
             check_choice(kind, getattr(self, kind), ("wall", "free"))
-        # scalar kinds before any solver class compares them; tuple lengths
-        # after the run config, so a bad force or wall velocity keeps its message
+        # scalar kinds and tuple entries before any solver class reads them;
+        # tuple lengths after the run config, so a short force or wall
+        # velocity keeps the run config's message
         check_kinds(self)
+        _check_tuples(self, lengths=False)
         to_run_config(self)
-        _check_lengths(self)
+        _check_tuples(self, lengths=True)
         if self.cells < 2:
             raise ValueError("need at least 2 cells")
         if self.snapshot_interval < 0:
@@ -194,11 +198,16 @@ def solve(sc):
 _KINDS = {**KINDS, tuple: "a list of numbers"}
 
 
-def _check_lengths(sc):
-    """Reject a tuple field of ``sc`` whose length is not its default's."""
+def _check_tuples(sc, lengths):
+    """Reject a tuple field of ``sc`` with an entry that is not of its
+    default entry's kind (``march.is_kind``) or, if ``lengths``, whose
+    length is not its default's."""
     for f in fields(sc):
         value = getattr(sc, f.name)
-        if f.type is tuple and np.shape(value) != np.shape(f.default):
+        if f.type is tuple and not (
+                (not np.iterable(value)
+                 or all(map(is_kind, value, map(type, f.default))))
+                and (not lengths or np.shape(value) == np.shape(f.default))):
             raise ValueError("%s must be %s, got %r" % (f.name, _kind(f), value))
 
 

@@ -358,11 +358,9 @@ def _interface_data(grid, config):
     return (tu, tth, tc), tuple(frame)
 
 
-def _transport_rate(grid, config, dt, out=None):
-    """One flux-divergence evaluation: d(coeffs)/dt in each cell's own frame.
-
-    ``out``, if given, receives the rate; otherwise a new array does.
-    """
+def _transport_rate(grid, config, dt, out):
+    """One flux-divergence evaluation: d(coeffs)/dt in each cell's own
+    frame, written into ``out``; returns ``out``."""
     n, dx = grid.n, grid.dx
 
     (tu, tth, tc), (u_c, th_c) = _interface_data(grid, config)

@@ -350,10 +350,7 @@ def collide_reference(values, grid, kn, pr, dt):
 
     mom = dv_moments_reference(values, grid)
     rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
-    T0 = (3.0 * theta + np.sum(u**2, axis=-1)) * rho
-    rho_g, u_g, th_g, tables, _ = conservative_gaussian(
-        grid, rho, rho[:, None] * u, T0, u, theta
-    )
+    rho_g, u_g, th_g, tables, _ = conservative_gaussian(grid, rho, u, theta)
     gs = [t[..., 0] for t in tables]
     cube = (slice(None), None, None, None)
     G = (rho_g * (2.0 * math.pi * th_g) ** -1.5)[cube] * (

@@ -31,7 +31,8 @@ DELETED = [
     ("march", "check_stop_options"), ("cdvm.DvGrid", "w3"),
     ("closure", "gradient_reads"), ("march", "check_run_options"),
     ("solver1d", "SPLITTINGS"), ("solver1d", "check_scheme"),
-    ("cli", "decay_diagnostic"),
+    ("cli", "decay_diagnostic"), ("hermite", "he_sequence"),
+    ("march.RunResult", "state"),
 ]
 
 

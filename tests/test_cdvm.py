@@ -164,7 +164,7 @@ def test_conservative_gaussian_hits_targets(case):
     rho_t, m_t, T0_t = _raw_moments(grid, f)
     mom = dv_moments(f, grid)
     rho_g, u_g, th_g, tables, _ = conservative_gaussian(
-        grid, rho_t, m_t, T0_t, mom["u"], mom["theta"]
+        grid, mom["rho"], mom["u"], mom["theta"]
     )
     rho, m, T0 = _raw_moments(grid, _gaussian_from(rho_g, u_g, th_g, tables))
     np.testing.assert_allclose(rho, rho_t, rtol=1e-12, atol=0.0)
@@ -172,28 +172,20 @@ def test_conservative_gaussian_hits_targets(case):
     np.testing.assert_allclose(T0, T0_t, rtol=1e-12, atol=0.0)
 
 
-def _stall_targets(means):
-    """Targets of unit mass and unit temperature with the given means."""
-    mean = np.array(means, dtype=float)
-    rho = np.ones(len(mean))
-    return rho, rho[:, None] * mean, rho * (3.0 + np.sum(mean**2, axis=-1))
-
-
 @pytest.mark.parametrize("mean", [(0.0, 12.0, 0.0), (np.nan, 0.0, 0.0)],
                          ids=["beyond-grid", "nan"])
 def test_conservative_gaussian_stall_raises(mean):
     # no Gaussian on [-8, 8]^3 has a quadrature mean of 12, and NaN never
     # passes the residual test
-    rho, m, T0 = _stall_targets([mean])
     with pytest.raises(RuntimeError, match="did not converge in cell 0 in collision"):
-        conservative_gaussian(GRID, rho, m, T0, np.zeros((1, 3)), np.ones(1))
+        conservative_gaussian(GRID, np.ones(1), np.array([mean]), np.ones(1))
 
 
 def test_conservative_gaussian_stall_names_the_cell():
     # cell 0 is reachable, cell 1 is not: the error names cell 1
-    rho, m, T0 = _stall_targets([(0.1, 0.0, 0.0), (0.0, 12.0, 0.0)])
+    u = np.array([(0.1, 0.0, 0.0), (0.0, 12.0, 0.0)])
     with pytest.raises(RuntimeError, match="in cell 1 in collision"):
-        conservative_gaussian(GRID, rho, m, T0, np.zeros((2, 3)), np.ones(2))
+        conservative_gaussian(GRID, np.ones(2), u, np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +224,7 @@ def test_collision_pr_one_is_bgk():
     f = _mixture()
     mom = dv_moments(f, GRID)
     rho, u, th = mom["rho"], mom["u"], mom["theta"]
-    m = rho[:, None] * u
-    T0 = (3.0 * th + np.sum(u**2, axis=-1)) * rho
-    rho_g, u_g, th_g, tables, _ = conservative_gaussian(GRID, rho, m, T0, u, th)
+    rho_g, u_g, th_g, tables, _ = conservative_gaussian(GRID, rho, u, th)
     G = _gaussian_from(rho_g, u_g, th_g, tables)
     dt, kn = 0.2, 0.5
     tau = relaxation_time(rho[0], th[0], kn)
@@ -345,7 +335,7 @@ def test_field_basics():
 def test_free_transport_of_uniform_field_is_identity():
     fld = _slab()
     v0 = fld.values.copy()
-    transport_field(fld, 0.01, None, None)
+    transport_field(fld, 0.01, None, None, "none")
     np.testing.assert_array_equal(fld.values, v0)
 
 
@@ -364,8 +354,8 @@ def test_upwind_centroid_moves_at_mean_velocity():
     cent0 = float(np.sum(fld.centers * w.sum(axis=(1, 2, 3)))) / mass
     t = 0.0
     for _ in range(8):
-        dt = dv_cfl_timestep(fld, 0.9)
-        transport_field(fld, dt, None, None)
+        dt = dv_cfl_timestep(fld, 0.9, "none")
+        transport_field(fld, dt, None, None, "none")
         t += dt
     w1 = fld.values * oracles.w3(grid)
     assert w1.sum() == pytest.approx(mass, rel=1e-12)
@@ -380,7 +370,7 @@ def test_negativity_warning_on_cfl_violation():
     fld = DvField.from_fields(grid, -0.5, 0.5, rho, np.zeros(3), 1.0)
     dt_bad = 3.0 * fld.dx / 6.0
     with pytest.warns(RuntimeWarning, match="negative"):
-        transport_field(fld, dt_bad, None, None)
+        transport_field(fld, dt_bad, None, None, "none")
 
 
 def _rough_field(counts, n=10):
@@ -473,7 +463,8 @@ def test_negativity_warning_from_the_untouched_middle_plane():
     assert fld.grid.axes[1][6] == 0.0
     fld.values[5, 3, 6, 3] = -0.5
     with pytest.warns(RuntimeWarning, match=r"negative \(min -5\.000e-01\)"):
-        transport_field(fld, dv_cfl_timestep(fld, 0.9), None, None)
+        transport_field(fld, dv_cfl_timestep(fld, 0.9, "none"), None, None,
+                        "none")
 
 
 def test_transport_peak_temporary_memory():
@@ -523,7 +514,7 @@ def test_first_collision_retains_no_state_sized_array():
                           dv_nodes=(24, 24, 24))
     fld = scenarios.build_dv_field(sc)
     cfg = scenarios.to_dv_config(sc)
-    dt = dv_cfl_timestep(fld, cfg.cfl)
+    dt = dv_cfl_timestep(fld, cfg.cfl, cfg.limiter)
     work_array.cache_clear()
     tracemalloc.start()
     try:
@@ -544,7 +535,7 @@ def test_collision_updates_in_place_with_small_temporaries():
                           dv_nodes=(24, 24, 24))
     fld = scenarios.build_dv_field(sc)
     cfg = scenarios.to_dv_config(sc)
-    dt = dv_cfl_timestep(fld, cfg.cfl)
+    dt = dv_cfl_timestep(fld, cfg.cfl, cfg.limiter)
     values = fld.values
     collide_field(values, fld.grid, cfg.kn, cfg.pr, dt)
     tracemalloc.start()
@@ -568,8 +559,8 @@ def test_wall_equilibrium_is_stationary():
     fld = _slab(n=12)
     v0 = fld.values.copy()
     for _ in range(3):
-        dt = dv_cfl_timestep(fld, 0.9)
-        transport_field(fld, dt, wall_l, wall_r)
+        dt = dv_cfl_timestep(fld, 0.9, "none")
+        transport_field(fld, dt, wall_l, wall_r, "none")
     assert np.max(np.abs(fld.values - v0)) <= 1e-13
 
 
@@ -580,8 +571,8 @@ def test_walls_conserve_mass():
     w3 = oracles.w3(fld.grid)
     m0 = float(np.sum(fld.values * w3)) * fld.dx
     for _ in range(25):
-        dt = dv_cfl_timestep(fld, 0.9)
-        dv_step(fld, dt, wall_l, wall_r, 0.2, 2.0 / 3.0)
+        dt = dv_cfl_timestep(fld, 0.9, "none")
+        dv_step(fld, dt, wall_l, wall_r, 0.2, 2.0 / 3.0, "none")
     m1 = float(np.sum(fld.values * w3)) * fld.dx
     assert m1 == pytest.approx(m0, rel=1e-12)
 
@@ -657,7 +648,7 @@ def test_dv_runconfig_validation():
 def test_dv_cfl_minmod_is_capped():
     fld = _slab()
     vmax = float(np.max(np.abs(fld.grid.axes[1])))
-    assert dv_cfl_timestep(fld, 0.95) == pytest.approx(0.95 * fld.dx / vmax)
+    assert dv_cfl_timestep(fld, 0.95, "none") == pytest.approx(0.95 * fld.dx / vmax)
     assert dv_cfl_timestep(fld, 0.95, "minmod") == pytest.approx(0.5 * fld.dx / vmax)
 
 

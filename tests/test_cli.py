@@ -72,11 +72,21 @@ _SHORT = dict(M=3, cells=8, t_end=0.01, steady_tol=None)
     (dict(cfl="0.5"), "cfl must be a number, got '0.5'"),
     (dict(chi=None), "chi must be a number, got None"),
     (dict(max_steps=True), "max_steps must be an integer, got True"),
+    (dict(u0=("a", 0, 0)),
+     "u0 must be a list of numbers of length 3, got ('a', 0, 0)"),
+    (dict(dv_nodes=(12.0, 12, 12)),
+     "dv_nodes must be a list of numbers of length 3, got (12.0, 12, 12)"),
+    (dict(u_wall_left=(0, "x", 0)),
+     "u_wall_left must be a list of numbers of length 3, got (0, 'x', 0)"),
+    (dict(u0=((0, 1), 0, 0)),
+     "u0 must be a list of numbers of length 3, got ((0, 1), 0, 0)"),
 ], ids=["u0-short", "M-float", "cells-float", "M-None", "kn-str", "cfl-str",
-        "chi-None", "max_steps-bool"])
+        "chi-None", "max_steps-bool", "u0-str", "dv_nodes-float",
+        "u_wall_left-str", "u0-ragged"])
 def test_preset_rejects_a_field_of_the_wrong_kind(overrides, message):
     # a config built in code is held to the kinds the config parser checks,
-    # and a scalar's kind is checked before a solver class compares it
+    # and a scalar's kind and a tuple's entries are checked before a solver
+    # class reads them
     with pytest.raises(ValueError) as err:
         scenarios.preset("couette", **{**_SHORT, **overrides})
     assert str(err.value) == message

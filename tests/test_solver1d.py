@@ -260,7 +260,7 @@ def test_hll_consistency(monkeypatch):
                np.tile(_evolved(s.coeffs), (3, 1, 1, 1)))
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
     calls = _hll_calls(monkeypatch)
-    rate = _transport_rate(g, cfg, 0.01)
+    rate = _transport_rate(g, cfg, 0.01, np.empty_like(g.coeffs))
     top = order_cube((5,) * 3) == 4
     want = _flux(np.where(top, 0.0, s.coeffs), s.u[1], s.theta)
     ((top, F),) = [(c[2], c[-1]) for c in calls]
@@ -354,7 +354,7 @@ def test_supersonic_flow_is_upwinded(monkeypatch):
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
     assert 5.0 > cfg.signal_speed * math.sqrt(0.5)
     calls = _hll_calls(monkeypatch)
-    _transport_rate(g, cfg, 0.01)
+    _transport_rate(g, cfg, 0.01, np.empty_like(g.coeffs))
     ((a, b, top, u2, theta, lam_l, lam_r, F),) = calls
     assert np.all(lam_l > 0) and np.all(lam_r > lam_l)
     np.testing.assert_array_equal(F * grade_mask((4,) * 3, 3),
@@ -382,7 +382,7 @@ def test_hll_mirror_interface_has_no_mass_flux(monkeypatch):
             left=WallSpec(chi, np.zeros(3), 1.0),
             right=WallSpec(chi, np.zeros(3), 1.0),
         )
-        _transport_rate(g, cfg, 0.01)
+        _transport_rate(g, cfg, 0.01, np.empty_like(g.coeffs))
         F = calls[-1][-1]
         assert abs(F[0, 0, 0, 0]) <= 1e-15
         assert abs(F[-1, 0, 0, 0]) <= 1e-15
