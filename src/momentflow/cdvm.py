@@ -19,17 +19,15 @@ The quadrature weights, the Gaussian and the Shakhov polynomial all factor
 per axis, so the Newton iteration and the conservative projection touch
 only (cells x nodes-per-axis) data.  A step passes over the full velocity
 cube three times, both of its sub-steps write the state in place, and
-neither keeps a temporary the size of the state.  Transport makes one: each
-xi_2-sign half is walked in blocks of cells of about ``march.BLOCK``
-entries, and a block's difference, its scaling by dt xi_2 / dx, the update
-and the read for the negativity check all run while the block is in cache.
-The collision makes two: one read (the moment GEMM of ``dv_moments``), then
-per block of cells a GEMM that writes G P into a block-sized work array and
-the in-place update f <- f e_full + G P of that block (``collide_field``).
-Each wall adds a few passes over one velocity cube: it forms the wall
-Maxwellian with ``DvGrid.maxwellian``, reads it and its end cell for the
-two half-fluxes, and scales it into the inflow; a partly specular wall
-(chi < 1) adds the mirror of the end cell.
+neither keeps a temporary the size of the state.  Transport makes one:
+whole cells are walked from the top down in blocks of about ``march.BLOCK``
+entries, and a block's face differences, their scaling by dt xi_2 / dx, the
+update and the negativity check run while the block is in cache.  The
+collision makes two: the moment GEMM of ``dv_moments``, then per block of
+cells the factor and GEMM that write G P into block-sized work arrays and
+the in-place update f <- f e_full + G P (``collide_field``).  A wall reads
+its end cell for the outgoing half-flux and writes the inflow in one pass;
+a partly specular wall (chi < 1) adds the end cell's mirror.
 
 ``dv_run`` marches through ``march.march``, the loop shared with the moment
 solver, so ``steady_tol`` and ``converged`` mean the same for both.
@@ -70,22 +68,22 @@ class DvGrid:
                              % (self.counts,))
         self.axes = tuple(np.linspace(-self.half_width, self.half_width, n)
                           for n in self.counts)
-        self.weights = []
-        for ax in self.axes:
-            w = np.full(ax.shape, ax[1] - ax[0])
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            self.weights.append(w)
-        self.weights = tuple(self.weights)
+        self.weights = tuple((ax[1] - ax[0]) * np.r_[0.5, np.ones(n - 2), 0.5]
+                             for ax, n in zip(self.axes, self.counts))
+        # the moment tables V_d[n, k] = w_d x_d^k, k <= 3, of ``dv_moments``
+        self.moment_tables = tuple(w[:, None] * x[:, None] ** np.arange(4)
+                                   for x, w in zip(self.axes, self.weights))
+
+    def gaussians(self, u, theta):
+        """Per axis d the nodal exp(-(x_d - u_d)^2 / 2 theta), batched."""
+        u, theta = np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
+        return [np.exp(-((x - u[..., d, None]) ** 2) / (2.0 * theta[..., None]))
+                for d, x in enumerate(self.axes)]
 
     def maxwellian(self, rho, u, theta):
         """Nodal Maxwellian values, batched over leading dims of rho/u/theta."""
-        rho = np.asarray(rho, dtype=float)
-        u = np.asarray(u, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        g = [np.exp(-((x - u[..., d, None]) ** 2) / (2.0 * theta[..., None]))
-             for d, x in enumerate(self.axes)]
-        norm = rho * (2.0 * math.pi * theta) ** -1.5
+        g = self.gaussians(u, theta)
+        norm = np.multiply(rho, (2.0 * math.pi * np.asarray(theta)) ** -1.5)
         return ((norm[..., None] * g[0])[..., :, None, None]
                 * g[1][..., None, :, None] * g[2][..., None, None, :])
 
@@ -102,16 +100,24 @@ def dv_moments(values, grid):
     """Macroscopic fields of nodal data: dict with rho, u, theta, sigma, q.
 
     The weights and monomials factor per axis, so the raw moments
-    M[i, j, k] = sum w1 w2 w3 x1^i x2^j x3^k f, i + j + k <= 3, are one GEMM
+    M[i, j, k] = sum w1 w2 w3 x1^i x2^j x3^k f, i + j + k <= 3, are a GEMM
     of the cube against the tables V_d[n, k] = w_d x_d^k (z first), then two
-    small contractions over y and x.  They are converted to the central
-    quantities; works on any batch shape (..., n1, n2, n3).
+    small matmuls over x and y, per block of cells of about ``BLOCK``
+    entries (the sums over z fill a work array of one block), converted to
+    the central quantities; works on any batch shape (..., n1, n2, n3).
     """
-    V1, V2, V3 = (w[:, None] * x[:, None] ** np.arange(4)
-                  for x, w in zip(grid.axes, grid.weights))
-    Mz = (values.reshape(-1, values.shape[-1]) @ V3).reshape(
-        values.shape[:-1] + (4,))
-    M = np.einsum("...xyk,xi,yj->...ijk", Mz, V1, V2, optimize=True)
+    V1, V2, V3 = grid.moment_tables
+    cells = values.reshape((-1,) + values.shape[-3:])
+    n1, n2 = cells.shape[1:3]
+    M = np.empty((len(cells), 4, 4, 4))
+    rows = max(1, BLOCK // cells[0].size)
+    mz = work_array("moment sums over z", (rows * n1 * n2, 4))
+    for a in range(0, len(cells), rows):
+        f = cells[a:a + rows]
+        z = np.matmul(f.reshape(-1, f.shape[-1]), V3, out=mz[:len(f) * n1 * n2])
+        x = V1.T @ z.reshape(len(f), n1, n2 * 4)            # (cells, i, y k)
+        np.matmul(V2.T, x.reshape(len(f), 4, n2, 4), out=M[a:a + rows])
+    M = M.reshape(values.shape[:-3] + (4, 4, 4))
     rho = M[..., 0, 0, 0]
     m = M[(Ellipsis,) + tuple(_E)]
     P = M[(Ellipsis,) + _PAIR]
@@ -241,9 +247,8 @@ def collide_field(values, grid, kn, pr, dt):
     never touches the cube; the result is the batched GEMM
     (g1 c1^i) @ (sum_jk P_ijk g2 c2^j g3 c3^k) and the in-place update f <-
     f e_full + G P, taken per block of cells of about ``BLOCK`` entries
-    (at least one cell): the GEMM writes the block into a work array of one
-    block, kept across calls, and the block of the state is updated while
-    it is in cache.  ``values`` is (cells, n1, n2, n3).
+    (at least one cell) into work arrays of one block, kept across calls,
+    while the block is in cache.  ``values`` is (cells, n1, n2, n3).
     """
     mom = dv_moments(values, grid)
     rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
@@ -267,8 +272,13 @@ def collide_field(values, grid, kn, pr, dt):
     b[(Ellipsis,) + tuple(_E)] = -5.0 * sq
     b[(Ellipsis,) + _TRIPLE] += (sq / th_g[..., None])[..., None]
 
-    # Gram matrix <G psi_i psi_j> and right-hand side <G b psi_i>, over norm
-    Kpsi = np.einsum("...ad,...be,...cf,idef->...iabc", *K, _PSI, optimize=True)
+    # Gram matrix <G psi_i psi_j> and right-hand side <G b psi_i>, over
+    # norm, from Kpsi[i, a, b, c] = sum_def K1[a, d] K2[b, e] K3[c, f]
+    # psi_i[d, e, f], contracted over d, then e, then f
+    Kpsi = np.matmul(K[0][:, None], _PSI.reshape(5, 4, 16))
+    Kpsi = np.matmul(K[1][:, None, None], Kpsi.reshape(-1, 5, 4, 4, 4))
+    Kpsi = (Kpsi.reshape(-1, 80, 4) @ np.swapaxes(K[2], -1, -2)).reshape(
+        -1, 5, 4, 4, 4)
     gram = np.einsum("...iabc,jabc->...ij", Kpsi, _PSI)
     rhs = np.einsum("...iabc,...abc->...i", Kpsi, b)
     lam = np.linalg.solve(gram, rhs[..., None])[..., 0]
@@ -276,17 +286,19 @@ def collide_field(values, grid, kn, pr, dt):
     P *= (e_pr - e_full)[..., None, None, None]
     P[..., 0, 0, 0] += 1.0 - e_full
 
-    Y = np.einsum("...ijk,...yj,...zk->...iyz", P, H[1], H[2], optimize=True)
-    Y = Y.reshape(Y.shape[:-2] + (-1,))
+    # per block of cells: Y[i, y, z] = sum_jk P[i, j, k] H2[y, j] H3[z, k]
+    # (over k, then j) and G P = X Y, then the update of the block
     X = norm[:, None, None] * H[0]
-    # per block of cells: G P into a block-sized work array, then the
-    # update of that block of the state while it is in cache
     rows = max(1, BLOCK // values[0].size)
-    gp = work_array("collision", (rows, X.shape[1], Y.shape[2]))
+    y = work_array("collision factor", (rows, 4) + values.shape[2:])
+    gp = work_array("collision", (rows, values.shape[1], y[0, 0].size))
     for a in range(0, len(values), rows):
-        f = values[a:a + rows]
-        g = np.matmul(X[a:a + rows], Y[a:a + rows], out=gp[:len(f)])
-        f *= e_full[a:a + rows, None, None, None]
+        s = slice(a, a + rows)
+        f = values[s]
+        pz = P[s] @ np.swapaxes(H[2][s], -1, -2)[:, None]
+        yb = np.matmul(H[1][s, None], pz, out=y[:len(f)])
+        g = np.matmul(X[s], yb.reshape(len(f), 4, -1), out=gp[:len(f)])
+        f *= e_full[s, None, None, None]
         f += g.reshape(f.shape)
     return values
 
@@ -331,119 +343,107 @@ class DvField:
 def _wall_incoming(grid, wall, f_out, sgn):
     """Re-emitted nodal distribution at a wall with outward normal sgn*e2.
 
-    chi rho_w phi_w + (1 - chi) specular mirror, with phi_w the wall's unit
-    ``DvGrid.maxwellian`` and rho_w balancing the discrete mass flux
-    through the interface exactly.  The weights factor per axis, so the
-    outgoing half-flux of ``f_out`` and the incoming half-flux of phi_w are
-    each one contraction of a cube.  (Contracting the two cubes stacked
-    copies both into an array of two cubes first, and a call took about
-    three times as long at 24^3.)
+    chi rho_w phi_w + (1 - chi) specular mirror, with phi_w = norm g1 g2 g3
+    the wall's unit Maxwellian and rho_w balancing the discrete mass flux
+    exactly.  The weights factor per axis, so the outgoing half-flux of
+    ``f_out`` is one contraction of the cube and the incoming one a product
+    of three axis sums; chi rho_w phi_w is written in one pass.
     """
     w1, w2, w3 = grid.weights
     speed = sgn * grid.axes[1]                # outward-normal speed
-    phi = grid.maxwellian(1.0, wall.u_wall, wall.theta_wall)
+    g1, g2, g3 = grid.gaussians(wall.u_wall, wall.theta_wall)
+    norm = (2.0 * math.pi * wall.theta_wall) ** -1.5
     flux_out = w1 @ (f_out @ w3) @ (w2 * np.maximum(speed, 0.0))
-    flux_in = w1 @ (phi @ w3) @ (w2 * np.minimum(speed, 0.0))
+    flux_in = norm * (w1 @ g1) * (w2 * np.minimum(speed, 0.0) @ g2) * (w3 @ g3)
     rho_w = -flux_out / flux_in if wall.chi > 0.0 else 0.0
-    phi *= wall.chi * rho_w
+    phi = ((wall.chi * rho_w * norm * g1)[:, None] * g2)[:, :, None] * g3
     if wall.chi < 1.0:
         phi += (1.0 - wall.chi) * f_out[:, ::-1, :]
     return phi
 
 
-def _faces(v, i, j, above, out, scratch):
-    """The minmod faces t[k] = v[k] + minmod(v[k] - v[k-1], v[k+1] - v[k])
-    / 2 of cells i <= k < j along axis 0 of ``v``, into ``out[:j - i]``; an
-    end cell keeps t = v.  Cells below j are read from ``v``, cell j (if
-    there is one) from ``above``; ``scratch`` takes the differences.
-    Returns that part of ``out``."""
+def _faces(v, i, j, sign, out, scratch):
+    """The minmod faces t[k] = v[k] + sign minmod(v[k] - v[k-1], v[k+1] -
+    v[k]), sign +/-1/2 by xi_2, of cells i <= k < j along axis 0, into
+    ``out[:j - i]``; an end cell keeps t = v; ``scratch`` takes d."""
     n = len(v)
     t = out[:j - i]
     s0, s1 = max(i, 1), min(j, n - 1)       # the cells with a slope
     if s1 > s0:
-        # the differences across the lower faces of cells s0 .. s1
-        e = scratch[:s1 - s0 + 1]
-        np.subtract(v[s0:s1], v[s0 - 1:s1 - 1], out=e[:-1])
-        np.subtract(v[s1] if j == n else above, v[s1 - 1], out=e[-1])
+        e = np.subtract(v[s0:s1 + 1], v[s0 - 1:s1], out=scratch[:s1 - s0 + 1])
         slope = minmod(e[:-1], e[1:], t[s0 - i:s1 - i])
-        slope *= 0.5
+        slope *= sign
         slope += v[s0:s1]
-    if i == 0:
+    if i == 0 < j:
         t[0] = v[0]
     if j == n:
         t[-1] = v[-1]
     return t
 
 
-def _upwind(v, nu, ghost, limiter):
-    """v -= nu (face[i+1] - face[i]) in place along axis 0, with the faces
-    taken upwind from the low end: face[0] = ghost, face[i+1] = v[i] +
-    slope[i] / 2 (slope zero without a limiter and in the end cells).
-    Returns the smallest updated value (NaN if there is a NaN).
+def transport_field(field, dt, left, right, limiter):
+    """One upwind (``limiter`` "none") or minmod-limited transport sweep,
+    in place; returns the smallest value after it (NaN if there is a NaN).
 
-    The cells are updated in blocks of about ``BLOCK`` entries from the high
-    end down, so every difference reads values not yet updated; the minmod
-    faces of a block reach one cell above it, which is read from a copy
-    saved before that cell was updated.  Temporaries: the differences and,
-    with minmod, the faces, each a block and two cells, the saved cell, and
-    one block of ``minmod``.
+    Node xi_2 of cell i takes v[i] -= dt xi_2 / dx (F[i] - F[i-1]) if xi_2 >
+    0 and (F[i+1] - F[i]) if xi_2 < 0: faces F = v, or with minmod F = v +/-
+    minmod(d[i], d[i+1]) / 2 (the sign of xi_2, d[i] = v[i] - v[i-1], no
+    slope in an end cell).  Faces -1 and n are the ghosts: a wall inflow
+    built from the state before the update, or the end cell at a free end.
+    The xi_2 = 0 plane of an odd axis moves by 0 (F[i] - F[i-1]).
+
+    Whole cells are walked in blocks of about ``BLOCK`` entries from the top
+    down, so a block reads only values not yet updated: the xi_2 < 0 half of
+    the difference across its top face (with minmod, its top cell's face
+    too) was saved by the block above.  The xi_2 < 0 half of the differences
+    moves down one face, v -= nu d runs over contiguous cells, and the
+    block's minimum feeds the negativity warning.  Temporaries: the
+    differences and faces, a block and a cell each, a cell of nu, the saved
+    cells and one block of ``minmod``.
     """
-    n = len(v)
+    v, grid = field.values, field.grid
+    n, half = len(v), grid.counts[1] // 2
+    lo = v[0] if left is None else _wall_incoming(grid, left, v[0], -1.0)
+    hi = v[-1] if right is None else _wall_incoming(grid, right, v[-1], 1.0)
+    nu = (dt / field.dx) * np.broadcast_to(grid.axes[1][:, None], v.shape[1:])
     rows = max(1, BLOCK // v[0].size)
-    d = work_array("upwind differences", (rows + 2,) + v.shape[1:])
+    d = work_array("transport differences", (rows + 1,) + v.shape[1:])
+    d_below = work_array("transport difference below", v[0, :, :half].shape)
     if limiter == "minmod":
-        faces = work_array("upwind faces", d.shape)
-        above = work_array("upwind cell above", v.shape[1:])
+        sign = 0.5 * np.sign(nu[0])         # the sign of xi_2, over 2
+        faces = work_array("transport faces", d.shape)
+        f_below = work_array("transport face below", v.shape[1:])
     worst = np.inf
     for b in range(n, 0, -rows):
         a = max(b - rows, 0)
-        # the faces of cells lo .. b-1: from the one below the block, or
-        # from the block's first cell at the low end, where the ghost is
-        lo = max(a - 1, 0)
-        t = v[lo:b] if limiter == "none" else _faces(v, lo, b, above, faces, d)
-        db = d[:b - a]
-        np.subtract(t[1:], t[:-1], out=db[lo + 1 - a:])
+        r, c = b - a, max(a - 1, 0)
+        # the faces of cells c .. b-1: from the one below the block, or from
+        # the block's first cell at the low end, where the ghost is
+        if limiter == "none":
+            x = v[c:b]
+        else:   # the face of cell b-1 is the block above's, if there is one
+            x = faces[:b - c]
+            _faces(v, c, b if b == n else b - 1, sign, faces, d)
+            if b < n:
+                np.copyto(x[-1], f_below)
+            np.copyto(f_below, x[0])
+        np.subtract(x[1:], x[:-1], out=d[c + 1 - a:r])
         if a == 0:
-            np.subtract(t[0], ghost, out=db[0])
-        db *= nu
-        if limiter == "minmod" and a > 0:
-            np.copyto(above, v[a])
-        v[a:b] -= db
+            np.subtract(x[0], lo, out=d[0])
+        if b == n:
+            np.subtract(hi, x[-1], out=d[r])
+        else:
+            np.copyto(d[r, :, :half], d_below)
+        np.copyto(d_below, d[0, :, :half])
+        # the xi_2 < 0 nodes read the face above
+        for k in range(r):
+            np.copyto(d[k, :, :half], d[k + 1, :, :half])
+        v[a:b] -= np.multiply(d[:r], nu, out=d[:r])
         worst = np.minimum(worst, v[a:b].min())
-    return worst
-
-
-def transport_field(field, dt, left, right, limiter):
-    """One upwind (``limiter`` "none") or minmod-limited transport sweep,
-    in place.
-
-    A node with xi_2 > 0 takes the left trace at every interface and one
-    with xi_2 < 0 the right trace, so each sign half of the xi_2 axis is
-    updated on its own, v[i] -= dt xi_2 / dx (face[i+1] - face[i]); the
-    negative half runs on the cell-reversed view.  The middle node of an odd
-    xi_2 axis (xi_2 = 0) is not touched.  Both wall inflows are built from
-    the state before the update; a free end takes the cell itself as ghost.
-    The negativity warning reads the smallest value of each updated block
-    and of the untouched middle plane.
-    """
-    vals = field.values
-    grid = field.grid
-    half = grid.counts[1] // 2
-    lo = vals[0] if left is None else _wall_incoming(grid, left, vals[0], -1.0)
-    hi = vals[-1] if right is None else _wall_incoming(grid, right, vals[-1], 1.0)
-    nu = (dt / field.dx) * grid.axes[1][:, None]
-    worst = np.minimum(
-        _upwind(vals[:, :, -half:], nu[-half:], lo[:, -half:], limiter),
-        _upwind(vals[::-1, :, :half], -nu[:half], hi[:, :half], limiter))
-    if grid.counts[1] % 2:
-        worst = np.minimum(worst, vals[:, :, half].min())
-    worst = float(worst)
     if worst < -NEGATIVITY_WARN:
-        warnings.warn(
-            "distribution went negative (min %.3e) during transport" % worst,
-            RuntimeWarning,
-        )
-    return field
+        warnings.warn("distribution went negative (min %.3e) during transport"
+                      % worst, RuntimeWarning)
+    return float(worst)
 
 
 def dv_step(field, dt, left, right, kn, pr, limiter):

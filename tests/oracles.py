@@ -421,6 +421,84 @@ def transport_reference(field, dt, left, right, limiter="none"):
     return vals + (dt / field.dx) * (flux[:-1] - flux[1:])
 
 
+def _half_faces(v, i, j, above, out, scratch):
+    """The minmod faces t[k] = v[k] + minmod(v[k] - v[k-1], v[k+1] - v[k])
+    / 2 of cells i <= k < j along axis 0 of ``v``, into ``out[:j - i]``; an
+    end cell keeps t = v.  Cells below j are read from ``v``, cell j (if
+    there is one) from ``above``; ``scratch`` takes the differences."""
+    from momentflow.march import minmod
+
+    n = len(v)
+    t = out[:j - i]
+    s0, s1 = max(i, 1), min(j, n - 1)
+    if s1 > s0:
+        e = scratch[:s1 - s0 + 1]
+        np.subtract(v[s0:s1], v[s0 - 1:s1 - 1], out=e[:-1])
+        np.subtract(v[s1] if j == n else above, v[s1 - 1], out=e[-1])
+        slope = minmod(e[:-1], e[1:], t[s0 - i:s1 - i])
+        slope *= 0.5
+        slope += v[s0:s1]
+    if i == 0:
+        t[0] = v[0]
+    if j == n:
+        t[-1] = v[-1]
+    return t
+
+
+def _half_upwind(v, nu, ghost, limiter):
+    """v -= nu (face[i+1] - face[i]) in place along axis 0, with the faces
+    taken upwind from the low end: face[0] = ghost, face[i+1] = v[i] +
+    slope[i] / 2.  Walked in blocks of about ``BLOCK`` entries of the view
+    from its high end down, the cell above a block read from a saved copy.
+    Returns the smallest updated value."""
+    from momentflow.march import BLOCK
+
+    n = len(v)
+    rows = max(1, BLOCK // v[0].size)
+    d = np.empty((rows + 2,) + v.shape[1:])
+    faces = np.empty(d.shape)
+    above = np.empty(v.shape[1:])
+    worst = np.inf
+    for b in range(n, 0, -rows):
+        a = max(b - rows, 0)
+        lo = max(a - 1, 0)
+        t = (v[lo:b] if limiter == "none"
+             else _half_faces(v, lo, b, above, faces, d))
+        db = d[:b - a]
+        np.subtract(t[1:], t[:-1], out=db[lo + 1 - a:])
+        if a == 0:
+            np.subtract(t[0], ghost, out=db[0])
+        db *= nu
+        if limiter == "minmod" and a > 0:
+            np.copyto(above, v[a])
+        v[a:b] -= db
+        worst = np.minimum(worst, v[a:b].min())
+    return worst
+
+
+def transport_halves(field, dt, left, right, limiter):
+    """Transport as two sweeps, one per xi_2-sign half: the positive half
+    upwind from the low end, the negative half on the cell-reversed view
+    with the faces reflected, each walked in blocks of cells of that half;
+    the xi_2 = 0 plane of an odd axis is not touched.  Returns the new
+    values and their minimum, and leaves the field alone.  Wall inflows are
+    the library's ``_wall_incoming``."""
+    from momentflow.cdvm import _wall_incoming
+
+    vals = field.values.copy()
+    grid = field.grid
+    half = grid.counts[1] // 2
+    lo = vals[0] if left is None else _wall_incoming(grid, left, vals[0], -1.0)
+    hi = vals[-1] if right is None else _wall_incoming(grid, right, vals[-1], 1.0)
+    nu = (dt / field.dx) * grid.axes[1][:, None]
+    worst = np.minimum(
+        _half_upwind(vals[:, :, -half:], nu[-half:], lo[:, -half:], limiter),
+        _half_upwind(vals[::-1, :, :half], -nu[:half], hi[:, :half], limiter))
+    if grid.counts[1] % 2:
+        worst = np.minimum(worst, vals[:, :, half].min())
+    return vals, float(worst)
+
+
 # ---------------------------------------------------------------------------
 # Slot-wise flux and the HLL flux, two-flux form
 

@@ -431,22 +431,42 @@ def _blocks_of(cell_entries):
 @pytest.mark.parametrize("ends", ["free", "walls"])
 @pytest.mark.parametrize("limiter", ["none", "minmod"])
 def test_transport_across_blocks_matches_flux_form_oracle(limiter, ends, n2):
-    # each xi_2-sign half is updated in blocks of cells from its downwind
-    # end, so a block's differences reach the cell below it, and with minmod
-    # its top face reads the cell above it, which the block before has
-    # already updated
-    n, rows = _blocks_of(8 * (n2 // 2) * 8)
+    # whole cells are updated in blocks from the top cell down, so a block's
+    # differences reach the cell below it, and its top face is the one the
+    # block above found before it updated its cells
+    n, rows = _blocks_of(8 * n2 * 8)
     assert n % rows
     _check_transport_oracle(limiter, ends, n2, n)
+
+
+@pytest.mark.parametrize("cells", ["few", "blocks"])
+@pytest.mark.parametrize("n2", [12, 13])
+@pytest.mark.parametrize("ends", ["free", "walls"])
+@pytest.mark.parametrize("limiter", ["none", "minmod"])
+def test_transport_is_bit_identical_to_the_half_sweeps(limiter, ends, n2,
+                                                       cells):
+    # one walk over whole cells against one sweep per xi_2-sign half, the
+    # negative half on the cell-reversed view: minmod is odd and symmetric,
+    # so its faces v - s / 2 above a cell are the reversed view's v + s / 2
+    # bit for bit, and so are the updates and the smallest value
+    left, right = _TRANSPORT_ENDS[ends]
+    n = 10 if cells == "few" else _blocks_of(8 * n2 * 8)[0]
+    fld = _rough_field((8, n2, 8), n)
+    dt = dv_cfl_timestep(fld, 0.9, limiter)
+    want, want_min = oracles.transport_halves(fld, dt, left, right, limiter)
+    assert not np.array_equal(want, fld.values)
+    got_min = transport_field(fld, dt, left, right, limiter)
+    assert np.array_equal(fld.values, want)
+    assert got_min == want_min
 
 
 @pytest.mark.parametrize("limiter", ["none", "minmod"])
 @pytest.mark.parametrize("half", ["positive", "negative"])
 def test_negativity_warning_from_the_last_block(half, limiter):
-    # the positive half is updated from the top cell down and the negative
-    # half from the bottom cell up, so the last block of each holds the
-    # other end: a negative entry there must still be reported
-    n, _ = _blocks_of(8 * 6 * 8)
+    # cells are updated from the top cell down, so the first block holds the
+    # top cell and the last block the bottom one: a negative entry at either
+    # end, in either xi_2-sign half, must be reported
+    n, _ = _blocks_of(8 * 12 * 8)
     fld = _rough_field((8, 12, 8), n)
     cell, node = (0, 9) if half == "positive" else (n - 1, 2)
     assert (fld.grid.axes[1][node] > 0) == (half == "positive")
@@ -457,7 +477,7 @@ def test_negativity_warning_from_the_last_block(half, limiter):
 
 
 def test_negativity_warning_from_the_untouched_middle_plane():
-    # on an odd xi_2 axis transport leaves the xi_2 = 0 plane alone, and
+    # on an odd xi_2 axis transport moves the xi_2 = 0 plane by nothing, and
     # the negativity check covers it too
     fld = _rough_field((8, 13, 8))
     assert fld.grid.axes[1][6] == 0.0
@@ -469,13 +489,12 @@ def test_negativity_warning_from_the_untouched_middle_plane():
 
 def test_transport_peak_temporary_memory():
     # a 24^3 x 50 Couette field, as in the benchmark's DVM workload, on a
-    # first call, so the work arrays are made.  Both halves are updated in
+    # first call, so the work arrays are made.  Whole cells are updated in
     # blocks of about BLOCK entries: the differences (and with minmod the
-    # faces) take a block and two half cells each, minmod and numpy's
-    # strided in-place update one block between them; the rest is the two
-    # wall inflows, one velocity cube each, with the transients of their
-    # build.  Full-size difference and face arrays would be 0.5x and 1x
-    # the state.
+    # faces) take a block and a cell each, minmod one block; the rest is the
+    # two saved cells, the two wall inflows, one velocity cube each, and
+    # the transients of their build.  Full-size difference and face arrays
+    # would be 1x and 1x the state.
     sc = scenarios.preset("couette", solver="cdvm", cells=50,
                           dv_nodes=(24, 24, 24))
     fld = scenarios.build_dv_field(sc)
@@ -527,10 +546,12 @@ def test_first_collision_retains_no_state_sized_array():
 
 
 def test_collision_updates_in_place_with_small_temporaries():
-    # the same field: the relaxed state is written into the state array, and
-    # the GEMM result into a work array kept across calls, so a warm call
-    # holds only the (cells x n1 x n2 x 4) and (cells x 4 x n2 x n3) partial
-    # products, about 0.36x the state (2.26x with a fresh result cube)
+    # the same field: the relaxed state is written into the state array,
+    # and the partial sums of the moments, the factor (4 x n2 x n3) and the
+    # GEMM result are taken per block of cells into work arrays kept across
+    # calls, so a warm call holds only per-cell tables, about 0.1x the state
+    # (0.36x with the two partial products for all cells at once, 2.26x
+    # with a fresh result cube)
     sc = scenarios.preset("couette", solver="cdvm", cells=50,
                           dv_nodes=(24, 24, 24))
     fld = scenarios.build_dv_field(sc)
@@ -546,7 +567,7 @@ def test_collision_updates_in_place_with_small_temporaries():
     finally:
         tracemalloc.stop()
     assert out is values
-    assert peak < 0.5 * values.nbytes
+    assert peak < 0.2 * values.nbytes
 
 
 # ---------------------------------------------------------------------------
