@@ -94,8 +94,8 @@ def _cmd_run(args):
     with open(os.path.join(out, "run_log.txt"), "w") as log:
         log.write("scenario=%s solver=%s M=%d kn=%g\n" % (sc.scenario, sc.solver,
                                                           sc.M, sc.kn))
-        log.write("steps=%d t=%.12g converged=%s\n" % (result.steps, result.t,
-                                                       result.converged))
+        log.write("steps=%d restarts=%d t=%.12g converged=%s\n"
+                  % (result.steps, result.restarts, result.t, result.converged))
         log.write("message: %s\n" % result.message)
         log.write("dt history:\n")
         for i, dt in enumerate(result.dt_history):

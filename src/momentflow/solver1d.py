@@ -51,7 +51,8 @@ from .closure import add_top_flux, closure_coeffs, closure_columns
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
 from .march import RunOptions, check_choice, march, minmod, require_positive
-from .moments import axis_steps, low_moments, snapshot_table, work_array
+from .moments import (axis_steps, grade_mask, low_moments, snapshot_table,
+                      work_array)
 from .projection import project_coeffs, renormalize_arrays
 
 # HLL wave speeds are u2 +- SIGNAL_SPEED_FACTOR he_root(M+1) sqrt(theta)
@@ -482,10 +483,46 @@ def step(grid, config, dt=None):
     return dt
 
 
+def _state_vector(grid):
+    """Each cell's u, theta and evolved coefficients (grades <= M, in the
+    cube's C order, f_0 first) in a row, rows concatenated: a new flat
+    vector of the grid's own arrays, in no common frame.  The slots beyond
+    grade M are zero in every state, so they are left out."""
+    evolved = grade_mask(grid.coeffs.shape[1:], grid.M)
+    return np.concatenate((grid.u, grid.theta[:, None], grid.coeffs[:, evolved]),
+                          axis=1).ravel()
+
+
+def _put_state_vector(grid, x):
+    """Set the grid to the ``_state_vector`` layout ``x`` and return True,
+    or return False and leave the grid as it is if a density or temperature
+    of ``x`` is not positive."""
+    rows = x.reshape(grid.n, -1)
+    # theta and rho = f_0 are the adjacent columns 3 and 4 (NaN fails too)
+    if not rows[:, 3:5].min() > 0:
+        return False
+    coeffs = np.zeros_like(grid.coeffs)
+    coeffs[:, grade_mask(coeffs.shape[1:], grid.M)] = rows[:, 4:]
+    grid.u = rows[:, :3].copy()
+    grid.theta = rows[:, 3].copy()
+    grid.coeffs = coeffs
+    return True
+
+
 def run(grid, config, snapshot_interval=0, on_step=None):
     """March the grid to the configured stop with ``march.march``, the loop,
     steady residual and stop meaning shared with ``cdvm.dv_run``; returns a
-    ``march.RunResult``."""
+    ``march.RunResult``.
+
+    A pure steady run (``steady_tol`` set, ``t_end`` None) solves the fixed
+    point of ``step`` with ``march``'s Anderson mixing, on the vector of
+    every cell's (u, theta, coeffs) in its own frame (``_state_vector``).
+    The gauge conditions f_{e_d} = 0 and sum_d f_{2 e_d} = 0 and the
+    density rho = f_0 are linear in it, so a mix is a valid state up to
+    positivity and keeps the total mass; a mix with a non-positive density
+    or temperature is rejected and the window restarts.  ``t`` is then a
+    pseudo-time.  A run with ``t_end`` set marches plainly.
+    """
     # step, cfl_timestep and snapshot_table are looked up at call time, so
     # a wrapper bound to these module names sees every call
     return march(grid, config,
@@ -493,4 +530,6 @@ def run(grid, config, snapshot_interval=0, on_step=None):
                  lambda dt: step(grid, config, dt),
                  lambda: snapshot_table(grid.centers, grid.u, grid.theta,
                                         grid.coeffs),
-                 snapshot_interval, on_step)
+                 snapshot_interval, on_step,
+                 (lambda: _state_vector(grid),
+                  lambda x: _put_state_vector(grid, x)))

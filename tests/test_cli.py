@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -249,7 +250,21 @@ def test_run_to_its_end_time_does_not_warn(tmp_path, capsys):
                "--tend", "0.02", "--out", str(tmp_path / "o")])
     assert rc == 0
     assert capsys.readouterr().err == ""
-    assert "converged=True\n" in (tmp_path / "o" / "run_log.txt").read_text()
+    log = (tmp_path / "o" / "run_log.txt").read_text()
+    assert "converged=True\n" in log
+    # a run to an end time marches plainly, so no window restarts
+    assert re.search(r"^steps=\d+ restarts=0 t=", log, re.M)
+
+
+def test_steady_run_logs_its_steps_and_restarts(tmp_path, capsys):
+    # no --tend: the preset's steady tolerance alone stops the mixed solve
+    rc = main(["run", "--scenario", "couette", "--M", "3", "--cells", "8",
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    log = (tmp_path / "o" / "run_log.txt").read_text()
+    assert re.search(r"^steps=\d+ restarts=\d+ t=\S+ converged=True$", log,
+                     re.M)
 
 
 def test_run_out_of_steps_warns(tmp_path, capsys):

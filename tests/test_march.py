@@ -5,7 +5,7 @@ import pytest
 
 from momentflow import scenarios
 from momentflow.cdvm import DvRunConfig, dv_run
-from momentflow.march import BLOCK, CHECK_EVERY, minmod
+from momentflow.march import BLOCK, CHECK_EVERY, RunOptions, march, minmod
 from momentflow.solver1d import RunConfig, run
 
 NAN = float("nan")
@@ -188,3 +188,99 @@ def test_end_time_with_steady_tol_set_is_converged(solver):
     assert len(res.residual_history) >= 1
     assert np.all(res.residual_history > cfg.steady_tol)
     assert (res.converged, res.message) == (True, "reached end time")
+
+
+# ---------------------------------------------------------------------------
+# Anderson mixing of a pure steady run, on a toy affine map and no solver
+
+
+class Affine:
+    """The state x of the contraction x -> A x + b, marched at dt 1, with
+    the get/put pair ``march`` mixes through; ``reject`` names the put
+    calls (1-based) that refuse the mixed state."""
+
+    def __init__(self, n=12, reject=()):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        self.A = (q * np.linspace(0.3, 0.99, n)) @ q.T
+        self.b = rng.standard_normal(n)
+        self.fixed = np.linalg.solve(np.eye(n) - self.A, self.b)
+        self.x = np.ones(n)
+        self.reject, self.puts = reject, 0
+
+    def advance(self, dt):
+        self.x = self.A @ self.x + self.b
+
+    def table(self):
+        return np.column_stack([np.arange(self.x.size), self.x])
+
+    def put(self, x):
+        self.puts += 1
+        if self.puts in self.reject:
+            return False
+        self.x = x.copy()
+        return True
+
+    def run(self, config, mix=True, on_step=None):
+        vector = (lambda: self.x.copy(), self.put) if mix else None
+        return march(self, config, lambda: 1.0, self.advance, self.table,
+                     on_step=on_step, vector=vector)
+
+
+STEADY = RunOptions(kn=1.0, steady_tol=1e-10)
+
+
+def test_mixing_reaches_the_fixed_point_in_far_fewer_steps():
+    plain, mixed = Affine(), Affine()
+    res_plain = plain.run(STEADY, mix=False)
+    res = mixed.run(STEADY)
+    assert res.converged and res_plain.converged
+    assert res.restarts == res_plain.restarts == 0
+    np.testing.assert_allclose(mixed.x, mixed.fixed, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(plain.x, plain.fixed, rtol=1e-7)
+    assert res.steps <= 30 and 20 * res.steps <= res_plain.steps
+    # t sums the steps' dt, a pseudo-time
+    assert res.t == res.steps == len(res.dt_history)
+
+
+def test_a_rejected_mix_keeps_the_step_and_restarts_the_window():
+    toy = Affine(reject=(5, 6))
+    states = []
+
+    def on_step(t, state):
+        states.append(state.x.copy())
+
+    res = toy.run(STEADY, on_step=on_step)
+    assert res.converged and res.restarts == 2
+    np.testing.assert_allclose(toy.x, toy.fixed, rtol=0, atol=1e-10)
+    # the first step has no column to mix, so put call k follows step k + 1;
+    # a rejected mix leaves the plain step of the state before it
+    for k in (5, 6):
+        np.testing.assert_array_equal(states[k],
+                                      toy.A @ states[k - 1] + toy.b)
+
+
+def test_a_singular_window_restarts_instead_of_failing():
+    # x -> b reaches its fixed point in one step; from the third step on the
+    # newest residual difference is exactly zero, which makes the Gram
+    # matrix singular, so each of those mixes restarts the window
+    toy = Affine()
+    toy.A = np.zeros_like(toy.A)
+    res = toy.run(STEADY)
+    assert (res.steps, res.converged) == (2 * CHECK_EVERY, True)
+    assert res.restarts == res.steps - 2
+    np.testing.assert_array_equal(toy.x, toy.b)
+
+
+def test_a_run_to_an_end_time_marches_plainly():
+    toy = Affine()
+    states = []
+    res = march(toy, RunOptions(kn=1.0, t_end=25.0, steady_tol=1e-10),
+                lambda: 1.0, toy.advance, toy.table,
+                on_step=lambda t, state: states.append(state.x.copy()),
+                vector=(None, None))   # get and put are never called
+    assert (res.steps, res.restarts, res.message) == (25, 0, "reached end time")
+    x = np.ones(toy.x.size)
+    for seen in states:
+        x = toy.A @ x + toy.b
+        np.testing.assert_array_equal(seen, x)

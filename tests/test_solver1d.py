@@ -20,7 +20,9 @@ from momentflow.solver1d import (
     _flux_cube,
     _hll_combine,
     _interface_data,
+    _put_state_vector,
     _stage_state,
+    _state_vector,
     _transport_rate,
     cfl_timestep,
     run,
@@ -823,6 +825,53 @@ def test_run_detects_steady_state():
     assert res.message == "steady state reached"
     assert res.residual_history[-1] < 5e-3
     assert np.all(res.residual_history[:-1] >= 5e-3)
+
+
+@pytest.mark.parametrize("scenario", ["couette", "poiseuille"])
+@pytest.mark.parametrize("M", [3, 5])
+def test_steady_run_mixes_to_the_plain_march_fixed_point(scenario, M):
+    # a pure steady run mixes; with t_end set the same tolerance marches
+    # plainly, to the same fixed point and with the same mass
+    sc = scenarios.preset(scenario, M=M, cells=8, steady_tol=1e-9)
+    cfg = scenarios.to_run_config(sc)
+    runs = []
+    for c in (cfg, dataclasses.replace(cfg, t_end=1e9)):
+        g = scenarios.build_grid(sc)
+        mass0 = g.total_mass()
+        res = run(g, c)
+        assert res.converged and res.message == "steady state reached"
+        assert abs(g.total_mass() - mass0) <= 1e-13 * mass0
+        runs.append((res, res.snapshots[-1][1]))
+    (mixed, table), (plain, want) = runs
+    assert mixed.restarts == plain.restarts == 0
+    assert 3 * mixed.steps <= plain.steps
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(table - want) <= 1e-8 * scale)
+
+
+@pytest.mark.parametrize("column", [3, 4], ids=["theta", "rho"])
+def test_state_vector_round_trip_and_rejects_a_non_positive_state(column):
+    sc = scenarios.preset("couette", M=4, cells=5)
+    g = scenarios.build_grid(sc)
+    cfg = scenarios.to_run_config(sc)
+    for _ in range(3):
+        step(g, cfg)
+    evolved = grade_mask(g.coeffs.shape[1:], 4)
+    x = _state_vector(g)
+    # per cell u, theta and the 22 grades <= 4 of a (5, 5, 3) cube
+    width = 4 + 22
+    assert evolved.sum() == 22 and x.shape == (5 * width,)
+    rho = g.coeffs[:, 0, 0, 0].copy()
+    x[4::width] *= 1.5                   # every density: still a valid state
+    assert _put_state_vector(g, x)
+    np.testing.assert_array_equal(_state_vector(g), x)
+    np.testing.assert_array_equal(g.coeffs[:, 0, 0, 0], 1.5 * rho)
+    assert np.all(g.coeffs[:, ~evolved] == 0.0)
+    kept = copy.deepcopy(g)
+    x[2 * width + column] = -1e-3        # the third cell's theta or rho
+    assert not _put_state_vector(g, x)
+    for name in ("u", "theta", "coeffs"):
+        np.testing.assert_array_equal(getattr(g, name), getattr(kept, name))
 
 
 def test_run_reports_budget_exhaustion():
