@@ -37,16 +37,20 @@ RESIDUAL_FLOOR = 1e-8
 # smaller block the smaller peak); a mask in place of minmod's blocks
 # (ufuncs with where=) ran 30-40x slower
 BLOCK = 1 << 15
-# past steps whose residual differences the Anderson mixing keeps.  Steps
-# to steady state at windows 10 / 20 / 30 / 40 (plain march first):
-# Couette M = 3, 20 cells, tol 1e-4: 730 -> 210 / 150 / 100 / 90;
-# Couette M = 5, 40 cells, tol 1e-9: 4 960 -> 1 950 / 840 / 690 / 730;
-# Poiseuille M = 5, 20 cells, tol 1e-9: 3 500 -> 490 / 250 / 180 / 160
-WINDOW = 30
+# past steps whose residual differences the Anderson mixing keeps, chosen
+# by the total wall time of 14 steady Couette and Poiseuille solves (M = 3
+# to 10, 20 to 160 cells, tol 1e-4 to 1e-9; one BLAS thread): 26.3 / 22.8
+# / 15.8 / 14.0 / 13.0 s at windows 30 / 60 / 100 / 150 / 200, and 250
+# saved nothing over 200 (11.8 s each on eight of them).  Steps at 30 / 100 /
+# 150 / 200: Couette M = 3, 20 cells, tol 1e-4: 100 / 80 / 80 / 80;
+# Couette M = 3, 80 cells, tol 1e-6: 1 890 / 820 / 420 / 380; Couette
+# M = 5, 160 cells, tol 1e-6: 6 840 / 3 630 / 2 940 / 2 510.  The two rings
+# hold 2 WINDOW n doubles, 19.5 MB for the last (n = 6 080)
+WINDOW = 200
 # relative Tikhonov shift of the Gram matrix's diagonal, which keeps the
 # window-size solve defined when the residual differences are dependent;
-# Couette M = 5 on 40 cells took 980 / 700 / 690 / 780 / 870 steps at
-# 1e-14 / 1e-12 / 1e-10 / 1e-8 / 1e-6
+# at window 200 the 14 solves took 13.3 / 13.2 / 13.0 / 13.1 / 13.5 s at
+# 1e-14 / 1e-12 / 1e-10 / 1e-8 / 1e-6, with no restart
 GRAM_SHIFT = 1e-10
 # the kind a number field must be, as an error names it
 KINDS = {int: "an integer", float: "a number"}
@@ -250,10 +254,9 @@ def march(state, config, timestep, advance, table, snapshot_interval=0,
 
     The discrete-velocity solver passes no pair.  Mixing its node values
     makes some of them negative, which the transport reports (a 12^3 x 8
-    Couette at tol 1e-6: 670 -> 60 steps, nodes down to -5.6e-6 and 34
-    warnings); with a restart on any negative node nearly every mix is
-    rejected (560 steps, 543 restarts), and at 24^3 x 50 it saved 4 % of
-    the steps for 6x the wall time (5 280 -> 5 090 steps, 28.7 -> 173.6 s).
+    Couette at tol 1e-6, window 30: 670 -> 60 steps, nodes down to -5.6e-6
+    and 34 warnings); with a restart on any negative node nearly every mix
+    is rejected (560 steps, 543 restarts).
     """
     t_end = math.inf if config.t_end is None else config.t_end
     steady = config.steady_tol is not None

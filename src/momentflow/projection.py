@@ -118,7 +118,7 @@ def project_coeffs(coeffs, u, theta, u_new, theta_new, out=None):
     return out
 
 
-def renormalize_arrays(u_frame, theta_frame, coeffs):
+def renormalize_arrays(u_frame, theta_frame, coeffs, out=None):
     """Recover the represented (rho, u, theta) and re-center the expansion.
 
     After a conservative update the cube about the old frame has nonzero
@@ -130,10 +130,11 @@ def renormalize_arrays(u_frame, theta_frame, coeffs):
                   + (2 sum_d f_{2e_d} - sum_d f_{e_d}^2 / f_0) / (3 f_0)
 
     Projecting onto the recovered frame zeroes those slots again.
-    Returns (u, theta, coeffs) batched like the inputs.
+    Returns (u, theta, coeffs) batched like the inputs; ``out`` is as in
+    ``project_coeffs`` and receives the coeffs.
     """
     rho, f1, f2sum = low_moments(coeffs)
     u_new = u_frame + f1 / rho[..., None]
     theta_new = theta_frame + (2.0 * f2sum - np.sum(f1**2, axis=-1) / rho) / (3.0 * rho)
-    c = project_coeffs(coeffs, u_frame, theta_frame, u_new, theta_new)
+    c = project_coeffs(coeffs, u_frame, theta_frame, u_new, theta_new, out=out)
     return u_new, theta_new, c

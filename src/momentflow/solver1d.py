@@ -33,10 +33,11 @@ restore f_{e_d} = 0 and the second-moment trace constraint exactly.
 Work arrays: a step keeps its full-cube intermediates (stacked traces, in
 whose place the HLL flux is formed once the closure has read them, and
 their projection; face fluxes, the two transport rates, stage update, the
-projection's middle product) in ``moments.work_array`` buffers, one per
-shape, from one step to the next.  Fresh on every step: the renormalized
-stage and final cubes (the final one, collided in place, becomes
-``grid.coeffs``).  No array a step leaves in the grid is a work array.
+projection's middle product, the renormalized stage) in
+``moments.work_array`` buffers, one per shape, from one step to the next.
+The one fresh cube of a step is the renormalized final one, which is
+collided in place and becomes ``grid.coeffs``.  No array a step leaves in
+the grid is a work array.
 """
 
 import copy
@@ -421,12 +422,14 @@ def _transport_rate(grid, config, dt, out):
     return rate
 
 
-def _stage_state(grid, coeffs, stage):
-    """Renormalize a provisional coefficient update; returns the new
-    ``(u, theta, coeffs)``.  The projection keeps f_0, so the density
-    checked here is the density of the result."""
+def _stage_state(grid, coeffs, stage, out=None):
+    """Renormalize a provisional coefficient update, its cube into ``out``
+    as in ``project_coeffs``; returns the new ``(u, theta, coeffs)``.  The
+    projection keeps f_0, so the density checked here is the density of
+    the result."""
     require_positive(coeffs[:, 0, 0, 0], "density", "in cell %d after " + stage)
-    u_new, th_new, c_ren = renormalize_arrays(grid.u, grid.theta, coeffs)
+    u_new, th_new, c_ren = renormalize_arrays(grid.u, grid.theta, coeffs,
+                                              out=out)
     require_positive(th_new, "temperature", "in cell %d after " + stage)
     return u_new, th_new, c_ren
 
@@ -458,10 +461,12 @@ def step(grid, config, dt=None):
     r1 = _transport_rate(grid, config, dt, out=rates[0])
     stage = np.multiply(dt, r1, out=work_array("stage", r1.shape))
     stage += grid.coeffs
-    # the stage grid shares the fresh stage arrays; a shallow copy skips the
-    # copies and checks of Grid1D's constructor
+    # the stage grid holds the stage arrays; a shallow copy skips the copies
+    # and checks of Grid1D's constructor
     g1 = copy.copy(grid)
-    g1.u, g1.theta, g1.coeffs = _stage_state(grid, stage, "transport stage 1")
+    g1.u, g1.theta, g1.coeffs = _stage_state(
+        grid, stage, "transport stage 1",
+        out=work_array("stage state", stage.shape))
     # the second-stage rate comes back in the stage frames; re-express it in
     # the step-start frames before averaging (the frame map is linear)
     r2 = project_coeffs(_transport_rate(g1, config, dt, out=rates[1]), g1.u,
@@ -483,29 +488,42 @@ def step(grid, config, dt=None):
     return dt
 
 
+@lru_cache(maxsize=None)
+def _evolved_slots(cube, M):
+    """Flat indices, in C order, of the grades <= M of a cube of shape
+    ``cube``."""
+    slots = np.flatnonzero(grade_mask(cube, M))
+    slots.setflags(write=False)
+    return slots
+
+
 def _state_vector(grid):
     """Each cell's u, theta and evolved coefficients (grades <= M, in the
     cube's C order, f_0 first) in a row, rows concatenated: a new flat
     vector of the grid's own arrays, in no common frame.  The slots beyond
     grade M are zero in every state, so they are left out."""
-    evolved = grade_mask(grid.coeffs.shape[1:], grid.M)
-    return np.concatenate((grid.u, grid.theta[:, None], grid.coeffs[:, evolved]),
-                          axis=1).ravel()
+    slots = _evolved_slots(grid.coeffs.shape[1:], grid.M)
+    x = np.empty((grid.n, 4 + slots.size))
+    x[:, :3] = grid.u
+    x[:, 3] = grid.theta
+    x[:, 4:] = grid.coeffs.reshape(grid.n, -1)[:, slots]
+    return x.ravel()
 
 
 def _put_state_vector(grid, x):
-    """Set the grid to the ``_state_vector`` layout ``x`` and return True,
-    or return False and leave the grid as it is if a density or temperature
-    of ``x`` is not positive."""
+    """Write the ``_state_vector`` layout ``x`` into the grid's arrays in
+    place and return True, or return False and leave the grid as it is if a
+    density or temperature of ``x`` is not positive.  The arrays must be
+    C-contiguous and unshared, as every step leaves them; the slots beyond
+    grade M keep their zeros."""
     rows = x.reshape(grid.n, -1)
     # theta and rho = f_0 are the adjacent columns 3 and 4 (NaN fails too)
     if not rows[:, 3:5].min() > 0:
         return False
-    coeffs = np.zeros_like(grid.coeffs)
-    coeffs[:, grade_mask(coeffs.shape[1:], grid.M)] = rows[:, 4:]
-    grid.u = rows[:, :3].copy()
-    grid.theta = rows[:, 3].copy()
-    grid.coeffs = coeffs
+    slots = _evolved_slots(grid.coeffs.shape[1:], grid.M)
+    grid.u[...] = rows[:, :3]
+    grid.theta[...] = rows[:, 3]
+    grid.coeffs.reshape(grid.n, -1)[:, slots] = rows[:, 4:]
     return True
 
 

@@ -868,3 +868,47 @@ def pad_full(coeffs):
     out = np.zeros(coeffs.shape[:-3] + (K,) * 3)
     out[_axis_slices(reduced, slice(None, None, 2))] = coeffs
     return out
+
+
+# ---------------------------------------------------------------------------
+# Linear spectrum of one NRxx step
+
+
+def step_spectrum(grid, config):
+    """Eigenvalues of the Jacobian of one ``solver1d.step`` about ``grid``
+    at the fixed dt of its CFL time step; returns ``(eigenvalues, dt)``.
+
+    The unknowns are every cell's coefficients of grades <= M in one global
+    frame (u = 0, theta = 1).  The frame change is graded-triangular and
+    exact on the kept grades, so these coordinates hold the whole state:
+    ``renormalize_arrays`` maps them back to each cell's own frame, free of
+    the gauge slots that a cell's own (u, theta, coeffs) carry.  Columns
+    are central differences of step 1e-6.
+    """
+    from momentflow.moments import grade_mask
+    from momentflow.projection import project_coeffs, renormalize_arrays
+    from momentflow.solver1d import Grid1D, cfl_timestep, step
+
+    n, cube = grid.n, grid.coeffs.shape[1:]
+    evolved = grade_mask(cube, config.M)
+    dt = cfl_timestep(grid, config.cfl, config.signal_speed)
+
+    def global_vector(g):
+        c = project_coeffs(g.coeffs, g.u, g.theta, np.zeros(3), 1.0)
+        return c[:, evolved].ravel()
+
+    def step_map(z):
+        c = np.zeros((n,) + cube)
+        c[:, evolved] = z.reshape(n, -1)
+        u, theta, c = renormalize_arrays(np.zeros((n, 3)), np.ones(n), c)
+        g = Grid1D(grid.y_lo, grid.y_hi, u, theta, c)
+        step(g, config, dt)
+        return global_vector(g)
+
+    z = global_vector(grid)
+    jac = np.empty((z.size, z.size))
+    for j in range(z.size):
+        e = np.zeros_like(z)
+        e[j] = 1e-6
+        jac[:, j] = (step_map(z + e) - step_map(z - e)) / 2e-6
+    return np.linalg.eigvals(jac), dt

@@ -238,6 +238,20 @@ def test_reduced_renormalization_equals_the_full_even_slots(axes):
                                atol=1e-14 * np.max(np.abs(c_f)))
 
 
+def test_renormalize_into_out_is_the_fresh_result():
+    rng = np.random.default_rng(5)
+    c = 0.05 * rng.standard_normal((3, 5, 5, 5)) * grade_mask((5,) * 3, 4)
+    c[:, 0, 0, 0] = rng.uniform(0.5, 2.0, 3)
+    u = rng.uniform(-0.5, 0.5, (3, 3))
+    theta = rng.uniform(0.6, 1.6, 3)
+    want = renormalize_arrays(u, theta, c)
+    out = np.full_like(c, np.nan)
+    got = renormalize_arrays(u, theta, c, out=out)
+    assert got[2] is out
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_renormalize_recovers_admissibility(seed):
