@@ -29,6 +29,14 @@ the in-place update f <- f e_full + G P (``collide_field``).  A wall reads
 its end cell for the outgoing half-flux and writes the inflow in one pass;
 a partly specular wall (chi < 1) adds the end cell's mirror.
 
+Where a slab run keeps xi_d -> -xi_d symmetric (d = 1 or 3: no wall
+velocity along d and u_d = 0 initially), the distribution stays even in
+xi_d and the grid stores only the xi_d >= 0 half of that axis with doubled
+weights (``DvGrid.mirrored``).  The odd per-axis sums are zero, so u_d, q_d
+and the shear stresses sigma_dj stay exactly 0.0, and every kernel runs
+unchanged on a cube half the size per mirrored axis: the Couette and
+Poiseuille presets mirror xi_3, the shock xi_1 and xi_3.
+
 ``dv_run`` marches through ``march.march``, the loop shared with the moment
 solver, so ``steady_tol`` and ``converged`` mean the same for both.
 """
@@ -41,7 +49,7 @@ import numpy as np
 
 from .collision import relaxation_time
 from .march import (BLOCK, RunOptions, check_choice, march, minmod,
-                    require_positive)
+                    require_mirror, require_positive)
 from .moments import _fields_table, work_array
 
 NEWTON_TOL = 1e-13
@@ -49,16 +57,32 @@ NEWTON_MAX_ITER = 40
 NEGATIVITY_WARN = 1e-12
 
 LIMITERS = ("none", "minmod")
+# the solver has no body force term
+_NO_FORCE = (0.0, 0.0, 0.0)
 
 
 @dataclass
 class DvGrid:
     """Cartesian velocity grid with trapezoidal weights: axis d has
     ``counts[d]`` >= 8 equally spaced nodes on [-half_width, half_width],
-    symmetric about zero as the transport and the wall inflow need."""
+    built so that x[i] == -x[n-1-i] exactly (the middle node of an odd axis
+    is 0.0), as the specular wall mirror and a mirrored axis need.
+
+    Along each axis d in ``mirrored`` (0 and/or 2; the normal xi_2 carries
+    the transport and is never mirrored) a state even in xi_d is stored on
+    the upper half alone: nodes n//2 .. n-1, with the weights of the other
+    half added to their mirrors, so doubled except on the middle node of an
+    odd axis.  A sum over the full axis of an even function is then the sum
+    over the stored nodes, and of an odd one it is zero: the odd columns
+    k = 1, 3 of the moment tables and the odd sums S_d[k] of
+    ``_axis_gaussians`` are zero there (``parity``).  ``axes``,
+    ``weights`` and ``shape`` are the stored nodes, weights and edge
+    lengths, which every kernel reads, so a full and a mirrored axis run
+    the same code."""
 
     half_width: float
     counts: tuple          # (n1, n2, n3)
+    mirrored: tuple = ()   # velocity axes stored as their xi_d >= 0 half
 
     def __post_init__(self):
         if not (0.0 < self.half_width < math.inf):
@@ -66,13 +90,34 @@ class DvGrid:
         if len(self.counts) != 3 or min(self.counts) < 8:
             raise ValueError("need three axes of at least 8 nodes, got %r"
                              % (self.counts,))
-        self.axes = tuple(np.linspace(-self.half_width, self.half_width, n)
-                          for n in self.counts)
-        self.weights = tuple((ax[1] - ax[0]) * np.r_[0.5, np.ones(n - 2), 0.5]
-                             for ax, n in zip(self.axes, self.counts))
+        if not set(self.mirrored) <= {0, 2}:
+            raise ValueError("only velocity axes 0 and 2 can be mirrored, "
+                             "got %r" % (self.mirrored,))
+        axes, weights, parity = [], [], []
+        for d, n in enumerate(self.counts):
+            # an odd integer grid 2i - (n - 1) is exactly antisymmetric,
+            # and so is every rounding of it scaled
+            x = self.half_width * (2.0 * np.arange(n) - (n - 1)) / (n - 1)
+            h = 2.0 * self.half_width / (n - 1)
+            w = h * np.r_[0.5, np.ones(n - 2), 0.5]
+            p = np.ones(7)
+            if d in self.mirrored:
+                x, w = x[n // 2:], 2.0 * w[n // 2:]
+                if n % 2:
+                    w[0] *= 0.5
+                p[1::2] = 0.0
+            axes.append(x)
+            weights.append(w)
+            parity.append(p)
+        self.axes, self.weights = tuple(axes), tuple(weights)
+        self.shape = tuple(map(len, axes))
+        # 1 for the sums S_d[k], k <= 6, that the stored nodes give, 0 for
+        # the odd ones of a mirrored axis
+        self.parity = tuple(parity)
         # the moment tables V_d[n, k] = w_d x_d^k, k <= 3, of ``dv_moments``
-        self.moment_tables = tuple(w[:, None] * x[:, None] ** np.arange(4)
-                                   for x, w in zip(self.axes, self.weights))
+        self.moment_tables = tuple(
+            w[:, None] * x[:, None] ** np.arange(4) * p[:4]
+            for x, w, p in zip(axes, weights, parity))
 
     def gaussians(self, u, theta):
         """Per axis d the nodal exp(-(x_d - u_d)^2 / 2 theta), batched."""
@@ -140,7 +185,8 @@ def dv_moments(values, grid):
 def _axis_gaussians(grid, u, theta):
     """Per axis d, the nodal table g c^k, k = 0..6, of g = exp(-c^2 / 2 theta)
     at c = xi_d - u_d, shape (..., n_d, 7), and its weighted sums S_d[k] =
-    sum w_d g c^k, shape (..., 7)."""
+    sum w_d g c^k, shape (..., 7), the odd ones zero on a mirrored axis
+    (where u_d is zero)."""
     tables, sums = [], []
     for d in range(3):
         c = grid.axes[d] - u[..., d, None]
@@ -149,7 +195,9 @@ def _axis_gaussians(grid, u, theta):
         for k in range(1, 7):
             np.multiply(gc[..., k - 1], c, out=gc[..., k])
         tables.append(gc)
-        sums.append(np.einsum("n,...nk->...k", grid.weights[d], gc))
+        s = np.einsum("n,...nk->...k", grid.weights[d], gc)
+        s *= grid.parity[d]
+        sums.append(s)
     return tables, sums
 
 
@@ -305,15 +353,17 @@ def collide_field(values, grid, kn, pr, dt):
 
 @dataclass
 class DvField:
-    """Distribution values on a slab of spatial cells."""
+    """Distribution values on a slab of spatial cells, one ``grid.shape``
+    cube per cell: on a mirrored velocity axis the xi_d >= 0 half of a
+    distribution even in xi_d, whose mean velocity u_d is then zero."""
 
     grid: DvGrid
     y_lo: float
     y_hi: float
-    values: np.ndarray      # (N, n1, n2, n3)
+    values: np.ndarray      # (N,) + grid.shape
 
     def __post_init__(self):
-        if self.values.shape[1:] != self.grid.counts:
+        if self.values.shape[1:] != self.grid.shape:
             raise ValueError("values do not match the velocity grid")
 
     @property
@@ -334,6 +384,10 @@ class DvField:
         n = rho.shape[0]
         u = np.broadcast_to(np.asarray(u, dtype=float), (n, 3)).copy()
         theta = np.broadcast_to(np.asarray(theta, dtype=float), (n,)).copy()
+        for d in grid.mirrored:
+            if np.any(u[:, d] != 0.0):
+                raise ValueError("velocity u%d must be zero along a mirrored "
+                                 "velocity axis" % (d + 1))
         return cls(grid, y_lo, y_hi, grid.maxwellian(rho, u, theta))
 
     def moments(self):
@@ -447,7 +501,10 @@ def transport_field(field, dt, left, right, limiter):
 
 
 def dv_step(field, dt, left, right, kn, pr, limiter):
-    """First-order split step: transport then conservative relaxation."""
+    """First-order split step: transport then conservative relaxation.  A
+    wall that moves along a mirrored velocity axis is a ValueError
+    (``march.require_mirror``), raised before the state changes."""
+    require_mirror(field.grid.mirrored, _NO_FORCE, (left, right))
     transport_field(field, dt, left, right, limiter)
     collide_field(field.values, field.grid, kn, pr, dt)
     return field

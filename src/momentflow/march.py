@@ -1,8 +1,10 @@
 """What both slab solvers share: the run options ``RunOptions``, declared
 and checked once (``solver1d.RunConfig`` and ``cdvm.DvRunConfig`` add their
-own), the loop ``march``, ``check_choice``, the slope limiter ``minmod`` and
+own), the loop ``march``, ``check_choice``, the slope limiter ``minmod``,
 ``require_positive``, whose message names the quantity, the value, the cell
-and the phase.  This module imports no solver.
+and the phase, and the mirror rule (``mirror_breaker``, ``require_mirror``)
+by which both solvers store half of a velocity axis.  This module imports
+no solver.
 
 A solver passes ``march`` its state and three callables: the CFL time step,
 an in-place advance by a given dt, and the snapshot table of the current
@@ -153,6 +155,35 @@ def require_positive(x, what, where, error=RuntimeError):
         raise error(
             "non-positive or non-finite %s (%r) %s" % (what, float(x[i]), where % i)
         )
+
+
+def mirror_breaker(d, force, walls):
+    """The option that breaks the mirror symmetry xi_d -> -xi_d of a slab
+    run along velocity axis ``d`` (0 or 2), named "force[d]" or
+    "u_wall_<side>[d]", or None.  ``walls`` are the left and right
+    ``WallSpec`` (None at a free end).  Without a body force or wall
+    velocity along axis d, a state that is even in xi_d - its mean velocity
+    u_d zero - stays so: the NRxx moments keep their odd orders along a_d
+    zero, the discrete-velocity values f(xi_d) = f(-xi_d)."""
+    if force[d] != 0.0:
+        return "force[%d]" % d
+    for side, wall in zip(("left", "right"), walls):
+        if wall is not None and wall.u_wall[d] != 0.0:
+            return "u_wall_%s[%d]" % (side, d)
+    return None
+
+
+def require_mirror(axes, force, walls):
+    """Raise a ValueError naming the option (``mirror_breaker``) that breaks
+    the mirror symmetry along one of the velocity ``axes``, those of which
+    a state stores one half."""
+    for d in axes:
+        name = mirror_breaker(d, force, walls)
+        if name:
+            raise ValueError(
+                "%s is nonzero, which breaks the mirror symmetry xi_%d -> "
+                "-xi_%d of a state that stores one half of that axis"
+                % (name, d + 1, d + 1))
 
 
 class Anderson:

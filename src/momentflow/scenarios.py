@@ -28,7 +28,8 @@ import numpy as np
 
 from . import cdvm, solver1d
 from .boundary import WallSpec
-from .march import KINDS, RunOptions, check_choice, check_kinds, is_kind
+from .march import (KINDS, RunOptions, check_choice, check_kinds, is_kind,
+                    mirror_breaker)
 
 SOLVERS = ("nrxx", "cdvm")
 
@@ -157,18 +158,25 @@ def to_run_config(sc):
                               **_run_options(sc))
 
 
+def mirrored_axes(sc):
+    """The velocity axes d (0, 2) along which the run keeps xi_d -> -xi_d
+    symmetric: zero initial velocity ``u0[d]`` and no force or wall velocity
+    along d (``march.mirror_breaker``).  Both solvers store one half of such
+    an axis.  The shock mirrors both, Couette and Poiseuille axis 2."""
+    walls = sc.wall("left"), sc.wall("right")
+    return tuple(d for d in (0, 2)
+                 if sc.u0[d] == 0.0 and not mirror_breaker(d, sc.force, walls))
+
+
 def build_grid(sc):
     """Initial NRxx grid of local Maxwellians.  Along a1 and a3 it stores
-    the even orders alone when the run keeps xi_d -> -xi_d symmetric: zero
-    initial velocity ``u0[d]`` and no force or wall velocity along d
-    (``solver1d.mirror_breaker``); a Maxwellian cube is even on every axis.
-    The shock reduces both axes, Couette and Poiseuille reduce a3."""
+    the even orders alone on ``mirrored_axes``; a Maxwellian cube is even
+    on every axis."""
     rho = np.full(sc.cells, sc.rho0)
     grid = solver1d.Grid1D.from_fields(sc.y_lo, sc.y_hi, rho, sc.u0, sc.theta0,
                                        sc.M)
-    walls = sc.wall("left"), sc.wall("right")
-    s1, s3 = (1 if sc.u0[d] != 0.0 or solver1d.mirror_breaker(d, sc.force, walls)
-              else 2 for d in (0, 2))
+    mirrored = mirrored_axes(sc)
+    s1, s3 = (2 if d in mirrored else 1 for d in (0, 2))
     return replace(grid, coeffs=grid.coeffs[:, ::s1, :, ::s3])
 
 
@@ -180,7 +188,9 @@ def to_dv_config(sc):
 
 
 def build_dv_field(sc):
-    grid = cdvm.DvGrid(sc.dv_half_width, tuple(sc.dv_nodes))
+    """Initial discrete-velocity field of local Maxwellians, storing the
+    xi_d >= 0 half of each of the ``mirrored_axes``."""
+    grid = cdvm.DvGrid(sc.dv_half_width, tuple(sc.dv_nodes), mirrored_axes(sc))
     rho = np.full(sc.cells, sc.rho0)
     return cdvm.DvField.from_fields(grid, sc.y_lo, sc.y_hi, rho, sc.u0, sc.theta0)
 

@@ -14,10 +14,10 @@ telescoping.
 
 Cubes hold the evolved grades <= M in a layout of ``moments``: along a1
 or a3 the even orders alone when the run is mirror symmetric in that
-velocity component (``mirror_breaker``).  The top grade M + 1 is never
-stored: the closure predicts it at each interface from the traces' mean and
-from centered differences of its ``closure_columns``, and the HLL flux
-takes it in one term.
+velocity component (``march.mirror_breaker``).  The top grade M + 1 is
+never stored: the closure predicts it at each interface from the traces'
+mean and from centered differences of its ``closure_columns``, and the HLL
+flux takes it in one term.
 Wall ghosts are rebuilt from the current state at every Heun stage, and at
 a wall interface the outer state is built from the inner trace, so the wall
 mass flux vanishes identically for a non-moving wall at both stages.
@@ -51,7 +51,8 @@ from .boundary import ghost_state
 from .closure import add_top_flux, closure_coeffs, closure_columns
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
-from .march import RunOptions, check_choice, march, minmod, require_positive
+from .march import (RunOptions, check_choice, march, minmod, require_mirror,
+                    require_positive)
 from .moments import (axis_steps, grade_mask, low_moments, snapshot_table,
                       work_array)
 from .projection import project_coeffs, renormalize_arrays
@@ -60,21 +61,6 @@ from .projection import project_coeffs, renormalize_arrays
 SIGNAL_SPEED_FACTOR = 1.2
 
 LIMITERS = ("none", "central", "minmod")
-
-
-def mirror_breaker(d, force, walls):
-    """The option that breaks the mirror symmetry xi_d -> -xi_d of a slab
-    run along velocity axis ``d`` (0 or 2), named "force[d]" or
-    "u_wall_<side>[d]", or None.  ``walls`` are the left and right
-    ``WallSpec`` (None at a free end).  Without a body force or wall
-    velocity along axis d, a state whose frame velocity along d is zero and
-    whose odd orders along a_d are zero keeps both so."""
-    if force[d] != 0.0:
-        return "force[%d]" % d
-    for side, wall in zip(("left", "right"), walls):
-        if wall is not None and wall.u_wall[d] != 0.0:
-            return "u_wall_%s[%d]" % (side, d)
-    return None
 
 
 @dataclass
@@ -447,13 +433,8 @@ def step(grid, config, dt=None):
     if grid.M != config.M:
         raise ValueError("grid and config disagree on the moment order")
     steps = axis_steps(grid.coeffs.shape[1:])
-    for d in (0, 2):
-        name = steps[d] == 2 and mirror_breaker(d, config.force,
-                                                (config.left, config.right))
-        if name:
-            raise ValueError(
-                "%s is nonzero, which breaks the mirror symmetry of a grid "
-                "that stores only the even orders along a%d" % (name, d + 1))
+    require_mirror([d for d in (0, 2) if steps[d] == 2], config.force,
+                   (config.left, config.right))
     if dt is None:
         dt = cfl_timestep(grid, config.cfl, config.signal_speed)
 

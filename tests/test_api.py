@@ -13,7 +13,8 @@ import pytest
 import momentflow
 
 # names gone from their module: deleted, kept in tests/oracles.py, or (as
-# cli.decay_diagnostic, now moments.decay_diagnostic) moved to another module
+# cli.decay_diagnostic, now moments.decay_diagnostic, and
+# solver1d.mirror_breaker, now march.mirror_breaker) moved to another module
 DELETED = [
     ("moments", "MomentState"), ("moments", "INVARIANT_TOL"),
     ("moments", "maxwellian"), ("moments", "n_moments"),
@@ -32,7 +33,7 @@ DELETED = [
     ("closure", "gradient_reads"), ("march", "check_run_options"),
     ("solver1d", "SPLITTINGS"), ("solver1d", "check_scheme"),
     ("cli", "decay_diagnostic"), ("hermite", "he_sequence"),
-    ("march.RunResult", "state"),
+    ("march.RunResult", "state"), ("solver1d", "mirror_breaker"),
 ]
 
 

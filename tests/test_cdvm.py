@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -322,6 +324,13 @@ def _slab(n=24, grid=None, rho=None, u=(0.0, 0.0, 0.0), theta=1.0):
     return DvField.from_fields(grid, -0.5, 0.5, rho, np.array(u), theta)
 
 
+def _full_field(sc):
+    """The field of ``scenarios.build_dv_field(sc)`` with every axis full."""
+    return DvField.from_fields(DvGrid(sc.dv_half_width, tuple(sc.dv_nodes)),
+                               sc.y_lo, sc.y_hi, np.full(sc.cells, sc.rho0),
+                               sc.u0, sc.theta0)
+
+
 def test_field_basics():
     fld = _slab(n=10)
     assert fld.n == 10
@@ -528,21 +537,26 @@ def test_collision_across_blocks_matches_full_cube_oracle():
 
 
 def test_first_collision_retains_no_state_sized_array():
-    # G P goes through a work array of one block, kept across calls
+    # G P goes through a work array of at most one block, kept across calls,
+    # and so do the partial sums of the moments (4 / n3 of a block) and the
+    # factor (4 / n1 of a block): at most 1.5 blocks for either field, the
+    # full 24^3 x 50 one (1.14 blocks measured, 0.054x of the state) and the
+    # preset's, mirrored along xi_3 (1.27 blocks, 0.12x of its half-size
+    # state)
     sc = scenarios.preset("couette", solver="cdvm", cells=50,
                           dv_nodes=(24, 24, 24))
-    fld = scenarios.build_dv_field(sc)
     cfg = scenarios.to_dv_config(sc)
-    dt = dv_cfl_timestep(fld, cfg.cfl, cfg.limiter)
-    work_array.cache_clear()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        collide_field(fld.values, fld.grid, cfg.kn, cfg.pr, dt)
-        grown = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert grown < 0.1 * fld.values.nbytes
+    for fld in (_full_field(sc), scenarios.build_dv_field(sc)):
+        dt = dv_cfl_timestep(fld, cfg.cfl, cfg.limiter)
+        work_array.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            collide_field(fld.values, fld.grid, cfg.kn, cfg.pr, dt)
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert grown < 8 * 1.5 * BLOCK, fld.grid.shape
 
 
 def test_collision_updates_in_place_with_small_temporaries():
@@ -651,6 +665,157 @@ def test_moving_normal_wall_rejected_by_config():
     wall = WallSpec(1.0, np.array([0.0, 0.2, 0.0]), 1.0)
     with pytest.raises(ValueError, match="moves along its normal"):
         DvRunConfig(kn=0.1, t_end=1.0, right=wall)
+
+
+# ---------------------------------------------------------------------------
+# mirrored velocity axes
+
+
+@pytest.mark.parametrize("half_width, n", [
+    (8.0, 24), (8.0, 13), (10.0, 12), (6.0, 16), (5.0, 8), (3.3, 17),
+    (7.1, 31), (12.5, 48)])
+def test_velocity_axes_are_exactly_antisymmetric(half_width, n):
+    # x[i] == -x[n-1-i] bit for bit, which np.linspace does not give for
+    # (8, 24), (8, 13) or (10, 12); the middle node of an odd axis is +0.0
+    grid = DvGrid(half_width, (n, 8, n), mirrored=(2,))
+    x = grid.axes[0]
+    assert np.array_equal(x, -x[::-1])
+    assert x[0] == -half_width and x[-1] == half_width
+    np.testing.assert_allclose(np.diff(x), 2.0 * half_width / (n - 1),
+                               rtol=1e-14)
+    if n % 2:
+        assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+    # the mirrored axis stores the upper half of the full one
+    np.testing.assert_array_equal(grid.axes[2], x[n // 2:])
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_mirrored_axis_weights_fold_the_lower_half(n):
+    grid = DvGrid(6.0, (n, n, n), mirrored=(0, 2))
+    full = DvGrid(6.0, (n, n, n))
+    assert grid.shape == (n - n // 2, n, n - n // 2)
+    assert grid.counts == (n, n, n)
+    w, wf = grid.weights[0], full.weights[0]
+    np.testing.assert_array_equal(w[n % 2:], 2.0 * wf[n // 2 + n % 2:])
+    if n % 2:
+        assert w[0] == wf[n // 2]
+    assert np.sum(w) == pytest.approx(np.sum(wf), rel=1e-15)
+    # the even moment columns are the full axis's, the odd ones zero
+    V, Vf = grid.moment_tables[0], full.moment_tables[0]
+    np.testing.assert_allclose(V[:, ::2].sum(axis=0), Vf[:, ::2].sum(axis=0),
+                               rtol=1e-14)
+    assert np.all(V[:, 1::2] == 0.0)
+    np.testing.assert_array_equal(grid.axes[1], full.axes[1])
+
+
+def test_mirrored_grid_validation():
+    with pytest.raises(ValueError, match="only velocity axes 0 and 2"):
+        DvGrid(6.0, (12, 12, 12), mirrored=(1,))
+    grid = DvGrid(6.0, (12, 12, 12), mirrored=(2,))
+    with pytest.raises(ValueError, match="u3 must be zero along a mirrored"):
+        DvField.from_fields(grid, -0.5, 0.5, np.ones(4), (0.1, 0.0, 0.2), 1.0)
+    with pytest.raises(ValueError, match="do not match the velocity grid"):
+        DvField(grid, -0.5, 0.5, np.ones((4, 12, 12, 12)))
+
+
+def test_conservative_gaussian_on_mirrored_axes_matches_full_axes():
+    # cells even in xi_1 and xi_3: the Newton on the half axes keeps u_G,1 =
+    # u_G,3 = 0.0 exactly and finds the full axes' parameters
+    full = DvGrid(6.0, (13, 16, 12))
+    half = DvGrid(6.0, (13, 16, 12), mirrored=(0, 2))
+    u = np.array([(0.0, 0.3, 0.0), (0.0, -0.5, 0.0)])
+    f = (0.6 * full.maxwellian(np.ones(2), u, np.array([0.8, 1.2]))
+         + 0.4 * full.maxwellian(np.ones(2), -u, np.array([1.4, 0.7])))
+    got, want = (conservative_gaussian(g, m["rho"], m["u"], m["theta"])
+                 for g, m in ((half, dv_moments(f[:, 6:, :, 6:], half)),
+                              (full, dv_moments(f, full))))
+    assert np.all(got[1][:, 0::2] == 0.0)
+    for a, b in zip(got[:3], want[:3]):
+        np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
+
+
+_MIRROR_RUNS = {
+    "couette-chi05-hotleft": ("couette", dict(
+        chi=0.5, theta_wall_left=1.3, dv_nodes=(12, 16, 12)), (2,)),
+    "couette-odd": ("couette", dict(dv_nodes=(13, 16, 13)), (2,)),
+    "shock": ("shock", dict(dv_nodes=(12, 16, 12)), (0, 2)),
+}
+
+
+@pytest.mark.parametrize("limiter", ["none", "minmod"])
+@pytest.mark.parametrize("case", sorted(_MIRROR_RUNS))
+def test_mirrored_run_matches_full_axis_run(case, limiter):
+    # a few steps of the preset on its mirrored axes and on full axes give
+    # one table to round-off, a column checked at no finer scale than the
+    # fingerprint's DV_FLOOR (u2 is a small difference of O(1) sums); the
+    # columns odd in a mirrored xi_d (u_d, and with d = 1 sigma12 and q1)
+    # are exactly 0.0, and both runs hold the same mass, which two walls
+    # keep
+    scenario, overrides, mirrored = _MIRROR_RUNS[case]
+    sc = scenarios.preset(scenario, solver="cdvm", cells=12, t_end=0.05,
+                          steady_tol=None, dv_limiter=limiter, **overrides)
+    half, full = scenarios.build_dv_field(sc), _full_field(sc)
+    assert half.grid.mirrored == mirrored
+    assert half.values.shape == (12,) + tuple(
+        n - n // 2 if d in mirrored else n for d, n in enumerate(sc.dv_nodes))
+    mass0 = np.sum(half.moments()["rho"])
+    cfg = scenarios.to_dv_config(sc)
+    got, want = (dv_run(f, cfg).snapshots[-1][1] for f in (half, full))
+    scale = np.maximum(np.max(np.abs(want), axis=0), 1e-2)
+    odd = ["u%d" % (d + 1) for d in mirrored]
+    if 0 in mirrored:
+        odd += ["sigma12", "q1"]
+    for j, col in enumerate(SNAPSHOT_COLUMNS):
+        if col in odd:
+            assert np.all(got[:, j] == 0.0), col
+            assert np.max(np.abs(want[:, j])) <= 1e-14, col
+        else:
+            err = np.max(np.abs(got[:, j] - want[:, j]))
+            assert err <= 1e-13 * scale[j], col
+    mass = np.sum(half.moments()["rho"])
+    assert abs(mass - np.sum(full.moments()["rho"])) <= 1e-13 * mass
+    if scenario == "couette":
+        assert abs(mass - mass0) <= 1e-13 * mass0
+
+
+@pytest.mark.parametrize("scenario, overrides, mirrored", [
+    ("shock", {}, (0, 2)),
+    ("couette", {}, (2,)),
+    ("poiseuille", {}, (2,)),
+    ("custom", dict(t_end=1.0), (0, 2)),
+    ("couette", dict(u_wall_left=(-0.6296, 0.0, 0.1)), ()),
+    ("couette", dict(u0=(0.0, 0.0, 0.2)), ()),
+    ("shock", dict(u0=(0.1, 0.5, 0.0)), (2,)),
+])
+def test_both_builders_mirror_the_same_axes(scenario, overrides, mirrored):
+    # one rule for both solvers: NRxx keeps the even orders along a_d,
+    # the DVM the xi_d >= 0 half, on the same axes
+    sc = scenarios.preset(scenario, M=4, cells=6, dv_nodes=(12, 13, 11),
+                          **overrides)
+    assert scenarios.mirrored_axes(sc) == mirrored
+    edges = scenarios.build_grid(sc).coeffs.shape[1:]
+    shape = scenarios.build_dv_field(sc).values.shape[1:]
+    for d, n in enumerate(sc.dv_nodes):
+        assert edges[d] == (3 if d in mirrored else 5)
+        assert shape[d] == (n - n // 2 if d in mirrored else n)
+
+
+def test_dv_step_rejects_a_wall_moving_along_a_mirrored_axis():
+    # the message names the option, as the NRxx step's does, and the state
+    # is left alone; the full-axis field runs that config
+    sc = scenarios.preset("couette", solver="cdvm", cells=6,
+                          dv_nodes=(12, 12, 12))
+    fld = scenarios.build_dv_field(sc)
+    before = fld.values.copy()
+    cfg = scenarios.to_dv_config(dataclasses.replace(
+        sc, u_wall_left=(-0.6296, 0.0, 0.1)))
+    dt = dv_cfl_timestep(fld, cfg.cfl, cfg.limiter)
+    msg = re.escape("u_wall_left[2] is nonzero")
+    with pytest.raises(ValueError, match=msg):
+        dv_step(fld, dt, cfg.left, cfg.right, cfg.kn, cfg.pr, cfg.limiter)
+    np.testing.assert_array_equal(fld.values, before)
+    dv_step(_full_field(sc), dt, cfg.left, cfg.right, cfg.kn, cfg.pr,
+            cfg.limiter)
 
 
 # ---------------------------------------------------------------------------
