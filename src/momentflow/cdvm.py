@@ -7,13 +7,18 @@ CFL 0.5 at most) and an exact relaxation step
 
     f(t+dt) = G + B exp(-Pr dt/tau) + (f - G - B) exp(-dt/tau),
 
-where G is a discrete Gaussian whose parameters are Newton-corrected,
-starting from the cell's own velocity and temperature, so its *quadrature*
-mass, momentum and energy are the cell's (``conservative_gaussian``), and
-B is the heat-flux (Shakhov) correction projected so its quadrature
-collision invariants vanish.  Collision therefore conserves the discrete
-invariants to solver tolerance, and the accommodation-wall fluxes balance
-mass exactly by construction of the re-emitted density.
+where G is a discrete Gaussian whose parameters are Newton-corrected so its
+*quadrature* mass, momentum and energy are the cell's
+(``conservative_gaussian``), and B is the heat-flux (Shakhov) correction
+projected so its quadrature collision invariants vanish.  Collision
+therefore conserves the discrete invariants to solver tolerance, and the
+accommodation-wall fluxes balance mass exactly by construction of the
+re-emitted density.  The Newton starts from the cell's velocity and
+temperature plus the correction the cell needed at its previous collision,
+which the field carries (``DvField.correction``, zeros on a new field).
+On axes that resolve the Gaussian (24 nodes on [-8, 8]) the correction is
+about 1e-12 and drifts by less than the Newton tolerance in most steps, so
+most collisions need one evaluation.
 
 The quadrature weights, the Gaussian and the Shakhov polynomial all factor
 per axis, so the Newton iteration and the conservative projection touch
@@ -22,12 +27,13 @@ cube three times, both of its sub-steps write the state in place, and
 neither keeps a temporary the size of the state.  Transport makes one:
 whole cells are walked from the top down in blocks of about ``march.BLOCK``
 entries, and a block's face differences, their scaling by dt xi_2 / dx, the
-update and the negativity check run while the block is in cache.  The
-collision makes two: the moment GEMM of ``dv_moments``, then per block of
-cells the factor and GEMM that write G P into block-sized work arrays and
-the in-place update f <- f e_full + G P (``collide_field``).  A wall reads
-its end cell for the outgoing half-flux and writes the inflow in one pass;
-a partly specular wall (chi < 1) adds the end cell's mirror.
+update and the negativity check run while the block is in cache (the cell
+of the smallest value is looked up only when it warns).  The collision
+makes two: the moment GEMM of ``dv_moments``, then per block of cells the
+factor and GEMM that write G P into block-sized work arrays and the
+in-place update f <- f e_full + G P (``collide_field``).  A wall reads its
+end cell for the outgoing half-flux and writes the inflow in one pass; a
+partly specular wall (chi < 1) adds the end cell's mirror.
 
 Where a slab run keeps xi_d -> -xi_d symmetric (d = 1 or 3: no wall
 velocity along d and u_d = 0 initially), the distribution stays even in
@@ -111,13 +117,22 @@ class DvGrid:
             parity.append(p)
         self.axes, self.weights = tuple(axes), tuple(weights)
         self.shape = tuple(map(len, axes))
-        # 1 for the sums S_d[k], k <= 6, that the stored nodes give, 0 for
-        # the odd ones of a mirrored axis
-        self.parity = tuple(parity)
+        # row d: 1 for the sums S_d[k], k <= 6, that the stored nodes give,
+        # 0 for the odd ones of a mirrored axis
+        self.parity = np.stack(parity)
         # the moment tables V_d[n, k] = w_d x_d^k, k <= 3, of ``dv_moments``
         self.moment_tables = tuple(
             w[:, None] * x[:, None] ** np.arange(4) * p[:4]
             for x, w, p in zip(axes, weights, parity))
+        # the three axes end to end, as ``_axis_gaussians`` reads them: the
+        # nodes, the axis of each, the slice of each axis and the (3, n1 +
+        # n2 + n3) weights, w_d on the nodes of axis d and 0 elsewhere
+        self.nodes = np.concatenate(axes)
+        self.node_axis = np.repeat(np.arange(3), self.shape)
+        ends = np.cumsum((0,) + self.shape)
+        self.axis_slices = tuple(map(slice, ends[:-1], ends[1:]))
+        self.node_weights = np.where(self.node_axis == np.arange(3)[:, None],
+                                     np.concatenate(weights), 0.0)
 
     def gaussians(self, u, theta):
         """Per axis d the nodal exp(-(x_d - u_d)^2 / 2 theta), batched."""
@@ -184,25 +199,27 @@ def dv_moments(values, grid):
 
 def _axis_gaussians(grid, u, theta):
     """Per axis d, the nodal table g c^k, k = 0..6, of g = exp(-c^2 / 2 theta)
-    at c = xi_d - u_d, shape (..., n_d, 7), and its weighted sums S_d[k] =
-    sum w_d g c^k, shape (..., 7), the odd ones zero on a mirrored axis
-    (where u_d is zero)."""
-    tables, sums = [], []
-    for d in range(3):
-        c = grid.axes[d] - u[..., d, None]
-        gc = np.empty(c.shape + (7,))
-        gc[..., 0] = np.exp(-c**2 / (2.0 * theta[..., None]))
-        for k in range(1, 7):
-            np.multiply(gc[..., k - 1], c, out=gc[..., k])
-        tables.append(gc)
-        s = np.einsum("n,...nk->...k", grid.weights[d], gc)
-        s *= grid.parity[d]
-        sums.append(s)
-    return tables, sums
+    at c = xi_d - u_d, shape (..., n_d, 7), and the weighted sums S[..., d,
+    k] = sum w_d g c^k, shape (..., 3, 7), the odd ones zero on a mirrored
+    axis (where u_d is zero).
+
+    One pass over the nodes of the three axes end to end (``DvGrid.nodes``):
+    one exp, six running products, one weight matmul and one parity
+    multiply; the per-axis tables are views of the (..., n1 + n2 + n3, 7)
+    table.
+    """
+    c = grid.nodes - u[..., grid.node_axis]
+    gc = np.empty(c.shape + (7,))
+    np.exp(-c**2 / (2.0 * theta[..., None]), out=gc[..., 0])
+    for k in range(1, 7):
+        np.multiply(gc[..., k - 1], c, out=gc[..., k])
+    sums = grid.node_weights @ gc
+    sums *= grid.parity
+    return [gc[..., s, :] for s in grid.axis_slices], sums
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def conservative_gaussian(grid, rho, u, theta):
+def conservative_gaussian(grid, rho, u, theta, start):
     """Gaussian parameters whose quadrature mass, momentum and T0 = <|xi|^2
     f> are those of a cell of density ``rho``, velocity ``u`` and
     temperature ``theta``: rho, rho u and rho (3 theta + |u|^2).  This is
@@ -213,11 +230,16 @@ def conservative_gaussian(grid, rho, u, theta):
     c = xi_d - u_G,d are m_k = S_d[k] / S_d[0] (``_axis_gaussians``), the
     mean is u_G,d + m_1 and the variance v_d = m_2 - m_1^2.  The density is
     eliminated (rho_G = rho (2 pi theta_G)^3/2 / prod_d S_d[0] makes the
-    mass exact), so Newton runs in (u_G, theta_G), from (u, theta), on the
-    residuals
+    mass exact), so Newton runs in (u_G, theta_G) on the residuals
 
         r_d = u_G,d + m_1 - u_d,
         r_theta = sum_d v_d - 3 theta.
+
+    It starts from (u, theta) + ``start``, shape (..., 4): the correction
+    (u_G - u, theta_G - theta) the cell needed at its previous collision,
+    which moves little from one step to the next, or zeros for (u, theta)
+    itself.  Where a cell's u_d is zero on a mirrored axis, its start there
+    must be zero too, so that u_G,d stays exactly 0.0.
 
     Axis d depends on u_G,d and theta_G alone, so the Jacobian, from
     dE[phi]/du_d = Cov(phi, xi_d) / theta and dE[phi]/dtheta = Cov(phi,
@@ -231,13 +253,12 @@ def conservative_gaussian(grid, rho, u, theta):
     ``_axis_gaussians`` at the returned parameters; raises RuntimeError
     naming the first cell still off after ``NEWTON_MAX_ITER`` evaluations.
     """
-    u_g, th_g = u, theta
+    u_g, th_g = u + start[..., :3], theta + start[..., 3]
     var_t = 3.0 * theta
     scale_u = np.sqrt(theta)[..., None]
     scale_th = var_t + np.sum(u**2, axis=-1)
     for _ in range(NEWTON_MAX_ITER):
-        tables, sums = _axis_gaussians(grid, u_g, th_g)
-        S = np.stack(sums, axis=-2)                     # (..., 3, 7)
+        tables, S = _axis_gaussians(grid, u_g, th_g)
         m1, m2, m3, m4 = (S[..., k] / S[..., 0] for k in range(1, 5))
         var = m2 - m1**2
         r_u = u_g + m1 - u
@@ -246,7 +267,7 @@ def conservative_gaussian(grid, rho, u, theta):
                          np.abs(r_th) / scale_th)
         if np.all(err < NEWTON_TOL):
             rho_g = rho * (2.0 * math.pi * th_g) ** 1.5 / np.prod(S[..., 0], axis=-1)
-            return rho_g, u_g, th_g, tables, sums
+            return rho_g, u_g, th_g, tables, S
 
         # arrow: d mean_d / d u_d = a_d, d mean_d / d theta = b_d,
         # d v_d / d u_d = c_d (c_a = c_d / a_d), d sum_d v_d / d theta = e
@@ -277,9 +298,12 @@ _PSI[4, 2, 0, 0] = _PSI[4, 0, 2, 0] = _PSI[4, 0, 0, 2] = 1.0
 _HANKEL = np.add.outer(np.arange(4), np.arange(4))
 
 
-def collide_field(values, grid, kn, pr, dt):
+def collide_field(values, grid, kn, pr, dt, correction):
     """Exact Shakhov relaxation with discrete conservation (batched cells),
-    written into ``values`` in place; returns ``values``.
+    written into ``values`` in place; returns ``values``.  ``correction``
+    (cells, 4) is where the Newton of ``conservative_gaussian`` starts,
+    (u_G - u, theta_G - theta) of the previous collision (zeros start it at
+    the cell's own u and theta), and is overwritten with this collision's.
 
     The relaxed state G + B e_pr + (f - G - B) e_full is written in
     separable form as f e_full + G P(c), with G = norm g1 g2 g3 the
@@ -302,7 +326,10 @@ def collide_field(values, grid, kn, pr, dt):
     rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
     require_positive(rho, "density", "in cell %d in collision")
     require_positive(theta, "temperature", "in cell %d in collision")
-    rho_g, u_g, th_g, tables, sums = conservative_gaussian(grid, rho, u, theta)
+    rho_g, u_g, th_g, tables, sums = conservative_gaussian(grid, rho, u, theta,
+                                                           correction)
+    correction[:, :3] = u_g - u
+    correction[:, 3] = th_g - theta
     norm = rho_g * (2.0 * math.pi * th_g) ** -1.5
     tau = relaxation_time(rho, theta, kn)
     e_full = np.exp(-dt / tau)
@@ -312,7 +339,7 @@ def collide_field(values, grid, kn, pr, dt):
     # = g_d c_d^i and the Hankel table K_d[..., i, j] = S_d[i + j], so
     # <G p r> / norm is p K1 K2 K3 r
     H = [t[..., :4] for t in tables]
-    K = [S[..., _HANKEL] for S in sums]
+    K = np.moveaxis(sums[..., _HANKEL], -3, 0)
 
     # Shakhov polynomial b = sum_a sq_a c_a (sum_e c_e^2 / theta_G - 5)
     sq = q / (5.0 * rho * theta**2)[..., None]
@@ -355,7 +382,13 @@ def collide_field(values, grid, kn, pr, dt):
 class DvField:
     """Distribution values on a slab of spatial cells, one ``grid.shape``
     cube per cell: on a mirrored velocity axis the xi_d >= 0 half of a
-    distribution even in xi_d, whose mean velocity u_d is then zero."""
+    distribution even in xi_d, whose mean velocity u_d is then zero.
+
+    ``correction`` (N, 4) holds each cell's (u_G - u, theta_G - theta) of
+    the conservative Gaussian at its last collision, where the next one's
+    Newton starts (``collide_field``).  A new field holds zeros, so its
+    first step starts from the cell's own (u, theta); along a mirrored axis
+    the correction stays exactly 0.0."""
 
     grid: DvGrid
     y_lo: float
@@ -365,6 +398,7 @@ class DvField:
     def __post_init__(self):
         if self.values.shape[1:] != self.grid.shape:
             raise ValueError("values do not match the velocity grid")
+        self.correction = np.zeros((self.n, 4))
 
     @property
     def n(self):
@@ -495,18 +529,20 @@ def transport_field(field, dt, left, right, limiter):
         v[a:b] -= np.multiply(d[:r], nu, out=d[:r])
         worst = np.minimum(worst, v[a:b].min())
     if worst < -NEGATIVITY_WARN:
-        warnings.warn("distribution went negative (min %.3e) during transport"
-                      % worst, RuntimeWarning)
+        cell = int(np.argmin(v.reshape(n, -1).min(axis=1)))
+        warnings.warn("distribution went negative (min %.3e in cell %d) after "
+                      "transport" % (worst, cell), RuntimeWarning)
     return float(worst)
 
 
 def dv_step(field, dt, left, right, kn, pr, limiter):
-    """First-order split step: transport then conservative relaxation.  A
+    """First-order split step: transport then conservative relaxation, whose
+    Newton starts from ``field.correction`` and stores the new one there.  A
     wall that moves along a mirrored velocity axis is a ValueError
     (``march.require_mirror``), raised before the state changes."""
     require_mirror(field.grid.mirrored, _NO_FORCE, (left, right))
     transport_field(field, dt, left, right, limiter)
-    collide_field(field.values, field.grid, kn, pr, dt)
+    collide_field(field.values, field.grid, kn, pr, dt, field.correction)
     return field
 
 

@@ -336,6 +336,23 @@ def dv_moments_reference(values, grid):
     return {"rho": rho, "u": u, "theta": theta, "sigma": sigma, "q": q}
 
 
+def axis_gaussians_reference(grid, u, theta):
+    """``cdvm._axis_gaussians`` one velocity axis at a time: per axis d the
+    table g c^k, k = 0..6, of g = exp(-c^2 / 2 theta) at c = xi_d - u_d
+    by running products, and its weighted sums, stacked to (..., 3, 7)."""
+    tables, sums = [], []
+    for d in range(3):
+        c = grid.axes[d] - u[..., d, None]
+        gc = np.empty(c.shape + (7,))
+        gc[..., 0] = np.exp(-c**2 / (2.0 * theta[..., None]))
+        for k in range(1, 7):
+            np.multiply(gc[..., k - 1], c, out=gc[..., k])
+        tables.append(gc)
+        sums.append(np.einsum("n,...nk->...k", grid.weights[d], gc)
+                    * grid.parity[d])
+    return tables, np.stack(sums, axis=-2)
+
+
 def collide_reference(values, grid, kn, pr, dt):
     """Shakhov relaxation G + B e_pr + (f - G - B) e_full of cells (N, n1,
     n2, n3), with G and B = G b - G (lam . psi) built as full cubes and the
@@ -350,7 +367,8 @@ def collide_reference(values, grid, kn, pr, dt):
 
     mom = dv_moments_reference(values, grid)
     rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
-    rho_g, u_g, th_g, tables, _ = conservative_gaussian(grid, rho, u, theta)
+    rho_g, u_g, th_g, tables, _ = conservative_gaussian(
+        grid, rho, u, theta, np.zeros(rho.shape + (4,)))
     gs = [t[..., 0] for t in tables]
     cube = (slice(None), None, None, None)
     G = (rho_g * (2.0 * math.pi * th_g) ** -1.5)[cube] * (

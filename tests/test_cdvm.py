@@ -6,18 +6,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from momentflow import scenarios
+from momentflow import cdvm, scenarios
 from momentflow.boundary import WallSpec
 from momentflow.cdvm import (
+    NEGATIVITY_WARN,
+    NEWTON_TOL,
     DvField,
     DvGrid,
     DvRunConfig,
+    _axis_gaussians,
     _wall_incoming,
     collide_field,
     conservative_gaussian,
     dv_cfl_timestep,
     dv_moments,
     dv_run,
+    dv_snapshot_table,
     dv_step,
     transport_field,
 )
@@ -26,6 +30,7 @@ from momentflow.march import BLOCK
 from momentflow.moments import SNAPSHOT_COLUMNS, work_array
 
 import oracles
+from test_fingerprint import DV_FLOOR
 
 
 GRID = DvGrid(8.0, (48, 48, 48))
@@ -114,6 +119,11 @@ def test_moments_batched_match_single():
 # conservative projection
 
 
+def _cold(f):
+    """The Newton start of cells ``f`` that no collision has seen: zeros."""
+    return np.zeros((len(f), 4))
+
+
 def _gaussian_from(rho_g, u_g, th_g, tables):
     """Assemble nodal Gaussians from batched axis tables, shape (N, n, n, n)."""
     norm = rho_g * (2.0 * math.pi * th_g) ** -1.5
@@ -166,7 +176,7 @@ def test_conservative_gaussian_hits_targets(case):
     rho_t, m_t, T0_t = _raw_moments(grid, f)
     mom = dv_moments(f, grid)
     rho_g, u_g, th_g, tables, _ = conservative_gaussian(
-        grid, mom["rho"], mom["u"], mom["theta"]
+        grid, mom["rho"], mom["u"], mom["theta"], np.zeros((len(f), 4))
     )
     rho, m, T0 = _raw_moments(grid, _gaussian_from(rho_g, u_g, th_g, tables))
     np.testing.assert_allclose(rho, rho_t, rtol=1e-12, atol=0.0)
@@ -180,14 +190,144 @@ def test_conservative_gaussian_stall_raises(mean):
     # no Gaussian on [-8, 8]^3 has a quadrature mean of 12, and NaN never
     # passes the residual test
     with pytest.raises(RuntimeError, match="did not converge in cell 0 in collision"):
-        conservative_gaussian(GRID, np.ones(1), np.array([mean]), np.ones(1))
+        conservative_gaussian(GRID, np.ones(1), np.array([mean]), np.ones(1),
+                              np.zeros((1, 4)))
 
 
 def test_conservative_gaussian_stall_names_the_cell():
-    # cell 0 is reachable, cell 1 is not: the error names cell 1
+    # cell 0 is reachable, cell 1 is not, from (u, theta) or from a stored
+    # correction: the error names cell 1
     u = np.array([(0.1, 0.0, 0.0), (0.0, 12.0, 0.0)])
-    with pytest.raises(RuntimeError, match="in cell 1 in collision"):
-        conservative_gaussian(GRID, np.ones(2), u, np.ones(2))
+    for start in (0.0, 1e-3):
+        with pytest.raises(RuntimeError, match="in cell 1 in collision"):
+            conservative_gaussian(GRID, np.ones(2), u, np.ones(2),
+                                  np.full((2, 4), start))
+
+
+def _couette_before_collision(grid):
+    """An 8-cell cdvm Couette field on ``grid`` ("full" or the preset's
+    "mirrored" xi_3) after three steps, which store the correction of their
+    last collision, and one more transport: what the next collision sees."""
+    sc = scenarios.preset("couette", solver="cdvm", cells=8,
+                          dv_nodes=(12, 16, 12))
+    fld = scenarios.build_dv_field(sc) if grid == "mirrored" else _full_field(sc)
+    cfg = scenarios.to_dv_config(sc)
+    dt = dv_cfl_timestep(fld, cfg.cfl, cfg.limiter)
+    for _ in range(3):
+        dv_step(fld, dt, cfg.left, cfg.right, cfg.kn, cfg.pr, cfg.limiter)
+    transport_field(fld, dt, cfg.left, cfg.right, cfg.limiter)
+    return fld
+
+
+# Newton starts from a field's stored correction c: none, c itself, a stale
+# one (the cells' order reversed, so the sheared u1 changes sign), and c
+# 1e-3 off in every component a mirrored axis does not pin to 0.0
+_STARTS = {
+    "cold": lambda c, free: np.zeros_like(c),
+    "warm": lambda c, free: c,
+    "other-cells": lambda c, free: c[::-1],
+    "off-1e-3": lambda c, free: c + 1e-3 * free,
+}
+
+
+@pytest.mark.parametrize("start", sorted(_STARTS))
+@pytest.mark.parametrize("grid", ["full", "mirrored"])
+def test_conservative_gaussian_hits_targets_from_any_start(grid, start):
+    # each start reaches the cell's mass, momentum and T0 to NEWTON_TOL of
+    # rho sqrt(theta) and rho (3 theta + |u|^2), by full-cube sums, and the
+    # cold start's parameters to round-off; u_G,3 stays 0.0 on the mirrored
+    # axis, where the full-cube momentum sum would be meaningless
+    fld = _couette_before_collision(grid)
+    mirrored = list(fld.grid.mirrored)
+    free = np.ones(4)
+    free[mirrored] = 0.0
+    assert np.max(np.abs(fld.correction)) > 1e-6
+    mom = fld.moments()
+    rho, u, theta = mom["rho"], mom["u"], mom["theta"]
+    s = _STARTS[start](fld.correction, free)
+    rho_g, u_g, th_g, tables, _ = conservative_gaussian(fld.grid, rho, u,
+                                                        theta, s)
+    rho_t, m_t, T0_t = _raw_moments(fld.grid, fld.values)
+    got = _raw_moments(fld.grid, _gaussian_from(rho_g, u_g, th_g, tables))
+    assert np.max(np.abs(got[0] / rho_t - 1.0)) <= 1e-14
+    on = free[:3] == 1.0
+    err_m = np.abs(got[1] - m_t)[:, on] / (rho * np.sqrt(theta))[:, None]
+    assert np.max(err_m) <= NEWTON_TOL
+    err_T0 = np.abs(got[2] - T0_t) / (rho * (3.0 * theta + np.sum(u**2, -1)))
+    assert np.max(err_T0) <= NEWTON_TOL
+    assert np.all(u_g[:, mirrored] == 0.0)
+    cold = conservative_gaussian(fld.grid, rho, u, theta, np.zeros((fld.n, 4)))
+    np.testing.assert_allclose(rho_g, cold[0], rtol=1e-12)
+    np.testing.assert_allclose(u_g, cold[1], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(th_g, cold[2], rtol=1e-12)
+
+
+def test_warm_started_run_matches_cold_started_run(monkeypatch):
+    # 25 upwind steps of the cdvm Couette preset on the benchmark's 24^3 x
+    # 50 grid, with the Newton started from the stored correction, against
+    # one started from (u, theta) at every step.  u3 and the correction
+    # along the mirrored xi_3 stay exactly 0.0.  Either run's Gaussian is
+    # only fixed to NEWTON_TOL, so the two differ by up to about twice that
+    # each step, and the relaxations carry it into the tables: they agree
+    # to 10 NEWTON_TOL of column scale (2.5e-13 measured, in u2 and q2; a
+    # column is checked at no finer scale than the fingerprint's DV_FLOOR).
+    # Here the correction (about 1e-12) drifts by less than NEWTON_TOL in
+    # most steps, so the warm start evaluates the axis Gaussians at most
+    # 1.3 times a step (1.28 measured), the cold one twice.  On a coarse
+    # grid such as 12 x 16 x 12 the correction is 2e-3 and drifts by up to
+    # 1e-4 a step, and both starts take three.
+    sc = scenarios.preset("couette", solver="cdvm", cells=50,
+                          dv_nodes=(24, 24, 24), dv_limiter="none")
+    cfg = scenarios.to_dv_config(sc)
+    calls = []
+    monkeypatch.setattr(cdvm, "_axis_gaussians",
+                        lambda *a: calls.append(1) or _axis_gaussians(*a))
+    tables, per_step = {}, {}
+    for start in ("warm", "cold"):
+        fld = scenarios.build_dv_field(sc)
+        assert fld.grid.mirrored == (2,)
+        calls.clear()
+        for _ in range(25):
+            if start == "cold":
+                fld.correction[:] = 0.0
+            dv_step(fld, dv_cfl_timestep(fld, cfg.cfl, cfg.limiter), cfg.left,
+                    cfg.right, cfg.kn, cfg.pr, cfg.limiter)
+            assert np.all(fld.correction[:, 2] == 0.0)
+        assert np.any(fld.correction != 0.0)
+        per_step[start] = len(calls) / 25
+        tables[start] = dv_snapshot_table(fld)
+    assert per_step["warm"] <= 1.3 and per_step["cold"] >= 2.0
+    warm, cold = tables["warm"], tables["cold"]
+    assert np.all(warm[:, SNAPSHOT_COLUMNS.index("u3")] == 0.0)
+    scale = np.maximum(np.max(np.abs(cold), axis=0), DV_FLOOR)
+    assert np.all(np.abs(warm - cold) <= 10.0 * NEWTON_TOL * scale)
+
+
+@pytest.mark.parametrize("counts, mirrored", [
+    ((12, 16, 12), ()), ((12, 16, 12), (0, 2)), ((13, 15, 9), ()),
+    ((13, 15, 9), (0, 2)), ((24, 24, 24), (2,))])
+def test_axis_gaussians_match_the_per_axis_oracle(counts, mirrored):
+    # the one pass over the three axes end to end against one pass per
+    # axis: the same tables, and sums that differ only in the order of the
+    # additions, so within 1e-15 of the sum of their terms' magnitudes; the
+    # odd sums of a mirrored axis are exactly 0.0
+    grid = DvGrid(6.0, counts, mirrored)
+    rng = np.random.default_rng(11)
+    u = rng.uniform(-0.5, 0.5, (7, 3))
+    u[:, list(mirrored)] = 0.0
+    theta = rng.uniform(0.6, 1.5, 7)
+    tables, sums = _axis_gaussians(grid, u, theta)
+    want_tables, want_sums = oracles.axis_gaussians_reference(grid, u, theta)
+    for d in range(3):
+        assert tables[d].shape == (7, grid.shape[d], 7)
+        np.testing.assert_allclose(tables[d], want_tables[d], rtol=1e-15,
+                                   atol=0.0)
+    terms = np.stack([np.einsum("n,jnk->jk", w, np.abs(t))
+                      for t, w in zip(want_tables, grid.weights)], axis=-2)
+    assert np.all(np.abs(sums - want_sums) <= 1e-15 * terms)
+    assert np.array_equal(sums == 0.0, want_sums == 0.0)
+    for d in mirrored:
+        assert np.all(sums[:, d, 1::2] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +345,7 @@ def _mixture():
 def test_collision_conserves_discrete_invariants():
     f = _mixture()
     before = dv_moments(f, GRID)
-    after = dv_moments(collide_field(f, GRID, 0.5, 2.0 / 3.0, 0.3), GRID)
+    after = dv_moments(collide_field(f, GRID, 0.5, 2.0 / 3.0, 0.3, _cold(f)), GRID)
     assert after["rho"][0] == pytest.approx(before["rho"][0], rel=1e-12)
     np.testing.assert_allclose(after["u"], before["u"], atol=1e-12)
     assert after["theta"][0] == pytest.approx(before["theta"][0], rel=1e-12)
@@ -215,7 +355,7 @@ def test_collision_q_decay_rate():
     f = _mixture()
     kn, pr, dt = 0.5, 2.0 / 3.0, 0.25
     before = dv_moments(f, GRID)
-    after = dv_moments(collide_field(f, GRID, kn, pr, dt), GRID)
+    after = dv_moments(collide_field(f, GRID, kn, pr, dt, _cold(f)), GRID)
     tau = relaxation_time(before["rho"][0], before["theta"][0], kn)
     np.testing.assert_allclose(
         after["q"], before["q"] * math.exp(-pr * dt / tau), rtol=1e-10, atol=1e-13
@@ -226,26 +366,27 @@ def test_collision_pr_one_is_bgk():
     f = _mixture()
     mom = dv_moments(f, GRID)
     rho, u, th = mom["rho"], mom["u"], mom["theta"]
-    rho_g, u_g, th_g, tables, _ = conservative_gaussian(GRID, rho, u, th)
+    rho_g, u_g, th_g, tables, _ = conservative_gaussian(GRID, rho, u, th,
+                                                        _cold(f))
     G = _gaussian_from(rho_g, u_g, th_g, tables)
     dt, kn = 0.2, 0.5
     tau = relaxation_time(rho[0], th[0], kn)
     want = G + (f - G) * math.exp(-dt / tau)
-    got = collide_field(f, GRID, kn, 1.0, dt)
+    got = collide_field(f, GRID, kn, 1.0, dt, _cold(f))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-18)
 
 
 def test_collision_zero_dt_identity():
     f = _mixture()
-    got = collide_field(f.copy(), GRID, 0.5, 2.0 / 3.0, 0.0)
+    got = collide_field(f.copy(), GRID, 0.5, 2.0 / 3.0, 0.0, _cold(f))
     np.testing.assert_allclose(got, f, rtol=1e-13, atol=1e-16)
 
 
 def test_collision_rejects_negative_mass():
     with pytest.raises(RuntimeError):
         collide_field(
-            -GRID.maxwellian(1.0, np.zeros(3), 1.0)[None], GRID, 0.5, 1.0, 0.1
-        )
+            -GRID.maxwellian(1.0, np.zeros(3), 1.0)[None], GRID, 0.5, 1.0, 0.1,
+            np.zeros((1, 4)))
 
 
 def test_collision_names_nan_cell():
@@ -255,7 +396,7 @@ def test_collision_names_nan_cell():
     f[1, 20, 24, 24] = np.nan
     msg = r"non-finite density \(nan\) in cell 1 in collision"
     with pytest.raises(RuntimeError, match=msg):
-        collide_field(f, GRID, 0.5, 2.0 / 3.0, 0.1)
+        collide_field(f, GRID, 0.5, 2.0 / 3.0, 0.1, _cold(f))
 
 
 def _three_cells():
@@ -298,7 +439,7 @@ def test_kernels_match_full_cube_oracles_per_cell(pr):
     assert np.abs(want["sigma"][:, 0, 1]).min() > 1e-3
 
     kn, dt = 0.5, 0.3
-    out = collide_field(f.copy(), GRID, kn, pr, dt)
+    out = collide_field(f.copy(), GRID, kn, pr, dt, _cold(f))
     ref = oracles.collide_reference(f, GRID, kn, pr, dt)
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-15 * ref.max())
     np.testing.assert_allclose(_invariants(out), _invariants(f), rtol=1e-12)
@@ -307,7 +448,7 @@ def test_kernels_match_full_cube_oracles_per_cell(pr):
 def test_long_relaxation_reaches_gaussian():
     f = _mixture()
     mom0 = dv_moments(f, GRID)
-    out = collide_field(f, GRID, 0.05, 2.0 / 3.0, 50.0)
+    out = collide_field(f, GRID, 0.05, 2.0 / 3.0, 50.0, _cold(f))
     mom = dv_moments(out, GRID)
     assert np.max(np.abs(mom["sigma"])) <= 1e-10
     assert np.max(np.abs(mom["q"])) <= 1e-10
@@ -474,26 +615,44 @@ def test_transport_is_bit_identical_to_the_half_sweeps(limiter, ends, n2,
 def test_negativity_warning_from_the_last_block(half, limiter):
     # cells are updated from the top cell down, so the first block holds the
     # top cell and the last block the bottom one: a negative entry at either
-    # end, in either xi_2-sign half, must be reported
+    # end, in either xi_2-sign half, must be reported with its cell
     n, _ = _blocks_of(8 * 12 * 8)
     fld = _rough_field((8, 12, 8), n)
     cell, node = (0, 9) if half == "positive" else (n - 1, 2)
     assert (fld.grid.axes[1][node] > 0) == (half == "positive")
     fld.values[cell, 4, node, 4] = -1.0
-    with pytest.warns(RuntimeWarning, match=r"negative \(min -1\.000e\+00\)"):
+    msg = r"negative \(min -1\.000e\+00 in cell %d\) after transport" % cell
+    with pytest.warns(RuntimeWarning, match=msg):
         transport_field(fld, 1e-3 * dv_cfl_timestep(fld, 0.9, limiter),
                         None, None, limiter)
 
 
 def test_negativity_warning_from_the_untouched_middle_plane():
     # on an odd xi_2 axis transport moves the xi_2 = 0 plane by nothing, and
-    # the negativity check covers it too
+    # the negativity check covers it too, naming its cell
     fld = _rough_field((8, 13, 8))
     assert fld.grid.axes[1][6] == 0.0
     fld.values[5, 3, 6, 3] = -0.5
-    with pytest.warns(RuntimeWarning, match=r"negative \(min -5\.000e-01\)"):
+    with pytest.warns(RuntimeWarning,
+                      match=r"negative \(min -5\.000e-01 in cell 5\)"):
         transport_field(fld, dv_cfl_timestep(fld, 0.9, "none"), None, None,
                         "none")
+
+
+def test_shock_negativity_comes_from_the_collision():
+    # the cdvm shock preset on 20 cells and 16^3 nodes warns after some
+    # transports; each warning names a cell, and the negative nodes come
+    # from the collision's Shakhov tail: after some collisions, before the
+    # next transport, a node is already below -NEGATIVITY_WARN
+    sc = scenarios.preset("shock", solver="cdvm", cells=20,
+                          dv_nodes=(16, 16, 16), t_end=1.0)
+    after_collision = []
+    msg = (r"distribution went negative \(min -\d\.\d{3}e-\d\d in cell "
+           r"\d+\) after transport")
+    with pytest.warns(RuntimeWarning, match=msg):
+        dv_run(scenarios.build_dv_field(sc), scenarios.to_dv_config(sc),
+               on_step=lambda t, f: after_collision.append(f.values.min()))
+    assert min(after_collision) < -NEGATIVITY_WARN
 
 
 def test_transport_peak_temporary_memory():
@@ -531,7 +690,7 @@ def test_collision_across_blocks_matches_full_cube_oracle():
     f, grid = fld.values, fld.grid
     kn, pr, dt = 0.5, 2.0 / 3.0, 0.3
     ref = oracles.collide_reference(f, grid, kn, pr, dt)
-    out = collide_field(f.copy(), grid, kn, pr, dt)
+    out = collide_field(f.copy(), grid, kn, pr, dt, _cold(f))
     assert np.abs(ref - f).max() > 1e-2 * ref.max()
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-15 * ref.max())
 
@@ -552,7 +711,8 @@ def test_first_collision_retains_no_state_sized_array():
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            collide_field(fld.values, fld.grid, cfg.kn, cfg.pr, dt)
+            collide_field(fld.values, fld.grid, cfg.kn, cfg.pr, dt,
+                          fld.correction)
             grown = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
@@ -572,11 +732,12 @@ def test_collision_updates_in_place_with_small_temporaries():
     cfg = scenarios.to_dv_config(sc)
     dt = dv_cfl_timestep(fld, cfg.cfl, cfg.limiter)
     values = fld.values
-    collide_field(values, fld.grid, cfg.kn, cfg.pr, dt)
+    collide_field(values, fld.grid, cfg.kn, cfg.pr, dt, fld.correction)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = collide_field(values, fld.grid, cfg.kn, cfg.pr, dt)
+        out = collide_field(values, fld.grid, cfg.kn, cfg.pr, dt,
+                            fld.correction)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -726,7 +887,8 @@ def test_conservative_gaussian_on_mirrored_axes_matches_full_axes():
     u = np.array([(0.0, 0.3, 0.0), (0.0, -0.5, 0.0)])
     f = (0.6 * full.maxwellian(np.ones(2), u, np.array([0.8, 1.2]))
          + 0.4 * full.maxwellian(np.ones(2), -u, np.array([1.4, 0.7])))
-    got, want = (conservative_gaussian(g, m["rho"], m["u"], m["theta"])
+    got, want = (conservative_gaussian(g, m["rho"], m["u"], m["theta"],
+                                       np.zeros((2, 4)))
                  for g, m in ((half, dv_moments(f[:, 6:, :, 6:], half)),
                               (full, dv_moments(f, full))))
     assert np.all(got[1][:, 0::2] == 0.0)
