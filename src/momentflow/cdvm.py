@@ -13,27 +13,24 @@ where G is a discrete Gaussian whose parameters are Newton-corrected so its
 projected so its quadrature collision invariants vanish.  Collision
 therefore conserves the discrete invariants to solver tolerance, and the
 accommodation-wall fluxes balance mass exactly by construction of the
-re-emitted density.  The Newton starts from the cell's velocity and
-temperature plus the correction the cell needed at its previous collision,
-which the field carries (``DvField.correction``, zeros on a new field).
-On axes that resolve the Gaussian (24 nodes on [-8, 8]) the correction is
-about 1e-12 and drifts by less than the Newton tolerance in most steps, so
-most collisions need one evaluation.
+re-emitted density.  The Newton starts from the correction the cell needed
+at its previous collision (``DvField.correction``, zeros on a new field);
+on axes that resolve the Gaussian (24 nodes on [-8, 8]) that drifts less
+than the Newton tolerance, so most collisions take one evaluation.
 
 The quadrature weights, the Gaussian and the Shakhov polynomial all factor
-per axis, so the Newton iteration and the conservative projection touch
-only (cells x nodes-per-axis) data.  A step passes over the full velocity
-cube three times, both of its sub-steps write the state in place, and
-neither keeps a temporary the size of the state.  Transport makes one:
-whole cells are walked from the top down in blocks of about ``march.BLOCK``
-entries, and a block's face differences, their scaling by dt xi_2 / dx, the
-update and the negativity check run while the block is in cache (the cell
-of the smallest value is looked up only when it warns).  The collision
-makes two: the moment GEMM of ``dv_moments``, then per block of cells the
-factor and GEMM that write G P into block-sized work arrays and the
-in-place update f <- f e_full + G P (``collide_field``).  A wall reads its
-end cell for the outgoing half-flux and writes the inflow in one pass; a
-partly specular wall (chi < 1) adds the end cell's mirror.
+per axis.  A step passes over the velocity cube three times, in place, and
+keeps no temporary the size of the state.  Per cell, the Newton and the
+conservative projection touch only tables of the axes: the Gram matrix and
+right-hand side are one GEMM of the products S1[a] S2[b] S3[c] of per-axis
+sums.  Per block of whole cells of about ``march.BLOCK`` entries, while the
+block is in cache: transport (one pass, from the top down) forms the face
+differences, scales them by dt xi_2 / dx, updates and checks negativity;
+the collision (two passes) takes the moment GEMM of ``dv_moments``, then
+the xi_2 contraction, the GEMM and the update f <- f e_full + G P.  Once
+per grid, wall and side, a wall's unit Maxwellian and inflow flux are
+built; a step reads the end cell's outgoing half-flux and writes the
+inflow in one pass, plus the end cell's mirror if chi < 1.
 
 Where a slab run keeps xi_d -> -xi_d symmetric (d = 1 or 3: no wall
 velocity along d and u_d = 0 initially), the distribution stays even in
@@ -50,6 +47,7 @@ solver, so ``steady_tol`` and ``converged`` mean the same for both.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,7 +65,19 @@ LIMITERS = ("none", "minmod")
 _NO_FORCE = (0.0, 0.0, 0.0)
 
 
-@dataclass
+def check_grid(half_width, counts, mirrored=()):
+    """ValueError unless ``DvGrid(half_width, counts, mirrored)`` is valid."""
+    if not (0.0 < half_width < math.inf):
+        raise ValueError("half_width must be positive and finite")
+    if len(counts) != 3 or min(counts) < 8:
+        raise ValueError("need three axes of at least 8 nodes, got %r"
+                         % (counts,))
+    if not set(mirrored) <= {0, 2}:
+        raise ValueError("only velocity axes 0 and 2 can be mirrored, "
+                         "got %r" % (mirrored,))
+
+
+@dataclass(unsafe_hash=True)
 class DvGrid:
     """Cartesian velocity grid with trapezoidal weights: axis d has
     ``counts[d]`` >= 8 equally spaced nodes on [-half_width, half_width],
@@ -84,21 +94,15 @@ class DvGrid:
     ``_axis_gaussians`` are zero there (``parity``).  ``axes``,
     ``weights`` and ``shape`` are the stored nodes, weights and edge
     lengths, which every kernel reads, so a full and a mirrored axis run
-    the same code."""
+    the same code.  Grids of equal fields compare and hash equal."""
 
     half_width: float
     counts: tuple          # (n1, n2, n3)
     mirrored: tuple = ()   # velocity axes stored as their xi_d >= 0 half
 
     def __post_init__(self):
-        if not (0.0 < self.half_width < math.inf):
-            raise ValueError("half_width must be positive and finite")
-        if len(self.counts) != 3 or min(self.counts) < 8:
-            raise ValueError("need three axes of at least 8 nodes, got %r"
-                             % (self.counts,))
-        if not set(self.mirrored) <= {0, 2}:
-            raise ValueError("only velocity axes 0 and 2 can be mirrored, "
-                             "got %r" % (self.mirrored,))
+        check_grid(self.half_width, self.counts, self.mirrored)
+        self.counts, self.mirrored = tuple(self.counts), tuple(self.mirrored)
         axes, weights, parity = [], [], []
         for d, n in enumerate(self.counts):
             # an odd integer grid 2i - (n - 1) is exactly antisymmetric,
@@ -134,16 +138,12 @@ class DvGrid:
         self.node_weights = np.where(self.node_axis == np.arange(3)[:, None],
                                      np.concatenate(weights), 0.0)
 
-    def gaussians(self, u, theta):
-        """Per axis d the nodal exp(-(x_d - u_d)^2 / 2 theta), batched."""
-        u, theta = np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
-        return [np.exp(-((x - u[..., d, None]) ** 2) / (2.0 * theta[..., None]))
-                for d, x in enumerate(self.axes)]
-
     def maxwellian(self, rho, u, theta):
         """Nodal Maxwellian values, batched over leading dims of rho/u/theta."""
-        g = self.gaussians(u, theta)
-        norm = np.multiply(rho, (2.0 * math.pi * np.asarray(theta)) ** -1.5)
+        u, theta = np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
+        g = [np.exp(-((x - u[..., d, None]) ** 2) / (2.0 * theta[..., None]))
+             for d, x in enumerate(self.axes)]
+        norm = np.multiply(rho, (2.0 * math.pi * theta) ** -1.5)
         return ((norm[..., None] * g[0])[..., :, None, None]
                 * g[1][..., None, :, None] * g[2][..., None, None, :])
 
@@ -290,12 +290,20 @@ def conservative_gaussian(grid, rho, u, theta, start):
 
 
 # cubic polynomials in c = xi - u are tensors p[..., i, j, k] of the
-# coefficients of c1^i c2^j c3^k; _PSI holds the collision invariants
-# 1, c1, c2, c3 and |c|^2, and _HANKEL[i, j] = i + j
-_PSI = np.zeros((5, 4, 4, 4))
-_PSI[0, 0, 0, 0] = _PSI[1, 1, 0, 0] = _PSI[2, 0, 1, 0] = _PSI[3, 0, 0, 1] = 1.0
-_PSI[4, 2, 0, 0] = _PSI[4, 0, 2, 0] = _PSI[4, 0, 0, 2] = 1.0
-_HANKEL = np.add.outer(np.arange(4), np.arange(4))
+# coefficients of c1^i c2^j c3^k: _BASIS holds c_a |c|^2, c_a (a = 1..3) and
+# psi = 1, c1, c2, c3, |c|^2, coefficients 1; _GRAM_MAP[m, (i, t)] is that of
+# psi_i _BASIS[t] at monomial m, of quadrature prod sums.flat[_ABC[:, m]]
+_BASIS = np.zeros((11, 4, 4, 4))
+_BASIS[(np.arange(3)[:, None],) + _TRIPLE] = 1.0
+_BASIS[(np.r_[3:6, 7:10],) + tuple(np.tile(_E, 2))] = 1.0
+_BASIS[6, 0, 0, 0] = 1.0
+_BASIS[(10,) + tuple(2 * _E)] = 1.0
+_T, _I = np.argwhere(_BASIS), np.argwhere(_BASIS[6:])   # (term, exponents)
+_GRAM_MAP = np.zeros((6, 6, 6, 5, 11))
+np.add.at(_GRAM_MAP, tuple(np.moveaxis(_T[:, None, 1:] + _I[:, 1:], -1, 0))
+          + (_I[:, 0], _T[:, None, 0]), 1.0)
+_ABC = np.add(np.nonzero(_GRAM_MAP.any(axis=(3, 4))), [[0], [7], [14]])
+_GRAM_MAP = _GRAM_MAP[_GRAM_MAP.any(axis=(3, 4))].reshape(-1, 55)
 
 
 def collide_field(values, grid, kn, pr, dt, correction):
@@ -314,13 +322,13 @@ def collide_field(values, grid, kn, pr, dt, correction):
     where b = (c . q) (|c|^2 / theta_G - 5) / (5 rho theta^2) is the Shakhov
     polynomial and lam projects out the invariants psi = (1, c, |c|^2), so
     the quadrature mass, momentum and energy of B = G (b - lam . psi)
-    vanish.  The quadrature of G times any polynomial factors into per-axis
-    central sums S_d[k] = sum w_d g_d c_d^k (k <= 6), so the projection
-    never touches the cube; the result is the batched GEMM
-    (g1 c1^i) @ (sum_jk P_ijk g2 c2^j g3 c3^k) and the in-place update f <-
-    f e_full + G P, taken per block of cells of about ``BLOCK`` entries
-    (at least one cell) into work arrays of one block, kept across calls,
-    while the block is in cache.  ``values`` is (cells, n1, n2, n3).
+    vanish.  The quadrature of G c1^a c2^b c3^c is norm S1[a] S2[b] S3[c]
+    (the Newton's last per-axis sums), so per cell one GEMM of these
+    products against ``_GRAM_MAP`` gives the Gram matrix and right-hand
+    side, a 5 x 5 solve lam, and two GEMMs P and sum_k P_ijk g3 c3^k.  Per
+    block of about ``BLOCK`` entries, in work arrays kept across calls, the
+    g2 c2^j contraction, the GEMM with g1 c1^i and the update f <- f e_full
+    + G P run in cache.  ``values`` is (cells, n1, n2, n3).
     """
     mom = dv_moments(values, grid)
     rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
@@ -335,43 +343,27 @@ def collide_field(values, grid, kn, pr, dt, correction):
     e_full = np.exp(-dt / tau)
     e_pr = np.exp(-pr * dt / tau)
 
-    # per axis, from the Newton's last tables: nodal factors H_d[..., n, i]
-    # = g_d c_d^i and the Hankel table K_d[..., i, j] = S_d[i + j], so
-    # <G p r> / norm is p K1 K2 K3 r
-    H = [t[..., :4] for t in tables]
-    K = np.moveaxis(sums[..., _HANKEL], -3, 0)
-
-    # Shakhov polynomial b = sum_a sq_a c_a (sum_e c_e^2 / theta_G - 5)
+    # over norm: Gram <G psi_i psi_j>, rhs <G b psi_i>, b = b . _BASIS[:6]
+    T = (sums.reshape(-1, 21)[:, _ABC].prod(1) @ _GRAM_MAP).reshape(-1, 5, 11)
     sq = q / (5.0 * rho * theta**2)[..., None]
-    b = np.zeros(rho.shape + (4, 4, 4))
-    b[(Ellipsis,) + tuple(_E)] = -5.0 * sq
-    b[(Ellipsis,) + _TRIPLE] += (sq / th_g[..., None])[..., None]
+    b = np.hstack([sq / th_g[:, None], -5.0 * sq])
+    lam = np.linalg.solve(T[..., 6:], T[..., :6] @ b[..., None])
+    z = np.hstack([b, -lam[..., 0]]) * (e_pr - e_full)[:, None]
+    z[:, 6] += 1.0 - e_full
+    P = (z @ _BASIS.reshape(11, 64)).reshape(-1, 16, 4)
 
-    # Gram matrix <G psi_i psi_j> and right-hand side <G b psi_i>, over
-    # norm, from Kpsi[i, a, b, c] = sum_def K1[a, d] K2[b, e] K3[c, f]
-    # psi_i[d, e, f], contracted over d, then e, then f
-    Kpsi = np.matmul(K[0][:, None], _PSI.reshape(5, 4, 16))
-    Kpsi = np.matmul(K[1][:, None, None], Kpsi.reshape(-1, 5, 4, 4, 4))
-    Kpsi = (Kpsi.reshape(-1, 80, 4) @ np.swapaxes(K[2], -1, -2)).reshape(
-        -1, 5, 4, 4, 4)
-    gram = np.einsum("...iabc,jabc->...ij", Kpsi, _PSI)
-    rhs = np.einsum("...iabc,...abc->...i", Kpsi, b)
-    lam = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    P = b - np.einsum("...i,iabc->...abc", lam, _PSI)
-    P *= (e_pr - e_full)[..., None, None, None]
-    P[..., 0, 0, 0] += 1.0 - e_full
-
-    # per block of cells: Y[i, y, z] = sum_jk P[i, j, k] H2[y, j] H3[z, k]
-    # (over k, then j) and G P = X Y, then the update of the block
+    # with H_d[..., n, i] = g_d c_d^i, Z = sum_k P_ijk H3[z, k] for all
+    # cells, then per block Y = sum_j H2[y, j] Z_ijz and G P = X Y
+    H = [t[..., :4] for t in tables]
     X = norm[:, None, None] * H[0]
+    Z = (P @ np.swapaxes(H[2], 1, 2)).reshape(len(P), 4, 4, -1)
     rows = max(1, BLOCK // values[0].size)
     y = work_array("collision factor", (rows, 4) + values.shape[2:])
     gp = work_array("collision", (rows, values.shape[1], y[0, 0].size))
     for a in range(0, len(values), rows):
         s = slice(a, a + rows)
         f = values[s]
-        pz = P[s] @ np.swapaxes(H[2][s], -1, -2)[:, None]
-        yb = np.matmul(H[1][s, None], pz, out=y[:len(f)])
+        yb = np.matmul(H[1][s, None], Z[s], out=y[:len(f)])
         g = np.matmul(X[s], yb.reshape(len(f), 4, -1), out=gp[:len(f)])
         f *= e_full[s, None, None, None]
         f += g.reshape(f.shape)
@@ -428,23 +420,31 @@ class DvField:
         return dv_moments(self.values, self.grid)
 
 
+@lru_cache(maxsize=8)
+def _wall_emission(grid, u_wall, theta_wall, sgn):
+    """The wall's unit Maxwellian, its inflow flux and the outgoing weights
+    w2 max(sgn xi_2, 0), read only and kept by value, not identity."""
+    w1, w2, w3 = grid.weights
+    speed = sgn * grid.axes[1]                # outward-normal speed
+    phi = grid.maxwellian(1.0, u_wall, theta_wall)
+    out_weights = w2 * np.maximum(speed, 0.0)
+    phi.setflags(write=False)
+    out_weights.setflags(write=False)
+    return phi, w1 @ (phi @ w3) @ (w2 * np.minimum(speed, 0.0)), out_weights
+
+
 def _wall_incoming(grid, wall, f_out, sgn):
     """Re-emitted nodal distribution at a wall with outward normal sgn*e2.
 
-    chi rho_w phi_w + (1 - chi) specular mirror, with phi_w = norm g1 g2 g3
-    the wall's unit Maxwellian and rho_w balancing the discrete mass flux
-    exactly.  The weights factor per axis, so the outgoing half-flux of
-    ``f_out`` is one contraction of the cube and the incoming one a product
-    of three axis sums; chi rho_w phi_w is written in one pass.
+    chi rho_w phi_w + (1 - chi) specular mirror, with phi_w the wall's unit
+    Maxwellian (``_wall_emission``) and rho_w balancing the discrete mass
+    flux exactly; chi rho_w phi_w is written in one pass.
     """
-    w1, w2, w3 = grid.weights
-    speed = sgn * grid.axes[1]                # outward-normal speed
-    g1, g2, g3 = grid.gaussians(wall.u_wall, wall.theta_wall)
-    norm = (2.0 * math.pi * wall.theta_wall) ** -1.5
-    flux_out = w1 @ (f_out @ w3) @ (w2 * np.maximum(speed, 0.0))
-    flux_in = norm * (w1 @ g1) * (w2 * np.minimum(speed, 0.0) @ g2) * (w3 @ g3)
+    phi, flux_in, out_weights = _wall_emission(
+        grid, tuple(wall.u_wall.tolist()), float(wall.theta_wall), sgn)
+    flux_out = grid.weights[0] @ (f_out @ grid.weights[2]) @ out_weights
     rho_w = -flux_out / flux_in if wall.chi > 0.0 else 0.0
-    phi = ((wall.chi * rho_w * norm * g1)[:, None] * g2)[:, :, None] * g3
+    phi = np.multiply(phi, wall.chi * rho_w)
     if wall.chi < 1.0:
         phi += (1.0 - wall.chi) * f_out[:, ::-1, :]
     return phi

@@ -91,7 +91,7 @@ class ScenarioConfig:
             raise ValueError("snapshot_interval must be non-negative, got %r"
                              % (self.snapshot_interval,))
         check_choice("dv_limiter", self.dv_limiter, cdvm.LIMITERS)
-        cdvm.DvGrid(self.dv_half_width, tuple(self.dv_nodes))
+        cdvm.check_grid(self.dv_half_width, tuple(self.dv_nodes))
         if self.solver == "cdvm":
             to_dv_config(self)
 

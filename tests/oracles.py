@@ -395,6 +395,25 @@ def collide_reference(values, grid, kn, pr, dt):
     return G + B * e_pr + (values - G - B) * e_full
 
 
+def wall_incoming_reference(grid, wall, f_out, sgn):
+    """Re-emitted nodal distribution at a wall with outward normal sgn*e2,
+    built afresh on every call: chi rho_w phi_w + (1 - chi) specular mirror,
+    with phi_w = norm g1 g2 g3 the wall's unit Maxwellian and rho_w
+    balancing the discrete mass flux, both half-fluxes factored per axis."""
+    w1, w2, w3 = grid.weights
+    speed = sgn * grid.axes[1]                # outward-normal speed
+    g1, g2, g3 = (np.exp(-((x - wall.u_wall[d]) ** 2) / (2.0 * wall.theta_wall))
+                  for d, x in enumerate(grid.axes))
+    norm = (2.0 * math.pi * wall.theta_wall) ** -1.5
+    flux_out = w1 @ (f_out @ w3) @ (w2 * np.maximum(speed, 0.0))
+    flux_in = norm * (w1 @ g1) * (w2 * np.minimum(speed, 0.0) @ g2) * (w3 @ g3)
+    rho_w = -flux_out / flux_in if wall.chi > 0.0 else 0.0
+    phi = ((wall.chi * rho_w * norm * g1)[:, None] * g2)[:, :, None] * g3
+    if wall.chi < 1.0:
+        phi += (1.0 - wall.chi) * f_out[:, ::-1, :]
+    return phi
+
+
 def transport_reference(field, dt, left, right, limiter="none"):
     """Upwind (optionally minmod) transport of a field in flux form; returns
     the new values and leaves the field alone.
@@ -402,10 +421,8 @@ def transport_reference(field, dt, left, right, limiter="none"):
     The state is padded with a ghost copy of each end cell, every interface
     i gets the traces tl[i] (cell i-1 side) and tr[i], and the flux cube
     xi2^+ tl + xi2^- tr over all N + 1 interfaces is differenced.  Wall
-    interfaces take the library's ``_wall_incoming`` re-emission.
+    interfaces take the re-emission of ``wall_incoming_reference``.
     """
-    from momentflow.cdvm import _wall_incoming
-
     vals = field.values
     grid = field.grid
     n = field.n
@@ -429,11 +446,11 @@ def transport_reference(field, dt, left, right, limiter="none"):
 
     if left is not None:
         f_out = tr[0] if limiter == "minmod" else vals[0]
-        f_in = _wall_incoming(grid, left, f_out, -1.0)
+        f_in = wall_incoming_reference(grid, left, f_out, -1.0)
         flux[0] = pos * f_in + neg * f_out
     if right is not None:
         f_out = tl[n] if limiter == "minmod" else vals[-1]
-        f_in = _wall_incoming(grid, right, f_out, 1.0)
+        f_in = wall_incoming_reference(grid, right, f_out, 1.0)
         flux[n] = pos * f_out + neg * f_in
 
     return vals + (dt / field.dx) * (flux[:-1] - flux[1:])
@@ -500,7 +517,8 @@ def transport_halves(field, dt, left, right, limiter):
     with the faces reflected, each walked in blocks of cells of that half;
     the xi_2 = 0 plane of an odd axis is not touched.  Returns the new
     values and their minimum, and leaves the field alone.  Wall inflows are
-    the library's ``_wall_incoming``."""
+    the library's ``_wall_incoming``, so the two walks see the same ghosts
+    bit for bit."""
     from momentflow.cdvm import _wall_incoming
 
     vals = field.values.copy()

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import gc
 import math
 import re
 import tracemalloc
@@ -59,6 +61,21 @@ def test_grid_validation():
     for counts in ((16, 16, 4), (16, 16), (16, 16, 16, 16)):
         with pytest.raises(ValueError, match="three axes of at least 8 nodes"):
             DvGrid(8.0, counts)
+
+
+def test_scenario_config_checks_the_grid_without_building_it(monkeypatch):
+    # the config applies the grid's own check, with its messages, for
+    # either solver, but builds no axes or tables
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a config built a velocity grid")
+
+    monkeypatch.setattr(cdvm, "DvGrid", no_grid)
+    for solver in scenarios.SOLVERS:
+        scenarios.preset("couette", solver=solver)
+        with pytest.raises(ValueError, match="half_width"):
+            scenarios.preset("couette", solver=solver, dv_half_width=0.0)
+        with pytest.raises(ValueError, match="three axes of at least 8 nodes"):
+            scenarios.preset("couette", solver=solver, dv_nodes=(16, 16, 4))
 
 
 def test_trapezoidal_weights():
@@ -793,6 +810,57 @@ def test_wall_inflow_matches_the_full_cube_formula(chi, sgn):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     flux_in = np.sum(oracles.w3(grid) * np.minimum(speed, 0.0) * got)
     assert abs(flux_out + flux_in) <= 1e-14 * flux_out
+
+
+@pytest.mark.parametrize("mirrored", [(), (2,)], ids=["full", "mirrored"])
+def test_wall_inflow_matches_the_oracle_across_walls(mirrored):
+    # the inflow keeps each wall's unit Maxwellian by the values of the
+    # grid, the wall and its side; against the oracle, rebuilt on every
+    # call, a stale entry shows: Couette's two walls, a partly specular
+    # wall, and one wall whose temperature changes between two calls; the
+    # grid is given lists, which it stores as tuples
+    grid = DvGrid(6.0, [12, 15, 12], list(mirrored))
+    rng = np.random.default_rng(11)
+    f_out = grid.maxwellian(1.1, [0.1, 0.2, 0.0], 0.9) * (
+        1.0 + 0.1 * rng.random(grid.shape))
+    speed = scenarios.COUETTE_WALL_SPEED
+    hot = WallSpec(1.0, np.array([0.2, 0.0, 0.0]), 1.0)
+    calls = [(WallSpec(1.0, np.array([-speed, 0.0, 0.0]), 1.0), -1.0),
+             (WallSpec(1.0, np.array([speed, 0.0, 0.0]), 1.0), 1.0),
+             (WallSpec(0.6, np.array([speed, 0.0, 0.0]), 1.0), 1.0),
+             (hot, -1.0), (hot, -1.0)]
+    for k, (wall, sgn) in enumerate(calls):
+        if k == len(calls) - 1:
+            hot.theta_wall = 1.7
+        got = _wall_incoming(grid, wall, f_out, sgn)
+        want = oracles.wall_incoming_reference(grid, wall, f_out, sgn)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want), k
+
+
+def test_wall_inflows_of_copied_fields_retain_no_memory():
+    # every benchmark solve transports a deep copy of one field; the wall
+    # inflows are kept by the values of the grid and the wall, not by the
+    # objects, so copies after the first retain nothing (one entry per copy
+    # would retain two velocity cubes each)
+    sc = scenarios.preset("couette", solver="cdvm", cells=8,
+                          dv_nodes=(16, 16, 16))
+    fld = scenarios.build_dv_field(sc)
+    cfg = scenarios.to_dv_config(sc)
+    dt = dv_cfl_timestep(fld, cfg.cfl, cfg.limiter)
+    tracemalloc.start()
+    try:
+        transport_field(copy.deepcopy(fld), dt, cfg.left, cfg.right,
+                        cfg.limiter)
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            transport_field(copy.deepcopy(fld), dt, copy.deepcopy(cfg.left),
+                            copy.deepcopy(cfg.right), cfg.limiter)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert grown < 0.25 * fld.values[0].nbytes
 
 
 @pytest.mark.parametrize("limiter", ["none", "minmod"])
