@@ -25,9 +25,10 @@ conservative projection touch only tables of the axes: the Gram matrix and
 right-hand side are one GEMM of the products S1[a] S2[b] S3[c] of per-axis
 sums.  Per block of whole cells of about ``march.BLOCK`` entries, while the
 block is in cache: transport (one pass, from the top down) forms the face
-differences, scales them by dt xi_2 / dx, updates and checks negativity;
-the collision (two passes) takes the moment GEMM of ``dv_moments``, then
-the xi_2 contraction, the GEMM and the update f <- f e_full + G P.  Once
+differences, scales them by dt xi_2 / dx and updates; the collision (two
+passes) takes the moment GEMM of ``dv_moments``, then the xi_2
+contraction, the GEMM, the update f <- f e_full + G P and the block's
+minimum, which feeds the negativity warning (``dv_step``).  Once
 per grid, wall and side, a wall's unit Maxwellian and inflow flux are
 built; a step reads the end cell's outgoing half-flux and writes the
 inflow in one pass, plus the end cell's mirror if chi < 1.
@@ -327,8 +328,10 @@ def collide_field(values, grid, kn, pr, dt, correction):
     products against ``_GRAM_MAP`` gives the Gram matrix and right-hand
     side, a 5 x 5 solve lam, and two GEMMs P and sum_k P_ijk g3 c3^k.  Per
     block of about ``BLOCK`` entries, in work arrays kept across calls, the
-    g2 c2^j contraction, the GEMM with g1 c1^i and the update f <- f e_full
-    + G P run in cache.  ``values`` is (cells, n1, n2, n3).
+    g2 c2^j contraction, the GEMM with g1 c1^i, the update f <- f e_full
+    + G P and the block's minimum run in cache; a value below
+    -``NEGATIVITY_WARN`` is a RuntimeWarning naming the cell of the
+    smallest.  ``values`` is (cells, n1, n2, n3).
     """
     mom = dv_moments(values, grid)
     rho, u, theta, q = mom["rho"], mom["u"], mom["theta"], mom["q"]
@@ -360,6 +363,7 @@ def collide_field(values, grid, kn, pr, dt, correction):
     rows = max(1, BLOCK // values[0].size)
     y = work_array("collision factor", (rows, 4) + values.shape[2:])
     gp = work_array("collision", (rows, values.shape[1], y[0, 0].size))
+    worst = np.inf
     for a in range(0, len(values), rows):
         s = slice(a, a + rows)
         f = values[s]
@@ -367,6 +371,11 @@ def collide_field(values, grid, kn, pr, dt, correction):
         g = np.matmul(X[s], yb.reshape(len(f), 4, -1), out=gp[:len(f)])
         f *= e_full[s, None, None, None]
         f += g.reshape(f.shape)
+        worst = np.minimum(worst, f.min())
+    if worst < -NEGATIVITY_WARN:
+        cell = int(np.argmin(values.reshape(len(values), -1).min(axis=1)))
+        warnings.warn("distribution went negative (min %.3e in cell %d) after "
+                      "collision" % (worst, cell), RuntimeWarning)
     return values
 
 
@@ -471,7 +480,7 @@ def _faces(v, i, j, sign, out, scratch):
 
 def transport_field(field, dt, left, right, limiter):
     """One upwind (``limiter`` "none") or minmod-limited transport sweep,
-    in place; returns the smallest value after it (NaN if there is a NaN).
+    in place.
 
     Node xi_2 of cell i takes v[i] -= dt xi_2 / dx (F[i] - F[i-1]) if xi_2 >
     0 and (F[i+1] - F[i]) if xi_2 < 0: faces F = v, or with minmod F = v +/-
@@ -484,10 +493,9 @@ def transport_field(field, dt, left, right, limiter):
     down, so a block reads only values not yet updated: the xi_2 < 0 half of
     the difference across its top face (with minmod, its top cell's face
     too) was saved by the block above.  The xi_2 < 0 half of the differences
-    moves down one face, v -= nu d runs over contiguous cells, and the
-    block's minimum feeds the negativity warning.  Temporaries: the
-    differences and faces, a block and a cell each, a cell of nu, the saved
-    cells and one block of ``minmod``.
+    moves down one face and v -= nu d runs over contiguous cells.
+    Temporaries: the differences and faces, a block and a cell each, a cell
+    of nu, the saved cells and one block of ``minmod``.
     """
     v, grid = field.values, field.grid
     n, half = len(v), grid.counts[1] // 2
@@ -501,7 +509,6 @@ def transport_field(field, dt, left, right, limiter):
         sign = 0.5 * np.sign(nu[0])         # the sign of xi_2, over 2
         faces = work_array("transport faces", d.shape)
         f_below = work_array("transport face below", v.shape[1:])
-    worst = np.inf
     for b in range(n, 0, -rows):
         a = max(b - rows, 0)
         r, c = b - a, max(a - 1, 0)
@@ -527,20 +534,23 @@ def transport_field(field, dt, left, right, limiter):
         for k in range(r):
             np.copyto(d[k, :, :half], d[k + 1, :, :half])
         v[a:b] -= np.multiply(d[:r], nu, out=d[:r])
-        worst = np.minimum(worst, v[a:b].min())
-    if worst < -NEGATIVITY_WARN:
-        cell = int(np.argmin(v.reshape(n, -1).min(axis=1)))
-        warnings.warn("distribution went negative (min %.3e in cell %d) after "
-                      "transport" % (worst, cell), RuntimeWarning)
-    return float(worst)
 
 
 def dv_step(field, dt, left, right, kn, pr, limiter):
     """First-order split step: transport then conservative relaxation, whose
-    Newton starts from ``field.correction`` and stores the new one there.  A
-    wall that moves along a mirrored velocity axis is a ValueError
-    (``march.require_mirror``), raised before the state changes."""
+    Newton starts from ``field.correction`` and stores the new one there.
+
+    Raised as a ValueError before the state changes: a wall that moves
+    along a mirrored velocity axis (``march.require_mirror``), and a ``dt``
+    above ``dv_cfl_timestep(field, 1.0, limiter)``.  Within that bound
+    upwind and minmod transport keep a non-negative state non-negative, so
+    the collision's negativity warning names the phase that made a value
+    negative."""
     require_mirror(field.grid.mirrored, _NO_FORCE, (left, right))
+    bound = dv_cfl_timestep(field, 1.0, limiter)
+    if dt > bound:
+        raise ValueError("time step %.6g exceeds the stability bound %.6g of "
+                         "%s transport" % (dt, bound, limiter))
     transport_field(field, dt, left, right, limiter)
     collide_field(field.values, field.grid, kn, pr, dt, field.correction)
     return field

@@ -1,8 +1,9 @@
 """Command-line driver: scenario runs and profile comparison.
 
 ``momentflow run`` builds a scenario config from a preset, an optional flat
-config file and flag overrides, runs the chosen solver, and writes CSV
-profile snapshots, the steady residual of every check
+config file and flag overrides (``--limiter`` sets the limiter of the solver
+that runs; unset, it is that solver's default), runs the chosen solver, and
+writes CSV profile snapshots, the steady residual of every check
 (``residual_history.csv``) and a plain-text run log.  ``momentflow compare``
 measures the difference between two profile files column by column.
 
@@ -14,7 +15,7 @@ solvers are order-deterministic, so results do not depend on the setting.
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -67,18 +68,14 @@ def _cmd_run(args):
     from . import scenarios
     from .moments import write_table
 
-    # a flag's dest is its config field; --limiter sets the running solver's
+    # a flag's dest is its config field
     names = {f.name for f in fields(scenarios.ScenarioConfig)}
     over = {k: tuple(v) if isinstance(v, list) else v
             for k, v in vars(args).items() if k in names and v is not None}
-    limiter = over.pop("limiter", None)
     if args.config is not None:
         sc = scenarios.load_config(args.config, **over)
     else:
         sc = scenarios.preset(over.pop("scenario", "custom"), **over)
-    if limiter is not None:
-        key = "dv_limiter" if sc.solver == "cdvm" else "limiter"
-        sc = replace(sc, **{key: limiter})
     result = scenarios.solve(sc)
     residuals = result.residual_history
 

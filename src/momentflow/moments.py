@@ -16,8 +16,7 @@ every table that depends on it is cached per cube shape.  A fixed
 multi-index alpha is found through the slot map (``stored_index``,
 ``read_slots``): on an even-only axis order a sits at a / 2, an odd order
 is structurally absent and reads as zero.  Order 0 is at index 0 in every
-layout.  ``decay_diagnostic`` reads the same layout: the mean coefficient
-size of each order, which shows whether M is large enough.
+layout.
 """
 
 from functools import lru_cache
@@ -51,18 +50,6 @@ def grade_mask(cube, order):
     m = order_cube(cube) <= order
     m.setflags(write=False)
     return m
-
-
-def decay_diagnostic(coeffs):
-    """Mean |f_alpha| over the multi-indices of each order k = 1..M of one
-    coefficient cube with K = M + 1 (length-M array), in any layout: a slot
-    the layout does not store counts as zero, so a reduced cube and its
-    zero-padded full cube give the same vector."""
-    K = coeffs.shape[-2]
-    sums = np.bincount(order_cube(coeffs.shape).ravel(),
-                       weights=np.abs(coeffs).ravel(), minlength=K)
-    counts = np.bincount(order_cube((K,) * 3).ravel())
-    return sums[1:K] / counts[1:K]
 
 
 def stored_index(cube, alphas):

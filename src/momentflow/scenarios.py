@@ -12,7 +12,9 @@ Three canonical slab flows drive the validation story:
 All presets use fully diffuse walls (chi = 1) at unit wall temperature and
 CFL 0.95, except that minmod discrete-velocity transport runs at CFL 0.5
 (``cdvm.dv_cfl_timestep`` caps it), so the cdvm shock runs at 0.5; every
-field can be overridden.  A ``ScenarioConfig`` rejects a bad
+field can be overridden.  ``limiter`` is read by whichever solver runs; left
+unset it becomes that solver's default (NRxx "central", cdvm "none"), and
+the shock sets "minmod" for both.  A ``ScenarioConfig`` rejects a bad
 value when it is built, whether in code, from flags or from a file.  Configs
 round-trip through a flat ``key = value`` text format with section headers
 (configparser syntax) so a run is reproducible from a single diffable file.
@@ -41,7 +43,8 @@ POISEUILLE_FORCE = 0.2555
 class ScenarioConfig:
     """One run: scenario, solver, the options of both solvers and the
     initial state.  A default that a solver class declares is read from it;
-    every field is checked at construction, whichever solver runs."""
+    an unset ``limiter`` is the running solver's.  Every field is checked at
+    construction, whichever solver runs."""
 
     scenario: str = "custom"
     solver: str = "nrxx"
@@ -66,16 +69,18 @@ class ScenarioConfig:
     t_end: float = RunOptions.t_end
     steady_tol: float = RunOptions.steady_tol
     max_steps: int = RunOptions.max_steps
-    limiter: str = solver1d.RunConfig.limiter
+    limiter: str = None                # None: the running solver's default
     dv_half_width: float = 8.0
     dv_nodes: tuple = (32, 32, 32)
-    dv_limiter: str = cdvm.DvRunConfig.limiter
     out_dir: str = "."
     snapshot_interval: int = 0         # 0: final table only
 
     def __post_init__(self):
         check_choice("scenario", self.scenario, SCENARIOS)
         check_choice("solver", self.solver, SOLVERS)
+        if self.limiter is None:
+            self.limiter = (cdvm.DvRunConfig if self.solver == "cdvm"
+                            else solver1d.RunConfig).limiter
         for kind in ("left_kind", "right_kind"):
             check_choice(kind, getattr(self, kind), ("wall", "free"))
         # scalar kinds and tuple entries before any solver class reads them;
@@ -90,7 +95,6 @@ class ScenarioConfig:
         if self.snapshot_interval < 0:
             raise ValueError("snapshot_interval must be non-negative, got %r"
                              % (self.snapshot_interval,))
-        check_choice("dv_limiter", self.dv_limiter, cdvm.LIMITERS)
         cdvm.check_grid(self.dv_half_width, tuple(self.dv_nodes))
         if self.solver == "cdvm":
             to_dv_config(self)
@@ -114,7 +118,6 @@ _PRESETS = {
         t_end=1.0,
         cells=500,
         limiter="minmod",
-        dv_limiter="minmod",
         dv_half_width=10.0,
     ),
     "couette": dict(
@@ -184,7 +187,7 @@ def to_dv_config(sc):
     if np.any(np.asarray(sc.force, dtype=float) != 0.0):
         raise ValueError("the cdvm solver has no body force term; "
                          "force must be zero, got %r" % (sc.force,))
-    return cdvm.DvRunConfig(limiter=sc.dv_limiter, **_run_options(sc))
+    return cdvm.DvRunConfig(limiter=sc.limiter, **_run_options(sc))
 
 
 def build_dv_field(sc):

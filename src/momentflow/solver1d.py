@@ -145,14 +145,14 @@ class Grid1D:
 @dataclass
 class RunConfig(RunOptions):
     """Options of an NRxx slab run: the shared ones of ``march.RunOptions``
-    (collision, CFL, stop and walls, keyword only) and these.
+    (collision, CFL, stop and walls, keyword only) and these.  Every step
+    collides; a large ``kn`` approaches the free-molecular limit.
 
     ``M``: highest evolved moment order, at least 3 (the cube edge is M + 1).
     ``force``: constant body acceleration, applied as the kick u += dt a
     after transport and collision (one step order; see the module
     docstring for why there is no Strang variant).
     ``limiter``: in-cell slopes, "none" (first order), "central" or "minmod".
-    ``collisionless``: skip the collision step.
     ``signal_speed`` (derived): c in the HLL wave speeds u2 +- c sqrt(theta),
     the constant ``SIGNAL_SPEED_FACTOR`` times he_root(M+1).
     """
@@ -160,7 +160,6 @@ class RunConfig(RunOptions):
     M: int
     force: np.ndarray = field(default_factory=lambda: np.zeros(3))
     limiter: str = "central"
-    collisionless: bool = False
 
     def __post_init__(self):
         super().__post_init__()      # checks the kind of M too
@@ -457,9 +456,8 @@ def step(grid, config, dt=None):
     new_c += grid.coeffs
     u_new, th_new, c_ren = _stage_state(grid, new_c, "transport stage 2")
 
-    if not config.collisionless:
-        tau = relaxation_time(c_ren[:, 0, 0, 0], th_new, config.kn)
-        collide_coeffs(c_ren, tau, config.pr, dt, out=c_ren)
+    tau = relaxation_time(c_ren[:, 0, 0, 0], th_new, config.kn)
+    collide_coeffs(c_ren, tau, config.pr, dt, out=c_ren)
 
     u_new = u_new + dt * config.force
 

@@ -484,8 +484,7 @@ def _half_upwind(v, nu, ghost, limiter):
     """v -= nu (face[i+1] - face[i]) in place along axis 0, with the faces
     taken upwind from the low end: face[0] = ghost, face[i+1] = v[i] +
     slope[i] / 2.  Walked in blocks of about ``BLOCK`` entries of the view
-    from its high end down, the cell above a block read from a saved copy.
-    Returns the smallest updated value."""
+    from its high end down, the cell above a block read from a saved copy."""
     from momentflow.march import BLOCK
 
     n = len(v)
@@ -493,7 +492,6 @@ def _half_upwind(v, nu, ghost, limiter):
     d = np.empty((rows + 2,) + v.shape[1:])
     faces = np.empty(d.shape)
     above = np.empty(v.shape[1:])
-    worst = np.inf
     for b in range(n, 0, -rows):
         a = max(b - rows, 0)
         lo = max(a - 1, 0)
@@ -507,8 +505,6 @@ def _half_upwind(v, nu, ghost, limiter):
         if limiter == "minmod" and a > 0:
             np.copyto(above, v[a])
         v[a:b] -= db
-        worst = np.minimum(worst, v[a:b].min())
-    return worst
 
 
 def transport_halves(field, dt, left, right, limiter):
@@ -516,7 +512,7 @@ def transport_halves(field, dt, left, right, limiter):
     upwind from the low end, the negative half on the cell-reversed view
     with the faces reflected, each walked in blocks of cells of that half;
     the xi_2 = 0 plane of an odd axis is not touched.  Returns the new
-    values and their minimum, and leaves the field alone.  Wall inflows are
+    values and leaves the field alone.  Wall inflows are
     the library's ``_wall_incoming``, so the two walks see the same ghosts
     bit for bit."""
     from momentflow.cdvm import _wall_incoming
@@ -527,12 +523,9 @@ def transport_halves(field, dt, left, right, limiter):
     lo = vals[0] if left is None else _wall_incoming(grid, left, vals[0], -1.0)
     hi = vals[-1] if right is None else _wall_incoming(grid, right, vals[-1], 1.0)
     nu = (dt / field.dx) * grid.axes[1][:, None]
-    worst = np.minimum(
-        _half_upwind(vals[:, :, -half:], nu[-half:], lo[:, -half:], limiter),
-        _half_upwind(vals[::-1, :, :half], -nu[:half], hi[:, :half], limiter))
-    if grid.counts[1] % 2:
-        worst = np.minimum(worst, vals[:, :, half].min())
-    return vals, float(worst)
+    _half_upwind(vals[:, :, -half:], nu[-half:], lo[:, -half:], limiter)
+    _half_upwind(vals[::-1, :, :half], -nu[:half], hi[:, :half], limiter)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -894,16 +887,6 @@ def even_slots(coeffs, axes=(0, 2)):
     """The slots of full cubes that the even-only layout along ``axes``
     stores, as contiguous cubes of that layout."""
     return np.ascontiguousarray(coeffs[_axis_slices(axes, slice(None, None, 2))])
-
-
-def pad_full(coeffs):
-    """Zero-padded full cubes (..., K, K, K) of cubes (..., K1, K, K3) whose
-    a1 or a3 axis may hold the even orders alone; K is the a2 edge."""
-    K = coeffs.shape[-2]
-    reduced = [d for d in (0, 2) if coeffs.shape[d - 3] != K]
-    out = np.zeros(coeffs.shape[:-3] + (K,) * 3)
-    out[_axis_slices(reduced, slice(None, None, 2))] = coeffs
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 import momentflow
 
 # names gone from their module: deleted, kept in tests/oracles.py, or (as
-# cli.decay_diagnostic, now moments.decay_diagnostic, and
 # solver1d.mirror_breaker, now march.mirror_breaker) moved to another module
 DELETED = [
     ("moments", "MomentState"), ("moments", "INVARIANT_TOL"),
@@ -34,6 +33,8 @@ DELETED = [
     ("solver1d", "SPLITTINGS"), ("solver1d", "check_scheme"),
     ("cli", "decay_diagnostic"), ("hermite", "he_sequence"),
     ("march.RunResult", "state"), ("solver1d", "mirror_breaker"),
+    ("scenarios.ScenarioConfig", "dv_limiter"),
+    ("solver1d.RunConfig", "collisionless"), ("moments", "decay_diagnostic"),
 ]
 
 

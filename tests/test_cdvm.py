@@ -294,7 +294,7 @@ def test_warm_started_run_matches_cold_started_run(monkeypatch):
     # grid such as 12 x 16 x 12 the correction is 2e-3 and drifts by up to
     # 1e-4 a step, and both starts take three.
     sc = scenarios.preset("couette", solver="cdvm", cells=50,
-                          dv_nodes=(24, 24, 24), dv_limiter="none")
+                          dv_nodes=(24, 24, 24), limiter="none")
     cfg = scenarios.to_dv_config(sc)
     calls = []
     monkeypatch.setattr(cdvm, "_axis_gaussians",
@@ -530,22 +530,34 @@ def test_upwind_centroid_moves_at_mean_velocity():
     assert cent1 - cent0 == pytest.approx(t * mom2 / mass, rel=1e-12)
 
 
-def test_negativity_warning_on_cfl_violation():
+def test_dv_step_rejects_a_time_step_above_the_transport_bound():
+    # above dv_cfl_timestep(field, 1.0, limiter) transport could make a
+    # value negative that no check would name, so the step refuses it before
+    # the state changes; at the bound itself it runs
     grid = DvGrid(6.0, (20, 20, 20))
     rho = np.ones(16)
     rho[8] = 3.0
-    fld = DvField.from_fields(grid, -0.5, 0.5, rho, np.zeros(3), 1.0)
-    dt_bad = 3.0 * fld.dx / 6.0
-    with pytest.warns(RuntimeWarning, match="negative"):
-        transport_field(fld, dt_bad, None, None, "none")
+    for limiter, cfl in (("none", 1.0), ("minmod", 0.5)):
+        fld = DvField.from_fields(grid, -0.5, 0.5, rho, np.zeros(3), 1.0)
+        bound = dv_cfl_timestep(fld, 1.0, limiter)
+        assert bound == cfl * fld.dx / 6.0
+        v0 = fld.values.copy()
+        with pytest.raises(ValueError, match="time step .* exceeds the "
+                           "stability bound .* of %s transport" % limiter):
+            dv_step(fld, np.nextafter(bound, np.inf), None, None, 0.1,
+                    2.0 / 3.0, limiter)
+        assert np.array_equal(fld.values, v0)
+        assert not fld.correction.any()
+        dv_step(fld, bound, None, None, 0.1, 2.0 / 3.0, limiter)
+        assert not np.array_equal(fld.values, v0)
 
 
-def _rough_field(counts, n=10):
+def _rough_field(counts, n=10, seed=3):
     """``n`` cells on a grid of ``counts`` nodes of a two-beam mixture whose
     rho, u (with u2 != 0) and theta jump from cell to cell, so minmod both
     limits and zeroes slopes."""
     grid = DvGrid(5.0, counts)
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     rho = rng.uniform(0.8, 1.4, n)
     u = rng.uniform(-0.4, 0.4, (n, 3))
     theta = rng.uniform(0.7, 1.3, n)
@@ -615,61 +627,100 @@ def test_transport_is_bit_identical_to_the_half_sweeps(limiter, ends, n2,
     # one walk over whole cells against one sweep per xi_2-sign half, the
     # negative half on the cell-reversed view: minmod is odd and symmetric,
     # so its faces v - s / 2 above a cell are the reversed view's v + s / 2
-    # bit for bit, and so are the updates and the smallest value
+    # bit for bit, and so are the updates
     left, right = _TRANSPORT_ENDS[ends]
     n = 10 if cells == "few" else _blocks_of(8 * n2 * 8)[0]
     fld = _rough_field((8, n2, 8), n)
     dt = dv_cfl_timestep(fld, 0.9, limiter)
-    want, want_min = oracles.transport_halves(fld, dt, left, right, limiter)
+    want = oracles.transport_halves(fld, dt, left, right, limiter)
     assert not np.array_equal(want, fld.values)
-    got_min = transport_field(fld, dt, left, right, limiter)
+    transport_field(fld, dt, left, right, limiter)
     assert np.array_equal(fld.values, want)
-    assert got_min == want_min
+
+
+# a slow collision (Kn 100) at a thousandth of the CFL step moves a node by
+# about 1e-8 of itself, so a planted negative value keeps its printed digits
+_SLOW = dict(kn=100.0, pr=2.0 / 3.0)
 
 
 @pytest.mark.parametrize("limiter", ["none", "minmod"])
 @pytest.mark.parametrize("half", ["positive", "negative"])
 def test_negativity_warning_from_the_last_block(half, limiter):
-    # cells are updated from the top cell down, so the first block holds the
-    # top cell and the last block the bottom one: a negative entry at either
-    # end, in either xi_2-sign half, must be reported with its cell
-    n, _ = _blocks_of(8 * 12 * 8)
+    # the collision updates blocks of cells from the bottom cell up, so its
+    # first block holds cell 0 and its last, partial block cell n - 1.  A
+    # negative entry in either end cell's inflow half, which transport at a
+    # free end leaves as it is, must be reported after the collision with
+    # its cell, under either limiter
+    n, rows = _blocks_of(8 * 12 * 8)
+    assert n % rows
     fld = _rough_field((8, 12, 8), n)
     cell, node = (0, 9) if half == "positive" else (n - 1, 2)
     assert (fld.grid.axes[1][node] > 0) == (half == "positive")
-    fld.values[cell, 4, node, 4] = -1.0
-    msg = r"negative \(min -1\.000e\+00 in cell %d\) after transport" % cell
+    fld.values[cell, 4, node, 4] = -1e-3
+    msg = r"negative \(min -1\.000e-03 in cell %d\) after collision$" % cell
     with pytest.warns(RuntimeWarning, match=msg):
-        transport_field(fld, 1e-3 * dv_cfl_timestep(fld, 0.9, limiter),
-                        None, None, limiter)
+        dv_step(fld, 1e-3 * dv_cfl_timestep(fld, 0.9, limiter), None, None,
+                limiter=limiter, **_SLOW)
 
 
 def test_negativity_warning_from_the_untouched_middle_plane():
     # on an odd xi_2 axis transport moves the xi_2 = 0 plane by nothing, and
-    # the negativity check covers it too, naming its cell
+    # the collision's negativity check covers it too, naming its cell
     fld = _rough_field((8, 13, 8))
     assert fld.grid.axes[1][6] == 0.0
-    fld.values[5, 3, 6, 3] = -0.5
-    with pytest.warns(RuntimeWarning,
-                      match=r"negative \(min -5\.000e-01 in cell 5\)"):
-        transport_field(fld, dv_cfl_timestep(fld, 0.9, "none"), None, None,
-                        "none")
+    fld.values[5, 3, 6, 3] = -1e-3
+    with pytest.warns(RuntimeWarning, match=r"negative \(min -1\.000e-03 in "
+                                            r"cell 5\) after collision$"):
+        dv_step(fld, 1e-3 * dv_cfl_timestep(fld, 0.9, "none"), None, None,
+                limiter="none", **_SLOW)
 
 
 def test_shock_negativity_comes_from_the_collision():
-    # the cdvm shock preset on 20 cells and 16^3 nodes warns after some
-    # transports; each warning names a cell, and the negative nodes come
-    # from the collision's Shakhov tail: after some collisions, before the
-    # next transport, a node is already below -NEGATIVITY_WARN
+    # the cdvm shock preset on 20 cells and 16^3 nodes makes nodes below
+    # -NEGATIVITY_WARN in the collision's Shakhov tail: one warning for each
+    # step whose collision leaves one, each naming the collision and a cell,
+    # none naming transport
     sc = scenarios.preset("shock", solver="cdvm", cells=20,
                           dv_nodes=(16, 16, 16), t_end=1.0)
     after_collision = []
-    msg = (r"distribution went negative \(min -\d\.\d{3}e-\d\d in cell "
-           r"\d+\) after transport")
-    with pytest.warns(RuntimeWarning, match=msg):
+    with pytest.warns(RuntimeWarning) as record:
         dv_run(scenarios.build_dv_field(sc), scenarios.to_dv_config(sc),
                on_step=lambda t, f: after_collision.append(f.values.min()))
+    messages = [str(w.message) for w in record]
+    pattern = (r"distribution went negative \(min -\d\.\d{3}e-\d\d in cell "
+               r"\d+\) after collision")
+    assert all(re.fullmatch(pattern, m) for m in messages), messages
+    assert len(messages) == sum(m < -NEGATIVITY_WARN for m in after_collision)
     assert min(after_collision) < -NEGATIVITY_WARN
+
+
+_BOUND_ENDS = {
+    "free": (None, None),
+    "walls": (WallSpec(1.0, [-0.3, 0.0, 0.2], 1.3),
+              WallSpec(0.4, [0.4, 0.0, 0.0], 0.8)),
+    "walls-swapped": (WallSpec(0.4, [0.2, 0.0, -0.1], 0.9),
+                      WallSpec(1.0, [-0.4, 0.0, 0.0], 1.2)),
+}
+
+
+@pytest.mark.parametrize("n2", [12, 13])
+@pytest.mark.parametrize("ends", list(_BOUND_ENDS))
+@pytest.mark.parametrize("limiter", ["none", "minmod"])
+def test_transport_at_its_bound_keeps_a_positive_field_non_negative(
+        limiter, ends, n2):
+    # dv_step refuses a dt above dv_cfl_timestep(field, 1.0, limiter): up to
+    # it, upwind and minmod transport are convex combinations of the cell
+    # values and the wall inflows, so the one negativity check of a step,
+    # after the collision, sees every negative value the step makes.  Rough
+    # two-beam fields, free ends and walls of chi 1 and 0.4 (chi < 1 mixes
+    # in the specular mirror), an even and an odd xi_2 axis
+    left, right = _BOUND_ENDS[ends]
+    for seed in range(4):
+        fld = _rough_field((8, n2, 8), seed=seed)
+        assert fld.values.min() > 0.0
+        transport_field(fld, dv_cfl_timestep(fld, 1.0, limiter), left, right,
+                        limiter)
+        assert fld.values.min() >= 0.0, seed
 
 
 def test_transport_peak_temporary_memory():
@@ -707,7 +758,10 @@ def test_collision_across_blocks_matches_full_cube_oracle():
     f, grid = fld.values, fld.grid
     kn, pr, dt = 0.5, 2.0 / 3.0, 0.3
     ref = oracles.collide_reference(f, grid, kn, pr, dt)
-    out = collide_field(f.copy(), grid, kn, pr, dt, _cold(f))
+    # the Shakhov tail of this rough field dips to -5.7e-11 in cell 6
+    with pytest.warns(RuntimeWarning, match=r"in cell 6\) after collision"):
+        out = collide_field(f.copy(), grid, kn, pr, dt, _cold(f))
+    assert ref.min() < -NEGATIVITY_WARN
     assert np.abs(ref - f).max() > 1e-2 * ref.max()
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-15 * ref.max())
 
@@ -983,7 +1037,7 @@ def test_mirrored_run_matches_full_axis_run(case, limiter):
     # keep
     scenario, overrides, mirrored = _MIRROR_RUNS[case]
     sc = scenarios.preset(scenario, solver="cdvm", cells=12, t_end=0.05,
-                          steady_tol=None, dv_limiter=limiter, **overrides)
+                          steady_tol=None, limiter=limiter, **overrides)
     half, full = scenarios.build_dv_field(sc), _full_field(sc)
     assert half.grid.mirrored == mirrored
     assert half.values.shape == (12,) + tuple(

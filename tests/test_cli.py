@@ -1,11 +1,12 @@
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from momentflow import scenarios
+from momentflow.cdvm import dv_run
 from momentflow.cli import build_parser, main
 from momentflow.moments import read_snapshot, snapshot_table, write_table
 from momentflow.scenarios import COUETTE_WALL_SPEED, POISEUILLE_FORCE
@@ -121,6 +122,36 @@ def test_cdvm_scenario_builds_its_dv_run_config(scenario, overrides, message):
         scenarios.preset(scenario, solver="cdvm", **{**_SHORT, **overrides})
 
 
+@pytest.mark.parametrize("scenario, solver, limiter", [
+    ("couette", "nrxx", "central"), ("couette", "cdvm", "none"),
+    ("custom", "cdvm", "none"), ("shock", "nrxx", "minmod"),
+    ("shock", "cdvm", "minmod"),
+])
+def test_unset_limiter_is_the_default_of_the_solver_that_runs(
+        scenario, solver, limiter):
+    # one key for both solvers: unset, it is the running solver class's
+    # default, and the shock sets minmod for both
+    sc = scenarios.preset(scenario, solver=solver, **_SHORT)
+    assert sc.limiter == limiter
+    to_config = (scenarios.to_dv_config if solver == "cdvm"
+                 else scenarios.to_run_config)
+    assert to_config(sc).limiter == limiter
+
+
+def test_preset_limiter_reaches_the_cdvm_run():
+    # a cdvm preset with limiter="minmod" once ran upwind transport
+    short = dict(solver="cdvm", cells=8, dv_nodes=(12, 12, 12), t_end=0.02,
+                 steady_tol=None)
+    upwind = scenarios.preset("couette", **short)
+    sc = scenarios.preset("couette", limiter="minmod", **short)
+    assert scenarios.to_dv_config(sc).limiter == "minmod"
+    got = scenarios.solve(sc).snapshots[-1][1]
+    config = replace(scenarios.to_dv_config(upwind), limiter="minmod")
+    want = dv_run(scenarios.build_dv_field(upwind), config).snapshots[-1][1]
+    np.testing.assert_array_equal(got, want)
+    assert not np.array_equal(got, scenarios.solve(upwind).snapshots[-1][1])
+
+
 def test_preset_rejects_a_single_cell():
     with pytest.raises(ValueError, match="need at least 2 cells"):
         scenarios.preset("couette", **{**_SHORT, "cells": 1})
@@ -141,6 +172,18 @@ def test_config_round_trip(tmp_path):
         assert getattr(back, f.name) == getattr(sc, f.name), f.name
 
 
+@pytest.mark.parametrize("solver, limiter", [("nrxx", "central"),
+                                             ("cdvm", "none")])
+def test_config_records_the_resolved_limiter(tmp_path, solver, limiter):
+    # the file holds the limiter the run used, so a rerun from it needs no
+    # default of its own
+    sc = scenarios.preset("couette", solver=solver, **_SHORT)
+    path = tmp_path / "case.ini"
+    scenarios.save_config(sc, str(path))
+    assert ("\nlimiter = %s\n" % limiter) in path.read_text()
+    assert scenarios.load_config(str(path)) == sc
+
+
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[run]\nscenario = couette\nturbulence_model = k-epsilon\n")
@@ -154,6 +197,12 @@ def test_config_unknown_key_rejected(tmp_path):
     # key names it
     path.write_text("[run]\nscenario = poiseuille\nsplitting = lie\n")
     with pytest.raises(ValueError, match="unknown config key 'splitting'"):
+        scenarios.load_config(str(path))
+    # limiter is read by whichever solver runs, so the cdvm run's own key
+    # of older files is gone
+    path.write_text("[run]\nscenario = couette\nsolver = cdvm\n"
+                    "dv_limiter = minmod\n")
+    with pytest.raises(ValueError, match="unknown config key 'dv_limiter'"):
         scenarios.load_config(str(path))
 
 
@@ -281,20 +330,25 @@ _DV_RUN = ["run", "--scenario", "couette", "--solver", "cdvm", "--cells", "8",
 
 
 def test_run_limiter_flag_sets_the_limiter_of_the_solver_that_runs(tmp_path):
-    # cdvm reads dv_limiter: the flag once set only the NRxx limiter, and a
-    # minmod cdvm run wrote the same final table as an unlimited one
+    # one key for both solvers: --limiter and a config file's limiter both
+    # reach the cdvm run, whose minmod table differs from the upwind one
     for limiter in ("none", "minmod"):
         out = tmp_path / limiter
         assert main(_DV_RUN + ["--limiter", limiter, "--out", str(out)]) == 0
-        assert ("dv_limiter = %s\n" % limiter) in (out / "config.ini").read_text()
+        assert ("\nlimiter = %s\n" % limiter) in (out / "config.ini").read_text()
     final = [(tmp_path / lim / "final.csv").read_bytes()
              for lim in ("none", "minmod")]
     assert final[0] != final[1]
+    cfg = tmp_path / "minmod.ini"
+    cfg.write_text("[run]\nscenario = couette\nsolver = cdvm\nlimiter = minmod\n"
+                   "cells = 8\ndv_nodes = 12 12 12\nt_end = 0.05\n")
+    out = tmp_path / "file"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "final.csv").read_bytes() == final[1]
     out = tmp_path / "nrxx"
     assert main(["run", "--scenario", "couette", "--M", "3", "--cells", "8",
                  "--tend", "0.02", "--limiter", "none", "--out", str(out)]) == 0
-    config = (out / "config.ini").read_text()
-    assert "\nlimiter = none\n" in config and "dv_limiter = none\n" in config
+    assert "\nlimiter = none\n" in (out / "config.ini").read_text()
 
 
 def test_run_cdvm_rejects_central_limiter(tmp_path, capsys):
@@ -307,11 +361,9 @@ def test_run_cdvm_rejects_central_limiter(tmp_path, capsys):
 @pytest.mark.parametrize("lines, option", [
     ("solver = cdvm\nlimiter = superbee\n", "error: limiter must be"),
     ("solver = cdvm\nM = 2\n", "moment order M"),
-    ("solver = nrxx\ndv_limiter = superbee\n", "error: dv_limiter must be"),
     ("solver = nrxx\ndv_nodes = 4 4 4\n", "at least 8 nodes"),
     ("solver = nrxx\ndv_half_width = 0\n", "half_width"),
-], ids=["cdvm-limiter", "cdvm-M", "nrxx-dv_limiter",
-        "nrxx-dv_nodes", "nrxx-dv_half_width"])
+], ids=["cdvm-limiter", "cdvm-M", "nrxx-dv_nodes", "nrxx-dv_half_width"])
 def test_run_config_rejects_options_of_the_other_solver(tmp_path, capsys,
                                                         lines, option):
     # an option only the other solver reads is still checked, so a config

@@ -8,7 +8,6 @@ from momentflow.collision import collide_coeffs
 from momentflow.moments import (
     SNAPSHOT_COLUMNS,
     axis_steps,
-    decay_diagnostic,
     grade_mask,
     heat_flux,
     order_cube,
@@ -62,48 +61,6 @@ def test_order_cube_and_grade_mask():
         assert np.array_equal(mask, cube <= m)
     with pytest.raises(ValueError):
         order_cube((K,) * 3)[0, 0, 0] = 9  # shared cache must be read-only
-
-
-def test_decay_diagnostic_equilibrium_is_zero():
-    grid = Grid1D.from_fields(0.0, 1.0, np.ones(2), np.zeros(3), 1.0, 5)
-    d = decay_diagnostic(grid.coeffs[0])
-    assert d.shape == (grid.M,)
-    assert np.all(d == 0.0)
-
-
-def test_decay_diagnostic_matches_direct_average():
-    # every order 1..M of a solver cube, the top one included
-    rng = np.random.default_rng(2)
-    M = 5
-    _, _, f = oracles.random_admissible(rng, M)
-    grid = Grid1D.from_fields(0.0, 1.0, np.ones(1), np.zeros(3), 1.0, M)
-    for alpha, value in f.items():
-        if sum(alpha) <= M:
-            grid.coeffs[(0,) + alpha] = value
-    d = decay_diagnostic(grid.coeffs[0])
-    assert d.shape == (grid.M,)
-    for k in range(1, M + 1):
-        vals = [abs(f.get(a, 0.0)) for a in multi_indices(M) if sum(a) == k]
-        assert d[k - 1] == pytest.approx(np.mean(vals), rel=1e-14)
-    assert d[M - 1] > 0.0
-
-
-@pytest.mark.parametrize("axes", [(0,), (2,), (0, 2)])
-def test_decay_diagnostic_of_reduced_cube_equals_its_padded_full_cube(axes):
-    # a reduced cube's absent slots count as zeros of their order, so it
-    # and its zero-padded full cube give the same vector, bit for bit
-    rng = np.random.default_rng(3)
-    M = 6
-    K = M + 1
-    full = oracles.mirror_even(rng.standard_normal((K, K, K)), axes)
-    full *= np.add.outer(np.add.outer(np.arange(K), np.arange(K)),
-                         np.arange(K)) <= M
-    small = oracles.even_slots(full, axes)
-    np.testing.assert_array_equal(oracles.pad_full(small), full)
-    d = decay_diagnostic(small)
-    assert d.shape == (M,)
-    np.testing.assert_array_equal(d, decay_diagnostic(full))
-    assert np.all(d > 0.0)
 
 
 # ---------------------------------------------------------------------------

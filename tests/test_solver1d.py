@@ -483,13 +483,13 @@ def test_step_rejects_mismatched_order():
 
 
 def test_force_only_acceleration_is_exact():
+    # the collision leaves a uniform Maxwellian as it is
     g = _uniform_grid(n=6)
     cfg = RunConfig(
         M=3,
         kn=0.1,
         t_end=1e9,
         force=np.array([0.4, 0.0, 0.0]),
-        collisionless=True,
     )
     dt = step(g, cfg)
     np.testing.assert_allclose(g.u[:, 0], 0.4 * dt, rtol=1e-14)
@@ -555,7 +555,8 @@ def test_positivity_guard_reports_failure():
     g = Grid1D.from_fields(
         -0.5, 0.5, np.ones(2), np.array([[0.0, -5.0, 0.0], [0.0, 5.0, 0.0]]), 1.0, 3
     )
-    cfg = RunConfig(M=3, kn=0.1, t_end=1e9, collisionless=True)
+    cfg = RunConfig(M=3, kn=0.1, t_end=1e9)
+    # found in the first transport stage, before the collision
     with pytest.raises(RuntimeError, match="non-positive"):
         step(g, cfg, dt=1.0)
 
