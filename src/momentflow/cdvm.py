@@ -28,7 +28,7 @@ block is in cache: transport (one pass, from the top down) forms the face
 differences, scales them by dt xi_2 / dx and updates; the collision (two
 passes) takes the moment GEMM of ``dv_moments``, then the xi_2
 contraction, the GEMM, the update f <- f e_full + G P and the block's
-minimum, which feeds the negativity warning (``dv_step``).  Once
+minimum, which feeds the negativity warning (``collide_field``).  Once
 per grid, wall and side, a wall's unit Maxwellian and inflow flux are
 built; a step reads the end cell's outgoing half-flux and writes the
 inflow in one pass, plus the end cell's mirror if chi < 1.
@@ -53,8 +53,8 @@ from functools import lru_cache
 import numpy as np
 
 from .collision import relaxation_time
-from .march import (BLOCK, RunOptions, check_choice, march, minmod,
-                    require_mirror, require_positive)
+from .march import (BLOCK, RunOptions, check_choice, check_slab, march,
+                    minmod, require_mirror, require_positive)
 from .moments import _fields_table, work_array
 
 NEWTON_TOL = 1e-13
@@ -415,14 +415,12 @@ class DvField:
 
     @classmethod
     def from_fields(cls, grid, y_lo, y_hi, rho, u, theta):
+        """Cells of local Maxwellians of the fields (``march.check_slab``)."""
         rho = np.asarray(rho, dtype=float)
         n = rho.shape[0]
         u = np.broadcast_to(np.asarray(u, dtype=float), (n, 3)).copy()
         theta = np.broadcast_to(np.asarray(theta, dtype=float), (n,)).copy()
-        for d in grid.mirrored:
-            if np.any(u[:, d] != 0.0):
-                raise ValueError("velocity u%d must be zero along a mirrored "
-                                 "velocity axis" % (d + 1))
+        check_slab(y_lo, y_hi, rho, u, theta, grid.mirrored)
         return cls(grid, y_lo, y_hi, grid.maxwellian(rho, u, theta))
 
     def moments(self):
@@ -559,21 +557,16 @@ def dv_step(field, dt, left, right, kn, pr, limiter):
 @dataclass
 class DvRunConfig(RunOptions):
     """Options of a discrete-velocity slab run: the shared ones of
-    ``march.RunOptions`` (collision, CFL, stop and walls, keyword only) and
-    ``limiter``, one of ``LIMITERS``.  Minmod transport runs at CFL 0.5 at
-    most (``dv_cfl_timestep`` caps a larger ``cfl``).  A wall may not move
-    along its normal e2.
-    """
+    ``march.RunOptions`` (collision, CFL, stop and walls, keyword only),
+    checked there as for an NRxx run, and ``limiter``, one of ``LIMITERS``.
+    Minmod transport runs at CFL 0.5 at most (``dv_cfl_timestep`` caps a
+    larger ``cfl``)."""
 
     limiter: str = "none"
 
     def __post_init__(self):
         super().__post_init__()
         check_choice("limiter", self.limiter, LIMITERS)
-        for side, wall in (("left", self.left), ("right", self.right)):
-            if wall is not None and wall.u_wall[1] != 0.0:
-                raise ValueError("the %s wall moves along its normal, which "
-                                 "this solver does not support" % side)
 
 
 def dv_cfl_timestep(field, cfl, limiter):

@@ -1,10 +1,10 @@
 """What both slab solvers share: the run options ``RunOptions``, declared
 and checked once (``solver1d.RunConfig`` and ``cdvm.DvRunConfig`` add their
-own), the loop ``march``, ``check_choice``, the slope limiter ``minmod``,
-``require_positive``, whose message names the quantity, the value, the cell
-and the phase, and the mirror rule (``mirror_breaker``, ``require_mirror``)
-by which both solvers store half of a velocity axis.  This module imports
-no solver.
+own), the loop ``march``, the input rules ``check_kinds``, ``check_choice``
+and ``check_slab``, the slope limiter ``minmod``, ``require_positive``, whose
+message names the quantity, the value, the cell and the phase, and the mirror
+rule (``mirror_breaker``, ``require_mirror``) by which both solvers store
+half of a velocity axis.  This module imports no solver.
 
 A solver passes ``march`` its state and three callables: the CFL time step,
 an in-place advance by a given dt, and the snapshot table of the current
@@ -68,7 +68,8 @@ class RunOptions:
     first steady check whose residual is below the tolerance, or after the
     step budget, whichever comes first (see ``march``).
     ``left``, ``right``: wall specification per end, None for a free
-    (zero-gradient) boundary; the solver passes each wall map its end.
+    (zero-gradient) boundary; the solver passes each wall map its end.  No
+    wall may move along its normal e2: both solvers hold the slab's ends.
 
     A value under which no step could run, or a number field of the wrong
     kind (``check_kinds``), is a ValueError.  Each test is written ``not (x
@@ -100,6 +101,10 @@ class RunOptions:
             raise ValueError("Knudsen number must be positive")
         if not (0.0 < self.pr <= 1.0):
             raise ValueError("Prandtl number must lie in (0, 1]")
+        for side, wall in (("left", self.left), ("right", self.right)):
+            if wall is not None and wall.u_wall[1] != 0.0:
+                raise ValueError("the %s wall moves along its normal, which "
+                                 "neither solver supports" % side)
 
 
 def is_kind(value, kind):
@@ -109,16 +114,32 @@ def is_kind(value, kind):
     return isinstance(value, number) and not isinstance(value, bool)
 
 
+def kind_name(f):
+    """The kind a value of the dataclass field ``f`` must be, as an error
+    names it; a tuple field's names its default's length."""
+    if f.type is tuple:
+        return "a list of numbers of length %d" % len(f.default)
+    return KINDS[f.type]
+
+
 def check_kinds(options):
     """Reject a field of the dataclass ``options`` declared ``int`` or
     ``float`` whose value is not of its kind (``is_kind``), None only where
-    the default is None.  The message names the field."""
+    the default is None, or declared ``tuple`` whose value is not a sequence
+    of the default's length and entry kinds.  The message names the field
+    and its kind (``kind_name``)."""
     for f in fields(options):
-        if f.type in KINDS:
-            value = getattr(options, f.name)
-            if not (value is None and f.default is None or is_kind(value, f.type)):
-                raise ValueError("%s must be %s, got %r"
-                                 % (f.name, KINDS[f.type], value))
+        value = getattr(options, f.name)
+        if f.type is tuple:
+            ok = (np.iterable(value) and len(value) == len(f.default)
+                  and all(map(is_kind, value, map(type, f.default))))
+        elif f.type in KINDS:
+            ok = value is None and f.default is None or is_kind(value, f.type)
+        else:
+            continue
+        if not ok:
+            raise ValueError("%s must be %s, got %r"
+                             % (f.name, kind_name(f), value))
 
 
 def check_choice(name, value, choices):
@@ -155,6 +176,24 @@ def require_positive(x, what, where, error=RuntimeError):
         raise error(
             "non-positive or non-finite %s (%r) %s" % (what, float(x[i]), where % i)
         )
+
+
+def check_slab(y_lo, y_hi, rho, u, theta, mirrored=()):
+    """Reject, with a ValueError, a slab state of both solvers that no step
+    may start from: an empty or infinite domain [``y_lo``, ``y_hi``], a
+    density ``rho`` or temperature ``theta`` per cell that is not positive
+    and finite (``require_positive``), or a velocity ``u`` (N, 3) nonzero
+    along a ``mirrored`` velocity axis, of which the state stores one half."""
+    if not (y_hi > y_lo):
+        raise ValueError("empty domain")
+    if not math.isfinite(y_hi - y_lo):
+        raise ValueError("infinite domain")
+    require_positive(np.asarray(rho), "density", "in cell %d", ValueError)
+    require_positive(np.asarray(theta), "temperature", "in cell %d", ValueError)
+    for d in mirrored:
+        if np.any(u[:, d] != 0.0):
+            raise ValueError("velocity u%d must be zero along a mirrored "
+                             "velocity axis" % (d + 1))
 
 
 def mirror_breaker(d, force, walls):
@@ -284,7 +323,7 @@ def march(state, config, timestep, advance, table, snapshot_interval=0,
     with ``t_end`` set never calls ``get`` or ``put`` and marches plainly.
 
     The discrete-velocity solver passes no pair.  Mixing its node values
-    makes some of them negative, which the transport reports (a 12^3 x 8
+    makes some of them negative, which the collision reports (a 12^3 x 8
     Couette at tol 1e-6, window 30: 670 -> 60 steps, nodes down to -5.6e-6
     and 34 warnings); with a restart on any negative node nearly every mix
     is rejected (560 steps, 543 restarts).

@@ -15,7 +15,9 @@ CFL 0.95, except that minmod discrete-velocity transport runs at CFL 0.5
 field can be overridden.  ``limiter`` is read by whichever solver runs; left
 unset it becomes that solver's default (NRxx "central", cdvm "none"), and
 the shock sets "minmod" for both.  A ``ScenarioConfig`` rejects a bad
-value when it is built, whether in code, from flags or from a file.  Configs
+value when it is built, whether in code, from flags or from a file, by
+the rules of ``march`` that both solvers share, whichever solver runs, and
+with a message that names the key.  Configs
 round-trip through a flat ``key = value`` text format with section headers
 (configparser syntax) so a run is reproducible from a single diffable file.
 A key is a ``ScenarioConfig`` field, parsed by its declared type; any other
@@ -30,8 +32,8 @@ import numpy as np
 
 from . import cdvm, solver1d
 from .boundary import WallSpec
-from .march import (KINDS, RunOptions, check_choice, check_kinds, is_kind,
-                    mirror_breaker)
+from .march import (RunOptions, check_choice, check_kinds, check_slab,
+                    kind_name, mirror_breaker)
 
 SOLVERS = ("nrxx", "cdvm")
 
@@ -44,7 +46,8 @@ class ScenarioConfig:
     """One run: scenario, solver, the options of both solvers and the
     initial state.  A default that a solver class declares is read from it;
     an unset ``limiter`` is the running solver's.  Every field is checked at
-    construction, whichever solver runs."""
+    construction, whichever solver runs; the initial state is checked as
+    one cell, which mirrors no axis (``march.check_slab``)."""
 
     scenario: str = "custom"
     solver: str = "nrxx"
@@ -83,13 +86,9 @@ class ScenarioConfig:
                             else solver1d.RunConfig).limiter
         for kind in ("left_kind", "right_kind"):
             check_choice(kind, getattr(self, kind), ("wall", "free"))
-        # scalar kinds and tuple entries before any solver class reads them;
-        # tuple lengths after the run config, so a short force or wall
-        # velocity keeps the run config's message
         check_kinds(self)
-        _check_tuples(self, lengths=False)
         to_run_config(self)
-        _check_tuples(self, lengths=True)
+        check_slab(self.y_lo, self.y_hi, [self.rho0], [self.u0], [self.theta0])
         if self.cells < 2:
             raise ValueError("need at least 2 cells")
         if self.snapshot_interval < 0:
@@ -208,53 +207,25 @@ def solve(sc):
     return run(state, config, snapshot_interval=sc.snapshot_interval)
 
 
-_KINDS = {**KINDS, tuple: "a list of numbers"}
-
-
-def _check_tuples(sc, lengths):
-    """Reject a tuple field of ``sc`` with an entry that is not of its
-    default entry's kind (``march.is_kind``) or, if ``lengths``, whose
-    length is not its default's."""
-    for f in fields(sc):
-        value = getattr(sc, f.name)
-        if f.type is tuple and not (
-                (not np.iterable(value)
-                 or all(map(is_kind, value, map(type, f.default))))
-                and (not lengths or np.shape(value) == np.shape(f.default))):
-            raise ValueError("%s must be %s, got %r" % (f.name, _kind(f), value))
-
-
-def _kind(f):
-    """The kind a value of field ``f`` must be, as an error names it."""
-    if f.type is tuple:
-        return "%s of length %d" % (_KINDS[tuple], len(f.default))
-    return _KINDS[f.type]
-
-
 def _parse_value(f, text):
     """The value of field ``f`` written as ``text``; a tuple's entries take
-    the type of its default's entries, and its length is its default's.
-    "none" (or nothing) is None for a field whose default is None.  Any
-    other value that is not of the field's kind is a ValueError naming the
-    key and the kind."""
+    the type of its default's entries.  "none" (or nothing) is None.  Text
+    that does not convert is a ValueError naming the key and the kind; the
+    value itself is checked when the config is built (``check_kinds``)."""
     text = text.strip()
     if f.type is str:
         # "none" is a legal literal for limiter-style options, so string
         # fields never collapse to None
         return text
     if text.lower() in ("none", ""):
-        if f.default is None:
-            return None
-        raise ValueError("%s must be %s, got None" % (f.name, _KINDS[f.type]))
+        return None
     try:
-        if f.type is not tuple:
-            return f.type(text)
-        value = tuple(map(type(f.default[0]), text.replace(",", " ").split()))
-        if len(value) == len(f.default):
-            return value
+        if f.type is tuple:
+            return tuple(map(type(f.default[0]), text.replace(",", " ").split()))
+        return f.type(text)
     except ValueError:
-        pass
-    raise ValueError("%s must be %s, got %r" % (f.name, _kind(f), text))
+        raise ValueError("%s must be %s, got %r"
+                         % (f.name, kind_name(f), text)) from None
 
 
 def save_config(sc, path):

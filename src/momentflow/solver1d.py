@@ -51,8 +51,8 @@ from .boundary import ghost_state
 from .closure import add_top_flux, closure_coeffs, closure_columns
 from .collision import collide_coeffs, relaxation_time
 from .hermite import largest_he_root
-from .march import (RunOptions, check_choice, march, minmod, require_mirror,
-                    require_positive)
+from .march import (RunOptions, check_choice, check_slab, march, minmod,
+                    require_mirror, require_positive)
 from .moments import (axis_steps, grade_mask, low_moments, snapshot_table,
                       work_array)
 from .projection import project_coeffs, renormalize_arrays
@@ -69,8 +69,9 @@ class Grid1D:
 
     ``u``: (N, 3) frame velocities, ``theta``: (N,), ``coeffs``:
     (N, K1, K, K3) with K = M + 1 in a layout of ``moments``, zero beyond
-    the evolved grades <= M.  Along an even-only a1 or a3 axis the frame
-    velocity must be zero.
+    the evolved grades <= M.  An even-only a1 or a3 axis is a mirrored
+    velocity axis of ``march.check_slab``, which also checks the domain,
+    density and temperature.
     """
 
     y_lo: float
@@ -84,19 +85,13 @@ class Grid1D:
         self.theta = np.array(self.theta, dtype=float)
         self.coeffs = np.array(self.coeffs, dtype=float)
         n, *cube = self.coeffs.shape
-        if not (self.y_hi > self.y_lo):
-            raise ValueError("empty domain")
         if self.u.shape != (n, 3) or self.theta.shape != (n,):
             raise ValueError("inconsistent field shapes")
         if len(cube) != 3 or cube[1] < 4:
             raise ValueError("coefficient cubes must be (N, K1, K, K3), M >= 3")
         steps = axis_steps(tuple(cube))
-        for d in (0, 2):
-            if steps[d] == 2 and np.any(self.u[:, d] != 0.0):
-                raise ValueError("frame velocity u%d must be zero along an "
-                                 "axis that stores even orders only" % (d + 1))
-        require_positive(self.coeffs[:, 0, 0, 0], "density", "in cell %d", ValueError)
-        require_positive(self.theta, "temperature", "in cell %d", ValueError)
+        check_slab(self.y_lo, self.y_hi, self.coeffs[:, 0, 0, 0], self.u,
+                   self.theta, tuple(d for d in (0, 2) if steps[d] == 2))
 
     @property
     def n(self):

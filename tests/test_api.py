@@ -35,6 +35,8 @@ DELETED = [
     ("march.RunResult", "state"), ("solver1d", "mirror_breaker"),
     ("scenarios.ScenarioConfig", "dv_limiter"),
     ("solver1d.RunConfig", "collisionless"), ("moments", "decay_diagnostic"),
+    ("scenarios", "_check_tuples"), ("scenarios", "_kind"),
+    ("scenarios", "_KINDS"),
 ]
 
 

@@ -87,8 +87,8 @@ _SHORT = dict(M=3, cells=8, t_end=0.01, steady_tol=None)
         "u_wall_left-str", "u0-ragged"])
 def test_preset_rejects_a_field_of_the_wrong_kind(overrides, message):
     # a config built in code is held to the kinds the config parser checks,
-    # and a scalar's kind and a tuple's entries are checked before a solver
-    # class reads them
+    # and every field's kind, a tuple's length too, is checked in one pass
+    # before a solver class reads it
     with pytest.raises(ValueError) as err:
         scenarios.preset("couette", **{**_SHORT, **overrides})
     assert str(err.value) == message
@@ -98,14 +98,38 @@ def test_preset_rejects_a_field_of_the_wrong_kind(overrides, message):
 @pytest.mark.parametrize("overrides, message", [
     (dict(kn=-1.0), "Knudsen number must be positive"),
     (dict(chi=2.0), "accommodation chi must lie in [0, 1]"),
-    (dict(force=(0.1,)), "force must be a finite 3-vector"),
-    (dict(u_wall_left=(0.0, 1.0)), "wall velocity u_wall must be a finite 3-vector"),
+    (dict(force=(0.1,)), "force must be a list of numbers of length 3, got (0.1,)"),
+    (dict(u_wall_left=(0.0, 1.0)),
+     "u_wall_left must be a list of numbers of length 3, got (0.0, 1.0)"),
     (dict(t_end=None), "set an end time and/or a steady tolerance"),
 ], ids=["kn", "chi", "force-short", "u_wall-short", "no-stop"])
 def test_preset_rejects_a_bad_run_option_with_the_run_config_message(
         solver, overrides, message):
     # the scenario builds its run config, so a bad shared run option fails
-    # at construction, for either solver, with the solver class's message
+    # at construction, for either solver, with one message; a short tuple
+    # fails the one-pass field-kind check before either solver's config
+    with pytest.raises(ValueError) as err:
+        scenarios.preset("couette", solver=solver, **{**_SHORT, **overrides})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("solver", ["nrxx", "cdvm"])
+@pytest.mark.parametrize("overrides, message", [
+    (dict(u_wall_right=(COUETTE_WALL_SPEED, 0.2, 0.0)),
+     "the right wall moves along its normal, which neither solver supports"),
+    (dict(y_lo=0.5, y_hi=0.5), "empty domain"),
+    (dict(y_lo=0.5, y_hi=-0.5), "empty domain"),
+    (dict(y_lo=-float("inf")), "infinite domain"),
+    (dict(theta0=-1.0), "non-positive or non-finite temperature (-1.0) in cell 0"),
+    (dict(rho0=0.0), "non-positive or non-finite density (0.0) in cell 0"),
+    (dict(theta0=float("nan")),
+     "non-positive or non-finite temperature (nan) in cell 0"),
+], ids=["normal-wall", "zero-width", "reversed", "infinite", "theta-negative",
+        "rho-zero", "theta-nan"])
+def test_preset_rejects_a_bad_wall_or_slab_with_one_message_for_both_solvers(
+        solver, overrides, message):
+    # one rule per input, shared by both solvers: the run fails when the
+    # config is built, with the same message whichever solver would run it
     with pytest.raises(ValueError) as err:
         scenarios.preset("couette", solver=solver, **{**_SHORT, **overrides})
     assert str(err.value) == message
@@ -417,7 +441,9 @@ def test_run_rejects_stop_conditions_that_run_no_step(tmp_path, capsys, flags):
 @pytest.mark.parametrize("key, kind", [("M", "an integer"),
                                        ("cells", "an integer"),
                                        ("kn", "a number"),
-                                       ("u0", "a list of numbers")])
+                                       pytest.param(
+                                           "u0", "a list of numbers of length 3",
+                                           id="u0-a list of numbers")])
 def test_config_none_names_a_key_whose_default_is_not_none(tmp_path, capsys,
                                                            key, kind):
     cfg = tmp_path / "none.ini"
@@ -432,8 +458,8 @@ def test_config_none_names_a_key_whose_default_is_not_none(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("line, message", [
-    ("u0 = 0 1", "u0 must be a list of numbers of length 3, got '0 1'"),
-    ("force = 0.1", "force must be a list of numbers of length 3, got '0.1'"),
+    ("u0 = 0 1", "u0 must be a list of numbers of length 3, got (0.0, 1.0)"),
+    ("force = 0.1", "force must be a list of numbers of length 3, got (0.1,)"),
     ("dv_nodes = 12 12.5 12",
      "dv_nodes must be a list of numbers of length 3, got '12 12.5 12'"),
     ("kn = abc", "kn must be a number, got 'abc'"),

@@ -160,7 +160,7 @@ def test_grid_rejects_frame_velocity_along_a_reduced_axis():
     u, theta, full = _mirror_cells(rng, 3, 4, (2,))
     u[1, 2] = 0.1
     Grid1D(-0.5, 0.5, u, theta, full)
-    with pytest.raises(ValueError, match="frame velocity u3 must be zero"):
+    with pytest.raises(ValueError, match="velocity u3 must be zero along a mirrored velocity axis"):
         Grid1D(-0.5, 0.5, u, theta, even_slots(full, (2,)))
     with pytest.raises(ValueError, match="not a coefficient layout"):
         Grid1D(-0.5, 0.5, u, theta, full[:, :4, :, :4])

@@ -870,14 +870,16 @@ def test_steady_couette_on_40_cells_mixes_past_its_slow_modes():
     assert np.all(np.abs(table - want) <= 1e-6 * scale)
 
 
-def test_step_spectrum_keeps_mass_and_a_dt_free_slow_mode():
-    # linearized about steady Couette: the walls keep mass alone, so one
+@pytest.mark.parametrize("scenario, M", [("couette", 3), ("couette", 5),
+                                         ("poiseuille", 5)])
+def test_step_spectrum_keeps_mass_and_a_dt_free_slow_mode(scenario, M):
+    # linearized about the steady state: the walls keep mass alone, so one
     # eigenvalue sits on the unit circle and none outside it; the slowest
     # decaying mode is physical, so its rate per unit time does not move
     # with the time step
     rates = []
     for cfl in (0.95, 0.475):
-        sc = scenarios.preset("couette", M=3, cells=6, cfl=cfl, steady_tol=1e-10)
+        sc = scenarios.preset(scenario, M=M, cells=6, cfl=cfl, steady_tol=1e-10)
         g = scenarios.build_grid(sc)
         cfg = scenarios.to_run_config(sc)
         assert run(g, cfg).converged
