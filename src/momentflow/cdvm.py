@@ -399,6 +399,11 @@ class DvField:
     def __post_init__(self):
         if self.values.shape[1:] != self.grid.shape:
             raise ValueError("values do not match the velocity grid")
+        # a cell of zero density has u and theta NaN; its density fails
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = self.moments()
+        check_slab(self.y_lo, self.y_hi, m["rho"], m["u"], m["theta"],
+                   self.grid.mirrored)
         self.correction = np.zeros((self.n, 4))
 
     @property

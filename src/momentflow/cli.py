@@ -1,8 +1,8 @@
 """Command-line driver: scenario runs and profile comparison.
 
 ``momentflow run`` builds a scenario config from a preset, an optional flat
-config file and flag overrides (``--limiter`` sets the limiter of the solver
-that runs; unset, it is that solver's default), runs the chosen solver, and
+config file and flags, each flag but ``--config`` and ``--threads`` read as
+its config key is (``scenarios.parse_value``), runs the chosen solver, and
 writes CSV profile snapshots, the steady residual of every check
 (``residual_history.csv``) and a plain-text run log.  ``momentflow compare``
 measures the difference between two profile files column by column.
@@ -32,23 +32,17 @@ def build_parser():
     sub = p.add_subparsers(dest="command")
 
     r = sub.add_parser("run", help="run a scenario and write CSV profiles")
-    r.add_argument("--scenario", default=None)
-    r.add_argument("--config", default=None, help="flat key = value config file")
-    r.add_argument("--solver", default=None)
-    r.add_argument("--M", type=int, default=None, help="moment order")
-    r.add_argument("--kn", type=float, default=None)
-    r.add_argument("--pr", type=float, default=None)
-    r.add_argument("--chi", type=float, default=None)
-    r.add_argument("--cells", type=int, default=None)
-    r.add_argument("--tend", dest="t_end", type=float, default=None)
-    r.add_argument("--steady-tol", type=float, default=None)
-    r.add_argument("--max-steps", type=int, default=None)
-    r.add_argument("--limiter", default=None)
-    r.add_argument("--snapshot-interval", type=int, default=None)
-    r.add_argument("--dv-nodes", type=int, nargs=3, default=None)
-    r.add_argument("--dv-half-width", type=float, default=None)
-    r.add_argument("--out", dest="out_dir", default=None, help="output directory")
-    r.add_argument("--threads", type=int, default=None)
+    # every flag but --config and --threads holds the text of the config
+    # field of its dest
+    r.add_argument("--config", help="flat key = value config file")
+    r.add_argument("--M", help="moment order")
+    for name in ("scenario", "solver", "kn", "pr", "chi", "cells", "steady-tol",
+                 "max-steps", "limiter", "snapshot-interval", "dv-half-width"):
+        r.add_argument("--" + name)
+    r.add_argument("--tend", dest="t_end")
+    r.add_argument("--dv-nodes", nargs=3)
+    r.add_argument("--out", dest="out_dir", help="output directory")
+    r.add_argument("--threads", type=int)
 
     c = sub.add_parser("compare", help="difference report between two profiles")
     c.add_argument("file_a")
@@ -68,14 +62,12 @@ def _cmd_run(args):
     from . import scenarios
     from .moments import write_table
 
-    # a flag's dest is its config field
-    names = {f.name for f in fields(scenarios.ScenarioConfig)}
-    over = {k: tuple(v) if isinstance(v, list) else v
-            for k, v in vars(args).items() if k in names and v is not None}
-    if args.config is not None:
-        sc = scenarios.load_config(args.config, **over)
-    else:
-        sc = scenarios.preset(over.pop("scenario", "custom"), **over)
+    # the words of a tuple flag are read as one config value
+    known = {f.name: f for f in fields(scenarios.ScenarioConfig)}
+    over = {k: scenarios.parse_value(known[k], v if isinstance(v, str)
+                                     else " ".join(v))
+            for k, v in vars(args).items() if k in known and v is not None}
+    sc = scenarios.load_config(args.config, **over)
     result = scenarios.solve(sc)
     residuals = result.residual_history
 

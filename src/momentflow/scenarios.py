@@ -17,16 +17,16 @@ unset it becomes that solver's default (NRxx "central", cdvm "none"), and
 the shock sets "minmod" for both.  A ``ScenarioConfig`` rejects a bad
 value when it is built, whether in code, from flags or from a file, by
 the rules of ``march`` that both solvers share, whichever solver runs, and
-with a message that names the key.  Configs
-round-trip through a flat ``key = value`` text format with section headers
-(configparser syntax) so a run is reproducible from a single diffable file.
-A key is a ``ScenarioConfig`` field, parsed by its declared type; any other
-key fails as an "unknown config key".  ``solve`` runs a config with the
-solver it names.
+with a message that names the key.  Configs round-trip through a flat
+``key = value`` text format with section headers (configparser syntax) so
+a run is reproducible from a single diffable file.  A key is a
+``ScenarioConfig`` field, read from its text by its declared type
+(``parse_value``, as the CLI's flags are); any other key fails as an
+"unknown config key".  ``solve`` runs a config with the solver it names.
 """
 
 import configparser
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -171,15 +171,12 @@ def mirrored_axes(sc):
 
 
 def build_grid(sc):
-    """Initial NRxx grid of local Maxwellians.  Along a1 and a3 it stores
-    the even orders alone on ``mirrored_axes``; a Maxwellian cube is even
-    on every axis."""
+    """Initial NRxx grid of local Maxwellians, built in the layout of the
+    run: the even orders alone along a1 and a3 on ``mirrored_axes``, which
+    holds a Maxwellian cube whole since it is even on every axis."""
     rho = np.full(sc.cells, sc.rho0)
-    grid = solver1d.Grid1D.from_fields(sc.y_lo, sc.y_hi, rho, sc.u0, sc.theta0,
-                                       sc.M)
-    mirrored = mirrored_axes(sc)
-    s1, s3 = (2 if d in mirrored else 1 for d in (0, 2))
-    return replace(grid, coeffs=grid.coeffs[:, ::s1, :, ::s3])
+    return solver1d.Grid1D.from_fields(sc.y_lo, sc.y_hi, rho, sc.u0, sc.theta0,
+                                       sc.M, mirrored_axes(sc))
 
 
 def to_dv_config(sc):
@@ -207,11 +204,12 @@ def solve(sc):
     return run(state, config, snapshot_interval=sc.snapshot_interval)
 
 
-def _parse_value(f, text):
-    """The value of field ``f`` written as ``text``; a tuple's entries take
-    the type of its default's entries.  "none" (or nothing) is None.  Text
-    that does not convert is a ValueError naming the key and the kind; the
-    value itself is checked when the config is built (``check_kinds``)."""
+def parse_value(f, text):
+    """The value of field ``f`` written as ``text`` in a config file or a
+    run flag of the CLI; a tuple's entries take the type of its default's
+    entries.  "none" (or nothing) is None.  Text that does not convert is a
+    ValueError naming the key and the kind; the value itself is checked
+    when the config is built (``check_kinds``)."""
     text = text.strip()
     if f.type is str:
         # "none" is a legal literal for limiter-style options, so string
@@ -247,18 +245,19 @@ def save_config(sc, path):
 
 
 def load_config(path, **overrides):
-    """Read a flat config file onto its scenario's preset, then apply
-    ``overrides``; unknown keys are an error."""
+    """Read a flat config file (none for ``path`` None) onto its scenario's
+    preset, then apply ``overrides``; unknown keys are an error."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    with open(path) as fh:
-        cp.read_file(fh)
+    if path is not None:
+        with open(path) as fh:
+            cp.read_file(fh)
     known = {f.name: f for f in fields(ScenarioConfig)}
     params = {}
     for section in cp.sections():
         for key, text in cp[section].items():
             if key not in known:
                 raise ValueError("unknown config key %r" % key)
-            params[key] = _parse_value(known[key], text)
+            params[key] = parse_value(known[key], text)
     params.update(overrides)
     return preset(params.pop("scenario", "custom"), **params)

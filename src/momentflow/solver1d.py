@@ -69,9 +69,9 @@ class Grid1D:
 
     ``u``: (N, 3) frame velocities, ``theta``: (N,), ``coeffs``:
     (N, K1, K, K3) with K = M + 1 in a layout of ``moments``, zero beyond
-    the evolved grades <= M.  An even-only a1 or a3 axis is a mirrored
-    velocity axis of ``march.check_slab``, which also checks the domain,
-    density and temperature.
+    the evolved grades <= M.  ``mirrored`` are the velocity axes d whose
+    a_d holds the even orders alone, which ``march.check_slab`` (that also
+    checks the domain, density and temperature) and ``step`` read.
     """
 
     y_lo: float
@@ -90,8 +90,9 @@ class Grid1D:
         if len(cube) != 3 or cube[1] < 4:
             raise ValueError("coefficient cubes must be (N, K1, K, K3), M >= 3")
         steps = axis_steps(tuple(cube))
+        self.mirrored = tuple(d for d in (0, 2) if steps[d] == 2)
         check_slab(self.y_lo, self.y_hi, self.coeffs[:, 0, 0, 0], self.u,
-                   self.theta, tuple(d for d in (0, 2) if steps[d] == 2))
+                   self.theta, self.mirrored)
 
     @property
     def n(self):
@@ -110,11 +111,13 @@ class Grid1D:
         return self.y_lo + (np.arange(self.n) + 0.5) * self.dx
 
     @classmethod
-    def from_fields(cls, y_lo, y_hi, rho, u, theta, M):
-        """Cells initialized as local Maxwellians with the given fields."""
+    def from_fields(cls, y_lo, y_hi, rho, u, theta, M, mirrored=()):
+        """Cells of local Maxwellians of the given fields, the even orders
+        alone along a_d for each axis d of ``mirrored`` (0 and/or 2)."""
         rho = np.asarray(rho, dtype=float)
         n = rho.shape[0]
-        cubes = np.zeros((n,) + (M + 1,) * 3)
+        cubes = np.zeros((n,) + tuple(M // 2 + 1 if d in mirrored else M + 1
+                                      for d in range(3)))
         cubes[:, 0, 0, 0] = rho
         u = np.broadcast_to(np.asarray(u, dtype=float), (n, 3))
         theta = np.broadcast_to(np.asarray(theta, dtype=float), (n,))
@@ -426,9 +429,7 @@ def step(grid, config, dt=None):
     """
     if grid.M != config.M:
         raise ValueError("grid and config disagree on the moment order")
-    steps = axis_steps(grid.coeffs.shape[1:])
-    require_mirror([d for d in (0, 2) if steps[d] == 2], config.force,
-                   (config.left, config.right))
+    require_mirror(grid.mirrored, config.force, (config.left, config.right))
     if dt is None:
         dt = cfl_timestep(grid, config.cfl, config.signal_speed)
 

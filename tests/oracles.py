@@ -895,14 +895,17 @@ def even_slots(coeffs, axes=(0, 2)):
 
 def step_spectrum(grid, config):
     """Eigenvalues of the Jacobian of one ``solver1d.step`` about ``grid``
-    at the fixed dt of its CFL time step; returns ``(eigenvalues, dt)``.
+    at the fixed dt of its CFL time step and each eigenvector's Nyquist
+    share; returns ``(eigenvalues, nyquist, dt)``.
 
     The unknowns are every cell's coefficients of grades <= M in one global
     frame (u = 0, theta = 1).  The frame change is graded-triangular and
     exact on the kept grades, so these coordinates hold the whole state:
     ``renormalize_arrays`` maps them back to each cell's own frame, free of
     the gauge slots that a cell's own (u, theta, coeffs) carry.  Columns
-    are central differences of step 1e-6.
+    are central differences of step 1e-6.  The Nyquist share of a mode is
+    the fraction of its energy sum |v|^2 in the odd-even cell profile
+    (-1)^j of each unknown, 1 for a pure odd-even mode.
     """
     from momentflow.moments import grade_mask
     from momentflow.projection import project_coeffs, renormalize_arrays
@@ -930,4 +933,9 @@ def step_spectrum(grid, config):
         e = np.zeros_like(z)
         e[j] = 1e-6
         jac[:, j] = (step_map(z + e) - step_map(z - e)) / 2e-6
-    return np.linalg.eigvals(jac), dt
+    lam, vec = np.linalg.eig(jac)
+    vec = vec.reshape(n, -1, vec.shape[-1])
+    odd_even = np.einsum("j,jkm->km", (-1.0) ** np.arange(n), vec)
+    nyquist = (np.sum(np.abs(odd_even) ** 2, axis=0)
+               / (n * np.sum(np.abs(vec) ** 2, axis=(0, 1))))
+    return lam, nyquist, dt

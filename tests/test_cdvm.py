@@ -1008,6 +1008,20 @@ def test_mirrored_grid_validation():
         DvField(grid, -0.5, 0.5, np.ones((4, 12, 12, 12)))
 
 
+def test_field_built_from_values_checks_its_slab():
+    # a field built from values is held to the slab rule of from_fields,
+    # on the moments of its own cells
+    grid = DvGrid(6.0, (12, 12, 12), mirrored=(2,))
+    values = DvField.from_fields(grid, -0.5, 0.5, np.ones(4), np.zeros(3),
+                                 1.0).values
+    with pytest.raises(ValueError, match="^empty domain$"):
+        DvField(grid, 0.5, 0.5, values)
+    values[2] = 0.0
+    with pytest.raises(ValueError, match=r"^non-positive or non-finite "
+                       r"density \(0\.0\) in cell 2$"):
+        DvField(grid, -0.5, 0.5, values)
+
+
 def test_conservative_gaussian_on_mirrored_axes_matches_full_axes():
     # cells even in xi_1 and xi_3: the Newton on the half axes keeps u_G,1 =
     # u_G,3 = 0.0 exactly and finds the full axes' parameters

@@ -254,13 +254,19 @@ def test_parser_accepts_documented_flags():
             "--out", "somewhere", "--threads", "2",
         ]
     )
-    assert args.command == "run"
-    assert args.solver == "cdvm" and args.M == 6 and args.kn == 0.5
-    assert args.dv_nodes == [16, 24, 16]
+    assert args.command == "run" and args.threads == 2
+    # a run flag holds its text, which the run reads as a config file's
+    # value, the words of a tuple joined
+    assert (args.solver, args.M, args.kn) == ("cdvm", "6", "0.5")
+    assert args.dv_nodes == ["16", "24", "16"]
     # every flag but --config and --threads is named by its config field
-    names = {f.name for f in fields(scenarios.ScenarioConfig)}
-    assert set(vars(args)) - {"command", "config", "threads"} <= names
-    assert (args.t_end, args.out_dir) == (2.5, "somewhere")
+    known = {f.name: f for f in fields(scenarios.ScenarioConfig)}
+    assert set(vars(args)) - {"command", "config", "threads"} <= set(known)
+    assert (args.t_end, args.out_dir) == ("2.5", "somewhere")
+    assert scenarios.parse_value(known["M"], args.M) == 6
+    assert scenarios.parse_value(known["t_end"], args.t_end) == 2.5
+    assert (scenarios.parse_value(known["dv_nodes"], " ".join(args.dv_nodes))
+            == (16, 24, 16))
     args = p.parse_args(["compare", "a.csv", "b.csv"])
     assert args.norm == "l2rel"
     # the force kick has one step order, so there is no splitting flag
@@ -438,44 +444,81 @@ def test_run_rejects_stop_conditions_that_run_no_step(tmp_path, capsys, flags):
     assert "steps" not in captured.out
 
 
-@pytest.mark.parametrize("key, kind", [("M", "an integer"),
-                                       ("cells", "an integer"),
-                                       ("kn", "a number"),
-                                       pytest.param(
-                                           "u0", "a list of numbers of length 3",
-                                           id="u0-a list of numbers")])
+def _run_setting(tmp_path, source, key, text):
+    """Exit code of a Couette run into ``tmp_path``/o with ``key`` set to
+    ``text`` by its flag (the words of a tuple as its words) or by a line
+    of a config file."""
+    argv = ["run", "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--scenario", "couette", "--" + key.replace("_", "-")]
+        argv += text.split()
+    else:
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[run]\nscenario = couette\n%s = %s\n" % (key, text))
+        argv += ["--config", str(cfg)]
+    return main(argv)
+
+
+def _both_sources(cases, flags):
+    """``cases`` (id, *values) from a config file under their ids, and
+    those whose id begins with a key in ``flags`` also from that key's
+    flag, under id-flag."""
+    return ([pytest.param("config", *v, id=i) for i, *v in cases]
+            + [pytest.param("flag", *v, id=i + "-flag") for i, *v in cases
+               if i.split("-")[0] in flags])
+
+
+@pytest.mark.parametrize("source, key, kind", _both_sources([
+    ("M-an integer", "M", "an integer"),
+    ("cells-an integer", "cells", "an integer"),
+    ("kn-a number", "kn", "a number"),
+    ("u0-a list of numbers", "u0", "a list of numbers of length 3"),
+], flags=("M", "cells", "kn")))
 def test_config_none_names_a_key_whose_default_is_not_none(tmp_path, capsys,
-                                                           key, kind):
+                                                           source, key, kind):
+    # a flag's text is read as a config file's: each gives the same error
     cfg = tmp_path / "none.ini"
     cfg.write_text("[run]\nscenario = couette\n%s = none\n" % key)
     with pytest.raises(ValueError, match="%s must be %s, got None" % (key, kind)):
         scenarios.load_config(str(cfg))
-    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == 1
+    assert _run_setting(tmp_path, source, key, "none") == 1
     assert ("error: %s must be %s, got None\n" % (key, kind)
             == capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("line, message", [
-    ("u0 = 0 1", "u0 must be a list of numbers of length 3, got (0.0, 1.0)"),
-    ("force = 0.1", "force must be a list of numbers of length 3, got (0.1,)"),
-    ("dv_nodes = 12 12.5 12",
+@pytest.mark.parametrize("source, line, message", _both_sources([
+    ("u0-short", "u0 = 0 1",
+     "u0 must be a list of numbers of length 3, got (0.0, 1.0)"),
+    ("force-scalar", "force = 0.1",
+     "force must be a list of numbers of length 3, got (0.1,)"),
+    ("dv_nodes-float", "dv_nodes = 12 12.5 12",
      "dv_nodes must be a list of numbers of length 3, got '12 12.5 12'"),
-    ("kn = abc", "kn must be a number, got 'abc'"),
-    ("cells = 2.5", "cells must be an integer, got '2.5'"),
-], ids=["u0-short", "force-scalar", "dv_nodes-float", "kn-text", "cells-float"])
-def test_config_value_of_the_wrong_kind_names_the_key(tmp_path, capsys, line,
-                                                      message):
+    ("kn-text", "kn = abc", "kn must be a number, got 'abc'"),
+    ("cells-float", "cells = 2.5", "cells must be an integer, got '2.5'"),
+], flags=("dv_nodes", "kn", "cells")))
+def test_config_value_of_the_wrong_kind_names_the_key(tmp_path, capsys, source,
+                                                      line, message):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[run]\nscenario = couette\n%s\n" % line)
     with pytest.raises(ValueError) as err:
         scenarios.load_config(str(cfg))
     assert str(err.value) == message
-    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == 1
+    key, text = (w.strip() for w in line.split("="))
+    assert _run_setting(tmp_path, source, key, text) == 1
     assert capsys.readouterr().err == "error: %s\n" % message
     assert not (tmp_path / "o").exists()
+
+
+def test_steady_tol_flag_none_unsets_the_preset_tolerance(tmp_path, capsys):
+    # "none" unsets a field whose default is None from a flag as from a file,
+    # so the Couette preset runs to its end time alone
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "couette", "--M", "3", "--cells", "8",
+                 "--tend", "0.05", "--steady-tol", "none", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "\nsteady_tol = none\n" in (out / "config.ini").read_text()
+    assert "message: reached end time\n" in (out / "run_log.txt").read_text()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
