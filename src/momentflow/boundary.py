@@ -4,8 +4,8 @@ The wall machinery is derived for a right-hand wall with inward normal -e2
 (gas at y < wall).  It combines three ingredients:
 
   * half-range integrals of Hermite-basis pairs, S(m, n), filled by a
-    four-case recursion seeded from He_n(0) -- nonzero only when m - n is
-    zero or odd, with S(n, n) = 1/2;
+    four-case recursion seeded from He_n(0) (``_he_zeros``) -- nonzero
+    only when m - n is zero or odd, with S(n, n) = 1/2;
   * the wall Maxwellian restricted to incoming velocities, whose Hermite
     coefficients factor into per-axis sequences J_s (full line, tangential
     axes) and J^_s (half line, normal axis) satisfying two-term recursions;
@@ -32,7 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hermite import he_zeros
 from .moments import axis_steps, grade_mask
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -60,10 +59,19 @@ class WallSpec:
             raise ValueError("wall velocity u_wall must be a finite 3-vector")
 
 
+def _he_zeros(max_degree):
+    """He_n(0) = 0 for odd n, (-1)^k (2k-1)!! for n = 2k <= max_degree: the
+    factors -(2k-1) multiplied in the order of He_{n+1}(0) = -n He_{n-1}(0),
+    so each entry rounds as that recursion's does."""
+    vals = np.zeros(max_degree + 1)
+    vals[::2] = np.cumprod(1.0 - 2.0 * np.arange(max_degree // 2 + 1))
+    return vals
+
+
 @lru_cache(maxsize=None)
 def s_table(nmax):
     """Table of the half-range pair integrals S(m, n), 0 <= m, n <= nmax."""
-    he0 = he_zeros(nmax + 1)
+    he0 = _he_zeros(nmax + 1)
 
     def kval(m, n):
         return he0[m - 1] * he0[n] / (SQRT_2PI * math.factorial(m))

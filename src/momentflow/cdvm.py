@@ -19,8 +19,11 @@ on axes that resolve the Gaussian (24 nodes on [-8, 8]) that drifts less
 than the Newton tolerance, so most collisions take one evaluation.
 
 The quadrature weights, the Gaussian and the Shakhov polynomial all factor
-per axis.  A step passes over the velocity cube three times, in place, and
-keeps no temporary the size of the state.  Per cell, the Newton and the
+per axis.  One kernel, ``_axis_gaussians``, evaluates the per-axis
+Gaussians: the Newton's tables and sums, and the factors of every nodal
+Maxwellian (``DvGrid.maxwellian``: initial fields, wall emission).  A
+step passes over the velocity cube three times, in place, and keeps no
+temporary the size of the state.  Per cell, the Newton and the
 conservative projection touch only tables of the axes: the Gram matrix and
 right-hand side are one GEMM of the products S1[a] S2[b] S3[c] of per-axis
 sums.  Per block of whole cells of about ``march.BLOCK`` entries, while the
@@ -140,10 +143,11 @@ class DvGrid:
                                      np.concatenate(weights), 0.0)
 
     def maxwellian(self, rho, u, theta):
-        """Nodal Maxwellian values, batched over leading dims of rho/u/theta."""
+        """Nodal Maxwellian values rho (2 pi theta)^-3/2 g1 g2 g3, batched
+        over the leading dims that u (..., 3) and theta (...) share; g_d are
+        the k = 0 columns of ``_axis_gaussians``."""
         u, theta = np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
-        g = [np.exp(-((x - u[..., d, None]) ** 2) / (2.0 * theta[..., None]))
-             for d, x in enumerate(self.axes)]
+        g = [t[..., 0] for t in _axis_gaussians(self, u, theta)[0]]
         norm = np.multiply(rho, (2.0 * math.pi * theta) ** -1.5)
         return ((norm[..., None] * g[0])[..., :, None, None]
                 * g[1][..., None, :, None] * g[2][..., None, None, :])

@@ -19,8 +19,15 @@ The steady residual is defined once, on the snapshot table: every
 ``CHECK_EVERY`` = 10 steps, and only when ``steady_tol`` is set, the max
 over cells and columns but y of |cur - prev| / (|prev| + 1e-8), divided by
 the time since the previous check (the initial state for the first).  The
-check is sparse because one discrete-velocity table costs about a third of
-a discrete-velocity step.
+check is sparse because a discrete-velocity table costs about a fifth of a
+discrete-velocity step (0.58 ms against 3.07 ms on 24^3 nodes x 50 cells;
+NRxx M = 3 on 20 cells: 0.058 ms against 1.8 ms, about 3 %).  A column
+exactly zero at steady state (u2, q1 or q2 on the centre cell of an odd
+Couette grid, by symmetry) keeps a round-off ripple of ~1e-17, which over
+a check window of ~0.5 against the floor 1e-8 reads ~1e-8: a
+``steady_tol`` below about 1e-8 can be unreachable.  A step whose dt no
+longer advances t (a runaway state) is a RuntimeError naming the step, dt
+and t.
 """
 
 import math
@@ -307,7 +314,9 @@ def march(state, config, timestep, advance, table, snapshot_interval=0,
     place and ``table()`` builds its snapshot table.  The table is also kept
     every ``snapshot_interval`` steps (0: never), and always at the end.
     ``on_step(t, state)`` is called after every step.  ``converged`` is
-    False only when ``max_steps`` stopped the run.
+    False only when ``max_steps`` stopped the run.  A step whose dt would
+    not advance t raises; a ``steady_tol`` below about ``RESIDUAL_FLOOR``
+    can be unreachable (see the module docstring for both).
 
     ``vector``, if given, is a pair ``(get, put)``: ``get()`` returns the
     state as a new flat vector, and ``put(x)`` sets the state to ``x`` and
@@ -344,6 +353,9 @@ def march(state, config, timestep, advance, table, snapshot_interval=0,
         dt = timestep()
         if t + dt > t_end:
             dt = t_end - t
+        if not (t + dt > t):
+            raise RuntimeError("step %d does not advance the time: dt = %.3g "
+                               "at t = %.17g" % (steps + 1, dt, t))
         advance(dt)
         t += dt
         steps += 1

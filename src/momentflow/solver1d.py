@@ -18,8 +18,9 @@ velocity component (``march.mirror_breaker``).  The top grade M + 1 is
 never stored: the closure predicts it at each interface from the traces'
 mean and from centered differences of its ``closure_columns``, and the HLL
 flux takes it in one term.
-Wall ghosts are rebuilt from the current state at every Heun stage, and at
-a wall interface the outer state is built from the inner trace, so the wall
+Beyond either end one rule (``_beyond_end``), rebuilt at every Heun stage,
+gives the end cell itself at a free end and a wall ghost at a wall: of the
+end cell for its slope, of the inner trace for the outer trace, so the wall
 mass flux vanishes identically for a non-moving wall at both stages.
 
 A state that is non-positive or non-finite (NaN) in density or temperature
@@ -46,18 +47,18 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import hermite_e
 
 from .boundary import ghost_state
 from .closure import add_top_flux, closure_coeffs, closure_columns
 from .collision import collide_coeffs, relaxation_time
-from .hermite import largest_he_root
 from .march import (RunOptions, check_choice, check_slab, march, minmod,
                     require_mirror, require_positive)
 from .moments import (axis_steps, grade_mask, low_moments, snapshot_table,
                       work_array)
 from .projection import project_coeffs, renormalize_arrays
 
-# HLL wave speeds are u2 +- SIGNAL_SPEED_FACTOR he_root(M+1) sqrt(theta)
+# HLL wave speeds u2 +- SIGNAL_SPEED_FACTOR largest_he_root(M+1) sqrt(theta)
 SIGNAL_SPEED_FACTOR = 1.2
 
 LIMITERS = ("none", "central", "minmod")
@@ -123,11 +124,8 @@ class Grid1D:
         theta = np.broadcast_to(np.asarray(theta, dtype=float), (n,))
         return cls(y_lo, y_hi, u, theta, cubes)
 
-    def densities(self):
-        return self.coeffs[:, 0, 0, 0]
-
     def total_mass(self):
-        return float(np.sum(self.densities()) * self.dx)
+        return float(np.sum(self.coeffs[:, 0, 0, 0]) * self.dx)
 
     def total_momentum(self):
         rho, f1, _ = low_moments(self.coeffs)
@@ -152,7 +150,7 @@ class RunConfig(RunOptions):
     docstring for why there is no Strang variant).
     ``limiter``: in-cell slopes, "none" (first order), "central" or "minmod".
     ``signal_speed`` (derived): c in the HLL wave speeds u2 +- c sqrt(theta),
-    the constant ``SIGNAL_SPEED_FACTOR`` times he_root(M+1).
+    the constant ``SIGNAL_SPEED_FACTOR`` times ``largest_he_root(M + 1)``.
     """
 
     M: int
@@ -171,6 +169,13 @@ class RunConfig(RunOptions):
     @property
     def signal_speed(self):
         return SIGNAL_SPEED_FACTOR * largest_he_root(self.M + 1)
+
+
+@lru_cache(maxsize=None)
+def largest_he_root(n):
+    """Largest root of He_n; bounds the spectrum of the streaming operator."""
+    nodes, _ = hermite_e.hermegauss(n)
+    return float(nodes[-1])
 
 
 @lru_cache(maxsize=None)
@@ -265,12 +270,14 @@ def _slope(diff, limiter, out):
     return out
 
 
-def _cell_ghost(grid, j, wall, sign):
-    """``(u, theta, coeffs)`` beyond cell j: its wall ghost at a wall (the
-    left one for ``sign`` -1, the right one for +1), the cell itself at a
-    free end."""
-    state = grid.u[j], grid.theta[j], grid.coeffs[j]
-    return state if wall is None else ghost_state(*state, wall, sign)
+def _beyond_end(grid, j, wall, sign, inner=None):
+    """``(u, theta, coeffs)`` beyond the end cell j (0 or N - 1): at a wall
+    (the left one for ``sign`` -1, the right one for +1) the wall ghost of
+    ``inner``, by default the cell itself; at a free end the cell itself."""
+    cell = grid.u[j], grid.theta[j], grid.coeffs[j]
+    if wall is None:
+        return cell
+    return ghost_state(*(cell if inner is None else inner), wall, sign)
 
 
 def closure_time(rho, theta, kn, dt):
@@ -282,7 +289,7 @@ def closure_time(rho, theta, kn, dt):
     continuum regime the closure formula was derived for) and is capped by dt
     otherwise; the cap keeps the gradient part of the closure inside the
     explicit diffusion stability limit at the advective CFL step for every M
-    (max diffusion number ~ 0.63 (M+1)/he_root(M+1)^2 < 1/2).
+    (max diffusion number ~ 0.63 (M+1) / largest_he_root(M+1)^2 < 1/2).
     """
     tau = relaxation_time(rho, theta, kn)
     return -tau * np.expm1(-dt / tau)
@@ -298,8 +305,8 @@ def _interface_data(grid, config):
     in the interior, the inner trace and its trace-built ghost at a wall.
     """
     n, dx = grid.n, grid.dx
-    gl = _cell_ghost(grid, 0, config.left, -1.0)
-    gr = _cell_ghost(grid, n - 1, config.right, 1.0)
+    ends = ((config.left, -1.0, 0), (config.right, 1.0, n - 1))
+    gl, gr = (_beyond_end(grid, j, wall, sign) for wall, sign, j in ends)
     traces = []
     for cells, lo, hi in zip((grid.u, grid.theta, grid.coeffs), gl, gr):
         diff = work_array("face differences", (n + 1,) + cells.shape[1:])
@@ -318,16 +325,13 @@ def _interface_data(grid, config):
         "in cell %d in reconstruction",
     )
 
-    # outer trace at each end (side 0 left of the interface): trace-built
-    # ghost at a wall, zero-gradient copy for a free boundary
-    for wall, sign, i, side, j in ((config.left, -1.0, 0, 0, 0),
-                                   (config.right, 1.0, n, 1, n - 1)):
-        if wall is not None:
-            g = ghost_state(tu[1 - side, i], tth[1 - side, i], tc[1 - side, i],
-                            wall, sign)
-        else:
-            g = grid.u[j], grid.theta[j], grid.coeffs[j]
-        tu[side, i], tth[side, i], tc[side, i] = g
+    # outer trace at end interface i (side 0 left of it): the ghost of the
+    # inner trace at a wall, the end cell for a free boundary
+    for side, (wall, sign, j) in enumerate(ends):
+        i = side * n
+        inner = tu[1 - side, i], tth[1 - side, i], tc[1 - side, i]
+        tu[side, i], tth[side, i], tc[side, i] = _beyond_end(
+            grid, j, wall, sign, inner)
 
     # at a wall the flanking pair is (trace, its ghost), which pins the
     # common frame to (u_trace_tangential, u_wall_normal, theta_trace)

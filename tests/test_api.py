@@ -13,7 +13,8 @@ import pytest
 import momentflow
 
 # names gone from their module: deleted, kept in tests/oracles.py, or (as
-# solver1d.mirror_breaker, now march.mirror_breaker) moved to another module
+# solver1d.mirror_breaker, now march.mirror_breaker) moved to another
+# module; a name of a removed module is gone with its module
 DELETED = [
     ("moments", "MomentState"), ("moments", "INVARIANT_TOL"),
     ("moments", "maxwellian"), ("moments", "n_moments"),
@@ -36,19 +37,26 @@ DELETED = [
     ("scenarios.ScenarioConfig", "dv_limiter"),
     ("solver1d.RunConfig", "collisionless"), ("moments", "decay_diagnostic"),
     ("scenarios", "_check_tuples"), ("scenarios", "_kind"),
-    ("scenarios", "_KINDS"),
+    ("scenarios", "_KINDS"), ("hermite", "he_zeros"),
+    ("hermite", "largest_he_root"), ("solver1d.Grid1D", "densities"),
 ]
+# modules removed from the package, their names moved to their callers
+REMOVED_MODULES = {"hermite"}
 
 
 @pytest.mark.parametrize("owner, name", DELETED, ids=[
     "%s.%s" % pair for pair in DELETED])
 def test_deleted_names_are_gone(owner, name):
     module, _, attr = owner.partition(".")
-    obj = importlib.import_module("momentflow." + module)
-    if attr:
-        obj = getattr(obj, attr)
-    with pytest.raises(AttributeError):
-        getattr(obj, name)
+    if module in REMOVED_MODULES:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("momentflow." + module)
+    else:
+        obj = importlib.import_module("momentflow." + module)
+        if attr:
+            obj = getattr(obj, attr)
+        with pytest.raises(AttributeError):
+            getattr(obj, name)
     with pytest.raises(AttributeError):
         getattr(momentflow, name)
 

@@ -90,6 +90,30 @@ def test_trapezoidal_weights():
         assert np.sum(w) == pytest.approx(16.0, rel=1e-14)
 
 
+def test_maxwellian_is_the_product_of_the_axis_gaussians():
+    # a doubly mirrored grid with odd mirrored axes: the nodal Maxwellian is
+    # norm g1 (x) g2 (x) g3 of the k = 0 columns of _axis_gaussians, bit for
+    # bit, batched and for one state as the wall emission calls it
+    grid = DvGrid(6.0, (13, 12, 15), mirrored=(0, 2))
+    rho = np.array([0.8, 1.3])
+    u = np.array([[0.0, 0.3, 0.0], [0.0, -0.2, 0.0]])
+    theta = np.array([0.9, 1.4])
+    g1, g2, g3 = (t[..., 0] for t in _axis_gaussians(grid, u, theta)[0])
+    norm = rho * (2.0 * math.pi * theta) ** -1.5
+    want = ((norm[:, None] * g1)[:, :, None, None] * g2[:, None, :, None]
+            * g3[:, None, None, :])
+    assert want.shape == (2, 7, 12, 8)
+    assert np.array_equal(grid.maxwellian(rho, u, theta), want)
+    one = grid.maxwellian(float(rho[1]), tuple(u[1]), float(theta[1]))
+    assert np.array_equal(one, want[1])
+    # and the Gaussians are those of the stored nodes
+    for g, x, d in ((g1, grid.axes[0], 0), (g2, grid.axes[1], 1),
+                    (g3, grid.axes[2], 2)):
+        np.testing.assert_allclose(
+            g, np.exp(-(x - u[:, d, None]) ** 2 / (2.0 * theta[:, None])),
+            rtol=1e-15, atol=0.0)
+
+
 def test_moments_of_resting_maxwellian():
     f = GRID.maxwellian(1.0, np.zeros(3), 1.0)
     mom = dv_moments(f, GRID)
@@ -298,6 +322,11 @@ def test_warm_started_run_matches_cold_started_run(monkeypatch):
     sc = scenarios.preset("couette", solver="cdvm", cells=50,
                           dv_nodes=(24, 24, 24), limiter="none")
     cfg = scenarios.to_dv_config(sc)
+    # the walls' Maxwellians come from the axis Gaussians too, built once
+    # per grid and wall: a warm-up step builds them before the count
+    fld = scenarios.build_dv_field(sc)
+    dv_step(fld, dv_cfl_timestep(fld, cfg.cfl, cfg.limiter), cfg.left,
+            cfg.right, cfg.kn, cfg.pr, cfg.limiter)
     calls = []
     monkeypatch.setattr(cdvm, "_axis_gaussians",
                         lambda *a: calls.append(1) or _axis_gaussians(*a))

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial import hermite_e
 
-from momentflow.hermite import he_zeros, largest_he_root
+from momentflow.boundary import _he_zeros as he_zeros, s_table
+from momentflow.solver1d import largest_he_root
 
 import oracles
 from oracles import basis_eval, cube_from_dict, expansion_eval
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
-# the library evaluates He_n only at x = 0 (``he_zeros``); the checks of
-# He_n below are of that table
+# the library evaluates He_n only at x = 0, for the wall map's half-range
+# integrals (``boundary._he_zeros``, read by ``s_table``), and the largest
+# root of He_{M+1} for the HLL signal speed (``solver1d.largest_he_root``);
+# the checks of He_n below are of those
 
 
 def test_he_eval_base_cases():
@@ -45,8 +48,11 @@ def test_he_zeros_table():
     # He_{2k}(0) = (-1)^k (2k-1)!!
     want = [1.0, -1.0, 3.0, -15.0, 105.0, -945.0]
     np.testing.assert_array_equal(z[0::2], want)
+    # s_table reads the table: S(0, n) = He_{n-1}(0) / sqrt(2 pi)
+    S = s_table(11)
+    np.testing.assert_allclose(S[0, 1:] * SQRT_2PI, z, rtol=1e-15, atol=0.0)
     with pytest.raises(ValueError):
-        z[0] = 2.0  # cached table must be immutable
+        S[0, 0] = 2.0  # cached table must be immutable
 
 
 @given(st.integers(0, 40))

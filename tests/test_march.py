@@ -1,11 +1,14 @@
 """The marching loop and stop rule shared by the moment and DVM solvers."""
 
+import re
+
 import numpy as np
 import pytest
 
 from momentflow import scenarios
 from momentflow.cdvm import DvRunConfig, dv_run
-from momentflow.march import BLOCK, CHECK_EVERY, RunOptions, march, minmod
+from momentflow.march import (BLOCK, CHECK_EVERY, RESIDUAL_FLOOR, RunOptions,
+                              march, minmod)
 from momentflow.solver1d import RunConfig, run
 
 NAN = float("nan")
@@ -284,3 +287,47 @@ def test_a_run_to_an_end_time_marches_plainly():
     for seen in states:
         x = toy.A @ x + toy.b
         np.testing.assert_array_equal(seen, x)
+
+
+# ---------------------------------------------------------------------------
+# Steady NRxx solves that cannot reach their tolerance
+
+
+def _couette(cells, **kw):
+    sc = scenarios.preset("couette", M=3, cells=cells, steady_tol=1e-10, **kw)
+    return scenarios.build_grid(sc), scenarios.to_run_config(sc)
+
+
+def test_a_runaway_steady_solve_fails_where_time_stops_advancing():
+    # on 2 cells at CFL 0.475 the mixed state heats without bound, dt ~
+    # 1 / sqrt(theta) falls below the spacing of t, and the step that would
+    # not advance t raises, before the residual divides by a zero interval
+    grid, config = _couette(2, cfl=0.475)
+    seen = []
+    with pytest.raises(RuntimeError) as err:
+        run(grid, config, on_step=lambda t, g: seen.append(t))
+    m = re.fullmatch(r"step (\d+) does not advance the time: dt = (\S+) "
+                     r"at t = (\S+)", str(err.value))
+    assert m, str(err.value)
+    assert int(m[1]) == len(seen) + 1 and float(m[3]) == seen[-1]
+    assert 0.0 < float(m[2]) < 1e-16 * seen[-1]
+    assert all(np.diff(seen) > 0)
+
+
+def test_a_tolerance_below_the_residual_floor_can_be_unreachable():
+    # to steady_tol 1e-10 the 7-cell Couette runs out of steps: the largest
+    # term of its residual is a column that is zero by symmetry at steady
+    # state, whose round-off ripple of ~1e-17 over a check window of ~0.5
+    # against RESIDUAL_FLOOR 1e-8 keeps the residual near 1e-8; 8 cells,
+    # with no cell on the centre line, converge
+    grid, config = _couette(7, max_steps=300)
+    res = run(grid, config, snapshot_interval=CHECK_EVERY)
+    assert (res.converged, res.steps) == (False, 300)
+    (t_prev, prev), (t_cur, cur) = res.snapshots[-3:-1]
+    prev, cur = prev[:, 1:], cur[:, 1:]
+    change = np.abs(cur - prev) / (np.abs(prev) + RESIDUAL_FLOOR)
+    assert res.residual_history[-1] == change.max() / (t_cur - t_prev)
+    assert 1e-10 < res.residual_history[-1] < 1e-7
+    assert abs(prev.flat[np.argmax(change)]) < 1e-14
+    grid, config = _couette(8, max_steps=300)
+    assert run(grid, config).converged
