@@ -109,7 +109,7 @@ def _cmd_compare(args):
     a = read_snapshot(args.file_a)
     b = read_snapshot(args.file_b)
     cols = args.columns or [c for c in SNAPSHOT_COLUMNS if c != "y"]
-    worst = 0.0
+    vals = []
     for col in cols:
         if col not in a or col not in b:
             print("missing column %s" % col, file=sys.stderr)
@@ -123,9 +123,10 @@ def _cmd_compare(args):
         else:
             denom = float(np.linalg.norm(ref))
             val = float(np.linalg.norm(diff)) / (denom if denom > 0 else 1.0)
-        worst = max(worst, val)
+        vals.append(val)
         print("%-10s %s %.6e" % (col, args.norm, val))
-    print("%-10s %s %.6e" % ("max", args.norm, worst))
+    # np.max, unlike max, is NaN when any value is: a NaN cell is never hidden
+    print("%-10s %s %.6e" % ("max", args.norm, np.max(vals)))
     return 0
 
 

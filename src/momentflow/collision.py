@@ -34,11 +34,9 @@ def _slots(cube):
 
 
 def relaxation_time(rho, theta, kn):
-    """Hard-sphere relaxation time (5/16) sqrt(2 pi / theta) Kn / rho."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if not (np.all(rho > 0) and np.all(theta > 0) and kn > 0):
-        raise ValueError("rho, theta and Kn must be positive")
+    """Hard-sphere relaxation time (5/16) sqrt(2 pi / theta) Kn / rho.
+
+    Unchecked: each caller has checked rho, theta and Kn to be positive."""
     return 5.0 / 16.0 * np.sqrt(2.0 * math.pi / theta) * kn / rho
 
 

@@ -226,10 +226,17 @@ def parse_value(f, text):
                          % (f.name, kind_name(f), text)) from None
 
 
+def _config_parser():
+    """A parser that keeps key case (M vs m) and reads every value as
+    written, so that a '%' in one (an out_dir, say) is not interpolation."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    return cp
+
+
 def save_config(sc, path):
     """Write the config as flat key = value text (section [run])."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str        # keep key case (M vs m)
+    cp = _config_parser()
     cp["run"] = {}
     for f in fields(sc):
         val = getattr(sc, f.name)
@@ -247,8 +254,7 @@ def save_config(sc, path):
 def load_config(path, **overrides):
     """Read a flat config file (none for ``path`` None) onto its scenario's
     preset, then apply ``overrides``; unknown keys are an error."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
+    cp = _config_parser()
     if path is not None:
         with open(path) as fh:
             cp.read_file(fh)

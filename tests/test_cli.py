@@ -186,12 +186,12 @@ def test_preset_rejects_a_single_cell():
 
 
 def test_config_round_trip(tmp_path):
-    sc = scenarios.preset("poiseuille", M=4, cells=36, out_dir=str(tmp_path))
+    # a '%' is read back as written, not as interpolation
+    sc = scenarios.preset("poiseuille", M=4, cells=36,
+                          out_dir=str(tmp_path / "x%dir"))
     path = tmp_path / "case.ini"
     scenarios.save_config(sc, str(path))
     back = scenarios.load_config(str(path))
-    from dataclasses import fields
-
     for f in fields(sc):
         assert getattr(back, f.name) == getattr(sc, f.name), f.name
 
@@ -359,12 +359,14 @@ _DV_RUN = ["run", "--scenario", "couette", "--solver", "cdvm", "--cells", "8",
            "--dv-nodes", "12", "12", "12", "--tend", "0.05"]
 
 
-def test_run_limiter_flag_sets_the_limiter_of_the_solver_that_runs(tmp_path):
+def test_run_limiter_flag_sets_the_limiter_of_the_solver_that_runs(tmp_path,
+                                                                   capsys):
     # one key for both solvers: --limiter and a config file's limiter both
     # reach the cdvm run, whose minmod table differs from the upwind one
     for limiter in ("none", "minmod"):
         out = tmp_path / limiter
         assert main(_DV_RUN + ["--limiter", limiter, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         assert ("\nlimiter = %s\n" % limiter) in (out / "config.ini").read_text()
     final = [(tmp_path / lim / "final.csv").read_bytes()
              for lim in ("none", "minmod")]
@@ -429,6 +431,24 @@ def test_run_failure_exits_nonzero(tmp_path, capsys):
     # custom scenario with neither an end time nor a steady tolerance
     rc = main(["run", "--scenario", "custom", "--out", str(tmp_path / "x")])
     assert rc == 1
+    assert (capsys.readouterr().err
+            == "error: set an end time and/or a steady tolerance\n")
+    # a run that fails when its config is built or while it marches prints
+    # one "error:" line and leaves no output directory
+    out = tmp_path / "o"
+    for lines, message in (
+        ("u_wall_right = 0.6296 0.2 0.0\n",
+         "the right wall moves along its normal, which neither solver supports"),
+        ("solver = cdvm\ny_lo = 0.5\ny_hi = 0.5\n", "empty domain"),
+        # the mixed state heats until dt no longer advances t
+        ("M = 3\ncells = 2\ncfl = 0.475\nsteady_tol = 1e-10\n",
+         r"step \d+ does not advance the time: dt = \S+ at t = \S+"),
+    ):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[run]\nscenario = couette\n" + lines)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert re.fullmatch("error: %s\n" % message, capsys.readouterr().err)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -554,11 +574,39 @@ def test_run_scenario_flag_overrides_the_config_file(tmp_path, capsys):
     rc = main(["run", "--config", str(cfg), "--scenario", "shock",
                "--tend", "0.02", "--out", str(out)])
     assert rc == 0
-    assert "shock/nrxx" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "shock/nrxx" in captured.out and captured.err == ""
     back = scenarios.load_config(str(out / "config.ini"))
     assert back.scenario == "shock" and back.M == 3 and back.cells == 8
     assert (back.y_lo, back.u0) == (-5.0, (0.0, 0.5, 0.0))   # shock preset
     assert "scenario=shock solver=nrxx" in (out / "run_log.txt").read_text()
+
+
+@pytest.mark.parametrize("flags", [
+    # no --tend: the preset's steady tolerance stops the Anderson-mixed
+    # solve, and a run out of steps would warn
+    ["--scenario", "couette", "--M", "3", "--cells", "40", "--max-steps", "300"],
+    ["--scenario", "shock", "--solver", "cdvm", "--cells", "12",
+     "--dv-nodes", "12", "12", "12", "--tend", "0.05"],
+    # the minmod transport walk crosses the xi_2 = 0 plane of an odd axis
+    ["--scenario", "couette", "--solver", "cdvm", "--cells", "8",
+     "--dv-nodes", "12", "13", "12", "--tend", "0.02", "--limiter", "minmod"],
+    _DV_RUN[1:],
+], ids=["nrxx-couette-steady", "cdvm-shock", "cdvm-couette-minmod-odd",
+        "cdvm-couette-upwind"])
+def test_rerun_from_its_config_writes_the_same_final_csv(tmp_path, capsys,
+                                                         flags):
+    # config.ini holds all a run reads, a '%' in its directory too, and the
+    # Anderson mix and the cdvm Newton (started from the correction a new
+    # field stores) are deterministic: the rerun's final.csv is the same
+    # byte for byte
+    out, again = tmp_path / "run%1", tmp_path / "again"
+    assert main(["run", "--out", str(out)] + flags) == 0
+    assert capsys.readouterr().err == ""
+    assert "converged=True\n" in (out / "run_log.txt").read_text()
+    assert main(["run", "--config", str(out / "config.ini"),
+                 "--out", str(again)]) == 0
+    assert (again / "final.csv").read_bytes() == (out / "final.csv").read_bytes()
 
 
 @pytest.mark.parametrize("solver", ["nrxx", "cdvm"])
@@ -675,6 +723,17 @@ def test_compare_norms(tmp_path, capsys):
         line = capsys.readouterr().out.strip().splitlines()[0]
         got = float(line.split()[-1])
         assert got == pytest.approx(want, rel=1e-6)
+    # a NaN cell, which snapshot_table writes so that it shows, makes its
+    # column's norm NaN and the max line NaN too
+    u1 = np.full(10, 1.5)
+    u1[3] = np.nan
+    _write_profile(tmp_path / "nan.csv", y, u1=u1)
+    for norm in ("linf", "l2", "l2rel"):
+        assert main(["compare", str(tmp_path / "nan.csv"),
+                     str(tmp_path / "b.csv"), "--norm", norm]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].split() == ["rho", norm, "0.000000e+00"]
+        assert lines[1].split()[-1] == lines[-1].split()[-1] == "nan"
 
 
 def test_compare_interpolates_between_grids(tmp_path, capsys):

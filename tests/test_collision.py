@@ -33,13 +33,6 @@ def test_relaxation_time_scalings():
     assert relaxation_time(1.0, 1.0, 1.0) == pytest.approx(2 * base, rel=1e-14)
 
 
-def test_relaxation_time_rejects_nonpositive():
-    for bad in [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0),
-                (-1.0, 1.0, 1.0)]:
-        with pytest.raises(ValueError):
-            relaxation_time(*bad)
-
-
 # ---------------------------------------------------------------------------
 # analytic collision behavior
 

@@ -11,7 +11,8 @@ from momentflow import scenarios, solver1d
 from momentflow.boundary import WallSpec
 from momentflow.closure import _top_reads
 from momentflow.cdvm import DvGrid, DvRunConfig
-from momentflow.moments import grade_mask, order_cube, snapshot_table
+from momentflow.moments import (SNAPSHOT_COLUMNS, grade_mask, order_cube,
+                               snapshot_table)
 from momentflow.scenarios import COUETTE_WALL_SPEED
 from momentflow.solver1d import (
     Grid1D,
@@ -715,8 +716,8 @@ def _full_grid(sc):
 ])
 def test_reduced_run_matches_full_run(scenario, M, reduced, overrides):
     # the even-only layout drops only slots that stay zero, so a reduced
-    # and a full run give one table up to round-off; a column that is zero
-    # in the full run (u1 and u3, and q1 in the shock) is zero in both
+    # and a full run give one table up to round-off; a column odd in a
+    # reduced a_d (u_d, and with d = 1 sigma12 and q1) is exactly 0.0
     sc = scenarios.preset(scenario, M=M, **overrides)
     small, full = scenarios.build_grid(sc), _full_grid(sc)
     K, h = M + 1, (M + 2) // 2
@@ -727,8 +728,11 @@ def test_reduced_run_matches_full_run(scenario, M, reduced, overrides):
     got, want = (run(g, cfg).snapshots[-1][1] for g in (small, full))
     scale = np.max(np.abs(want), axis=0)
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
-    for d in reduced:
-        assert np.all(got[:, 2 + d] == 0.0)
+    odd = ["u%d" % (d + 1) for d in reduced]
+    if 0 in reduced:
+        odd += ["sigma12", "q1"]
+    for col in odd:
+        assert np.all(got[:, SNAPSHOT_COLUMNS.index(col)] == 0.0), col
     assert abs(small.total_mass() - full.total_mass()) <= 1e-13
 
 
