@@ -32,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .march import finite_vectors
 from .moments import axis_steps, grade_mask
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -54,9 +55,7 @@ class WallSpec:
         if not (0.0 < self.theta_wall < math.inf):
             raise ValueError("wall temperature theta_wall must be positive "
                              "and finite")
-        self.u_wall = np.asarray(self.u_wall, dtype=float)
-        if self.u_wall.shape != (3,) or not np.all(np.isfinite(self.u_wall)):
-            raise ValueError("wall velocity u_wall must be a finite 3-vector")
+        self.u_wall = finite_vectors("wall velocity u_wall", self.u_wall)
 
 
 def _he_zeros(max_degree):

@@ -56,15 +56,14 @@ from functools import lru_cache
 import numpy as np
 
 from .collision import relaxation_time
-from .march import (BLOCK, RunOptions, check_choice, check_slab, march,
-                    minmod, require_mirror, require_positive)
-from .moments import _fields_table, work_array
+from .march import (BLOCK, RunOptions, Slab, check_slab, initial_fields,
+                    march, minmod, require_mirror, require_positive)
+from .moments import fields_table, work_array
 
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 40
 NEGATIVITY_WARN = 1e-12
 
-LIMITERS = ("none", "minmod")
 # the solver has no body force term
 _NO_FORCE = (0.0, 0.0, 0.0)
 
@@ -384,10 +383,11 @@ def collide_field(values, grid, kn, pr, dt, correction):
 
 
 @dataclass
-class DvField:
-    """Distribution values on a slab of spatial cells, one ``grid.shape``
-    cube per cell: on a mirrored velocity axis the xi_d >= 0 half of a
-    distribution even in xi_d, whose mean velocity u_d is then zero.
+class DvField(Slab):
+    """Distribution values on a slab of spatial cells (``march.Slab``), one
+    ``grid.shape`` cube per cell: on a mirrored velocity axis the xi_d >= 0
+    half of a distribution even in xi_d, whose mean velocity u_d is then
+    zero.
 
     ``correction`` (N, 4) holds each cell's (u_G - u, theta_G - theta) of
     the conservative Gaussian at its last collision, where the next one's
@@ -414,22 +414,12 @@ class DvField:
     def n(self):
         return self.values.shape[0]
 
-    @property
-    def dx(self):
-        return (self.y_hi - self.y_lo) / self.n
-
-    @property
-    def centers(self):
-        return self.y_lo + (np.arange(self.n) + 0.5) * self.dx
-
     @classmethod
     def from_fields(cls, grid, y_lo, y_hi, rho, u, theta):
-        """Cells of local Maxwellians of the fields (``march.check_slab``)."""
-        rho = np.asarray(rho, dtype=float)
-        n = rho.shape[0]
-        u = np.broadcast_to(np.asarray(u, dtype=float), (n, 3)).copy()
-        theta = np.broadcast_to(np.asarray(theta, dtype=float), (n,)).copy()
-        check_slab(y_lo, y_hi, rho, u, theta, grid.mirrored)
+        """Cells of local Maxwellians of the fields
+        (``march.initial_fields``)."""
+        rho, u, theta = initial_fields(y_lo, y_hi, rho, u, theta,
+                                       grid.mirrored)
         return cls(grid, y_lo, y_hi, grid.maxwellian(rho, u, theta))
 
     def moments(self):
@@ -563,19 +553,17 @@ def dv_step(field, dt, left, right, kn, pr, limiter):
     return field
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DvRunConfig(RunOptions):
-    """Options of a discrete-velocity slab run: the shared ones of
-    ``march.RunOptions`` (collision, CFL, stop and walls, keyword only),
-    checked there as for an NRxx run, and ``limiter``, one of ``LIMITERS``.
-    Minmod transport runs at CFL 0.5 at most (``dv_cfl_timestep`` caps a
-    larger ``cfl``)."""
+    """Options of a discrete-velocity slab run: those of
+    ``march.RunOptions`` (collision, CFL, stop, walls and limiter, keyword
+    only), checked there as for an NRxx run.  ``limiter`` is "none", first
+    order upwind (the default), or "minmod"; minmod transport runs at CFL
+    0.5 at most (``dv_cfl_timestep`` caps a larger ``cfl``)."""
+
+    LIMITERS = ("none", "minmod")
 
     limiter: str = "none"
-
-    def __post_init__(self):
-        super().__post_init__()
-        check_choice("limiter", self.limiter, LIMITERS)
 
 
 def dv_cfl_timestep(field, cfl, limiter):
@@ -585,9 +573,7 @@ def dv_cfl_timestep(field, cfl, limiter):
 
 def dv_snapshot_table(field):
     """Profile table with the shared snapshot column layout."""
-    mom = field.moments()
-    return _fields_table(field.centers, mom["rho"], mom["u"], mom["theta"],
-                         mom["sigma"], mom["q"])
+    return fields_table(field.centers, **field.moments())
 
 
 def dv_run(field, config, snapshot_interval=0, on_step=None):

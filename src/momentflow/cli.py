@@ -5,11 +5,14 @@ config file and flags, each flag but ``--config`` and ``--threads`` read as
 its config key is (``scenarios.parse_value``), runs the chosen solver, and
 writes CSV profile snapshots, the steady residual of every check
 (``residual_history.csv``) and a plain-text run log.  ``momentflow compare``
-measures the difference between two profile files column by column.
+measures the difference between two profile files column by column.  Every
+value is checked by the program's own rules, so a bad one exits 1 with one
+``error:`` line.
 
-Thread control: ``--threads`` pins the usual BLAS/OpenMP pool sizes via the
-environment before the numerical modules are imported; all reductions in the
-solvers are order-deterministic, so results do not depend on the setting.
+Thread control: ``--threads``, a positive integer, pins the usual BLAS/OpenMP
+pool sizes via the environment before the numerical modules are imported; all
+reductions in the solvers are order-deterministic, so results do not depend on
+the setting.
 """
 
 import argparse
@@ -23,6 +26,7 @@ _THREAD_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
+NORMS = ("l2rel", "l2", "linf")
 
 
 def build_parser():
@@ -42,20 +46,24 @@ def build_parser():
     r.add_argument("--tend", dest="t_end")
     r.add_argument("--dv-nodes", nargs=3)
     r.add_argument("--out", dest="out_dir", help="output directory")
-    r.add_argument("--threads", type=int)
+    r.add_argument("--threads")
 
     c = sub.add_parser("compare", help="difference report between two profiles")
     c.add_argument("file_a")
     c.add_argument("file_b", help="reference profile")
-    c.add_argument("--norm", choices=("l2rel", "l2", "linf"), default="l2rel")
+    c.add_argument("--norm", default="l2rel", help=", ".join(NORMS))
     c.add_argument("--columns", nargs="*", default=None)
     return p
 
 
 def _cmd_run(args):
     if args.threads is not None:
+        # checked without numpy, which must load after the pools are pinned
+        if not (args.threads.isdecimal() and int(args.threads) > 0):
+            raise ValueError("threads must be a positive integer, got %r"
+                             % args.threads)
         for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
+            os.environ[var] = str(int(args.threads))
 
     import numpy as np
 
@@ -104,16 +112,17 @@ def _cmd_run(args):
 def _cmd_compare(args):
     import numpy as np
 
+    from .march import check_choice
     from .moments import SNAPSHOT_COLUMNS, read_snapshot
 
+    check_choice("norm", args.norm, NORMS)
     a = read_snapshot(args.file_a)
     b = read_snapshot(args.file_b)
     cols = args.columns or [c for c in SNAPSHOT_COLUMNS if c != "y"]
     vals = []
     for col in cols:
         if col not in a or col not in b:
-            print("missing column %s" % col, file=sys.stderr)
-            return 1
+            raise ValueError("missing column %s" % col)
         ref = np.interp(a["y"], b["y"], b[col])
         diff = a[col] - ref
         if args.norm == "linf":

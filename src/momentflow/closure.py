@@ -107,27 +107,27 @@ def closure_coeffs(traces, mean_theta, grad, tau):
     the evolved orders <= M = K - 1 filled; the prediction reads their
     mean, gathered at the 11 index shifts of ``_SHIFTS`` and only there.
     ``grad``: (..., 5 + T), d/dy of the ``closure_columns`` block;
-    ``mean_theta`` and ``tau`` broadcast over the batch.  Returns the
-    (..., T) prediction on the indices |alpha| = M+1 of ``_top_reads``.
+    ``mean_theta`` and ``tau`` are arrays that broadcast over the batch.
+    Returns the (..., T) prediction on the indices |alpha| = M+1 of
+    ``_top_reads``.
     """
-    c = np.asarray(traces, dtype=float)
-    _, slots, rows, zero, _, a2 = _top_reads(c.shape[-3:])
-    batch = c.shape[1:-3]
+    _, slots, rows, zero, _, a2 = _top_reads(traces.shape[-3:])
+    batch = traces.shape[1:-3]
     # the slots read of both traces in one gather, averaged on that small
     # block, then spread to one row per shift of _SHIFTS
-    pair = np.take(c.reshape(c.shape[:-3] + (-1,)), slots, axis=-1)
+    pair = np.take(traces.reshape(traces.shape[:-3] + (-1,)), slots, axis=-1)
     mean = np.add(pair[0], pair[1], out=pair[0])
     mean *= 0.5
     r = np.take(mean, rows, axis=-1)
     r.reshape(batch + (-1,))[..., zero] = 0.0
 
-    theta = np.asarray(mean_theta, dtype=float)[..., None]
-    rho = 0.5 * (c[0, ..., 0, 0, 0] + c[1, ..., 0, 0, 0])
+    theta = mean_theta[..., None]
+    rho = 0.5 * (traces[0, ..., 0, 0, 0] + traces[1, ..., 0, 0, 0])
     g = grad[..., :5] * theta
     g[..., 4] = grad[..., 4] / rho
     acc = np.einsum("...s,...st->...t", g @ _WEIGHTS, r)
     # the last three shifts, alpha - 2 e_d + e2, and the Dtheta column
     acc -= (0.5 * grad[..., 3:4]) * (a2 + 1.0) * r[..., 8:, :].sum(axis=-2)
     acc -= theta * grad[..., 5:]
-    acc *= np.asarray(tau, dtype=float)[..., None]
+    acc *= tau[..., None]
     return acc

@@ -40,15 +40,14 @@ def relaxation_time(rho, theta, kn):
     return 5.0 / 16.0 * np.sqrt(2.0 * math.pi / theta) * kn / rho
 
 
-def collide_coeffs(coeffs, tau, prandtl, dt, out=None):
-    """Batched analytic collision update of coefficient cubes.
+def collide_coeffs(coeffs, tau, prandtl, dt, out):
+    """Batched analytic collision update of coefficient cubes; returns
+    ``out``.
 
-    ``tau`` may be per-cell (broadcast against the batch dims of ``coeffs``).
-    ``out`` receives the result and may be ``coeffs`` itself; by default a
-    new array does.
+    ``tau`` is an array, per cell or one for all (broadcast against the
+    batch dims of ``coeffs``).  ``out`` receives the result and may be
+    ``coeffs`` itself.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    tau = np.asarray(tau, dtype=float)
     e_full = np.exp(-dt / tau)
     e_pr = np.exp(-prandtl * dt / tau)
     q0 = heat_flux(coeffs)

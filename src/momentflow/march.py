@@ -1,10 +1,12 @@
 """What both slab solvers share: the run options ``RunOptions``, declared
 and checked once (``solver1d.RunConfig`` and ``cdvm.DvRunConfig`` add their
-own), the loop ``march``, the input rules ``check_kinds``, ``check_choice``
-and ``check_slab``, the slope limiter ``minmod``, ``require_positive``, whose
-message names the quantity, the value, the cell and the phase, and the mirror
-rule (``mirror_breaker``, ``require_mirror``) by which both solvers store
-half of a velocity axis.  This module imports no solver.
+own and name their limiters), the slab front end (``Slab``, the cells of a
+state, and ``initial_fields``), the loop ``march``, the input rules
+``check_kinds``, ``check_choice``, ``finite_vectors`` and ``check_slab``,
+the slope limiter ``minmod``, ``require_positive``, whose message names the
+quantity, the value, the cell and the phase, and the mirror rule
+(``mirror_breaker``, ``require_mirror``) by which both solvers store half of
+a velocity axis.  This module imports no other module of the package.
 
 A solver passes ``march`` its state and three callables: the CFL time step,
 an in-place advance by a given dt, and the snapshot table of the current
@@ -35,8 +37,6 @@ import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .boundary import WallSpec
 
 CHECK_EVERY = 10
 RESIDUAL_FLOOR = 1e-8
@@ -74,14 +74,19 @@ class RunOptions:
     ``t_end``, ``steady_tol``, ``max_steps``: stop at the end time, at the
     first steady check whose residual is below the tolerance, or after the
     step budget, whichever comes first (see ``march``).
-    ``left``, ``right``: wall specification per end, None for a free
+    ``left``, ``right``: ``boundary.WallSpec`` per end, None for a free
     (zero-gradient) boundary; the solver passes each wall map its end.  No
     wall may move along its normal e2: both solvers hold the slab's ends.
+    ``limiter``: in-cell slopes, one of the class's ``LIMITERS``, here the
+    two both solvers have; each solver's config names its own, and its
+    default.
 
     A value under which no step could run, or a number field of the wrong
     kind (``check_kinds``), is a ValueError.  Each test is written ``not (x
     > 0)`` so that NaN fails it too.
     """
+
+    LIMITERS = ("none", "minmod")
 
     kn: float
     pr: float = 2.0 / 3.0
@@ -89,8 +94,9 @@ class RunOptions:
     t_end: float = None
     steady_tol: float = None
     max_steps: int = 200000
-    left: WallSpec = None
-    right: WallSpec = None
+    left: object = None
+    right: object = None
+    limiter: str = "none"
 
     def __post_init__(self):
         check_kinds(self)
@@ -112,6 +118,7 @@ class RunOptions:
             if wall is not None and wall.u_wall[1] != 0.0:
                 raise ValueError("the %s wall moves along its normal, which "
                                  "neither solver supports" % side)
+        check_choice("limiter", self.limiter, self.LIMITERS)
 
 
 def is_kind(value, kind):
@@ -156,6 +163,20 @@ def check_choice(name, value, choices):
             name, ", ".join(map(repr, choices[:-1])), choices[-1], value))
 
 
+def finite_vectors(name, value, cells=()):
+    """``value`` as a float array of shape ``cells`` + (3,): one 3-vector,
+    or one per cell for ``cells`` (N,).  Another shape, or an entry that is
+    not finite (NaN too), is a ValueError naming ``name`` and, of a batch,
+    the first cell that fails."""
+    v = np.asarray(value, dtype=float)
+    ok = (np.isfinite(v).all(axis=-1) if v.shape == cells + (3,)
+          else np.zeros(cells, dtype=bool))
+    if not np.all(ok):
+        raise ValueError("%s must be a finite 3-vector%s" % (
+            name, " in cell %d" % np.argmin(ok) if cells else ""))
+    return v
+
+
 def minmod(a, b, out):
     """minmod(a, b) = max(min(a, b), 0) + min(max(a, b), 0), an exact sum
     as one term is zero, into ``out``, which overlaps neither ``a`` nor
@@ -189,18 +210,45 @@ def check_slab(y_lo, y_hi, rho, u, theta, mirrored=()):
     """Reject, with a ValueError, a slab state of both solvers that no step
     may start from: an empty or infinite domain [``y_lo``, ``y_hi``], a
     density ``rho`` or temperature ``theta`` per cell that is not positive
-    and finite (``require_positive``), or a velocity ``u`` (N, 3) nonzero
-    along a ``mirrored`` velocity axis, of which the state stores one half."""
+    and finite (``require_positive``), or a velocity ``u`` that is not a
+    finite 3-vector in every cell (``finite_vectors``) or is nonzero along a
+    ``mirrored`` velocity axis, of which the state stores one half."""
     if not (y_hi > y_lo):
         raise ValueError("empty domain")
     if not math.isfinite(y_hi - y_lo):
         raise ValueError("infinite domain")
     require_positive(np.asarray(rho), "density", "in cell %d", ValueError)
     require_positive(np.asarray(theta), "temperature", "in cell %d", ValueError)
+    u = finite_vectors("velocity u", u, np.shape(rho))
     for d in mirrored:
         if np.any(u[:, d] != 0.0):
             raise ValueError("velocity u%d must be zero along a mirrored "
                              "velocity axis" % (d + 1))
+
+
+def initial_fields(y_lo, y_hi, rho, u, theta, mirrored=()):
+    """The fields of a slab state of ``len(rho)`` cells as float arrays:
+    ``rho`` (N,), ``u`` broadcast to (N, 3) and ``theta`` to (N,), checked
+    by ``check_slab``."""
+    rho = np.asarray(rho, dtype=float)
+    u = np.broadcast_to(np.asarray(u, dtype=float), rho.shape + (3,))
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), rho.shape)
+    check_slab(y_lo, y_hi, rho, u, theta, mirrored)
+    return rho, u, theta
+
+
+class Slab:
+    """The cells of a slab state on [``y_lo``, ``y_hi``], ``n`` of them, all
+    three given by the state: the cell width ``dx`` and centres
+    ``centers``."""
+
+    @property
+    def dx(self):
+        return (self.y_hi - self.y_lo) / self.n
+
+    @property
+    def centers(self):
+        return self.y_lo + (np.arange(self.n) + 0.5) * self.dx
 
 
 def mirror_breaker(d, force, walls):

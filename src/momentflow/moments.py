@@ -141,13 +141,14 @@ SNAPSHOT_COLUMNS = (
 )
 
 
-def _fields_table(centers, rho, u, theta, sigma, q):
-    """The snapshot columns, in ``SNAPSHOT_COLUMNS`` order, of batched cell
-    fields: velocity (..., 3), stress (..., 3, 3) and heat flux (..., 3)."""
+def fields_table(centers, rho, u, theta, sigma, q):
+    """The snapshot columns, in ``SNAPSHOT_COLUMNS`` order, of the cell
+    fields of both solvers: arrays over cells, velocity (..., 3), stress
+    (..., 3, 3) and heat flux (..., 3)."""
     return np.column_stack([
-        np.asarray(centers, dtype=float), rho, u[..., 0], u[..., 1], u[..., 2],
-        np.asarray(theta, dtype=float), sigma[..., 0, 0], sigma[..., 0, 1],
-        sigma[..., 1, 1], q[..., 0], q[..., 1]])
+        centers, rho, u[..., 0], u[..., 1], u[..., 2], theta,
+        sigma[..., 0, 0], sigma[..., 0, 1], sigma[..., 1, 1], q[..., 0],
+        q[..., 1]])
 
 
 def snapshot_table(centers, u, theta, coeffs):
@@ -155,8 +156,8 @@ def snapshot_table(centers, u, theta, coeffs):
     columns read a few low slots of each cube; a cell with a non-finite
     coefficient anywhere in its cube gets NaN in every column but y, so a
     reader of the table cannot miss it."""
-    table = _fields_table(centers, coeffs[..., 0, 0, 0], u, theta,
-                          stress_tensor(coeffs), heat_flux(coeffs))
+    table = fields_table(centers, coeffs[..., 0, 0, 0], u, theta,
+                         stress_tensor(coeffs), heat_flux(coeffs))
     table[~np.isfinite(coeffs).all(axis=(-3, -2, -1)), 1:] = np.nan
     return table
 

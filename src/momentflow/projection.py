@@ -24,8 +24,6 @@ from .moments import axis_steps, grade_mask, low_moments, work_array
 
 def shift_kernel(du, dtheta, nmax):
     """Kernel h_0..h_nmax for one axis; ``du``/``dtheta`` broadcast batched."""
-    du = np.asarray(du, dtype=float)
-    dtheta = np.asarray(dtheta, dtype=float)
     batch = np.broadcast(du, dtheta).shape
     h = np.zeros(batch + (nmax + 1,))
     h[..., 0] = 1.0
@@ -85,20 +83,17 @@ def project_coeffs(coeffs, u, theta, u_new, theta_new, out=None):
     """Apply the frame change to batched coefficient cubes.
 
     ``coeffs``: (..., K1, K, K3) in any layout of ``moments``;
-    ``u``/``u_new``: (..., 3); ``theta``/``theta_new``: (...,), each
-    broadcasting to the batch ``coeffs.shape[:-3]``.  On an even-only axis
-    the frame velocity must not change.  Cube entries beyond the retained
+    ``u``/``u_new``: (..., 3); ``theta``/``theta_new``: (...,), arrays
+    each broadcasting to the batch ``coeffs.shape[:-3]``.  On an even-only
+    axis the frame velocity must not change.  Cube entries beyond the retained
     order |alpha| <= K-1 are re-zeroed after the convolution.
     ``out``, if given, is a C-contiguous array of the result's shape, not
     overlapping ``coeffs``, that receives the result; otherwise a new array
     does.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
     batch, cube = coeffs.shape[:-3], coeffs.shape[-3:]
     n1, K, n3 = cube
-    u = np.asarray(u, dtype=float)
-    u_new = np.asarray(u_new, dtype=float)
-    dtheta = np.asarray(theta, dtype=float) - np.asarray(theta_new, dtype=float)
+    dtheta = theta - theta_new
     # one kernel build for all three axes
     t1, t2, t3 = _shift_matrices(u - u_new, dtheta[..., None], cube)
     if out is None:

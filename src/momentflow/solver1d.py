@@ -52,8 +52,9 @@ from numpy.polynomial import hermite_e
 from .boundary import ghost_state
 from .closure import add_top_flux, closure_coeffs, closure_columns
 from .collision import collide_coeffs, relaxation_time
-from .march import (RunOptions, check_choice, check_slab, march, minmod,
-                    require_mirror, require_positive)
+from .march import (RunOptions, Slab, check_slab, finite_vectors,
+                    initial_fields, march, minmod, require_mirror,
+                    require_positive)
 from .moments import (axis_steps, grade_mask, low_moments, snapshot_table,
                       work_array)
 from .projection import project_coeffs, renormalize_arrays
@@ -61,18 +62,17 @@ from .projection import project_coeffs, renormalize_arrays
 # HLL wave speeds u2 +- SIGNAL_SPEED_FACTOR largest_he_root(M+1) sqrt(theta)
 SIGNAL_SPEED_FACTOR = 1.2
 
-LIMITERS = ("none", "central", "minmod")
-
 
 @dataclass
-class Grid1D:
-    """Uniform cell-centered mesh with per-cell moment data.
+class Grid1D(Slab):
+    """Uniform cell-centered mesh (``march.Slab``) with per-cell moment data.
 
     ``u``: (N, 3) frame velocities, ``theta``: (N,), ``coeffs``:
     (N, K1, K, K3) with K = M + 1 in a layout of ``moments``, zero beyond
     the evolved grades <= M.  ``mirrored`` are the velocity axes d whose
     a_d holds the even orders alone, which ``march.check_slab`` (that also
-    checks the domain, density and temperature) and ``step`` read.
+    checks the domain, density, velocity and temperature) and ``step``
+    read.
     """
 
     y_lo: float
@@ -103,25 +103,15 @@ class Grid1D:
     def M(self):
         return self.coeffs.shape[-2] - 1
 
-    @property
-    def dx(self):
-        return (self.y_hi - self.y_lo) / self.n
-
-    @property
-    def centers(self):
-        return self.y_lo + (np.arange(self.n) + 0.5) * self.dx
-
     @classmethod
     def from_fields(cls, y_lo, y_hi, rho, u, theta, M, mirrored=()):
-        """Cells of local Maxwellians of the given fields, the even orders
-        alone along a_d for each axis d of ``mirrored`` (0 and/or 2)."""
-        rho = np.asarray(rho, dtype=float)
-        n = rho.shape[0]
-        cubes = np.zeros((n,) + tuple(M // 2 + 1 if d in mirrored else M + 1
-                                      for d in range(3)))
+        """Cells of local Maxwellians of the given fields
+        (``march.initial_fields``), the even orders alone along a_d for
+        each axis d of ``mirrored`` (0 and/or 2)."""
+        rho, u, theta = initial_fields(y_lo, y_hi, rho, u, theta, mirrored)
+        cubes = np.zeros((len(rho),) + tuple(
+            M // 2 + 1 if d in mirrored else M + 1 for d in range(3)))
         cubes[:, 0, 0, 0] = rho
-        u = np.broadcast_to(np.asarray(u, dtype=float), (n, 3))
-        theta = np.broadcast_to(np.asarray(theta, dtype=float), (n,))
         return cls(y_lo, y_hi, u, theta, cubes)
 
     def total_mass(self):
@@ -138,20 +128,23 @@ class Grid1D:
         return float(np.sum(e) * self.dx)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig(RunOptions):
     """Options of an NRxx slab run: the shared ones of ``march.RunOptions``
-    (collision, CFL, stop and walls, keyword only) and these.  Every step
-    collides; a large ``kn`` approaches the free-molecular limit.
+    (collision, CFL, stop, walls and limiter) and these, all keyword only.
+    Every step collides; a large ``kn`` approaches the free-molecular limit.
 
     ``M``: highest evolved moment order, at least 3 (the cube edge is M + 1).
-    ``force``: constant body acceleration, applied as the kick u += dt a
-    after transport and collision (one step order; see the module
-    docstring for why there is no Strang variant).
-    ``limiter``: in-cell slopes, "none" (first order), "central" or "minmod".
+    ``force``: constant body acceleration, a finite 3-vector
+    (``march.finite_vectors``), applied as the kick u += dt a after
+    transport and collision (one step order; see the module docstring for
+    why there is no Strang variant).
+    ``limiter``: "none" (first order), "central" (the default) or "minmod".
     ``signal_speed`` (derived): c in the HLL wave speeds u2 +- c sqrt(theta),
     the constant ``SIGNAL_SPEED_FACTOR`` times ``largest_he_root(M + 1)``.
     """
+
+    LIMITERS = ("none", "central", "minmod")
 
     M: int
     force: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -161,10 +154,7 @@ class RunConfig(RunOptions):
         super().__post_init__()      # checks the kind of M too
         if self.M < 3:
             raise ValueError("moment order M must be at least 3")
-        check_choice("limiter", self.limiter, LIMITERS)
-        self.force = np.asarray(self.force, dtype=float)
-        if self.force.shape != (3,) or not np.all(np.isfinite(self.force)):
-            raise ValueError("force must be a finite 3-vector")
+        self.force = finite_vectors("force", self.force)
 
     @property
     def signal_speed(self):

@@ -749,8 +749,11 @@ def closure_per_shift_reference(mean_coeffs, mean_theta, grad_coeffs, grad_u,
 
 
 class State(NamedTuple):
+    """A state of one cell, each entry as the kernels take it: u (3,),
+    theta a numpy float and the cube."""
+
     u: np.ndarray
-    theta: float
+    theta: np.float64
     coeffs: np.ndarray
 
     @property
@@ -787,7 +790,7 @@ def maxwellian(rho, u, theta, M):
     """Equilibrium state: only the zeroth coefficient is nonzero."""
     c = np.zeros((M + 2,) * 3)
     c[0, 0, 0] = rho
-    return State(np.asarray(u, dtype=float), theta, c)
+    return State(np.asarray(u, dtype=float), np.float64(theta), c)
 
 
 def mirror(state):
@@ -847,7 +850,7 @@ def random_state(seed, M=4):
 def random_admissible(rng, M, scale=0.05):
     """Draw (u, theta, coeff-dict) satisfying the low-order constraints."""
     u = rng.uniform(-0.5, 0.5, size=3)
-    theta = rng.uniform(0.6, 1.6)
+    theta = np.float64(rng.uniform(0.6, 1.6))
     rho = rng.uniform(0.5, 2.0)
     f = {(0, 0, 0): rho}
     for a1 in range(M + 2):

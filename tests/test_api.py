@@ -39,6 +39,7 @@ DELETED = [
     ("scenarios", "_check_tuples"), ("scenarios", "_kind"),
     ("scenarios", "_KINDS"), ("hermite", "he_zeros"),
     ("hermite", "largest_he_root"), ("solver1d.Grid1D", "densities"),
+    ("moments", "_fields_table"), ("solver1d", "LIMITERS"), ("cdvm", "LIMITERS"),
 ]
 # modules removed from the package, their names moved to their callers
 REMOVED_MODULES = {"hermite"}

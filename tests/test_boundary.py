@@ -1,12 +1,16 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from momentflow import scenarios
 from momentflow.boundary import WallSpec, _wall_factors, ghost_state, s_table
+from momentflow.cdvm import DvField, DvGrid, DvRunConfig, dv_run
 from momentflow.moments import grade_mask, order_cube
 from momentflow.projection import shift_kernel
+from momentflow.solver1d import Grid1D, RunConfig, run
 
 import oracles
 from oracles import (
@@ -535,3 +539,81 @@ def test_reduced_ghost_equals_the_full_even_slots(axes, sign, M):
     assert th_r == th_f
     np.testing.assert_allclose(g_r, even_slots(g_f, axes), rtol=0.0,
                                atol=1e-14 * np.max(np.abs(g_f)))
+
+
+# ---------------------------------------------------------------------------
+# a specular wall is the mirror plane of the colliding streams (ROADMAP item 1)
+
+# NRxx gap to the mirror, the largest difference of a snapshot column over
+# the column's scale, by (limiter, M): at a wall interface the closure
+# gradient is one-sided from the two end cells, where the mirrored run
+# takes the 2 dx central difference of interface values
+NRXX_MIRROR_GAPS = {
+    ("none", 3): 2.4e-3, ("none", 4): 1.8e-2, ("none", 5): 3.6e-4,
+    ("none", 6): 1.7e-3, ("central", 3): 1.9e-2, ("central", 4): 3.3e-2,
+    ("central", 5): 2.5e-3, ("central", 6): 5.6e-3, ("minmod", 3): 6.7e-3,
+    ("minmod", 4): 2.2e-2, ("minmod", 5): 1.1e-3, ("minmod", 6): 3.1e-3,
+}
+
+
+def _gap_xfail(gap, where):
+    # raises=AssertionError: a failure of anything but the mirror check,
+    # a RuntimeWarning raised as an error say, is a plain failure
+    return pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 1: %s; off by %.1e of column scale" % (where, gap))
+
+
+MIRROR_CASES = [
+    # on 12^3 nodes both runs warn 39 times that nodes went negative after
+    # collision (min -2.3e-9), the same in each; the odd xi_2 axis does not
+    pytest.param("cdvm", "none", 3, (12, 12, 12), True, id="cdvm-none-12x12x12"),
+    pytest.param("cdvm", "none", 3, (12, 13, 12), False, id="cdvm-none-12x13x12"),
+    pytest.param("cdvm", "minmod", 3, (12, 12, 12), True, id="cdvm-minmod-12x12x12",
+                 marks=_gap_xfail(5.1e-2, "cdvm._faces gives a minmod end "
+                                  "cell no slope")),
+] + [
+    pytest.param("nrxx", limiter, M, None, False, id="nrxx-%s-M%d" % (limiter, M),
+                 marks=_gap_xfail(gap, "the closure gradient at a wall "
+                                  "interface is one-sided"))
+    for (limiter, M), gap in NRXX_MIRROR_GAPS.items()
+]
+
+
+def _final_tables(solver, limiter, M, nodes):
+    """Final snapshot tables at t = 1 of the shock preset with a specular
+    wall (chi = 0) on 20 cells, and of the left half of the colliding
+    streams, u2 = +0.5 on [-5, 0] and -0.5 on [0, 5] with free ends, on 40
+    cells."""
+    sc = scenarios.preset("shock", solver=solver, chi=0.0, cells=20, M=M,
+                          limiter=limiter,
+                          dv_nodes=nodes or scenarios.ScenarioConfig.dv_nodes)
+    u = np.zeros((40, 3))
+    u[:20, 1], u[20:, 1] = 0.5, -0.5
+    streams = dict(y_lo=-5.0, y_hi=5.0, rho=np.ones(40), u=u, theta=1.0)
+    options = dict(kn=sc.kn, t_end=1.0, limiter=limiter)
+    if solver == "nrxx":
+        pairs = ((scenarios.build_grid(sc), scenarios.to_run_config(sc)),
+                 (Grid1D.from_fields(M=M, mirrored=(0, 2), **streams),
+                  RunConfig(M=M, **options)))
+        return [run(state, config).snapshots[-1][1] for state, config in pairs]
+    grid = DvGrid(sc.dv_half_width, nodes, (0, 2))
+    pairs = ((scenarios.build_dv_field(sc), scenarios.to_dv_config(sc)),
+             (DvField.from_fields(grid, **streams), DvRunConfig(**options)))
+    return [dv_run(state, config).snapshots[-1][1] for state, config in pairs]
+
+
+@pytest.mark.parametrize("solver, limiter, M, nodes, warns", MIRROR_CASES)
+def test_a_specular_wall_is_the_mirror_of_colliding_streams(solver, limiter, M,
+                                                            nodes, warns):
+    # both solvers build a specular wall's ghost as the exact mirror, so any
+    # difference comes from how the end cells use it
+    with (pytest.warns(RuntimeWarning, match="went negative .* after collision")
+          if warns else contextlib.nullcontext()):
+        wall, streams = _final_tables(solver, limiter, M, nodes)
+    streams = streams[:20]
+    scale = np.abs(streams).max(axis=0)
+    gap = np.abs(wall - streams) / np.where(scale > 0, scale, 1.0)
+    # a column zero in the streams (u1, u3, sigma12, q1) is zero at the wall
+    assert np.all(wall[:, scale == 0] == 0.0)
+    assert gap.max() <= 1e-13, "off by %.2e of column scale" % gap.max()

@@ -523,7 +523,6 @@ def _full_field(sc):
 def test_field_basics():
     fld = _slab(n=10)
     assert fld.n == 10
-    assert fld.dx == pytest.approx(0.1)
     mom = fld.moments()
     np.testing.assert_allclose(mom["rho"], 1.0, atol=2e-5)
     with pytest.raises(ValueError):
@@ -1159,8 +1158,6 @@ def test_dv_step_rejects_a_wall_moving_along_a_mirrored_axis():
 def test_dv_runconfig_validation():
     with pytest.raises(ValueError):
         DvRunConfig(kn=0.1)
-    with pytest.raises(ValueError):
-        DvRunConfig(kn=0.1, t_end=1.0, limiter="superbee")
     with pytest.raises(ValueError):
         DvRunConfig(kn=0.1, t_end=1.0, cfl=1.5)
 

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from momentflow import scenarios
+from momentflow import scenarios, solver1d
 from momentflow.cdvm import dv_run
 from momentflow.cli import build_parser, main
 from momentflow.moments import read_snapshot, snapshot_table, write_table
@@ -254,7 +254,7 @@ def test_parser_accepts_documented_flags():
             "--out", "somewhere", "--threads", "2",
         ]
     )
-    assert args.command == "run" and args.threads == 2
+    assert args.command == "run" and args.threads == "2"
     # a run flag holds its text, which the run reads as a config file's
     # value, the words of a tuple joined
     assert (args.solver, args.M, args.kn) == ("cdvm", "6", "0.5")
@@ -424,7 +424,7 @@ def test_run_rejects_unknown_choices_with_the_config_message(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_run_failure_exits_nonzero(tmp_path, capsys):
+def test_run_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
     rc = main(["run", "--config", str(tmp_path / "missing.ini")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
@@ -436,11 +436,14 @@ def test_run_failure_exits_nonzero(tmp_path, capsys):
     # a run that fails when its config is built or while it marches prints
     # one "error:" line and leaves no output directory
     out = tmp_path / "o"
+    # a runaway steady solve: its dt halves every step until it no longer
+    # advances t
+    dts = iter(1e-3 * 0.5 ** np.arange(100))
+    monkeypatch.setattr(solver1d, "cfl_timestep", lambda *args: next(dts))
     for lines, message in (
         ("u_wall_right = 0.6296 0.2 0.0\n",
          "the right wall moves along its normal, which neither solver supports"),
         ("solver = cdvm\ny_lo = 0.5\ny_hi = 0.5\n", "empty domain"),
-        # the mixed state heats until dt no longer advances t
         ("M = 3\ncells = 2\ncfl = 0.475\nsteady_tol = 1e-10\n",
          r"step \d+ does not advance the time: dt = \S+ at t = \S+"),
     ):
@@ -622,11 +625,19 @@ def test_run_config_with_none_max_steps_exits_nonzero(tmp_path, capsys, solver):
 
 
 def test_run_nan_state_exits_nonzero(tmp_path, capsys):
+    # a non-finite initial velocity fails when the config is built, for
+    # either solver, with the line of the one velocity rule; it once passed
+    # every check and failed at step 1, blaming the density
     cfg = tmp_path / "nan.ini"
-    cfg.write_text("[run]\nscenario = shock\nM = 3\ncells = 20\nu0 = 0 nan 0\n")
-    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert "non-finite" in capsys.readouterr().err
+    out = tmp_path / "o"
+    for solver in ("nrxx", "cdvm"):
+        for u0 in ("0 nan 0", "nan 0 0", "0 0 inf", "-inf 0 0"):
+            cfg.write_text("[run]\nscenario = shock\nsolver = %s\nM = 3\n"
+                           "cells = 20\nu0 = %s\n" % (solver, u0))
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "error: velocity u must be a finite 3-vector in cell 0\n")
+            assert not out.exists()
 
 
 def test_run_cdvm_with_body_force_exits_nonzero(tmp_path, capsys):
@@ -642,9 +653,19 @@ def test_run_cdvm_with_body_force_exits_nonzero(tmp_path, capsys):
     assert not (out / "final.csv").exists()
 
 
-def test_run_threads_flag_pins_environment(tmp_path, monkeypatch):
+def test_run_threads_flag_pins_environment(tmp_path, monkeypatch, capsys):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
+    # a value that is not a positive integer exits 1 with one error line,
+    # before the environment is pinned
+    for text in ("abc", "-2", "0", "1.5"):
+        out = tmp_path / "bad"
+        rc = main(["run", "--scenario", "couette", "--M", "3", "--cells", "8",
+                   "--tend", "0.01", "--threads", text, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: threads must be a positive integer, got %r\n" % text)
+        assert "OMP_NUM_THREADS" not in os.environ and not out.exists()
     rc = main(
         [
             "run", "--scenario", "couette", "--M", "3", "--cells", "8",
@@ -734,6 +755,13 @@ def test_compare_norms(tmp_path, capsys):
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split() == ["rho", norm, "0.000000e+00"]
         assert lines[1].split()[-1] == lines[-1].split()[-1] == "nan"
+    # an unknown norm fails by the program's own choice rule
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                 "--norm", "foo"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: norm must be 'l2rel', 'l2' or 'linf', "
+                            "got 'foo'\n")
 
 
 def test_compare_interpolates_between_grids(tmp_path, capsys):
@@ -761,7 +789,7 @@ def test_compare_missing_column(tmp_path, capsys):
         ["compare", str(tmp_path / "thin.csv"), str(tmp_path / "full.csv")]
     )
     assert rc == 1
-    assert "missing column" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: missing column u1\n"
 
 
 def test_compare_missing_file_exits_nonzero(tmp_path, capsys):

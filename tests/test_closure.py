@@ -50,15 +50,15 @@ def _grad_block(gu, gth, gpt, gcube):
 
 def _cube_args(M, mean, grads, tau):
     """closure_coeffs arguments: the mean cube as both traces of a pair (so
-    their mean is the cube itself), and the derivative block of the
-    gradient data."""
+    their mean is the cube itself), the derivative block of the gradient
+    data, and theta and tau as numpy floats, as the solver passes them."""
     c = _evolved(M, mean["f"])
     return dict(
         traces=np.stack([c, c]),
-        mean_theta=mean["theta"],
+        mean_theta=np.float64(mean["theta"]),
         grad=_grad_block(grads["u"], grads["theta"], grads["ptheta"],
                          _evolved(M, grads["f"])),
-        tau=tau,
+        tau=np.float64(tau),
     )
 
 

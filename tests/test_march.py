@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from momentflow import scenarios
-from momentflow.cdvm import DvRunConfig, dv_run
+from momentflow.boundary import WallSpec
+from momentflow.cdvm import DvField, DvGrid, DvRunConfig, dv_run
 from momentflow.march import (BLOCK, CHECK_EVERY, RESIDUAL_FLOOR, RunOptions,
                               march, minmod)
-from momentflow.solver1d import RunConfig, run
+from momentflow.solver1d import Grid1D, RunConfig, run
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize(
@@ -88,6 +90,111 @@ def test_both_configs_name_a_shared_option_of_the_wrong_kind(make, kw, message):
     with pytest.raises(ValueError) as err:
         make(**{"kn": 0.1, **kw, **extra})
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make, limiter, message", [
+    (RunConfig, "superbee",
+     "limiter must be 'none', 'central' or 'minmod', got 'superbee'"),
+    (RunConfig, None,
+     "limiter must be 'none', 'central' or 'minmod', got None"),
+    (DvRunConfig, "superbee", "limiter must be 'none' or 'minmod', got 'superbee'"),
+    (DvRunConfig, "central", "limiter must be 'none' or 'minmod', got 'central'"),
+    (RunOptions, "central", "limiter must be 'none' or 'minmod', got 'central'"),
+], ids=["RunConfig-superbee", "RunConfig-none", "DvRunConfig-superbee",
+        "DvRunConfig-central", "RunOptions-central"])
+def test_each_config_checks_the_limiter_against_its_own_choices(make, limiter,
+                                                                message):
+    # the limiter is declared and checked once, in RunOptions, against the
+    # LIMITERS of the config's class; each solver's config names its own
+    # choices and its default
+    extra = dict(M=3) if make is RunConfig else {}
+    assert make(kn=0.1, t_end=1.0, **extra).limiter == {
+        RunConfig: "central", DvRunConfig: "none", RunOptions: "none"}[make]
+    with pytest.raises(ValueError) as err:
+        make(kn=0.1, t_end=1.0, limiter=limiter, **extra)
+    assert str(err.value) == message
+
+
+def _in_cell_2(v):
+    """The velocities of 4 cells, zero but ``v`` in cell 2."""
+    u = np.zeros((4, 3))
+    u[2] = v
+    return u
+
+
+# the callers of march.finite_vectors, each given a velocity v: a body
+# force, a wall velocity, and the initial velocity of a state's cell 2 of 4
+# (both solvers) or of a config's one cell
+VECTOR_CALLERS = {
+    "force": (lambda v: RunConfig(M=3, kn=0.1, t_end=1.0, force=v),
+              "force must be a finite 3-vector"),
+    "u_wall": (lambda v: WallSpec(u_wall=v),
+               "wall velocity u_wall must be a finite 3-vector"),
+    "Grid1D": (lambda v: Grid1D.from_fields(-0.5, 0.5, np.ones(4),
+                                            _in_cell_2(v), 1.0, 3),
+               "velocity u must be a finite 3-vector in cell 2"),
+    "DvField": (lambda v: DvField.from_fields(DvGrid(6.0, (8, 8, 8)), -0.5, 0.5,
+                                              np.ones(4), _in_cell_2(v), 1.0),
+                "velocity u must be a finite 3-vector in cell 2"),
+    "ScenarioConfig": (lambda v: scenarios.preset("couette", M=3, cells=8,
+                                                  t_end=0.01, u0=v),
+                       "velocity u must be a finite 3-vector in cell 0"),
+}
+
+
+@pytest.mark.parametrize("caller", VECTOR_CALLERS)
+@pytest.mark.parametrize("v", [(NAN, 0.0, 0.0), (0.0, 0.0, INF),
+                               (0.0, -INF, 0.0)], ids=["nan", "inf", "-inf"])
+def test_one_rule_rejects_a_velocity_that_is_not_finite(caller, v):
+    # march.finite_vectors is the one finite-3-vector rule; a non-finite
+    # initial velocity once passed every check and failed at step 1 as a
+    # density error
+    build, message = VECTOR_CALLERS[caller]
+    with pytest.raises(ValueError) as err:
+        build(v)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("caller", ["force", "u_wall"])
+@pytest.mark.parametrize("v", [(0.2, 0.0), np.zeros((2, 3))],
+                         ids=["short", "batch"])
+def test_one_rule_rejects_a_vector_of_the_wrong_shape(caller, v):
+    build, message = VECTOR_CALLERS[caller]
+    with pytest.raises(ValueError) as err:
+        build(v)
+    assert str(err.value) == message
+
+
+# both states of march.Slab, built from fields by march.initial_fields
+SLAB_STATES = {
+    "Grid1D": lambda y_lo, y_hi, rho, u, theta, mirrored=(): Grid1D.from_fields(
+        y_lo, y_hi, rho, u, theta, 3, mirrored),
+    "DvField": lambda y_lo, y_hi, rho, u, theta, mirrored=(): DvField.from_fields(
+        DvGrid(6.0, (8, 8, 8), mirrored), y_lo, y_hi, rho, u, theta),
+}
+
+
+@pytest.mark.parametrize("state", SLAB_STATES)
+def test_both_states_have_one_slab_geometry_and_front_end(state):
+    build = SLAB_STATES[state]
+    st = build(-0.5, 0.5, np.full(10, 1.2), (0.1, 0.2, 0.0), 0.9)
+    assert st.n == 10 and st.dx == pytest.approx(0.1)
+    np.testing.assert_allclose(st.centers, -0.45 + 0.1 * np.arange(10))
+    rho = np.ones(4)
+    rho[2] = NAN
+    for args, message in (
+        ((0.5, -0.5, np.ones(4), np.zeros(3), 1.0), "empty domain"),
+        ((0.0, INF, np.ones(4), np.zeros(3), 1.0), "infinite domain"),
+        ((-0.5, 0.5, rho, np.zeros(3), 1.0),
+         "non-positive or non-finite density (nan) in cell 2"),
+        ((-0.5, 0.5, np.ones(4), np.zeros(3), [1.0, -1.0, 1.0, 1.0]),
+         "non-positive or non-finite temperature (-1.0) in cell 1"),
+        ((-0.5, 0.5, np.ones(4), (0.0, 0.0, 0.2), 1.0, (2,)),
+         "velocity u3 must be zero along a mirrored velocity axis"),
+    ):
+        with pytest.raises(ValueError) as err:
+            build(*args)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("M, message", [
@@ -299,13 +406,20 @@ def _couette(cells, **kw):
 
 
 def test_a_runaway_steady_solve_fails_where_time_stops_advancing():
-    # on 2 cells at CFL 0.475 the mixed state heats without bound, dt ~
-    # 1 / sqrt(theta) falls below the spacing of t, and the step that would
-    # not advance t raises, before the residual divides by a zero interval
-    grid, config = _couette(2, cfl=0.475)
+    # a toy state that heats without bound: its dt halves every step, so t
+    # stalls near 2, dt falls below the spacing of t, and the step that
+    # would not advance t raises, before the residual divides by a zero
+    # interval
+    dt = [1.0]
+
+    def advance(_):
+        dt[0] *= 0.5
+
     seen = []
     with pytest.raises(RuntimeError) as err:
-        run(grid, config, on_step=lambda t, g: seen.append(t))
+        march(None, RunOptions(kn=1.0, steady_tol=1e-10), lambda: dt[0],
+              advance, lambda: np.array([[0.0, 1.0 / dt[0]]]),
+              on_step=lambda t, state: seen.append(t))
     m = re.fullmatch(r"step (\d+) does not advance the time: dt = (\S+) "
                      r"at t = (\S+)", str(err.value))
     assert m, str(err.value)

@@ -136,8 +136,9 @@ def test_reduced_collision_equals_the_full_even_slots(axes):
     rng = np.random.default_rng(13)
     _, _, full = _mirror_cells(rng, 4, 6, axes)
     tau = rng.uniform(0.2, 1.0, 4)
-    want = collide_coeffs(full, tau, 2.0 / 3.0, 0.3)
-    got = collide_coeffs(even_slots(full, axes), tau, 2.0 / 3.0, 0.3)
+    want = collide_coeffs(full, tau, 2.0 / 3.0, 0.3, np.empty_like(full))
+    reduced = even_slots(full, axes)
+    got = collide_coeffs(reduced, tau, 2.0 / 3.0, 0.3, np.empty_like(reduced))
     np.testing.assert_array_equal(got, even_slots(want, axes))
     # the full update keeps the odd orders along a reduced axis at zero
     np.testing.assert_array_equal(want, mirror_even(want, axes))
@@ -221,7 +222,8 @@ def test_validate_rejects_nan_density_and_temperature(slot):
 def test_validate_passes_after_collision():
     s = oracles.random_state(4, 5)
     assert admissibility_violation(s.theta, s.coeffs) is None
-    out = collide_coeffs(s.coeffs, tau=0.7, prandtl=2.0 / 3.0, dt=0.3)
+    out = collide_coeffs(s.coeffs, np.float64(0.7), 2.0 / 3.0, 0.3,
+                         np.empty_like(s.coeffs))
     assert admissibility_violation(s.theta, out) is None
 
 
