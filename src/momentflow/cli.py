@@ -113,26 +113,14 @@ def _cmd_compare(args):
     import numpy as np
 
     from .march import check_choice
-    from .moments import SNAPSHOT_COLUMNS, read_snapshot
+    from .moments import SNAPSHOT_COLUMNS, column_norms, read_snapshot
 
     check_choice("norm", args.norm, NORMS)
     a = read_snapshot(args.file_a)
     b = read_snapshot(args.file_b)
     cols = args.columns or [c for c in SNAPSHOT_COLUMNS if c != "y"]
-    vals = []
-    for col in cols:
-        if col not in a or col not in b:
-            raise ValueError("missing column %s" % col)
-        ref = np.interp(a["y"], b["y"], b[col])
-        diff = a[col] - ref
-        if args.norm == "linf":
-            val = np.max(np.abs(diff))
-        elif args.norm == "l2":
-            val = float(np.linalg.norm(diff))
-        else:
-            denom = float(np.linalg.norm(ref))
-            val = float(np.linalg.norm(diff)) / (denom if denom > 0 else 1.0)
-        vals.append(val)
+    vals = column_norms(a, b, cols, args.norm)
+    for col, val in zip(cols, vals):
         print("%-10s %s %.6e" % (col, args.norm, val))
     # np.max, unlike max, is NaN when any value is: a NaN cell is never hidden
     print("%-10s %s %.6e" % ("max", args.norm, np.max(vals)))

@@ -162,6 +162,31 @@ def snapshot_table(centers, u, theta, coeffs):
     return table
 
 
+def column_norms(a, b, columns, norm="l2rel"):
+    """The difference of profile ``a`` from the reference profile ``b``
+    (dicts of column arrays, as ``read_snapshot`` gives them) in each of
+    ``columns``, with ``b`` interpolated linearly in y onto ``a``'s cells:
+    a list of its max norm ("linf"), its 2-norm ("l2") or its 2-norm over
+    that of the reference ("l2rel", the 2-norm alone where the reference is
+    zero).  A NaN value makes its column's norm NaN; a column missing from
+    either profile is a ValueError."""
+    vals = []
+    for col in columns:
+        if col not in a or col not in b:
+            raise ValueError("missing column %s" % col)
+        ref = np.interp(a["y"], b["y"], b[col])
+        diff = a[col] - ref
+        if norm == "linf":
+            val = np.max(np.abs(diff))
+        elif norm == "l2":
+            val = float(np.linalg.norm(diff))
+        else:
+            denom = float(np.linalg.norm(ref))
+            val = float(np.linalg.norm(diff)) / (denom if denom > 0 else 1.0)
+        vals.append(val)
+    return vals
+
+
 def write_table(path, table):
     """Write a profile table with the standard snapshot header."""
     header = ",".join(SNAPSHOT_COLUMNS)

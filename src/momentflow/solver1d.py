@@ -168,21 +168,6 @@ def largest_he_root(n):
     return float(nodes[-1])
 
 
-@lru_cache(maxsize=None)
-def _flux_basis(K):
-    """The three K x K patterns of the flux operator on axis a2, flattened
-    to rows of a (3, K^2) array: ones below the diagonal, the identity, and
-    1, 2, ..., K-1 above the diagonal."""
-    i = np.arange(K - 1)
-    basis = np.zeros((3, K, K))
-    basis[0, i + 1, i] = 1.0
-    basis[1] = np.eye(K)
-    basis[2, i, i + 1] = i + 1.0
-    basis = basis.reshape(3, K * K)
-    basis.setflags(write=False)
-    return basis
-
-
 def _flux_cube(u2, theta, weight, shift, K):
     """Banded flux operators weight A(u2, theta) + shift I on axis a2.
 
@@ -190,18 +175,19 @@ def _flux_cube(u2, theta, weight, shift, K):
     theta f_{a-e2} + u2 f_a + (a2+1) f_{a+e2}: theta below the diagonal,
     u2 on it and 1, ..., K-1 above it.  ``u2`` and ``theta`` share one
     shape, against which the arrays ``weight`` and ``shift`` broadcast;
-    returns (..., K, K), one product of the per-operator coefficients with
-    the K-only patterns of ``_flux_basis``.  ``np.matmul(op[..., None, :,
-    :], cube)`` applies an operator along a2; of the result grades < M are
-    the flux, and grade M is once ``add_top_flux`` adds the top grade.
+    returns (..., K, K), the three bands written into zeroed operators
+    through the strided views of each flattened block.  ``np.matmul(op[...,
+    None, :, :], cube)`` applies an operator along a2; of the result grades
+    < M are the flux, and grade M is once ``add_top_flux`` adds the top
+    grade.
     """
-    coef = np.ones(np.shape(u2) + (3,))
-    coef[..., 0] = theta
-    coef[..., 1] = u2
-    coef = coef * weight[..., None]
-    coef[..., 1] += shift
-    ops = coef.reshape(-1, 3) @ _flux_basis(K)
-    return ops.reshape(coef.shape[:-1] + (K, K))
+    diag = u2 * weight + shift
+    ops = np.zeros(diag.shape + (K, K))
+    bands = ops.reshape(diag.shape + (K * K,))
+    bands[..., K::K + 1] = (theta * weight)[..., None]
+    bands[..., ::K + 1] = diag[..., None]
+    bands[..., 1::K + 1] = weight[..., None] * np.arange(1.0, K)
+    return ops
 
 
 # the jump term enters the two sides' operators as -wj I and +wj I
@@ -372,13 +358,10 @@ def _transport_rate(grid, config, dt, out):
     top = closure_coeffs(p_pair, th_c, grad,
                          closure_time(rho_bar, th_c, config.kn, dt))
 
-    c_sig = config.signal_speed
-    lam_l = np.minimum(
-        tu[0, :, 1] - c_sig * np.sqrt(tth[0]), tu[1, :, 1] - c_sig * np.sqrt(tth[1])
-    )
-    lam_r = np.maximum(
-        tu[0, :, 1] + c_sig * np.sqrt(tth[0]), tu[1, :, 1] + c_sig * np.sqrt(tth[1])
-    )
+    # signal speeds: the extremes of u2 -+ c sqrt(theta) over both traces
+    c_sqrt = config.signal_speed * np.sqrt(tth)
+    lam_l = np.min(tu[..., 1] - c_sqrt, axis=0)
+    lam_r = np.max(tu[..., 1] + c_sqrt, axis=0)
     # the raw trace cubes are spent, so the HLL products take their place
     F = _hll_combine(p_pair[0], p_pair[1], top, u_c[:, 1], th_c, lam_l, lam_r,
                      out=tc)
