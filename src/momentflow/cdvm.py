@@ -26,7 +26,7 @@ step passes over the velocity cube three times, in place, and keeps no
 temporary the size of the state.  Per cell, the Newton and the
 conservative projection touch only tables of the axes: the Gram matrix and
 right-hand side are one GEMM of the products S1[a] S2[b] S3[c] of per-axis
-sums.  Per block of whole cells of about ``march.BLOCK`` entries, while the
+sums.  Per block of whole cells of about ``BLOCK`` entries, while the
 block is in cache: transport (one pass, from the top down) forms the face
 differences, scales them by dt xi_2 / dx and updates; the collision (two
 passes) takes the moment GEMM of ``dv_moments``, then the xi_2
@@ -56,13 +56,18 @@ from functools import lru_cache
 import numpy as np
 
 from .collision import relaxation_time
-from .march import (BLOCK, RunOptions, Slab, check_slab, initial_fields,
-                    march, minmod, require_mirror, require_positive)
+from .march import (RunOptions, Slab, check_choice, check_slab,
+                    initial_fields, march, minmod, require_mirror,
+                    require_positive)
 from .moments import fields_table, work_array
 
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 40
 NEGATIVITY_WARN = 1e-12
+# entries per block of the two sub-steps of a step, which work on one block
+# while it is in cache and keep no state-sized temporary (2^15 and 2^16 took
+# the same time, and the smaller block the smaller peak)
+BLOCK = 1 << 15
 
 # the solver has no body force term
 _NO_FORCE = (0.0, 0.0, 0.0)
@@ -537,12 +542,14 @@ def dv_step(field, dt, left, right, kn, pr, limiter):
     """First-order split step: transport then conservative relaxation, whose
     Newton starts from ``field.correction`` and stores the new one there.
 
-    Raised as a ValueError before the state changes: a wall that moves
+    Raised as a ValueError before the state changes: a ``limiter`` not in
+    ``RunOptions.LIMITERS``, with the config's message, a wall that moves
     along a mirrored velocity axis (``march.require_mirror``), and a ``dt``
     above ``dv_cfl_timestep(field, 1.0, limiter)``.  Within that bound
     upwind and minmod transport keep a non-negative state non-negative, so
     the collision's negativity warning names the phase that made a value
     negative."""
+    check_choice("limiter", limiter, RunOptions.LIMITERS)
     require_mirror(field.grid.mirrored, _NO_FORCE, (left, right))
     bound = dv_cfl_timestep(field, 1.0, limiter)
     if dt > bound:
@@ -553,20 +560,9 @@ def dv_step(field, dt, left, right, kn, pr, limiter):
     return field
 
 
-@dataclass(kw_only=True)
-class DvRunConfig(RunOptions):
-    """Options of a discrete-velocity slab run: those of
-    ``march.RunOptions`` (collision, CFL, stop, walls and limiter, keyword
-    only), checked there as for an NRxx run.  ``limiter`` is "none", first
-    order upwind (the default), or "minmod"; minmod transport runs at CFL
-    0.5 at most (``dv_cfl_timestep`` caps a larger ``cfl``)."""
-
-    LIMITERS = ("none", "minmod")
-
-    limiter: str = "none"
-
-
 def dv_cfl_timestep(field, cfl, limiter):
+    """The upwind bound cfl dx / max |xi_2|, with ``cfl`` capped at 0.5 for
+    ``limiter`` "minmod"; the limiter is checked by ``dv_step``."""
     eff = min(cfl, 0.5) if limiter == "minmod" else cfl
     return eff * field.dx / float(np.max(np.abs(field.grid.axes[1])))
 
@@ -577,8 +573,9 @@ def dv_snapshot_table(field):
 
 
 def dv_run(field, config, snapshot_interval=0, on_step=None):
-    """March the field to the configured stop with ``march.march``, the loop,
-    steady residual and stop meaning shared with ``solver1d.run``."""
+    """March the field to the stop set by ``config``, a ``march.RunOptions``,
+    with ``march.march``, the loop, steady residual and stop meaning shared
+    with ``solver1d.run``."""
     return march(field, config,
                  lambda: dv_cfl_timestep(field, config.cfl, config.limiter),
                  lambda dt: dv_step(field, dt, config.left, config.right,

@@ -1,12 +1,13 @@
 """What both slab solvers share: the run options ``RunOptions``, declared
-and checked once (``solver1d.RunConfig`` and ``cdvm.DvRunConfig`` add their
-own and name their limiters), the slab front end (``Slab``, the cells of a
-state, and ``initial_fields``), the loop ``march``, the input rules
-``check_kinds``, ``check_choice``, ``finite_vectors`` and ``check_slab``,
-the slope limiter ``minmod``, ``require_positive``, whose message names the
-quantity, the value, the cell and the phase, and the mirror rule
-(``mirror_breaker``, ``require_mirror``) by which both solvers store half of
-a velocity axis.  This module imports no other module of the package.
+and checked once (``solver1d.RunConfig`` adds its own and names its
+limiters; the discrete-velocity solver runs on ``RunOptions`` as is), the
+slab front end (``Slab``, the cells of a state, and ``initial_fields``),
+the loop ``march``, the input rules ``check_kinds``, ``check_choice``,
+``finite_vectors`` and ``check_slab``, the slope limiter ``minmod``,
+``require_positive``, whose message names the quantity, the value, the cell
+and the phase, and the mirror rule (``mirror_breaker``, ``require_mirror``)
+by which both solvers store half of a velocity axis.  This module imports
+no other module of the package.
 
 A solver passes ``march`` its state and three callables: the CFL time step,
 an in-place advance by a given dt, and the snapshot table of the current
@@ -40,12 +41,6 @@ import numpy as np
 
 CHECK_EVERY = 10
 RESIDUAL_FLOOR = 1e-8
-# entries per block of ``minmod`` and of the two sub-steps of a
-# discrete-velocity step, which work on one block while it is in cache and
-# keep no state-sized temporary (2^15 and 2^16 took the same time, and the
-# smaller block the smaller peak); a mask in place of minmod's blocks
-# (ufuncs with where=) ran 30-40x slower
-BLOCK = 1 << 15
 # past steps whose residual differences the Anderson mixing keeps, chosen
 # by the total wall time of 14 steady Couette and Poiseuille solves (M = 3
 # to 10, 20 to 160 cells, tol 1e-4 to 1e-9; one BLAS thread): 26.3 / 22.8
@@ -78,8 +73,10 @@ class RunOptions:
     (zero-gradient) boundary; the solver passes each wall map its end.  No
     wall may move along its normal e2: both solvers hold the slab's ends.
     ``limiter``: in-cell slopes, one of the class's ``LIMITERS``, here the
-    two both solvers have; each solver's config names its own, and its
-    default.
+    two both solvers have.  ``solver1d.RunConfig`` extends the class with
+    its own fields, limiters and default; the discrete-velocity solver runs
+    on it as is, whose minmod transport runs at CFL 0.5 at most
+    (``cdvm.dv_cfl_timestep`` caps a larger ``cfl``).
 
     A value under which no step could run, or a number field of the wrong
     kind (``check_kinds``), is a ValueError.  Each test is written ``not (x
@@ -180,15 +177,14 @@ def finite_vectors(name, value, cells=()):
 def minmod(a, b, out):
     """minmod(a, b) = max(min(a, b), 0) + min(max(a, b), 0), an exact sum
     as one term is zero, into ``out``, which overlaps neither ``a`` nor
-    ``b``; returns ``out``.  Taken in blocks of rows along the first axis of
-    about ``BLOCK`` entries, each with one temporary."""
-    rows = max(1, BLOCK // out[0].size)
-    for i in range(0, len(out), rows):
-        x, y, o = a[i:i + rows], b[i:i + rows], out[i:i + rows]
-        pos = np.minimum(x, y)
-        np.maximum(pos, 0.0, out=pos)
-        np.minimum(np.maximum(x, y, out=o), 0.0, out=o)
-        o += pos
+    ``b``; returns ``out``.  One pass with one temporary the size of
+    ``out``, which is small: ``cdvm._faces`` passes a block and a cell at
+    most (``cdvm.BLOCK``), and ``solver1d._slope`` the slopes of one state,
+    27 000 entries on the largest preset (the 500-cell M = 5 shock)."""
+    pos = np.minimum(a, b)
+    np.maximum(pos, 0.0, out=pos)
+    np.minimum(np.maximum(a, b, out=out), 0.0, out=out)
+    out += pos
     return out
 
 

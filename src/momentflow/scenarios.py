@@ -82,7 +82,7 @@ class ScenarioConfig:
         check_choice("scenario", self.scenario, SCENARIOS)
         check_choice("solver", self.solver, SOLVERS)
         if self.limiter is None:
-            self.limiter = (cdvm.DvRunConfig if self.solver == "cdvm"
+            self.limiter = (RunOptions if self.solver == "cdvm"
                             else solver1d.RunConfig).limiter
         for kind in ("left_kind", "right_kind"):
             check_choice(kind, getattr(self, kind), ("wall", "free"))
@@ -183,7 +183,7 @@ def to_dv_config(sc):
     if np.any(np.asarray(sc.force, dtype=float) != 0.0):
         raise ValueError("the cdvm solver has no body force term; "
                          "force must be zero, got %r" % (sc.force,))
-    return cdvm.DvRunConfig(limiter=sc.limiter, **_run_options(sc))
+    return RunOptions(limiter=sc.limiter, **_run_options(sc))
 
 
 def build_dv_field(sc):

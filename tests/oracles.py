@@ -485,7 +485,7 @@ def _half_upwind(v, nu, ghost, limiter):
     taken upwind from the low end: face[0] = ghost, face[i+1] = v[i] +
     slope[i] / 2.  Walked in blocks of about ``BLOCK`` entries of the view
     from its high end down, the cell above a block read from a saved copy."""
-    from momentflow.march import BLOCK
+    from momentflow.cdvm import BLOCK
 
     n = len(v)
     rows = max(1, BLOCK // v[0].size)

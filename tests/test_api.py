@@ -40,7 +40,7 @@ DELETED = [
     ("scenarios", "_KINDS"), ("hermite", "he_zeros"),
     ("hermite", "largest_he_root"), ("solver1d.Grid1D", "densities"),
     ("moments", "_fields_table"), ("solver1d", "LIMITERS"), ("cdvm", "LIMITERS"),
-    ("solver1d", "_flux_basis"),
+    ("solver1d", "_flux_basis"), ("cdvm", "DvRunConfig"), ("march", "BLOCK"),
 ]
 # modules removed from the package, their names moved to their callers
 REMOVED_MODULES = {"hermite"}

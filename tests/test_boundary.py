@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from momentflow import scenarios
 from momentflow.boundary import WallSpec, _wall_factors, ghost_state, s_table
-from momentflow.cdvm import DvField, DvGrid, DvRunConfig, dv_run
+from momentflow.cdvm import DvField, DvGrid, dv_run
+from momentflow.march import RunOptions
 from momentflow.moments import grade_mask, order_cube
 from momentflow.projection import shift_kernel
 from momentflow.solver1d import Grid1D, RunConfig, run
@@ -599,7 +600,7 @@ def _final_tables(solver, limiter, M, nodes):
         return [run(state, config).snapshots[-1][1] for state, config in pairs]
     grid = DvGrid(sc.dv_half_width, nodes, (0, 2))
     pairs = ((scenarios.build_dv_field(sc), scenarios.to_dv_config(sc)),
-             (DvField.from_fields(grid, **streams), DvRunConfig(**options)))
+             (DvField.from_fields(grid, **streams), RunOptions(**options)))
     return [dv_run(state, config).snapshots[-1][1] for state, config in pairs]
 
 

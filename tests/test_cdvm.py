@@ -12,11 +12,11 @@ import pytest
 from momentflow import cdvm, scenarios
 from momentflow.boundary import WallSpec
 from momentflow.cdvm import (
+    BLOCK,
     NEGATIVITY_WARN,
     NEWTON_TOL,
     DvField,
     DvGrid,
-    DvRunConfig,
     _axis_gaussians,
     _wall_incoming,
     collide_field,
@@ -29,7 +29,7 @@ from momentflow.cdvm import (
     transport_field,
 )
 from momentflow.collision import relaxation_time
-from momentflow.march import BLOCK
+from momentflow.march import RunOptions
 from momentflow.moments import SNAPSHOT_COLUMNS, work_array
 from momentflow.solver1d import RunConfig
 
@@ -961,10 +961,10 @@ def test_mirrored_run_is_the_mirror_of_the_run(limiter):
     mirrored = DvField(grid, -0.5, 0.5, fld.values[::-1, :, ::-1, :].copy())
     walls = (WallSpec(0.7, [-0.3, 0.0, 0.1], 1.3),
              WallSpec(1.0, [0.5, 0.0, -0.2], 0.9))
-    want = dv_run(fld, DvRunConfig(kn=0.2, t_end=0.1, left=walls[0],
-                                   right=walls[1], limiter=limiter))
-    got = dv_run(mirrored, DvRunConfig(kn=0.2, t_end=0.1, left=walls[1],
-                                       right=walls[0], limiter=limiter))
+    want = dv_run(fld, RunOptions(kn=0.2, t_end=0.1, left=walls[0],
+                                  right=walls[1], limiter=limiter))
+    got = dv_run(mirrored, RunOptions(kn=0.2, t_end=0.1, left=walls[1],
+                                      right=walls[0], limiter=limiter))
     want, got = want.snapshots[-1][1], got.snapshots[-1][1]
     odd = np.array([c in ("y", "u2", "sigma12", "q2") for c in SNAPSHOT_COLUMNS])
     back = got[::-1] * np.where(odd, -1.0, 1.0)
@@ -977,7 +977,7 @@ def test_moving_normal_wall_rejected_by_config():
     # both run configs refuse the wall before any step: the NRxx wall map
     # ignores the normal velocity, so a run would leak mass through it
     wall = WallSpec(1.0, np.array([0.0, 0.2, 0.0]), 1.0)
-    for make in (DvRunConfig, functools.partial(RunConfig, M=3)):
+    for make in (RunOptions, functools.partial(RunConfig, M=3)):
         for side in ("left", "right"):
             with pytest.raises(ValueError) as err:
                 make(kn=0.1, t_end=1.0, **{side: wall})
@@ -1133,6 +1133,27 @@ def test_both_builders_mirror_the_same_axes(scenario, overrides, mirrored):
         assert shape[d] == (n - n // 2 if d in mirrored else n)
 
 
+@pytest.mark.parametrize("limiter", ["central", "Minmod", "upwind"])
+def test_dv_step_names_a_limiter_it_does_not_have(limiter):
+    # checked against RunOptions.LIMITERS with the config's message, before
+    # the values or the Newton starts change; a step first makes the
+    # correction nonzero
+    sc = scenarios.preset("couette", solver="cdvm", cells=6,
+                          dv_nodes=(12, 12, 12))
+    fld = scenarios.build_dv_field(sc)
+    cfg = scenarios.to_dv_config(sc)
+    dt = dv_cfl_timestep(fld, cfg.cfl, "minmod")
+    dv_step(fld, dt, cfg.left, cfg.right, cfg.kn, cfg.pr, cfg.limiter)
+    values, correction = fld.values.copy(), fld.correction.copy()
+    assert np.any(correction != 0.0)
+    with pytest.raises(ValueError) as err:
+        dv_step(fld, dt, cfg.left, cfg.right, cfg.kn, cfg.pr, limiter)
+    assert str(err.value) == ("limiter must be 'none' or 'minmod', got '%s'"
+                              % limiter)
+    np.testing.assert_array_equal(fld.values, values)
+    np.testing.assert_array_equal(fld.correction, correction)
+
+
 def test_dv_step_rejects_a_wall_moving_along_a_mirrored_axis():
     # the message names the option, as the NRxx step's does, and the state
     # is left alone; the full-axis field runs that config
@@ -1157,9 +1178,9 @@ def test_dv_step_rejects_a_wall_moving_along_a_mirrored_axis():
 
 def test_dv_runconfig_validation():
     with pytest.raises(ValueError):
-        DvRunConfig(kn=0.1)
+        RunOptions(kn=0.1)
     with pytest.raises(ValueError):
-        DvRunConfig(kn=0.1, t_end=1.0, cfl=1.5)
+        RunOptions(kn=0.1, t_end=1.0, cfl=1.5)
 
 
 def test_dv_cfl_minmod_is_capped():
@@ -1174,7 +1195,7 @@ def test_dv_run_snapshot_schema_and_mass():
     wall_r = WallSpec(1.0, np.array([0.3, 0.0, 0.0]), 1.0)
     fld = _slab(n=12)
     m0 = float(np.sum(fld.values * oracles.w3(fld.grid))) * fld.dx
-    cfg = DvRunConfig(kn=0.1, t_end=0.08, left=wall_l, right=wall_r)
+    cfg = RunOptions(kn=0.1, t_end=0.08, left=wall_l, right=wall_r)
     res = dv_run(fld, cfg, snapshot_interval=5)
     assert res.message == "reached end time"
     assert res.t == pytest.approx(0.08, abs=1e-13)
@@ -1187,7 +1208,7 @@ def test_dv_run_snapshot_schema_and_mass():
 
 def test_dv_run_steady_detection():
     fld = _slab(n=10)
-    cfg = DvRunConfig(
+    cfg = RunOptions(
         kn=0.1,
         steady_tol=50.0,
         left=WallSpec(1.0, np.zeros(3), 1.0),

@@ -16,6 +16,7 @@ import pytest
 from momentflow import scenarios
 from momentflow.moments import column_norms
 
+import make_shock_reference
 from make_shock_reference import COLUMNS, DATA, profile
 
 # l2rel of each column at M = 7 when the bounds were set
@@ -74,3 +75,18 @@ def test_shock_at_even_M_is_reported(reference):
     errs = np.array([_l2rel(M, reference) for M in orders])
     _report(orders, errs)
     assert np.all(np.isfinite(errs))
+
+
+def test_reference_generator_writes_every_field_the_gate_reads(tmp_path):
+    # the committed reference is read above; its generator, run small,
+    # must write each field at its shape and a finite table
+    out = tmp_path / "reference.npz"
+    make_shock_reference.main(["--nodes", "12", "--cells", "20",
+                               "--out", str(out)])
+    with np.load(out) as data:
+        shapes = {key: data[key].shape for key in data.files}
+        table = data["table"]
+    assert {key: shapes.get(key) for key in ("table", "columns", "budget",
+                                             "cells")} == {
+        "table": (20, 11), "columns": (5,), "budget": (3, 5), "cells": ()}
+    assert np.isfinite(table).all()

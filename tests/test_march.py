@@ -1,5 +1,6 @@
 """The marching loop and stop rule shared by the moment and DVM solvers."""
 
+import contextlib
 import re
 
 import numpy as np
@@ -7,18 +8,22 @@ import pytest
 
 from momentflow import scenarios
 from momentflow.boundary import WallSpec
-from momentflow.cdvm import DvField, DvGrid, DvRunConfig, dv_run
-from momentflow.march import (BLOCK, CHECK_EVERY, RESIDUAL_FLOOR, RunOptions,
-                              march, minmod)
+from momentflow.cdvm import DvField, DvGrid, dv_run
+from momentflow.march import (CHECK_EVERY, RESIDUAL_FLOOR, RunOptions, march,
+                              minmod)
 from momentflow.solver1d import Grid1D, RunConfig, run
 
 NAN = float("nan")
 INF = float("inf")
+# the configs the NRxx and the DVM solver run on; the DVM's cases keep the
+# id DvRunConfig, its config's name until it ran on RunOptions itself
+BOTH_CONFIGS = pytest.mark.parametrize("make", [RunConfig, RunOptions],
+                                       ids=["RunConfig", "DvRunConfig"])
 
 
 @pytest.mark.parametrize(
     "make",
-    [lambda **kw: RunConfig(M=3, kn=0.1, **kw), lambda **kw: DvRunConfig(kn=0.1, **kw)],
+    [lambda **kw: RunConfig(M=3, kn=0.1, **kw), lambda **kw: RunOptions(kn=0.1, **kw)],
     ids=["RunConfig", "DvRunConfig"],
 )
 @pytest.mark.parametrize(
@@ -43,7 +48,7 @@ def test_configs_reject_stop_options_that_run_no_step(make, kw):
         make(**kw)
 
 
-@pytest.mark.parametrize("make", [RunConfig, DvRunConfig])
+@BOTH_CONFIGS
 def test_configs_name_a_none_step_budget(make):
     # a config built in code gets the message of a config file's
     # "max_steps = none", which fails in the parser
@@ -53,7 +58,7 @@ def test_configs_name_a_none_step_budget(make):
         make(kn=0.1, t_end=1.0, max_steps=None, **extra)
 
 
-@pytest.mark.parametrize("make", [RunConfig, DvRunConfig])
+@BOTH_CONFIGS
 @pytest.mark.parametrize("kw, message", [
     (dict(), "set an end time and/or a steady tolerance"),
     (dict(t_end=-1.0), "t_end must be positive, got -1.0"),
@@ -71,7 +76,7 @@ def test_both_configs_reject_a_shared_option_with_one_message(make, kw, message)
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("make", [RunConfig, DvRunConfig])
+@BOTH_CONFIGS
 @pytest.mark.parametrize("kw, message", [
     (dict(t_end=1.0, max_steps=True), "max_steps must be an integer, got True"),
     (dict(t_end=1.0, max_steps=10.0), "max_steps must be an integer, got 10.0"),
@@ -97,11 +102,10 @@ def test_both_configs_name_a_shared_option_of_the_wrong_kind(make, kw, message):
      "limiter must be 'none', 'central' or 'minmod', got 'superbee'"),
     (RunConfig, None,
      "limiter must be 'none', 'central' or 'minmod', got None"),
-    (DvRunConfig, "superbee", "limiter must be 'none' or 'minmod', got 'superbee'"),
-    (DvRunConfig, "central", "limiter must be 'none' or 'minmod', got 'central'"),
+    (RunOptions, "superbee", "limiter must be 'none' or 'minmod', got 'superbee'"),
     (RunOptions, "central", "limiter must be 'none' or 'minmod', got 'central'"),
 ], ids=["RunConfig-superbee", "RunConfig-none", "DvRunConfig-superbee",
-        "DvRunConfig-central", "RunOptions-central"])
+        "RunOptions-central"])
 def test_each_config_checks_the_limiter_against_its_own_choices(make, limiter,
                                                                 message):
     # the limiter is declared and checked once, in RunOptions, against the
@@ -109,7 +113,7 @@ def test_each_config_checks_the_limiter_against_its_own_choices(make, limiter,
     # choices and its default
     extra = dict(M=3) if make is RunConfig else {}
     assert make(kn=0.1, t_end=1.0, **extra).limiter == {
-        RunConfig: "central", DvRunConfig: "none", RunOptions: "none"}[make]
+        RunConfig: "central", RunOptions: "none"}[make]
     with pytest.raises(ValueError) as err:
         make(kn=0.1, t_end=1.0, limiter=limiter, **extra)
     assert str(err.value) == message
@@ -209,7 +213,7 @@ def test_run_config_names_an_order_of_the_wrong_kind(M, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("make", [RunConfig, DvRunConfig])
+@BOTH_CONFIGS
 def test_configs_take_numbers_of_any_real_kind(make):
     # numpy scalars and ints for float fields are numbers; None is taken
     # where the default is None
@@ -227,8 +231,6 @@ def test_minmod_is_the_two_term_formula(shape):
     rng = np.random.default_rng(7)
     a = rng.standard_normal(shape)
     b = rng.standard_normal(shape)
-    if len(shape) == 3:
-        assert a.size > BLOCK
     a[::3] = 0.0
     b[:, ::4] = 0.0
     b[::5] = a[::5]
@@ -426,6 +428,24 @@ def test_a_runaway_steady_solve_fails_where_time_stops_advancing():
     assert int(m[1]) == len(seen) + 1 and float(m[3]) == seen[-1]
     assert 0.0 < float(m[2]) < 1e-16 * seen[-1]
     assert all(np.diff(seen) > 0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the Anderson mix is taken unguarded: on 2 cells at "
+                          "CFL 0.475 max theta stays 1.0751 through step 78, "
+                          "then accepted mixes lift it above 10 at step 79 "
+                          "and to 1.23e24 at step 80 (ROADMAP item 9)")
+def test_an_anderson_mix_does_not_heat_a_steady_couette_solve():
+    # every mix of the 2-cell Couette has positive densities and
+    # temperatures, so each is accepted; march then stops the runaway at
+    # step 81, where dt no longer advances t.  No warning is raised on the
+    # way.  A safeguarded mix would keep max theta near the walls' 1
+    grid, config = _couette(2, cfl=0.475)
+    hottest = []
+    with contextlib.suppress(RuntimeError):
+        run(grid, config,
+            on_step=lambda t, state: hottest.append(float(state.theta.max())))
+    assert max(hottest) < 10.0
 
 
 def test_a_tolerance_below_the_residual_floor_can_be_unreachable():

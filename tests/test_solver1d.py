@@ -10,7 +10,8 @@ import pytest
 from momentflow import scenarios, solver1d
 from momentflow.boundary import WallSpec
 from momentflow.closure import _top_reads
-from momentflow.cdvm import DvGrid, DvRunConfig
+from momentflow.cdvm import DvGrid
+from momentflow.march import RunOptions
 from momentflow.moments import (SNAPSHOT_COLUMNS, grade_mask, order_cube,
                                snapshot_table)
 from momentflow.scenarios import COUETTE_WALL_SPEED
@@ -153,10 +154,10 @@ NAN = float("nan")
     "build",
     [
         lambda: RunConfig(M=3, kn=NAN, t_end=1.0),
-        lambda: DvRunConfig(kn=-1.0, t_end=1.0),
-        lambda: DvRunConfig(kn=NAN, t_end=1.0),
-        lambda: DvRunConfig(kn=0.1, pr=NAN, t_end=1.0),
-        lambda: DvRunConfig(kn=0.1, pr=1.5, t_end=1.0),
+        lambda: RunOptions(kn=-1.0, t_end=1.0),
+        lambda: RunOptions(kn=NAN, t_end=1.0),
+        lambda: RunOptions(kn=0.1, pr=NAN, t_end=1.0),
+        lambda: RunOptions(kn=0.1, pr=1.5, t_end=1.0),
         lambda: WallSpec(theta_wall=NAN),
         lambda: Grid1D.from_fields(0.0, NAN, np.ones(4), np.zeros(3), 1.0, 3),
         lambda: Grid1D.from_fields(NAN, 1.0, np.ones(4), np.zeros(3), 1.0, 3),
