@@ -21,9 +21,9 @@ s = (-1)^{a2} of the reflection v2 -> -v2, s * map(s * f); since the map
 reads only slots where s = 1, that is the right-wall odd slab with its sign
 flipped.  The caller names the end: ``sign`` is +1 at the right wall and -1
 at the left one, so the wall's outward normal is sign * e2 (the
-discrete-velocity solver's convention).  The map reads neither the normal
-frame velocity nor the wall's normal velocity, so the same frame and wall
-serve both ends.
+discrete-velocity solver's convention).  The map does not read the normal
+frame velocity, and a wall never moves along its normal (``WallSpec``), so
+the same frame and wall serve both ends.
 """
 
 import math
@@ -43,7 +43,12 @@ class WallSpec:
     """A Maxwell accommodation wall: the diffusely re-emitted fraction
     ``chi`` in [0, 1] (the rest is reflected specularly), the wall velocity
     ``u_wall`` and temperature ``theta_wall``.  It does not name its end of
-    the slab; the wall map takes that as its ``sign`` argument."""
+    the slab; the wall map takes that as its ``sign`` argument.
+
+    The wall moves only in its own plane: a nonzero normal velocity
+    ``u_wall[1]`` is a ValueError, as both solvers hold the slab's ends
+    fixed.  ``u_wall`` is the spec's own read-only copy, so no caller can
+    set it afterwards."""
 
     chi: float = 1.0
     u_wall: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -56,6 +61,10 @@ class WallSpec:
             raise ValueError("wall temperature theta_wall must be positive "
                              "and finite")
         self.u_wall = finite_vectors("wall velocity u_wall", self.u_wall)
+        self.u_wall.setflags(write=False)
+        if self.u_wall[1] != 0.0:
+            raise ValueError("wall velocity u_wall must be zero along the "
+                             "normal e2, got %r" % float(self.u_wall[1]))
 
 
 def _he_zeros(max_degree):
@@ -155,11 +164,11 @@ def _odd_slab(u, theta, coeffs, wall, sign):
 def ghost_state(u, theta, coeffs, wall, sign):
     """Reflected extrapolation encoding the wall: coefficients 2 f^b - f about
     the center 2 u^b - u at the gas temperature; returns ``(u, theta, f)``.
-    ``sign`` is +1 at the right wall (outward normal +e2) and -1 at the left
-    one.  Its even-a2 slots are those of ``coeffs``."""
+    The wall state u^b is the frame u with u2 = 0, as the wall does not move
+    along its normal, so the ghost's frame is u with u2 mirrored.  ``sign``
+    is +1 at the right wall (outward normal +e2) and -1 at the left one.
+    Its even-a2 slots are those of ``coeffs``."""
     g = np.array(coeffs, dtype=float)
     odd = g[:, 1::2, :]
     np.subtract(2.0 * _odd_slab(u, theta, coeffs, wall, sign), odd, out=odd)
-    u_g = np.array(u, dtype=float)
-    u_g[1] = 2.0 * wall.u_wall[1] - u_g[1]
-    return u_g, theta, g
+    return np.multiply(u, (1.0, -1.0, 1.0)), theta, g

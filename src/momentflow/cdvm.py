@@ -56,8 +56,8 @@ from functools import lru_cache
 import numpy as np
 
 from .collision import relaxation_time
-from .march import (RunOptions, Slab, check_choice, check_slab,
-                    initial_fields, march, minmod, require_mirror,
+from .march import (RunOptions, Slab, check_choice, check_collision,
+                    check_slab, initial_fields, march, minmod, require_mirror,
                     require_positive)
 from .moments import fields_table, work_array
 
@@ -543,13 +543,15 @@ def dv_step(field, dt, left, right, kn, pr, limiter):
     Newton starts from ``field.correction`` and stores the new one there.
 
     Raised as a ValueError before the state changes: a ``limiter`` not in
-    ``RunOptions.LIMITERS``, with the config's message, a wall that moves
-    along a mirrored velocity axis (``march.require_mirror``), and a ``dt``
-    above ``dv_cfl_timestep(field, 1.0, limiter)``.  Within that bound
+    ``RunOptions.LIMITERS`` or a ``kn`` or ``pr`` that breaks
+    ``march.check_collision``, each with the config's message, a wall that
+    moves along a mirrored velocity axis (``march.require_mirror``), and a
+    ``dt`` above ``dv_cfl_timestep(field, 1.0, limiter)``.  Within that bound
     upwind and minmod transport keep a non-negative state non-negative, so
     the collision's negativity warning names the phase that made a value
     negative."""
     check_choice("limiter", limiter, RunOptions.LIMITERS)
+    check_collision(kn, pr)
     require_mirror(field.grid.mirrored, _NO_FORCE, (left, right))
     bound = dv_cfl_timestep(field, 1.0, limiter)
     if dt > bound:

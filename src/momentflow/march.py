@@ -2,12 +2,12 @@
 and checked once (``solver1d.RunConfig`` adds its own and names its
 limiters; the discrete-velocity solver runs on ``RunOptions`` as is), the
 slab front end (``Slab``, the cells of a state, and ``initial_fields``),
-the loop ``march``, the input rules ``check_kinds``, ``check_choice``,
-``finite_vectors`` and ``check_slab``, the slope limiter ``minmod``,
-``require_positive``, whose message names the quantity, the value, the cell
-and the phase, and the mirror rule (``mirror_breaker``, ``require_mirror``)
-by which both solvers store half of a velocity axis.  This module imports
-no other module of the package.
+the loop ``march``, the input rules ``check_kinds``, ``check_collision``,
+``check_choice``, ``finite_vectors`` and ``check_slab``, the slope limiter
+``minmod``, ``require_positive``, whose message names the quantity, the
+value, the cell and the phase, and the mirror rule (``mirror_breaker``,
+``require_mirror``) by which both solvers store half of a velocity axis.
+This module imports no other module of the package.
 
 A solver passes ``march`` its state and three callables: the CFL time step,
 an in-place advance by a given dt, and the snapshot table of the current
@@ -22,9 +22,10 @@ The steady residual is defined once, on the snapshot table: every
 ``CHECK_EVERY`` = 10 steps, and only when ``steady_tol`` is set, the max
 over cells and columns but y of |cur - prev| / (|prev| + 1e-8), divided by
 the time since the previous check (the initial state for the first).  The
-check is sparse because a discrete-velocity table costs about a fifth of a
-discrete-velocity step (0.58 ms against 3.07 ms on 24^3 nodes x 50 cells;
-NRxx M = 3 on 20 cells: 0.058 ms against 1.8 ms, about 3 %).  A column
+check is sparse because a discrete-velocity table costs about a sixth of a
+discrete-velocity step (0.33 ms against 1.9-2.0 ms on 24^3 nodes x 50
+cells; NRxx M = 3 on 20 cells: 0.033 ms against 1.1-1.3 ms, about 3 %;
+best of 7 timeit repeats, one BLAS thread, 2-core host).  A column
 exactly zero at steady state (u2, q1 or q2 on the centre cell of an odd
 Couette grid, by symmetry) keeps a round-off ripple of ~1e-17, which over
 a check window of ~0.5 against the floor 1e-8 reads ~1e-8: a
@@ -56,6 +57,16 @@ WINDOW = 200
 # at window 200 the 14 solves took 13.3 / 13.2 / 13.0 / 13.1 / 13.5 s at
 # 1e-14 / 1e-12 / 1e-10 / 1e-8 / 1e-6, with no restart
 GRAM_SHIFT = 1e-10
+# how far the residual |G(x) - x| of a mix x may grow over that of the last
+# iterate kept before the mix is dropped (``Anderson``).  The 2-cell Couette
+# (M = 3, CFL 0.475, tol 1e-10), which the unguarded mix heats to theta
+# 1.2e24 by step 80, reaches its tolerance in 50 / 90 / 110 steps with
+# 6 / 4 / 2 restarts at 2 / 10 / 100, max theta 1.0751 each.  At 10 and
+# 100, Couette M = 3 on 20 cells at tol 1e-4 (seeds 1-40 of the benchmark's
+# density ripple) keeps its 80 or 90 steps and Couette M = 5 on 80 cells at
+# tol 1e-6 its 600, with no restart; at 2 the 8-cell steady Couette at
+# M = 5 and Poiseuille at M = 3 restart
+RESIDUAL_GROWTH = 10.0
 # the kind a number field must be, as an error names it
 KINDS = {int: "an integer", float: "a number"}
 
@@ -70,8 +81,7 @@ class RunOptions:
     first steady check whose residual is below the tolerance, or after the
     step budget, whichever comes first (see ``march``).
     ``left``, ``right``: ``boundary.WallSpec`` per end, None for a free
-    (zero-gradient) boundary; the solver passes each wall map its end.  No
-    wall may move along its normal e2: both solvers hold the slab's ends.
+    (zero-gradient) boundary; the solver passes each wall map its end.
     ``limiter``: in-cell slopes, one of the class's ``LIMITERS``, here the
     two both solvers have.  ``solver1d.RunConfig`` extends the class with
     its own fields, limiters and default; the discrete-velocity solver runs
@@ -107,14 +117,7 @@ class RunOptions:
             raise ValueError("max_steps must be positive, got %r" % (self.max_steps,))
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("CFL must lie in (0, 1]")
-        if not (self.kn > 0):
-            raise ValueError("Knudsen number must be positive")
-        if not (0.0 < self.pr <= 1.0):
-            raise ValueError("Prandtl number must lie in (0, 1]")
-        for side, wall in (("left", self.left), ("right", self.right)):
-            if wall is not None and wall.u_wall[1] != 0.0:
-                raise ValueError("the %s wall moves along its normal, which "
-                                 "neither solver supports" % side)
+        check_collision(self.kn, self.pr)
         check_choice("limiter", self.limiter, self.LIMITERS)
 
 
@@ -153,6 +156,16 @@ def check_kinds(options):
                              % (f.name, kind_name(f), value))
 
 
+def check_collision(kn, pr):
+    """Reject a Knudsen number ``kn`` that is not positive or a Prandtl
+    number ``pr`` outside (0, 1]: the collision rules of ``RunOptions``,
+    which ``cdvm.dv_step`` applies to the numbers it is given."""
+    if not (kn > 0):
+        raise ValueError("Knudsen number must be positive")
+    if not (0.0 < pr <= 1.0):
+        raise ValueError("Prandtl number must lie in (0, 1]")
+
+
 def check_choice(name, value, choices):
     """Reject option ``name`` unless its ``value`` is one of ``choices``."""
     if value not in choices:
@@ -161,11 +174,11 @@ def check_choice(name, value, choices):
 
 
 def finite_vectors(name, value, cells=()):
-    """``value`` as a float array of shape ``cells`` + (3,): one 3-vector,
-    or one per cell for ``cells`` (N,).  Another shape, or an entry that is
-    not finite (NaN too), is a ValueError naming ``name`` and, of a batch,
-    the first cell that fails."""
-    v = np.asarray(value, dtype=float)
+    """``value`` as a new float array of shape ``cells`` + (3,): one
+    3-vector, or one per cell for ``cells`` (N,).  Another shape, or an
+    entry that is not finite (NaN too), is a ValueError naming ``name`` and,
+    of a batch, the first cell that fails."""
+    v = np.array(value, dtype=float)
     ok = (np.isfinite(v).all(axis=-1) if v.shape == cells + (3,)
           else np.zeros(cells, dtype=bool))
     if not np.all(ok):
@@ -293,6 +306,12 @@ class Anderson:
     ``restart(g)`` drops every column, counts the restart in ``restarts``
     and returns g; ``mix`` restarts so when the solve fails or gives a
     non-finite gamma (a zero difference of residuals makes it singular).
+
+    The mix is safeguarded (J. Zhang, B. O'Donoghue and S. Boyd, SIAM J.
+    Optim. 30 (2020)): an x that ``mix`` returned is kept only while its
+    residual |f| stays within ``RESIDUAL_GROWTH`` times that of the last
+    iterate kept (a NaN residual does not).  Otherwise ``mix`` drops x and
+    restarts with that iterate's image, a plain step from it.
     """
 
     def __init__(self, n):
@@ -300,15 +319,21 @@ class Anderson:
         self.dg = np.empty((WINDOW, n))
         self.gram = np.empty((WINDOW, WINDOW))
         self.columns = self.slot = self.restarts = 0
-        self.f = self.g = None
+        self.f = self.g = self.norm = None
+        self.mixed = False
 
     def restart(self, g):
         self.columns = self.slot = 0
         self.restarts += 1
+        self.mixed = False
         return g
 
     def mix(self, x, g):
         f = g - x
+        norm = math.sqrt(f @ f)
+        if self.mixed and not (norm <= RESIDUAL_GROWTH * self.norm):
+            return self.restart(self.g)
+        self.norm = norm
         if self.f is not None:
             s = self.slot
             np.subtract(f, self.f, out=self.df[s])
@@ -329,6 +354,7 @@ class Anderson:
             return self.restart(g)
         if not math.isfinite(gamma.sum()):
             return self.restart(g)
+        self.mixed = True
         return g - gamma @ self.dg[:k]
 
 
@@ -372,7 +398,9 @@ def march(state, config, timestep, advance, table, snapshot_interval=0,
     dt and is a pseudo-time there, and the steady residual keeps its
     meaning: every ``CHECK_EVERY`` steps, the change of the table over that
     pseudo-time.  When ``put`` rejects a mix, the state stays g and the
-    window restarts; ``RunResult.restarts`` counts the restarts.  A run
+    window restarts; when the step from a mix grows the residual too much,
+    the state goes back to a plain step and the window restarts too
+    (``Anderson``).  ``RunResult.restarts`` counts the restarts.  A run
     with ``t_end`` set never calls ``get`` or ``put`` and marches plainly.
 
     The discrete-velocity solver passes no pair.  Mixing its node values

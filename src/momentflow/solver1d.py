@@ -257,15 +257,21 @@ def _beyond_end(grid, j, wall, sign, inner=None):
 
 
 def closure_time(rho, theta, kn, dt):
-    """Effective relaxation time feeding the top-grade prediction.
+    """Effective relaxation time feeding the top-grade prediction,
+    tau_c = tau (1 - e^{-dt/tau}) with tau the Shakhov relaxation time.
 
     The top grade is predicted afresh every step, so its value over the
     step is the relaxation integral from zero towards the quasi-static
-    balance: tau (1 - e^{-dt/tau}).  This equals tau once dt >~ 3 tau (the
-    continuum regime the closure formula was derived for) and is capped by dt
-    otherwise; the cap keeps the gradient part of the closure inside the
-    explicit diffusion stability limit at the advective CFL step for every M
-    (max diffusion number ~ 0.63 (M+1) / largest_he_root(M+1)^2 < 1/2).
+    balance.  tau_c lies below both tau and dt; it nears tau only for
+    dt >~ 3 tau, and no preset runs there.  At the first step tau_c / tau
+    is 3 % on the Couette and Poiseuille presets (M = 5, 100 cells), 0.5 %
+    on the shock (M = 5, 500 cells) and 19 % on Couette M = 3 at 20 cells,
+    so in practice tau_c is about dt and the regularization is weaker than
+    the model's, the more so as the cells are refined.  The cap keeps the
+    gradient part of the closure inside the explicit diffusion stability
+    limit at the advective CFL step for every M (max diffusion number about
+    0.63 (M+1) / r^2 < 1/2, r the largest root of He_{M+1}); with tau_c =
+    tau the explicit scheme fails.
     """
     tau = relaxation_time(rho, theta, kn)
     return -tau * np.expm1(-dt / tau)
@@ -310,7 +316,8 @@ def _interface_data(grid, config):
             grid, j, wall, sign, inner)
 
     # at a wall the flanking pair is (trace, its ghost), which pins the
-    # common frame to (u_trace_tangential, u_wall_normal, theta_trace)
+    # common frame to (u_trace_tangential, 0, theta_trace): the ghost mirrors
+    # u2, as the wall does not move along its normal
     frame = []
     for cells, t in ((grid.u, tu), (grid.theta, tth)):
         al = np.concatenate([t[0, :1], cells])

@@ -282,8 +282,11 @@ def test_wallspec_rejects_bad_wall_temperature(theta_wall):
 
 
 @pytest.mark.parametrize("u_wall", [[1.0, 2.0], [np.nan, 0.0, 0.0],
-                                    [0.0, 0.0, np.inf]])
+                                    [0.0, 0.0, np.inf], (0.0, 0.2, 0.0),
+                                    (0.3, -1e-300, 0.0)])
 def test_wallspec_rejects_bad_wall_velocity(u_wall):
+    # a wall velocity that is not a finite 3-vector, or one along the
+    # normal e2, however small, fails when the wall is built
     with pytest.raises(ValueError, match="u_wall"):
         WallSpec(u_wall=u_wall)
 
@@ -485,11 +488,11 @@ def test_mirror_evaluates_reflected():
 
 
 def test_left_wall_is_conjugated_right_wall():
-    # the left wall seen in the reflected frame is a right wall moving with
-    # the reflected normal velocity
+    # the left wall seen in the reflected frame is the same wall on the
+    # right: a wall moves only in its own plane, which the reflection keeps
     s = random_state(12)
     wall_l = _wall(12)
-    wall_l.u_wall[1] = 0.07
+    assert np.all(wall_l.u_wall[[0, 2]] != 0.0)
     wall_r = WallSpec(wall_l.chi, wall_l.u_wall * [1.0, -1.0, 1.0],
                       wall_l.theta_wall)
     out = _bc(s, wall_l, -1.0)
@@ -497,7 +500,7 @@ def test_left_wall_is_conjugated_right_wall():
     np.testing.assert_allclose(out.coeffs, manual.coeffs, rtol=1e-14, atol=1e-17)
     np.testing.assert_array_equal(out.u, manual.u)
     assert admissibility_violation(out.theta, out.coeffs) is None
-    assert out.u[1] == wall_l.u_wall[1]
+    assert out.u[1] == 0.0
     g, manual_g = _ghost(s, wall_l, -1.0), mirror(_ghost(mirror(s), wall_r))
     np.testing.assert_allclose(g.coeffs, manual_g.coeffs, rtol=1e-14, atol=1e-17)
     np.testing.assert_allclose(g.u, manual_g.u, rtol=1e-14, atol=1e-17)
@@ -524,14 +527,15 @@ def test_bc_invariants_random(seed):
 @pytest.mark.parametrize("M", [3, 6, 10])
 def test_reduced_ghost_equals_the_full_even_slots(axes, sign, M):
     # a wall and a frame at rest along the reduced axes: the full ghost
-    # stays even along them and the reduced ghost is its stored part
+    # stays even along them and the reduced ghost is its stored part; the
+    # wall moves only in its plane
     rng = np.random.default_rng(M)
     K = M + 1
     c = mirror_even(0.05 * rng.standard_normal((K, K, K))
                     * grade_mask((K,) * 3, M), axes)
     c[0, 0, 0] = 1.2
     u, u_wall = rng.uniform(-0.5, 0.5, (2, 3))
-    u[list(axes)] = u_wall[list(axes)] = 0.0
+    u[list(axes)] = u_wall[list(axes)] = u_wall[1] = 0.0
     wall = WallSpec(0.7, u_wall, 1.3)
     u_f, th_f, g_f = ghost_state(u, 0.9, c, wall, sign)
     np.testing.assert_array_equal(g_f, mirror_even(g_f, axes))

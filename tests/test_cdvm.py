@@ -974,15 +974,25 @@ def test_mirrored_run_is_the_mirror_of_the_run(limiter):
 
 
 def test_moving_normal_wall_rejected_by_config():
-    # both run configs refuse the wall before any step: the NRxx wall map
+    # the wall itself refuses a normal velocity, so no run config and no
+    # direct dv_step or ghost_state caller meets one: the NRxx wall map
     # ignores the normal velocity, so a run would leak mass through it
-    wall = WallSpec(1.0, np.array([0.0, 0.2, 0.0]), 1.0)
+    with pytest.raises(ValueError) as err:
+        WallSpec(1.0, np.array([0.0, 0.2, 0.0]), 1.0)
+    assert str(err.value) == ("wall velocity u_wall must be zero along the "
+                              "normal e2, got 0.2")
+    # a wall at rest along its normal (a signed zero too) cannot be set
+    # moving afterwards, through its own array or the caller's
+    u_wall = np.array([0.3, -0.0, 0.0])
+    wall = WallSpec(1.0, u_wall, 1.0)
+    u_wall[1] = 0.2
+    assert wall.u_wall[1] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        wall.u_wall[1] = 0.07
     for make in (RunOptions, functools.partial(RunConfig, M=3)):
         for side in ("left", "right"):
-            with pytest.raises(ValueError) as err:
-                make(kn=0.1, t_end=1.0, **{side: wall})
-            assert str(err.value) == ("the %s wall moves along its normal, "
-                                      "which neither solver supports" % side)
+            assert getattr(make(kn=0.1, t_end=1.0, **{side: wall}),
+                           side).u_wall[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1150,6 +1160,35 @@ def test_dv_step_names_a_limiter_it_does_not_have(limiter):
         dv_step(fld, dt, cfg.left, cfg.right, cfg.kn, cfg.pr, limiter)
     assert str(err.value) == ("limiter must be 'none' or 'minmod', got '%s'"
                               % limiter)
+    np.testing.assert_array_equal(fld.values, values)
+    np.testing.assert_array_equal(fld.correction, correction)
+
+
+@pytest.mark.parametrize("kn, pr, message", [
+    (-0.1, 2.0 / 3.0, "Knudsen number must be positive"),
+    (0.0, 2.0 / 3.0, "Knudsen number must be positive"),
+    (math.nan, 2.0 / 3.0, "Knudsen number must be positive"),
+    (0.1, 0.0, "Prandtl number must lie in (0, 1]"),
+    (0.1, 1.5, "Prandtl number must lie in (0, 1]"),
+], ids=["kn-negative", "kn-zero", "kn-nan", "pr-zero", "pr-above-1"])
+def test_dv_step_applies_the_collision_rules_to_its_numbers(kn, pr, message):
+    # the Knudsen and Prandtl numbers arrive as raw floats; dv_step checks
+    # them with RunOptions' rule and message before the values or the
+    # Newton starts change (a negative kn used to run, warning of negative
+    # values after collision, and kn = 0 divided by zero)
+    sc = scenarios.preset("couette", solver="cdvm", cells=6,
+                          dv_nodes=(12, 12, 12))
+    fld = scenarios.build_dv_field(sc)
+    cfg = scenarios.to_dv_config(sc)
+    dt = dv_cfl_timestep(fld, cfg.cfl, cfg.limiter)
+    dv_step(fld, dt, cfg.left, cfg.right, cfg.kn, cfg.pr, cfg.limiter)
+    values, correction = fld.values.copy(), fld.correction.copy()
+    with pytest.raises(ValueError) as err:
+        dv_step(fld, dt, cfg.left, cfg.right, kn, pr, cfg.limiter)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as config_err:
+        RunOptions(kn=kn, pr=pr, t_end=1.0)
+    assert str(config_err.value) == message
     np.testing.assert_array_equal(fld.values, values)
     np.testing.assert_array_equal(fld.correction, correction)
 

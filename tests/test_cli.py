@@ -116,7 +116,7 @@ def test_preset_rejects_a_bad_run_option_with_the_run_config_message(
 @pytest.mark.parametrize("solver", ["nrxx", "cdvm"])
 @pytest.mark.parametrize("overrides, message", [
     (dict(u_wall_right=(COUETTE_WALL_SPEED, 0.2, 0.0)),
-     "the right wall moves along its normal, which neither solver supports"),
+     "wall velocity u_wall must be zero along the normal e2, got 0.2"),
     (dict(y_lo=0.5, y_hi=0.5), "empty domain"),
     (dict(y_lo=0.5, y_hi=-0.5), "empty domain"),
     (dict(y_lo=-float("inf")), "infinite domain"),
@@ -137,7 +137,8 @@ def test_preset_rejects_a_bad_wall_or_slab_with_one_message_for_both_solvers(
 
 @pytest.mark.parametrize("scenario, overrides, message", [
     ("poiseuille", {}, "force must be zero"),
-    ("couette", dict(u_wall_right=(0.0, 0.2, 0.0)), "moves along its normal"),
+    ("couette", dict(u_wall_right=(0.0, 0.2, 0.0)),
+     "wall velocity u_wall must be zero along the normal e2, got 0.2"),
 ], ids=["force", "normal-wall"])
 def test_cdvm_scenario_builds_its_dv_run_config(scenario, overrides, message):
     # a body force or a wall moving along its normal fails when the cdvm
@@ -442,7 +443,7 @@ def test_run_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solver1d, "cfl_timestep", lambda *args: next(dts))
     for lines, message in (
         ("u_wall_right = 0.6296 0.2 0.0\n",
-         "the right wall moves along its normal, which neither solver supports"),
+         r"wall velocity u_wall must be zero along the normal e2, got 0\.2"),
         ("solver = cdvm\ny_lo = 0.5\ny_hi = 0.5\n", "empty domain"),
         ("M = 3\ncells = 2\ncfl = 0.475\nsteady_tol = 1e-10\n",
          r"step \d+ does not advance the time: dt = \S+ at t = \S+"),

@@ -1,6 +1,5 @@
 """The marching loop and stop rule shared by the moment and DVM solvers."""
 
-import contextlib
 import re
 
 import numpy as np
@@ -372,6 +371,27 @@ def test_a_rejected_mix_keeps_the_step_and_restarts_the_window():
                                       toy.A @ states[k - 1] + toy.b)
 
 
+def test_a_mix_that_grows_the_residual_goes_back_to_the_plain_step():
+    # put call 5 takes its mix but stores it scaled by 1e3, as a mix that
+    # lands far from the fixed point; the step from it grows the residual
+    # past RESIDUAL_GROWTH times the last kept one, so the state goes back
+    # to the plain image of the iterate kept before it, and the window
+    # restarts
+    toy = Affine()
+    put = toy.put
+    toy.put = lambda x: put(1e3 * x if toy.puts == 4 else x)
+    states = []
+
+    def on_step(t, state):
+        states.append(state.x.copy())
+
+    res = toy.run(STEADY, on_step=on_step)
+    assert res.converged and res.restarts == 1
+    np.testing.assert_allclose(toy.x, toy.fixed, rtol=0, atol=1e-10)
+    assert np.abs(states[5]).max() > 100.0 * np.abs(toy.fixed).max()
+    np.testing.assert_array_equal(states[6], toy.A @ states[4] + toy.b)
+
+
 def test_a_singular_window_restarts_instead_of_failing():
     # x -> b reaches its fixed point in one step; from the third step on the
     # newest residual difference is exactly zero, which makes the Gram
@@ -430,22 +450,19 @@ def test_a_runaway_steady_solve_fails_where_time_stops_advancing():
     assert all(np.diff(seen) > 0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the Anderson mix is taken unguarded: on 2 cells at "
-                          "CFL 0.475 max theta stays 1.0751 through step 78, "
-                          "then accepted mixes lift it above 10 at step 79 "
-                          "and to 1.23e24 at step 80 (ROADMAP item 9)")
 def test_an_anderson_mix_does_not_heat_a_steady_couette_solve():
     # every mix of the 2-cell Couette has positive densities and
-    # temperatures, so each is accepted; march then stops the runaway at
-    # step 81, where dt no longer advances t.  No warning is raised on the
-    # way.  A safeguarded mix would keep max theta near the walls' 1
+    # temperatures; unguarded, accepted mixes lifted max theta from 1.0751
+    # above 10 at step 79 and to 1.23e24 at step 80, where march stopped the
+    # runaway.  The safeguard drops a mix whose step grows the residual past
+    # RESIDUAL_GROWTH times the last kept one, so max theta stays near the
+    # walls' 1 and the solve reaches its tolerance
     grid, config = _couette(2, cfl=0.475)
     hottest = []
-    with contextlib.suppress(RuntimeError):
-        run(grid, config,
-            on_step=lambda t, state: hottest.append(float(state.theta.max())))
+    res = run(grid, config, on_step=lambda t, state: hottest.append(
+        float(state.theta.max())))
     assert max(hottest) < 10.0
+    assert res.converged and res.restarts > 0
 
 
 def test_a_tolerance_below_the_residual_floor_can_be_unreachable():
