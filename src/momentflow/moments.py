@@ -88,7 +88,10 @@ def read_slots(coeffs, alphas):
 @lru_cache(maxsize=64)
 def work_array(tag, shape):
     """Scratch array kept across steps, one per (tag, shape); callers
-    overwrite it before reading and never hand it out.  Not thread safe."""
+    overwrite it before reading.  A work array may pass between the
+    functions of one step (``solver1d._interface_data`` returns its trace
+    buffers, ``solver1d._hll_combine`` a view of one), but none is left in
+    a grid or field when the step ends.  Not thread safe."""
     return np.empty(shape)
 
 

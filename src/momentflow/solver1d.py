@@ -41,7 +41,6 @@ collided in place and becomes ``grid.coeffs``.  No array a step leaves in
 the grid is a work array.
 """
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -246,11 +245,12 @@ def _slope(diff, limiter, out):
     return out
 
 
-def _beyond_end(grid, j, wall, sign, inner=None):
-    """``(u, theta, coeffs)`` beyond the end cell j (0 or N - 1): at a wall
-    (the left one for ``sign`` -1, the right one for +1) the wall ghost of
-    ``inner``, by default the cell itself; at a free end the cell itself."""
-    cell = grid.u[j], grid.theta[j], grid.coeffs[j]
+def _beyond_end(state, j, wall, sign, inner=None):
+    """``(u, theta, coeffs)`` beyond the end cell j (0 or N - 1) of the
+    state of those arrays: at a wall (the left one for ``sign`` -1, the
+    right one for +1) the wall ghost of ``inner``, by default the cell
+    itself; at a free end the cell itself."""
+    cell = tuple(a[j] for a in state)
     if wall is None:
         return cell
     return ghost_state(*(cell if inner is None else inner), wall, sign)
@@ -277,8 +277,9 @@ def closure_time(rho, theta, kn, dt):
     return -tau * np.expm1(-dt / tau)
 
 
-def _interface_data(grid, config):
-    """Traces at every interface and the common frame they are projected to.
+def _interface_data(state, dx, config):
+    """Traces at every interface of the state ``(u, theta, coeffs)`` on
+    cells of width ``dx``, and the common frame they are projected to.
 
     Returns ``((u, theta, coeffs), (u_c, theta_c))``.  The traces are
     stacked over a leading axis of 2, left trace first, then the N+1
@@ -286,11 +287,11 @@ def _interface_data(grid, config):
     common frame is the mean of the flanking pair: the adjacent cell values
     in the interior, the inner trace and its trace-built ghost at a wall.
     """
-    n, dx = grid.n, grid.dx
+    n = len(state[1])
     ends = ((config.left, -1.0, 0), (config.right, 1.0, n - 1))
-    gl, gr = (_beyond_end(grid, j, wall, sign) for wall, sign, j in ends)
+    gl, gr = (_beyond_end(state, j, wall, sign) for wall, sign, j in ends)
     traces = []
-    for cells, lo, hi in zip((grid.u, grid.theta, grid.coeffs), gl, gr):
+    for cells, lo, hi in zip(state, gl, gr):
         diff = work_array("face differences", (n + 1,) + cells.shape[1:])
         np.subtract(cells[1:], cells[:-1], out=diff[1:-1])
         diff[0], diff[n] = cells[0] - lo, hi - cells[-1]
@@ -313,13 +314,13 @@ def _interface_data(grid, config):
         i = side * n
         inner = tu[1 - side, i], tth[1 - side, i], tc[1 - side, i]
         tu[side, i], tth[side, i], tc[side, i] = _beyond_end(
-            grid, j, wall, sign, inner)
+            state, j, wall, sign, inner)
 
     # at a wall the flanking pair is (trace, its ghost), which pins the
     # common frame to (u_trace_tangential, 0, theta_trace): the ghost mirrors
     # u2, as the wall does not move along its normal
     frame = []
-    for cells, t in ((grid.u, tu), (grid.theta, tth)):
+    for cells, t in zip(state, (tu, tth)):
         al = np.concatenate([t[0, :1], cells])
         br = np.concatenate([cells, t[1, n:]])
         if config.left is not None:
@@ -330,12 +331,14 @@ def _interface_data(grid, config):
     return (tu, tth, tc), tuple(frame)
 
 
-def _transport_rate(grid, config, dt, out):
-    """One flux-divergence evaluation: d(coeffs)/dt in each cell's own
-    frame, written into ``out``; returns ``out``."""
-    n, dx = grid.n, grid.dx
+def _transport_rate(state, dx, config, dt, out):
+    """One flux-divergence evaluation of the state ``(u, theta, coeffs)`` on
+    cells of width ``dx``: d(coeffs)/dt in each cell's own frame, written
+    into ``out``; returns ``out``."""
+    u, theta, coeffs = state
+    n = len(theta)
 
-    (tu, tth, tc), (u_c, th_c) = _interface_data(grid, config)
+    (tu, tth, tc), (u_c, th_c) = _interface_data(state, dx, config)
     p_pair = project_coeffs(tc, tu, tth, u_c, th_c,
                             out=work_array("projected traces", tc.shape))
     rho_bar = 0.5 * (p_pair[0, :, 0, 0, 0] + p_pair[1, :, 0, 0, 0])
@@ -359,7 +362,7 @@ def _transport_rate(grid, config, dt, out):
     # so differencing against it is not a gradient estimate and would couple
     # back into the top grade
     ends = [0, min(1, n - 1), max(n - 2, 0), n - 1]
-    cells = closure_columns(grid.u[ends], grid.theta[ends], grid.coeffs[ends])
+    cells = closure_columns(u[ends], theta[ends], coeffs[ends])
     np.divide(cells[1::2] - cells[::2], dx, out=grad[::n])
     # the one prediction closes both traces
     top = closure_coeffs(p_pair, th_c, grad,
@@ -377,13 +380,8 @@ def _transport_rate(grid, config, dt, out):
     faces = np.ndarray((2,) + F[1:].shape, buffer=F,
                        strides=F.strides[:1] + F.strides)
     f_pair = project_coeffs(
-        faces,
-        np.stack([u_c[:-1], u_c[1:]]),
-        np.stack([th_c[:-1], th_c[1:]]),
-        grid.u,
-        grid.theta,
-        out=work_array("face fluxes", (2,) + grid.coeffs.shape),
-    )
+        faces, np.stack([u_c[:-1], u_c[1:]]), np.stack([th_c[:-1], th_c[1:]]),
+        u, theta, out=work_array("face fluxes", (2,) + coeffs.shape))
     rate = np.subtract(f_pair[0], f_pair[1], out=out)
     rate /= dx
     return rate
@@ -418,19 +416,17 @@ def step(grid, config, dt=None):
         dt = cfl_timestep(grid, config.cfl, config.signal_speed)
 
     rates = work_array("transport rates", (2,) + grid.coeffs.shape)
-    r1 = _transport_rate(grid, config, dt, out=rates[0])
+    r1 = _transport_rate((grid.u, grid.theta, grid.coeffs), grid.dx, config,
+                         dt, out=rates[0])
     stage = np.multiply(dt, r1, out=work_array("stage", r1.shape))
     stage += grid.coeffs
-    # the stage grid holds the stage arrays; a shallow copy skips the copies
-    # and checks of Grid1D's constructor
-    g1 = copy.copy(grid)
-    g1.u, g1.theta, g1.coeffs = _stage_state(
-        grid, stage, "transport stage 1",
-        out=work_array("stage state", stage.shape))
+    u1, th1, c1 = _stage_state(grid, stage, "transport stage 1",
+                               out=work_array("stage state", stage.shape))
     # the second-stage rate comes back in the stage frames; re-express it in
     # the step-start frames before averaging (the frame map is linear)
-    r2 = project_coeffs(_transport_rate(g1, config, dt, out=rates[1]), g1.u,
-                        g1.theta, grid.u, grid.theta, out=stage)
+    r2 = project_coeffs(
+        _transport_rate((u1, th1, c1), grid.dx, config, dt, out=rates[1]),
+        u1, th1, grid.u, grid.theta, out=stage)
     new_c = np.add(r1, r2, out=r1)
     new_c *= 0.5 * dt
     new_c += grid.coeffs

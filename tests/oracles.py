@@ -1,9 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately written without reusing the library's own
-recursions: symbolic polynomials via sympy, integrals via adaptive quadrature
-or tensor-product Gauss rules, and plain dict-of-multi-index arithmetic for
-the moment algebra.  Slow and simple on purpose.
+recursions: symbolic polynomials via sympy, integrals in closed form or by
+tensor-product Gauss rules, and plain dict-of-multi-index arithmetic for the
+moment algebra.  Slow and simple on purpose.
 """
 
 import math
@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 import sympy
 from numpy.polynomial import hermite_e
-from scipy import integrate
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +83,27 @@ def expansion_eval(coeffs, u, theta, xi):
 # Half-range and shifted-Gaussian integrals
 
 
+def _half_line(poly, ratio=Fraction(1)):
+    """int_0^inf p(r t) e^{-t^2/2} dt for a sympy polynomial p in x with
+    integer coefficients whose powers share one parity, and r = sqrt(ratio)
+    with ``ratio`` a Fraction.
+
+    Term by term int_0^inf t^k e^{-t^2/2} dt = (k-1)!!, times sqrt(pi/2)
+    for even k, and r^k = ratio^(k//2) r^(k%2); so the sum is an exact
+    rational times sqrt(pi/2) (even powers) or r (odd powers), rounded once.
+    """
+    terms = sympy.Poly(poly, sympy.Symbol("x")).terms()
+    parities = {k % 2 for (k,), _ in terms}
+    assert len(parities) == 1, "powers of mixed parity"
+    acc = sum(Fraction(int(c)) * ratio ** (k // 2) * math.prod(range(k - 1, 0, -2))
+              for (k,), c in terms)
+    return float(acc) * (math.sqrt(ratio) if parities.pop() else math.sqrt(math.pi / 2))
+
+
 def s_quadrature(m, n):
-    """S(m,n) = (2 pi)^{-1/2} / m! * int_0^inf He_m(x) He_n(x) e^{-x^2/2} dx."""
-    pm = sympy.lambdify(sympy.Symbol("x"), he_symbolic(m), "numpy")
-    pn = sympy.lambdify(sympy.Symbol("x"), he_symbolic(n), "numpy")
-
-    def integrand(x):
-        return pm(x) * pn(x) * math.exp(-(x**2) / 2)
-
-    val, _ = integrate.quad(integrand, 0.0, 14.0, epsabs=1e-14, epsrel=1e-13, limit=200)
+    """S(m,n) = (2 pi)^{-1/2} / m! * int_0^inf He_m(x) He_n(x) e^{-x^2/2} dx,
+    in closed form (``_half_line``)."""
+    val = _half_line(sympy.expand(he_symbolic(m) * he_symbolic(n)))
     return val / (math.sqrt(2 * math.pi) * math.factorial(m))
 
 
@@ -100,29 +111,29 @@ def j_quadrature(s, theta, theta_wall, x, half=False):
     """Defining integral of the shifted-Gaussian Hermite moments.
 
     J_s(x)     = theta^{(s+1)/2}/s! * int_R  N(sqrt(theta) y - x; theta_wall) He_s(y) dy
-    tildeJ_s(x): same integrand over (-inf, 0].
+    tildeJ_s(x): same integrand over (-inf, 0], taken at x = 0 only (a wall
+    does not move along its normal), in closed form (``_half_line``).
     """
+    pref = theta ** ((s + 1) / 2) / math.factorial(s)
+    if half:
+        if x != 0.0:
+            raise ValueError("the half-line integral is taken at x = 0 only")
+        # y = -r t with r^2 = theta_wall / theta: the weight becomes
+        # exp(-t^2/2) on t >= 0, and He_s(-r t) = (-1)^s He_s(r t)
+        ratio = Fraction(theta_wall) / Fraction(theta)
+        val = (-1) ** s * math.sqrt(ratio) * _half_line(he_symbolic(s), ratio)
+        return pref * val / math.sqrt(2 * math.pi * theta_wall)
+
+    # substitute t = (sqrt(theta) y - x)/sqrt(theta_wall): the weight
+    # becomes exp(-t^2/2) and the rest is a degree-s polynomial, so a
+    # Gauss rule on the probabilists' weight integrates it exactly
     poly = sympy.lambdify(sympy.Symbol("x"), he_symbolic(s), "numpy")
-
-    if not half:
-        # substitute t = (sqrt(theta) y - x)/sqrt(theta_wall): the weight
-        # becomes exp(-t^2/2) and the rest is a degree-s polynomial, so a
-        # Gauss rule on the probabilists' weight integrates it exactly
-        nodes, weights = hermite_e.hermegauss(32)
-        vals = np.asarray(
-            poly((x + math.sqrt(theta_wall) * nodes) / math.sqrt(theta)),
-            dtype=float,
-        )
-        val = float(np.sum(weights * vals)) / math.sqrt(2 * math.pi * theta)
-        return theta ** ((s + 1) / 2) / math.factorial(s) * val
-
-    def integrand(y):
-        g = math.exp(-((math.sqrt(theta) * y - x) ** 2) / (2 * theta_wall))
-        return g * poly(y)
-
-    val, _ = integrate.quad(integrand, -14.0, 0.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    pref = theta ** ((s + 1) / 2) / (math.factorial(s) * math.sqrt(2 * math.pi * theta_wall))
-    return pref * val
+    nodes, weights = hermite_e.hermegauss(32)
+    vals = np.asarray(
+        poly((x + math.sqrt(theta_wall) * nodes) / math.sqrt(theta)),
+        dtype=float,
+    )
+    return pref * float(np.sum(weights * vals)) / math.sqrt(2 * math.pi * theta)
 
 
 # ---------------------------------------------------------------------------
@@ -942,3 +953,187 @@ def step_spectrum(grid, config):
     nyquist = (np.sum(np.abs(odd_even) ** 2, axis=0)
                / (n * np.sum(np.abs(vec) ** 2, axis=(0, 1))))
     return lam, nyquist, dt
+
+
+# ---------------------------------------------------------------------------
+# Plane waves: the NRxx system linearized about (rho, u, theta) = (1, 0, 1)
+# against the linearized Shakhov dispersion relation
+#
+# Both sides look for modes e^{i k y + lam t}, with tau = 1 (so k stands for
+# k tau) and Pr = PLANE_WAVE_PR.  The families are the slots (a1 odd or
+# even, a3 even) that the linear system keeps apart: "sound" (a1 and a3
+# even: density, u2, temperature and q2) and "shear" (a1 odd: u1 and q1).
+
+PLANE_WAVE_PR = Fraction(2, 3)
+
+
+@lru_cache(maxsize=None)
+def linear_nrxx(M, family):
+    """The NRxx system of order M linearized about (rho, u, theta) =
+    (1, 0, 1), on the grades <= M of ``family`` in a full (M + 1)^3 cube in
+    that fixed frame, read off the solver's own kernels: returns read-only
+    ``(A, P, C)`` of the plane-wave operator L(k) = -i k A + k^2 tau_c P + C
+    (``plane_wave_operator``).
+
+    * A, the a2-flux of the evolved grades: ``solver1d._flux_cube`` at
+      (u2, theta) = (0, 1) applied to each unit cube.
+    * P, the top grade's flux per unit i k tau_c: ``closure_coeffs``
+      probed at equilibrium traces with each unit gradient of its
+      ``closure_columns`` block (about equilibrium only the reads
+      f_{alpha - e2} enter, which is asserted), the columns of each unit
+      cube, and ``add_top_flux``.
+    * C, the generator of ``collide_coeffs``: the derivative of its map in
+      dt at dt = 0, by a complex step (the map is analytic in dt), which
+      is exact to round-off.  In the fixed frame a temperature change sits
+      in the grade-2 trace, which the collision relaxes towards, so C acts
+      on the trace-free part of f_{2 e_d} alone.
+    """
+    from momentflow.closure import add_top_flux, closure_coeffs, closure_columns
+    from momentflow.collision import collide_coeffs
+    from momentflow.moments import grade_mask
+    from momentflow.solver1d import _flux_cube
+
+    cube = (M + 1,) * 3
+    slots = np.flatnonzero(grade_mask(cube, M))
+    alpha = np.array(np.unravel_index(slots, cube)).T
+    keep = (alpha[:, 2] % 2 == 0) & (alpha[:, 0] % 2 == (family == "shear"))
+    slots, alpha = slots[keep], alpha[keep]
+    n = slots.size
+    units = np.zeros((n, np.prod(cube)))
+    units[np.arange(n), slots] = 1.0
+    units = units.reshape((n,) + cube)
+
+    def on_family(cubes):
+        return cubes.reshape(len(cubes), -1)[:, slots].T
+
+    flux = _flux_cube(np.zeros(()), np.ones(()), np.ones(()), np.zeros(()),
+                      M + 1)
+    A = on_family(np.matmul(flux, units))
+
+    columns = closure_columns(np.zeros((n, 3)), np.ones(n), units)
+    width = columns.shape[1]
+    equilibrium = np.zeros((2, width) + cube)
+    equilibrium[:, :, 0, 0, 0] = 1.0
+    per_gradient = closure_coeffs(equilibrium, np.ones(width), np.eye(width),
+                                  np.ones(width))
+    assert not per_gradient[:5].any()
+    top_flux = on_family(add_top_flux(np.zeros((width - 5,) + cube),
+                                      np.eye(width - 5)))
+    P = top_flux @ per_gradient.T @ columns.T
+
+    h = 1e-20
+    step = collide_coeffs(units.astype(complex), np.ones(n),
+                          float(PLANE_WAVE_PR), 1j * h,
+                          out=np.empty(units.shape, complex))
+    trace = (alpha.sum(axis=1) == 2) & (alpha.max(axis=1) == 2)
+    C = on_family(step).imag / h @ (np.eye(n) - np.outer(trace, trace) / 3.0)
+    for m in (A, P, C):
+        m.setflags(write=False)
+    return A, P, C
+
+
+def plane_wave_operator(M, family, k, tau_c):
+    """L(k) of ``linear_nrxx``: d f / dt = L(k) f for f e^{i k y}.  The top
+    grade is -tau_c d/dy f_{alpha - e2}, so tau_c = tau = 1 is the
+    regularized closure and tau_c = 0 Grad's."""
+    A, P, C = linear_nrxx(M, family)
+    return -1j * k * A + k * k * tau_c * P + C
+
+
+def least_damped(M, family, k, tau_c):
+    """The eigenvalue of ``plane_wave_operator`` with the largest real part:
+    of the sound family among those of frequency Im lam > k / 2 (which
+    leaves out the real heat mode), of the shear family among all."""
+    lam = np.linalg.eigvals(plane_wave_operator(M, family, k, tau_c))
+    if family == "sound":
+        lam = lam[lam.imag > 0.5 * k]
+    return complex(lam[np.argmax(lam.real)])
+
+
+def _normal_moment(n):
+    """int x^n N(x; 0, 1) dx: (n - 1)!! for even n, 0 for odd n."""
+    return 0 if n % 2 else math.prod(range(n - 1, 0, -2))
+
+
+@lru_cache(maxsize=None)
+def _shakhov_table(family):
+    """Rows r, columns c, then the coefficients of x2^n, n <= 8, of
+    <phi_r psi_c>_{x1, x3}, exact Fractions: phi_r the moments of the
+    family (rho, u2, theta, q2 or u1, q1) as functionals of the
+    perturbation h of a unit Maxwellian, psi_c what a unit change of each
+    puts into the linearized Shakhov target, averaged over the standard
+    normal x1 and x3."""
+    x1, x2, x3 = sympy.symbols("x1 x2 x3")
+    c2 = x1**2 + x2**2 + x3**2
+    a = (1 - sympy.Rational(PLANE_WAVE_PR.numerator,
+                            PLANE_WAVE_PR.denominator)) / 5
+    if family == "sound":
+        phis = (1, x2, (c2 - 3) / 3, x2 * (c2 - 5) / 2)
+        psis = (1, x2, (c2 - 3) / 2, a * x2 * (c2 - 5))
+    else:
+        phis = (x1, x1 * (c2 - 5) / 2)
+        psis = (x1, a * x1 * (c2 - 5))
+    table = []
+    for phi in phis:
+        row = []
+        for psi in psis:
+            coeffs = [Fraction(0)] * 9
+            for (i1, i2, i3), c in sympy.Poly(sympy.expand(phi * psi),
+                                              x1, x2, x3).terms():
+                coeffs[i2] += (Fraction(int(c.p), int(c.q))
+                               * _normal_moment(i1) * _normal_moment(i3))
+            row.append(coeffs)
+        table.append(row)
+    return table
+
+
+def plasma_integrals(zeta, nmax):
+    """I_n(zeta) = int x^n N(x; 0, 1) / (x - zeta) dx for n <= nmax and
+    Im zeta > 0, in mpmath: I_0 = i sqrt(pi / 2) w(zeta / sqrt 2) with w the
+    Faddeeva function (``scipy.special.wofz``), here e^{-z^2} erfc(-i z),
+    then I_{n+1} = (n - 1)!! [n even] + zeta I_n.  At small k, |zeta| is
+    large and the recursion cancels about log10 |zeta| digits a step, which
+    the caller's working precision must cover."""
+    import mpmath
+
+    z = zeta / mpmath.sqrt(2)
+    out = [1j * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-z * z)
+           * mpmath.erfc(-1j * z)]
+    for n in range(nmax):
+        out.append(_normal_moment(n) + zeta * out[-1])
+    return out
+
+
+def shakhov_dispersion(lam, k, family):
+    """det(I - M(lam, k)) of the linearized Shakhov model about a unit
+    Maxwellian, zero at a plane-wave mode e^{i k y + lam t}.
+
+    The perturbation h solves (1 + lam + i k x2) h = S, S the linearized
+    Shakhov target of the family's moments, so each moment is
+    <phi_r S / (1 + lam + i k x2)> = sum_c M_rc (moment c).  With
+    zeta = i (1 + lam) / k, <x2^n / (...)> = I_n(zeta) / (i k)
+    (``plasma_integrals``).  A 4 x 4 determinant for sound and heat, 2 x 2
+    for shear (the kinetic theory of sound of L. Sirovich and J. K.
+    Thurber, J. Acoust. Soc. Am. 37 (1965))."""
+    import mpmath
+
+    I = plasma_integrals(1j * (1 + lam) / k, 8)
+    table = _shakhov_table(family)
+    m = mpmath.matrix(len(table))
+    for r, row in enumerate(table):
+        for c, coeffs in enumerate(row):
+            s = mpmath.fsum(mpmath.mpf(q.numerator) / q.denominator * I[n]
+                            for n, q in enumerate(coeffs) if q)
+            m[r, c] = (r == c) - s / (1j * k)
+    return mpmath.det(m)
+
+
+@lru_cache(maxsize=None)
+def shakhov_root(family, k, start):
+    """The root lam of ``shakhov_dispersion`` nearest ``start`` (complex),
+    by mpmath's secant iteration at 40 digits, as a complex."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return complex(mpmath.findroot(
+            lambda lam: shakhov_dispersion(lam, k, family), mpmath.mpc(start)))

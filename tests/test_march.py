@@ -8,8 +8,8 @@ import pytest
 from momentflow import scenarios
 from momentflow.boundary import WallSpec
 from momentflow.cdvm import DvField, DvGrid, dv_run
-from momentflow.march import (CHECK_EVERY, RESIDUAL_FLOOR, RunOptions, march,
-                              minmod)
+from momentflow.march import (CHECK_EVERY, RESIDUAL_FLOOR, Anderson,
+                              RunOptions, march, minmod)
 from momentflow.solver1d import Grid1D, RunConfig, run
 
 NAN = float("nan")
@@ -402,6 +402,18 @@ def test_a_singular_window_restarts_instead_of_failing():
     assert (res.steps, res.converged) == (2 * CHECK_EVERY, True)
     assert res.restarts == res.steps - 2
     np.testing.assert_array_equal(toy.x, toy.b)
+
+
+def test_a_non_finite_image_comes_back_unmixed_and_restarts_the_window():
+    # the NaN in the image reaches the Gram matrix through the new residual
+    # difference, so the solve gives a non-finite gamma: the image is
+    # returned as it is, the restart counted and the window emptied
+    a = Anderson(4)
+    np.testing.assert_array_equal(a.mix(np.zeros(4), np.ones(4)), np.ones(4))
+    g = np.array([np.nan, 1.0, 1.0, 1.0])
+    assert a.mix(np.ones(4), g) is g
+    np.testing.assert_array_equal(g, [np.nan, 1.0, 1.0, 1.0])
+    assert (a.restarts, a.columns, a.mixed) == (1, 0, False)
 
 
 def test_a_run_to_an_end_time_marches_plainly():

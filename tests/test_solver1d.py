@@ -52,6 +52,12 @@ def _uniform_grid(n=20, M=3, rho=1.0, theta=1.0):
     return Grid1D.from_fields(-0.5, 0.5, np.full(n, rho), np.zeros(3), theta, M)
 
 
+def _state(g):
+    """The grid's arrays as the state ``(u, theta, coeffs)`` that the
+    transport kernels take."""
+    return g.u, g.theta, g.coeffs
+
+
 def _flux(coeffs, u2, theta):
     """Flux of a state (batched over leading axes) that stores its top
     grade, on the grades below it, through the solver's banded operator,
@@ -261,7 +267,7 @@ def test_hll_consistency(monkeypatch):
                np.tile(_evolved(s.coeffs), (3, 1, 1, 1)))
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
     calls = _hll_calls(monkeypatch)
-    rate = _transport_rate(g, cfg, 0.01, np.empty_like(g.coeffs))
+    rate = _transport_rate(_state(g), g.dx, cfg, 0.01, np.empty_like(g.coeffs))
     top = order_cube((5,) * 3) == 4
     want = _flux(np.where(top, 0.0, s.coeffs), s.u[1], s.theta)
     ((top, F),) = [(c[2], c[-1]) for c in calls]
@@ -355,7 +361,7 @@ def test_supersonic_flow_is_upwinded(monkeypatch):
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
     assert 5.0 > cfg.signal_speed * math.sqrt(0.5)
     calls = _hll_calls(monkeypatch)
-    _transport_rate(g, cfg, 0.01, np.empty_like(g.coeffs))
+    _transport_rate(_state(g), g.dx, cfg, 0.01, np.empty_like(g.coeffs))
     ((a, b, top, u2, theta, lam_l, lam_r, F),) = calls
     assert np.all(lam_l > 0) and np.all(lam_r > lam_l)
     np.testing.assert_array_equal(F * grade_mask((4,) * 3, 3),
@@ -383,7 +389,7 @@ def test_hll_mirror_interface_has_no_mass_flux(monkeypatch):
             left=WallSpec(chi, np.zeros(3), 1.0),
             right=WallSpec(chi, np.zeros(3), 1.0),
         )
-        _transport_rate(g, cfg, 0.01, np.empty_like(g.coeffs))
+        _transport_rate(_state(g), g.dx, cfg, 0.01, np.empty_like(g.coeffs))
         F = calls[-1][-1]
         assert abs(F[0, 0, 0, 0]) <= 1e-15
         assert abs(F[-1, 0, 0, 0]) <= 1e-15
@@ -420,7 +426,7 @@ def test_cfl_governed_by_hottest_cell():
 def test_reconstruct_uniform_field():
     g = _uniform_grid(n=8, rho=1.3, theta=0.8)
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0)
-    (t_u, t_th, t_c), _ = _interface_data(g, cfg)
+    (t_u, t_th, t_c), _ = _interface_data(_state(g), g.dx, cfg)
     assert t_c.shape == (2, 9, 4, 4, 4)
     np.testing.assert_allclose(t_c[:, :, 0, 0, 0], 1.3, rtol=1e-14)
     np.testing.assert_array_equal(t_c[0], t_c[1])
@@ -434,7 +440,7 @@ def test_reconstruct_linear_ramp_exact():
     y = g.centers
     g.coeffs[:, 0, 0, 0] = 1.0 + 0.1 * y
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0, limiter="central")
-    (_, _, (tl_c, tr_c)), _ = _interface_data(g, cfg)
+    (_, _, (tl_c, tr_c)), _ = _interface_data(_state(g), g.dx, cfg)
     edges = g.y_lo + g.dx * np.arange(n + 1)
     # end cells see a zero-gradient ghost and flatten; interior is exact
     for i in range(2, n - 1):
@@ -449,7 +455,7 @@ def test_reconstruct_minmod_no_new_extrema():
     g.coeffs[:4, 0, 0, 0] = 1.0
     g.coeffs[4:, 0, 0, 0] = 2.0
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0, limiter="minmod")
-    (_, _, (tl_c, tr_c)), _ = _interface_data(g, cfg)
+    (_, _, (tl_c, tr_c)), _ = _interface_data(_state(g), g.dx, cfg)
     for rho in (tl_c[:, 0, 0, 0], tr_c[:, 0, 0, 0]):
         assert np.all(rho >= 1.0 - 1e-14) and np.all(rho <= 2.0 + 1e-14)
 
@@ -795,7 +801,7 @@ def test_reconstruction_rejects_nan_temperature():
     g.theta[4] = np.nan
     cfg = RunConfig(M=3, kn=0.1, t_end=1.0, limiter="none")
     with pytest.raises(RuntimeError, match="temperature .* cell 4 in reconstruction"):
-        _interface_data(g, cfg)
+        _interface_data(_state(g), g.dx, cfg)
 
 
 def test_stage_state_names_cell_and_phase():
